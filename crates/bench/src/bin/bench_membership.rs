@@ -1,11 +1,12 @@
 //! Membership-scale benchmark: the three [`Workload`] shapes (flash
 //! crowd, Zipf lineup, IPTV zapping) paired across the membership arms,
-//! plus the HBH-AGG flash-crowd storm sweep to 10⁵ receivers, reporting
+//! plus the HBH-AGG flash-crowd storm sweep to 10⁴ receivers, reporting
 //! control volume, settle latency, and per-router state split by role
 //! (interior tree state vs. access-router member summaries).
 //!
 //! ```text
-//! # the acceptance-scale sweep: 5,020 routers, 120k hosts, 10⁵-join storm
+//! # the acceptance-scale sweep: 5,020 routers, 120k hosts, 10⁴-join storm
+//! # (over an hour: the 10⁴ storm point runs at under 5k events/s)
 //! cargo run --release -p hbh-bench --bin bench_membership -- --out BENCH_membership.json
 //!
 //! # CI smoke: tiny hierarchy, same code path, gated on a tolerance sheet

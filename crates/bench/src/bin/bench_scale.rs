@@ -6,12 +6,16 @@
 //!
 //! ```text
 //! # the acceptance-scale sweep: 5,020 routers, 100k hosts
-//! cargo run --release -p hbh-bench --bin bench_scale -- --out BENCH_scale.json
+//! cargo run --release -p hbh-bench --bin bench_scale -- --out /tmp/bench_scale.json
 //!
 //! # CI smoke: tiny hierarchy, same code path, gated on a tolerance sheet
 //! cargo run --release -p hbh-bench --bin bench_scale -- \
 //!     --smoke 1 --out /tmp/bench_scale_ci.json --check ci/scale_tolerance.txt
 //! ```
+//!
+//! `--out` is overwritten with this run's record. The committed
+//! `BENCH_scale.json` is a `history` array of such records, oldest first,
+//! put together by hand: write a run elsewhere and add its record there.
 //!
 //! The tolerance sheet is plain text, `#` comments, one rule per line:
 //!
@@ -153,13 +157,13 @@ fn render_json(report: &ScaleReport, cfg: &ScaleConfig, base_seed: u64, peak_kb:
     ));
     json.push_str(&format!(
         "  \"memory\": {{\"route_bytes\": {}, \"bytes_per_router\": {:.1}, \
-         \"all_pairs_bytes\": {}, \"memory_ratio\": {:.2}, \"csr_bytes\": {}, \
+         \"all_pairs_bytes\": {}, \"memory_ratio\": {:.2}, \"structure_bytes\": {}, \
          \"peak_rss_kb\": {peak_kb}}},\n",
         report.route_bytes,
         report.route_bytes as f64 / report.routers as f64,
         report.all_pairs_bytes,
         report.memory_ratio(),
-        report.csr_bytes,
+        report.structure_bytes,
     ));
     json.push_str(&format!(
         "  \"throughput\": {{\"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.1}}}\n",

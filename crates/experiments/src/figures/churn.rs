@@ -74,12 +74,7 @@ pub fn pick_victim(scenario: &Scenario) -> Option<NodeId> {
     let edge_down = vec![false; g.directed_edge_count()];
     // Reachability needs only the source's SPF row over the surviving
     // topology — one lazy row instead of an all-pairs recompute.
-    let avoiding = OnDemandRoutes::with_masks(
-        std::sync::Arc::new(hbh_topo::Csr::from_graph(g)),
-        node_down,
-        edge_down,
-        2,
-    );
+    let avoiding = OnDemandRoutes::with_masks(g, node_down, edge_down, 2);
     scenario
         .receivers
         .iter()

@@ -32,7 +32,16 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = configured_workers().min(runs.max(1));
+    map_runs_with(configured_workers(), runs, f)
+}
+
+/// [`map_runs`] on an explicit worker count (at least one is used).
+fn map_runs_with<T, F>(workers: usize, runs: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.min(runs.max(1));
     if workers <= 1 {
         return (0..runs).map(f).collect();
     }
@@ -48,7 +57,9 @@ where
             })
             .collect();
         for h in handles {
-            out.extend(h.join().expect("worker panicked"));
+            // Re-raise a worker's panic with its own payload, as the
+            // sequential loop would have.
+            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
     });
     out
@@ -57,9 +68,12 @@ where
 /// Worker count: `HBH_THREADS` when set to a positive integer, else the
 /// available parallelism.
 fn configured_workers() -> usize {
-    std::env::var("HBH_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
+    workers_from(std::env::var("HBH_THREADS").ok().as_deref())
+}
+
+/// [`configured_workers`] on the variable's value (`None` = unset).
+fn workers_from(var: Option<&str>) -> usize {
+    var.and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
         .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
@@ -76,20 +90,20 @@ mod tests {
 
     #[test]
     fn hbh_threads_env_pins_worker_count() {
-        // Env mutation is process-global: restore around the assertions.
-        // (Rust runs tests concurrently, but no other test in this crate
-        // reads HBH_THREADS at map_runs call time with a value dependency —
-        // results are order-stable for any worker count, which is exactly
-        // what this test also re-checks under a pinned count.)
-        std::env::set_var("HBH_THREADS", "2");
-        assert_eq!(configured_workers(), 2);
-        let v = map_runs(9, |i| i + 1);
-        assert_eq!(v, (1..=9).collect::<Vec<_>>());
-        std::env::set_var("HBH_THREADS", "not-a-number");
-        assert!(configured_workers() >= 1, "falls back to default");
-        std::env::set_var("HBH_THREADS", "0");
-        assert!(configured_workers() >= 1, "zero falls back to default");
-        std::env::remove_var("HBH_THREADS");
+        // The variable's value is passed in: tests run concurrently, so
+        // none may change the process environment.
+        assert_eq!(workers_from(Some("2")), 2);
+        assert_eq!(workers_from(Some(" 3\n")), 3);
+        let default = workers_from(None);
+        assert!(default >= 1);
+        assert_eq!(workers_from(Some("not-a-number")), default);
+        assert_eq!(workers_from(Some("0")), default, "zero falls back");
+        // Results are order-stable for any worker count, one included and
+        // more workers than runs included.
+        for workers in [1, 2, 4, 16] {
+            let v = map_runs_with(workers, 9, |i| i + 1);
+            assert_eq!(v, (1..=9).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -100,7 +114,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
-        let _ = map_runs(4, |i| {
+        // Two workers even on a one-core host, so the panic crosses a join.
+        let _ = map_runs_with(2, 4, |i| {
             if i == 2 {
                 panic!("boom");
             }

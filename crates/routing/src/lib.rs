@@ -14,7 +14,8 @@
 //! * [`tables::RoutingTables`] — all-pairs distances and next hops, the
 //!   eager forwarding state (exact, O(n²) — the paper-scale default);
 //! * [`provider`] — the [`provider::RouteProvider`] trait plus
-//!   [`provider::OnDemandRoutes`], lazy per-source SPF rows behind an LRU
+//!   [`provider::OnDemandRoutes`], lazy per-router SPF rows over the router
+//!   core behind an LRU (single-homed hosts resolve through their router)
 //!   for internet-scale topologies where n² tables no longer fit;
 //! * [`paths`] — path extraction and shortest-path-tree construction
 //!   (forward SPT and reverse SPT — the two tree shapes whose difference

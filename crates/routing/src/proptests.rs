@@ -18,6 +18,25 @@ fn arb_graph(seed: u64, n: usize, degree_scale: u8) -> Graph {
     g
 }
 
+const ROUTER_DOWN: u8 = 0;
+
+/// Fault masks for one failed element of `g`, picked by `seed`: a router
+/// (`ROUTER_DOWN`), a host (1), one host's host→router half-link (2) or
+/// its router→host half-link (3).
+fn fault(g: &Graph, kind: u8, seed: u64) -> (Vec<bool>, Vec<bool>) {
+    let mut node_down = vec![false; g.node_count()];
+    let mut edge_down = vec![false; g.directed_edge_count()];
+    let host = g.hosts().nth(seed as usize % g.hosts().count()).unwrap();
+    let router = g.host_router(host);
+    match kind {
+        ROUTER_DOWN => node_down[g.routers().nth(seed as usize % 3).unwrap().index()] = true,
+        1 => node_down[host.index()] = true,
+        2 => edge_down[g.edge_entry(host, router).unwrap().0.index()] = true,
+        _ => edge_down[g.edge_entry(router, host).unwrap().0.index()] = true,
+    }
+    (node_down, edge_down)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
@@ -116,22 +135,19 @@ proptest! {
         }
     }
 
-    /// Same equivalence over the surviving topology when one router is
-    /// avoided, exercising the masked SPF path of both providers.
+    /// Same equivalence over the surviving topology under each kind of
+    /// single fault: a router down (the masked SPF path of both
+    /// providers), or — what the contracted path answers from its stub
+    /// records alone — a host down, only its host→router half-link down,
+    /// only its router→host half-link down.
     #[test]
-    fn on_demand_equals_eager_avoiding_a_node(seed in 0u64..100_000, n in 5usize..16, d in 0u8..8) {
+    fn on_demand_equals_eager_under_a_fault(
+        seed in 0u64..100_000, n in 5usize..16, d in 0u8..8, kind in 0u8..4,
+    ) {
         let g = arb_graph(seed, n, d);
-        let victim = g.routers().nth((seed as usize) % 3).unwrap();
-        let mut node_down = vec![false; g.node_count()];
-        node_down[victim.index()] = true;
-        let edge_down = vec![false; g.directed_edge_count()];
+        let (node_down, edge_down) = fault(&g, kind, seed);
         let eager = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
-        let lazy = OnDemandRoutes::with_masks(
-            std::sync::Arc::new(hbh_topo::Csr::from_graph(&g)),
-            node_down,
-            edge_down,
-            3.max(n / 4),
-        );
+        let lazy = OnDemandRoutes::with_masks(&g, node_down, edge_down, 3.max(n / 4));
         for u in g.nodes() {
             for v in g.nodes() {
                 prop_assert_eq!(eager.dist(u, v), lazy.dist(u, v), "dist {}->{}", u, v);
@@ -146,20 +162,25 @@ proptest! {
 
     /// Fault transitions through `rerouted` (selective invalidation +
     /// cached survivors) still answer exactly like a fresh masked
-    /// computation.
+    /// computation — and a fault on a stub host or its access link, which
+    /// no row contains, drops no row at all.
     #[test]
-    fn rerouted_provider_stays_exact(seed in 0u64..100_000, n in 5usize..14, d in 0u8..8) {
+    fn rerouted_provider_stays_exact(
+        seed in 0u64..100_000, n in 5usize..14, d in 0u8..8, kind in 0u8..4,
+    ) {
         let g = arb_graph(seed, n, d);
         let lazy = OnDemandRoutes::new(&g, n);
-        // Warm a few rows, then fail a router and compare post-fault.
+        // Warm a few rows, then inject the fault and compare post-fault.
         for u in g.nodes().take(n / 2) {
             lazy.dist(u, g.nodes().last().unwrap());
         }
-        let victim = g.routers().nth((seed as usize) % 3).unwrap();
-        let mut node_down = vec![false; g.node_count()];
-        node_down[victim.index()] = true;
-        let edge_down = vec![false; g.directed_edge_count()];
+        let warm = lazy.cached_sources();
+        let (node_down, edge_down) = fault(&g, kind, seed);
         let after = lazy.rerouted(node_down.clone(), edge_down.clone());
+        if kind != ROUTER_DOWN {
+            prop_assert_eq!(after.route_stats().invalidated, 0);
+            prop_assert_eq!(after.cached_sources(), warm);
+        }
         let fresh = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
         for u in g.nodes() {
             for v in g.nodes() {

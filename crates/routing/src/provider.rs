@@ -11,23 +11,58 @@
 //! [`RouteProvider`] is the consumer-facing trait (`next_hop`, `dist`,
 //! `path`); [`crate::RoutingTables`] implements it as the exact eager
 //! fallback (bit-for-bit the historical behaviour, used for the paper's
-//! n≤50 figures), and [`OnDemandRoutes`] implements it lazily: one forward
-//! SPF row per *forwarding node actually consulted*, in an LRU with
-//! deterministic eviction. Both run the same CSR Dijkstra with the same
-//! tie-breaks, so on any (at, dst) pair they agree exactly — a property
-//! test pins this, with and without failed elements.
+//! n≤50 figures), and [`OnDemandRoutes`] implements it lazily, in an LRU
+//! with deterministic eviction. Both run the same CSR Dijkstra with the
+//! same tie-breaks, so on any (at, dst) pair they agree exactly — a
+//! property test pins this, with and without failed elements.
 //!
-//! On a fault event [`OnDemandRoutes::rerouted`] derives the
-//! post-failure provider. New failures invalidate only the cached rows
-//! whose SPF tree actually touches a newly failed element (removing an
-//! element can never improve an untouched tree, and tie-break winners stay
-//! winners when a losing candidate disappears); any *restoration* flushes
-//! the cache, since a returning element may improve arbitrary rows.
+//! # What a row covers
+//!
+//! Leaves that never forward do not belong in the forwarding computation.
+//! [`OnDemandRoutes`] routes over the **core** of the topology — routers
+//! plus any multi-homed host — packed by [`hbh_topo::contract`]; a row is
+//! the forward SPF tree of one *core* node over the core, and only a
+//! lookup between two different core nodes consults one. A **stub** (a
+//! host with exactly one link, to a router) is resolved through its
+//! attachment router `r(h)` and its two access half-links:
+//!
+//! * `next_hop(h, ·) = r(h)`; `next_hop(x, h) = h` if `x == r(h)`, else
+//!   `next_hop(x, r(h))`;
+//! * `dist(x, y) = up(x) + dist_core(r(x), r(y)) + down(y)`, a term being
+//!   zero where the endpoint is itself in the core;
+//! * when both ends resolve to the same router there is no core leg and
+//!   no row is touched at all.
+//!
+//! This is exact, tie-breaks included. Costs are ≥ 1, so every optimal
+//! predecessor of `v` is settled before `v`, and "equal cost → smaller
+//! predecessor id" makes `pred[v]` the minimum-id optimal predecessor — a
+//! function of the distances alone. A stub is never anyone's predecessor
+//! (hosts sink traffic; only a root emits), so dropping stubs changes no
+//! core node's `dist`, `pred` or first hop, *provided* the core is
+//! renumbered in ascending node-id order, which keeps both the
+//! `candidate < incumbent` comparison and the heap's `(dist, id)` order.
+//!
+//! # Faults
+//!
+//! Masks are indexed by the full graph's `NodeId` / `EdgeId`. A stub
+//! source consults its own node bit, its host → router half-link and (via
+//! the row, or directly when there is no core leg) its router; a stub
+//! destination its node bit and the router → host half-link — the two
+//! directions of an access link fail independently. On a fault event
+//! [`OnDemandRoutes::rerouted`] derives the post-failure provider. New
+//! failures invalidate only the cached rows whose SPF tree actually
+//! touches a newly failed core element (removing an element can never
+//! improve an untouched tree, and tie-break winners stay winners when a
+//! losing candidate disappears); a *restoration* in the core flushes the
+//! cache, since a returning element may improve arbitrary rows. Stubs and
+//! access half-links appear in no row, so neither their failure nor their
+//! return drops one.
 
 use crate::dijkstra::{shortest_paths_avoiding_csr_into, DijkstraScratch};
-use hbh_topo::csr::Csr;
-use hbh_topo::graph::{Graph, NodeId, PathCost};
+use hbh_topo::contract::{Contracted, Place};
+use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Unicast route lookups, independent of how routes are materialized.
@@ -134,16 +169,18 @@ impl RouteProvider for crate::RoutingTables {
     }
 }
 
-/// One memoized forward-SPF row: everything node `src` needs to answer
-/// `next_hop(src, *)` / `dist(src, *)`, plus the predecessor tree used for
-/// selective fault invalidation.
+/// One memoized forward-SPF row over the core: everything core node `src`
+/// needs to answer `next_hop(src, *)` / `dist(src, *)`, plus the
+/// predecessor tree used for selective fault invalidation. All three
+/// arrays are indexed by core index.
 struct Row {
     /// `dist[v]` from the row's source (`u64::MAX` = unreachable).
     dist: Box<[PathCost]>,
-    /// First hop toward `v` (`u32::MAX` = none).
+    /// First hop toward `v`, as a full-graph node id (`u32::MAX` = none).
     next: Box<[u32]>,
-    /// SPF-tree predecessor of `v` (`u32::MAX` = none); consulted when a
-    /// fault event asks "does this tree cross the failed edge?".
+    /// SPF-tree predecessor of `v`, as a core index (`u32::MAX` = none);
+    /// consulted when a fault event asks "does this tree cross the failed
+    /// edge?".
     pred: Box<[u32]>,
     /// LRU tick of the last lookup through this row.
     last_used: u64,
@@ -152,58 +189,66 @@ struct Row {
 const NONE: u32 = u32::MAX;
 
 impl Row {
-    fn bytes(n: usize) -> usize {
-        n * (size_of::<PathCost>() + 2 * size_of::<u32>())
+    fn bytes(core: usize) -> usize {
+        core * (size_of::<PathCost>() + 2 * size_of::<u32>())
     }
 }
 
 /// Everything behind the lock: the rows plus the counters and scratch that
 /// mutate on lookups.
 struct RowCache {
+    /// Keyed by the source's core index.
     rows: HashMap<u32, Row>,
     tick: u64,
     scratch: DijkstraScratch,
     stats: RouteStats,
 }
 
-/// Lazy per-source routing over a shared CSR view.
+/// Lazy per-source routing over the contracted view of a topology.
 ///
-/// `next_hop(at, dst)` materializes the forward SPF row of `at` on first
-/// consultation and memoizes it; subsequent lookups from `at` are O(1)
-/// array reads. Memory therefore scales with the number of *forwarding
-/// nodes actually consulted* (routers on active trees), not with n².
+/// A lookup whose forwarding node and destination resolve to different
+/// core nodes materializes the forward SPF row of the forwarding node's
+/// core node on first consultation and memoizes it; subsequent lookups
+/// through it are O(1) array reads. A stub host (see
+/// [`hbh_topo::contract`]) never owns a row: it is answered through its
+/// attachment router's row and its access-link costs, and needs no row at
+/// all when both ends sit on the same router. Memory therefore scales
+/// with the number of *routers actually consulted* times the number of
+/// routers — not with hosts, and not with n².
 ///
 /// * **Capacity / eviction** — at most `capacity` rows stay resident; the
 ///   victim is the row with the smallest `(last_used, source)` pair, so
 ///   eviction (and everything downstream of it) is deterministic for a
 ///   fixed lookup sequence.
 /// * **Faults** — the provider answers over the surviving topology
-///   described by its node/edge masks; [`OnDemandRoutes::rerouted`]
-///   derives the next fault epoch, carrying over every row the event
-///   provably cannot have changed.
+///   described by its node/edge masks (indexed by the full graph's
+///   `NodeId` / `EdgeId`); [`OnDemandRoutes::rerouted`] derives the next
+///   fault epoch, carrying over every row the event provably cannot have
+///   changed. Rows hold no stub, so a stub or an access half-link going
+///   down or coming back changes no row.
 /// * **Sharing** — lookups take `&self` (interior mutability behind a
 ///   [`Mutex`]), so paired protocol runs sharing one network also share
 ///   one warm cache.
 pub struct OnDemandRoutes {
-    csr: Arc<Csr>,
+    view: Arc<Contracted>,
     node_down: Vec<bool>,
+    /// `node_down` restricted to the core, by core index: the mask the
+    /// SPF itself reads.
+    core_down: Vec<bool>,
     edge_down: Vec<bool>,
     capacity: usize,
     generation: u64,
     cache: Mutex<RowCache>,
+    /// Lookups answered from the contraction maps alone; a statistic,
+    /// kept outside the lock those lookups never take.
+    rowless_hits: AtomicU64,
 }
 
 impl OnDemandRoutes {
     /// Lazy routes over the full (fault-free) topology of `g`.
     pub fn new(g: &Graph, capacity: usize) -> Self {
-        Self::from_csr(Arc::new(Csr::from_graph(g)), capacity)
-    }
-
-    /// Lazy routes over a pre-packed, shareable CSR view.
-    pub fn from_csr(csr: Arc<Csr>, capacity: usize) -> Self {
-        let n = csr.node_count();
-        let m = csr.directed_edge_count();
-        Self::with_masks(csr, vec![false; n], vec![false; m], capacity)
+        let (n, m) = (g.node_count(), g.directed_edge_count());
+        Self::with_masks(g, vec![false; n], vec![false; m], capacity)
     }
 
     /// Lazy routes over the surviving topology: nodes/edges flagged in the
@@ -211,94 +256,121 @@ impl OnDemandRoutes {
     /// [`crate::RoutingTables::compute_avoiding`].
     ///
     /// # Panics
-    /// Panics if a mask length does not match the CSR, or `capacity` is 0.
+    /// Panics if a mask length does not match `g`, or `capacity` is 0.
     pub fn with_masks(
-        csr: Arc<Csr>,
+        g: &Graph,
         node_down: Vec<bool>,
         edge_down: Vec<bool>,
         capacity: usize,
     ) -> Self {
-        assert_eq!(node_down.len(), csr.node_count(), "node mask length");
-        assert_eq!(
-            edge_down.len(),
-            csr.directed_edge_count(),
-            "edge mask length"
-        );
         assert!(capacity > 0, "route cache needs room for at least one row");
-        OnDemandRoutes {
-            csr,
+        Self::epoch(
+            Arc::new(Contracted::from_graph(g)),
             node_down,
             edge_down,
             capacity,
-            generation: 0,
-            cache: Mutex::new(RowCache {
+            0,
+            RowCache {
                 rows: HashMap::new(),
                 tick: 0,
                 scratch: DijkstraScratch::default(),
                 stats: RouteStats::default(),
-            }),
+            },
+        )
+    }
+
+    /// One fault epoch over `view`: checks the masks and derives the core
+    /// node mask from them.
+    fn epoch(
+        view: Arc<Contracted>,
+        node_down: Vec<bool>,
+        edge_down: Vec<bool>,
+        capacity: usize,
+        generation: u64,
+        cache: RowCache,
+    ) -> Self {
+        assert_eq!(node_down.len(), view.node_count(), "node mask length");
+        assert_eq!(
+            edge_down.len(),
+            view.directed_edge_count(),
+            "edge mask length"
+        );
+        let core_down = view
+            .core_nodes()
+            .iter()
+            .map(|&v| node_down[v as usize])
+            .collect();
+        OnDemandRoutes {
+            view,
+            node_down,
+            core_down,
+            edge_down,
+            capacity,
+            generation,
+            cache: Mutex::new(cache),
+            rowless_hits: AtomicU64::new(0),
         }
     }
 
-    /// The CSR view this provider routes over.
-    pub fn csr(&self) -> &Arc<Csr> {
-        &self.csr
-    }
-
-    /// Derives the provider for the next fault epoch, reusing the CSR and
-    /// every cached row the change provably leaves exact.
+    /// Derives the provider for the next fault epoch, reusing the
+    /// contracted view and every cached row the change provably leaves
+    /// exact.
     ///
-    /// A row (the forward SPF tree of one source) survives iff no *newly*
-    /// failed node is reachable in it and no newly failed directed edge is
-    /// one of its tree edges: removing elements the tree never touches
-    /// cannot shorten any path, and a tie-break winner stays the winner
-    /// when only losing candidates disappear. Any *restoration* (a mask
-    /// bit going `true → false`) flushes the whole cache instead — a
-    /// returning link may improve arbitrary rows. Cumulative stats carry
-    /// over; the generation counter increments.
+    /// A row (the forward SPF tree of one core node) survives iff no
+    /// *newly* failed core node is reachable in it and no newly failed
+    /// core edge is one of its tree edges: removing elements the tree
+    /// never touches cannot shorten any path, and a tie-break winner stays
+    /// the winner when only losing candidates disappear. A *restoration*
+    /// in the core (a mask bit going `true → false`) flushes the whole
+    /// cache instead — a returning link may improve arbitrary rows. Stub
+    /// hosts and their access half-links are in no row, so their failures
+    /// and restorations keep every row. Cumulative stats carry over; the
+    /// generation counter increments.
     pub fn rerouted(&self, node_down: Vec<bool>, edge_down: Vec<bool>) -> Self {
         assert_eq!(node_down.len(), self.node_down.len(), "node mask length");
         assert_eq!(edge_down.len(), self.edge_down.len(), "edge mask length");
+        let core_of = |n: NodeId| match self.view.place(n) {
+            Place::Core(c) => Some(c),
+            Place::Stub(_) => None,
+        };
+
+        // What changed in the core: newly failed nodes and edges (as core
+        // indices), and whether anything came back.
+        let mut restored = false;
+        let mut new_nodes: Vec<u32> = Vec::new();
+        let mut new_edges: Vec<(u32, u32)> = Vec::new();
+        for (i, down) in flipped(&self.node_down, &node_down) {
+            if let Some(c) = core_of(NodeId(i)) {
+                if down {
+                    new_nodes.push(c);
+                } else {
+                    restored = true;
+                }
+            }
+        }
+        for (i, down) in flipped(&self.edge_down, &edge_down) {
+            let l = self.view.edge_ends(EdgeId(i));
+            if let (Some(f), Some(t)) = (core_of(l.from), core_of(l.to)) {
+                if down {
+                    new_edges.push((f, t));
+                } else {
+                    restored = true;
+                }
+            }
+        }
+
         let mut old = self.cache.lock().unwrap();
-
-        let restored = self
-            .node_down
-            .iter()
-            .zip(&node_down)
-            .any(|(&was, &is)| was && !is)
-            || self
-                .edge_down
-                .iter()
-                .zip(&edge_down)
-                .any(|(&was, &is)| was && !is);
-
-        let mut rows = HashMap::new();
         let mut stats = old.stats;
+        stats.hits += self.rowless_hits.load(Ordering::Relaxed);
+        let mut rows = HashMap::new();
         if restored {
             stats.invalidated += old.rows.len() as u64;
         } else {
-            let new_nodes: Vec<NodeId> = node_down
-                .iter()
-                .zip(&self.node_down)
-                .enumerate()
-                .filter(|(_, (&is, &was))| is && !was)
-                .map(|(i, _)| NodeId(i as u32))
-                .collect();
-            let new_edges: Vec<(u32, u32)> = edge_down
-                .iter()
-                .zip(&self.edge_down)
-                .enumerate()
-                .filter(|(_, (&is, &was))| is && !was)
-                .map(|(i, _)| {
-                    let l = self.csr.edge_ends(hbh_topo::EdgeId(i as u32));
-                    (l.from.0, l.to.0)
-                })
-                .collect();
             rows = std::mem::take(&mut old.rows);
             rows.retain(|_, row| {
                 let touches_node = new_nodes
                     .iter()
-                    .any(|v| row.dist[v.index()] != PathCost::MAX);
+                    .any(|&v| row.dist[v as usize] != PathCost::MAX);
                 let touches_edge = new_edges.iter().any(|&(f, t)| row.pred[t as usize] == f);
                 let keep = !touches_node && !touches_edge;
                 if !keep {
@@ -309,19 +381,19 @@ impl OnDemandRoutes {
         }
         stats.cached_rows = rows.len();
 
-        OnDemandRoutes {
-            csr: Arc::clone(&self.csr),
+        Self::epoch(
+            Arc::clone(&self.view),
             node_down,
             edge_down,
-            capacity: self.capacity,
-            generation: self.generation + 1,
-            cache: Mutex::new(RowCache {
+            self.capacity,
+            self.generation + 1,
+            RowCache {
                 rows,
                 tick: old.tick,
                 scratch: DijkstraScratch::default(),
                 stats,
-            }),
-        }
+            },
+        )
     }
 
     /// Sources with a resident row, ascending (test introspection).
@@ -329,15 +401,30 @@ impl OnDemandRoutes {
         let c = self.cache.lock().unwrap();
         let mut v: Vec<u32> = c.rows.keys().copied().collect();
         v.sort_unstable();
-        v.into_iter().map(NodeId).collect()
+        let nodes = self.view.core_nodes();
+        v.into_iter().map(|i| NodeId(nodes[i as usize])).collect()
     }
 
-    /// Runs `f` over the (possibly just materialized) row of `src`.
-    fn with_row<R>(&self, src: NodeId, f: impl FnOnce(&Row) -> R) -> R {
+    /// Heap bytes of the immutable contracted view the rows are computed
+    /// over (core adjacency, edge index, and the stub maps that
+    /// [`RouteProvider::state_bytes`] also counts).
+    pub fn structure_bytes(&self) -> usize {
+        self.view.bytes()
+    }
+
+    /// Counts a lookup answered without consulting a row.
+    fn rowless<T>(&self, answer: T) -> T {
+        self.rowless_hits.fetch_add(1, Ordering::Relaxed);
+        answer
+    }
+
+    /// Runs `f` over the (possibly just materialized) row of core node
+    /// `src`.
+    fn with_row<R>(&self, src: u32, f: impl FnOnce(&Row) -> R) -> R {
         let c = &mut *self.cache.lock().unwrap();
         c.tick += 1;
         let tick = c.tick;
-        if let Some(row) = c.rows.get_mut(&src.0) {
+        if let Some(row) = c.rows.get_mut(&src) {
             row.last_used = tick;
             c.stats.hits += 1;
             return f(row);
@@ -346,19 +433,27 @@ impl OnDemandRoutes {
         c.stats.computed += 1;
 
         shortest_paths_avoiding_csr_into(
-            &self.csr,
-            src,
+            self.view.core(),
+            NodeId(src),
             &mut c.scratch,
-            &self.node_down,
+            &self.core_down,
             &self.edge_down,
         );
-        let pack = |xs: &[Option<NodeId>]| -> Box<[u32]> {
-            xs.iter().map(|x| x.map_or(NONE, |n| n.0)).collect()
-        };
+        let nodes = self.view.core_nodes();
         let row = Row {
             dist: c.scratch.dist.as_slice().into(),
-            next: pack(&c.scratch.first),
-            pred: pack(&c.scratch.pred),
+            next: c
+                .scratch
+                .first
+                .iter()
+                .map(|x| x.map_or(NONE, |n| nodes[n.index()]))
+                .collect(),
+            pred: c
+                .scratch
+                .pred
+                .iter()
+                .map(|x| x.map_or(NONE, |n| n.0))
+                .collect(),
             last_used: tick,
         };
 
@@ -373,34 +468,81 @@ impl OnDemandRoutes {
             c.rows.remove(&victim.1);
             c.stats.evicted += 1;
         }
-        let r = f(c.rows.entry(src.0).or_insert(row));
+        let r = f(c.rows.entry(src).or_insert(row));
         c.stats.cached_rows = c.rows.len();
         r
     }
+
+    /// Cost and first hop of the shortest `from → to` path, `from != to`:
+    /// an access half-link up, a core leg, an access half-link down, with
+    /// whichever of the three the endpoints need.
+    fn resolve(&self, from: NodeId, to: NodeId) -> Option<(PathCost, NodeId)> {
+        let alive = |e: EdgeId| !self.edge_down[e.index()];
+        let (a, up) = match self.view.place(from) {
+            Place::Core(a) => (a, None),
+            Place::Stub(s) if !self.node_down[from.index()] && alive(s.up_eid) => {
+                (s.router, Some(s.up_cost))
+            }
+            Place::Stub(_) => return self.rowless(None),
+        };
+        let (b, down) = match self.view.place(to) {
+            Place::Core(b) => (b, None),
+            Place::Stub(s) if !self.node_down[to.index()] && alive(s.down_eid) => {
+                (s.router, Some(s.down_cost))
+            }
+            Place::Stub(_) => return self.rowless(None),
+        };
+        // The core leg: its cost and first hop — none when both ends hang
+        // off one router, which also means no row.
+        let leg = if a == b {
+            self.rowless((!self.core_down[a as usize]).then_some((0, NONE)))
+        } else {
+            let (d, first) = self.with_row(a, |row| (row.dist[b as usize], row.next[b as usize]));
+            (d != PathCost::MAX).then_some((d, first))
+        };
+        let (core, first) = leg?;
+        let hop = match (up, first) {
+            (Some(_), _) => NodeId(self.view.core_nodes()[a as usize]),
+            (None, NONE) => to,
+            (None, first) => NodeId(first),
+        };
+        let access = PathCost::from(up.unwrap_or(0)) + PathCost::from(down.unwrap_or(0));
+        Some((access + core, hop))
+    }
+}
+
+/// Positions where two masks of one length differ, with the new value.
+fn flipped<'a>(was: &'a [bool], is: &'a [bool]) -> impl Iterator<Item = (u32, bool)> + 'a {
+    was.iter()
+        .zip(is)
+        .enumerate()
+        .filter(|(_, (was, is))| was != is)
+        .map(|(i, (_, &is))| (i as u32, is))
 }
 
 impl RouteProvider for OnDemandRoutes {
     fn node_count(&self) -> usize {
-        self.csr.node_count()
+        self.view.node_count()
     }
 
     fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.with_row(at, |row| match row.next[dst.index()] {
-            NONE => None,
-            n => Some(NodeId(n)),
-        })
+        if at == dst {
+            return self.rowless(None);
+        }
+        self.resolve(at, dst).map(|(_, hop)| hop)
     }
 
     fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
-        self.with_row(from, |row| match row.dist[to.index()] {
-            PathCost::MAX => None,
-            d => Some(d),
-        })
+        if from == to {
+            return self.rowless((!self.node_down[from.index()]).then_some(0));
+        }
+        self.resolve(from, to).map(|(d, _)| d)
     }
 
     fn route_stats(&self) -> RouteStats {
         let c = self.cache.lock().unwrap();
         RouteStats {
+            hits: c.stats.hits + self.rowless_hits.load(Ordering::Relaxed),
             cached_rows: c.rows.len(),
             generation: self.generation,
             ..c.stats
@@ -409,8 +551,10 @@ impl RouteProvider for OnDemandRoutes {
 
     fn state_bytes(&self) -> usize {
         let c = self.cache.lock().unwrap();
-        c.rows.len() * Row::bytes(self.csr.node_count())
+        c.rows.len() * Row::bytes(self.core_down.len())
+            + self.view.map_bytes()
             + self.node_down.len()
+            + self.core_down.len()
             + self.edge_down.len()
     }
 }
@@ -419,7 +563,8 @@ impl std::fmt::Debug for OnDemandRoutes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.route_stats();
         f.debug_struct("OnDemandRoutes")
-            .field("nodes", &self.csr.node_count())
+            .field("nodes", &self.view.node_count())
+            .field("core", &self.core_down.len())
             .field("capacity", &self.capacity)
             .field("generation", &self.generation)
             .field("stats", &stats)
@@ -431,8 +576,9 @@ impl std::fmt::Debug for OnDemandRoutes {
 mod tests {
     use super::*;
     use crate::RoutingTables;
-    use hbh_topo::costs;
+    use hbh_topo::hier::{attach_hosts, hierarchical, TierSpec};
     use hbh_topo::isp::isp_topology;
+    use hbh_topo::{costs, scenarios};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -443,22 +589,25 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_eager_tables_on_isp() {
-        let g = isp(5);
-        let eager = RoutingTables::compute(&g);
-        let lazy = OnDemandRoutes::new(&g, 64);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                assert_eq!(
-                    RouteProvider::dist(&eager, u, v),
-                    lazy.dist(u, v),
-                    "dist {u}->{v}"
-                );
-                assert_eq!(
-                    RouteProvider::next_hop(&eager, u, v),
-                    lazy.next_hop(u, v),
-                    "hop {u}->{v}"
-                );
+    fn agrees_with_eager_tables_on_isp_and_the_paper_scenarios() {
+        // fig2's dual-homed receivers stay in the core (and keep sinking
+        // traffic); every other host here is a stub.
+        for g in [isp(5), scenarios::fig2(), scenarios::fig3()] {
+            let eager = RoutingTables::compute(&g);
+            let lazy = OnDemandRoutes::new(&g, 64);
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    assert_eq!(
+                        RouteProvider::dist(&eager, u, v),
+                        lazy.dist(u, v),
+                        "dist {u}->{v}"
+                    );
+                    assert_eq!(
+                        RouteProvider::next_hop(&eager, u, v),
+                        lazy.next_hop(u, v),
+                        "hop {u}->{v}"
+                    );
+                }
             }
         }
     }
@@ -515,8 +664,7 @@ mod tests {
         node_down[victim.index()] = true;
         let edge_down = vec![false; g.directed_edge_count()];
         let eager = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
-        let lazy =
-            OnDemandRoutes::with_masks(Arc::new(Csr::from_graph(&g)), node_down, edge_down, 64);
+        let lazy = OnDemandRoutes::with_masks(&g, node_down, edge_down, 64);
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(
@@ -548,8 +696,7 @@ mod tests {
         let next = lazy.rerouted(node_down.clone(), vec![false; g.directed_edge_count()]);
         assert_eq!(next.route_stats().generation, 1);
         // The ISP backbone is connected: every router's SPF reaches the
-        // victim, so every router row must have been invalidated. Host
-        // rows reach it too — cache must be empty.
+        // victim, so every row must have been invalidated.
         assert_eq!(next.cached_sources(), vec![]);
         // Surviving answers equal a fresh masked computation.
         let fresh = RoutingTables::compute_avoiding(
@@ -565,19 +712,27 @@ mod tests {
     }
 
     #[test]
-    fn restoration_flushes_the_cache() {
+    fn core_restoration_flushes_the_cache_stub_restoration_does_not() {
         let g = isp(7);
         let nodes: Vec<NodeId> = g.nodes().collect();
+        let host = g.hosts().next().unwrap();
         let mut node_down = vec![false; g.node_count()];
         node_down[nodes[3].index()] = true;
+        node_down[host.index()] = true;
         let masked = OnDemandRoutes::with_masks(
-            Arc::new(Csr::from_graph(&g)),
-            node_down,
+            &g,
+            node_down.clone(),
             vec![false; g.directed_edge_count()],
             64,
         );
         masked.dist(nodes[0], nodes[1]);
-        assert_eq!(masked.cached_sources().len(), 1);
+        assert_eq!(masked.dist(nodes[0], host), None);
+        assert_eq!(masked.cached_sources(), vec![nodes[0]]);
+        // The host comes back: no row ever held it, so none goes.
+        node_down[host.index()] = false;
+        let masked = masked.rerouted(node_down, vec![false; g.directed_edge_count()]);
+        assert_eq!(masked.cached_sources(), vec![nodes[0]]);
+        assert!(masked.dist(nodes[0], host).is_some());
         // Bring the router back: all rows must go (they may improve).
         let healed = masked.rerouted(
             vec![false; g.node_count()],
@@ -618,6 +773,80 @@ mod tests {
             "capacity 3 must have evicted under 200 lookups"
         );
         assert_eq!(s.cached_rows, 3);
+    }
+
+    /// The scale sweeps' smoke hierarchy: 20 routers (12 of them access),
+    /// 120 stub hosts, paper costs.
+    fn hier_smoke() -> (Graph, Vec<NodeId>) {
+        let spec = TierSpec {
+            ases: 2,
+            pops_per_as: 3,
+            access_per_pop: 2,
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut topo = hierarchical(&spec, &mut rng);
+        let hosts = attach_hosts(&mut topo, 120, &mut rng);
+        costs::assign_paper_costs(&mut topo.graph, &mut rng);
+        (topo.graph, hosts)
+    }
+
+    #[test]
+    fn hosts_of_one_router_talk_without_any_row() {
+        let (g, hosts) = hier_smoke();
+        let lazy = OnDemandRoutes::new(&g, 64);
+        let r = g.host_router(hosts[0]);
+        let local: Vec<NodeId> = hosts
+            .iter()
+            .copied()
+            .filter(|&h| g.host_router(h) == r)
+            .collect();
+        assert!(local.len() >= 10);
+        for i in 0..500 {
+            let (a, b) = (local[i % local.len()], local[(i + 1) % local.len()]);
+            let cost = g.cost(a, r).unwrap() + g.cost(r, b).unwrap();
+            assert_eq!(lazy.dist(a, b), Some(PathCost::from(cost)));
+            assert_eq!(lazy.next_hop(a, b), Some(r));
+        }
+        assert_eq!(lazy.next_hop(r, local[0]), Some(local[0]));
+        let s = lazy.route_stats();
+        assert_eq!((s.computed, s.misses, s.cached_rows), (0, 0, 0));
+        assert_eq!(s.hits, 1001, "a rowless answer counts as a hit");
+    }
+
+    #[test]
+    fn rows_follow_routers_on_the_path_never_hosts() {
+        // 119 hosts join toward one source host. Forwarding a join
+        // consults the joiner's router and the routers after it; the last
+        // one, the source's own router, hands over without a core leg. So
+        // the rows are exactly the routers the joins cross — 12 access
+        // routers and what lies between — however many hosts join.
+        let (g, hosts) = hier_smoke();
+        let lazy = OnDemandRoutes::new(&g, 64);
+        let source = hosts[0];
+        let mut crossed = std::collections::BTreeSet::new();
+        for &h in &hosts[1..] {
+            let path = RouteProvider::path(&lazy, h, source).expect("connected");
+            assert_eq!(path[1], g.host_router(h));
+            crossed.extend(&path[1..path.len() - 1]);
+        }
+        crossed.remove(&g.host_router(source));
+        assert_eq!(lazy.cached_sources(), Vec::from_iter(crossed));
+        let s = lazy.route_stats();
+        assert_eq!(s.computed as usize, s.cached_rows);
+        assert!(s.cached_rows < g.routers().count());
+    }
+
+    #[test]
+    fn a_resident_row_is_core_wide() {
+        let (g, hosts) = hier_smoke();
+        let core = g.routers().count();
+        let lazy = OnDemandRoutes::new(&g, 64);
+        let empty = lazy.state_bytes();
+        lazy.dist(hosts[0], hosts[1]);
+        lazy.dist(hosts[1], hosts[0]);
+        assert_eq!(lazy.route_stats().cached_rows, 2);
+        assert_eq!(lazy.state_bytes() - empty, 2 * 16 * core);
+        assert!(16 * core < 16 * g.node_count() / 5);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   [`RoutingTables`] plus a pre-resolved `n×n` hop array. Exact and the
 //!   fastest per-packet path; memory is O(n²). The paper-scale default,
 //!   byte-identical to the historical behaviour.
-//! * [`Network::on_demand`] — lazy [`OnDemandRoutes`]: per-source SPF rows
-//!   materialized on first consultation, LRU-bounded. Memory scales with
-//!   the routers actually forwarding, which is what makes 5k+ router
-//!   topologies fit.
+//! * [`Network::on_demand`] — lazy [`OnDemandRoutes`]: per-router SPF rows
+//!   over the router core, materialized on first consultation and
+//!   LRU-bounded; single-homed hosts are resolved through their router
+//!   and own no row. Memory scales with the routers actually forwarding,
+//!   which is what makes 5k+ router topologies fit.
 
 use hbh_routing::{OnDemandRoutes, RouteProvider, RoutingTables};
 use hbh_topo::csr::Csr;
@@ -137,12 +138,13 @@ impl Network {
     /// first consultation, at most `cache_rows` resident (see
     /// [`OnDemandRoutes`]). Routes answered are identical to
     /// [`Network::new`]; only materialization and per-lookup cost differ.
+    /// The graph is packed once, into the provider's contracted view.
     pub fn on_demand(graph: Graph, cache_rows: usize) -> Self {
-        let csr = Arc::new(Csr::from_graph(&graph));
+        let routes = RouteStore::OnDemand(Box::new(OnDemandRoutes::new(&graph, cache_rows)));
         Network {
             inner: Arc::new(NetworkInner {
                 graph: Arc::new(graph),
-                routes: RouteStore::OnDemand(Box::new(OnDemandRoutes::from_csr(csr, cache_rows))),
+                routes,
             }),
         }
     }
@@ -164,6 +166,16 @@ impl Network {
     /// from eager all-pairs tables.
     pub fn is_on_demand(&self) -> bool {
         matches!(self.inner.routes, RouteStore::OnDemand(_))
+    }
+
+    /// Heap bytes of the contracted topology view an on-demand network
+    /// routes over; `None` with eager tables, which route over nothing
+    /// but themselves.
+    pub fn route_structure_bytes(&self) -> Option<usize> {
+        match &self.inner.routes {
+            RouteStore::Exact { .. } => None,
+            RouteStore::OnDemand(r) => Some(r.structure_bytes()),
+        }
     }
 
     /// Number of nodes.

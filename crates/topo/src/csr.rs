@@ -14,7 +14,7 @@
 //! same sequence as one over the `Graph` adjacency and produces identical
 //! routes and tie-breaks. The regression tests pin this.
 
-use crate::graph::{Cost, EdgeId, Graph, LinkId, NodeId};
+use crate::graph::{Cost, EdgeId, Graph, NodeId};
 
 /// An immutable CSR view of a [`Graph`]'s directed adjacency.
 ///
@@ -34,10 +34,6 @@ pub struct Csr {
     eid: Vec<u32>,
     /// `host[n]`: node `n` is an end host (never transits traffic).
     host: Vec<bool>,
-    /// Endpoints of each directed half-link, indexed by [`EdgeId`]
-    /// (mirrors [`Graph::edge_ends_all`]; lets mask-based consumers map an
-    /// edge id back to its endpoints without the originating graph).
-    edge_ends: Vec<LinkId>,
 }
 
 /// One packed out-edge, yielded by [`Csr::neighbors`].
@@ -78,7 +74,27 @@ impl Csr {
             cost,
             eid,
             host,
-            edge_ends: g.edge_ends_all().to_vec(),
+        }
+    }
+
+    /// Wraps already packed arrays: the adjacency of a renumbered subgraph
+    /// (see [`crate::contract`]), whose `eid`s still name the edges of the
+    /// graph it was cut from.
+    pub(crate) fn from_parts(
+        offsets: Vec<u32>,
+        to: Vec<u32>,
+        cost: Vec<Cost>,
+        eid: Vec<u32>,
+        host: Vec<bool>,
+    ) -> Self {
+        debug_assert_eq!(offsets.len(), host.len() + 1);
+        debug_assert!(to.len() == cost.len() && to.len() == eid.len());
+        Csr {
+            offsets,
+            to,
+            cost,
+            eid,
+            host,
         }
     }
 
@@ -104,12 +120,6 @@ impl Csr {
     #[inline]
     pub fn is_host(&self, n: NodeId) -> bool {
         self.host[n.index()]
-    }
-
-    /// Endpoints of the directed half-link `eid`.
-    #[inline]
-    pub fn edge_ends(&self, eid: EdgeId) -> LinkId {
-        self.edge_ends[eid.index()]
     }
 
     /// The slot range of `n`'s out-edges in the packed arrays.
@@ -148,7 +158,6 @@ impl Csr {
             + self.cost.len() * size_of::<Cost>()
             + self.eid.len() * size_of::<u32>()
             + self.host.len() * size_of::<bool>()
-            + self.edge_ends.len() * size_of::<LinkId>()
     }
 }
 
@@ -188,16 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_ends_round_trip() {
-        let g = sample();
-        let csr = Csr::from_graph(&g);
-        for (l, _) in g.directed_links() {
-            let (eid, _) = g.edge_entry(l.from, l.to).unwrap();
-            assert_eq!(csr.edge_ends(eid), l);
-        }
-    }
-
-    #[test]
     fn out_slices_agree_with_iterator() {
         let g = sample();
         let csr = Csr::from_graph(&g);
@@ -217,7 +216,7 @@ mod tests {
         let csr = Csr::from_graph(&g);
         assert!(csr.bytes() > 0);
         // 4 nodes -> 5 offsets; 3 undirected links -> 6 slots.
-        assert_eq!(csr.bytes(), 5 * 4 + 6 * 4 + 6 * 4 + 6 * 4 + 4 + 6 * 8);
+        assert_eq!(csr.bytes(), 5 * 4 + 6 * 4 + 6 * 4 + 6 * 4 + 4);
     }
 
     #[test]

@@ -436,6 +436,15 @@ impl Graph {
         self.edge_costs[eid.index()]
     }
 
+    /// The opposite direction of the same physical link. Both halves of a
+    /// link are registered together (`a→b` even, `b→a` odd), so this is
+    /// the sibling id.
+    pub fn reverse_edge(&self, eid: EdgeId) -> EdgeId {
+        let rev = EdgeId(eid.0 ^ 1);
+        debug_assert_eq!(self.edge_ends(rev), self.edge_ends(eid).reversed());
+        rev
+    }
+
     /// Edge id and cost of the directed half-link `from → to`, if the link
     /// exists. One adjacency scan resolves both, which is what the
     /// simulator's per-packet hot path needs.
@@ -644,6 +653,8 @@ mod tests {
         assert_eq!(g.edge_cost(EdgeId(1)), 7);
         assert_eq!(g.edge_entry(b, c), Some((EdgeId(2), 2)));
         assert_eq!(g.edge_entry(a, c), None);
+        assert_eq!(g.reverse_edge(EdgeId(2)), EdgeId(3));
+        assert_eq!(g.reverse_edge(EdgeId(1)), EdgeId(0));
     }
 
     #[test]

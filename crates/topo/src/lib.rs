@@ -20,6 +20,9 @@
 //!   (connected by construction, thousands of routers);
 //! * [`csr`] — an immutable CSR packing of a frozen graph, the form the
 //!   routing layer's SPF sweeps iterate over;
+//! * [`contract`] — the same packing over the *core* only (routers plus
+//!   multi-homed hosts), with every single-homed host folded onto its
+//!   attachment router: what the on-demand routing service computes over;
 //! * [`costs`] — cost assignment policies (the paper's per-direction
 //!   `U[1,10]`, and an asymmetry-interpolation knob used by the ablations);
 //! * [`scenarios`] — the small hand-built topologies of the paper's
@@ -32,6 +35,7 @@
 //! no global RNG state is ever consulted.
 
 pub mod analysis;
+pub mod contract;
 pub mod costs;
 pub mod csr;
 pub mod dot;
@@ -41,5 +45,6 @@ pub mod isp;
 pub mod random;
 pub mod scenarios;
 
+pub use contract::Contracted;
 pub use csr::{Csr, CsrEdge};
 pub use graph::{Cost, EdgeId, Graph, LinkId, NodeId, NodeKind};

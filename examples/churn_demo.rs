@@ -3,7 +3,7 @@
 //! rebuild (the quantified version of the paper's Figure 4 argument).
 //!
 //! ```text
-//! cargo run -p hbh-examples --bin churn
+//! cargo run -p hbh-examples --bin churn_demo
 //! ```
 
 use hbh_proto::Hbh;
