@@ -7,12 +7,17 @@
 //! ```text
 //! # the acceptance-scale sweep: 5,020 routers, 120k hosts, 10⁴-join storm
 //! # (over an hour: the 10⁴ storm point runs at under 5k events/s)
-//! cargo run --release -p hbh-bench --bin bench_membership -- --out BENCH_membership.json
+//! cargo run --release -p hbh-bench --bin bench_membership -- --out /tmp/bench_membership.json
 //!
 //! # CI smoke: tiny hierarchy, same code path, gated on a tolerance sheet
 //! cargo run --release -p hbh-bench --bin bench_membership -- \
 //!     --smoke 1 --out /tmp/bench_membership_ci.json --check ci/membership_tolerance.txt
 //! ```
+//!
+//! `--out` is overwritten with this run's record. The committed
+//! `BENCH_membership.json` is a `history` array of such records, oldest
+//! first, put together by hand: write a run elsewhere and add its record
+//! there.
 //!
 //! The tolerance sheet is plain text, `#` comments, one rule per line:
 //!

@@ -128,7 +128,9 @@ impl Args {
     }
 }
 
-fn die(msg: &str, allowed: &[&str]) -> ! {
+/// Prints `error: msg` and, when `allowed` is non-empty, a usage line to
+/// stderr, then exits with status 2.
+pub(crate) fn die(msg: &str, allowed: &[&str]) -> ! {
     eprintln!("error: {msg}");
     if !allowed.is_empty() {
         eprintln!(

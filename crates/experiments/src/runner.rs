@@ -3,7 +3,7 @@
 //! [`RunConfig`], the one bundle of run knobs every figure binary shares.
 
 use crate::protocols::ProtocolKind;
-use crate::report::Args;
+use crate::report::{die, Args};
 use crate::scenario::{Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Kernel, Network, Protocol, Time};
@@ -82,19 +82,33 @@ impl RunConfig {
     /// Reads the standard keys from parsed argv (`--topo --runs --seed
     /// --threads`), with `default_runs` as the `--runs` fallback. A
     /// `--threads` value is applied immediately (sets `HBH_THREADS`, which
-    /// `parallel::map_runs` reads).
+    /// `parallel::map_runs` reads). An unknown topology, an unparsable
+    /// number or `--runs 0` is a usage error (exit 2), never a panic.
     pub fn from_args(args: &Args, default_runs: usize) -> Self {
-        let cfg = RunConfig::new()
-            .topo(
-                TopologyKind::parse(args.get("topo").unwrap_or("isp"))
-                    .expect("--topo must be isp or rand50"),
+        let usage = Self::STANDARD_ARGS;
+        let topo = args.get("topo").unwrap_or("isp");
+        let topo = TopologyKind::parse(topo).unwrap_or_else(|| {
+            die(
+                &format!("--topo must be isp, rand50 or waxman30, got {topo}"),
+                usage,
             )
-            .runs(args.get_parse("runs", default_runs))
+        });
+        let runs = args.get_parse("runs", default_runs);
+        if runs == 0 {
+            die("--runs must be at least 1", usage);
+        }
+        let mut cfg = RunConfig::new()
+            .topo(topo)
+            .runs(runs)
             .seed(args.get_parse("seed", 1));
-        let cfg = match args.get("threads") {
-            Some(v) => cfg.threads(v.parse().expect("--threads must be a positive integer")),
-            None => cfg,
-        };
+        if let Some(v) = args.get("threads") {
+            cfg = cfg.threads(v.parse().unwrap_or_else(|_| {
+                die(
+                    &format!("--threads must be a positive integer, got {v}"),
+                    usage,
+                )
+            }));
+        }
         cfg.apply_threads();
         cfg
     }

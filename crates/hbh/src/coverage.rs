@@ -1,98 +1,16 @@
-//! Compact downstream-coverage summaries: a bloom-filter fast path with
-//! an exact, verified fallback.
+//! The aggregated local-member table of the HBH-AGG access router.
 //!
-//! Two structures share the bloom machinery:
-//!
-//! * [`Bloom`] — an 8-byte, 2-hash filter over node ids. A negative
-//!   answer is definitive ("this id was never inserted"); a positive one
-//!   only means *maybe*. [`crate::tables::HbhMft`] keeps one over the
-//!   union of its entries' coverage claims so the hot
-//!   `served_by_other`/`covered_by_other` paths can skip both the linear
-//!   claim scan and the [`crate::bits::Mask`] reachability fixpoint when
-//!   nobody claims the node at all (the common case at routers with no
-//!   fusion activity). On a positive the exact machinery still runs — the
-//!   filter can change cost, never answers.
-//! * [`CoverageSummary`] — the aggregated local-member table of the
-//!   HBH-AGG access router: the exact membership (sorted ids with
-//!   last-refresh stamps) fronted by a bloom. Membership probes consult
-//!   the bloom first and *verify* every positive against the sorted list,
-//!   counting how often the filter lied ([`SummaryStats`]) — the verified
-//!   false-positive escape hatch that keeps the summary exact while the
-//!   fast path stays O(1).
+//! [`CoverageSummary`] is the exact membership of one channel at one
+//! access router: node ids with last-refresh stamps, kept sorted so that
+//! enumeration is deterministic and a probe is one binary search.
+//! `DESIGN.md` §6d has the measurement against a filter-fronted variant.
 
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
 
-/// Filter size in bits (8 bytes, as in the dsr-bloom exemplar).
-const BLOOM_BITS: u32 = 64;
-/// Independent hash probes per id.
-const BLOOM_K: u32 = 2;
-
-/// An 8-byte, 2-hash bloom filter over node ids.
-///
-/// `maybe_contains` returning `false` is definitive; `true` is only
-/// probable. There is no removal — callers rebuild (see
-/// [`Bloom::clear`]) when the underlying set shrinks, and tolerate a
-/// superset in between.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Bloom {
-    bits: u64,
-}
-
-impl Bloom {
-    /// Derives the `BLOOM_K` bit indices for `n` by iterating an LCG
-    /// seeded from the id, taking the high bits of each step.
-    fn probes(n: NodeId) -> [u32; BLOOM_K as usize] {
-        let mut x = (n.0 as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut idx = [0u32; BLOOM_K as usize];
-        for slot in &mut idx {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            *slot = (x >> 58) as u32 % BLOOM_BITS;
-        }
-        idx
-    }
-
-    /// Inserts `n` into the filter.
-    pub fn insert(&mut self, n: NodeId) {
-        for i in Self::probes(n) {
-            self.bits |= 1 << i;
-        }
-    }
-
-    /// `false` means `n` was definitely never inserted; `true` means it
-    /// may have been.
-    pub fn maybe_contains(&self, n: NodeId) -> bool {
-        Self::probes(n).iter().all(|&i| self.bits & (1 << i) != 0)
-    }
-
-    /// Empties the filter (for a rebuild after removals).
-    pub fn clear(&mut self) {
-        self.bits = 0;
-    }
-
-    /// True if nothing was ever inserted.
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-}
-
-/// Counters for the bloom fast path of a [`CoverageSummary`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SummaryStats {
-    /// Probes the bloom answered negatively (exact check skipped).
-    pub negatives: u64,
-    /// Bloom positives the exact list confirmed.
-    pub verified: u64,
-    /// Bloom positives the exact list refuted — the escape hatch fired.
-    pub false_positives: u64,
-}
-
 /// The aggregated local-member table of an HBH-AGG access router: one
 /// `(member, last refresh)` row per directly attached receiver, kept
-/// sorted by node id for deterministic enumeration, with a [`Bloom`]
-/// fast path in front of membership probes.
+/// sorted by node id for deterministic enumeration.
 ///
 /// Soft-state semantics match the rest of HBH: a member is live until
 /// `ttl` (the caller passes `Timing::t2`) elapses since its last
@@ -101,8 +19,6 @@ pub struct SummaryStats {
 pub struct CoverageSummary {
     /// Exact membership, sorted by node id.
     members: Vec<(NodeId, Time)>,
-    bloom: Bloom,
-    stats: SummaryStats,
 }
 
 impl CoverageSummary {
@@ -113,66 +29,30 @@ impl CoverageSummary {
 
     /// Records a join/refresh from `n` at `now`. Returns `true` if `n`
     /// is a new member.
-    ///
-    /// The bloom screens the common cases: a negative skips the binary
-    /// search entirely (definitely new), a positive is verified against
-    /// the sorted list — and counted as a false positive when the list
-    /// disagrees.
     pub fn refresh(&mut self, n: NodeId, now: Time) -> bool {
-        if !self.bloom.maybe_contains(n) {
-            self.stats.negatives += 1;
-            let at = self.members.partition_point(|&(m, _)| m < n);
-            self.members.insert(at, (n, now));
-            self.bloom.insert(n);
-            return true;
-        }
         match self.members.binary_search_by_key(&n, |&(m, _)| m) {
             Ok(i) => {
-                self.stats.verified += 1;
                 self.members[i].1 = now;
                 false
             }
             Err(at) => {
-                self.stats.false_positives += 1;
                 self.members.insert(at, (n, now));
-                self.bloom.insert(n);
                 true
             }
         }
     }
 
-    /// Is `n` currently a member (regardless of freshness)? Bloom fast
-    /// path, exact verify, counters updated.
-    pub fn contains(&mut self, n: NodeId) -> bool {
-        if !self.bloom.maybe_contains(n) {
-            self.stats.negatives += 1;
-            return false;
-        }
-        match self.members.binary_search_by_key(&n, |&(m, _)| m) {
-            Ok(_) => {
-                self.stats.verified += 1;
-                true
-            }
-            Err(_) => {
-                self.stats.false_positives += 1;
-                false
-            }
-        }
+    /// Is `n` currently a member (regardless of freshness)?
+    pub fn contains(&self, n: NodeId) -> bool {
+        self.members.binary_search_by_key(&n, |&(m, _)| m).is_ok()
     }
 
-    /// Drops members whose last refresh is `ttl` or more ago and
-    /// rebuilds the bloom. Returns how many were dropped.
+    /// Drops members whose last refresh is `ttl` or more ago. Returns
+    /// how many were dropped.
     pub fn reap(&mut self, now: Time, ttl: u64) -> usize {
         let before = self.members.len();
         self.members.retain(|&(_, at)| at.0 + ttl > now.0);
-        let dropped = before - self.members.len();
-        if dropped > 0 {
-            self.bloom.clear();
-            for &(m, _) in &self.members {
-                self.bloom.insert(m);
-            }
-        }
-        dropped
+        before - self.members.len()
     }
 
     /// Members still within `ttl` of their last refresh, in id order.
@@ -193,49 +73,17 @@ impl CoverageSummary {
         self.members.is_empty()
     }
 
-    /// Fast-path counters.
-    pub fn stats(&self) -> SummaryStats {
-        self.stats
-    }
-
     /// Approximate state footprint: a node id plus timer per member
     /// (matching [`hbh_proto_base::StateInventory`]'s control-entry
-    /// weight) plus the 8-byte bloom.
+    /// weight).
     pub fn state_bytes(&self) -> usize {
-        12 * self.members.len() + 8
+        12 * self.members.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bloom_negative_is_definitive() {
-        let mut b = Bloom::default();
-        assert!(b.is_empty());
-        for i in 0..50 {
-            b.insert(NodeId(i));
-        }
-        for i in 0..50 {
-            assert!(b.maybe_contains(NodeId(i)), "no false negatives");
-        }
-        b.clear();
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn bloom_has_false_positives_at_saturation() {
-        // With 64 bits and 2 hashes, a few hundred inserts saturate the
-        // filter — every probe answers "maybe". That is exactly why the
-        // exact fallback exists; this test pins the failure mode the
-        // escape hatch defends against.
-        let mut b = Bloom::default();
-        for i in 0..300 {
-            b.insert(NodeId(i));
-        }
-        assert!(b.maybe_contains(NodeId(100_000)));
-    }
 
     #[test]
     fn refresh_inserts_sorted_and_refreshes_in_place() {
@@ -253,44 +101,33 @@ mod tests {
     }
 
     #[test]
-    fn reap_expires_by_ttl_and_rebuilds_bloom() {
+    fn contains_is_exact_at_any_size() {
+        let mut s = CoverageSummary::new();
+        for i in 0..300 {
+            s.refresh(NodeId(i), Time(0));
+        }
+        assert!(!s.contains(NodeId(100_000)));
+        assert!(s.contains(NodeId(150)));
+    }
+
+    #[test]
+    fn reap_expires_by_ttl() {
         let mut s = CoverageSummary::new();
         s.refresh(NodeId(1), Time(0));
         s.refresh(NodeId(2), Time(50));
         assert_eq!(s.live(Time(100), 100).collect::<Vec<_>>(), vec![NodeId(2)]);
         assert_eq!(s.reap(Time(100), 100), 1);
         assert_eq!(s.len(), 1);
-        // Rebuilt bloom no longer claims the reaped member (1 and 2 hash
-        // to disjoint bit sets for these constants), so the probe takes
-        // the negative fast path again.
-        let negs = s.stats().negatives;
         assert!(!s.contains(NodeId(1)));
-        assert_eq!(s.stats().negatives, negs + 1);
-    }
-
-    #[test]
-    fn false_positive_escape_hatch_is_counted() {
-        let mut s = CoverageSummary::new();
-        // Saturate the bloom so absent-member probes must take the exact
-        // fallback.
-        for i in 0..300 {
-            s.refresh(NodeId(i), Time(0));
-        }
-        assert!(!s.contains(NodeId(100_000)), "exact check wins");
-        assert!(
-            s.stats().false_positives > 0,
-            "saturated bloom lied and was caught"
-        );
-        assert!(s.contains(NodeId(150)));
-        assert!(s.stats().verified > 0);
+        assert!(s.contains(NodeId(2)));
     }
 
     #[test]
     fn state_bytes_tracks_members() {
         let mut s = CoverageSummary::new();
-        assert_eq!(s.state_bytes(), 8);
+        assert_eq!(s.state_bytes(), 0);
         s.refresh(NodeId(1), Time(0));
         s.refresh(NodeId(2), Time(0));
-        assert_eq!(s.state_bytes(), 32);
+        assert_eq!(s.state_bytes(), 24);
     }
 }

@@ -228,7 +228,7 @@ impl Hbh {
     /// of record: the *first* local member triggers the router's own
     /// (never-intercepted) initial join, which builds the upstream tree
     /// once; every later local join — initial or refresh — only touches
-    /// the O(1) summary. Per-period refreshes upstream are coalesced into
+    /// the summary. Per-period refreshes upstream are coalesced into
     /// a single join by the [`HbhTimer::AggFlush`] tick.
     fn join_at_access(
         &self,

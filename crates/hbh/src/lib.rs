@@ -54,7 +54,7 @@ pub mod hard;
 pub mod messages;
 pub mod tables;
 
-pub use coverage::{Bloom, CoverageSummary, SummaryStats};
+pub use coverage::CoverageSummary;
 pub use engine::{Hbh, HbhNodeState};
 pub use hard::{HardCtl, HardMft, HardMsg, HardNodeState, HardTimer, HbhHard};
 pub use messages::{HbhMsg, HbhTimer};

@@ -35,7 +35,6 @@
 //! place we had to complete the paper's specification.
 
 use crate::bits::{reach_fixpoint, Mask, Seed};
-use crate::coverage::Bloom;
 use hbh_proto_base::{EntryPhase, SoftEntry, Timing};
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
@@ -105,15 +104,6 @@ struct MftEntry {
 #[derive(Clone, Debug, Default)]
 pub struct HbhMft {
     entries: Vec<MftEntry>,
-    /// May-claim summary: a bloom over every node id appearing in any
-    /// entry's `covers` set. A negative answer proves the node is
-    /// unclaimed, letting [`HbhMft::served_by_other`] and
-    /// [`HbhMft::covered_by_other`] skip both their linear claim scan
-    /// and the reachability fixpoint; a positive falls through to the
-    /// exact checks (the verified false-positive escape hatch). Bits go
-    /// stale when a claim shrinks or an entry dies — a safe superset —
-    /// and [`HbhMft::reap`] rebuilds the filter when entries drop.
-    claims: Bloom,
 }
 
 impl HbhMft {
@@ -223,11 +213,6 @@ impl HbhMft {
     /// unmarked entry (see [`Self::data_reachable`]); an orphaned marked
     /// claimant receives nothing and therefore serves nobody.
     pub fn served_by_other(&self, n: NodeId, now: Time) -> bool {
-        // Bloom fast path: `n` never appeared in any coverage claim ⇒
-        // definitely unserved, skip the scan and the fixpoint both.
-        if !self.claims.maybe_contains(n) {
-            return false;
-        }
         // Fast path: no live entry claims `n` at all (the common case at
         // routers with no fusion activity) — skip the fixpoint entirely.
         if !self
@@ -252,11 +237,6 @@ impl HbhMft {
     /// cannot veto a fusion from a node that is asking to serve the
     /// subtree itself.
     pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
-        // Bloom fast path: if any listed node was never claimed by
-        // anyone, no single entry can cover the whole set.
-        if nodes.iter().any(|&n| !self.claims.maybe_contains(n)) {
-            return false;
-        }
         // Fast path: no live entry other than `sender` even claims the
         // whole set — skip the fixpoint.
         if !self.entries.iter().any(|e| {
@@ -291,9 +271,6 @@ impl HbhMft {
         timing: &Timing,
     ) -> bool {
         let mut structural = false;
-        for &n in covers {
-            self.claims.insert(n);
-        }
         // Subsume narrower senders (they sit deeper on the same paths).
         for e in &mut self.entries {
             if e.node != bp
@@ -379,16 +356,7 @@ impl HbhMft {
     pub fn reap(&mut self, now: Time) -> usize {
         let before = self.entries.len();
         self.entries.retain(|e| !e.entry.is_dead(now));
-        let dropped = before - self.entries.len();
-        if dropped > 0 {
-            self.claims.clear();
-            for e in &self.entries {
-                for &n in &e.covers {
-                    self.claims.insert(n);
-                }
-            }
-        }
-        dropped
+        before - self.entries.len()
     }
 
     /// No live entries left?
@@ -676,20 +644,15 @@ mod tests {
     }
 
     #[test]
-    fn claims_bloom_screens_and_rebuilds() {
+    fn claims_come_and_go_with_their_claimant() {
         let t = tm();
         let mut m = HbhMft::default();
         m.refresh_or_insert(NodeId(7), Time(0), &t);
-        // Plain receivers put nothing in the claims bloom, so the probe
-        // short-circuits before any scan or fixpoint.
+        // A plain receiver claims nobody.
         assert!(!m.served_by_other(NodeId(7), Time(1)));
         m.install_fusion_sender(NodeId(2), &[NodeId(7)], Time(0), &t);
-        assert!(
-            m.served_by_other(NodeId(7), Time(1)),
-            "bloom positive falls through to the exact check"
-        );
-        // Reaping the dead claimant rebuilds the filter; the claim is
-        // gone and the fast path answers negative again.
+        assert!(m.served_by_other(NodeId(7), Time(1)));
+        // Reaping the dead claimant takes its claim with it.
         assert_eq!(m.reap(Time(t.t2)), 2);
         m.refresh_or_insert(NodeId(7), Time(t.t2), &t);
         assert!(!m.served_by_other(NodeId(7), Time(t.t2 + 1)));

@@ -20,9 +20,8 @@
 //! * [`timing`] — refresh periods and timer durations (the paper does not
 //!   publish NS parameter values; the defaults here are derived from the
 //!   topology scale and documented);
-//! * [`membership`] — receiver-set sampling and join/leave schedules (the
-//!   paper's "variable number of randomly chosen receivers", plus the
-//!   Poisson churn used by the group-dynamics ablation);
+//! * [`membership`] — the Poisson join/leave churn process used by the
+//!   group-dynamics ablation;
 //! * [`script`] — the unified scenario schedule (commands + fault events
 //!   at times) consumed by both the simulation kernel and the live UDP
 //!   cluster, so one scenario definition drives every backend;

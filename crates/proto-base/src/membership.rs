@@ -1,45 +1,16 @@
-//! Group-membership workloads.
+//! Group-membership churn.
 //!
-//! The paper's evaluation (§4.1): *"A variable number of randomly chosen
-//! receivers join the channel"* — receivers are sampled uniformly without
-//! replacement from the per-router host pool, for each group size, 500
-//! independent runs. The sampling and scheduling primitives now live in
-//! [`crate::workload`] behind the [`crate::Workload`] builder; the
-//! functions here are deprecated shims kept for one release.
-//! [`churn_schedule`] (the Poisson join/leave process of the
-//! group-dynamics ablation, `DESIGN.md` A4) still lives here.
+//! [`churn_schedule`] is the Poisson join/leave process of the
+//! group-dynamics ablation (`DESIGN.md` A4). The paper's own membership
+//! model (§4.1: *"A variable number of randomly chosen receivers join the
+//! channel"*) — uniform sampling without replacement and join-time
+//! scheduling — lives in [`crate::workload`] behind the
+//! [`crate::Workload`] builder.
 
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
 use rand::rngs::StdRng;
 use rand::RngExt;
-
-/// Samples `m` distinct receivers uniformly from `pool` (partial
-/// Fisher–Yates; order is the sampling order).
-///
-/// # Panics
-/// Panics if `m > pool.len()`.
-#[deprecated(
-    since = "0.2.0",
-    note = "moved to `workload::sample_receivers`; prefer building a `Workload`"
-)]
-pub fn sample_receivers(pool: &[NodeId], m: usize, rng: &mut StdRng) -> Vec<NodeId> {
-    crate::workload::sample_receivers(pool, m, rng)
-}
-
-/// Assigns each receiver a join time uniform in `[start, start + window]`.
-#[deprecated(
-    since = "0.2.0",
-    note = "moved to `workload::join_schedule`; prefer building a `Workload`"
-)]
-pub fn join_schedule(
-    receivers: &[NodeId],
-    start: Time,
-    window: u64,
-    rng: &mut StdRng,
-) -> Vec<(NodeId, Time)> {
-    crate::workload::join_schedule(receivers, start, window, rng)
-}
 
 /// A membership-change event for the churn ablation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,20 +69,6 @@ mod tests {
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn shims_delegate_to_workload() {
-        // Same seed through the shim and the moved function must agree —
-        // the deprecation must not perturb any existing RNG stream.
-        let p = pool(20);
-        let via_shim = sample_receivers(&p, 7, &mut rng(3));
-        let direct = crate::workload::sample_receivers(&p, 7, &mut rng(3));
-        assert_eq!(via_shim, direct);
-        let a = join_schedule(&via_shim, Time(50), 200, &mut rng(5));
-        let b = crate::workload::join_schedule(&direct, Time(50), 200, &mut rng(5));
-        assert_eq!(a, b);
     }
 
     #[test]

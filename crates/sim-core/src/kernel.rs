@@ -1,5 +1,6 @@
-//! The event kernel: a binary-heap scheduler dispatching packet arrivals,
-//! timer expiries, and experiment commands to a [`Protocol`] implementation.
+//! The event kernel: dispatches packet arrivals, timer expiries, and
+//! experiment commands from the event queue (`queue.rs`) to a [`Protocol`]
+//! implementation, and implements [`KernelOps`] for its handlers.
 //!
 //! ## Dispatch rules
 //!
@@ -20,12 +21,14 @@
 //!
 //! Timers are keyed per `(node, timer-value)`; re-arming replaces the
 //! previous instance and cancellation is exact (ids are globally unique, so
-//! a stale heap entry can never fire).
+//! a stale queue entry can never fire).
 
+use crate::ctx::{Ctx, KernelOps};
 use crate::fasthash::{FastMap, FxBuildHasher};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::network::Network;
 use crate::packet::Packet;
+use crate::queue::{EventKind, EventQueue};
 use crate::stats::{Delivery, Stats};
 use crate::time::Time;
 use crate::trace::{Trace, TraceKind};
@@ -132,13 +135,6 @@ impl LossModel {
     }
 }
 
-enum EventKind<M, T, C> {
-    Arrive { node: NodeId, pkt: Packet<M> },
-    Timer { node: NodeId, timer: T, id: u64 },
-    Command { node: NodeId, cmd: C },
-    Fault(FaultEvent),
-}
-
 /// Live fault-injection state, present only once a [`FaultPlan`] is
 /// installed (or a fault is scheduled directly). Keeping it behind an
 /// `Option<Box<_>>` means a fault-free kernel pays one pointer-null check
@@ -157,400 +153,6 @@ struct FaultState {
     /// CSR packing + Dijkstra buffers reused across every reroute this
     /// kernel performs (one reroute per fault event in a churn run).
     reroute: crate::network::RerouteScratch,
-}
-
-/// Near/far split for the two-band scheduler. Per-hop packet delays are
-/// single link costs (small integers), while every protocol timer is at
-/// least one refresh period (≥ 100 time units by [`Timing` defaults]):
-/// the workload is bimodal with nothing near the boundary. Banding is a
-/// performance hint only — `pop` compares both band heads on the full
-/// `(at, seq)` key, so dispatch order is exact no matter which band an
-/// event landed in. Must be a power of two (slot index is `at % 64`).
-const NEAR_HORIZON: u64 = 64;
-
-/// One calendar-wheel slot: events due at a single time, in push (= seq)
-/// order, with a read cursor instead of front removal.
-struct WheelSlot {
-    entries: Vec<(Time, u64, u32)>,
-    read: usize,
-}
-
-/// Scheduling key: `(due time, global sequence, slab index)`. `seq` is
-/// globally unique, so comparing keys totally orders events.
-type EventKey = (Time, u64, u32);
-
-/// Levels in the far band's hierarchical wheel. Level `k` has 64 slots of
-/// span `64^(k+1)` ticks, so four levels cover deltas up to `64^5` ≈ 1.07e9
-/// ticks — far beyond any convergence horizon. Longer-dated events (none in
-/// practice) spill into a sorted overflow vector.
-const FAR_LEVELS: usize = 4;
-
-/// log2 of the slot count per level (64 slots, like the near wheel).
-const SLOT_BITS: u32 = 6;
-
-/// One level of the hierarchical far wheel: 64 unsorted slot buckets plus
-/// an occupancy bitmask (bit `s` ⇔ slot `s` nonempty).
-struct FarLevel {
-    slots: Vec<Vec<EventKey>>,
-    occ: u64,
-}
-
-impl FarLevel {
-    fn new() -> Self {
-        FarLevel {
-            slots: (0..64).map(|_| Vec::new()).collect(),
-            occ: 0,
-        }
-    }
-}
-
-/// The far band: a hierarchical timing wheel with a sorted "due run".
-///
-/// Structure:
-///
-/// * `run` — all far events due before `open_hi`, sorted ascending, with a
-///   consumed-prefix cursor. The head of the run is always the earliest
-///   far event (see the refill invariant below), so `peek`/`pop` read it
-///   directly, exactly like the old single sorted vector.
-/// * `levels` — [`FAR_LEVELS`] wheels of 64 unsorted slots each; level `k`
-///   slots span `64^(k+1)` ticks. Insertion picks the smallest level whose
-///   current 64-slot window covers the event's due time: an O(1) bucket
-///   push, however far in the future the deadline lies.
-/// * `overflow` — sorted spill for deltas beyond the top level's coverage.
-///
-/// When the run is exhausted, [`FarWheel::refill`] opens the next 64-tick
-/// window: it finds the earliest occupied slot across all levels,
-/// **cascades** higher-level slots downward (re-bucketing their events one
-/// level finer — amortized O(levels) per event over its lifetime), and
-/// when a level-0 slot surfaces, sorts it (by the full `(at, seq)` key)
-/// and installs it as the new run. Refill runs eagerly after every
-/// insert/pop that empties the run, so *the run is nonempty whenever any
-/// far event exists* — which keeps `peek` a pure read and makes `pop`'s
-/// two-band head comparison identical to the old sorted-vector band.
-///
-/// `floor` is a monotone lower bound on every contained event's due time
-/// (≥ the kernel clock, advanced to each opened window's start). Slot
-/// indexing is relative to `floor`, which keeps every level's occupied
-/// slots inside one 64-slot window — the rotate-and-scan trick the near
-/// wheel uses then visits slots in due-time order without ambiguity.
-struct FarWheel {
-    run: Vec<EventKey>,
-    run_head: usize,
-    /// Exclusive upper bound of the opened window: every event with
-    /// `at < open_hi` lives in `run`; every event in `levels`/`overflow`
-    /// has `at >= open_hi`. Starts at 0 (nothing opened), 64-aligned,
-    /// monotone.
-    open_hi: u64,
-    /// Monotone lower bound on all contained due times; scan base.
-    floor: u64,
-    levels: Vec<FarLevel>,
-    overflow: Vec<EventKey>,
-    overflow_head: usize,
-}
-
-impl FarWheel {
-    fn new() -> Self {
-        FarWheel {
-            run: Vec::new(),
-            run_head: 0,
-            open_hi: 0,
-            floor: 0,
-            levels: (0..FAR_LEVELS).map(|_| FarLevel::new()).collect(),
-            overflow: Vec::new(),
-            overflow_head: 0,
-        }
-    }
-
-    /// The earliest far event, if any (the refill invariant makes this the
-    /// run head).
-    fn head(&self) -> Option<&EventKey> {
-        self.run.get(self.run_head)
-    }
-
-    /// Inserts a far event. O(1) bucket push for events beyond the opened
-    /// window; events inside it (`at < open_hi`) take a bounded sorted
-    /// insert into the run — the window spans only 64 ticks, so the moved
-    /// tail is small (unlike the old single far vector, whose tail was the
-    /// entire future).
-    fn insert(&mut self, now: Time, key: EventKey) {
-        if self.floor < now.0 {
-            self.floor = now.0;
-        }
-        let at = key.0 .0;
-        if at < self.open_hi {
-            let pos = self.run_head + self.run[self.run_head..].partition_point(|e| *e < key);
-            self.run.insert(pos, key);
-        } else if !self.level_insert(key) {
-            let pos = self.overflow_head
-                + self.overflow[self.overflow_head..].partition_point(|e| *e < key);
-            self.overflow.insert(pos, key);
-        }
-        if self.run_head == self.run.len() {
-            self.refill();
-        }
-    }
-
-    /// Buckets `key` into the smallest level whose current window reaches
-    /// its due time. Returns `false` if even the top level cannot (the
-    /// overflow case).
-    fn level_insert(&mut self, key: EventKey) -> bool {
-        let at = key.0 .0;
-        debug_assert!(at >= self.floor, "event below the wheel floor");
-        for (k, level) in self.levels.iter_mut().enumerate() {
-            let bits = SLOT_BITS * (k as u32 + 1);
-            if (at >> bits) - (self.floor >> bits) <= 63 {
-                let s = ((at >> bits) & 63) as usize;
-                level.slots[s].push(key);
-                level.occ |= 1 << s;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Advances the consumed cursor past the run head. The caller must
-    /// have taken the head; refills eagerly when the run empties.
-    fn consume_head(&mut self) {
-        self.run_head += 1;
-        if self.run_head == self.run.len() {
-            self.refill();
-        }
-    }
-
-    /// Opens the next 64-tick window into `run`. See the type docs.
-    fn refill(&mut self) {
-        debug_assert_eq!(self.run_head, self.run.len());
-        loop {
-            self.migrate_overflow();
-            // Earliest occupied slot across all levels, by absolute window
-            // start (recovered from any contained event: all events of a
-            // slot share one absolute window — their deltas from `floor`
-            // fit 63 slots, so slot index ↔ window is a bijection).
-            let mut best: Option<(u64, usize, usize)> = None;
-            for (k, level) in self.levels.iter().enumerate() {
-                if level.occ == 0 {
-                    continue;
-                }
-                let bits = SLOT_BITS * (k as u32 + 1);
-                let base = ((self.floor >> bits) & 63) as u32;
-                let off = level.occ.rotate_right(base).trailing_zeros();
-                let s = ((u64::from(base) + u64::from(off)) & 63) as usize;
-                let start = (level.slots[s][0].0 .0 >> bits) << bits;
-                if best.map_or(true, |(b, _, _)| start < b) {
-                    best = Some((start, k, s));
-                }
-            }
-            let of_head = self.overflow.get(self.overflow_head).map(|e| e.0 .0);
-            let (start, k, s) = match (best, of_head) {
-                (None, None) => return, // wheel is empty
-                (Some(b), of) if of.map_or(true, |o| b.0 <= o) => b,
-                (_, Some(o)) => {
-                    // The overflow head is the earliest remaining event:
-                    // raise the floor to it (sound: nothing is due before
-                    // it) so the migration pass can bucket it.
-                    self.floor = self.floor.max(o);
-                    continue;
-                }
-                (Some(_), None) => unreachable!("guarded arm covers this"),
-            };
-            self.floor = self.floor.max(start);
-            if k == 0 {
-                // Open this window: sort the slot by the full key and make
-                // it the new run, recycling the spent run's allocation.
-                let mut spent = std::mem::take(&mut self.run);
-                spent.clear();
-                let mut v = std::mem::replace(&mut self.levels[0].slots[s], spent);
-                self.levels[0].occ &= !(1 << s);
-                v.sort_unstable();
-                self.run = v;
-                self.run_head = 0;
-                self.open_hi = start + (1 << SLOT_BITS);
-                return;
-            }
-            // Cascade: re-bucket the slot one level finer. The parent slot
-            // spans exactly 64 child slots, so children never alias.
-            let v = std::mem::take(&mut self.levels[k].slots[s]);
-            self.levels[k].occ &= !(1 << s);
-            let bits = SLOT_BITS * k as u32;
-            for e in v {
-                let cs = ((e.0 .0 >> bits) & 63) as usize;
-                self.levels[k - 1].slots[cs].push(e);
-                self.levels[k - 1].occ |= 1 << cs;
-            }
-        }
-    }
-
-    /// Moves overflow-prefix events whose due times the levels now reach
-    /// into the wheel proper.
-    fn migrate_overflow(&mut self) {
-        let top_bits = SLOT_BITS * FAR_LEVELS as u32;
-        while let Some(&e) = self.overflow.get(self.overflow_head) {
-            if (e.0 .0 >> top_bits) - (self.floor >> top_bits) > 63 {
-                break;
-            }
-            let bucketed = self.level_insert(e);
-            debug_assert!(bucketed, "migration candidate must fit a level");
-            self.overflow_head += 1;
-        }
-        if self.overflow_head > 0 && self.overflow_head == self.overflow.len() {
-            self.overflow.clear();
-            self.overflow_head = 0;
-        }
-    }
-}
-
-/// The pending-event set: a two-band scheduler over `(at, seq, slab
-/// index)` keys with the event bodies slab-allocated off to the side.
-///
-/// Event bodies (notably `Arrive`, which carries a whole `Packet<M>`) are
-/// large; keeping them out of the key structures means scheduling moves
-/// 24-byte tuples instead of full events. Bodies live in `kinds` until
-/// popped; freed slots recycle through `free`, so steady-state scheduling
-/// performs no allocation.
-///
-/// The two bands exploit the bimodal delay distribution:
-///
-/// * **Near band** — events due within [`NEAR_HORIZON`] of their push
-///   time (in-flight packets): a 64-slot calendar wheel indexed by
-///   `at % 64`. All pending events lie in `[now, now + 64)`, so a slot
-///   holds exactly one distinct due time and O(1) appends keep it in seq
-///   order; `occ` (bit `s` ⇔ slot `s` nonempty) turns earliest-slot
-///   lookup into a rotate + trailing_zeros.
-/// * **Far band** — longer-dated events (timer expiries): a hierarchical
-///   timing wheel ([`FarWheel`]) giving O(1) inserts at any horizon while
-///   presenting a sorted head, so `pop`'s exact two-band comparison is
-///   unchanged.
-struct EventQueue<M, T, C> {
-    wheel: Vec<WheelSlot>, // NEAR_HORIZON slots
-    /// Occupancy bitmask: bit `s` set iff `wheel[s]` has unread entries.
-    occ: u64,
-    far: FarWheel,
-    kinds: Vec<Option<EventKind<M, T, C>>>,
-    free: Vec<u32>,
-    /// Scheduled-but-undispatched `Arrive` events carrying data-class
-    /// packets. Data forwarding is strictly arrival-driven (no protocol
-    /// re-emits a data packet from a timer), so when this hits zero every
-    /// data packet in the simulation has fully propagated — the
-    /// early-termination signal for probe windows.
-    pending_data: u64,
-}
-
-impl<M, T, C> EventQueue<M, T, C> {
-    fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            wheel: (0..NEAR_HORIZON)
-                .map(|_| WheelSlot {
-                    entries: Vec::new(),
-                    read: 0,
-                })
-                .collect(),
-            occ: 0,
-            far: FarWheel::new(),
-            kinds: Vec::with_capacity(cap),
-            free: Vec::new(),
-            pending_data: 0,
-        }
-    }
-
-    fn push(&mut self, now: Time, at: Time, seq: u64, kind: EventKind<M, T, C>) {
-        if let EventKind::Arrive { pkt, .. } = &kind {
-            if pkt.class == crate::packet::PacketClass::Data {
-                self.pending_data += 1;
-            }
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.kinds[i as usize] = Some(kind);
-                i
-            }
-            None => {
-                let i = u32::try_from(self.kinds.len()).expect("event queue overflow");
-                self.kinds.push(Some(kind));
-                i
-            }
-        };
-        let key = (at, seq, idx);
-        if at.0.saturating_sub(now.0) < NEAR_HORIZON {
-            let s = (at.0 % NEAR_HORIZON) as usize;
-            let slot = &mut self.wheel[s];
-            // Unread entries of a slot always share one due time: two
-            // distinct times in [now, now + 64) cannot collide mod 64.
-            debug_assert!(slot.entries[slot.read..].iter().all(|e| e.0 == at));
-            slot.entries.push(key);
-            self.occ |= 1 << s;
-        } else {
-            self.far.insert(now, key);
-        }
-    }
-
-    /// The earliest-due wheel slot at `now`, if any. All pending wheel
-    /// events lie in `[now, now + 64)`, so scanning the occupancy bits
-    /// upward from `now`'s slot (wrapping) visits slots in due-time order.
-    fn wheel_slot(&self, now: Time) -> Option<usize> {
-        if self.occ == 0 {
-            return None;
-        }
-        let base = (now.0 % NEAR_HORIZON) as u32;
-        let off = self.occ.rotate_right(base).trailing_zeros();
-        Some(((base + off) as u64 % NEAR_HORIZON) as usize)
-    }
-
-    fn wheel_head(&self, now: Time) -> Option<(Time, u64, u32)> {
-        let s = self.wheel_slot(now)?;
-        let slot = &self.wheel[s];
-        Some(slot.entries[slot.read])
-    }
-
-    /// Time of the earliest pending event. `now` must not exceed any
-    /// pending event's due time (the kernel clock guarantees this).
-    fn peek_at(&self, now: Time) -> Option<Time> {
-        match (self.wheel_head(now), self.far.head()) {
-            (Some(n), Some(f)) => Some(n.0.min(f.0)),
-            (Some(n), None) => Some(n.0),
-            (None, f) => f.map(|k| k.0),
-        }
-    }
-
-    /// Pops the earliest event in `(at, seq)` order.
-    fn pop(&mut self, now: Time) -> Option<(Time, EventKind<M, T, C>)> {
-        let (at, _seq, idx) = match (self.wheel_head(now), self.far.head()) {
-            // seq is globally unique, so full-key comparison totally
-            // orders the two heads; < vs <= is immaterial.
-            (Some(n), Some(&f)) if n < f => self.pop_wheel(now),
-            (Some(_), None) => self.pop_wheel(now),
-            (_, Some(_)) => self.pop_far(),
-            (None, None) => return None,
-        };
-        let kind = self.kinds[idx as usize]
-            .take()
-            .expect("slab slot vacated early");
-        self.free.push(idx);
-        if let EventKind::Arrive { pkt, .. } = &kind {
-            if pkt.class == crate::packet::PacketClass::Data {
-                self.pending_data -= 1;
-            }
-        }
-        Some((at, kind))
-    }
-
-    fn pop_wheel(&mut self, now: Time) -> (Time, u64, u32) {
-        let s = self.wheel_slot(now).expect("caller saw a wheel head");
-        let slot = &mut self.wheel[s];
-        let key = slot.entries[slot.read];
-        slot.read += 1;
-        if slot.read == slot.entries.len() {
-            slot.entries.clear();
-            slot.read = 0;
-            self.occ &= !(1 << s);
-        }
-        key
-    }
-
-    fn pop_far(&mut self) -> (Time, u64, u32) {
-        let key = *self.far.head().expect("caller saw a far head");
-        self.far.consume_head();
-        key
-    }
 }
 
 /// Kernel internals shared with protocol handlers through [`Ctx`].
@@ -741,73 +343,6 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
     }
 }
 
-/// Handler-side view of the kernel: the current node, the clock, the RNG,
-/// routing lookups, and the action API (send / forward / deliver / timers).
-pub struct Ctx<'a, M, T> {
-    /// The node the current event fired at.
-    pub node: NodeId,
-    core: &'a mut dyn KernelOps<M, T>,
-}
-
-impl<'a, M, T> Ctx<'a, M, T> {
-    /// Builds a handler context over any [`KernelOps`] backend. The
-    /// simulation kernel uses this internally; alternative runtimes (e.g.
-    /// the UDP-backed `hbh-live`) use it to drive the same protocol code.
-    pub fn from_ops(node: NodeId, core: &'a mut dyn KernelOps<M, T>) -> Self {
-        Ctx { node, core }
-    }
-}
-
-/// The capability surface protocol handlers run against, object-safe.
-///
-/// The simulation kernel's [`Core`] is the canonical implementation, but
-/// the trait is public so the *same protocol engines* can run over other
-/// backends — `hbh-live` implements it with real UDP sockets and
-/// wall-clock timers. Implementors provide: a clock, a routing view, an
-/// RNG, transmission (routed, link-local, and transit forwarding),
-/// application delivery, keyed timers, and bookkeeping hooks.
-pub trait KernelOps<M, T> {
-    /// Current time (simulated or wall-clock-derived).
-    fn now(&self) -> Time;
-    /// The frozen topology + unicast routing view.
-    fn net(&self) -> &Network;
-    /// Seeded RNG for protocol-side randomness.
-    fn rng(&mut self) -> &mut StdRng;
-    /// Originates `pkt` at `from`, routed toward `pkt.dst`.
-    fn send(&mut self, from: NodeId, pkt: Packet<M>);
-    /// Transmits directly on the link `from → via` (no routing).
-    fn send_link(&mut self, from: NodeId, via: NodeId, pkt: Packet<M>);
-    /// Forwards a transit packet one hop (TTL-decrementing).
-    fn forward(&mut self, from: NodeId, pkt: Packet<M>);
-    /// Records an application-level delivery at `node`.
-    fn deliver(&mut self, node: NodeId, pkt_tag: u64, injected_at: Time);
-    /// Arms (or re-arms, superseding) a keyed timer at `node`.
-    fn set_timer(&mut self, node: NodeId, timer: T, delay: u64);
-    /// Cancels a pending timer (no-op if not armed).
-    fn cancel_timer(&mut self, node: NodeId, timer: &T);
-    /// Arms a batch of keyed timers at `node` — semantically identical to
-    /// calling [`KernelOps::set_timer`] per entry, in iterator order, but
-    /// one virtual dispatch for the whole batch (and backends may reserve
-    /// capacity up front). Engines arming thousands of refresh timers per
-    /// event use this instead of per-entry calls.
-    fn set_timers(&mut self, node: NodeId, timers: &mut dyn Iterator<Item = (T, u64)>) {
-        for (timer, delay) in timers {
-            self.set_timer(node, timer, delay);
-        }
-    }
-    /// Cancels a batch of pending timers (per-entry no-op if not armed),
-    /// the batched counterpart of [`KernelOps::cancel_timer`].
-    fn cancel_timers(&mut self, node: NodeId, timers: &mut dyn Iterator<Item = T>) {
-        for timer in timers {
-            self.cancel_timer(node, &timer);
-        }
-    }
-    /// Notes a structural protocol-state change (churn accounting).
-    fn structural_change(&mut self);
-    /// Appends a free-form trace annotation.
-    fn trace_note(&mut self, node: NodeId, note: String);
-}
-
 impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> KernelOps<M, T>
     for Core<M, T, C>
 {
@@ -868,94 +403,6 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> KernelOps
     }
     fn trace_note(&mut self, node: NodeId, note: String) {
         self.trace.record(self.now, node, TraceKind::Note(note));
-    }
-}
-
-impl<'a, M, T> Ctx<'a, M, T> {
-    /// Current simulated time.
-    pub fn now(&self) -> Time {
-        self.core.now()
-    }
-
-    /// The frozen network (topology + unicast routing).
-    pub fn net(&self) -> &Network {
-        self.core.net()
-    }
-
-    /// The kernel's seeded RNG (e.g. for timer jitter).
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.core.rng()
-    }
-
-    /// Originates `pkt` at this node (fresh TTL assumed already set).
-    pub fn send(&mut self, pkt: Packet<M>) {
-        self.core.send(self.node, pkt);
-    }
-
-    /// Transmits `pkt` directly on the link to the neighbor `via`,
-    /// bypassing unicast routing (interface-directed forwarding, used by
-    /// PIM's per-oif replication). Panics if `via` is not a neighbor.
-    pub fn send_link(&mut self, via: NodeId, pkt: Packet<M>) {
-        self.core.send_link(self.node, via, pkt);
-    }
-
-    /// Forwards a transit packet one hop toward its destination,
-    /// decrementing the TTL.
-    pub fn forward(&mut self, pkt: Packet<M>) {
-        self.core.forward(self.node, pkt);
-    }
-
-    /// Records an application-level delivery of (a copy of) probe
-    /// `pkt.tag` at this node.
-    pub fn deliver(&mut self, pkt: &Packet<M>) {
-        self.core.deliver(self.node, pkt.tag, pkt.injected_at);
-    }
-
-    /// Arms (or re-arms) a timer at this node. An earlier pending instance
-    /// of the same timer is superseded.
-    pub fn set_timer(&mut self, timer: T, delay: u64) {
-        self.core.set_timer(self.node, timer, delay);
-    }
-
-    /// Cancels a pending timer (no-op if not armed).
-    pub fn cancel_timer(&mut self, timer: &T) {
-        self.core.cancel_timer(self.node, timer);
-    }
-
-    /// Arms a batch of timers at this node in one kernel call (iterator
-    /// order; each entry supersedes an earlier pending instance of the
-    /// same timer, exactly like [`Ctx::set_timer`]). Use this when one
-    /// event arms many timers — e.g. a membership storm arming thousands
-    /// of refresh timers — to pay one dispatch instead of N.
-    pub fn set_timers<I>(&mut self, timers: I)
-    where
-        I: IntoIterator<Item = (T, u64)>,
-    {
-        let mut it = timers.into_iter();
-        self.core.set_timers(self.node, &mut it);
-    }
-
-    /// Cancels a batch of pending timers at this node in one kernel call
-    /// (per-entry no-op if not armed).
-    pub fn cancel_timers<I>(&mut self, timers: I)
-    where
-        I: IntoIterator<Item = T>,
-    {
-        let mut it = timers.into_iter();
-        self.core.cancel_timers(self.node, &mut it);
-    }
-
-    /// Notes a structural state change (table entry added/removed, flag
-    /// flipped) for churn accounting and quiescence detection.
-    pub fn structural_change(&mut self) {
-        self.core.structural_change();
-    }
-
-    /// Appends a free-form note to the trace (no-op unless tracing is on).
-    pub fn trace(&mut self, note: impl FnOnce() -> String) {
-        // Cheap check happens inside Trace; building the string is the
-        // expensive part, so only do it when a sink exists.
-        self.core.trace_note(self.node, note());
     }
 }
 
@@ -1158,10 +605,7 @@ impl<P: Protocol> Kernel<P> {
                 // current-instance path) and re-insert on a stale hit.
                 match self.core.timer_ids.remove(&(node, timer.clone())) {
                     Some(stored) if stored == id => {
-                        let mut ctx = Ctx {
-                            node,
-                            core: &mut self.core,
-                        };
+                        let mut ctx = Ctx::from_ops(node, &mut self.core);
                         self.proto
                             .on_timer(&mut self.states[node.index()], timer, &mut ctx);
                     }
@@ -1187,10 +631,7 @@ impl<P: Protocol> Kernel<P> {
                         );
                     }
                 } else {
-                    let mut ctx = Ctx {
-                        node,
-                        core: &mut self.core,
-                    };
+                    let mut ctx = Ctx::from_ops(node, &mut self.core);
                     self.proto
                         .on_command(&mut self.states[node.index()], cmd, &mut ctx);
                 }
@@ -1214,10 +655,7 @@ impl<P: Protocol> Kernel<P> {
             return;
         }
         if self.core.net.runs_protocol(node) {
-            let mut ctx = Ctx {
-                node,
-                core: &mut self.core,
-            };
+            let mut ctx = Ctx::from_ops(node, &mut self.core);
             self.proto
                 .on_packet(&mut self.states[node.index()], pkt, &mut ctx);
         } else if pkt.dst == node {
@@ -1650,108 +1088,6 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    // --- far-band hierarchical wheel ------------------------------------
-
-    /// Drains `q` from `now`, returning `(at, cmd)` in dispatch order.
-    fn drain(q: &mut EventQueue<(), (), u64>, mut now: Time) -> Vec<(Time, u64)> {
-        let mut out = Vec::new();
-        while let Some((at, kind)) = q.pop(now) {
-            now = at;
-            match kind {
-                EventKind::Command { cmd, .. } => out.push((at, cmd)),
-                _ => unreachable!("tests only push commands"),
-            }
-        }
-        out
-    }
-
-    fn push_cmd(q: &mut EventQueue<(), (), u64>, now: Time, at: Time, seq: u64) {
-        q.push(
-            now,
-            at,
-            seq,
-            EventKind::Command {
-                node: NodeId(0),
-                cmd: seq,
-            },
-        );
-    }
-
-    #[test]
-    fn far_wheel_spans_all_levels_in_order() {
-        // One deadline per wheel level plus an overflow-range one; pushed
-        // shuffled, they must come back in (at, seq) order.
-        let mut q: EventQueue<(), (), u64> = EventQueue::with_capacity(0);
-        let ats = [
-            20_000_000u64,
-            70,
-            1_500_000_000,
-            5_000,
-            70_000_000_000, // beyond 64^5: overflow band
-            300_000,
-            70, // same time, later seq
-        ];
-        for (seq, &at) in ats.iter().enumerate() {
-            push_cmd(&mut q, Time::ZERO, Time(at), seq as u64);
-        }
-        let mut expect: Vec<(Time, u64)> = ats
-            .iter()
-            .enumerate()
-            .map(|(seq, &at)| (Time(at), seq as u64))
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(drain(&mut q, Time::ZERO), expect);
-    }
-
-    #[test]
-    fn far_insert_behind_consumed_cursor_stays_ordered() {
-        // Regression for the old far-band pathological case: a long sorted
-        // backlog, a partially consumed prefix, then inserts due *earlier*
-        // than everything still pending. The old single sorted Vec took an
-        // O(backlog) memmove per such insert (and the insert landed behind
-        // the consumed-prefix cursor's compaction assumptions); the wheel
-        // buckets them in O(1) and the bounded 64-tick run keeps any
-        // sorted insert small. Order must stay exact throughout.
-        let mut q: EventQueue<(), (), u64> = EventQueue::with_capacity(0);
-        let mut seq = 0u64;
-        // Backlog: 500 far events at t = 10_000 .. 10_500.
-        for i in 0..500u64 {
-            push_cmd(&mut q, Time::ZERO, Time(10_000 + i), seq);
-            seq += 1;
-        }
-        // Consume 100 of them.
-        let mut now = Time::ZERO;
-        let mut got = Vec::new();
-        for _ in 0..100 {
-            let (at, kind) = q.pop(now).unwrap();
-            now = at;
-            match kind {
-                EventKind::Command { cmd, .. } => got.push((at, cmd)),
-                _ => unreachable!(),
-            }
-        }
-        assert_eq!(now, Time(10_099));
-        // Now insert a burst due before the whole remaining backlog —
-        // behind the cursor's position in the old representation.
-        for i in 0..200u64 {
-            push_cmd(&mut q, now, Time(10_100 + i % 7), seq);
-            seq += 1;
-        }
-        got.extend(drain(&mut q, now));
-        let mut expect = Vec::new();
-        let mut s = 0u64;
-        for i in 0..500u64 {
-            expect.push((Time(10_000 + i), s));
-            s += 1;
-        }
-        for i in 0..200u64 {
-            expect.push((Time(10_100 + i % 7), s));
-            s += 1;
-        }
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-    }
-
     #[test]
     fn batch_set_timers_matches_per_entry_semantics() {
         // set_timers must behave exactly like N set_timer calls, including
@@ -1800,68 +1136,48 @@ mod tests {
         assert_eq!(batched, vec![(70, 2), (70, 4), (90, 1)]);
     }
 
-    mod queue_order_props {
-        use super::*;
-        use proptest::prelude::*;
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        /// Deadline deltas covering the near band, every far level, and
-        /// the overflow band beyond 64^5.
-        fn delta() -> impl Strategy<Value = u64> {
-            prop_oneof![
-                0u64..64,
-                64u64..4096,
-                4096u64..262_144,
-                262_144u64..16_777_216,
-                16_777_216u64..1_073_741_824,
-                1_073_741_824u64..100_000_000_000,
-            ]
+    #[test]
+    fn timer_storm_fires_survivors_in_deadline_then_arm_order() {
+        // One event arms 10^5 timers whose deadlines spread over five
+        // decades (10 .. 10^6, so both queue bands and plenty of ties),
+        // then cancels every second one; the survivors must fire in
+        // (deadline, arm order) and leave nothing pending.
+        const N: u32 = 100_000;
+        fn delay(i: u32) -> u64 {
+            let decade = 10u64.pow(1 + i % 5);
+            decade + u64::from(i.wrapping_mul(2_654_435_761) >> 8) % (9 * decade)
         }
-
-        proptest! {
-            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-            /// The two-band queue (near wheel + hierarchical far wheel)
-            /// dispatches in exactly the order a reference binary heap
-            /// over `(at, seq)` does, under random interleaved push/pop.
-            #[test]
-            fn wheel_pops_in_reference_heap_order(
-                ops in proptest::collection::vec((any::<bool>(), delta()), 1..300),
-            ) {
-                let mut q: EventQueue<(), (), u64> = EventQueue::with_capacity(0);
-                let mut heap: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
-                let mut now = Time::ZERO;
-                let mut seq = 0u64;
-                for &(is_pop, d) in &ops {
-                    if is_pop {
-                        match (q.pop(now), heap.pop()) {
-                            (Some((at, EventKind::Command { cmd, .. })), Some(Reverse(want))) => {
-                                prop_assert_eq!((at, cmd), want);
-                                now = at;
-                            }
-                            (None, None) => {}
-                            _ => prop_assert!(false, "queue and heap disagree"),
-                        }
-                    } else {
-                        let at = Time(now.0 + d);
-                        push_cmd(&mut q, now, at, seq);
-                        heap.push(Reverse((at, seq)));
-                        seq += 1;
-                    }
-                }
-                while let Some((at, kind)) = q.pop(now) {
-                    now = at;
-                    let cmd = match kind {
-                        EventKind::Command { cmd, .. } => cmd,
-                        _ => unreachable!(),
-                    };
-                    let want = heap.pop();
-                    prop_assert!(want.is_some(), "queue had more events than heap");
-                    prop_assert_eq!(Some(Reverse((at, cmd))), want);
-                }
-                prop_assert!(heap.is_empty(), "heap had more events than queue");
+        struct StormProto;
+        #[derive(Default)]
+        struct StormState {
+            fired: Vec<(u64, u32)>,
+        }
+        impl Protocol for StormProto {
+            type Msg = ();
+            type Timer = u32;
+            type Command = ();
+            type NodeState = StormState;
+            fn on_packet(&self, _: &mut StormState, _: Packet<()>, _: &mut Ctx<'_, (), u32>) {}
+            fn on_timer(&self, st: &mut StormState, t: u32, ctx: &mut Ctx<'_, (), u32>) {
+                st.fired.push((ctx.now().0, t));
+            }
+            fn on_command(&self, _: &mut StormState, (): (), ctx: &mut Ctx<'_, (), u32>) {
+                ctx.set_timers((0..N).map(|i| (i, delay(i))));
+                ctx.cancel_timers((0..N).step_by(2));
             }
         }
+        let mut g = Graph::new();
+        let a = g.add_router();
+        let mut k = Kernel::new(Network::new(g), StormProto, 0);
+        k.command_at(a, (), Time::ZERO);
+        k.step();
+        assert_eq!(k.pending_timer_count(), N as usize / 2);
+        k.run_until(Time(10_000_000));
+        let mut expect: Vec<(u64, u32)> = (1..N).step_by(2).map(|i| (delay(i), i)).collect();
+        expect.sort_unstable();
+        assert!(expect[0].0 < 64 && expect[expect.len() - 1].0 > 100_000);
+        assert_eq!(k.state(a).fired, expect);
+        assert_eq!(k.pending_timer_count(), 0);
     }
 
     #[test]

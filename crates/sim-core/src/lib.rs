@@ -22,7 +22,7 @@
 //!   non-addressee hosts are forwarded/dropped by the kernel itself.
 //! * **Protocols** implement the [`kernel::Protocol`] trait: a per-node
 //!   state type plus handlers for packet arrival and timer expiry. Handlers
-//!   receive a [`kernel::Ctx`] with the current time, a seeded RNG, routing
+//!   receive a [`ctx::Ctx`] with the current time, a seeded RNG, routing
 //!   lookups, and actions (send, forward, deliver, set/cancel timer).
 //! * **Accounting** ([`stats::Stats`]) counts per-link packet copies by
 //!   traffic class and records application-level deliveries — the raw
@@ -36,18 +36,21 @@
 //! exact same execution. All randomness flows through one explicitly-seeded
 //! `StdRng` owned by the kernel.
 
+pub mod ctx;
 pub mod fasthash;
 pub mod fault;
 pub mod kernel;
 pub mod network;
 pub mod packet;
+mod queue;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use ctx::{Ctx, KernelOps};
 pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use fault::{FaultEvent, FaultPlan};
-pub use kernel::{Ctx, DropReason, Kernel, KernelOps, LossModel, Protocol};
+pub use kernel::{DropReason, Kernel, LossModel, Protocol};
 pub use network::Network;
 pub use packet::{Packet, PacketClass};
 pub use stats::{Delivery, Stats};

@@ -1,10 +1,10 @@
 //! Property-based tests of the kernel's core guarantees: event ordering,
 //! delay accounting, and determinism under arbitrary workloads.
 
-use crate::kernel::{Ctx, Kernel, Protocol};
 use crate::network::Network;
 use crate::packet::Packet;
 use crate::time::Time;
+use crate::{Ctx, Kernel, Protocol};
 use hbh_topo::graph::{Graph, NodeId};
 use hbh_topo::{costs, random};
 use proptest::prelude::*;

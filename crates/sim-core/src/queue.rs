@@ -1,0 +1,346 @@
+//! The pending-event set: slab-allocated event bodies behind a two-band
+//! scheduler — a 64-slot calendar for in-flight packets, a binary heap for
+//! timer deadlines. `DESIGN.md` §6c has the measurements that chose this
+//! pair over a timing wheel and over a single heap.
+
+use crate::fault::FaultEvent;
+use crate::packet::Packet;
+use crate::time::Time;
+use hbh_topo::graph::NodeId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+pub(crate) enum EventKind<M, T, C> {
+    Arrive { node: NodeId, pkt: Packet<M> },
+    Timer { node: NodeId, timer: T, id: u64 },
+    Command { node: NodeId, cmd: C },
+    Fault(FaultEvent),
+}
+
+/// Near/far split for the two-band scheduler. Per-hop packet delays are
+/// single link costs (small integers), while every protocol timer is at
+/// least one refresh period (≥ 100 time units by [`Timing` defaults]):
+/// the workload is bimodal with nothing near the boundary. Banding is a
+/// performance hint only — `pop` compares both band heads on the full
+/// `(at, seq)` key, so dispatch order is exact no matter which band an
+/// event landed in. Must be a power of two (slot index is `at % 64`).
+const NEAR_HORIZON: u64 = 64;
+
+/// One calendar-wheel slot: events due at a single time, in push (= seq)
+/// order, with a read cursor instead of front removal.
+struct WheelSlot {
+    entries: Vec<(Time, u64, u32)>,
+    read: usize,
+}
+
+/// Scheduling key: `(due time, global sequence, slab index)`. `seq` is
+/// globally unique, so comparing keys totally orders events.
+type EventKey = (Time, u64, u32);
+
+/// The pending-event set: a two-band scheduler over `(at, seq, slab
+/// index)` keys with the event bodies slab-allocated off to the side.
+///
+/// Event bodies (notably `Arrive`, which carries a whole `Packet<M>`) are
+/// large; keeping them out of the key structures means scheduling moves
+/// 24-byte tuples instead of full events. Bodies live in `kinds` until
+/// popped; freed slots recycle through `free`, so steady-state scheduling
+/// performs no allocation.
+///
+/// The two bands exploit the bimodal delay distribution:
+///
+/// * **Near band** — events due within [`NEAR_HORIZON`] of their push
+///   time (in-flight packets): a 64-slot calendar wheel indexed by
+///   `at % 64`. All pending events lie in `[now, now + 64)`, so a slot
+///   holds exactly one distinct due time and O(1) appends keep it in seq
+///   order; `occ` (bit `s` ⇔ slot `s` nonempty) turns earliest-slot
+///   lookup into a rotate + trailing_zeros.
+/// * **Far band** — longer-dated events (timer expiries): a min-heap on
+///   the full key.
+pub(crate) struct EventQueue<M, T, C> {
+    wheel: Vec<WheelSlot>, // NEAR_HORIZON slots
+    /// Occupancy bitmask: bit `s` set iff `wheel[s]` has unread entries.
+    occ: u64,
+    far: BinaryHeap<Reverse<EventKey>>,
+    kinds: Vec<Option<EventKind<M, T, C>>>,
+    free: Vec<u32>,
+    /// Scheduled-but-undispatched `Arrive` events carrying data-class
+    /// packets. Data forwarding is strictly arrival-driven (no protocol
+    /// re-emits a data packet from a timer), so when this hits zero every
+    /// data packet in the simulation has fully propagated — the
+    /// early-termination signal for probe windows.
+    pub(crate) pending_data: u64,
+}
+
+impl<M, T, C> EventQueue<M, T, C> {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        EventQueue {
+            wheel: (0..NEAR_HORIZON)
+                .map(|_| WheelSlot {
+                    entries: Vec::new(),
+                    read: 0,
+                })
+                .collect(),
+            occ: 0,
+            far: BinaryHeap::new(),
+            kinds: Vec::with_capacity(cap),
+            free: Vec::new(),
+            pending_data: 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, now: Time, at: Time, seq: u64, kind: EventKind<M, T, C>) {
+        if let EventKind::Arrive { pkt, .. } = &kind {
+            if pkt.class == crate::packet::PacketClass::Data {
+                self.pending_data += 1;
+            }
+        }
+        let idx = match self.free.pop() {
+            Some(i) => {
+                self.kinds[i as usize] = Some(kind);
+                i
+            }
+            None => {
+                let i = u32::try_from(self.kinds.len()).expect("event queue overflow");
+                self.kinds.push(Some(kind));
+                i
+            }
+        };
+        let key = (at, seq, idx);
+        if at.0.saturating_sub(now.0) < NEAR_HORIZON {
+            let s = (at.0 % NEAR_HORIZON) as usize;
+            let slot = &mut self.wheel[s];
+            // Unread entries of a slot always share one due time: two
+            // distinct times in [now, now + 64) cannot collide mod 64.
+            debug_assert!(slot.entries[slot.read..].iter().all(|e| e.0 == at));
+            slot.entries.push(key);
+            self.occ |= 1 << s;
+        } else {
+            self.far.push(Reverse(key));
+        }
+    }
+
+    /// The earliest-due wheel slot at `now`, if any. All pending wheel
+    /// events lie in `[now, now + 64)`, so scanning the occupancy bits
+    /// upward from `now`'s slot (wrapping) visits slots in due-time order.
+    fn wheel_slot(&self, now: Time) -> Option<usize> {
+        if self.occ == 0 {
+            return None;
+        }
+        let base = (now.0 % NEAR_HORIZON) as u32;
+        let off = self.occ.rotate_right(base).trailing_zeros();
+        Some(((base + off) as u64 % NEAR_HORIZON) as usize)
+    }
+
+    fn wheel_head(&self, now: Time) -> Option<(Time, u64, u32)> {
+        let s = self.wheel_slot(now)?;
+        let slot = &self.wheel[s];
+        Some(slot.entries[slot.read])
+    }
+
+    /// Time of the earliest pending event. `now` must not exceed any
+    /// pending event's due time (the kernel clock guarantees this).
+    pub(crate) fn peek_at(&self, now: Time) -> Option<Time> {
+        match (self.wheel_head(now), self.far.peek()) {
+            (Some(n), Some(Reverse(f))) => Some(n.0.min(f.0)),
+            (Some(n), None) => Some(n.0),
+            (None, f) => f.map(|k| k.0 .0),
+        }
+    }
+
+    /// Pops the earliest event in `(at, seq)` order.
+    pub(crate) fn pop(&mut self, now: Time) -> Option<(Time, EventKind<M, T, C>)> {
+        let (at, _seq, idx) = match (self.wheel_head(now), self.far.peek()) {
+            // seq is globally unique, so full-key comparison totally
+            // orders the two heads; < vs <= is immaterial.
+            (Some(n), Some(&Reverse(f))) if n < f => self.pop_wheel(now),
+            (Some(_), None) => self.pop_wheel(now),
+            (_, Some(_)) => self.far.pop().expect("caller saw a far head").0,
+            (None, None) => return None,
+        };
+        let kind = self.kinds[idx as usize]
+            .take()
+            .expect("slab slot vacated early");
+        self.free.push(idx);
+        if let EventKind::Arrive { pkt, .. } = &kind {
+            if pkt.class == crate::packet::PacketClass::Data {
+                self.pending_data -= 1;
+            }
+        }
+        Some((at, kind))
+    }
+
+    fn pop_wheel(&mut self, now: Time) -> (Time, u64, u32) {
+        let s = self.wheel_slot(now).expect("caller saw a wheel head");
+        let slot = &mut self.wheel[s];
+        let key = slot.entries[slot.read];
+        slot.read += 1;
+        if slot.read == slot.entries.len() {
+            slot.entries.clear();
+            slot.read = 0;
+            self.occ &= !(1 << s);
+        }
+        key
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Drains `q` from `now`, returning `(at, cmd)` in dispatch order.
+    fn drain(q: &mut EventQueue<(), (), u64>, mut now: Time) -> Vec<(Time, u64)> {
+        let mut out = Vec::new();
+        while let Some((at, kind)) = q.pop(now) {
+            now = at;
+            match kind {
+                EventKind::Command { cmd, .. } => out.push((at, cmd)),
+                _ => unreachable!("tests only push commands"),
+            }
+        }
+        out
+    }
+
+    fn push_cmd(q: &mut EventQueue<(), (), u64>, now: Time, at: Time, seq: u64) {
+        q.push(
+            now,
+            at,
+            seq,
+            EventKind::Command {
+                node: NodeId(0),
+                cmd: seq,
+            },
+        );
+    }
+
+    #[test]
+    fn deadlines_decades_apart_pop_in_order() {
+        // Deadlines from just past the near band to 7e10, pushed shuffled,
+        // must come back in (at, seq) order.
+        let mut q: EventQueue<(), (), u64> = EventQueue::with_capacity(0);
+        let ats = [
+            20_000_000u64,
+            70,
+            1_500_000_000,
+            5_000,
+            70_000_000_000,
+            300_000,
+            70, // same time, later seq
+        ];
+        for (seq, &at) in ats.iter().enumerate() {
+            push_cmd(&mut q, Time::ZERO, Time(at), seq as u64);
+        }
+        let mut expect: Vec<(Time, u64)> = ats
+            .iter()
+            .enumerate()
+            .map(|(seq, &at)| (Time(at), seq as u64))
+            .collect();
+        expect.sort_unstable();
+        assert_eq!(drain(&mut q, Time::ZERO), expect);
+    }
+
+    #[test]
+    fn far_insert_behind_consumed_cursor_stays_ordered() {
+        // A long far backlog, a partially consumed prefix, then inserts due
+        // *earlier* than everything still pending (a sorted-Vec far band
+        // once mis-ordered exactly this). Order must stay exact throughout.
+        let mut q: EventQueue<(), (), u64> = EventQueue::with_capacity(0);
+        let mut seq = 0u64;
+        // Backlog: 500 far events at t = 10_000 .. 10_500.
+        for i in 0..500u64 {
+            push_cmd(&mut q, Time::ZERO, Time(10_000 + i), seq);
+            seq += 1;
+        }
+        // Consume 100 of them.
+        let mut now = Time::ZERO;
+        let mut got = Vec::new();
+        for _ in 0..100 {
+            let (at, kind) = q.pop(now).unwrap();
+            now = at;
+            match kind {
+                EventKind::Command { cmd, .. } => got.push((at, cmd)),
+                _ => unreachable!(),
+            }
+        }
+        assert_eq!(now, Time(10_099));
+        // Now insert a burst due before the whole remaining backlog.
+        for i in 0..200u64 {
+            push_cmd(&mut q, now, Time(10_100 + i % 7), seq);
+            seq += 1;
+        }
+        got.extend(drain(&mut q, now));
+        let mut expect = Vec::new();
+        let mut s = 0u64;
+        for i in 0..500u64 {
+            expect.push((Time(10_000 + i), s));
+            s += 1;
+        }
+        for i in 0..200u64 {
+            expect.push((Time(10_100 + i % 7), s));
+            s += 1;
+        }
+        expect.sort_unstable();
+        assert_eq!(got, expect);
+    }
+
+    mod queue_order_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Deadline deltas from inside the near band out to 1e11, one band
+        /// per factor of 64.
+        fn delta() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                0u64..64,
+                64u64..4096,
+                4096u64..262_144,
+                262_144u64..16_777_216,
+                16_777_216u64..1_073_741_824,
+                1_073_741_824u64..100_000_000_000,
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+            /// The two-band queue (near calendar + far heap) dispatches in
+            /// exactly the order a reference binary heap over `(at, seq)`
+            /// does, under random interleaved push/pop.
+            #[test]
+            fn queue_pops_in_reference_heap_order(
+                ops in proptest::collection::vec((any::<bool>(), delta()), 1..300),
+            ) {
+                let mut q: EventQueue<(), (), u64> = EventQueue::with_capacity(0);
+                let mut heap: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
+                let mut now = Time::ZERO;
+                let mut seq = 0u64;
+                for &(is_pop, d) in &ops {
+                    if is_pop {
+                        match (q.pop(now), heap.pop()) {
+                            (Some((at, EventKind::Command { cmd, .. })), Some(Reverse(want))) => {
+                                prop_assert_eq!((at, cmd), want);
+                                now = at;
+                            }
+                            (None, None) => {}
+                            _ => prop_assert!(false, "queue and heap disagree"),
+                        }
+                    } else {
+                        let at = Time(now.0 + d);
+                        push_cmd(&mut q, now, at, seq);
+                        heap.push(Reverse((at, seq)));
+                        seq += 1;
+                    }
+                }
+                while let Some((at, kind)) = q.pop(now) {
+                    now = at;
+                    let cmd = match kind {
+                        EventKind::Command { cmd, .. } => cmd,
+                        _ => unreachable!(),
+                    };
+                    let want = heap.pop();
+                    prop_assert!(want.is_some(), "queue had more events than heap");
+                    prop_assert_eq!(Some(Reverse((at, cmd))), want);
+                }
+                prop_assert!(heap.is_empty(), "heap had more events than queue");
+            }
+        }
+    }
+}
