@@ -1,12 +1,12 @@
 //! Membership-scale benchmark: the three [`Workload`] shapes (flash
 //! crowd, Zipf lineup, IPTV zapping) paired across the membership arms,
-//! plus the HBH-AGG flash-crowd storm sweep to 10⁴ receivers, reporting
+//! plus the HBH-AGG flash-crowd storm sweep to 10⁵ receivers, reporting
 //! control volume, settle latency, and per-router state split by role
 //! (interior tree state vs. access-router member summaries).
 //!
 //! ```text
-//! # the acceptance-scale sweep: 5,020 routers, 120k hosts, 10⁴-join storm
-//! # (over an hour: the 10⁴ storm point runs at under 5k events/s)
+//! # the acceptance-scale sweep: 5,020 routers, 120k hosts, 10⁵-join storm
+//! # (about ten minutes)
 //! cargo run --release -p hbh-bench --bin bench_membership -- --out /tmp/bench_membership.json
 //!
 //! # CI smoke: tiny hierarchy, same code path, gated on a tolerance sheet
@@ -14,10 +14,10 @@
 //!     --smoke 1 --out /tmp/bench_membership_ci.json --check ci/membership_tolerance.txt
 //! ```
 //!
-//! `--out` is overwritten with this run's record. The committed
-//! `BENCH_membership.json` is a `history` array of such records, oldest
-//! first, put together by hand: write a run elsewhere and add its record
-//! there.
+//! `--out` names a `history` array of run records, oldest first; this
+//! run's record is appended to it (the file is created if absent). The
+//! default is the committed `BENCH_membership.json`, so pass a scratch
+//! path unless the run is meant to join the committed trajectory.
 //!
 //! The tolerance sheet is plain text, `#` comments, one rule per line:
 //!
@@ -238,7 +238,7 @@ fn main() -> ExitCode {
     );
 
     let json = render_json(&report, &cfg, cfg.base_seed, peak_kb);
-    std::fs::write(&out_path, &json).expect("writing benchmark report");
+    hbh_bench::append_history(&out_path, &json).expect("appending to the benchmark history");
     print!("{json}");
 
     if let Some(sheet_path) = args.get("check") {

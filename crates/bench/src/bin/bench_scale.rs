@@ -13,9 +13,10 @@
 //!     --smoke 1 --out /tmp/bench_scale_ci.json --check ci/scale_tolerance.txt
 //! ```
 //!
-//! `--out` is overwritten with this run's record. The committed
-//! `BENCH_scale.json` is a `history` array of such records, oldest first,
-//! put together by hand: write a run elsewhere and add its record there.
+//! `--out` names a `history` array of run records, oldest first; this
+//! run's record is appended to it (the file is created if absent). The
+//! default is the committed `BENCH_scale.json`, so pass a scratch path
+//! unless the run is meant to join the committed trajectory.
 //!
 //! The tolerance sheet is plain text, `#` comments, one rule per line:
 //!
@@ -224,7 +225,7 @@ fn main() -> ExitCode {
     );
 
     let json = render_json(&report, &cfg, cfg.base_seed, peak_kb);
-    std::fs::write(&out_path, &json).expect("writing benchmark report");
+    hbh_bench::append_history(&out_path, &json).expect("appending to the benchmark history");
     print!("{json}");
 
     if let Some(sheet_path) = args.get("check") {

@@ -125,11 +125,11 @@ impl Hbh {
     /// asymmetric reverse paths bypass it (Figure 9(b)'s "addressed to B"
     /// check implies the message has a specific upstream addressee).
     fn send_fusion(&self, mft: &HbhMft, ch: Channel, to: NodeId, ctx: &mut HCtx<'_>) {
-        let nodes: Vec<NodeId> = mft.live(ctx.now()).collect();
-        debug_assert!(!nodes.is_empty());
         if to == ctx.node {
             return; // the trigger was our own emission looping back
         }
+        let nodes: Vec<NodeId> = mft.live(ctx.now()).collect();
+        debug_assert!(!nodes.is_empty());
         let pkt = Packet::control(
             ctx.node,
             to,
@@ -157,19 +157,9 @@ impl Hbh {
 
     // --- join (Figure 9(a)) --------------------------------------------
 
-    /// Join-time mark repair (spec completion, `DESIGN.md` §5): a marked
-    /// entry is only serviceable while some live unmarked fusion sender
-    /// claims it in its coverage. If that sender decays — its own tables
-    /// lost to control loss, say — the mark would starve the subtree
-    /// *forever*, because the very joins that keep the marked entry alive
-    /// are intercepted right here and never reach anyone who could help.
-    /// The periodic join therefore re-validates the coverage and clears an
-    /// orphaned mark, restoring direct service; a later fusion from a
-    /// recovered branching node simply re-marks it.
+    /// Join-time mark repair (see [`HbhMft::repair_orphaned_mark`]).
     fn repair_orphaned_mark(&self, mft: &mut HbhMft, who: NodeId, ctx: &mut HCtx<'_>) {
-        let now = ctx.now();
-        if mft.is_marked(who, now) && !mft.served_by_other(who, now) {
-            mft.unmark(who, now);
+        if mft.repair_orphaned_mark(who, ctx.now()) {
             ctx.structural_change();
         }
     }
@@ -378,43 +368,11 @@ impl Hbh {
         nodes: &[NodeId],
         ctx: &mut HCtx<'_>,
     ) {
-        let now = ctx.now();
-        // Rule (2)–(4): we emitted the tree messages that triggered this
-        // fusion, so the listed nodes should be our entries.
         let Some(mft) = state.mft.get_mut(&ch) else {
             return; // table decayed while the fusion was in flight
         };
-        let relevant: Vec<NodeId> = mft.intersect(nodes, now).collect();
-        if relevant.is_empty() {
-            return; // stale fusion that outlived the entries it names
-        }
-        // Nested-fusion disambiguation (see tables.rs module docs): a
-        // fusion whose claim is contained in an already-installed sender's
-        // coverage is ignored — its subtree is served through that broader
-        // branching node.
-        if mft.covered_by_other(nodes, bp, now) {
-            return; // consumed, deliberately without effect
-        }
-        // Rule (2): mark the listed entries — they will keep receiving
-        // tree messages but no data.
-        for n in relevant {
-            if mft.mark(n, now) {
-                ctx.structural_change();
-            }
-        }
-        // Accepting the claim makes `bp` the data server for the listed
-        // nodes, so its own entry must be data-eligible — unless some
-        // data-reachable sender claims `bp` itself (coverage chains nest,
-        // so the claimant may in turn be marked-but-served), in which case
-        // data reaches `bp` transitively and the mark stands. Without
-        // this, a sender that was marked while its state decayed (control
-        // loss) re-marks its
-        // targets every refresh period yet never receives data: permanent
-        // starvation of the whole subtree.
-        self.repair_orphaned_mark(mft, bp, ctx);
-        // Rules (3)/(4): install Bp stale (data-only), or refresh its t2
-        // keeping t1 expired; subsume narrower senders.
-        if mft.install_fusion_sender(bp, nodes, now, &self.timing) {
+        // Rules (2)–(4) are all table work: see `HbhMft::fusion`.
+        for _ in 0..mft.fusion(bp, nodes, ctx.now(), &self.timing) {
             ctx.structural_change();
         }
     }

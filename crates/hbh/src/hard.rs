@@ -37,7 +37,7 @@
 //! churn experiment are attributable to the state model, not to a
 //! different tree shape.
 
-use crate::bits::{reach_fixpoint, Mask, Seed};
+use crate::claims::{ClaimTable, NEVER};
 use hbh_proto_base::reliable::{ReliableConfig, ReliableState, RtxVerdict};
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Ctx, Packet, Protocol, Time};
@@ -178,40 +178,29 @@ pub enum HardTimer {
     Rejoin(Channel),
 }
 
-/// One hard MFT row: no timers, no phases — just the mark and the fusion
-/// coverage claim (see the nested-fusion note in [`crate::tables`]).
-#[derive(Clone, Debug)]
-struct HardEntry {
-    node: NodeId,
-    marked: bool,
-    covers: Vec<NodeId>,
-}
-
 /// Hard Multicast Forwarding Table: insertion-ordered entries that live
-/// until explicitly removed. Marked entries forward no data; they are
-/// served through a covering branching node.
+/// until explicitly removed — no timers, no phases, just the mark and the
+/// fusion coverage claim (see the nested-fusion note in [`crate::tables`]).
+/// Marked entries forward no data; they are served through a covering
+/// branching node. The same [`ClaimTable`] as the soft MFT, with entries
+/// that never expire.
 #[derive(Clone, Debug, Default)]
 pub struct HardMft {
-    entries: Vec<HardEntry>,
+    core: ClaimTable,
 }
 
+/// The hard table has no clock: any instant will do.
+const NOW: Time = Time::ZERO;
+
 impl HardMft {
-    fn get(&self, n: NodeId) -> Option<&HardEntry> {
-        self.entries.iter().find(|e| e.node == n)
-    }
-
-    fn get_mut(&mut self, n: NodeId) -> Option<&mut HardEntry> {
-        self.entries.iter_mut().find(|e| e.node == n)
-    }
-
     /// Is `n` in the table?
     pub fn contains(&self, n: NodeId) -> bool {
-        self.get(n).is_some()
+        self.core.contains(n, NOW)
     }
 
     /// Is `n` present and marked (served through a coverer)?
     pub fn is_marked(&self, n: NodeId) -> bool {
-        self.get(n).is_some_and(|e| e.marked)
+        self.core.is_marked(n, NOW)
     }
 
     /// Inserts `n` unmarked; returns `true` if it was absent.
@@ -219,133 +208,90 @@ impl HardMft {
         if self.contains(n) {
             return false;
         }
-        self.entries.push(HardEntry {
-            node: n,
-            marked: false,
-            covers: Vec::new(),
-        });
+        self.core.insert(n, NEVER, NEVER);
         true
     }
 
     /// Removes `n`; returns `true` if it was present.
     pub fn remove(&mut self, n: NodeId) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.node != n);
-        before != self.entries.len()
+        self.core.remove(n)
     }
 
     /// Marks `n`; returns `true` if newly marked.
     pub fn mark(&mut self, n: NodeId) -> bool {
-        match self.get_mut(n) {
-            Some(e) if !e.marked => {
-                e.marked = true;
-                true
-            }
-            _ => false,
-        }
+        self.core.set_mark(n, true, NOW)
     }
 
     /// Clears `n`'s mark; returns `true` if it was marked.
     pub fn unmark(&mut self, n: NodeId) -> bool {
-        match self.get_mut(n) {
-            Some(e) if e.marked => {
-                e.marked = false;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Same least fixpoint as the soft table's `data_reachable`, minus
-    /// liveness phases: bit `i` set iff `entries[i]` currently receives
-    /// data through this table (directly if unmarked, else through a
-    /// reachable coverer chain).
-    fn data_reachable(&self) -> Mask {
-        reach_fixpoint(
-            self.entries.len(),
-            |i| {
-                if self.entries[i].marked {
-                    Seed::Pending
-                } else {
-                    Seed::Reach
-                }
-            },
-            |j, i| {
-                let covers = &self.entries[j].covers;
-                !covers.is_empty() && covers.contains(&self.entries[i].node)
-            },
-        )
+        self.core.set_mark(n, false, NOW)
     }
 
     /// Does a data-reachable entry other than `n` claim `n` in its
     /// coverage — i.e. is `n`'s mark still backed by a working server?
-    pub fn served_by_other(&self, n: NodeId) -> bool {
+    pub fn served_by_other(&mut self, n: NodeId) -> bool {
         self.server_of(n).is_some()
     }
 
     /// The data-reachable entry (other than `n`) whose coverage claims
     /// `n`, if any — the node this table believes actually serves `n`.
     /// Probe redirects hand this to a prober whose entry is marked.
-    pub fn server_of(&self, n: NodeId) -> Option<NodeId> {
-        if !self
-            .entries
-            .iter()
-            .any(|e| e.node != n && e.covers.contains(&n))
-        {
-            return None;
-        }
-        let reach = self.data_reachable();
-        self.entries.iter().enumerate().find_map(|(i, e)| {
-            (reach.test(i) && e.node != n && e.covers.contains(&n)).then_some(e.node)
-        })
+    pub fn server_of(&mut self, n: NodeId) -> Option<NodeId> {
+        self.core.server_of(n, NOW)
     }
 
     /// Is `nodes` contained in the coverage of a data-reachable entry
     /// other than `sender`? (Nested-fusion disambiguation, as in the soft
     /// table.)
-    pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId) -> bool {
-        if !self.entries.iter().any(|e| {
-            e.node != sender && !e.covers.is_empty() && nodes.iter().all(|n| e.covers.contains(n))
-        }) {
-            return false;
-        }
-        let reach = self.data_reachable();
-        self.entries.iter().enumerate().any(|(i, e)| {
-            reach.test(i)
-                && e.node != sender
-                && !e.covers.is_empty()
-                && nodes.iter().all(|n| e.covers.contains(n))
-        })
+    pub fn covered_by_other(&mut self, nodes: &[NodeId], sender: NodeId) -> bool {
+        self.core.load_claim(nodes);
+        self.core.covers_loaded(sender, NOW)
     }
 
     /// Installs/updates the fusion sender `bp` claiming `covers`, marking
     /// narrower senders it subsumes. Returns `true` on any change.
     pub fn install_fusion_sender(&mut self, bp: NodeId, covers: &[NodeId]) -> bool {
-        let mut changed = false;
-        for e in &mut self.entries {
-            if e.node != bp
-                && !e.covers.is_empty()
-                && !e.marked
-                && e.covers.iter().all(|n| covers.contains(n))
-            {
-                e.marked = true;
-                changed = true;
-            }
+        self.core.load_claim(covers);
+        self.install_loaded(bp, covers)
+    }
+
+    /// [`Self::install_fusion_sender`] of the claim the core has loaded.
+    /// The claim is compared as a list, order and all: a re-ordered one
+    /// counts as a change, exactly as it always has.
+    fn install_loaded(&mut self, bp: NodeId, covers: &[NodeId]) -> bool {
+        let (subsumed, fresh, reclaimed) =
+            self.core.install_loaded(bp, covers, NOW, (NEVER, NEVER));
+        subsumed || fresh || reclaimed
+    }
+
+    /// Everything a fusion from `from` listing `nodes` does to the table
+    /// it is addressed to: `(changed, serve_from)` — whether anything
+    /// moved, and whether `from` is now newly served directly and needs a
+    /// tree message.
+    pub fn fusion(&mut self, from: NodeId, nodes: &[NodeId]) -> (bool, bool) {
+        if self.core.replays(from, nodes, NOW) {
+            return (false, false); // see `ClaimTable::replays`
         }
-        if let Some(e) = self.get_mut(bp) {
-            if e.covers != covers {
-                e.covers.clear();
-                e.covers.extend_from_slice(covers);
-                changed = true;
-            }
-            return changed;
+        let began = self.core.begin_pass(NOW);
+        self.core.load_claim(nodes);
+        if self.core.covers_loaded(from, NOW) {
+            return (false, false); // nested-fusion disambiguation: already served deeper
         }
-        self.entries.push(HardEntry {
-            node: bp,
-            marked: false,
-            covers: covers.to_vec(),
-        });
-        true
+        let Some(newly_marked) = self.core.mark_listed(nodes, Some(from), NOW) else {
+            return (false, false); // stale fusion that outlived the entries it names
+        };
+        let had_from = self.contains(from);
+        let was_marked = self.is_marked(from);
+        let mut changed = newly_marked > 0;
+        changed |= self.install_loaded(from, nodes);
+        // The accepted sender must itself be data-eligible, unless a
+        // reachable chain already serves it (coverage nests).
+        if self.is_marked(from) && !self.served_by_other(from) {
+            self.unmark(from);
+            changed = true;
+        }
+        self.core.settle(from, began, NOW);
+        (changed, !had_from || (was_marked && !self.is_marked(from)))
     }
 
     /// Un-marks every entry whose coverer chain no longer delivers data;
@@ -355,8 +301,8 @@ impl HardMft {
     /// table.
     pub fn unmark_orphans(&mut self) -> Vec<NodeId> {
         let marked: Vec<NodeId> = self
-            .entries
-            .iter()
+            .core
+            .live(NOW)
             .filter(|e| e.marked)
             .map(|e| e.node)
             .collect();
@@ -373,28 +319,29 @@ impl HardMft {
     /// Data fan-out set: unmarked entries (also the tree fan-out set —
     /// hard trees mean "I serve you", so only direct children get them).
     pub fn data_targets(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().filter(|e| !e.marked).map(|e| e.node)
+        self.core.live(NOW).filter(|e| !e.marked).map(|e| e.node)
     }
 
     /// All entries (fusion payloads).
     pub fn live(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().map(|e| e.node)
+        self.core.live(NOW).map(|e| e.node)
     }
 
     /// Entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.core.len()
     }
 
     /// True if the table holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.core.is_empty()
     }
 
     /// Approximate byte footprint: per entry a node id, the mark, and the
-    /// coverage claim.
+    /// coverage claim (as its sender listed it).
     pub fn approx_bytes(&self) -> usize {
-        self.entries.iter().map(|e| 5 + 4 * e.covers.len()).sum()
+        let entries = self.core.live(NOW);
+        entries.map(|e| 5 + 4 * e.raw_claim().len()).sum()
     }
 }
 
@@ -914,31 +861,7 @@ impl HbhHard {
         let Some(mft) = st.mft.get_mut(&ch) else {
             return; // not a branching node (state purged mid-flight)
         };
-        let relevant: Vec<NodeId> = nodes
-            .iter()
-            .copied()
-            .filter(|&n| n != from && mft.contains(n))
-            .collect();
-        if relevant.is_empty() {
-            return; // stale fusion that outlived the entries it names
-        }
-        if mft.covered_by_other(nodes, from) {
-            return; // nested-fusion disambiguation: already served deeper
-        }
-        let mut changed = false;
-        for n in relevant {
-            changed |= mft.mark(n);
-        }
-        let had_from = mft.contains(from);
-        let was_marked = mft.is_marked(from);
-        changed |= mft.install_fusion_sender(from, nodes);
-        // The accepted sender must itself be data-eligible, unless a
-        // reachable chain already serves it (coverage nests).
-        if mft.is_marked(from) && !mft.served_by_other(from) {
-            mft.unmark(from);
-            changed = true;
-        }
-        let serve_from = !had_from || (was_marked && !mft.is_marked(from));
+        let (changed, serve_from) = mft.fusion(from, nodes);
         if changed {
             ctx.structural_change();
         }
@@ -980,8 +903,10 @@ impl HbhHard {
             // probe/rejoin cycle would spin forever. Every probe, fresh
             // or retransmitted, feeds the deadman stamp.
             HardCtl::Probe { ch, who } => {
-                let mft = st.mft.get(ch);
-                let serving = mft.is_some_and(|m| m.contains(*who) && !m.is_marked(*who));
+                let mft = st.mft.get_mut(ch);
+                let serving = mft
+                    .as_deref()
+                    .is_some_and(|m| m.contains(*who) && !m.is_marked(*who));
                 if serving {
                     st.child_seen.insert((*ch, *who), ctx.now());
                 } else if let Some(m) = mft {

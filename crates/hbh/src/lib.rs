@@ -45,9 +45,15 @@
 //!   data plane through the new branching node in one step.
 //!
 //! The full Appendix-A rule set is implemented in [`engine`] with the rule
-//! numbers of the paper's Figure 9 cited inline.
+//! numbers of the paper's Figure 9 cited inline. What a fusion does to the
+//! table it is addressed to — rules (2)–(4) and the nested-fusion
+//! completion — is table work ([`HbhMft::fusion`], [`HardMft::fusion`]):
+//! the soft and the hard MFT hold the same indexed coverage core
+//! (`claims`), and `reference` keeps the scan-based tables it replaced as
+//! the model the property tests compare it with.
 
 pub(crate) mod bits;
+pub(crate) mod claims;
 pub mod coverage;
 pub mod engine;
 pub mod hard;
@@ -67,6 +73,9 @@ mod engine_tests;
 #[cfg(test)]
 #[path = "hard_tests.rs"]
 mod hard_tests;
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 #[path = "table_proptests.rs"]

@@ -1,0 +1,553 @@
+//! The scan-based forwarding tables the coverage core ([`crate::claims`])
+//! replaced, verbatim but for their names and doc comments: the reference
+//! model `table_proptests` drives side by side with the indexed tables.
+//! Every coverage question here is the original
+//! `entries.any(nodes.all(covers.contains))` scan plus a fresh reach
+//! fixpoint, and `fusion` is the body each engine's `fusion_at_node` had
+//! before it was lifted onto the tables.
+
+use crate::bits::{reach_fixpoint, Mask, Seed};
+use hbh_proto_base::{SoftEntry, Timing};
+use hbh_sim_core::Time;
+use hbh_topo::graph::NodeId;
+
+#[derive(Clone, Debug)]
+struct RefEntry {
+    node: NodeId,
+    entry: SoftEntry,
+    covers: Vec<NodeId>,
+}
+
+#[derive(Clone, Debug, Default)]
+pub struct RefMft {
+    entries: Vec<RefEntry>,
+}
+
+impl RefMft {
+    fn get(&self, n: NodeId, now: Time) -> Option<&RefEntry> {
+        self.entries
+            .iter()
+            .find(|e| e.node == n && !e.entry.is_dead(now))
+    }
+
+    fn get_mut(&mut self, n: NodeId, now: Time) -> Option<&mut RefEntry> {
+        self.entries
+            .iter_mut()
+            .find(|e| e.node == n && !e.entry.is_dead(now))
+    }
+
+    pub fn contains(&self, n: NodeId, now: Time) -> bool {
+        self.get(n, now).is_some()
+    }
+
+    pub fn is_marked(&self, n: NodeId, now: Time) -> bool {
+        self.get(n, now).is_some_and(|e| e.entry.marked)
+    }
+
+    pub fn is_stale(&self, n: NodeId, now: Time) -> bool {
+        self.get(n, now).is_some_and(|e| e.entry.is_stale(now))
+    }
+
+    pub fn refresh_or_insert(&mut self, n: NodeId, now: Time, timing: &Timing) -> bool {
+        if let Some(e) = self.get_mut(n, now) {
+            e.entry.refresh(now, timing);
+            return false;
+        }
+        self.purge(n);
+        self.entries.push(RefEntry {
+            node: n,
+            entry: SoftEntry::new(now, timing),
+            covers: Vec::new(),
+        });
+        true
+    }
+
+    pub fn mark(&mut self, n: NodeId, now: Time) -> bool {
+        match self.get_mut(n, now) {
+            Some(e) if !e.entry.marked => {
+                e.entry.marked = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    pub fn unmark(&mut self, n: NodeId, now: Time) -> bool {
+        match self.get_mut(n, now) {
+            Some(e) if e.entry.marked => {
+                e.entry.marked = false;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn data_reachable(&self, now: Time) -> Mask {
+        reach_fixpoint(
+            self.entries.len(),
+            |i| {
+                let e = &self.entries[i];
+                if e.entry.is_dead(now) {
+                    Seed::Skip
+                } else if e.entry.marked {
+                    Seed::Pending // reachable only via a coverer
+                } else {
+                    Seed::Reach
+                }
+            },
+            |j, i| {
+                let covers = &self.entries[j].covers;
+                !covers.is_empty() && covers.contains(&self.entries[i].node)
+            },
+        )
+    }
+
+    pub fn served_by_other(&self, n: NodeId, now: Time) -> bool {
+        // Fast path: no live entry claims `n` at all (the common case at
+        // routers with no fusion activity) — skip the fixpoint entirely.
+        if !self
+            .entries
+            .iter()
+            .any(|e| !e.entry.is_dead(now) && e.node != n && e.covers.contains(&n))
+        {
+            return false;
+        }
+        let reach = self.data_reachable(now);
+        self.entries
+            .iter()
+            .enumerate()
+            .any(|(i, e)| reach.test(i) && e.node != n && e.covers.contains(&n))
+    }
+
+    pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
+        // Fast path: no live entry other than `sender` even claims the
+        // whole set — skip the fixpoint.
+        if !self.entries.iter().any(|e| {
+            !e.entry.is_dead(now)
+                && e.node != sender
+                && !e.covers.is_empty()
+                && nodes.iter().all(|n| e.covers.contains(n))
+        }) {
+            return false;
+        }
+        let reach = self.data_reachable(now);
+        self.entries.iter().enumerate().any(|(i, e)| {
+            reach.test(i)
+                && e.node != sender
+                && !e.covers.is_empty()
+                && nodes.iter().all(|n| e.covers.contains(n))
+        })
+    }
+
+    pub fn install_fusion_sender(
+        &mut self,
+        bp: NodeId,
+        covers: &[NodeId],
+        now: Time,
+        timing: &Timing,
+    ) -> bool {
+        let mut structural = false;
+        // Subsume narrower senders (they sit deeper on the same paths).
+        for e in &mut self.entries {
+            if e.node != bp
+                && !e.entry.is_dead(now)
+                && !e.covers.is_empty()
+                && !e.entry.marked
+                && e.covers.iter().all(|n| covers.contains(n))
+            {
+                e.entry.marked = true;
+                structural = true;
+            }
+        }
+        if let Some(e) = self.get_mut(bp, now) {
+            e.entry.refresh_t2_keep_stale(now, timing);
+            // In-place copy: refreshes repeat the same claim far more often
+            // than they change it, so reuse the existing allocation.
+            e.covers.clear();
+            e.covers.extend_from_slice(covers);
+            return structural;
+        }
+        self.purge(bp);
+        let mut entry = SoftEntry::new(now, timing);
+        entry.force_stale(now);
+        self.entries.push(RefEntry {
+            node: bp,
+            entry,
+            covers: covers.to_vec(),
+        });
+        true
+    }
+
+    pub fn data_targets(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries
+            .iter()
+            .filter(move |e| !e.entry.is_dead(now) && !e.entry.marked)
+            .map(|e| e.node)
+    }
+
+    pub fn tree_targets(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries
+            .iter()
+            .filter(move |e| e.entry.is_fresh(now) || (!e.entry.is_dead(now) && !e.entry.marked))
+            .map(|e| e.node)
+    }
+
+    pub fn intersect<'a>(
+        &'a self,
+        nodes: &'a [NodeId],
+        now: Time,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        nodes
+            .iter()
+            .copied()
+            .filter(move |&n| self.contains(n, now))
+    }
+
+    pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries
+            .iter()
+            .filter(move |e| !e.entry.is_dead(now))
+            .map(|e| e.node)
+    }
+
+    pub fn reap(&mut self, now: Time) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| !e.entry.is_dead(now));
+        before - self.entries.len()
+    }
+
+    pub fn is_effectively_empty(&self, now: Time) -> bool {
+        self.entries.iter().all(|e| e.entry.is_dead(now))
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn purge(&mut self, n: NodeId) {
+        self.entries.retain(|e| e.node != n);
+    }
+}
+
+impl RefMft {
+    /// `Hbh::repair_orphaned_mark` without the kernel.
+    pub fn repair_orphaned_mark(&mut self, who: NodeId, now: Time) -> bool {
+        self.is_marked(who, now) && !self.served_by_other(who, now) && self.unmark(who, now)
+    }
+
+    /// `Hbh::fusion_at_node` without the kernel: how many times it called
+    /// `structural_change`.
+    pub fn fusion(&mut self, bp: NodeId, nodes: &[NodeId], now: Time, timing: &Timing) -> usize {
+        let relevant: Vec<NodeId> = self.intersect(nodes, now).collect();
+        if relevant.is_empty() {
+            return 0;
+        }
+        if self.covered_by_other(nodes, bp, now) {
+            return 0;
+        }
+        let mut structural = 0;
+        for n in relevant {
+            structural += usize::from(self.mark(n, now));
+        }
+        structural += usize::from(self.repair_orphaned_mark(bp, now));
+        structural + usize::from(self.install_fusion_sender(bp, nodes, now, timing))
+    }
+}
+
+#[derive(Clone, Debug)]
+struct RefHardEntry {
+    node: NodeId,
+    marked: bool,
+    covers: Vec<NodeId>,
+}
+
+#[derive(Clone, Debug, Default)]
+pub struct RefHardMft {
+    entries: Vec<RefHardEntry>,
+}
+
+impl RefHardMft {
+    fn get(&self, n: NodeId) -> Option<&RefHardEntry> {
+        self.entries.iter().find(|e| e.node == n)
+    }
+
+    fn get_mut(&mut self, n: NodeId) -> Option<&mut RefHardEntry> {
+        self.entries.iter_mut().find(|e| e.node == n)
+    }
+
+    pub fn contains(&self, n: NodeId) -> bool {
+        self.get(n).is_some()
+    }
+
+    pub fn is_marked(&self, n: NodeId) -> bool {
+        self.get(n).is_some_and(|e| e.marked)
+    }
+
+    pub fn insert(&mut self, n: NodeId) -> bool {
+        if self.contains(n) {
+            return false;
+        }
+        self.entries.push(RefHardEntry {
+            node: n,
+            marked: false,
+            covers: Vec::new(),
+        });
+        true
+    }
+
+    pub fn remove(&mut self, n: NodeId) -> bool {
+        let before = self.entries.len();
+        self.entries.retain(|e| e.node != n);
+        before != self.entries.len()
+    }
+
+    pub fn mark(&mut self, n: NodeId) -> bool {
+        match self.get_mut(n) {
+            Some(e) if !e.marked => {
+                e.marked = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    pub fn unmark(&mut self, n: NodeId) -> bool {
+        match self.get_mut(n) {
+            Some(e) if e.marked => {
+                e.marked = false;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn data_reachable(&self) -> Mask {
+        reach_fixpoint(
+            self.entries.len(),
+            |i| {
+                if self.entries[i].marked {
+                    Seed::Pending
+                } else {
+                    Seed::Reach
+                }
+            },
+            |j, i| {
+                let covers = &self.entries[j].covers;
+                !covers.is_empty() && covers.contains(&self.entries[i].node)
+            },
+        )
+    }
+
+    pub fn served_by_other(&self, n: NodeId) -> bool {
+        self.server_of(n).is_some()
+    }
+
+    pub fn server_of(&self, n: NodeId) -> Option<NodeId> {
+        if !self
+            .entries
+            .iter()
+            .any(|e| e.node != n && e.covers.contains(&n))
+        {
+            return None;
+        }
+        let reach = self.data_reachable();
+        self.entries.iter().enumerate().find_map(|(i, e)| {
+            (reach.test(i) && e.node != n && e.covers.contains(&n)).then_some(e.node)
+        })
+    }
+
+    pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId) -> bool {
+        if !self.entries.iter().any(|e| {
+            e.node != sender && !e.covers.is_empty() && nodes.iter().all(|n| e.covers.contains(n))
+        }) {
+            return false;
+        }
+        let reach = self.data_reachable();
+        self.entries.iter().enumerate().any(|(i, e)| {
+            reach.test(i)
+                && e.node != sender
+                && !e.covers.is_empty()
+                && nodes.iter().all(|n| e.covers.contains(n))
+        })
+    }
+
+    pub fn install_fusion_sender(&mut self, bp: NodeId, covers: &[NodeId]) -> bool {
+        let mut changed = false;
+        for e in &mut self.entries {
+            if e.node != bp
+                && !e.covers.is_empty()
+                && !e.marked
+                && e.covers.iter().all(|n| covers.contains(n))
+            {
+                e.marked = true;
+                changed = true;
+            }
+        }
+        if let Some(e) = self.get_mut(bp) {
+            if e.covers != covers {
+                e.covers.clear();
+                e.covers.extend_from_slice(covers);
+                changed = true;
+            }
+            return changed;
+        }
+        self.entries.push(RefHardEntry {
+            node: bp,
+            marked: false,
+            covers: covers.to_vec(),
+        });
+        true
+    }
+
+    pub fn unmark_orphans(&mut self) -> Vec<NodeId> {
+        let marked: Vec<NodeId> = self
+            .entries
+            .iter()
+            .filter(|e| e.marked)
+            .map(|e| e.node)
+            .collect();
+        let mut orphans = Vec::new();
+        for n in marked {
+            if !self.served_by_other(n) {
+                self.unmark(n);
+                orphans.push(n);
+            }
+        }
+        orphans
+    }
+
+    pub fn data_targets(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries.iter().filter(|e| !e.marked).map(|e| e.node)
+    }
+
+    pub fn live(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries.iter().map(|e| e.node)
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    pub fn approx_bytes(&self) -> usize {
+        self.entries.iter().map(|e| 5 + 4 * e.covers.len()).sum()
+    }
+}
+
+impl RefHardMft {
+    /// `HbhHard::fusion_at_node` without the kernel: `(changed,
+    /// serve_from)`.
+    pub fn fusion(&mut self, from: NodeId, nodes: &[NodeId]) -> (bool, bool) {
+        let relevant: Vec<NodeId> = nodes
+            .iter()
+            .copied()
+            .filter(|&n| n != from && self.contains(n))
+            .collect();
+        if relevant.is_empty() {
+            return (false, false);
+        }
+        if self.covered_by_other(nodes, from) {
+            return (false, false);
+        }
+        let mut changed = false;
+        for n in relevant {
+            changed |= self.mark(n);
+        }
+        let had_from = self.contains(from);
+        let was_marked = self.is_marked(from);
+        changed |= self.install_fusion_sender(from, nodes);
+        if self.is_marked(from) && !self.served_by_other(from) {
+            self.unmark(from);
+            changed = true;
+        }
+        (changed, !had_from || (was_marked && !self.is_marked(from)))
+    }
+}
+
+/// Node ids the differential checks sweep: the tests draw table members
+/// from `0..10` and claim members from the whole range, so `10..13` are
+/// only ever claimed, never present.
+pub const UNIVERSE: u32 = 13;
+
+fn order(it: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
+    it.collect()
+}
+
+fn same<T: PartialEq + std::fmt::Debug>(what: &str, new: T, old: T) -> Result<(), String> {
+    if new == old {
+        return Ok(());
+    }
+    Err(format!("{what}: indexed {new:?}, reference {old:?}"))
+}
+
+/// Everything observable about a soft MFT at `now`, indexed table against
+/// reference: membership, marks, phases, who serves whom, the **order** of
+/// the three fan-out sets, and the raw length.
+pub fn soft_diff(new: &mut crate::tables::HbhMft, old: &RefMft, now: Time) -> Result<(), String> {
+    same("len", new.len(), old.len())?;
+    same("is_empty", new.is_empty(), old.is_empty())?;
+    same(
+        "is_effectively_empty",
+        new.is_effectively_empty(now),
+        old.is_effectively_empty(now),
+    )?;
+    for n in (0..UNIVERSE).map(NodeId) {
+        same(
+            &format!("contains({n})"),
+            new.contains(n, now),
+            old.contains(n, now),
+        )?;
+        same(
+            &format!("is_marked({n})"),
+            new.is_marked(n, now),
+            old.is_marked(n, now),
+        )?;
+        same(
+            &format!("is_stale({n})"),
+            new.is_stale(n, now),
+            old.is_stale(n, now),
+        )?;
+        let (served, want) = (new.served_by_other(n, now), old.served_by_other(n, now));
+        same(&format!("served_by_other({n})"), served, want)?;
+    }
+    same("live", order(new.live(now)), order(old.live(now)))?;
+    let (data, want) = (order(new.data_targets(now)), order(old.data_targets(now)));
+    same("data_targets", data, want)?;
+    let (tree, want) = (order(new.tree_targets(now)), order(old.tree_targets(now)));
+    same("tree_targets", tree, want)
+}
+
+/// [`soft_diff`] for the hard table, plus its byte footprint.
+pub fn hard_diff(new: &mut crate::hard::HardMft, old: &RefHardMft) -> Result<(), String> {
+    same("len", new.len(), old.len())?;
+    same("is_empty", new.is_empty(), old.is_empty())?;
+    same("approx_bytes", new.approx_bytes(), old.approx_bytes())?;
+    for n in (0..UNIVERSE).map(NodeId) {
+        same(&format!("contains({n})"), new.contains(n), old.contains(n))?;
+        same(
+            &format!("is_marked({n})"),
+            new.is_marked(n),
+            old.is_marked(n),
+        )?;
+        same(
+            &format!("server_of({n})"),
+            new.server_of(n),
+            old.server_of(n),
+        )?;
+        let (served, want) = (new.served_by_other(n), old.served_by_other(n));
+        same(&format!("served_by_other({n})"), served, want)?;
+    }
+    same("live", order(new.live()), order(old.live()))?;
+    same(
+        "data_targets",
+        order(new.data_targets()),
+        order(old.data_targets()),
+    )
+}

@@ -1,11 +1,17 @@
-//! Property-based tests of the MFT's flag algebra: arbitrary operation
-//! sequences must preserve the invariants the engine relies on.
+//! Property-based tests of the forwarding tables: arbitrary operation
+//! sequences must preserve the invariants the engine relies on, and the
+//! indexed tables ([`crate::claims`]) must stay indistinguishable from the
+//! scan-based reference model ([`crate::reference`]) they replaced —
+//! soft and hard, replayed fusions included.
 
+use crate::hard::HardMft;
+use crate::reference::{hard_diff, soft_diff, RefHardMft, RefMft};
 use crate::tables::HbhMft;
 use hbh_proto_base::Timing;
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -105,5 +111,221 @@ proptest! {
         prop_assert!(!mft.is_stale(probe, now + (timing.t1 - 1)));
         prop_assert!(mft.is_stale(probe, now + timing.t1));
         prop_assert!(!mft.contains(probe, now + timing.t2));
+    }
+}
+
+// --- differential: indexed tables vs the scan-based reference ------------
+
+/// One step of a differential run. Table members come from `0..10`, claim
+/// members from `0..13` (so some claimed nodes are never present), claims
+/// hold 0–12 nodes with repeats.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Soft `refresh_or_insert` / hard `insert`.
+    Join(u8),
+    /// Hard only: `remove`.
+    Remove(u8),
+    Mark(u8),
+    Unmark(u8),
+    /// `install_fusion_sender`, bypassing the fusion checks.
+    Install(u8, Vec<u8>),
+    /// A whole fusion pass.
+    Fusion(u8, Vec<u8>),
+    /// One of the last four fusions again, verbatim (what a refresh
+    /// period looks like — and the only way onto the replay path).
+    Again(u8),
+    /// Soft `repair_orphaned_mark` / hard `unmark_orphans`.
+    Repair(u8),
+    /// Soft only.
+    Reap,
+    /// Soft only: the clock moves.
+    Advance(u16),
+}
+
+fn claim() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0u8..13, 0..13)
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0u8..10).prop_map(Step::Join),
+        (0u8..10).prop_map(Step::Join),
+        (0u8..10).prop_map(Step::Remove),
+        (0u8..10).prop_map(Step::Mark),
+        (0u8..10).prop_map(Step::Unmark),
+        ((0u8..10), claim()).prop_map(|(bp, c)| Step::Install(bp, c)),
+        ((0u8..10), claim()).prop_map(|(bp, c)| Step::Fusion(bp, c)),
+        ((0u8..10), claim()).prop_map(|(bp, c)| Step::Fusion(bp, c)),
+        (0u8..4).prop_map(Step::Again),
+        (0u8..4).prop_map(Step::Again),
+        (0u8..4).prop_map(Step::Again),
+        (0u8..10).prop_map(Step::Repair),
+        Just(Step::Reap),
+        // Short of t1 = 260, across it, and across t2 = 520.
+        (1u16..60).prop_map(Step::Advance),
+        (1u16..60).prop_map(Step::Advance),
+        (200u16..320).prop_map(Step::Advance),
+        (480u16..560).prop_map(Step::Advance),
+    ]
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(step_strategy(), 1..80)
+}
+
+fn ids(raw: &[u8]) -> Vec<NodeId> {
+    raw.iter().map(|&n| NodeId(n.into())).collect()
+}
+
+/// The fusion a step sends: its own, or for [`Step::Again`] one of the
+/// last four in `sent`, verbatim. `None` for every other step (and for a
+/// repeat with nothing sent yet).
+fn fusion_of(step: &Step, sent: &[(NodeId, Vec<NodeId>)]) -> Option<(NodeId, Vec<NodeId>)> {
+    match step {
+        Step::Fusion(bp, c) => Some((NodeId((*bp).into()), ids(c))),
+        Step::Again(i) if !sent.is_empty() => {
+            Some(sent[sent.len() - 1 - usize::from(*i) % sent.len()].clone())
+        }
+        _ => None,
+    }
+}
+
+fn fail(step: &Step, why: String) -> TestCaseError {
+    TestCaseError(format!("after {step:?}: {why}"))
+}
+
+/// The vendored proptest does not shrink, so a failure names its input.
+fn with_input(
+    steps: &[Step],
+    run: fn(Vec<Step>) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    run(steps.to_vec()).map_err(|e| TestCaseError(format!("{e}\nsteps: {steps:?}")))
+}
+
+/// The soft tables agree on every return value and, after every step, on
+/// everything [`soft_diff`] can see.
+fn soft_tables_agree(steps: Vec<Step>) -> Result<(), TestCaseError> {
+    let timing = Timing::default();
+    let (mut new, mut old) = (HbhMft::default(), RefMft::default());
+    let mut now = Time::ZERO;
+    let mut sent: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+    for step in steps {
+        let n = |raw: u8| NodeId(raw.into());
+        let (got, want) = match &step {
+            Step::Join(x) => (
+                usize::from(new.refresh_or_insert(n(*x), now, &timing)),
+                usize::from(old.refresh_or_insert(n(*x), now, &timing)),
+            ),
+            Step::Mark(x) => (
+                usize::from(new.mark(n(*x), now)),
+                usize::from(old.mark(n(*x), now)),
+            ),
+            Step::Unmark(x) => (
+                usize::from(new.unmark(n(*x), now)),
+                usize::from(old.unmark(n(*x), now)),
+            ),
+            Step::Install(bp, c) => (
+                usize::from(new.install_fusion_sender(n(*bp), &ids(c), now, &timing)),
+                usize::from(old.install_fusion_sender(n(*bp), &ids(c), now, &timing)),
+            ),
+            Step::Fusion(..) | Step::Again(_) => {
+                let Some((bp, nodes)) = fusion_of(&step, &sent) else {
+                    continue;
+                };
+                let (veto, want) = (
+                    new.covered_by_other(&nodes, bp, now),
+                    old.covered_by_other(&nodes, bp, now),
+                );
+                prop_assert_eq!(veto, want, "covered_by_other before {:?}", step);
+                let outcome = (
+                    new.fusion(bp, &nodes, now, &timing),
+                    old.fusion(bp, &nodes, now, &timing),
+                );
+                sent.push((bp, nodes));
+                outcome
+            }
+            Step::Repair(x) => (
+                usize::from(new.repair_orphaned_mark(n(*x), now)),
+                usize::from(old.repair_orphaned_mark(n(*x), now)),
+            ),
+            Step::Reap => (new.reap(now), old.reap(now)),
+            Step::Advance(dt) => {
+                now += u64::from(*dt);
+                (0, 0)
+            }
+            Step::Remove(_) => continue, // soft entries only ever decay
+        };
+        prop_assert_eq!(got, want, "return value of {:?}", step);
+        soft_diff(&mut new, &old, now).map_err(|why| fail(&step, why))?;
+    }
+    Ok(())
+}
+
+/// [`soft_tables_agree`] for the hard tables.
+fn hard_tables_agree(steps: Vec<Step>) -> Result<(), TestCaseError> {
+    let (mut new, mut old) = (HardMft::default(), RefHardMft::default());
+    let mut sent: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+    for step in steps {
+        let n = |raw: u8| NodeId(raw.into());
+        match &step {
+            Step::Join(x) => prop_assert_eq!(new.insert(n(*x)), old.insert(n(*x))),
+            Step::Remove(x) => prop_assert_eq!(new.remove(n(*x)), old.remove(n(*x))),
+            Step::Mark(x) => prop_assert_eq!(new.mark(n(*x)), old.mark(n(*x))),
+            Step::Unmark(x) => prop_assert_eq!(new.unmark(n(*x)), old.unmark(n(*x))),
+            Step::Install(bp, c) => prop_assert_eq!(
+                new.install_fusion_sender(n(*bp), &ids(c)),
+                old.install_fusion_sender(n(*bp), &ids(c)),
+                "return value of {:?}",
+                step
+            ),
+            Step::Fusion(..) | Step::Again(_) => {
+                let Some((from, nodes)) = fusion_of(&step, &sent) else {
+                    continue;
+                };
+                let (veto, want) = (
+                    new.covered_by_other(&nodes, from),
+                    old.covered_by_other(&nodes, from),
+                );
+                prop_assert_eq!(veto, want, "covered_by_other before {:?}", step);
+                let (got, want) = (new.fusion(from, &nodes), old.fusion(from, &nodes));
+                prop_assert_eq!(got, want, "(changed, serve_from) of {:?}", step);
+                sent.push((from, nodes));
+            }
+            Step::Repair(_) => prop_assert_eq!(new.unmark_orphans(), old.unmark_orphans()),
+            Step::Reap | Step::Advance(_) => continue, // hard state has no clock
+        }
+        hard_diff(&mut new, &old).map_err(|why| fail(&step, why))?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn soft_mft_matches_the_scan_reference(steps in steps()) {
+        with_input(&steps, soft_tables_agree)?;
+    }
+
+    #[test]
+    fn hard_mft_matches_the_scan_reference(steps in steps()) {
+        with_input(&steps, hard_tables_agree)?;
+    }
+}
+
+// The same two properties at 16× the cases: too slow for tier-1, run by
+// CI with `cargo test --release -p hbh-proto -- --ignored` (the vendored
+// proptest reads its case count from the config alone).
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4096, .. ProptestConfig::default() })]
+
+    #[test]
+    #[ignore = "4,096 cases: CI runs it in release"]
+    fn soft_mft_matches_the_scan_reference_at_length(steps in steps()) {
+        with_input(&steps, soft_tables_agree)?;
+    }
+
+    #[test]
+    #[ignore = "4,096 cases: CI runs it in release"]
+    fn hard_mft_matches_the_scan_reference_at_length(steps in steps()) {
+        with_input(&steps, hard_tables_agree)?;
     }
 }

@@ -34,7 +34,7 @@
 //! marks the senders it subsumes. `DESIGN.md` §5 records this as the one
 //! place we had to complete the paper's specification.
 
-use crate::bits::{reach_fixpoint, Mask, Seed};
+use crate::claims::ClaimTable;
 use hbh_proto_base::{EntryPhase, SoftEntry, Timing};
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
@@ -88,67 +88,40 @@ impl HbhMct {
     }
 }
 
-/// One MFT row: the downstream node, its soft entry, and — for fusion
-/// senders — the target set claimed by its last accepted fusion.
-#[derive(Clone, Debug)]
-struct MftEntry {
-    node: NodeId,
-    entry: SoftEntry,
-    /// Targets this node's last fusion claimed (empty for plain
-    /// receivers/joiners). See the nested-fusion note in the module docs.
-    covers: Vec<NodeId>,
-}
-
 /// Multicast Forwarding Table: per-downstream-node soft entries with the
-/// marked flag. Insertion-ordered for deterministic fan-out.
+/// marked flag. Insertion-ordered for deterministic fan-out. The rows,
+/// their fusion claims and every coverage question live in the shared
+/// [`ClaimTable`]; this type adds the two-timer lifecycle.
 #[derive(Clone, Debug, Default)]
 pub struct HbhMft {
-    entries: Vec<MftEntry>,
+    core: ClaimTable,
 }
 
 impl HbhMft {
-    /// Live-entry lookup (dead entries are treated as absent everywhere).
-    fn get(&self, n: NodeId, now: Time) -> Option<&MftEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.node == n && !e.entry.is_dead(now))
-    }
-
-    fn get_mut(&mut self, n: NodeId, now: Time) -> Option<&mut MftEntry> {
-        self.entries
-            .iter_mut()
-            .find(|e| e.node == n && !e.entry.is_dead(now))
-    }
-
     /// Is `n` a (live) member of the table?
     pub fn contains(&self, n: NodeId, now: Time) -> bool {
-        self.get(n, now).is_some()
+        self.core.contains(n, now)
     }
 
     /// True if `n` is live and marked (tree-only).
     pub fn is_marked(&self, n: NodeId, now: Time) -> bool {
-        self.get(n, now).is_some_and(|e| e.entry.marked)
+        self.core.is_marked(n, now)
     }
 
     /// True if `n` is live and stale (t1 expired).
     pub fn is_stale(&self, n: NodeId, now: Time) -> bool {
-        self.get(n, now).is_some_and(|e| e.entry.is_stale(now))
+        self.core.get(n, now).is_some_and(|e| e.is_stale(now))
     }
 
     /// Full refresh of `n` (join interception / rule 3 of tree
     /// processing); inserts fresh and unmarked if absent. Returns `true`
     /// if the entry is new.
     pub fn refresh_or_insert(&mut self, n: NodeId, now: Time, timing: &Timing) -> bool {
-        if let Some(e) = self.get_mut(n, now) {
-            e.entry.refresh(now, timing);
+        let (t1, t2) = (now + timing.t1, now + timing.t2);
+        if self.core.touch(n, now, t1, t2) {
             return false;
         }
-        self.purge(n);
-        self.entries.push(MftEntry {
-            node: n,
-            entry: SoftEntry::new(now, timing),
-            covers: Vec::new(),
-        });
+        self.core.insert(n, t1, t2);
         true
     }
 
@@ -156,104 +129,44 @@ impl HbhMft {
     /// survives only as long as something (joins, fusions via transit
     /// trees) keeps refreshing it. Returns `true` if newly marked.
     pub fn mark(&mut self, n: NodeId, now: Time) -> bool {
-        match self.get_mut(n, now) {
-            Some(e) if !e.entry.marked => {
-                e.entry.marked = true;
-                true
-            }
-            _ => false,
-        }
+        self.core.set_mark(n, true, now)
     }
 
-    /// Clears `n`'s mark (join-time self-repair; see the engine's
-    /// `repair_orphaned_mark`). Returns `true` if it was marked.
+    /// Clears `n`'s mark (join-time self-repair; see
+    /// [`Self::repair_orphaned_mark`]). Returns `true` if it was marked.
     pub fn unmark(&mut self, n: NodeId, now: Time) -> bool {
-        match self.get_mut(n, now) {
-            Some(e) if e.entry.marked => {
-                e.entry.marked = false;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Per-entry flag: does this entry's subtree currently receive data
-    /// through *this* table? Least fixpoint of: every live unmarked entry
-    /// is reachable (we fan data out to it directly), and a live *marked*
-    /// entry is reachable if an already-reachable entry's coverage claims
-    /// it (data flows to the coverer, which forwards it onward). Coverage
-    /// chains can nest, so the propagation runs to a fixpoint (see
-    /// [`crate::bits::reach_fixpoint`]). Bit `i` of the result corresponds
-    /// to `entries[i]`; table width is unbounded — the internet-scale
-    /// sweeps route hundreds of receivers through single access routers.
-    fn data_reachable(&self, now: Time) -> Mask {
-        reach_fixpoint(
-            self.entries.len(),
-            |i| {
-                let e = &self.entries[i];
-                if e.entry.is_dead(now) {
-                    Seed::Skip
-                } else if e.entry.marked {
-                    Seed::Pending // reachable only via a coverer
-                } else {
-                    Seed::Reach
-                }
-            },
-            |j, i| {
-                let covers = &self.entries[j].covers;
-                !covers.is_empty() && covers.contains(&self.entries[i].node)
-            },
-        )
+        self.core.set_mark(n, false, now)
     }
 
     /// Is `n` claimed by the coverage of a live, data-reachable entry
     /// other than itself — i.e. does some branching node that actually
-    /// receives data currently serve `n`? A claimant that is itself
-    /// marked counts only if its own coverer chain bottoms out at a live
-    /// unmarked entry (see [`Self::data_reachable`]); an orphaned marked
-    /// claimant receives nothing and therefore serves nobody.
-    pub fn served_by_other(&self, n: NodeId, now: Time) -> bool {
-        // Fast path: no live entry claims `n` at all (the common case at
-        // routers with no fusion activity) — skip the fixpoint entirely.
-        if !self
-            .entries
-            .iter()
-            .any(|e| !e.entry.is_dead(now) && e.node != n && e.covers.contains(&n))
-        {
-            return false;
-        }
-        let reach = self.data_reachable(now);
-        self.entries
-            .iter()
-            .enumerate()
-            .any(|(i, e)| reach.test(i) && e.node != n && e.covers.contains(&n))
+    /// receives data currently serve `n`? See [`ClaimTable::server_of`].
+    pub fn served_by_other(&mut self, n: NodeId, now: Time) -> bool {
+        self.core.server_of(n, now).is_some()
     }
 
     /// Is `nodes` contained in the coverage of a live, data-reachable
     /// entry other than `sender`? If so, an incoming fusion from `sender`
     /// is subsumed by an already-installed branching node and must be
-    /// ignored (see the nested-fusion note in the module docs). An
-    /// orphaned marked coverer receives no data and serves nobody — it
-    /// cannot veto a fusion from a node that is asking to serve the
-    /// subtree itself.
-    pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
-        // Fast path: no live entry other than `sender` even claims the
-        // whole set — skip the fixpoint.
-        if !self.entries.iter().any(|e| {
-            !e.entry.is_dead(now)
-                && e.node != sender
-                && !e.covers.is_empty()
-                && nodes.iter().all(|n| e.covers.contains(n))
-        }) {
-            return false;
-        }
-        let reach = self.data_reachable(now);
-        self.entries.iter().enumerate().any(|(i, e)| {
-            reach.test(i)
-                && e.node != sender
-                && !e.covers.is_empty()
-                && nodes.iter().all(|n| e.covers.contains(n))
-        })
+    /// ignored (see the nested-fusion note in the module docs and
+    /// [`ClaimTable::covers_loaded`]).
+    pub fn covered_by_other(&mut self, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
+        self.core.load_claim(nodes);
+        self.core.covers_loaded(sender, now)
+    }
+
+    /// Join-time mark repair (spec completion, `DESIGN.md` §5): a marked
+    /// entry is only serviceable while some live unmarked fusion sender
+    /// claims it in its coverage. If that sender decays — its own tables
+    /// lost to control loss, say — the mark would starve the subtree
+    /// *forever*, because the very joins that keep the marked entry alive
+    /// are intercepted at this table and never reach anyone who could
+    /// help. The periodic join therefore re-validates the coverage and
+    /// clears an orphaned mark, restoring direct service; a later fusion
+    /// from a recovered branching node simply re-marks it. Returns `true`
+    /// if it cleared `who`'s mark.
+    pub fn repair_orphaned_mark(&mut self, who: NodeId, now: Time) -> bool {
+        self.is_marked(who, now) && !self.served_by_other(who, now) && self.unmark(who, now)
     }
 
     /// Installs the fusion sender `Bp` claiming `covers`: stale from birth
@@ -270,44 +183,63 @@ impl HbhMft {
         now: Time,
         timing: &Timing,
     ) -> bool {
-        let mut structural = false;
-        // Subsume narrower senders (they sit deeper on the same paths).
-        for e in &mut self.entries {
-            if e.node != bp
-                && !e.entry.is_dead(now)
-                && !e.covers.is_empty()
-                && !e.entry.marked
-                && e.covers.iter().all(|n| covers.contains(n))
-            {
-                e.entry.marked = true;
-                structural = true;
-            }
+        self.core.load_claim(covers);
+        self.install_loaded(bp, covers, now, timing)
+    }
+
+    /// [`Self::install_fusion_sender`] of the claim the core has loaded.
+    fn install_loaded(&mut self, bp: NodeId, covers: &[NodeId], now: Time, t: &Timing) -> bool {
+        // Rules (3) and (4) alike: t1 expired on the spot, t2 restarted.
+        let stale = (now, now + t.t2);
+        let (subsumed, fresh, _) = self.core.install_loaded(bp, covers, now, stale);
+        subsumed || fresh
+    }
+
+    /// Everything a fusion from `bp` listing `nodes` does to the table it
+    /// is addressed to (Figure 9(b), rules (2)–(4), plus the nested-fusion
+    /// completion of the module docs); returns the number of structural
+    /// changes it made.
+    pub fn fusion(&mut self, bp: NodeId, nodes: &[NodeId], now: Time, timing: &Timing) -> usize {
+        if self.core.replays(bp, nodes, now) {
+            // A verbatim repeat on an unchanged table: rule (4) and
+            // nothing else (see `ClaimTable::replays`).
+            self.core.touch(bp, now, now, now + timing.t2);
+            return 0;
         }
-        if let Some(e) = self.get_mut(bp, now) {
-            e.entry.refresh_t2_keep_stale(now, timing);
-            // In-place copy: refreshes repeat the same claim far more often
-            // than they change it, so reuse the existing allocation.
-            e.covers.clear();
-            e.covers.extend_from_slice(covers);
-            return structural;
+        let began = self.core.begin_pass(now);
+        self.core.load_claim(nodes);
+        // Nested-fusion disambiguation: a fusion whose claim is contained
+        // in an already-installed sender's coverage is ignored — its
+        // subtree is served through that broader branching node.
+        if self.core.covers_loaded(bp, now) {
+            return 0; // consumed, deliberately without effect
         }
-        self.purge(bp);
-        let mut entry = SoftEntry::new(now, timing);
-        entry.force_stale(now);
-        self.entries.push(MftEntry {
-            node: bp,
-            entry,
-            covers: covers.to_vec(),
-        });
-        true
+        // Rule (2): mark the listed entries — they will keep receiving
+        // tree messages but no data. We emitted the tree messages that
+        // triggered this fusion, so the listed nodes should be ours; if
+        // none is, the fusion outlived the entries it names.
+        let Some(mut structural) = self.core.mark_listed(nodes, None, now) else {
+            return 0;
+        };
+        // Accepting the claim makes `bp` the data server for the listed
+        // nodes, so its own entry must be data-eligible — unless some
+        // data-reachable sender claims `bp` itself (coverage chains nest,
+        // so the claimant may in turn be marked-but-served), in which case
+        // data reaches `bp` transitively and the mark stands. Without
+        // this, a sender that was marked while its state decayed (control
+        // loss) re-marks its targets every refresh period yet never
+        // receives data: permanent starvation of the whole subtree.
+        structural += usize::from(self.repair_orphaned_mark(bp, now));
+        // Rules (3)/(4): install Bp stale (data-only), or refresh its t2
+        // keeping t1 expired; subsume narrower senders.
+        structural += usize::from(self.install_loaded(bp, nodes, now, timing));
+        self.core.settle(bp, began, now);
+        structural
     }
 
     /// Data fan-out set: live, unmarked entries.
     pub fn data_targets(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries
-            .iter()
-            .filter(move |e| !e.entry.is_dead(now) && !e.entry.marked)
-            .map(|e| e.node)
+        self.core.live(now).filter(|e| !e.marked).map(|e| e.node)
     }
 
     /// Tree fan-out set: fresh entries (marked or not), plus *unmarked*
@@ -325,9 +257,9 @@ impl HbhMft {
     /// emitting the moment they go stale, so decayed branches wind down.
     /// `DESIGN.md` §5 records this as a specification completion.
     pub fn tree_targets(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries
-            .iter()
-            .filter(move |e| e.entry.is_fresh(now) || (!e.entry.is_dead(now) && !e.entry.marked))
+        self.core
+            .live(now)
+            .filter(move |e| e.is_fresh(now) || !e.marked)
             .map(|e| e.node)
     }
 
@@ -346,37 +278,27 @@ impl HbhMft {
     /// All live members (fusion payloads: "all the nodes that B maintains
     /// in its MFT").
     pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries
-            .iter()
-            .filter(move |e| !e.entry.is_dead(now))
-            .map(|e| e.node)
+        self.core.live(now).map(|e| e.node)
     }
 
     /// Removes dead entries; returns how many.
     pub fn reap(&mut self, now: Time) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| !e.entry.is_dead(now));
-        before - self.entries.len()
+        self.core.reap(now)
     }
 
     /// No live entries left?
     pub fn is_effectively_empty(&self, now: Time) -> bool {
-        self.entries.iter().all(|e| e.entry.is_dead(now))
+        self.core.live(now).next().is_none()
     }
 
     /// Raw entry count (dead-but-unreaped included).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.core.len()
     }
 
     /// True if the table holds no entries at all.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops a dead duplicate before re-insertion.
-    fn purge(&mut self, n: NodeId) {
-        self.entries.retain(|e| e.node != n);
+        self.core.is_empty()
     }
 }
 
@@ -665,5 +587,181 @@ mod tests {
         m.refresh_or_insert(NodeId(1), Time(0), &t);
         assert!(!m.is_effectively_empty(Time(10)));
         assert!(m.is_effectively_empty(Time(t.t2)));
+    }
+
+    // --- the replay rule (`ClaimTable::replays`) --------------------------
+
+    use crate::reference::{soft_diff, RefMft};
+
+    const CLAIM: [NodeId; 2] = [NodeId(1), NodeId(2)];
+
+    /// The indexed table and the scan-based reference side by side.
+    struct Pair(HbhMft, RefMft);
+
+    impl Pair {
+        fn join(&mut self, n: u32, now: Time) {
+            let (a, b) = (
+                self.0.refresh_or_insert(NodeId(n), now, &tm()),
+                self.1.refresh_or_insert(NodeId(n), now, &tm()),
+            );
+            assert_eq!(a, b);
+        }
+
+        /// One fusion on both tables: same outcome, same table after.
+        fn fusion(&mut self, bp: u32, nodes: &[NodeId], now: Time) -> usize {
+            let got = self.0.fusion(NodeId(bp), nodes, now, &tm());
+            assert_eq!(got, self.1.fusion(NodeId(bp), nodes, now, &tm()));
+            soft_diff(&mut self.0, &self.1, now).unwrap();
+            got
+        }
+
+        /// Would sender 9's `CLAIM` be replayed at `now`?
+        fn replays(&self, now: Time) -> bool {
+            self.0.core.replays(NodeId(9), &CLAIM, now)
+        }
+    }
+
+    /// Receivers 1, 2, 3; sender 9 claims {1, 2} and is itself marked and
+    /// served through sender 8, which claims {9, 3}. 9's claim has been
+    /// accepted twice, the second time changing nothing: at `Time(11)` a
+    /// third verbatim repeat would be replayed.
+    fn settled() -> Pair {
+        let mut p = Pair(HbhMft::default(), RefMft::default());
+        for n in 1..=3 {
+            p.join(n, Time(0));
+        }
+        assert_eq!(p.fusion(9, &CLAIM, Time(0)), 3, "two marks and 9 itself");
+        assert_eq!(p.fusion(8, &[NodeId(9), NodeId(3)], Time(0)), 3);
+        assert!(!p.replays(Time(10)), "nothing settled yet");
+        assert_eq!(p.fusion(9, &CLAIM, Time(10)), 0);
+        assert!(p.replays(Time(11)));
+        p
+    }
+
+    /// [`settled`] carried to `Time(530)` with everyone refreshed but
+    /// receiver 3, which died at `t2` and sits in the table unreaped.
+    fn settled_around_a_dead_entry() -> Pair {
+        let mut p = settled();
+        for n in [1, 2] {
+            p.join(n, Time(300));
+        }
+        p.fusion(8, &[NodeId(9), NodeId(3)], Time(300));
+        p.fusion(9, &CLAIM, Time(300));
+        let later = Time(tm().t2 + 10);
+        assert!(!p.0.contains(NodeId(3), later) && p.0.len() == 5);
+        assert_eq!(p.fusion(9, &CLAIM, later), 0);
+        assert!(p.replays(later));
+        p
+    }
+
+    #[test]
+    fn replayed_fusion_is_rule_4_and_nothing_else() {
+        let mut p = settled();
+        // A join refresh makes the sender fresh again …
+        p.join(9, Time(20));
+        assert!(!p.0.is_stale(NodeId(9), Time(21)));
+        // … which is no change to coverage: the repeat is still a replay,
+        // and as rule (4) says it leaves the sender stale.
+        assert!(p.replays(Time(21)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(21)), 0);
+        assert!(p.0.is_stale(NodeId(9), Time(21)));
+        assert!(
+            p.0.contains(NodeId(9), Time(21 + tm().t2 - 1)),
+            "t2 restarted"
+        );
+        // A different list from the same sender is not a repeat.
+        assert!(!p
+            .0
+            .core
+            .replays(NodeId(9), &[NodeId(2), NodeId(1)], Time(22)));
+    }
+
+    #[test]
+    fn replay_ends_with_a_new_entry() {
+        let mut p = settled();
+        p.join(4, Time(20));
+        assert!(!p.replays(Time(20)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 0);
+        assert!(p.replays(Time(21)), "settled again on the wider table");
+    }
+
+    #[test]
+    fn replay_ends_with_a_dead_node_reinserted() {
+        let mut p = settled_around_a_dead_entry();
+        p.join(3, Time(540));
+        assert_eq!(p.0.len(), 5, "dead row purged, new row appended");
+        assert!(!p.replays(Time(540)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(540)), 0);
+    }
+
+    #[test]
+    fn replay_ends_with_a_reap() {
+        let mut p = settled_around_a_dead_entry();
+        assert_eq!((p.0.reap(Time(540)), p.1.reap(Time(540))), (1, 1));
+        assert!(!p.replays(Time(540)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(540)), 0);
+    }
+
+    #[test]
+    fn replay_ends_with_a_mark() {
+        let mut p = settled();
+        assert!(p.0.mark(NodeId(8), Time(20)) && p.1.mark(NodeId(8), Time(20)));
+        assert!(!p.replays(Time(20)));
+        // 8 no longer receives data, so it no longer serves 9: the full
+        // pass finds 9 orphaned and un-marks it.
+        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1);
+        assert!(!p.0.is_marked(NodeId(9), Time(20)));
+    }
+
+    #[test]
+    fn replay_ends_with_an_unmark() {
+        let mut p = settled();
+        assert!(p.0.unmark(NodeId(1), Time(20)) && p.1.unmark(NodeId(1), Time(20)));
+        assert!(!p.replays(Time(20)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1, "rule (2) marks 1 again");
+    }
+
+    #[test]
+    fn replay_ends_when_another_senders_claim_changes() {
+        let mut p = settled();
+        // 8 stops claiming 9: not structural, but 9 is now an orphan.
+        assert_eq!(p.fusion(8, &[NodeId(3)], Time(20)), 0);
+        assert!(!p.replays(Time(20)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1);
+        assert!(!p.0.is_marked(NodeId(9), Time(20)));
+    }
+
+    #[test]
+    fn replay_ends_when_a_deadline_moves_closer() {
+        let mut p = settled();
+        // Refreshes only ever push deadlines out — unless the caller
+        // changes its timing. 8 is now due at 200, inside the stretch.
+        let hasty = Timing { t2: 180, ..tm() };
+        p.0.refresh_or_insert(NodeId(8), Time(20), &hasty);
+        p.1.refresh_or_insert(NodeId(8), Time(20), &hasty);
+        assert!(!p.replays(Time(200)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(200)), 1, "orphaned 9 un-marked");
+    }
+
+    #[test]
+    fn replay_ends_when_an_entry_dies_by_clock_alone() {
+        let mut p = settled();
+        // Everyone but 8 keeps refreshing; nothing else touches the table.
+        for n in [1, 2] {
+            p.join(n, Time(300));
+        }
+        assert!(p.replays(Time(300)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(300)), 0);
+        let t2 = tm().t2;
+        assert!(p.replays(Time(t2 - 1)), "8 is still alive");
+        // 8 dies at t2 with no call in between: the repeat must take the
+        // full path and un-mark the orphan, as the reference does.
+        assert!(!p.replays(Time(t2)));
+        // Nor may an unrelated question asked in between, which opens the
+        // next calm stretch, make the old verdict look current.
+        assert!(!p.0.served_by_other(NodeId(9), Time(t2)));
+        assert!(!p.replays(Time(t2)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(t2)), 1);
+        assert!(!p.0.is_marked(NodeId(9), Time(t2)));
     }
 }
