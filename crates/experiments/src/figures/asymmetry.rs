@@ -8,88 +8,35 @@
 //! advantage at each step — the advantage should be ≈ 0 at `a = 0` and
 //! grow with `a`.
 
-use crate::figures::eval::{evaluate, EvalConfig, EvalPoint, Metric};
+use crate::figures::eval::{evaluate_knob, metric_of, KnobPoint, KnobSweep, Metric};
 use crate::protocols::ProtocolKind;
 use crate::report::Table;
-use crate::scenario::{ScenarioOptions, TopologyKind};
-use hbh_proto_base::Timing;
 
-pub struct AsymmetryConfig {
-    pub topo: TopologyKind,
-    pub group_size: usize,
-    pub runs: usize,
-    pub base_seed: u64,
-    pub steps: Vec<f64>,
-    pub timing: Timing,
+/// Sweeps `cfg.values` as the probability that a link's two directions
+/// get independent costs.
+pub fn evaluate_sweep(cfg: &KnobSweep) -> Vec<KnobPoint> {
+    let arms = [
+        ProtocolKind::PimSs,
+        ProtocolKind::Reunite,
+        ProtocolKind::Hbh,
+    ];
+    evaluate_knob(cfg, &arms, |opts, a| opts.asymmetry = a)
 }
 
-impl AsymmetryConfig {
-    pub fn default_with_runs(runs: usize) -> Self {
-        AsymmetryConfig {
-            topo: TopologyKind::Isp,
-            group_size: 10,
-            runs,
-            base_seed: 1,
-            steps: vec![0.0, 0.25, 0.5, 0.75, 1.0],
-            timing: Timing::default(),
-        }
-    }
-}
-
-pub struct AsymmetryPoint {
-    pub asymmetry: f64,
-    pub point: EvalPoint,
-    pub cfg: EvalConfig,
-}
-
-pub fn evaluate_sweep(cfg: &AsymmetryConfig) -> Vec<AsymmetryPoint> {
-    cfg.steps
-        .iter()
-        .map(|&a| {
-            let ecfg = EvalConfig {
-                topo: cfg.topo,
-                sizes: vec![cfg.group_size],
-                runs: cfg.runs,
-                base_seed: cfg.base_seed ^ ((a * 1000.0) as u64) << 20,
-                timing: cfg.timing,
-                opts: ScenarioOptions {
-                    asymmetry: a,
-                    ..ScenarioOptions::default()
-                },
-                protocols: vec![
-                    ProtocolKind::PimSs,
-                    ProtocolKind::Reunite,
-                    ProtocolKind::Hbh,
-                ],
-            };
-            let point = evaluate(&ecfg).remove(0);
-            AsymmetryPoint {
-                asymmetry: a,
-                point,
-                cfg: ecfg,
-            }
-        })
-        .collect()
-}
-
-pub fn render(cfg: &AsymmetryConfig, points: &[AsymmetryPoint], metric: Metric) -> Table {
+pub fn render(cfg: &KnobSweep, points: &[KnobPoint], metric: Metric) -> Table {
     let mut t = Table::new(
         format!(
             "{} vs cost asymmetry — {} topology, {} receivers, {} runs/point",
             metric.title(),
-            cfg.topo.name(),
+            cfg.run.topo.name(),
             cfg.group_size,
-            cfg.runs
+            cfg.run.runs
         ),
         "asymmetry",
         &["PIM-SS", "REUNITE", "HBH", "HBH adv %"],
     );
     for p in points {
-        let s = |i: usize| match metric {
-            Metric::Cost => p.point.per_protocol[i].cost,
-            Metric::Bandwidth => p.point.per_protocol[i].bandwidth,
-            Metric::Delay => p.point.per_protocol[i].delay,
-        };
+        let s = |i: usize| metric_of(&p.point.per_protocol[i], metric);
         let adv = crate::figures::eval::hbh_advantage_over_reunite(
             &p.cfg,
             std::slice::from_ref(&p.point),
@@ -97,7 +44,7 @@ pub fn render(cfg: &AsymmetryConfig, points: &[AsymmetryPoint], metric: Metric) 
         )
         .unwrap_or(0.0);
         t.row(
-            format!("{:.2}", p.asymmetry),
+            format!("{:.2}", p.value),
             vec![
                 Table::cell(s(0).mean(), s(0).ci95()),
                 Table::cell(s(1).mean(), s(1).ci95()),
@@ -112,14 +59,14 @@ pub fn render(cfg: &AsymmetryConfig, points: &[AsymmetryPoint], metric: Metric) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunConfig;
 
     #[test]
     fn symmetric_network_has_no_hbh_delay_advantage() {
-        let cfg = AsymmetryConfig {
-            steps: vec![0.0],
-            runs: 5,
+        let cfg = KnobSweep {
+            run: RunConfig::default().runs(5),
             group_size: 8,
-            ..AsymmetryConfig::default_with_runs(5)
+            values: vec![0.0],
         };
         let pts = evaluate_sweep(&cfg);
         let adv = crate::figures::eval::hbh_advantage_over_reunite(
@@ -138,11 +85,10 @@ mod tests {
 
     #[test]
     fn full_asymmetry_gives_hbh_an_edge() {
-        let cfg = AsymmetryConfig {
-            steps: vec![1.0],
-            runs: 8,
+        let cfg = KnobSweep {
+            run: RunConfig::default().runs(8),
             group_size: 10,
-            ..AsymmetryConfig::default_with_runs(8)
+            values: vec![1.0],
         };
         let pts = evaluate_sweep(&cfg);
         let adv = crate::figures::eval::hbh_advantage_over_reunite(

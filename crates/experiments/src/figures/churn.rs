@@ -26,8 +26,8 @@
 use crate::datapath::traced_probe;
 use crate::protocols::{dispatch, ProtocolKind, Study};
 use crate::report::Table;
-use crate::runner::{converge, probe_tolerant, probe_window};
-use crate::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
+use crate::runner::{converge, probe_tolerant, probe_window, RunConfig};
+use crate::scenario::{build, Scenario, ScenarioOptions};
 use crate::stats::Summary;
 use hbh_proto_base::{Channel, Cmd, Script, Timing};
 use hbh_routing::{OnDemandRoutes, RouteProvider};
@@ -271,31 +271,12 @@ pub struct ChurnPoint {
     pub unrecovered: u64,
 }
 
+/// The shared run knobs — `run.protocols` being the churn arms
+/// ([`ProtocolKind::CHURN_ARMS`] for the published table) — plus the
+/// group size.
 pub struct ChurnConfig {
-    pub topo: TopologyKind,
+    pub run: RunConfig,
     pub group_size: usize,
-    pub runs: usize,
-    pub base_seed: u64,
-    pub timing: Timing,
-    pub protocols: Vec<ProtocolKind>,
-}
-
-impl ChurnConfig {
-    /// Churn view of a shared [`crate::runner::RunConfig`]: fixed paper
-    /// group size of 8 and the three churn arms (REUNITE and HBH — the
-    /// soft-state pair whose repair behaviour the paper argues about —
-    /// plus the hard-state HBH variant they are measured against);
-    /// topology, runs, seed and timing carried over.
-    pub fn from_run(run: &crate::runner::RunConfig) -> Self {
-        ChurnConfig {
-            topo: run.topo,
-            group_size: 8,
-            runs: run.runs,
-            base_seed: run.base_seed,
-            timing: run.timing,
-            protocols: ProtocolKind::CHURN_ARMS.to_vec(),
-        }
-    }
 }
 
 /// Full study output: one point per protocol plus the skip count.
@@ -306,23 +287,24 @@ pub struct ChurnReport {
 }
 
 pub fn evaluate(cfg: &ChurnConfig) -> ChurnReport {
-    let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+    let ChurnConfig { run, group_size } = cfg;
+    let per_run = crate::parallel::map_runs(run.runs, |i| {
         let sc = build(
-            cfg.topo,
-            cfg.group_size,
-            cfg.base_seed ^ ((run as u64) << 16),
-            &cfg.timing,
+            run.topo,
+            *group_size,
+            run.base_seed ^ ((i as u64) << 16),
+            &run.timing,
             &ScenarioOptions::default(),
         );
         let victim = pick_victim(&sc)?;
         Some(
-            cfg.protocols
+            run.protocols
                 .iter()
-                .map(|&kind| run_churn(kind, &sc, &cfg.timing, victim))
+                .map(|&kind| run_churn(kind, &sc, &run.timing, victim))
                 .collect::<Vec<_>>(),
         )
     });
-    let mut points = vec![ChurnPoint::default(); cfg.protocols.len()];
+    let mut points = vec![ChurnPoint::default(); run.protocols.len()];
     let mut skipped = 0;
     for outcomes in per_run {
         let Some(outcomes) = outcomes else {
@@ -349,82 +331,28 @@ pub fn evaluate(cfg: &ChurnConfig) -> ChurnReport {
 }
 
 pub fn render(cfg: &ChurnConfig, report: &ChurnReport) -> Table {
-    let names: Vec<&str> = cfg.protocols.iter().map(|p| p.name()).collect();
+    let names: Vec<&str> = cfg.run.protocols.iter().map(|p| p.name()).collect();
     let mut t = Table::new(
         format!(
             "Tree repair after a core-router crash — {} topology, {} receivers, {} runs ({} skipped)",
-            cfg.topo.name(),
+            cfg.run.topo.name(),
             cfg.group_size,
-            cfg.runs,
+            cfg.run.runs,
             report.skipped
         ),
         "metric",
         &names,
     );
     let points = &report.points;
-    t.row(
-        "repair latency",
-        points
-            .iter()
-            .map(|p| Table::cell(p.repair_latency.mean(), p.repair_latency.ci95()))
-            .collect(),
-    );
-    t.row(
-        "probe misses",
-        points
-            .iter()
-            .map(|p| Table::cell(p.lost.mean(), p.lost.ci95()))
-            .collect(),
-    );
-    t.row(
-        "duplicates",
-        points
-            .iter()
-            .map(|p| Table::cell(p.duplicates.mean(), p.duplicates.ci95()))
-            .collect(),
-    );
-    t.row(
-        "perturbed innocents",
-        points
-            .iter()
-            .map(|p| Table::cell(p.perturbed.mean(), p.perturbed.ci95()))
-            .collect(),
-    );
-    t.row(
-        "control msgs (repair)",
-        points
-            .iter()
-            .map(|p| Table::cell(p.control.mean(), p.control.ci95()))
-            .collect(),
-    );
-    t.row(
-        "retransmissions",
-        points
-            .iter()
-            .map(|p| Table::cell(p.retransmits.mean(), p.retransmits.ci95()))
-            .collect(),
-    );
-    t.row(
-        "state bytes/router",
-        points
-            .iter()
-            .map(|p| Table::cell(p.state_bytes.mean(), p.state_bytes.ci95()))
-            .collect(),
-    );
-    t.row(
-        "unrepaired runs",
-        points
-            .iter()
-            .map(|p| format!("{:>8}", p.unrepaired))
-            .collect(),
-    );
-    t.row(
-        "unrecovered runs",
-        points
-            .iter()
-            .map(|p| format!("{:>8}", p.unrecovered))
-            .collect(),
-    );
+    t.summary_row("repair latency", points, |p| &p.repair_latency);
+    t.summary_row("probe misses", points, |p| &p.lost);
+    t.summary_row("duplicates", points, |p| &p.duplicates);
+    t.summary_row("perturbed innocents", points, |p| &p.perturbed);
+    t.summary_row("control msgs (repair)", points, |p| &p.control);
+    t.summary_row("retransmissions", points, |p| &p.retransmits);
+    t.summary_row("state bytes/router", points, |p| &p.state_bytes);
+    t.count_row("unrepaired runs", points, |p| p.unrepaired);
+    t.count_row("unrecovered runs", points, |p| p.unrecovered);
     t
 }
 
@@ -434,60 +362,48 @@ pub fn render(cfg: &ChurnConfig, report: &ChurnReport) -> Table {
 /// every value is a finite number or an integer, so no escaping issues
 /// arise beyond the protocol names, which are static ASCII.
 pub fn render_json(cfg: &ChurnConfig, report: &ChurnReport) -> String {
-    fn num(x: f64) -> String {
+    let num = |x: f64| {
         if x.is_finite() {
             format!("{x:.3}")
         } else {
             "null".to_string()
         }
-    }
-    let mut arms = Vec::new();
-    for (kind, p) in cfg.protocols.iter().zip(&report.points) {
-        arms.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"protocol\": \"{}\",\n",
-                "      \"repair_latency_mean\": {},\n",
-                "      \"repair_latency_ci95\": {},\n",
-                "      \"probe_misses_mean\": {},\n",
-                "      \"duplicates_mean\": {},\n",
-                "      \"perturbed_innocents_mean\": {},\n",
-                "      \"control_msgs_mean\": {},\n",
-                "      \"retransmissions_mean\": {},\n",
-                "      \"state_bytes_per_router_mean\": {},\n",
-                "      \"unrepaired_runs\": {},\n",
-                "      \"unrecovered_runs\": {}\n",
-                "    }}"
-            ),
-            kind.name(),
-            num(p.repair_latency.mean()),
-            num(p.repair_latency.ci95()),
-            num(p.lost.mean()),
-            num(p.duplicates.mean()),
-            num(p.perturbed.mean()),
-            num(p.control.mean()),
-            num(p.retransmits.mean()),
-            num(p.state_bytes.mean()),
-            p.unrepaired,
-            p.unrecovered,
-        ));
-    }
+    };
+    let arm = |(kind, p): (&ProtocolKind, &ChurnPoint)| {
+        let fields = [
+            ("protocol", format!("\"{}\"", kind.name())),
+            ("repair_latency_mean", num(p.repair_latency.mean())),
+            ("repair_latency_ci95", num(p.repair_latency.ci95())),
+            ("probe_misses_mean", num(p.lost.mean())),
+            ("duplicates_mean", num(p.duplicates.mean())),
+            ("perturbed_innocents_mean", num(p.perturbed.mean())),
+            ("control_msgs_mean", num(p.control.mean())),
+            ("retransmissions_mean", num(p.retransmits.mean())),
+            ("state_bytes_per_router_mean", num(p.state_bytes.mean())),
+            ("unrepaired_runs", p.unrepaired.to_string()),
+            ("unrecovered_runs", p.unrecovered.to_string()),
+        ];
+        let lines: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| format!("      \"{key}\": {value}"))
+            .collect();
+        format!("    {{\n{}\n    }}", lines.join(",\n"))
+    };
+    let arms: Vec<String> = cfg
+        .run
+        .protocols
+        .iter()
+        .zip(&report.points)
+        .map(arm)
+        .collect();
     format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"churn\",\n",
-            "  \"topology\": \"{}\",\n",
-            "  \"group_size\": {},\n",
-            "  \"runs\": {},\n",
-            "  \"base_seed\": {},\n",
-            "  \"skipped_runs\": {},\n",
-            "  \"arms\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        cfg.topo.name(),
+        "{{\n  \"experiment\": \"churn\",\n  \"topology\": \"{}\",\n  \"group_size\": {},\n  \
+         \"runs\": {},\n  \"base_seed\": {},\n  \"skipped_runs\": {},\n  \
+         \"arms\": [\n{}\n  ]\n}}\n",
+        cfg.run.topo.name(),
         cfg.group_size,
-        cfg.runs,
-        cfg.base_seed,
+        cfg.run.runs,
+        cfg.run.base_seed,
         report.skipped,
         arms.join(",\n")
     )
@@ -496,12 +412,13 @@ pub fn render_json(cfg: &ChurnConfig, report: &ChurnReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunConfig;
+    use crate::scenario::TopologyKind;
 
     fn small_cfg(runs: usize, protocols: Vec<ProtocolKind>) -> ChurnConfig {
-        let mut cfg = ChurnConfig::from_run(&RunConfig::new().runs(runs));
-        cfg.protocols = protocols;
-        cfg
+        ChurnConfig {
+            run: RunConfig::default().runs(runs).protocols(protocols),
+            group_size: 8,
+        }
     }
 
     #[test]

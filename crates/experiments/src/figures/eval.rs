@@ -4,18 +4,15 @@
 
 use crate::protocols::{run_protocol, ProtocolKind};
 use crate::report::Table;
-use crate::scenario::{build, ScenarioOptions, TopologyKind};
+use crate::runner::RunConfig;
+use crate::scenario::{build, ScenarioOptions};
 use crate::stats::Summary;
-use hbh_proto_base::Timing;
 
 /// Which of the two paper metrics to report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Metric {
     /// Figure 7: packet copies per injected data packet.
     Cost,
-    /// Copies weighted by link cost (the abstract's "bandwidth
-    /// consumption"; an alternative reading of Figure 7's axis).
-    Bandwidth,
     /// Figure 8: mean receiver delay in time units.
     Delay,
 }
@@ -24,47 +21,24 @@ impl Metric {
     pub fn title(self) -> &'static str {
         match self {
             Metric::Cost => "Tree cost (number of packet copies)",
-            Metric::Bandwidth => "Tree bandwidth consumption (cost-weighted copies)",
             Metric::Delay => "Receiver average delay (time units)",
         }
     }
 }
 
-/// Evaluation configuration (defaults reproduce the paper's setup except
-/// for `runs`, which the binaries let you dial down from 500).
+/// A group-size sweep — Figures 7 and 8, and the overhead and state-size
+/// studies: the shared run knobs plus the group sizes to visit (the
+/// paper's are `run.topo.paper_group_sizes()`).
 #[derive(Clone, Debug)]
 pub struct EvalConfig {
-    pub topo: TopologyKind,
+    pub run: RunConfig,
     pub sizes: Vec<usize>,
-    pub runs: usize,
-    pub base_seed: u64,
-    pub timing: Timing,
-    pub opts: ScenarioOptions,
-    pub protocols: Vec<ProtocolKind>,
-}
-
-impl EvalConfig {
-    /// Evaluation view of a shared [`crate::runner::RunConfig`]: the
-    /// paper's group-size sweep for the run's topology, all other knobs
-    /// carried over.
-    pub fn from_run(run: &crate::runner::RunConfig) -> Self {
-        EvalConfig {
-            topo: run.topo,
-            sizes: run.topo.paper_group_sizes(),
-            runs: run.runs,
-            base_seed: run.base_seed,
-            timing: run.timing,
-            opts: run.opts,
-            protocols: run.protocols.clone(),
-        }
-    }
 }
 
 /// Per-protocol aggregates at one group size.
 #[derive(Clone, Debug, Default)]
 pub struct ProtocolPoint {
     pub cost: Summary,
-    pub bandwidth: Summary,
     pub delay: Summary,
     /// Runs where not every receiver was served (must stay 0).
     pub incomplete: u64,
@@ -76,7 +50,7 @@ pub struct ProtocolPoint {
 #[derive(Clone, Debug)]
 pub struct EvalPoint {
     pub group_size: usize,
-    /// Indexed like `cfg.protocols`.
+    /// Indexed like `cfg.run.protocols`.
     pub per_protocol: Vec<ProtocolPoint>,
 }
 
@@ -92,10 +66,13 @@ pub fn run_seed(base_seed: u64, group_size: usize, run: usize) -> u64 {
 /// Runs the full evaluation; paired design: all protocols see the same
 /// scenario draw of each run. Runs are distributed over available cores.
 pub fn evaluate(cfg: &EvalConfig) -> Vec<EvalPoint> {
-    cfg.sizes.iter().map(|&m| evaluate_point(cfg, m)).collect()
+    cfg.sizes
+        .iter()
+        .map(|&m| evaluate_point(&cfg.run, m))
+        .collect()
 }
 
-fn evaluate_point(cfg: &EvalConfig, group_size: usize) -> EvalPoint {
+fn evaluate_point(cfg: &RunConfig, group_size: usize) -> EvalPoint {
     // One row of per-protocol outcomes per run, back in run order, so the
     // Summary fold below is independent of worker scheduling.
     let per_run = crate::parallel::map_runs(cfg.runs, |run| {
@@ -111,7 +88,6 @@ fn evaluate_point(cfg: &EvalConfig, group_size: usize) -> EvalPoint {
     for outcomes in per_run {
         for (m, o) in merged.iter_mut().zip(outcomes) {
             m.cost.add(o.cost as f64);
-            m.bandwidth.add(o.weighted_cost as f64);
             m.delay.add(o.avg_delay());
             if !o.complete() {
                 m.incomplete += 1;
@@ -127,23 +103,23 @@ fn evaluate_point(cfg: &EvalConfig, group_size: usize) -> EvalPoint {
     }
 }
 
-fn metric_of(p: &ProtocolPoint, metric: Metric) -> &Summary {
+/// The aggregate of `p` that `metric` reports.
+pub fn metric_of(p: &ProtocolPoint, metric: Metric) -> &Summary {
     match metric {
         Metric::Cost => &p.cost,
-        Metric::Bandwidth => &p.bandwidth,
         Metric::Delay => &p.delay,
     }
 }
 
 /// Renders one figure's table.
 pub fn render(cfg: &EvalConfig, points: &[EvalPoint], metric: Metric) -> Table {
-    let names: Vec<&str> = cfg.protocols.iter().map(|p| p.name()).collect();
+    let names: Vec<&str> = cfg.run.protocols.iter().map(|p| p.name()).collect();
     let mut t = Table::new(
         format!(
             "{} — {} topology, {} runs/point",
             metric.title(),
-            cfg.topo.name(),
-            cfg.runs
+            cfg.run.topo.name(),
+            cfg.run.runs
         ),
         "receivers",
         &names,
@@ -170,11 +146,9 @@ pub fn hbh_advantage_over_reunite(
     points: &[EvalPoint],
     metric: Metric,
 ) -> Option<f64> {
-    let hbh = cfg.protocols.iter().position(|&p| p == ProtocolKind::Hbh)?;
-    let reunite = cfg
-        .protocols
-        .iter()
-        .position(|&p| p == ProtocolKind::Reunite)?;
+    let protocols = &cfg.run.protocols;
+    let hbh = protocols.iter().position(|&p| p == ProtocolKind::Hbh)?;
+    let reunite = protocols.iter().position(|&p| p == ProtocolKind::Reunite)?;
     let mut total = 0.0;
     let mut n = 0;
     for p in points {
@@ -188,26 +162,63 @@ pub fn hbh_advantage_over_reunite(
     (n > 0).then(|| total / n as f64)
 }
 
+/// One knob swept at a fixed group size: a scenario option (the
+/// asymmetry and unicast-cloud ablations, via [`evaluate_knob`]) or the
+/// timer scale (`figures::timers`).
+pub struct KnobSweep {
+    pub run: RunConfig,
+    pub group_size: usize,
+    /// The knob settings to visit.
+    pub values: Vec<f64>,
+}
+
+/// One step of a [`KnobSweep`]: the value, what was measured there,
+/// and the evaluation config that measured it.
+pub struct KnobPoint {
+    pub value: f64,
+    pub point: EvalPoint,
+    pub cfg: EvalConfig,
+}
+
+/// Evaluates `protocols` at every value of `sweep`, `set` writing the
+/// value into otherwise default scenario options; each step draws from
+/// its own seed space.
+pub fn evaluate_knob(
+    sweep: &KnobSweep,
+    protocols: &[ProtocolKind],
+    set: impl Fn(&mut ScenarioOptions, f64),
+) -> Vec<KnobPoint> {
+    let step = |&value: &f64| {
+        let mut opts = ScenarioOptions::default();
+        set(&mut opts, value);
+        let cfg = EvalConfig {
+            run: RunConfig {
+                base_seed: sweep.run.base_seed ^ ((value * 1000.0) as u64) << 20,
+                opts,
+                protocols: protocols.to_vec(),
+                ..sweep.run.clone()
+            },
+            sizes: vec![sweep.group_size],
+        };
+        let point = evaluate(&cfg).remove(0);
+        KnobPoint { value, point, cfg }
+    };
+    sweep.values.iter().map(step).collect()
+}
+
 /// Health check: no protocol may have dropped receivers or failed to
 /// converge. Returns a description of the first violation.
 pub fn health_violations(cfg: &EvalConfig, points: &[EvalPoint]) -> Option<String> {
     for p in points {
-        for (i, pp) in p.per_protocol.iter().enumerate() {
-            if pp.incomplete > 0 {
-                return Some(format!(
-                    "{} at m={}: {} incomplete runs",
-                    cfg.protocols[i].name(),
-                    p.group_size,
-                    pp.incomplete
-                ));
-            }
-            if pp.unconverged > 0 {
-                return Some(format!(
-                    "{} at m={}: {} unconverged runs",
-                    cfg.protocols[i].name(),
-                    p.group_size,
-                    pp.unconverged
-                ));
+        for (kind, pp) in cfg.run.protocols.iter().zip(&p.per_protocol) {
+            for (runs, what) in [
+                (pp.incomplete, "incomplete"),
+                (pp.unconverged, "unconverged"),
+            ] {
+                if runs > 0 {
+                    let (name, m) = (kind.name(), p.group_size);
+                    return Some(format!("{name} at m={m}: {runs} {what} runs"));
+                }
             }
         }
     }
@@ -219,9 +230,10 @@ mod tests {
     use super::*;
 
     fn small_cfg() -> EvalConfig {
-        let mut cfg = EvalConfig::from_run(&crate::runner::RunConfig::new().runs(6));
-        cfg.sizes = vec![4, 10];
-        cfg
+        EvalConfig {
+            run: RunConfig::default().runs(6),
+            sizes: vec![4, 10],
+        }
     }
 
     #[test]
@@ -231,11 +243,11 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert_eq!(health_violations(&cfg, &points), None);
         // Cost grows with group size for every protocol.
-        for i in 0..cfg.protocols.len() {
+        for i in 0..cfg.run.protocols.len() {
             assert!(
                 points[1].per_protocol[i].cost.mean() > points[0].per_protocol[i].cost.mean(),
                 "{}: cost should grow with receivers",
-                cfg.protocols[i].name()
+                cfg.run.protocols[i].name()
             );
         }
     }
@@ -246,9 +258,9 @@ mod tests {
         // sample size: HBH ≈ PIM-SS on cost; HBH ≤ REUNITE on delay.
         let mut cfg = small_cfg();
         cfg.sizes = vec![10];
-        cfg.runs = 10;
+        cfg.run.runs = 10;
         let points = evaluate(&cfg);
-        let idx = |k: ProtocolKind| cfg.protocols.iter().position(|&p| p == k).unwrap();
+        let idx = |k: ProtocolKind| cfg.run.protocols.iter().position(|&p| p == k).unwrap();
         let p = &points[0].per_protocol;
         let cost = |k| p[idx(k)].cost.mean();
         let delay = |k| p[idx(k)].delay.mean();

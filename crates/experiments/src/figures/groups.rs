@@ -6,7 +6,7 @@
 //! soft-state machinery interleaved.
 
 use crate::report::Table;
-use crate::runner::probe_window;
+use crate::runner::{converge, probe_window, RunConfig};
 use crate::stats::Summary;
 use hbh_pim::Pim;
 use hbh_proto::Hbh;
@@ -80,15 +80,7 @@ where
             k.command_at(r, Cmd::Join(*ch), t);
         }
     }
-    k.run_until(Time(timing.convergence_horizon(10 * timing.join_period)));
-    for _ in 0..8 {
-        let before = k.stats().structural_changes;
-        let until = k.now() + 2 * timing.t2;
-        k.run_until(until);
-        if k.stats().structural_changes == before {
-            break;
-        }
-    }
+    converge(&mut k, timing, 10 * timing.join_period);
 
     // Steady-state control rate over a 10-period window.
     let c0 = k.stats().control_copies();
@@ -127,24 +119,13 @@ where
     }
 }
 
+/// The shared run knobs (the topology is always the ISP one and the three
+/// arms are fixed: [`GROUPS_PROTOCOLS`]) plus the concurrent-group counts
+/// to visit and the receivers per group.
 pub struct GroupsConfig {
+    pub run: RunConfig,
     pub group_counts: Vec<usize>,
     pub receivers_per_group: usize,
-    pub runs: usize,
-    pub base_seed: u64,
-    pub timing: Timing,
-}
-
-impl GroupsConfig {
-    pub fn default_with_runs(runs: usize) -> Self {
-        GroupsConfig {
-            group_counts: vec![1, 4, 8, 16],
-            receivers_per_group: 5,
-            runs,
-            base_seed: 1,
-            timing: Timing::default(),
-        }
-    }
 }
 
 pub const GROUPS_PROTOCOLS: [&str; 3] = ["HBH", "REUNITE", "PIM-SS"];
@@ -157,19 +138,20 @@ pub struct GroupsPoint {
 }
 
 pub fn evaluate(cfg: &GroupsConfig) -> Vec<(usize, Vec<GroupsPoint>)> {
+    let (run, timing) = (&cfg.run, &cfg.run.timing);
     cfg.group_counts
         .iter()
         .map(|&g| {
-            let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+            let per_run = crate::parallel::map_runs(run.runs, |i| {
                 let sc = build_multi(
                     g,
                     cfg.receivers_per_group,
-                    (cfg.base_seed ^ ((g as u64) << 28)) ^ run as u64,
+                    (run.base_seed ^ ((g as u64) << 28)) ^ i as u64,
                 );
                 [
-                    run_multi(Hbh::new(cfg.timing), &sc, &cfg.timing),
-                    run_multi(Reunite::new(cfg.timing), &sc, &cfg.timing),
-                    run_multi(Pim::source_specific(cfg.timing), &sc, &cfg.timing),
+                    run_multi(Hbh::new(*timing), &sc, timing),
+                    run_multi(Reunite::new(*timing), &sc, timing),
+                    run_multi(Pim::source_specific(*timing), &sc, timing),
                 ]
             });
             let mut acc = vec![GroupsPoint::default(); 3];
@@ -195,7 +177,7 @@ pub fn render(cfg: &GroupsConfig, rows: &[(usize, Vec<GroupsPoint>)]) -> Table {
     let mut t = Table::new(
         format!(
             "Concurrent groups scaling — ISP topology, {} receivers/group, {} runs/point",
-            cfg.receivers_per_group, cfg.runs
+            cfg.receivers_per_group, cfg.run.runs
         ),
         "groups",
         &col_refs,

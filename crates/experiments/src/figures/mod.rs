@@ -1,5 +1,5 @@
 //! One module per paper artifact / ablation. See the crate docs for the
-//! artifact ↔ module ↔ binary map.
+//! artifact ↔ module ↔ `hbh-exp` row map.
 
 pub mod asymmetry;
 pub mod churn;

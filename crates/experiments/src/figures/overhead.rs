@@ -8,10 +8,11 @@
 //! fusion machinery keeps running under asymmetry — §3.1), which frames
 //! the paper's data-plane gains as a control-plane trade.
 
-use crate::protocols::{dispatch, ProtocolKind, Study};
+use crate::figures::eval::EvalConfig;
+use crate::protocols::{dispatch, Study};
 use crate::report::Table;
 use crate::runner::converge;
-use crate::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
+use crate::scenario::{build, Scenario, ScenarioOptions};
 use crate::stats::Summary;
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Kernel, Protocol};
@@ -38,46 +39,25 @@ impl Study for OverheadStudy {
     }
 }
 
-pub struct OverheadConfig {
-    pub topo: TopologyKind,
-    pub sizes: Vec<usize>,
-    pub runs: usize,
-    pub base_seed: u64,
-    pub timing: Timing,
-    pub protocols: Vec<ProtocolKind>,
-}
-
-impl OverheadConfig {
-    pub fn default_with_runs(runs: usize) -> Self {
-        OverheadConfig {
-            topo: TopologyKind::Isp,
-            sizes: vec![2, 8, 16],
-            runs,
-            base_seed: 1,
-            timing: Timing::default(),
-            protocols: ProtocolKind::ALL.to_vec(),
-        }
-    }
-}
-
-pub fn evaluate(cfg: &OverheadConfig) -> Vec<(usize, Vec<Summary>)> {
+pub fn evaluate(cfg: &EvalConfig) -> Vec<(usize, Vec<Summary>)> {
+    let run = &cfg.run;
     cfg.sizes
         .iter()
         .map(|&m| {
-            let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+            let per_run = crate::parallel::map_runs(run.runs, |i| {
                 let sc = build(
-                    cfg.topo,
+                    run.topo,
                     m,
-                    (cfg.base_seed ^ ((m as u64) << 24)) ^ run as u64,
-                    &cfg.timing,
+                    (run.base_seed ^ ((m as u64) << 24)) ^ i as u64,
+                    &run.timing,
                     &ScenarioOptions::default(),
                 );
-                cfg.protocols
+                run.protocols
                     .iter()
-                    .map(|&kind| dispatch(kind, &sc, &cfg.timing, &OverheadStudy))
+                    .map(|&kind| dispatch(kind, &sc, &run.timing, &OverheadStudy))
                     .collect::<Vec<_>>()
             });
-            let mut acc = vec![Summary::default(); cfg.protocols.len()];
+            let mut acc = vec![Summary::default(); run.protocols.len()];
             for outcomes in per_run {
                 for (a, o) in acc.iter_mut().zip(outcomes) {
                     a.add(o);
@@ -88,13 +68,13 @@ pub fn evaluate(cfg: &OverheadConfig) -> Vec<(usize, Vec<Summary>)> {
         .collect()
 }
 
-pub fn render(cfg: &OverheadConfig, rows: &[(usize, Vec<Summary>)]) -> Table {
-    let names: Vec<&str> = cfg.protocols.iter().map(|p| p.name()).collect();
+pub fn render(cfg: &EvalConfig, rows: &[(usize, Vec<Summary>)]) -> Table {
+    let names: Vec<&str> = cfg.run.protocols.iter().map(|p| p.name()).collect();
     let mut t = Table::new(
         format!(
             "Control transmissions per refresh period — {} topology, {} runs/point",
-            cfg.topo.name(),
-            cfg.runs
+            cfg.run.topo.name(),
+            cfg.run.runs
         ),
         "receivers",
         &names,
@@ -114,14 +94,17 @@ pub fn render(cfg: &OverheadConfig, rows: &[(usize, Vec<Summary>)]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::eval::EvalConfig;
+    use crate::protocols::ProtocolKind;
+    use crate::runner::RunConfig;
 
     #[test]
     fn overhead_grows_with_group_size() {
-        let cfg = OverheadConfig {
+        let cfg = EvalConfig {
+            run: RunConfig::default()
+                .runs(3)
+                .protocols(vec![ProtocolKind::Hbh]),
             sizes: vec![2, 12],
-            runs: 3,
-            protocols: vec![ProtocolKind::Hbh],
-            ..OverheadConfig::default_with_runs(3)
         };
         let rows = evaluate(&cfg);
         assert!(
@@ -132,17 +115,16 @@ mod tests {
 
     #[test]
     fn every_protocol_has_nonzero_steady_state_overhead() {
-        let cfg = OverheadConfig {
+        let cfg = EvalConfig {
+            run: RunConfig::default().runs(2),
             sizes: vec![6],
-            runs: 2,
-            ..OverheadConfig::default_with_runs(2)
         };
         let rows = evaluate(&cfg);
         for (i, s) in rows[0].1.iter().enumerate() {
             assert!(
                 s.mean() > 0.0,
                 "{} shows no refresh traffic",
-                cfg.protocols[i].name()
+                cfg.run.protocols[i].name()
             );
         }
     }

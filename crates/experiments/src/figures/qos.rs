@@ -18,14 +18,15 @@
 
 use crate::datapath::traced_probe;
 use crate::report::Table;
-use crate::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
+use crate::runner::{build_kernel_on, converge, RunConfig};
+use crate::scenario::{build, Scenario, ScenarioOptions};
 use crate::stats::Summary;
 use hbh_pim::Pim;
 use hbh_proto::Hbh;
-use hbh_proto_base::{Channel, Cmd, Timing};
+use hbh_proto_base::{Cmd, Timing};
 use hbh_reunite::Reunite;
 use hbh_routing::qos;
-use hbh_sim_core::{Kernel, Network, Protocol, Time};
+use hbh_sim_core::{Network, Protocol};
 use hbh_topo::costs;
 use hbh_topo::graph::Bandwidth;
 use rand::rngs::StdRng;
@@ -40,26 +41,12 @@ pub struct QosOutcome {
     pub compliant: usize,
 }
 
+/// The shared run knobs (the three arms are fixed:
+/// [`QOS_PROTOCOL_NAMES`]) plus the group size and the bandwidth floor.
 pub struct QosConfig {
-    pub topo: TopologyKind,
+    pub run: RunConfig,
     pub group_size: usize,
-    pub runs: usize,
-    pub base_seed: u64,
     pub min_bw: Bandwidth,
-    pub timing: Timing,
-}
-
-impl QosConfig {
-    pub fn default_with_runs(runs: usize) -> Self {
-        QosConfig {
-            topo: TopologyKind::Isp,
-            group_size: 8,
-            runs,
-            base_seed: 1,
-            min_bw: 4,
-            timing: Timing::default(),
-        }
-    }
 }
 
 /// Builds the constrained network for a scenario; `None` if the channel
@@ -81,13 +68,8 @@ fn run_one<P: Protocol<Command = Cmd>>(
     timing: &Timing,
     min_bw: Bandwidth,
 ) -> QosOutcome {
-    let ch = Channel::primary(sc.source);
-    let mut k = Kernel::new(net, proto, sc.seed);
-    k.command_at(sc.source, Cmd::StartSource(ch), Time::ZERO);
-    for &(r, t) in &sc.join_times {
-        k.command_at(r, Cmd::Join(ch), t);
-    }
-    crate::runner::converge(&mut k, timing, sc.join_window);
+    let (mut k, ch) = build_kernel_on(net, proto, sc);
+    converge(&mut k, timing, sc.join_window);
     let transits = traced_probe(&mut k, ch, 1);
     let mut out = QosOutcome::default();
     for &r in &sc.receivers {
@@ -118,39 +100,22 @@ pub struct QosReport {
 pub const QOS_PROTOCOL_NAMES: [&str; 3] = ["HBH", "REUNITE", "PIM-SS"];
 
 pub fn evaluate(cfg: &QosConfig) -> QosReport {
+    let (run, timing, min_bw) = (&cfg.run, &cfg.run.timing, cfg.min_bw);
     // `None` marks a run whose channel was not admissible under the floor.
-    let per_run = crate::parallel::map_runs(cfg.runs, |run| {
-        let seed = cfg.base_seed ^ ((run as u64) << 18);
+    let per_run = crate::parallel::map_runs(run.runs, |i| {
+        let seed = run.base_seed ^ ((i as u64) << 18);
         let sc = build(
-            cfg.topo,
+            run.topo,
             cfg.group_size,
             seed,
-            &cfg.timing,
+            timing,
             &ScenarioOptions::default(),
         );
-        let net = admitted_network(&sc, cfg.min_bw, seed)?;
+        let net = admitted_network(&sc, min_bw, seed)?;
         let outcomes = [
-            run_one(
-                Hbh::new(cfg.timing),
-                net.clone(),
-                &sc,
-                &cfg.timing,
-                cfg.min_bw,
-            ),
-            run_one(
-                Reunite::new(cfg.timing),
-                net.clone(),
-                &sc,
-                &cfg.timing,
-                cfg.min_bw,
-            ),
-            run_one(
-                Pim::source_specific(cfg.timing),
-                net,
-                &sc,
-                &cfg.timing,
-                cfg.min_bw,
-            ),
+            run_one(Hbh::new(*timing), net.clone(), &sc, timing, min_bw),
+            run_one(Reunite::new(*timing), net.clone(), &sc, timing, min_bw),
+            run_one(Pim::source_specific(*timing), net, &sc, timing, min_bw),
         ];
         Some((sc.receivers.len(), outcomes))
     });
@@ -185,7 +150,7 @@ pub fn render(cfg: &QosConfig, report: &QosReport) -> Table {
         format!(
             "QoS compliance (bandwidth floor {}) — {} topology, {} receivers, {} admitted / {} skipped runs",
             cfg.min_bw,
-            cfg.topo.name(),
+            cfg.run.topo.name(),
             cfg.group_size,
             report.admitted_runs,
             report.skipped_runs
@@ -193,22 +158,10 @@ pub fn render(cfg: &QosConfig, report: &QosReport) -> Table {
         "metric",
         &QOS_PROTOCOL_NAMES,
     );
-    t.row(
-        "served fraction",
-        report
-            .points
-            .iter()
-            .map(|p| Table::cell(p.served_frac.mean(), p.served_frac.ci95()))
-            .collect(),
-    );
-    t.row(
-        "compliant-path fraction",
-        report
-            .points
-            .iter()
-            .map(|p| Table::cell(p.compliant_frac.mean(), p.compliant_frac.ci95()))
-            .collect(),
-    );
+    t.summary_row("served fraction", &report.points, |p| &p.served_frac);
+    t.summary_row("compliant-path fraction", &report.points, |p| {
+        &p.compliant_frac
+    });
     t
 }
 
@@ -219,8 +172,9 @@ mod tests {
     #[test]
     fn recursive_unicast_is_fully_compliant_pim_is_not() {
         let cfg = QosConfig {
-            runs: 8,
-            ..QosConfig::default_with_runs(8)
+            run: RunConfig::default().runs(8),
+            group_size: 8,
+            min_bw: 4,
         };
         let r = evaluate(&cfg);
         assert!(

@@ -13,8 +13,8 @@
 use crate::datapath::traced_probe;
 use crate::protocols::{dispatch, ProtocolKind, Study};
 use crate::report::Table;
-use crate::runner::converge;
-use crate::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
+use crate::runner::{converge, RunConfig};
+use crate::scenario::{build, Scenario, ScenarioOptions};
 use crate::stats::Summary;
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Kernel, Protocol};
@@ -94,44 +94,27 @@ pub struct StabilityPoint {
 }
 
 pub struct StabilityConfig {
-    pub topo: TopologyKind,
+    pub run: RunConfig,
+    /// Receivers per group (the paper's Figure 4 discussion: 8).
     pub group_size: usize,
-    pub runs: usize,
-    pub base_seed: u64,
-    pub timing: Timing,
-    pub protocols: Vec<ProtocolKind>,
-}
-
-impl StabilityConfig {
-    /// Stability view of a shared [`crate::runner::RunConfig`] (fixed
-    /// paper group size of 8; all other knobs carried over).
-    pub fn from_run(run: &crate::runner::RunConfig) -> Self {
-        StabilityConfig {
-            topo: run.topo,
-            group_size: 8,
-            runs: run.runs,
-            base_seed: run.base_seed,
-            timing: run.timing,
-            protocols: run.protocols.clone(),
-        }
-    }
 }
 
 pub fn evaluate(cfg: &StabilityConfig) -> Vec<StabilityPoint> {
-    let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+    let StabilityConfig { run, group_size } = cfg;
+    let per_run = crate::parallel::map_runs(run.runs, |i| {
         let sc = build(
-            cfg.topo,
-            cfg.group_size,
-            cfg.base_seed ^ ((run as u64) << 16),
-            &cfg.timing,
+            run.topo,
+            *group_size,
+            run.base_seed ^ ((i as u64) << 16),
+            &run.timing,
             &ScenarioOptions::default(),
         );
-        cfg.protocols
+        run.protocols
             .iter()
-            .map(|&kind| run_departure(kind, &sc, &cfg.timing))
+            .map(|&kind| run_departure(kind, &sc, &run.timing))
             .collect::<Vec<_>>()
     });
-    let mut acc = vec![StabilityPoint::default(); cfg.protocols.len()];
+    let mut acc = vec![StabilityPoint::default(); run.protocols.len()];
     for outcomes in per_run {
         for (a, o) in acc.iter_mut().zip(outcomes) {
             a.churn.add(o.churn as f64);
@@ -145,38 +128,20 @@ pub fn evaluate(cfg: &StabilityConfig) -> Vec<StabilityPoint> {
 }
 
 pub fn render(cfg: &StabilityConfig, points: &[StabilityPoint]) -> Table {
-    let names: Vec<&str> = cfg.protocols.iter().map(|p| p.name()).collect();
+    let names: Vec<&str> = cfg.run.protocols.iter().map(|p| p.name()).collect();
     let mut t = Table::new(
         format!(
             "Reconfiguration after one departure — {} topology, {} receivers, {} runs",
-            cfg.topo.name(),
+            cfg.run.topo.name(),
             cfg.group_size,
-            cfg.runs
+            cfg.run.runs
         ),
         "metric",
         &names,
     );
-    t.row(
-        "state churn",
-        points
-            .iter()
-            .map(|p| Table::cell(p.churn.mean(), p.churn.ci95()))
-            .collect(),
-    );
-    t.row(
-        "survivor route changes",
-        points
-            .iter()
-            .map(|p| Table::cell(p.route_changes.mean(), p.route_changes.ci95()))
-            .collect(),
-    );
-    t.row(
-        "failed runs",
-        points
-            .iter()
-            .map(|p| format!("{:>8}", p.failures))
-            .collect(),
-    );
+    t.summary_row("state churn", points, |p| &p.churn);
+    t.summary_row("survivor route changes", points, |p| &p.route_changes);
+    t.count_row("failed runs", points, |p| p.failures);
     t
 }
 
@@ -184,14 +149,24 @@ pub fn render(cfg: &StabilityConfig, points: &[StabilityPoint]) -> Table {
 mod tests {
     use super::*;
 
-    use crate::runner::RunConfig;
+    fn cfg(runs: usize, protocols: Vec<ProtocolKind>) -> StabilityConfig {
+        StabilityConfig {
+            run: RunConfig::default().runs(runs).protocols(protocols),
+            group_size: 8,
+        }
+    }
 
     #[test]
     fn departures_never_break_survivors() {
-        let cfg = StabilityConfig::from_run(&RunConfig::new().runs(3));
+        let cfg = cfg(3, ProtocolKind::ALL.to_vec());
         let points = evaluate(&cfg);
         for (i, p) in points.iter().enumerate() {
-            assert_eq!(p.failures, 0, "{} broke survivors", cfg.protocols[i].name());
+            assert_eq!(
+                p.failures,
+                0,
+                "{} broke survivors",
+                cfg.run.protocols[i].name()
+            );
         }
     }
 
@@ -199,9 +174,7 @@ mod tests {
     fn hbh_survivor_routes_are_stable() {
         // §3's claim: member departure never changes other receivers'
         // routes in HBH. (REUNITE's number may be nonzero — Figure 2.)
-        let cfg =
-            StabilityConfig::from_run(&RunConfig::new().runs(5).protocols(vec![ProtocolKind::Hbh]));
-        let points = evaluate(&cfg);
+        let points = evaluate(&cfg(5, vec![ProtocolKind::Hbh]));
         assert_eq!(
             points[0].route_changes.mean(),
             0.0,
@@ -213,12 +186,7 @@ mod tests {
     fn pim_ss_is_also_departure_stable() {
         // Reverse SPT branches are per-receiver independent: a departure
         // must not reroute anyone.
-        let cfg = StabilityConfig::from_run(
-            &RunConfig::new()
-                .runs(3)
-                .protocols(vec![ProtocolKind::PimSs]),
-        );
-        let points = evaluate(&cfg);
+        let points = evaluate(&cfg(3, vec![ProtocolKind::PimSs]));
         assert_eq!(points[0].route_changes.mean(), 0.0);
     }
 }

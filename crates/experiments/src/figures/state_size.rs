@@ -13,10 +13,11 @@
 //! Expected shape: PIM needs forwarding state at *every* on-tree router;
 //! the recursive-unicast protocols concentrate it at branching nodes.
 
+use crate::figures::eval::EvalConfig;
 use crate::protocols::{dispatch, ProtocolKind, Study};
 use crate::report::Table;
 use crate::runner::converge;
-use crate::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
+use crate::scenario::{build, Scenario, ScenarioOptions};
 use crate::stats::Summary;
 use hbh_proto_base::{Channel, Cmd, StateInventory, Timing};
 use hbh_sim_core::{Kernel, Protocol};
@@ -75,28 +76,6 @@ pub fn measure(kind: ProtocolKind, scenario: &Scenario, timing: &Timing) -> Stat
     dispatch(kind, scenario, timing, &StateStudy)
 }
 
-pub struct StateSizeConfig {
-    pub topo: TopologyKind,
-    pub sizes: Vec<usize>,
-    pub runs: usize,
-    pub base_seed: u64,
-    pub timing: Timing,
-    pub protocols: Vec<ProtocolKind>,
-}
-
-impl StateSizeConfig {
-    pub fn default_with_runs(runs: usize) -> Self {
-        StateSizeConfig {
-            topo: TopologyKind::Isp,
-            sizes: vec![4, 8, 16],
-            runs,
-            base_seed: 1,
-            timing: Timing::default(),
-            protocols: ProtocolKind::ALL.to_vec(),
-        }
-    }
-}
-
 #[derive(Clone, Debug, Default)]
 pub struct StateSizePoint {
     pub fwd_routers: Summary,
@@ -104,24 +83,25 @@ pub struct StateSizePoint {
     pub ctl_routers: Summary,
 }
 
-pub fn evaluate(cfg: &StateSizeConfig) -> Vec<(usize, Vec<StateSizePoint>)> {
+pub fn evaluate(cfg: &EvalConfig) -> Vec<(usize, Vec<StateSizePoint>)> {
+    let run = &cfg.run;
     cfg.sizes
         .iter()
         .map(|&m| {
-            let mut acc = vec![StateSizePoint::default(); cfg.protocols.len()];
-            for run in 0..cfg.runs {
+            let mut acc = vec![StateSizePoint::default(); run.protocols.len()];
+            for i in 0..run.runs {
                 let sc = build(
-                    cfg.topo,
+                    run.topo,
                     m,
-                    cfg.base_seed ^ (m as u64) << 40 ^ run as u64,
-                    &cfg.timing,
+                    run.base_seed ^ (m as u64) << 40 ^ i as u64,
+                    &run.timing,
                     &ScenarioOptions::default(),
                 );
-                for (i, &kind) in cfg.protocols.iter().enumerate() {
-                    let c = measure(kind, &sc, &cfg.timing);
-                    acc[i].fwd_routers.add(c.fwd_routers as f64);
-                    acc[i].fwd_entries.add(c.fwd_entries as f64);
-                    acc[i].ctl_routers.add(c.ctl_routers as f64);
+                for (a, &kind) in acc.iter_mut().zip(&run.protocols) {
+                    let c = measure(kind, &sc, &run.timing);
+                    a.fwd_routers.add(c.fwd_routers as f64);
+                    a.fwd_entries.add(c.fwd_entries as f64);
+                    a.ctl_routers.add(c.ctl_routers as f64);
                 }
             }
             (m, acc)
@@ -129,9 +109,9 @@ pub fn evaluate(cfg: &StateSizeConfig) -> Vec<(usize, Vec<StateSizePoint>)> {
         .collect()
 }
 
-pub fn render(cfg: &StateSizeConfig, rows: &[(usize, Vec<StateSizePoint>)]) -> Table {
+pub fn render(cfg: &EvalConfig, rows: &[(usize, Vec<StateSizePoint>)]) -> Table {
     let mut cols = Vec::new();
-    for p in &cfg.protocols {
+    for p in &cfg.run.protocols {
         cols.push(format!("{} fwd-routers", p.name()));
         cols.push(format!("{} fwd-entries", p.name()));
     }
@@ -139,8 +119,8 @@ pub fn render(cfg: &StateSizeConfig, rows: &[(usize, Vec<StateSizePoint>)]) -> T
     let mut t = Table::new(
         format!(
             "Forwarding-state footprint — {} topology, {} runs/point",
-            cfg.topo.name(),
-            cfg.runs
+            cfg.run.topo.name(),
+            cfg.run.runs
         ),
         "receivers",
         &col_refs,
@@ -159,6 +139,7 @@ pub fn render(cfg: &StateSizeConfig, rows: &[(usize, Vec<StateSizePoint>)]) -> T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::TopologyKind;
 
     fn counts(kind: ProtocolKind, m: usize, seed: u64) -> StateCounts {
         let timing = Timing::default();

@@ -6,10 +6,11 @@
 //! We scale t1/t2 by a factor (periods fixed) and report the time of the
 //! last structural change (convergence time) and the probe metrics.
 
-use crate::protocols::{dispatch, ProtocolKind, Study};
+use crate::figures::eval::KnobSweep;
+use crate::protocols::{dispatch, Study};
 use crate::report::Table;
 use crate::runner::{converge, probe};
-use crate::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
+use crate::scenario::{build, Scenario, ScenarioOptions};
 use crate::stats::Summary;
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Kernel, Protocol};
@@ -40,15 +41,10 @@ impl Study for ConvergenceStudy {
         let converged_at = k.stats().last_structural_change.0;
         let expected = scenario.receivers.len();
         let (cost, delays) = probe(&mut k, ch, 1, expected);
-        let avg = if delays.is_empty() {
-            0.0
-        } else {
-            delays.values().sum::<u64>() as f64 / delays.len() as f64
-        };
         TimerOutcome {
             converged_at,
             cost,
-            avg_delay: avg,
+            avg_delay: delays.values().sum::<u64>() as f64 / delays.len().max(1) as f64,
             complete: delays.len() == expected,
         }
     }
@@ -65,28 +61,6 @@ pub fn scaled_timing(scale: f64) -> Timing {
     }
 }
 
-pub struct TimersConfig {
-    pub topo: TopologyKind,
-    pub group_size: usize,
-    pub runs: usize,
-    pub base_seed: u64,
-    pub scales: Vec<f64>,
-    pub protocols: Vec<ProtocolKind>,
-}
-
-impl TimersConfig {
-    pub fn default_with_runs(runs: usize) -> Self {
-        TimersConfig {
-            topo: TopologyKind::Isp,
-            group_size: 8,
-            runs,
-            base_seed: 1,
-            scales: vec![1.0, 2.0, 4.0],
-            protocols: vec![ProtocolKind::Reunite, ProtocolKind::Hbh],
-        }
-    }
-}
-
 #[derive(Clone, Debug, Default)]
 pub struct TimersPoint {
     pub converged_at: Summary,
@@ -95,25 +69,28 @@ pub struct TimersPoint {
     pub incomplete: u64,
 }
 
-pub fn evaluate(cfg: &TimersConfig) -> Vec<(f64, Vec<TimersPoint>)> {
-    cfg.scales
+/// Visits `cfg.values` as t1/t2 scale factors: `run.timing` is replaced
+/// per step by [`scaled_timing`].
+pub fn evaluate(cfg: &KnobSweep) -> Vec<(f64, Vec<TimersPoint>)> {
+    let run = &cfg.run;
+    cfg.values
         .iter()
         .map(|&scale| {
             let timing = scaled_timing(scale);
-            let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+            let per_run = crate::parallel::map_runs(run.runs, |i| {
                 let sc = build(
-                    cfg.topo,
+                    run.topo,
                     cfg.group_size,
-                    cfg.base_seed ^ ((run as u64) << 8),
+                    run.base_seed ^ ((i as u64) << 8),
                     &timing,
                     &ScenarioOptions::default(),
                 );
-                cfg.protocols
+                run.protocols
                     .iter()
                     .map(|&kind| dispatch(kind, &sc, &timing, &ConvergenceStudy))
                     .collect::<Vec<_>>()
             });
-            let mut acc = vec![TimersPoint::default(); cfg.protocols.len()];
+            let mut acc = vec![TimersPoint::default(); run.protocols.len()];
             for outcomes in per_run {
                 for (a, o) in acc.iter_mut().zip(outcomes) {
                     a.converged_at.add(o.converged_at as f64);
@@ -129,9 +106,9 @@ pub fn evaluate(cfg: &TimersConfig) -> Vec<(f64, Vec<TimersPoint>)> {
         .collect()
 }
 
-pub fn render(cfg: &TimersConfig, rows: &[(f64, Vec<TimersPoint>)]) -> Table {
+pub fn render(cfg: &KnobSweep, rows: &[(f64, Vec<TimersPoint>)]) -> Table {
     let mut cols = Vec::new();
-    for p in &cfg.protocols {
+    for p in &cfg.run.protocols {
         cols.push(format!("{} conv.time", p.name()));
         cols.push(format!("{} cost", p.name()));
         cols.push(format!("{} delay", p.name()));
@@ -140,9 +117,9 @@ pub fn render(cfg: &TimersConfig, rows: &[(f64, Vec<TimersPoint>)]) -> Table {
     let mut t = Table::new(
         format!(
             "Timer-scale sensitivity — {} topology, {} receivers, {} runs/point",
-            cfg.topo.name(),
+            cfg.run.topo.name(),
             cfg.group_size,
-            cfg.runs
+            cfg.run.runs
         ),
         "t-scale",
         &col_refs,
@@ -162,14 +139,17 @@ pub fn render(cfg: &TimersConfig, rows: &[(f64, Vec<TimersPoint>)]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocols::ProtocolKind;
+    use crate::runner::RunConfig;
 
     #[test]
     fn steady_state_metrics_insensitive_to_timer_scale() {
-        let cfg = TimersConfig {
-            scales: vec![1.0, 4.0],
-            runs: 3,
-            protocols: vec![ProtocolKind::Hbh],
-            ..TimersConfig::default_with_runs(3)
+        let cfg = KnobSweep {
+            run: RunConfig::default()
+                .runs(3)
+                .protocols(vec![ProtocolKind::Hbh]),
+            group_size: 8,
+            values: vec![1.0, 4.0],
         };
         let rows = evaluate(&cfg);
         let (c1, c4) = (&rows[0].1[0], &rows[1].1[0]);

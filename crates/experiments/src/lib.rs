@@ -1,10 +1,11 @@
 //! # hbh-experiments — the paper's evaluation, regenerated
 //!
 //! This crate drives the four protocol engines through the scenarios of
-//! §4 of the paper and prints the tables behind every figure:
+//! §4 of the paper and prints the tables behind every figure, all from
+//! one binary, `hbh-exp <experiment>`, over one table ([`registry`]):
 //!
-//! | artifact | module | binary |
-//! |----------|--------|--------|
+//! | artifact | module | `hbh-exp` row |
+//! |----------|--------|---------------|
 //! | Fig. 7(a)/(b) — tree cost vs. group size | [`figures::eval`] | `fig7` |
 //! | Fig. 8(a)/(b) — receiver delay vs. group size | [`figures::eval`] | `fig8` |
 //! | Fig. 4 — reconfiguration after departure | [`figures::stability`] | `stability` |
@@ -12,6 +13,12 @@
 //! | A2 — unicast-only clouds | [`figures::clouds`] | `unicast_clouds` |
 //! | A3 — timer sensitivity | [`figures::timers`] | `timers` |
 //! | A4 — control overhead | [`figures::overhead`] | `overhead` |
+//! | repair after a router crash | [`figures::churn`] | `churn` |
+//! | state footprint, QoS routing, concurrent groups | [`figures::state_size`], [`figures::qos`], [`figures::groups`] | `state_size`, `qos`, `groups` |
+//! | 5k-router and 10⁵-receiver sweeps | [`scale`], [`membership`] | `scale`, `membership` |
+//!
+//! `hbh-exp all` regenerates `results/`; `hbh-exp all --check 1` is the CI
+//! gate that keeps the committed files what the code prints.
 //!
 //! Methodology mirrors §4.1: per run, per-direction link costs are drawn
 //! from `U[1, 10]`, a group of `m` receivers is sampled uniformly, all
@@ -27,6 +34,7 @@ pub mod figures;
 pub mod membership;
 pub mod parallel;
 pub mod protocols;
+pub mod registry;
 pub mod report;
 pub mod runner;
 pub mod scale;

@@ -333,6 +333,82 @@ impl MembershipReport {
             _ => f64::NAN,
         }
     }
+
+    /// One record of the `BENCH_membership.json` history: the sweep `cfg`
+    /// described, what it measured, and the process's peak RSS.
+    pub fn to_json(&self, cfg: &MembershipConfig, peak_rss_kb: u64) -> String {
+        // The fields both arrays' objects end with, from `served` on.
+        let cell = |o: &MembershipOutcome| {
+            format!(
+                "\"served\": {}, \"converged\": {}, \"settle_latency\": {}, \
+                 \"control_copies\": {}, \"control_per_receiver\": {:.2}, \
+                 \"interior_state_max\": {}, \"interior_state_mean\": {:.1}, \
+                 \"access_state_max\": {}",
+                o.served,
+                o.converged,
+                o.settle_latency.map_or(-1i64, |l| l as i64),
+                o.control_copies,
+                o.control_per_receiver(),
+                o.interior_state_max,
+                o.interior_state_mean,
+                o.access_state_max,
+            )
+        };
+        let comparison: Vec<String> = self
+            .comparison
+            .iter()
+            .map(|arm| {
+                format!(
+                    "    {{\"workload\": \"{}\", \"protocol\": \"{}\", \"expected\": {}, {}}}",
+                    arm.workload,
+                    arm.kind.name(),
+                    arm.outcome.expected,
+                    cell(&arm.outcome),
+                )
+            })
+            .collect();
+        let storm: Vec<String> = self
+            .storm
+            .iter()
+            .map(|p| {
+                format!(
+                    "    {{\"receivers\": {}, {}}}",
+                    p.receivers,
+                    cell(&p.outcome)
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"topology\": {{\"ases\": {}, \"pops_per_as\": {}, \"access_per_pop\": {}, \
+             \"routers\": {}, \"hosts\": {}}},\n  \
+             \"sweep\": {{\"group_size\": {}, \"channels\": {}, \"zipf_exponent\": {}, \
+             \"zaps\": {}, \"base_seed\": {}}},\n  \
+             \"comparison\": [\n{}\n  ],\n  \
+             \"storm\": [\n{}\n  ],\n  \
+             \"acceptance\": {{\"incomplete\": {}, \"unconverged\": {}, \
+             \"storm_state_exponent\": {:.4}, \"agg_control_ratio\": {:.4}}},\n  \
+             \"throughput\": {{\"wall_ms\": {:.1}, \"events\": {}, \
+             \"peak_rss_kb\": {peak_rss_kb}}}\n}}\n",
+            cfg.spec.ases,
+            cfg.spec.pops_per_as,
+            cfg.spec.access_per_pop,
+            self.routers,
+            self.hosts,
+            self.group_size,
+            self.channels,
+            cfg.zipf_exponent,
+            cfg.zaps,
+            cfg.base_seed,
+            comparison.join(",\n"),
+            storm.join(",\n"),
+            self.incomplete(),
+            self.unconverged(),
+            self.storm_state_exponent(),
+            self.agg_control_ratio(),
+            self.wall_secs * 1e3,
+            self.events,
+        )
+    }
 }
 
 /// Builds the frozen topology of `cfg` (same scheme as the scale sweep,

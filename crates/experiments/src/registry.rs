@@ -1,0 +1,493 @@
+//! The experiment table behind `hbh-exp`: one row per experiment — its
+//! name, the flags it accepts, the function that runs it and renders its
+//! [`Report`], and the `results/` files it owns, each with the argv that
+//! makes it. `hbh-exp <name> [flags]` prints a row's report, `hbh-exp all`
+//! rewrites every owned file (the only code that writes to `results/`),
+//! and `hbh-exp all --check 1` renders them in memory and fails on the
+//! first line that differs from the committed file — which is what makes
+//! `results/` what the code prints.
+
+use crate::figures::eval::{self, EvalConfig, KnobPoint, KnobSweep, Metric};
+use crate::figures::{asymmetry, churn, clouds, groups, overhead, qos, stability};
+use crate::figures::{state_size, timers};
+use crate::membership::{run_membership, MembershipConfig};
+use crate::protocols::ProtocolKind;
+use crate::report::{
+    append_history, at_least, at_most, check_tolerances, die, peak_rss_kb, Args, Report, Table,
+};
+use crate::runner::RunConfig;
+use crate::scale::{run_scale, ScaleConfig};
+use hbh_topo::hier::TierSpec;
+use std::fmt::Write as _;
+use std::path::Path;
+use std::process::ExitCode;
+
+/// One row of the table.
+pub struct Experiment {
+    pub name: &'static str,
+    /// The `--key value` flags the row accepts.
+    pub flags: &'static [&'static str],
+    pub run: fn(&Args) -> Report,
+    /// The files under `results/` this row owns, with the argv behind each.
+    pub files: &'static [(&'static str, &'static [&'static str])],
+}
+
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "fig7",
+        flags: &["topo", "runs", "seed", "threads"],
+        run: fig7,
+        files: &[
+            ("fig7_isp.txt", &["--topo", "isp", "--runs", "500"]),
+            ("fig7_rand50.txt", &["--topo", "rand50", "--runs", "500"]),
+        ],
+    },
+    Experiment {
+        name: "fig8",
+        flags: &["topo", "runs", "seed", "threads"],
+        run: fig8,
+        files: &[
+            ("fig8_isp.txt", &["--topo", "isp", "--runs", "500"]),
+            ("fig8_rand50.txt", &["--topo", "rand50", "--runs", "500"]),
+        ],
+    },
+    Experiment {
+        name: "stability",
+        flags: &["runs", "group", "topo", "seed", "threads"],
+        run: stability,
+        files: &[("stability.txt", &["--runs", "200", "--group", "8"])],
+    },
+    Experiment {
+        name: "churn",
+        flags: &["topo", "runs", "seed", "threads", "group", "check"],
+        run: churn,
+        // CI's smoke size: `--runs 100` at seed 1 aborts on memory (soft
+        // HBH grows without bound after some crashes — ROADMAP item 4(i));
+        // the row moves to the full sweep when that is fixed.
+        files: &[("churn.txt", &["--runs", "5"])],
+    },
+    Experiment {
+        name: "asymmetry",
+        flags: &["runs", "group", "topo", "seed"],
+        run: asymmetry,
+        files: &[("asymmetry.txt", &["--runs", "200"])],
+    },
+    Experiment {
+        name: "unicast_clouds",
+        flags: &["runs", "group", "topo", "seed"],
+        run: unicast_clouds,
+        files: &[("unicast_clouds.txt", &["--runs", "200"])],
+    },
+    Experiment {
+        name: "timers",
+        flags: &["runs", "group", "topo", "seed"],
+        run: timers,
+        files: &[("timers.txt", &["--runs", "100"])],
+    },
+    Experiment {
+        name: "overhead",
+        flags: &["runs", "topo", "seed"],
+        run: overhead,
+        files: &[("overhead.txt", &["--runs", "100"])],
+    },
+    Experiment {
+        name: "state_size",
+        flags: &["runs", "topo", "seed"],
+        run: state_size,
+        files: &[("state_size.txt", &["--runs", "100"])],
+    },
+    Experiment {
+        name: "qos",
+        flags: &["runs", "group", "topo", "seed", "minbw"],
+        run: qos,
+        files: &[("qos.txt", &["--runs", "200"])],
+    },
+    Experiment {
+        name: "groups",
+        flags: &["runs", "rx", "seed"],
+        run: groups,
+        files: &[("groups.txt", &["--runs", "30"])],
+    },
+    Experiment {
+        name: "scale",
+        flags: &[
+            "ases", "pops", "access", "hosts", "group", "runs", "seed", "cache", "out", "smoke",
+            "check",
+        ],
+        run: scale,
+        files: &[],
+    },
+    Experiment {
+        name: "membership",
+        flags: &[
+            "ases", "pops", "access", "hosts", "group", "channels", "zaps", "seed", "cache", "out",
+            "smoke", "check",
+        ],
+        run: membership,
+        files: &[],
+    },
+];
+
+/// `hbh-exp`'s `main`: dispatches `argv[1]` to its row, or to `all`.
+pub fn main() -> ExitCode {
+    let mut argv = std::env::args().skip(1);
+    let usage = || {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        format!("usage: hbh-exp <{}|all> [--flag value …]", names.join("|"))
+    };
+    let Some(name) = argv.next() else {
+        die(&format!("no experiment named\n{}", usage()))
+    };
+    if name == "all" {
+        return all(Args::parse_from(argv, &["check"]).get_parse("check", 0u8) != 0);
+    }
+    let Some(exp) = EXPERIMENTS.iter().find(|e| e.name == name) else {
+        die(&format!("unknown experiment {name}\n{}", usage()))
+    };
+    let report = (exp.run)(&Args::parse_from(argv, exp.flags));
+    print!("{}", report.text);
+    finish(&report.failures)
+}
+
+/// Exit 1 listing `failures` on stderr, or exit 0 when there are none.
+fn finish(failures: &[String]) -> ExitCode {
+    for f in failures {
+        eprintln!("FAILED: {f}");
+    }
+    ExitCode::from(u8::from(!failures.is_empty()))
+}
+
+/// Runs every `(argv, file)` pair of the table and writes the files into
+/// `./results` — or, under `check`, compares them with what is there.
+fn all(check: bool) -> ExitCode {
+    let dir = Path::new("results");
+    if !dir.is_dir() {
+        die("no ./results directory here: run `hbh-exp all` from the repository root");
+    }
+    let mut failures = Vec::new();
+    for exp in EXPERIMENTS {
+        for (file, argv) in exp.files {
+            let args = Args::parse_from(argv.iter().map(|a| a.to_string()), exp.flags);
+            let report = (exp.run)(&args);
+            failures.extend(report.failures.iter().map(|f| format!("{file}: {f}")));
+            let header = format!("== hbh-exp {} {} ==\n", exp.name, argv.join(" "));
+            let text = (dir.join(file), header + &report.text);
+            let json = report
+                .json
+                .map(|json| (dir.join(file).with_extension("json"), json));
+            for (path, fresh) in [text].into_iter().chain(json) {
+                let shown = path.display();
+                if !check {
+                    match std::fs::write(&path, fresh) {
+                        Ok(()) => eprintln!("wrote {shown}"),
+                        Err(e) => failures.push(format!("{shown}: {e}")),
+                    }
+                    continue;
+                }
+                match std::fs::read_to_string(&path) {
+                    Ok(committed) => match first_difference(&committed, &fresh) {
+                        None => eprintln!("{shown}: matches"),
+                        Some(diff) => {
+                            failures.push(format!("{shown} is not what the code prints: {diff}"))
+                        }
+                    },
+                    Err(e) => failures.push(format!("{shown}: {e}")),
+                }
+            }
+        }
+    }
+    finish(&failures)
+}
+
+/// The first line at which `committed` and `fresh` part, for a human.
+fn first_difference(committed: &str, fresh: &str) -> Option<String> {
+    if committed == fresh {
+        return None;
+    }
+    let same = |(a, b): &(&str, &str)| a == b;
+    let n = committed
+        .lines()
+        .zip(fresh.lines())
+        .take_while(same)
+        .count();
+    let show = |text: &str| match text.lines().nth(n) {
+        Some(line) => format!("`{line}`"),
+        None => "<end of file>".to_string(),
+    };
+    let (old, new) = (show(committed), show(fresh));
+    Some(format!("line {} reads {old}, the code prints {new}", n + 1))
+}
+
+fn eval_report(args: &Args, metric: Metric, what: &str, paper: &str) -> Report {
+    let run = RunConfig::from_args(args, 500);
+    let cfg = EvalConfig {
+        sizes: run.topo.paper_group_sizes(),
+        run,
+    };
+    let points = eval::evaluate(&cfg);
+    let mut report = Report::tables(&[eval::render(&cfg, &points, metric)]);
+    if let Some(adv) = eval::hbh_advantage_over_reunite(&cfg, &points, metric) {
+        let _ = writeln!(
+            report.text,
+            "# HBH {what} advantage over REUNITE, averaged over group sizes: {adv:.1}%\n\
+             # (paper, {paper})"
+        );
+    }
+    report
+        .failures
+        .extend(eval::health_violations(&cfg, &points));
+    report
+}
+
+fn fig7(args: &Args) -> Report {
+    let paper = "§4.2.1: ≈5% on the ISP topology, ≈18% on the 50-node topology";
+    eval_report(args, Metric::Cost, "tree-cost", paper)
+}
+
+fn fig8(args: &Args) -> Report {
+    let paper = "§4.2.2: ≈14% on the ISP topology, ≈30% on the 50-node topology";
+    eval_report(args, Metric::Delay, "delay", paper)
+}
+
+fn stability(args: &Args) -> Report {
+    let cfg = stability::StabilityConfig {
+        run: RunConfig::from_args(args, 100),
+        group_size: args.get_parse("group", 8),
+    };
+    let points = stability::evaluate(&cfg);
+    Report::tables(&[stability::render(&cfg, &points)])
+}
+
+/// `--check FILE` rules: `max_repair <PROTOCOL> <mean>` bounds an arm's
+/// mean repair latency, `faster <A> <B>` wants A's strictly below B's.
+fn churn(args: &Args) -> Report {
+    let cfg = churn::ChurnConfig {
+        run: RunConfig::from_args(args, 100).protocols(ProtocolKind::CHURN_ARMS.to_vec()),
+        group_size: args.get_parse("group", 8),
+    };
+    let report = churn::evaluate(&cfg);
+    let arms = || cfg.run.protocols.iter().zip(&report.points);
+    let mut failures: Vec<String> = arms()
+        .filter(|(_, p)| p.unrecovered > 0)
+        .map(|(kind, p)| {
+            format!(
+                "{} did not restore full service in {} run(s)",
+                kind.name(),
+                p.unrecovered
+            )
+        })
+        .collect();
+    if let Some(sheet) = args.get("check") {
+        let repair = |name: &str| {
+            arms()
+                .find(|(kind, _)| kind.name() == name)
+                .map(|(_, p)| p.repair_latency.mean())
+                .ok_or_else(|| format!("{name} is not an arm of this run"))
+        };
+        failures.extend(check_tolerances(sheet, |rule| match rule {
+            ["max_repair", arm, bound] => {
+                at_most(&format!("{arm} mean repair latency"), repair(arm)?, bound)
+            }
+            ["faster", a, b] => {
+                let (ma, mb) = (repair(a)?, repair(b)?);
+                Ok((ma >= mb).then(|| {
+                    format!(
+                        "{a} (mean {ma:.0}) must repair strictly faster than {b} (mean {mb:.0})"
+                    )
+                }))
+            }
+            _ => Err("unknown rule".to_string()),
+        }));
+    }
+    Report {
+        text: format!("{}\n", churn::render(&cfg, &report).render()),
+        json: Some(churn::render_json(&cfg, &report)),
+        failures,
+    }
+}
+
+/// The shape of the two option sweeps: both metrics' tables, one after
+/// the other.
+fn knob_sweep(
+    args: &Args,
+    values: &[f64],
+    evaluate: fn(&KnobSweep) -> Vec<KnobPoint>,
+    render: fn(&KnobSweep, &[KnobPoint], Metric) -> Table,
+) -> Report {
+    let cfg = KnobSweep {
+        run: RunConfig::from_args(args, 100),
+        group_size: args.get_parse("group", 10),
+        values: values.to_vec(),
+    };
+    let points = evaluate(&cfg);
+    Report::tables(&[Metric::Cost, Metric::Delay].map(|m| render(&cfg, &points, m)))
+}
+
+fn asymmetry(args: &Args) -> Report {
+    let steps = [0.0, 0.25, 0.5, 0.75, 1.0];
+    knob_sweep(args, &steps, asymmetry::evaluate_sweep, asymmetry::render)
+}
+
+fn unicast_clouds(args: &Args) -> Report {
+    let fractions = [0.0, 0.2, 0.4, 0.6, 0.8];
+    knob_sweep(args, &fractions, clouds::evaluate_sweep, clouds::render)
+}
+
+fn timers(args: &Args) -> Report {
+    let cfg = KnobSweep {
+        run: RunConfig::from_args(args, 50).protocols(ProtocolKind::RECURSIVE_UNICAST.to_vec()),
+        group_size: args.get_parse("group", 8),
+        values: vec![1.0, 2.0, 4.0],
+    };
+    let rows = timers::evaluate(&cfg);
+    Report::tables(&[timers::render(&cfg, &rows)])
+}
+
+fn overhead(args: &Args) -> Report {
+    let cfg = EvalConfig {
+        run: RunConfig::from_args(args, 50),
+        sizes: vec![2, 8, 16],
+    };
+    let rows = overhead::evaluate(&cfg);
+    Report::tables(&[overhead::render(&cfg, &rows)])
+}
+
+fn state_size(args: &Args) -> Report {
+    let cfg = EvalConfig {
+        run: RunConfig::from_args(args, 50),
+        sizes: vec![4, 8, 16],
+    };
+    let rows = state_size::evaluate(&cfg);
+    Report::tables(&[state_size::render(&cfg, &rows)])
+}
+
+fn qos(args: &Args) -> Report {
+    let cfg = qos::QosConfig {
+        run: RunConfig::from_args(args, 100),
+        group_size: args.get_parse("group", 8),
+        min_bw: args.get_parse("minbw", 4),
+    };
+    let report = qos::evaluate(&cfg);
+    Report::tables(&[qos::render(&cfg, &report)])
+}
+
+fn groups(args: &Args) -> Report {
+    let cfg = groups::GroupsConfig {
+        run: RunConfig::from_args(args, 20),
+        group_counts: vec![1, 4, 8, 16],
+        receivers_per_group: args.get_parse("rx", 5),
+    };
+    let rows = groups::evaluate(&cfg);
+    Report::tables(&[groups::render(&cfg, &rows)])
+}
+
+/// The `--ases --pops --access` overrides the two sweeps share.
+fn tier_spec(args: &Args, default: TierSpec) -> TierSpec {
+    TierSpec {
+        ases: args.get_parse("ases", default.ases),
+        pops_per_as: args.get_parse("pops", default.pops_per_as),
+        access_per_pop: args.get_parse("access", default.access_per_pop),
+    }
+}
+
+/// The tail of a sweep row: append `record` to the `--out` history
+/// (default: the committed `default_out`, so pass a scratch path unless
+/// the run is meant to join the committed trajectory), print it, and
+/// apply the `--check` sheet.
+fn sweep_report(
+    args: &Args,
+    default_out: &str,
+    record: String,
+    rule: impl FnMut(&[&str]) -> crate::report::RuleResult,
+) -> Report {
+    let out = args.get("out").unwrap_or(default_out);
+    append_history(out, &record)
+        .unwrap_or_else(|e| die(&format!("cannot append this run to {out}: {e}")));
+    Report {
+        text: record,
+        json: None,
+        failures: args
+            .get("check")
+            .map_or(Vec::new(), |sheet| check_tolerances(sheet, rule)),
+    }
+}
+
+/// `--check FILE` rules: `min_memory_ratio` (route cache vs. all-pairs
+/// tables), `min_hit_rate` (paired arms share warm rows), `max_incomplete`
+/// and `max_unconverged` (runs, summed over arms), each with one bound.
+fn scale(args: &Args) -> Report {
+    let mut cfg = if args.get_parse("smoke", 0usize) != 0 {
+        ScaleConfig::smoke()
+    } else {
+        ScaleConfig::full()
+    };
+    cfg.spec = tier_spec(args, cfg.spec);
+    cfg.hosts = args.get_parse("hosts", cfg.hosts);
+    cfg.group_size = args.get_parse("group", cfg.group_size);
+    cfg.runs = RunConfig::from_args(args, cfg.runs).runs;
+    cfg.base_seed = args.get_parse("seed", cfg.base_seed);
+    cfg.cache_rows = args.get_parse("cache", cfg.cache_rows);
+
+    eprintln!(
+        "scale sweep: {} routers, {} hosts, {} runs x {} protocols, cache {} rows",
+        cfg.router_count(),
+        cfg.hosts,
+        cfg.runs,
+        cfg.protocols.len(),
+        cfg.cache_rows,
+    );
+    let r = run_scale(&cfg);
+    let record = r.to_json(&cfg, peak_rss_kb());
+    sweep_report(args, "BENCH_scale.json", record, |rule| match rule {
+        ["min_memory_ratio", b] => at_least("route-cache memory ratio", r.memory_ratio(), b),
+        ["min_hit_rate", b] => at_least("cache hit rate", r.hit_rate(), b),
+        ["max_incomplete", b] => at_most("incomplete runs", r.incomplete() as f64, b),
+        ["max_unconverged", b] => at_most("unconverged runs", r.unconverged() as f64, b),
+        _ => Err("unknown rule".to_string()),
+    })
+}
+
+/// `--check FILE` rules: `max_incomplete` and `max_unconverged` (cells),
+/// `max_storm_state_exponent` (interior state must stay sublinear in
+/// receivers), `max_agg_control_ratio` (HBH-AGG vs. plain HBH control
+/// copies on the flash crowd), each with one bound.
+fn membership(args: &Args) -> Report {
+    let mut cfg = if args.get_parse("smoke", 0usize) != 0 {
+        MembershipConfig::smoke()
+    } else {
+        MembershipConfig::full()
+    };
+    cfg.spec = tier_spec(args, cfg.spec);
+    cfg.hosts = args.get_parse("hosts", cfg.hosts);
+    cfg.group_size = args.get_parse("group", cfg.group_size);
+    cfg.channels = args.get_parse("channels", cfg.channels);
+    cfg.zaps = args.get_parse("zaps", cfg.zaps);
+    cfg.base_seed = args.get_parse("seed", cfg.base_seed);
+    cfg.cache_rows = args.get_parse("cache", cfg.cache_rows);
+
+    eprintln!(
+        "membership sweep: {} routers, {} hosts, {} workloads x {} arms, storm to {} receivers",
+        cfg.router_count(),
+        cfg.hosts,
+        cfg.workloads().len(),
+        cfg.protocols.len(),
+        cfg.storm_sizes.last().copied().unwrap_or(0),
+    );
+    let r = run_membership(&cfg);
+    let record = r.to_json(&cfg, peak_rss_kb());
+    sweep_report(args, "BENCH_membership.json", record, |rule| match rule {
+        ["max_incomplete", b] => at_most("incomplete cells", r.incomplete() as f64, b),
+        ["max_unconverged", b] => at_most("unconverged cells", r.unconverged() as f64, b),
+        ["max_storm_state_exponent", b] => at_most(
+            "interior-state growth exponent",
+            r.storm_state_exponent(),
+            b,
+        ),
+        ["max_agg_control_ratio", b] => at_most(
+            "HBH-AGG/HBH flash-crowd control ratio",
+            r.agg_control_ratio(),
+            b,
+        ),
+        _ => Err("unknown rule".to_string()),
+    })
+}

@@ -1,8 +1,13 @@
-//! Plain-text table rendering for the experiment binaries (the moral
-//! equivalent of the paper's gnuplot data files, plus aligned tables for
-//! humans).
+//! What `hbh-exp` is made of below the experiment table: plain-text
+//! table rendering (the moral equivalent of the paper's gnuplot data
+//! files, plus aligned tables for humans), the argv parser, the
+//! [`Report`] every experiment returns, and the tolerance-sheet /
+//! history-file / peak-RSS plumbing the `--check` and `--out` flags share.
 
+use crate::stats::Summary;
 use std::fmt::Write as _;
+use std::io;
+use std::path::Path;
 
 /// A column-aligned table: one row label per row, one column per series.
 pub struct Table {
@@ -31,6 +36,20 @@ impl Table {
     /// Formats a mean ± 95% CI cell.
     pub fn cell(mean: f64, ci: f64) -> String {
         format!("{mean:8.2} ±{ci:5.2}")
+    }
+
+    /// A row with one `mean ± ci` cell per point, read off each by `of`.
+    pub fn summary_row<P>(&mut self, label: &str, points: &[P], of: impl Fn(&P) -> &Summary) {
+        let cells = points
+            .iter()
+            .map(|p| Table::cell(of(p).mean(), of(p).ci95()));
+        self.row(label, cells.collect());
+    }
+
+    /// A row with one right-aligned count per point.
+    pub fn count_row<P>(&mut self, label: &str, points: &[P], of: impl Fn(&P) -> u64) {
+        let cells = points.iter().map(|p| format!("{:>8}", of(p)));
+        self.row(label, cells.collect());
     }
 
     pub fn render(&self) -> String {
@@ -83,31 +102,40 @@ impl Table {
     }
 }
 
-/// Tiny argv parser for the experiment binaries: `--key value` pairs and
-/// flags. Unknown keys abort with a usage message.
+/// Tiny argv parser for `hbh-exp`, `inspect` and `hbh_bench`: `--key
+/// value` pairs. Unknown keys are usage errors (exit 2).
 pub struct Args {
     pairs: Vec<(String, String)>,
+    allowed: Vec<String>,
 }
 
 impl Args {
     pub fn parse(allowed: &[&str]) -> Args {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i]
-                .strip_prefix("--")
-                .unwrap_or_else(|| die(&format!("unexpected argument {}", argv[i]), allowed));
+        Args::parse_from(std::env::args().skip(1), allowed)
+    }
+
+    /// [`Args::parse`] over an explicit argument list: `hbh-exp` parses
+    /// what follows the experiment name, `hbh-exp all` each results
+    /// file's pinned argv.
+    pub fn parse_from(argv: impl IntoIterator<Item = String>, allowed: &[&str]) -> Args {
+        let mut args = Args {
+            pairs: Vec::new(),
+            allowed: allowed.iter().map(|a| a.to_string()).collect(),
+        };
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                args.die(&format!("unexpected argument {arg}"))
+            };
             if !allowed.contains(&key) {
-                die(&format!("unknown option --{key}"), allowed);
+                args.die(&format!("unknown option --{key}"));
             }
-            let value = argv
-                .get(i + 1)
-                .unwrap_or_else(|| die(&format!("--{key} needs a value"), allowed));
-            pairs.push((key.to_string(), value.clone()));
-            i += 2;
+            let Some(value) = argv.next() else {
+                args.die(&format!("--{key} needs a value"))
+            };
+            args.pairs.push((key.to_string(), value));
         }
-        Args { pairs }
+        args
     }
 
     pub fn get(&self, key: &str) -> Option<&str> {
@@ -123,26 +151,140 @@ impl Args {
             None => default,
             Some(v) => v
                 .parse()
-                .unwrap_or_else(|_| die(&format!("invalid value for --{key}: {v}"), &[])),
+                .unwrap_or_else(|_| self.die(&format!("invalid value for --{key}: {v}"))),
+        }
+    }
+
+    /// [`die`], followed by the usage line of the flags this parse allowed.
+    pub fn die(&self, msg: &str) -> ! {
+        let flags: Vec<String> = self.allowed.iter().map(|a| format!("--{a} <v>")).collect();
+        die(&format!("{msg}\nusage: [{}]", flags.join(" ")))
+    }
+}
+
+/// Prints `error: msg` to stderr and exits with status 2: the one way a
+/// bad argument, tolerance sheet or missing directory ends a run.
+pub fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// What one experiment hands back to `hbh-exp`, which alone decides where
+/// it goes: stdout for `hbh-exp <name>`, `results/` for `hbh-exp all`.
+pub struct Report {
+    /// Exactly what `hbh-exp <name>` prints on stdout.
+    pub text: String,
+    /// Machine-readable twin that `hbh-exp all` writes beside the text
+    /// file (churn only).
+    pub json: Option<String>,
+    /// Why the run exits 1 — unserved receivers, violated tolerances;
+    /// empty when healthy.
+    pub failures: Vec<String>,
+}
+
+impl Report {
+    /// The shape most figures print: each table aligned for humans, then
+    /// as a gnuplot block, a blank line after either.
+    pub fn tables(tables: &[Table]) -> Report {
+        let mut text = String::new();
+        for t in tables {
+            let _ = write!(text, "{}\n{}\n", t.render(), t.render_dat());
+        }
+        Report {
+            text,
+            json: None,
+            failures: Vec::new(),
         }
     }
 }
 
-/// Prints `error: msg` and, when `allowed` is non-empty, a usage line to
-/// stderr, then exits with status 2.
-pub(crate) fn die(msg: &str, allowed: &[&str]) -> ! {
-    eprintln!("error: {msg}");
-    if !allowed.is_empty() {
-        eprintln!(
-            "usage: [{}]",
-            allowed
-                .iter()
-                .map(|a| format!("--{a} <v>"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
+/// Outcome of one tolerance rule: `Ok(None)` holds, `Ok(Some(why))` is
+/// violated, `Err(why)` is a rule the report does not know or cannot parse.
+pub type RuleResult = Result<Option<String>, String>;
+
+/// The tolerance-sheet parser behind every `--check FILE`: plain text,
+/// `#` comments, one whitespace-separated rule per line, each handed to
+/// `rule` as its fields. Returns the violations; an unreadable sheet or a
+/// malformed line is a usage error naming the line.
+pub fn check_tolerances(path: &str, mut rule: impl FnMut(&[&str]) -> RuleResult) -> Vec<String> {
+    let sheet = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(&format!("cannot read tolerance sheet {path}: {e}")));
+    let mut violations = Vec::new();
+    for (i, line) in sheet.lines().enumerate() {
+        let fields: Vec<&str> = line
+            .split('#')
+            .next()
+            .unwrap_or("")
+            .split_whitespace()
+            .collect();
+        if fields.is_empty() {
+            continue;
+        }
+        match rule(&fields) {
+            Ok(None) => {}
+            Ok(Some(why)) => violations.push(format!("tolerance violated: {why}")),
+            Err(why) => die(&format!("{path}:{}: {why}: {}", i + 1, line.trim())),
+        }
     }
-    std::process::exit(2);
+    if violations.is_empty() {
+        eprintln!("tolerances OK ({path})");
+    }
+    violations
+}
+
+/// The rule `value <= bound`, `bound` still as the sheet spells it. A NaN
+/// value violates.
+pub fn at_most(what: &str, value: f64, bound: &str) -> RuleResult {
+    let bound: f64 = bound.parse().map_err(|_| "unparsable bound".to_string())?;
+    Ok((value.is_nan() || value > bound).then(|| format!("{what} {value:.3} above bound {bound}")))
+}
+
+/// The rule `value >= bound`; see [`at_most`].
+pub fn at_least(what: &str, value: f64, bound: &str) -> RuleResult {
+    let bound: f64 = bound.parse().map_err(|_| "unparsable bound".to_string())?;
+    Ok((value.is_nan() || value < bound).then(|| format!("{what} {value:.3} below bound {bound}")))
+}
+
+/// Peak resident set of this process in kB, from `/proc/self/status`
+/// (`VmHWM`). Linux-only; 0 where the file or field is missing.
+pub fn peak_rss_kb() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .and_then(|l| l.split_whitespace().nth(1))
+                .and_then(|kb| kb.parse().ok())
+        })
+        .unwrap_or(0)
+}
+
+/// Appends `record` — one rendered JSON object — to the `history` array
+/// of the file at `path`, oldest first, so the committed `BENCH_*.json`
+/// grow a trajectory instead of being overwritten or assembled by hand.
+/// A missing or empty file becomes `{"history": [record]}`; a file
+/// holding one bare record (what `--out` wrote before) keeps it as the
+/// array's first element.
+pub fn append_history(path: impl AsRef<Path>, record: &str) -> io::Result<()> {
+    let record = record.trim_end();
+    let existing = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e),
+    };
+    let body = existing.trim();
+    let earlier = match body.strip_prefix("{\"history\": [") {
+        Some(rest) => rest
+            .strip_suffix("]}")
+            .ok_or_else(|| io::Error::other("history array is not closed by `]}`"))?
+            .trim(),
+        None => body,
+    };
+    let sep = if earlier.is_empty() { "" } else { ",\n" };
+    std::fs::write(
+        path,
+        format!("{{\"history\": [\n{earlier}{sep}{record}\n]}}\n"),
+    )
 }
 
 #[cfg(test)]
@@ -176,5 +318,26 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("x", "n", &["a", "b"]);
         t.row("1", vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn out_file_grows_a_history_array() {
+        let path = std::env::temp_dir().join(format!("hbh_history_{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        append_history(&path, "{\n  \"run\": 1\n}\n").unwrap();
+        let one = "{\"history\": [\n{\n  \"run\": 1\n}\n]}\n";
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), one);
+        append_history(&path, "{\"run\": 2}").unwrap();
+        let two = "{\"history\": [\n{\n  \"run\": 1\n},\n{\"run\": 2}\n]}\n";
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), two);
+        // A bare record from before the history format is kept, first.
+        std::fs::write(&path, "{\"run\": 0}\n").unwrap();
+        append_history(&path, "{\"run\": 1}").unwrap();
+        let wrapped = "{\"history\": [\n{\"run\": 0},\n{\"run\": 1}\n]}\n";
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), wrapped);
+        // Anything else is refused rather than mangled.
+        std::fs::write(&path, "{\"history\": [\n{\"run\": 0}\n").unwrap();
+        assert!(append_history(&path, "{\"run\": 1}").is_err());
+        std::fs::remove_file(&path).unwrap();
     }
 }

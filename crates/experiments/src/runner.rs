@@ -1,30 +1,27 @@
 //! Generic experiment runner: build a kernel, converge (verified), inject
 //! a tagged probe, read the paper's metrics off the accounting — plus
-//! [`RunConfig`], the one bundle of run knobs every figure binary shares.
+//! [`RunConfig`], the one bundle of run knobs every experiment shares.
 
 use crate::protocols::ProtocolKind;
-use crate::report::{die, Args};
+use crate::report::Args;
 use crate::scenario::{Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Kernel, Network, Protocol, Time};
 use hbh_topo::graph::{EdgeId, NodeId};
 use std::collections::BTreeMap;
 
-/// The run knobs shared by every figure binary, as one builder-style
-/// value instead of positional constructor arguments scattered per
-/// figure: topology, run count, base seed, timing, scenario options,
-/// protocol set, trace toggle, probe-window override, and worker-thread
-/// pin.
-///
-/// Figure-specific configs convert from it (`EvalConfig::from_run`,
-/// `StabilityConfig::from_run`, `ChurnConfig::from_run`, …), and binaries
-/// build it straight from argv with [`RunConfig::from_args`]:
+/// The run knobs every experiment shares — topology, run count, base
+/// seed, timing, scenario options, protocol set, worker-thread pin — held
+/// once: each figure config is `{ run: RunConfig, <its own sweep fields> }`,
+/// and every `hbh-exp` row builds it from argv with
+/// [`RunConfig::from_args`], so a bad value is the same usage error
+/// everywhere:
 ///
 /// ```no_run
 /// use hbh_experiments::report::Args;
 /// use hbh_experiments::runner::RunConfig;
 ///
-/// let args = Args::parse(RunConfig::STANDARD_ARGS);
+/// let args = Args::parse(&["topo", "runs", "seed", "threads"]);
 /// let run = RunConfig::from_args(&args, 100);
 /// ```
 #[derive(Clone, Debug)]
@@ -41,18 +38,14 @@ pub struct RunConfig {
     pub opts: ScenarioOptions,
     /// Protocols under test, in legend order.
     pub protocols: Vec<ProtocolKind>,
-    /// Enable kernel tracing in studies that honor it (path
-    /// reconstruction costs memory; off by default).
-    pub trace: bool,
-    /// Override the derived [`probe_window`] (time units), for studies
-    /// probing under conditions the derivation does not model.
-    pub probe_window: Option<u64>,
     /// Pin the `parallel::map_runs` worker count (applied via the
     /// `HBH_THREADS` environment variable).
     pub threads: Option<usize>,
 }
 
 impl Default for RunConfig {
+    /// The paper's setup: ISP topology, seed 1, all four protocols — at
+    /// 100 runs.
     fn default() -> Self {
         RunConfig {
             topo: TopologyKind::Isp,
@@ -61,56 +54,44 @@ impl Default for RunConfig {
             timing: Timing::default(),
             opts: ScenarioOptions::default(),
             protocols: ProtocolKind::ALL.to_vec(),
-            trace: false,
-            probe_window: None,
             threads: None,
         }
     }
 }
 
 impl RunConfig {
-    /// The argv keys [`RunConfig::from_args`] understands; binaries append
-    /// their figure-specific keys to this list when calling `Args::parse`.
-    pub const STANDARD_ARGS: &'static [&'static str] = &["topo", "runs", "seed", "threads"];
-
-    /// Paper-default configuration (ISP topology, 100 runs, seed 1, all
-    /// four protocols).
-    pub fn new() -> Self {
-        RunConfig::default()
-    }
-
-    /// Reads the standard keys from parsed argv (`--topo --runs --seed
-    /// --threads`), with `default_runs` as the `--runs` fallback. A
-    /// `--threads` value is applied immediately (sets `HBH_THREADS`, which
-    /// `parallel::map_runs` reads). An unknown topology, an unparsable
-    /// number or `--runs 0` is a usage error (exit 2), never a panic.
+    /// Reads `--topo --runs --seed --threads` from parsed argv — whichever
+    /// of them the row allows — with `default_runs` as the `--runs`
+    /// fallback. A `--threads` value is applied immediately (sets
+    /// `HBH_THREADS`, which `parallel::map_runs` reads). An unknown
+    /// topology, an unparsable number or `--runs 0` is a usage error
+    /// (exit 2), never a panic.
     pub fn from_args(args: &Args, default_runs: usize) -> Self {
-        let usage = Self::STANDARD_ARGS;
         let topo = args.get("topo").unwrap_or("isp");
         let topo = TopologyKind::parse(topo).unwrap_or_else(|| {
-            die(
-                &format!("--topo must be isp, rand50 or waxman30, got {topo}"),
-                usage,
-            )
+            args.die(&format!(
+                "--topo must be isp, rand50 or waxman30, got {topo}"
+            ))
         });
         let runs = args.get_parse("runs", default_runs);
         if runs == 0 {
-            die("--runs must be at least 1", usage);
+            args.die("--runs must be at least 1");
         }
-        let mut cfg = RunConfig::new()
-            .topo(topo)
-            .runs(runs)
-            .seed(args.get_parse("seed", 1));
-        if let Some(v) = args.get("threads") {
-            cfg = cfg.threads(v.parse().unwrap_or_else(|_| {
-                die(
-                    &format!("--threads must be a positive integer, got {v}"),
-                    usage,
-                )
-            }));
+        let threads: Option<usize> = args.get("threads").map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                args.die(&format!("--threads must be a positive integer, got {v}"))
+            })
+        });
+        if let Some(n) = threads {
+            std::env::set_var("HBH_THREADS", n.to_string());
         }
-        cfg.apply_threads();
-        cfg
+        RunConfig {
+            topo,
+            runs,
+            base_seed: args.get_parse("seed", 1),
+            threads,
+            ..RunConfig::default()
+        }
     }
 
     /// Sets the topology family.
@@ -131,54 +112,10 @@ impl RunConfig {
         self
     }
 
-    /// Sets the protocol timing.
-    pub fn timing(mut self, timing: Timing) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Sets the scenario options.
-    pub fn opts(mut self, opts: ScenarioOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Sets the protocol list.
     pub fn protocols(mut self, protocols: Vec<ProtocolKind>) -> Self {
         self.protocols = protocols;
         self
-    }
-
-    /// Toggles kernel tracing for studies that honor it.
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Overrides the derived probe window.
-    pub fn probe_window(mut self, window: u64) -> Self {
-        self.probe_window = Some(window);
-        self
-    }
-
-    /// Pins the worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Exports a pinned thread count to `HBH_THREADS` so
-    /// `parallel::map_runs` picks it up. No-op when `threads` is unset.
-    pub fn apply_threads(&self) {
-        if let Some(n) = self.threads {
-            std::env::set_var("HBH_THREADS", n.to_string());
-        }
-    }
-
-    /// The probe window to use over `net`: the override if set, else the
-    /// derived [`probe_window`].
-    pub fn probe_window_for(&self, net: &Network) -> u64 {
-        self.probe_window.unwrap_or_else(|| probe_window(net))
     }
 }
 

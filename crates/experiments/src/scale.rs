@@ -163,6 +163,72 @@ impl ScaleReport {
     pub fn incomplete(&self) -> u64 {
         self.per_protocol.iter().map(|a| a.incomplete).sum()
     }
+
+    /// Total runs that failed to quiesce before the probe, across arms.
+    pub fn unconverged(&self) -> u64 {
+        self.per_protocol.iter().map(|a| a.unconverged).sum()
+    }
+
+    /// One record of the `BENCH_scale.json` history: the sweep `cfg`
+    /// described, what it measured, and the process's peak RSS.
+    pub fn to_json(&self, cfg: &ScaleConfig, peak_rss_kb: u64) -> String {
+        let arms: Vec<String> = self
+            .per_protocol
+            .iter()
+            .map(|arm| {
+                format!(
+                    "    {{\"name\": \"{}\", \"cost_mean\": {:.3}, \"delay_mean\": {:.3}, \
+                     \"incomplete\": {}, \"unconverged\": {}, \"events\": {}}}",
+                    arm.kind.name(),
+                    arm.cost_mean,
+                    arm.delay_mean,
+                    arm.incomplete,
+                    arm.unconverged,
+                    arm.events,
+                )
+            })
+            .collect();
+        let s = &self.route_stats;
+        format!(
+            "{{\n  \"topology\": {{\"ases\": {}, \"pops_per_as\": {}, \"access_per_pop\": {}, \
+             \"routers\": {}, \"hosts\": {}, \"directed_edges\": {}}},\n  \
+             \"sweep\": {{\"runs\": {}, \"group_size\": {}, \"base_seed\": {}}},\n  \
+             \"protocols\": [\n{}\n  ],\n  \
+             \"routes\": {{\"cache_rows\": {}, \"computed\": {}, \"hits\": {}, \"misses\": {}, \
+             \"evicted\": {}, \"invalidated\": {}, \"peak_cached_rows\": {}, \
+             \"cache_hit_rate\": {:.4}}},\n  \
+             \"memory\": {{\"route_bytes\": {}, \"bytes_per_router\": {:.1}, \
+             \"all_pairs_bytes\": {}, \"memory_ratio\": {:.2}, \"structure_bytes\": {}, \
+             \"peak_rss_kb\": {peak_rss_kb}}},\n  \
+             \"throughput\": {{\"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.1}}}\n}}\n",
+            cfg.spec.ases,
+            cfg.spec.pops_per_as,
+            cfg.spec.access_per_pop,
+            self.routers,
+            self.hosts,
+            self.directed_edges,
+            self.runs,
+            self.group_size,
+            cfg.base_seed,
+            arms.join(",\n"),
+            self.cache_rows,
+            s.computed,
+            s.hits,
+            s.misses,
+            s.evicted,
+            s.invalidated,
+            s.cached_rows,
+            self.hit_rate(),
+            self.route_bytes,
+            self.route_bytes as f64 / self.routers as f64,
+            self.all_pairs_bytes,
+            self.memory_ratio(),
+            self.structure_bytes,
+            self.wall_secs * 1e3,
+            self.events,
+            self.events_per_sec,
+        )
+    }
 }
 
 /// Builds the frozen topology of `cfg`: hierarchy + hosts, no costs yet.

@@ -1,23 +1,144 @@
-//! Bad argv is a usage error (exit 2, `error: …` on stderr), never a
-//! panic and never a table of zeros.
+//! `hbh-exp` at its command line. Bad argv is a usage error (exit 2,
+//! `error: …` on stderr), never a panic and never a table of zeros — on
+//! every row of the table. And `results/` is what the code prints:
+//! `hbh-exp all --check 1` regenerates every file in memory and compares
+//! bytes, a gate that is sound on any runner only because a report does
+//! not depend on the worker count, which is pinned here too.
 
-use std::process::Command;
+use hbh_experiments::registry::EXPERIMENTS;
+use std::path::Path;
+use std::process::{Command, Output};
+
+/// Runs `hbh-exp` on a whitespace-separated command line.
+fn hbh_exp_in(dir: &Path, command_line: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_hbh-exp"))
+        .args(command_line.split_whitespace())
+        .current_dir(dir)
+        .output()
+        .expect("hbh-exp runs")
+}
+
+fn hbh_exp(command_line: &str) -> Output {
+    hbh_exp_in(Path::new("."), command_line)
+}
+
+/// Asserts `argv` ends in a usage error and returns what it said.
+fn usage_error(argv: &str) -> String {
+    let out = hbh_exp(argv);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{argv}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{argv}: {stderr}");
+    assert!(out.stdout.is_empty(), "{argv} printed a report");
+    stderr
+}
+
+/// A usage error before anything ran, naming what was wrong.
+fn assert_bad_argv(argv: &str, names: &str) {
+    let stderr = usage_error(argv);
+    assert!(stderr.starts_with("error:"), "{argv}: {stderr}");
+    assert!(stderr.contains(names), "{argv}: {stderr}");
+}
 
 #[test]
 fn bad_arguments_exit_2_without_panicking() {
-    for argv in [
-        &["--topo", "bogus"][..],
-        &["--threads", "x"],
-        &["--topo", "isp", "--runs", "0"],
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_fig7"))
-            .args(argv)
-            .output()
-            .expect("fig7 runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
-        assert!(stderr.starts_with("error:"), "{argv:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{argv:?} printed a report");
+    for exp in EXPERIMENTS {
+        // A flag the row does not take is as much a usage error as a bad
+        // value for one it does, so all four apply to every row.
+        for bad in [
+            "--topo bogus",
+            "--runs 0",
+            "--threads x",
+            "--no-such-flag 1",
+        ] {
+            let flag = bad.split(' ').next().unwrap();
+            assert_bad_argv(&format!("{} {bad}", exp.name), flag);
+        }
     }
+    assert_bad_argv("no_such_experiment", "no_such_experiment");
+    assert_bad_argv("", "usage: hbh-exp");
+    assert_bad_argv("all --check maybe", "--check");
+}
+
+#[test]
+fn malformed_tolerance_sheet_is_a_usage_error_naming_the_line() {
+    let dir = std::env::temp_dir().join(format!("hbh_sheet_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (sheet, out) = (dir.join("sheet.txt"), dir.join("out.json"));
+    for (rule, why) in [
+        ("no_such_rule 1", "unknown rule"),
+        ("min_hit_rate lots", "unparsable bound"),
+    ] {
+        let text = format!("# bounds\nmax_incomplete 0\n{rule}  # oops\n");
+        std::fs::write(&sheet, text).unwrap();
+        let (sheet, out) = (sheet.display(), out.display());
+        let stderr = usage_error(&format!("scale --smoke 1 --out {out} --check {sheet}"));
+        let error = format!("error: {sheet}:3: {why}: {rule}");
+        assert!(stderr.lines().any(|l| l.starts_with(&error)), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn all_refuses_to_run_where_there_is_no_results_directory() {
+    let dir = std::env::temp_dir().join(format!("hbh_nowhere_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = hbh_exp_in(&dir, "all");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("error: no ./results"));
+    assert!(!dir.join("results").exists(), "a stray results/ appeared");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_report_is_the_same_bytes_on_one_worker_and_on_four() {
+    let run = |threads| {
+        let out = hbh_exp(&format!("fig7 --topo isp --runs 20 --threads {threads}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        out.stdout
+    };
+    let one = run(1);
+    assert!(!one.is_empty());
+    assert_eq!(one, run(4));
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "regenerates every results file twice: 2 min with --release (as CI runs it), 30 without"
+)]
+fn check_passes_on_the_committed_tree_and_names_an_altered_file() {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = std::env::temp_dir().join(format!("hbh_check_{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("results")).unwrap();
+    for entry in std::fs::read_dir(committed).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join("results").join(entry.file_name())).unwrap();
+    }
+
+    let out = hbh_exp_in(&dir, "all --check 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "committed results/ drifted:\n{stderr}"
+    );
+
+    // One digit of one file: 0.00 survivor route changes for HBH → 0.01.
+    let altered = dir.join("results/stability.txt");
+    let text = std::fs::read_to_string(&altered).unwrap();
+    let at = text
+        .rfind("0.00 ± 0.00\n")
+        .expect("HBH's cell ends its row");
+    std::fs::write(&altered, format!("{}0.01{}", &text[..at], &text[at + 4..])).unwrap();
+
+    let out = hbh_exp_in(&dir, "all --check 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let failed: Vec<&str> = stderr.lines().filter(|l| l.starts_with("FAILED")).collect();
+    assert_eq!(failed.len(), 1, "{stderr}");
+    assert!(
+        failed[0].contains("results/stability.txt") && failed[0].contains("line 5"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -223,7 +223,13 @@ fn churn_experiment_pinned_seed_regression() {
     use hbh_experiments::figures::churn::{evaluate, ChurnConfig};
     use hbh_experiments::runner::RunConfig;
 
-    let cfg = ChurnConfig::from_run(&RunConfig::new().runs(2).seed(1));
+    let cfg = ChurnConfig {
+        run: RunConfig::default()
+            .runs(2)
+            .seed(1)
+            .protocols(hbh_experiments::ProtocolKind::CHURN_ARMS.to_vec()),
+        group_size: 8,
+    };
     let report = evaluate(&cfg);
     assert_eq!(report.skipped, 0);
     let [reunite, hbh, hard] = &report.points[..] else {

@@ -10,9 +10,10 @@ use hbh_experiments::runner::RunConfig;
 use hbh_experiments::scenario::TopologyKind;
 
 fn cfg(runs: usize, sizes: Vec<usize>) -> EvalConfig {
-    let mut c = EvalConfig::from_run(&RunConfig::new().topo(TopologyKind::Waxman30).runs(runs));
-    c.sizes = sizes;
-    c
+    EvalConfig {
+        run: RunConfig::default().topo(TopologyKind::Waxman30).runs(runs),
+        sizes,
+    }
 }
 
 #[test]
@@ -26,7 +27,7 @@ fn waxman_everyone_served_and_converged() {
 fn waxman_hbh_matches_pim_ss_cost_and_beats_reunite() {
     let c = cfg(8, vec![12]);
     let points = evaluate(&c);
-    let idx = |k: ProtocolKind| c.protocols.iter().position(|&p| p == k).unwrap();
+    let idx = |k: ProtocolKind| c.run.protocols.iter().position(|&p| p == k).unwrap();
     let p = &points[0].per_protocol;
     let hbh_cost = p[idx(ProtocolKind::Hbh)].cost.mean();
     let ss_cost = p[idx(ProtocolKind::PimSs)].cost.mean();
@@ -53,7 +54,7 @@ fn waxman_shared_tree_is_worst_on_delay() {
     // transfer.
     let c = cfg(8, vec![12]);
     let points = evaluate(&c);
-    let idx = |k: ProtocolKind| c.protocols.iter().position(|&p| p == k).unwrap();
+    let idx = |k: ProtocolKind| c.run.protocols.iter().position(|&p| p == k).unwrap();
     let p = &points[0].per_protocol;
     let sm = p[idx(ProtocolKind::PimSm)].delay.mean();
     for k in [
