@@ -1,30 +1,29 @@
-//! Diagnostic tool: converge one protocol on one scenario, dump the
-//! per-node forwarding state and the data-plane trace of a probe.
+//! `hbh-exp inspect`: converge HBH on one scenario, dump the per-node
+//! forwarding state and the data-plane trace of a probe.
 //!
 //! ```text
-//! cargo run -p hbh-experiments --bin inspect -- --topo isp --group 6 --seed 3
+//! cargo run -p hbh-experiments --bin hbh-exp -- inspect --topo isp --group 6 --seed 3
 //! ```
 
-use hbh_experiments::report::Args;
-use hbh_experiments::runner::{build_kernel, converge, probe_window};
-use hbh_experiments::scenario::{build, ScenarioOptions, TopologyKind};
+use crate::runner::{build_kernel, converge, probe_window};
+use crate::scenario::{build, ScenarioOptions, TopologyKind};
 use hbh_proto::Hbh;
-use hbh_proto_base::{Channel, Cmd, Timing};
+use hbh_proto_base::{Cmd, Timing};
 use hbh_sim_core::trace::TraceKind;
 use hbh_sim_core::PacketClass;
+use std::fmt::Write as _;
 
-fn main() {
-    let args = Args::parse(&["topo", "group", "seed"]);
-    let topo = TopologyKind::parse(args.get("topo").unwrap_or("isp")).expect("bad topo");
-    let group: usize = args.get_parse("group", 6);
-    let seed: u64 = args.get_parse("seed", 3);
+/// The dump for draw `seed` of `topo` with `group` receivers.
+pub fn dump(topo: TopologyKind, group: usize, seed: u64) -> String {
     let timing = Timing::default();
     let sc = build(topo, group, seed, &timing, &ScenarioOptions::default());
-    println!("source: {}  receivers: {:?}", sc.source, sc.receivers);
+    let mut out = String::new();
+    let _ = writeln!(out, "source: {}  receivers: {:?}", sc.source, sc.receivers);
 
     let (mut k, ch) = build_kernel(Hbh::new(timing), &sc);
     let ok = converge(&mut k, &timing, sc.join_window);
-    println!(
+    let _ = writeln!(
+        out,
         "converged: {ok} at {} (changes: {})",
         k.now(),
         k.stats().structural_changes
@@ -46,9 +45,12 @@ fn main() {
                     )
                 })
                 .collect();
-            println!("{node}: MFT live={live:?} data->{data:?} tree->{tree:?}");
+            let _ = writeln!(
+                out,
+                "{node}: MFT live={live:?} data->{data:?} tree->{tree:?}"
+            );
         } else if let Some(mct) = st.mct(ch) {
-            println!("{node}: MCT {} ({:?})", mct.node(), mct.phase(now));
+            let _ = writeln!(out, "{node}: MCT {} ({:?})", mct.node(), mct.phase(now));
         }
     }
 
@@ -59,16 +61,17 @@ fn main() {
     for rec in k.take_trace() {
         match &rec.what {
             TraceKind::Sent { to, pkt } if pkt.class == PacketClass::Data => {
-                println!(
+                let _ = writeln!(
+                    out,
                     "[{}] {} --data--> {} (dst {})",
                     rec.at, rec.node, to, pkt.dst
                 );
             }
             TraceKind::Delivered { tag } => {
-                println!("[{}] {} DELIVER tag={tag}", rec.at, rec.node);
+                let _ = writeln!(out, "[{}] {} DELIVER tag={tag}", rec.at, rec.node);
             }
             _ => {}
         }
     }
-    let _ = Channel::primary(sc.source);
+    out
 }

@@ -16,6 +16,7 @@
 //! | repair after a router crash | [`figures::churn`] | `churn` |
 //! | state footprint, QoS routing, concurrent groups | [`figures::state_size`], [`figures::qos`], [`figures::groups`] | `state_size`, `qos`, `groups` |
 //! | 5k-router and 10⁵-receiver sweeps | [`scale`], [`membership`] | `scale`, `membership` |
+//! | diagnostic: one draw's HBH tables and probe trace | [`inspect`] | `inspect` |
 //!
 //! `hbh-exp all` regenerates `results/`; `hbh-exp all --check 1` is the CI
 //! gate that keeps the committed files what the code prints.
@@ -31,6 +32,7 @@
 
 pub mod datapath;
 pub mod figures;
+pub mod inspect;
 pub mod membership;
 pub mod parallel;
 pub mod protocols;

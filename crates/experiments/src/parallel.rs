@@ -18,11 +18,9 @@ use std::thread;
 /// reproducibility of timings and for benchmarks that must not compete
 /// with each other. Invalid or zero values fall back to the default.
 ///
-/// Work is split into contiguous chunks (one per worker) so each thread's
-/// scenario stream matches the sequential order — that is what lets the
-/// per-thread routing-table cache in [`crate::scenario`] hit across group
-/// sizes. On a single-core host this degrades to a plain sequential loop
-/// with no thread spawn.
+/// Work is split into contiguous chunks (one per worker). On a
+/// single-core host this degrades to a plain sequential loop with no
+/// thread spawn.
 ///
 /// # Panics
 /// Propagates any panic from `f` (a worker panic fails the whole sweep,

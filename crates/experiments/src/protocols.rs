@@ -7,8 +7,6 @@ use hbh_proto::{Hbh, HbhHard};
 use hbh_proto_base::Timing;
 use hbh_reunite::Reunite;
 use hbh_topo::graph::NodeId;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 /// A protocol under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,70 +77,36 @@ impl ProtocolKind {
     }
 }
 
-/// How the PIM-SM rendez-vous point is placed.
+/// Picks the PIM-SM rendez-vous point for a scenario.
 ///
 /// NS's centralized multicast uses an operator-configured RP; the paper
-/// does not say which node it was. [`RpPolicy::Central`] models a
-/// competently placed RP (the router minimizing the total distance to all
-/// hosts, recomputed per cost draw) and is the default because it
-/// reproduces the paper's Figure 8(a) observation that the shared tree
-/// can *beat* the source reverse-SPT on delay: the delay-optimal S→RP leg
-/// then covers most of every path. [`RpPolicy::Random`] draws the RP
-/// uniformly per run, which averages out placement effects and makes
-/// PIM-SM strictly worse.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RpPolicy {
-    #[default]
-    Central,
-    Random,
-    Fixed(NodeId),
-}
-
-/// Picks the PIM-SM rendez-vous point for a scenario under `policy`.
-pub fn pick_rp_with(scenario: &Scenario, policy: RpPolicy) -> NodeId {
-    let routers: Vec<NodeId> = scenario
+/// does not say which node it was. This models a competently administered
+/// RP, which serves many groups and so sits at the network's cost-center:
+/// the router minimizing the total distance to all hosts, recomputed per
+/// cost draw. That reproduces the paper's Figure 8(a) observation that the
+/// shared tree can *beat* the source reverse-SPT on delay: the
+/// delay-optimal S→RP leg then covers most of every path. (A per-channel
+/// delay-optimal search degenerates to the source's own access router,
+/// making PIM-SM ≡ PIM-SS — provably, since every reverse path to a
+/// single-homed source decomposes through that router.)
+///
+/// The scan is routers × hosts over the scenario's shared routes —
+/// appropriate at paper scale; the scale sweeps run without PIM-SM for
+/// this reason.
+pub fn pick_rp(scenario: &Scenario) -> NodeId {
+    let routes = scenario.network().routes();
+    let hosts: Vec<NodeId> = scenario.graph().hosts().collect();
+    scenario
         .graph()
         .routers()
         .filter(|&r| scenario.graph().is_mcast_capable(r))
-        .collect();
-    match policy {
-        RpPolicy::Fixed(rp) => {
-            assert!(routers.contains(&rp), "fixed RP must be a capable router");
-            rp
-        }
-        RpPolicy::Random => {
-            let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x52_50); // "RP"
-            routers[rng.random_range(0..routers.len())]
-        }
-        RpPolicy::Central => {
-            // A competently administered RP serves many groups, so it is
-            // placed at the network's cost-center: the router minimizing
-            // the total distance to all hosts. (A per-channel delay-optimal
-            // search degenerates to the source's own access router, making
-            // PIM-SM ≡ PIM-SS — provably, since every reverse path to a
-            // single-homed source decomposes through that router.) The
-            // scenario's shared routing service holds exactly these routes.
-            // Note this scans routers × hosts — appropriate at paper scale;
-            // the scale sweeps run without PIM-SM for this reason.
-            let routes = scenario.network().routes();
-            let hosts: Vec<NodeId> = scenario.graph().hosts().collect();
-            routers
+        .min_by_key(|&r| {
+            hosts
                 .iter()
-                .copied()
-                .min_by_key(|&r| {
-                    hosts
-                        .iter()
-                        .map(|&h| routes.dist(r, h).unwrap_or(u64::MAX / 1024))
-                        .sum::<u64>()
-                })
-                .expect("at least one capable router")
-        }
-    }
-}
-
-/// [`pick_rp_with`] under the default policy.
-pub fn pick_rp(scenario: &Scenario) -> NodeId {
-    pick_rp_with(scenario, RpPolicy::default())
+                .map(|&h| routes.dist(r, h).unwrap_or(u64::MAX / 1024))
+                .sum::<u64>()
+        })
+        .expect("at least one capable router")
 }
 
 /// A scripted experiment generic over the protocol: implement `run` once,
@@ -198,43 +162,26 @@ pub fn dispatch<S: Study>(
     }
 }
 
-/// Runs the standard converge-then-probe experiment for one protocol.
-pub fn run_protocol(kind: ProtocolKind, scenario: &Scenario, timing: &Timing) -> ProbeOutcome {
-    match kind {
-        ProtocolKind::Hbh => run_probe(Hbh::new(*timing), scenario, timing),
-        ProtocolKind::HbhAgg => run_probe(Hbh::aggregated(*timing), scenario, timing),
-        ProtocolKind::HbhHard => run_probe(HbhHard::new(*timing), scenario, timing),
-        ProtocolKind::Reunite => run_probe(Reunite::new(*timing), scenario, timing),
-        ProtocolKind::PimSs => run_probe(Pim::source_specific(*timing), scenario, timing),
-        ProtocolKind::PimSm => run_probe(
-            Pim::sparse_shared(pick_rp(scenario), *timing),
-            scenario,
-            timing,
-        ),
+/// The standard converge-then-probe experiment, as a [`Study`].
+struct ProbeStudy;
+
+impl Study for ProbeStudy {
+    type Out = ProbeOutcome;
+
+    fn run<P: hbh_sim_core::Protocol<Command = hbh_proto_base::Cmd>>(
+        &self,
+        kernel: hbh_sim_core::Kernel<P>,
+        ch: hbh_proto_base::Channel,
+        scenario: &Scenario,
+        timing: &Timing,
+    ) -> ProbeOutcome {
+        run_probe(kernel, ch, scenario, timing)
     }
 }
 
-/// [`run_protocol`] over a freshly computed network instead of the
-/// scenario's shared one. The route-sharing equivalence tests assert both
-/// paths produce identical outcomes.
-pub fn run_protocol_isolated(
-    kind: ProtocolKind,
-    scenario: &Scenario,
-    timing: &Timing,
-) -> ProbeOutcome {
-    use crate::runner::run_probe_isolated;
-    match kind {
-        ProtocolKind::Hbh => run_probe_isolated(Hbh::new(*timing), scenario, timing),
-        ProtocolKind::HbhAgg => run_probe_isolated(Hbh::aggregated(*timing), scenario, timing),
-        ProtocolKind::HbhHard => run_probe_isolated(HbhHard::new(*timing), scenario, timing),
-        ProtocolKind::Reunite => run_probe_isolated(Reunite::new(*timing), scenario, timing),
-        ProtocolKind::PimSs => run_probe_isolated(Pim::source_specific(*timing), scenario, timing),
-        ProtocolKind::PimSm => run_probe_isolated(
-            Pim::sparse_shared(pick_rp(scenario), *timing),
-            scenario,
-            timing,
-        ),
-    }
+/// Runs the standard converge-then-probe experiment for one protocol.
+pub fn run_protocol(kind: ProtocolKind, scenario: &Scenario, timing: &Timing) -> ProbeOutcome {
+    dispatch(kind, scenario, timing, &ProbeStudy)
 }
 
 #[cfg(test)]

@@ -126,6 +126,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
         run: membership,
         files: &[],
     },
+    Experiment {
+        name: "inspect",
+        flags: &["topo", "group", "seed"],
+        run: inspect,
+        files: &[],
+    },
 ];
 
 /// `hbh-exp`'s `main`: dispatches `argv[1]` to its row, or to `all`.
@@ -158,13 +164,15 @@ fn finish(failures: &[String]) -> ExitCode {
 }
 
 /// Runs every `(argv, file)` pair of the table and writes the files into
-/// `./results` — or, under `check`, compares them with what is there.
+/// `./results` — or, under `check`, compares them with what is there. A
+/// file there that no row owns fails either way: nothing regenerates it.
 fn all(check: bool) -> ExitCode {
     let dir = Path::new("results");
     if !dir.is_dir() {
         die("no ./results directory here: run `hbh-exp all` from the repository root");
     }
     let mut failures = Vec::new();
+    let mut owned = Vec::new();
     for exp in EXPERIMENTS {
         for (file, argv) in exp.files {
             let args = Args::parse_from(argv.iter().map(|a| a.to_string()), exp.flags);
@@ -176,6 +184,7 @@ fn all(check: bool) -> ExitCode {
                 .json
                 .map(|json| (dir.join(file).with_extension("json"), json));
             for (path, fresh) in [text].into_iter().chain(json) {
+                owned.push(path.clone());
                 let shown = path.display();
                 if !check {
                     match std::fs::write(&path, fresh) {
@@ -195,6 +204,21 @@ fn all(check: bool) -> ExitCode {
                 }
             }
         }
+    }
+    match std::fs::read_dir(dir) {
+        Ok(entries) => {
+            let mut strays: Vec<_> = entries
+                .flatten()
+                .map(|entry| entry.path())
+                .filter(|path| !owned.contains(path))
+                .collect();
+            strays.sort();
+            failures.extend(strays.iter().map(|path| {
+                let shown = path.display();
+                format!("{shown}: no experiment owns this file")
+            }));
+        }
+        Err(e) => failures.push(format!("{}: {e}", dir.display())),
     }
     finish(&failures)
 }
@@ -379,6 +403,17 @@ fn groups(args: &Args) -> Report {
     };
     let rows = groups::evaluate(&cfg);
     Report::tables(&[groups::render(&cfg, &rows)])
+}
+
+/// One draw's converged HBH tables and the data-plane trace of a probe.
+fn inspect(args: &Args) -> Report {
+    let topo = RunConfig::from_args(args, 1).topo;
+    let (group, seed) = (args.get_parse("group", 6), args.get_parse("seed", 3));
+    Report {
+        text: crate::inspect::dump(topo, group, seed),
+        json: None,
+        failures: Vec::new(),
+    }
 }
 
 /// The `--ases --pops --access` overrides the two sweeps share.

@@ -102,7 +102,7 @@ impl Table {
     }
 }
 
-/// Tiny argv parser for `hbh-exp`, `inspect` and `hbh_bench`: `--key
+/// Tiny argv parser for `hbh-exp` and `hbh_bench`: `--key
 /// value` pairs. Unknown keys are usage errors (exit 2).
 pub struct Args {
     pairs: Vec<(String, String)>,

@@ -7,7 +7,7 @@ use crate::report::Args;
 use crate::scenario::{Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Kernel, Network, Protocol, Time};
-use hbh_topo::graph::{EdgeId, NodeId};
+use hbh_topo::graph::NodeId;
 use std::collections::BTreeMap;
 
 /// The run knobs every experiment shares — topology, run count, base
@@ -124,10 +124,6 @@ impl RunConfig {
 pub struct ProbeOutcome {
     /// Tree cost: data copies transmitted across links for one packet.
     pub cost: u64,
-    /// Bandwidth consumption: each copy weighted by its link's cost (the
-    /// abstract's "bandwidth consumption of the multicast trees"; see
-    /// EXPERIMENTS.md for how this relates to the paper's Figure 7 axis).
-    pub weighted_cost: u64,
     /// Per-receiver delay (time units).
     pub delays: BTreeMap<NodeId, u64>,
     /// Receivers that should have been served.
@@ -170,18 +166,14 @@ pub fn build_kernel<P: Protocol<Command = Cmd>>(
     build_kernel_on(scenario.network().clone(), proto, scenario)
 }
 
-/// [`build_kernel`] over an explicit network (e.g. the bandwidth-admitted
-/// tables of the QoS ablation, or an independently recomputed network in
-/// the route-sharing equivalence tests).
+/// [`build_kernel`] over an explicit network (the bandwidth-admitted
+/// tables of the QoS ablation).
 pub fn build_kernel_on<P: Protocol<Command = Cmd>>(
     net: Network,
     proto: P,
     scenario: &Scenario,
 ) -> (Kernel<P>, Channel) {
     let mut k = Kernel::new(net, proto, scenario.seed);
-    if let Some(faults) = &scenario.faults {
-        k.install_faults(faults);
-    }
     let ch = Channel::primary(scenario.source);
     k.command_at(scenario.source, Cmd::StartSource(ch), Time::ZERO);
     for &(r, t) in &scenario.join_times {
@@ -294,58 +286,20 @@ pub fn probe_tolerant<P: Protocol<Command = Cmd>>(
     (delays, duplicates)
 }
 
-/// The standard experiment: converge then probe once.
+/// The standard experiment on a built kernel: converge, then probe once.
+/// `protocols::run_protocol` dispatches it to any [`ProtocolKind`].
 pub fn run_probe<P: Protocol<Command = Cmd>>(
-    proto: P,
+    mut k: Kernel<P>,
+    ch: Channel,
     scenario: &Scenario,
     timing: &Timing,
 ) -> ProbeOutcome {
-    run_probe_on(scenario.network().clone(), proto, scenario, timing)
-}
-
-/// [`run_probe`] over a freshly computed `Network` instead of the
-/// scenario's shared one. Exists for the route-sharing equivalence tests:
-/// outcomes must be identical either way.
-pub fn run_probe_isolated<P: Protocol<Command = Cmd>>(
-    proto: P,
-    scenario: &Scenario,
-    timing: &Timing,
-) -> ProbeOutcome {
-    run_probe_on(
-        Network::new(scenario.graph().clone()),
-        proto,
-        scenario,
-        timing,
-    )
-}
-
-/// [`run_probe`] over an explicit network.
-pub fn run_probe_on<P: Protocol<Command = Cmd>>(
-    net: Network,
-    proto: P,
-    scenario: &Scenario,
-    timing: &Timing,
-) -> ProbeOutcome {
-    let (mut k, ch) = build_kernel_on(net, proto, scenario);
     let converged = converge(&mut k, timing, scenario.join_window);
     let control_copies = k.stats().control_copies();
     let structural_changes = k.stats().structural_changes;
     let (cost, delays) = probe(&mut k, ch, 1, scenario.receivers.len());
-    let weighted_cost: u64 = k
-        .stats()
-        .data_copies_by_edge(1)
-        .map(|row| {
-            let g = k.network().graph();
-            row.iter()
-                .enumerate()
-                .filter(|(_, &copies)| copies > 0)
-                .map(|(e, &copies)| copies * u64::from(g.edge_cost(EdgeId(e as u32))))
-                .sum()
-        })
-        .unwrap_or(0);
     ProbeOutcome {
         cost,
-        weighted_cost,
         delays,
         expected: scenario.receivers.len(),
         converged,
@@ -359,8 +313,8 @@ pub fn run_probe_on<P: Protocol<Command = Cmd>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocols::run_protocol;
     use crate::scenario::{build, ScenarioOptions, TopologyKind};
-    use hbh_proto::Hbh;
 
     fn outcome(seed: u64) -> ProbeOutcome {
         let timing = Timing::default();
@@ -371,7 +325,7 @@ mod tests {
             &timing,
             &ScenarioOptions::default(),
         );
-        run_probe(Hbh::new(timing), &sc, &timing)
+        run_protocol(ProtocolKind::Hbh, &sc, &timing)
     }
 
     #[test]

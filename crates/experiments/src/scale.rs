@@ -18,7 +18,7 @@
 //! a source host and samples the receiver group, exactly mirroring §4.1
 //! methodology on the big graph. PIM-SM is not an arm here: its central-RP
 //! placement scans routers × hosts, an all-pairs consumer by design (see
-//! `protocols::pick_rp_with`).
+//! `protocols::pick_rp`).
 
 use crate::protocols::{run_protocol, ProtocolKind};
 use crate::scenario::Scenario;

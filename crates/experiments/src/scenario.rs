@@ -3,14 +3,11 @@
 
 use hbh_proto_base::workload::WorkloadGen;
 use hbh_proto_base::{Channel, Script, Timing, Workload};
-use hbh_sim_core::fault::FaultPlan;
 use hbh_sim_core::{Network, Time};
 use hbh_topo::graph::{Graph, NodeId};
 use hbh_topo::{costs, isp, random};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::cell::RefCell;
-use std::collections::VecDeque;
 
 /// Seed that fixes the 50-node random topology across all runs (the paper
 /// simulates *a* random topology, varying costs and receivers per run).
@@ -64,11 +61,11 @@ impl TopologyKind {
 /// One fully specified experiment run: every protocol is evaluated on this
 /// exact draw (paired comparison).
 ///
-/// The topology and its all-pairs unicast routes live in one shared,
-/// immutable [`Network`] built when the scenario is drawn. Every kernel in
-/// the paired comparison clones the `Network` (an `Arc` bump), so the
-/// expensive all-pairs Dijkstra runs exactly once per draw instead of once
-/// per protocol.
+/// The topology and its all-pairs unicast routes live in one immutable
+/// [`Network`] built when the scenario is drawn. Every kernel in the paired
+/// comparison clones the `Network` (an `Arc` bump), so the all-pairs
+/// Dijkstra runs once per draw, not once per protocol — the only sharing
+/// §4.1 needs.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     network: Network,
@@ -84,8 +81,6 @@ pub struct Scenario {
     /// Scripted actions beyond the primary-channel joins (extra channels,
     /// zap switches). Empty for the classic figure scenarios.
     pub script: Script,
-    /// Faults installed at kernel-build time (`None` = pristine network).
-    pub faults: Option<FaultPlan>,
 }
 
 impl Scenario {
@@ -119,7 +114,6 @@ impl Scenario {
             join_window,
             seed,
             script: Script::new(),
-            faults: None,
         }
     }
 
@@ -140,13 +134,6 @@ impl Scenario {
         self.script = plan.script;
         self
     }
-
-    /// Attaches a fault plan, installed when a kernel is built for this
-    /// scenario.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
-        self
-    }
 }
 
 /// Options beyond the paper defaults, used by the ablations.
@@ -157,19 +144,6 @@ pub struct ScenarioOptions {
     pub asymmetry: f64,
     /// Fraction of routers made unicast-only (0.0 in the paper).
     pub unicast_only_fraction: f64,
-    /// Join window in units of the join period. Short windows mean most
-    /// receivers join before any tree state exists (they join at the
-    /// source); long windows give the trees time to form between joins,
-    /// so later receivers attach at branching nodes — which is where
-    /// REUNITE's path pathologies live. The paper does not specify its
-    /// join timing; the default (20 periods) lets roughly the paper's
-    /// dynamics emerge while keeping runs fast.
-    pub join_window_periods: u64,
-    /// `Some(rows)`: serve unicast routes on demand with an LRU of at most
-    /// `rows` cached SPF rows ([`Network::on_demand`]) instead of eager
-    /// all-pairs tables. `None` (the default, and the paper figures'
-    /// setting) keeps the exact eager tables — byte-identical outputs.
-    pub route_cache: Option<usize>,
 }
 
 impl Default for ScenarioOptions {
@@ -177,59 +151,17 @@ impl Default for ScenarioOptions {
         ScenarioOptions {
             asymmetry: 1.0,
             unicast_only_fraction: 0.0,
-            join_window_periods: 20,
-            route_cache: None,
         }
     }
 }
 
-/// Entries kept in the per-thread routing-table cache. Each entry holds an
-/// ISP-to-rand50-sized `Network` (tens of KB), so a few dozen is cheap and
-/// comfortably covers the figure sweeps' reuse pattern (the same
-/// `(topology, run seed)` draw revisited across group sizes).
-const NETWORK_CACHE_CAP: usize = 32;
-
-/// Graph-shaping inputs: everything [`build`] feeds into the topology and
-/// cost draw, plus the routing materialization mode (an eager and an
-/// on-demand network over the same draw must not alias). Group size and
-/// timing shape only membership, which is drawn *after* the graph from the
-/// same stream, so two builds agreeing on this key produce identical
-/// graphs.
-type NetworkCacheKey = (u8, u64, u64, u64, u64);
-
-thread_local! {
-    /// Capacity-bounded FIFO of recently computed `Network`s, keyed by
-    /// `(topology, run seed, asymmetry, unicast-only fraction)`. Thread-
-    /// local so the parallel figure runners share within a worker without
-    /// any locking.
-    static NETWORK_CACHE: RefCell<VecDeque<(NetworkCacheKey, Network)>> =
-        const { RefCell::new(VecDeque::new()) };
-}
-
-/// Returns the shared `Network` for `graph`, reusing a cached instance if
-/// this thread already computed routing state for an identical draw.
-fn shared_network(key: NetworkCacheKey, graph: Graph, route_cache: Option<usize>) -> Network {
-    NETWORK_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((_, net)) = cache.iter().find(|(k, _)| *k == key) {
-            debug_assert_eq!(
-                net.graph().undirected_links(),
-                graph.undirected_links(),
-                "network cache key collision"
-            );
-            return net.clone();
-        }
-        let net = match route_cache {
-            None => Network::new(graph),
-            Some(rows) => Network::on_demand(graph, rows),
-        };
-        if cache.len() == NETWORK_CACHE_CAP {
-            cache.pop_front();
-        }
-        cache.push_back((key, net.clone()));
-        net
-    })
-}
+/// Join window of the figure scenarios, in join periods. Short windows
+/// mean most receivers join before any tree state exists (they join at the
+/// source); long windows give the trees time to form between joins, so
+/// later receivers attach at branching nodes — which is where REUNITE's
+/// path pathologies live. The paper does not specify its join timing; 20
+/// periods lets roughly the paper's dynamics emerge while keeping runs fast.
+const JOIN_WINDOW_PERIODS: u64 = 20;
 
 /// Builds run number `run_seed` of the experiment: the RNG stream is a
 /// pure function of `(kind, run_seed)`, so runs are reproducible and
@@ -280,30 +212,20 @@ pub fn build(
     // The paper workload consumes the RNG in the historical order
     // (receiver sample, then join schedule), keeping every figure
     // byte-identical across the Workload migration.
-    let plan = Workload::paper_figure(group_size, opts.join_window_periods).plan(
+    let plan = Workload::paper_figure(group_size, JOIN_WINDOW_PERIODS).plan(
         &pool,
         Channel::primary(source),
         timing,
         &mut rng,
     );
-    let cache_key = (
-        kind as u8,
-        run_seed,
-        opts.asymmetry.to_bits(),
-        opts.unicast_only_fraction.to_bits(),
-        // 0 = eager tables; rows+1 = on-demand with that capacity.
-        opts.route_cache.map_or(0, |rows| rows as u64 + 1),
-    );
-    let network = shared_network(cache_key, graph, opts.route_cache);
     Scenario {
-        network,
+        network: Network::new(graph),
         source,
         receivers: plan.receivers,
         join_times: plan.join_times,
         join_window: plan.join_window,
         seed: run_seed,
         script: plan.script,
-        faults: None,
     }
 }
 
@@ -440,78 +362,6 @@ mod tests {
         assert_eq!(s.source, NodeId(30));
         assert_eq!(s.receivers.len(), 8);
         assert!(s.graph().routers().count() == 30 && s.graph().hosts().count() == 30);
-    }
-
-    #[test]
-    fn same_draw_shares_one_network() {
-        // Same (kind, run seed, options) ⇒ the thread-local cache hands
-        // both scenarios the same Network allocation, even across group
-        // sizes (membership is drawn after the graph).
-        let a = build(
-            TopologyKind::Isp,
-            4,
-            77,
-            &timing(),
-            &ScenarioOptions::default(),
-        );
-        let b = build(
-            TopologyKind::Isp,
-            12,
-            77,
-            &timing(),
-            &ScenarioOptions::default(),
-        );
-        assert!(
-            std::ptr::eq(a.network().graph(), b.network().graph()),
-            "routing tables recomputed for an identical draw"
-        );
-    }
-
-    #[test]
-    fn different_options_do_not_share_networks() {
-        let asym = ScenarioOptions {
-            asymmetry: 0.0,
-            ..ScenarioOptions::default()
-        };
-        let a = build(
-            TopologyKind::Isp,
-            4,
-            78,
-            &timing(),
-            &ScenarioOptions::default(),
-        );
-        let b = build(TopologyKind::Isp, 4, 78, &timing(), &asym);
-        assert!(!std::ptr::eq(a.network().graph(), b.network().graph()));
-    }
-
-    #[test]
-    fn route_cache_option_switches_materialization_without_aliasing() {
-        let lazy_opts = ScenarioOptions {
-            route_cache: Some(64),
-            ..ScenarioOptions::default()
-        };
-        let eager = build(
-            TopologyKind::Isp,
-            4,
-            79,
-            &timing(),
-            &ScenarioOptions::default(),
-        );
-        let lazy = build(TopologyKind::Isp, 4, 79, &timing(), &lazy_opts);
-        assert!(!eager.network().is_on_demand());
-        assert!(lazy.network().is_on_demand());
-        assert!(
-            !std::ptr::eq(eager.network().graph(), lazy.network().graph()),
-            "materialization mode must be part of the cache key"
-        );
-        // Same draw, same routes — membership and answers agree.
-        assert_eq!(eager.receivers, lazy.receivers);
-        for &r in &eager.receivers {
-            assert_eq!(
-                eager.network().dist(eager.source, r),
-                lazy.network().dist(lazy.source, r)
-            );
-        }
     }
 
     #[test]

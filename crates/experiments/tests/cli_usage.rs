@@ -2,8 +2,9 @@
 //! `error: …` on stderr), never a panic and never a table of zeros — on
 //! every row of the table. And `results/` is what the code prints:
 //! `hbh-exp all --check 1` regenerates every file in memory and compares
-//! bytes, a gate that is sound on any runner only because a report does
-//! not depend on the worker count, which is pinned here too.
+//! bytes (a file there that no row owns fails it too), a gate that is
+//! sound on any runner only because a report does not depend on the
+//! worker count, which is pinned here too.
 
 use hbh_experiments::registry::EXPERIMENTS;
 use std::path::Path;
@@ -107,7 +108,7 @@ fn a_report_is_the_same_bytes_on_one_worker_and_on_four() {
     debug_assertions,
     ignore = "regenerates every results file twice: 2 min with --release (as CI runs it), 30 without"
 )]
-fn check_passes_on_the_committed_tree_and_names_an_altered_file() {
+fn check_passes_on_the_committed_tree_and_names_an_altered_or_stray_file() {
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let dir = std::env::temp_dir().join(format!("hbh_check_{}", std::process::id()));
     std::fs::create_dir_all(dir.join("results")).unwrap();
@@ -130,14 +131,20 @@ fn check_passes_on_the_committed_tree_and_names_an_altered_file() {
         .rfind("0.00 ± 0.00\n")
         .expect("HBH's cell ends its row");
     std::fs::write(&altered, format!("{}0.01{}", &text[..at], &text[at + 4..])).unwrap();
+    // And a file no row of the table owns, which nothing would regenerate.
+    std::fs::write(dir.join("results/x.txt"), "stray\n").unwrap();
 
     let out = hbh_exp_in(&dir, "all --check 1");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     let failed: Vec<&str> = stderr.lines().filter(|l| l.starts_with("FAILED")).collect();
-    assert_eq!(failed.len(), 1, "{stderr}");
+    assert_eq!(failed.len(), 2, "{stderr}");
     assert!(
         failed[0].contains("results/stability.txt") && failed[0].contains("line 5"),
+        "{stderr}"
+    );
+    assert!(
+        failed[1].contains("results/x.txt") && failed[1].contains("no experiment owns"),
         "{stderr}"
     );
     std::fs::remove_dir_all(&dir).unwrap();

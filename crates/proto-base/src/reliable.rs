@@ -275,11 +275,6 @@ impl<M: Clone> ReliableState<M> {
         self.outstanding.len()
     }
 
-    /// Whether any outstanding message is addressed to `dst`.
-    pub fn has_outstanding_to(&self, dst: NodeId) -> bool {
-        self.outstanding.values().any(|o| o.dst == dst)
-    }
-
     /// Sequence numbers handed out so far (== sealed count).
     pub fn sealed(&self) -> u64 {
         self.next_seq

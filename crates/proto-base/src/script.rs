@@ -93,11 +93,6 @@ impl Script {
         self.fault(at, FaultEvent::LinkDown { a, b })
     }
 
-    /// The link `a — b` is restored at `at`.
-    pub fn restore_link(self, at: Time, a: NodeId, b: NodeId) -> Self {
-        self.fault(at, FaultEvent::LinkUp { a, b })
-    }
-
     /// The entries in push order (the tie-break order every backend uses).
     pub fn entries(&self) -> &[(Time, ScriptAction)] {
         &self.entries

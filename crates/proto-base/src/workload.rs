@@ -117,15 +117,16 @@ enum Kind {
     },
 }
 
-/// A declarative membership workload; build with the constructors, tune
-/// with the chaining setters, realize with [`WorkloadGen::plan`].
+/// Zapping dwell between switches, in join periods.
+const ZAP_DWELL_PERIODS: u64 = 4;
+
+/// A declarative membership workload; build with the constructors,
+/// realize with [`WorkloadGen::plan`].
 #[derive(Clone, Debug)]
 pub struct Workload {
     kind: Kind,
     /// Initial-join window, in join periods.
     window_periods: u64,
-    /// Zapping dwell between switches, in join periods.
-    dwell_periods: u64,
 }
 
 impl Workload {
@@ -133,7 +134,6 @@ impl Workload {
         Workload {
             kind,
             window_periods: 20,
-            dwell_periods: 4,
         }
     }
 
@@ -169,8 +169,8 @@ impl Workload {
 
     /// IPTV zapping: `viewers` hosts tune into a Zipf-popular channel,
     /// then switch (`leave` + `join`) to a different channel `zaps`
-    /// times, dwelling [`Workload::dwell`] join periods between
-    /// switches. Requires at least two channels to switch between.
+    /// times, dwelling four join periods between switches. Requires at
+    /// least two channels to switch between.
     pub fn zapping(viewers: usize, channels: u32, zaps: usize) -> Self {
         assert!(channels >= 2, "zapping needs at least two channels");
         Workload::with_kind(Kind::Zapping {
@@ -179,18 +179,6 @@ impl Workload {
             zaps,
             exponent: 1.0,
         })
-    }
-
-    /// Sets the initial-join window, in join periods.
-    pub fn window(mut self, periods: u64) -> Self {
-        self.window_periods = periods;
-        self
-    }
-
-    /// Sets the zapping dwell between switches, in join periods.
-    pub fn dwell(mut self, periods: u64) -> Self {
-        self.dwell_periods = periods;
-        self
     }
 }
 
@@ -314,7 +302,7 @@ impl WorkloadGen for Workload {
                 let sampled = sample_receivers(pool, viewers, rng);
                 let cdf = zipf_cdf(channels, exponent);
                 let join_window = self.window_periods * timing.join_period;
-                let dwell = self.dwell_periods * timing.join_period;
+                let dwell = ZAP_DWELL_PERIODS * timing.join_period;
                 let mut script = Script::new();
                 // Every channel may be visited; start all sources.
                 for rank in 2..=channels {
@@ -475,9 +463,7 @@ mod tests {
     fn zapping_tracks_final_channel_membership() {
         let p = pool(100);
         let t = Timing::default();
-        let plan = Workload::zapping(40, 5, 3)
-            .dwell(2)
-            .plan(&p, primary(), &t, &mut rng(13));
+        let plan = Workload::zapping(40, 5, 3).plan(&p, primary(), &t, &mut rng(13));
         assert!(plan.join_times.is_empty(), "zapping is fully script-driven");
         // Replay the script: the receivers field must equal the set of
         // viewers whose last action joined the primary channel.

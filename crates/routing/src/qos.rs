@@ -12,7 +12,6 @@
 //! directions of those links, whose bandwidth was never checked — the
 //! `qos` experiment measures exactly that gap.
 
-use crate::dijkstra::ShortestPaths;
 use crate::tables::RoutingTables;
 use hbh_topo::graph::{Bandwidth, Graph, NodeId, PathCost};
 
@@ -74,17 +73,6 @@ pub fn channel_admitted(t: &RoutingTables, source: NodeId, receivers: &[NodeId])
 /// Convenience: the constrained shortest path, if admitted.
 pub fn constrained_path(t: &RoutingTables, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
     admitted(t, src, dst).then(|| t.path(src, dst)).flatten()
-}
-
-/// Re-exported for callers that only need one root.
-pub fn constrained_spf(g: &Graph, root: NodeId, min_bw: Bandwidth) -> ShortestPaths {
-    let mut shadow = g.clone();
-    for (l, _) in g.directed_links() {
-        if g.bandwidth(l.from, l.to).unwrap() < min_bw {
-            shadow.set_cost(l.from, l.to, BLOCKED_COST);
-        }
-    }
-    crate::dijkstra::shortest_paths(&shadow, root)
 }
 
 #[cfg(test)]

@@ -684,11 +684,6 @@ impl<P: Protocol> Kernel<P> {
         &self.core.stats
     }
 
-    /// Mutable accounting access (e.g. to reset counters between probes).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.core.stats
-    }
-
     /// A node's protocol state (read).
     pub fn state(&self, node: NodeId) -> &P::NodeState {
         &self.states[node.index()]

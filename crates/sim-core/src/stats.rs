@@ -108,9 +108,8 @@ impl Stats {
 
     /// Per-edge data copies for probe `tag`, indexed by [`EdgeId`], if the
     /// probe transited any link. The zero-allocation view behind
-    /// [`Stats::data_copies_per_link`]; pair with the graph's
-    /// `edge_cost`/`edge_ends` for weighted sums.
-    pub fn data_copies_by_edge(&self, tag: u64) -> Option<&[u64]> {
+    /// [`Stats::data_copies_tagged`] and [`Stats::data_copies_per_link`].
+    fn data_copies_by_edge(&self, tag: u64) -> Option<&[u64]> {
         let i = self.data_tags.iter().position(|&t| t == tag)?;
         Some(&self.data_rows[i])
     }

@@ -2,7 +2,7 @@
 //!
 //! Useful for eyeballing a scenario (`dot -Tpng topo.dot`) and for
 //! debugging tree construction — the experiment binaries don't depend on
-//! it, but the examples and the inspect tool do.
+//! it, but the examples do.
 
 use crate::graph::{Graph, NodeId};
 use std::collections::BTreeSet;

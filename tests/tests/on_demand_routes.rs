@@ -10,17 +10,21 @@
 //! run — deliveries, delays, or event counts would differ.
 
 use hbh_experiments::protocols::{run_protocol, ProtocolKind};
-use hbh_experiments::scenario::{build, ScenarioOptions, TopologyKind};
+use hbh_experiments::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::Timing;
+use hbh_sim_core::Network;
 
 fn assert_eager_equals_on_demand(topo: TopologyKind, group_size: usize, seed: u64, cache: usize) {
     let timing = Timing::default();
     let eager_sc = build(topo, group_size, seed, &timing, &ScenarioOptions::default());
-    let lazy_opts = ScenarioOptions {
-        route_cache: Some(cache),
-        ..ScenarioOptions::default()
-    };
-    let lazy_sc = build(topo, group_size, seed, &timing, &lazy_opts);
+    let lazy_sc = Scenario::from_parts(
+        Network::on_demand(eager_sc.graph().clone(), cache),
+        eager_sc.source,
+        eager_sc.receivers.clone(),
+        eager_sc.join_times.clone(),
+        eager_sc.join_window,
+        eager_sc.seed,
+    );
     assert!(!eager_sc.network().is_on_demand());
     assert!(lazy_sc.network().is_on_demand());
     for kind in ProtocolKind::ALL {

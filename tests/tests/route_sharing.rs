@@ -7,16 +7,25 @@
 //! tables are pure functions of the cost draw, kernels never mutate them,
 //! so sharing may not change a single delivery, delay, or counter.
 
-use hbh_experiments::protocols::{run_protocol, run_protocol_isolated, ProtocolKind};
-use hbh_experiments::scenario::{build, ScenarioOptions, TopologyKind};
+use hbh_experiments::protocols::{run_protocol, ProtocolKind};
+use hbh_experiments::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::Timing;
+use hbh_sim_core::Network;
 
 fn assert_shared_equals_isolated(topo: TopologyKind, group_size: usize, seed: u64) {
     let timing = Timing::default();
     let sc = build(topo, group_size, seed, &timing, &ScenarioOptions::default());
     for kind in ProtocolKind::ALL {
         let shared = run_protocol(kind, &sc, &timing);
-        let isolated = run_protocol_isolated(kind, &sc, &timing);
+        let alone = Scenario::from_parts(
+            Network::new(sc.graph().clone()),
+            sc.source,
+            sc.receivers.clone(),
+            sc.join_times.clone(),
+            sc.join_window,
+            sc.seed,
+        );
+        let isolated = run_protocol(kind, &alone, &timing);
         assert_eq!(
             shared,
             isolated,
