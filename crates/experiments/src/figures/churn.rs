@@ -23,7 +23,7 @@
 //! outright. Runs whose surviving topology cannot reach all receivers are
 //! skipped (and counted).
 
-use crate::datapath::traced_probe;
+use crate::datapath::probe_transits;
 use crate::protocols::{dispatch, ProtocolKind, Study};
 use crate::report::Table;
 use crate::runner::{converge, probe_tolerant, probe_window, RunConfig};
@@ -157,7 +157,7 @@ impl Study for ChurnStudy {
         P::NodeState: hbh_proto_base::StateInventory,
     {
         converge(&mut k, timing, scenario.join_window);
-        let before = traced_probe(&mut k, ch, 1);
+        let before = probe_transits(&mut k, ch, 1);
         let innocent: Vec<NodeId> = scenario
             .receivers
             .iter()
@@ -210,7 +210,7 @@ impl Study for ChurnStudy {
         // by the crash, so any change is protocol-induced.
         let mut perturbed = 0;
         if repair_latency.is_some() {
-            let during = traced_probe(&mut k, ch, 2);
+            let during = probe_transits(&mut k, ch, 2);
             perturbed = innocent
                 .iter()
                 .filter(|&&r| before.path_to(r) != during.path_to(r))

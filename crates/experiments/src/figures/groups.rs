@@ -5,8 +5,9 @@
 //! verify that every channel keeps delivering exactly-once with all the
 //! soft-state machinery interleaved.
 
+use crate::datapath::probe_transits;
 use crate::report::Table;
-use crate::runner::{converge, probe_window, RunConfig};
+use crate::runner::{converge, RunConfig};
 use crate::stats::Summary;
 use hbh_pim::Pim;
 use hbh_proto::Hbh;
@@ -102,11 +103,7 @@ where
     let mut complete = 0;
     for (i, (ch, receivers)) in sc.channels.iter().enumerate() {
         let tag = 1000 + i as u64;
-        let t = k.now();
-        k.command_at(ch.source, Cmd::SendData { ch: *ch, tag }, t);
-        k.run_until(t + probe_window(k.network()));
-        let served: std::collections::HashSet<NodeId> =
-            k.stats().deliveries_tagged(tag).map(|d| d.node).collect();
+        let served = probe_transits(&mut k, *ch, tag).delivered;
         let count = k.stats().deliveries_tagged(tag).count();
         if count == receivers.len() && served.len() == count {
             complete += 1;

@@ -16,17 +16,15 @@
 //! calls SPT-based HBH "suitable for an eventual implementation of QoS
 //! based routing".
 
-use crate::datapath::traced_probe;
+use crate::datapath::probe_transits;
+use crate::protocols::{dispatch, ProtocolKind, Study};
 use crate::report::Table;
-use crate::runner::{build_kernel_on, converge, RunConfig};
+use crate::runner::{converge, RunConfig};
 use crate::scenario::{build, Scenario, ScenarioOptions};
 use crate::stats::Summary;
-use hbh_pim::Pim;
-use hbh_proto::Hbh;
-use hbh_proto_base::{Cmd, Timing};
-use hbh_reunite::Reunite;
+use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_routing::qos;
-use hbh_sim_core::{Network, Protocol};
+use hbh_sim_core::{Kernel, Network, Protocol};
 use hbh_topo::costs;
 use hbh_topo::graph::Bandwidth;
 use rand::rngs::StdRng;
@@ -41,47 +39,62 @@ pub struct QosOutcome {
     pub compliant: usize,
 }
 
-/// The shared run knobs (the three arms are fixed:
-/// [`QOS_PROTOCOL_NAMES`]) plus the group size and the bandwidth floor.
+/// The shared run knobs (the three arms are fixed: [`QOS_ARMS`]) plus the
+/// group size and the bandwidth floor.
 pub struct QosConfig {
     pub run: RunConfig,
     pub group_size: usize,
     pub min_bw: Bandwidth,
 }
 
-/// Builds the constrained network for a scenario; `None` if the channel
-/// is not admissible under the bandwidth floor.
-fn admitted_network(sc: &Scenario, min_bw: Bandwidth, seed: u64) -> Option<Network> {
+/// `sc` over its bandwidth-constrained network (same membership, same
+/// seed); `None` if the channel is not admissible under the floor.
+fn admitted(sc: Scenario, min_bw: Bandwidth) -> Option<Scenario> {
     let mut graph = sc.graph().clone();
-    costs::assign_backbone_bandwidths(&mut graph, 1, 10, &mut StdRng::seed_from_u64(seed ^ 0xB0));
+    let mut rng = StdRng::seed_from_u64(sc.seed ^ 0xB0);
+    costs::assign_backbone_bandwidths(&mut graph, 1, 10, &mut rng);
     let tables = qos::constrained_tables(&graph, min_bw);
     if !qos::channel_admitted(&tables, sc.source, &sc.receivers) {
         return None;
     }
-    Some(Network::with_tables(graph, tables))
+    Some(Scenario::from_parts(
+        Network::with_tables(graph, tables),
+        sc.source,
+        sc.receivers,
+        sc.join_times,
+        sc.join_window,
+        sc.seed,
+    ))
 }
 
-fn run_one<P: Protocol<Command = Cmd>>(
-    proto: P,
-    net: Network,
-    sc: &Scenario,
-    timing: &Timing,
+struct QosStudy {
     min_bw: Bandwidth,
-) -> QosOutcome {
-    let (mut k, ch) = build_kernel_on(net, proto, sc);
-    converge(&mut k, timing, sc.join_window);
-    let transits = traced_probe(&mut k, ch, 1);
-    let mut out = QosOutcome::default();
-    for &r in &sc.receivers {
-        let Some(path) = transits.path_to(r) else {
-            continue;
-        };
-        out.served += 1;
-        if qos::path_is_compliant(k.network().graph(), &path, min_bw) {
-            out.compliant += 1;
+}
+
+impl Study for QosStudy {
+    type Out = QosOutcome;
+
+    fn run<P: Protocol<Command = Cmd>>(
+        &self,
+        mut k: Kernel<P>,
+        ch: Channel,
+        sc: &Scenario,
+        timing: &Timing,
+    ) -> QosOutcome {
+        converge(&mut k, timing, sc.join_window);
+        let transits = probe_transits(&mut k, ch, 1);
+        let mut out = QosOutcome::default();
+        for &r in &sc.receivers {
+            let Some(path) = transits.path_to(r) else {
+                continue;
+            };
+            out.served += 1;
+            if qos::path_is_compliant(sc.graph(), &path, self.min_bw) {
+                out.compliant += 1;
+            }
         }
+        out
     }
-    out
 }
 
 /// One protocol row of the report.
@@ -92,12 +105,17 @@ pub struct QosPoint {
 }
 
 pub struct QosReport {
-    pub points: Vec<QosPoint>, // HBH, REUNITE, PIM-SS
+    /// One point per arm of [`QOS_ARMS`].
+    pub points: Vec<QosPoint>,
     pub admitted_runs: usize,
     pub skipped_runs: usize,
 }
 
-pub const QOS_PROTOCOL_NAMES: [&str; 3] = ["HBH", "REUNITE", "PIM-SS"];
+pub const QOS_ARMS: [ProtocolKind; 3] = [
+    ProtocolKind::Hbh,
+    ProtocolKind::Reunite,
+    ProtocolKind::PimSs,
+];
 
 pub fn evaluate(cfg: &QosConfig) -> QosReport {
     let (run, timing, min_bw) = (&cfg.run, &cfg.run.timing, cfg.min_bw);
@@ -111,15 +129,11 @@ pub fn evaluate(cfg: &QosConfig) -> QosReport {
             timing,
             &ScenarioOptions::default(),
         );
-        let net = admitted_network(&sc, min_bw, seed)?;
-        let outcomes = [
-            run_one(Hbh::new(*timing), net.clone(), &sc, timing, min_bw),
-            run_one(Reunite::new(*timing), net.clone(), &sc, timing, min_bw),
-            run_one(Pim::source_specific(*timing), net, &sc, timing, min_bw),
-        ];
+        let sc = admitted(sc, min_bw)?;
+        let outcomes = QOS_ARMS.map(|kind| dispatch(kind, &sc, timing, &QosStudy { min_bw }));
         Some((sc.receivers.len(), outcomes))
     });
-    let mut points = vec![QosPoint::default(); 3];
+    let mut points = vec![QosPoint::default(); QOS_ARMS.len()];
     let mut admitted_runs = 0;
     let mut skipped = 0;
     for entry in per_run {
@@ -156,7 +170,7 @@ pub fn render(cfg: &QosConfig, report: &QosReport) -> Table {
             report.skipped_runs
         ),
         "metric",
-        &QOS_PROTOCOL_NAMES,
+        &QOS_ARMS.map(ProtocolKind::name),
     );
     t.summary_row("served fraction", &report.points, |p| &p.served_frac);
     t.summary_row("compliant-path fraction", &report.points, |p| {

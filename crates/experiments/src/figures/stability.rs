@@ -10,7 +10,7 @@
 //! reconfiguration window, and the number of surviving receivers whose
 //! delivery delay changed between a probe before and after the departure.
 
-use crate::datapath::traced_probe;
+use crate::datapath::probe_transits;
 use crate::protocols::{dispatch, ProtocolKind, Study};
 use crate::report::Table;
 use crate::runner::{converge, RunConfig};
@@ -46,7 +46,7 @@ impl Study for DepartureStudy {
         timing: &Timing,
     ) -> DepartureOutcome {
         converge(&mut k, timing, scenario.join_window);
-        let before = traced_probe(&mut k, ch, 1);
+        let before = probe_transits(&mut k, ch, 1);
 
         // Depart a random member (seeded by the scenario).
         let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0xDEAD);
@@ -60,7 +60,7 @@ impl Study for DepartureStudy {
         converge(&mut k, timing, 0);
         let churn = k.stats().structural_changes - churn_before;
 
-        let after = traced_probe(&mut k, ch, 2);
+        let after = probe_transits(&mut k, ch, 2);
         let survivors: Vec<_> = scenario
             .receivers
             .iter()

@@ -5,10 +5,11 @@
 //! cargo run -p hbh-experiments --bin hbh-exp -- inspect --topo isp --group 6 --seed 3
 //! ```
 
-use crate::runner::{build_kernel, converge, probe_window};
+use crate::datapath::probe_transits;
+use crate::runner::{build_kernel, converge};
 use crate::scenario::{build, ScenarioOptions, TopologyKind};
 use hbh_proto::Hbh;
-use hbh_proto_base::{Cmd, Timing};
+use hbh_proto_base::Timing;
 use hbh_sim_core::trace::TraceKind;
 use hbh_sim_core::PacketClass;
 use std::fmt::Write as _;
@@ -55,9 +56,7 @@ pub fn dump(topo: TopologyKind, group: usize, seed: u64) -> String {
     }
 
     k.enable_trace();
-    let t = k.now();
-    k.command_at(sc.source, Cmd::SendData { ch, tag: 1 }, t);
-    k.run_until(t + probe_window(k.network()));
+    probe_transits(&mut k, ch, 1);
     for rec in k.take_trace() {
         match &rec.what {
             TraceKind::Sent { to, pkt } if pkt.class == PacketClass::Data => {

@@ -11,11 +11,10 @@ use hbh_topo::graph::NodeId;
 use std::collections::BTreeMap;
 
 /// The run knobs every experiment shares — topology, run count, base
-/// seed, timing, scenario options, protocol set, worker-thread pin — held
-/// once: each figure config is `{ run: RunConfig, <its own sweep fields> }`,
-/// and every `hbh-exp` row builds it from argv with
-/// [`RunConfig::from_args`], so a bad value is the same usage error
-/// everywhere:
+/// seed, timing, scenario options, protocol set — held once: each figure
+/// config is `{ run: RunConfig, <its own sweep fields> }`, and every
+/// `hbh-exp` row builds it from argv with [`RunConfig::from_args`], so a
+/// bad value is the same usage error everywhere:
 ///
 /// ```no_run
 /// use hbh_experiments::report::Args;
@@ -38,9 +37,6 @@ pub struct RunConfig {
     pub opts: ScenarioOptions,
     /// Protocols under test, in legend order.
     pub protocols: Vec<ProtocolKind>,
-    /// Pin the `parallel::map_runs` worker count (applied via the
-    /// `HBH_THREADS` environment variable).
-    pub threads: Option<usize>,
 }
 
 impl Default for RunConfig {
@@ -54,7 +50,6 @@ impl Default for RunConfig {
             timing: Timing::default(),
             opts: ScenarioOptions::default(),
             protocols: ProtocolKind::ALL.to_vec(),
-            threads: None,
         }
     }
 }
@@ -77,19 +72,16 @@ impl RunConfig {
         if runs == 0 {
             args.die("--runs must be at least 1");
         }
-        let threads: Option<usize> = args.get("threads").map(|v| {
-            v.parse().unwrap_or_else(|_| {
+        if let Some(v) = args.get("threads") {
+            let n: usize = v.parse().unwrap_or_else(|_| {
                 args.die(&format!("--threads must be a positive integer, got {v}"))
-            })
-        });
-        if let Some(n) = threads {
+            });
             std::env::set_var("HBH_THREADS", n.to_string());
         }
         RunConfig {
             topo,
             runs,
             base_seed: args.get_parse("seed", 1),
-            threads,
             ..RunConfig::default()
         }
     }
@@ -163,25 +155,13 @@ pub fn build_kernel<P: Protocol<Command = Cmd>>(
     proto: P,
     scenario: &Scenario,
 ) -> (Kernel<P>, Channel) {
-    build_kernel_on(scenario.network().clone(), proto, scenario)
-}
-
-/// [`build_kernel`] over an explicit network (the bandwidth-admitted
-/// tables of the QoS ablation).
-pub fn build_kernel_on<P: Protocol<Command = Cmd>>(
-    net: Network,
-    proto: P,
-    scenario: &Scenario,
-) -> (Kernel<P>, Channel) {
-    let mut k = Kernel::new(net, proto, scenario.seed);
+    let mut k = Kernel::new(scenario.network().clone(), proto, scenario.seed);
     let ch = Channel::primary(scenario.source);
     k.command_at(scenario.source, Cmd::StartSource(ch), Time::ZERO);
     for &(r, t) in &scenario.join_times {
         k.command_at(r, Cmd::Join(ch), t);
     }
-    if !scenario.script.is_empty() {
-        scenario.script.schedule(&mut k);
-    }
+    scenario.script.schedule(&mut k);
     (k, ch)
 }
 

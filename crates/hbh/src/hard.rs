@@ -182,7 +182,7 @@ pub enum HardTimer {
 /// until explicitly removed — no timers, no phases, just the mark and the
 /// fusion coverage claim (see the nested-fusion note in [`crate::tables`]).
 /// Marked entries forward no data; they are served through a covering
-/// branching node. The same [`ClaimTable`] as the soft MFT, with entries
+/// branching node. The same `ClaimTable` as the soft MFT, with entries
 /// that never expire.
 #[derive(Clone, Debug, Default)]
 pub struct HardMft {
@@ -599,6 +599,24 @@ impl HbhHard {
         self.arm_probe(st, ch, ctx);
     }
 
+    /// Announces to `to` that this node serves everything in its MFT.
+    fn send_fusion(&self, st: &mut HardNodeState, ch: Channel, to: NodeId, ctx: &mut XCtx<'_>) {
+        let nodes = st
+            .mft
+            .get(&ch)
+            .map_or_else(Vec::new, |m| m.live().collect());
+        let from = ctx.node;
+        self.send_ctl(st, to, HardCtl::Fusion { ch, from, nodes }, ctx);
+    }
+
+    /// Asks the source to stop serving this node on `ch` — once; further
+    /// calls do nothing until that leave is acknowledged or given up.
+    fn self_prune(&self, st: &mut HardNodeState, ch: Channel, ctx: &mut XCtx<'_>) {
+        if st.pruning.insert(ch) {
+            self.send_ctl(st, ch.source, HardCtl::Leave { ch, who: ctx.node }, ctx);
+        }
+    }
+
     /// Removes `node` from the MFT, un-marks entries its coverage was
     /// keeping marked, fans trees to them, and — if the table empties —
     /// stops being a branching node (telling upstream so).
@@ -759,9 +777,7 @@ impl HbhHard {
         let is_host = ctx.net().graph().is_host(ctx.node);
         if is_host && !st.member.contains(&ch) {
             // Stale server state points at a departed receiver: prune.
-            if st.pruning.insert(ch) {
-                self.send_ctl(st, ch.source, HardCtl::Leave { ch, who: ctx.node }, ctx);
-            }
+            self.self_prune(st, ch, ctx);
             return;
         }
         self.learn_parent(st, ch, emitter, ctx);
@@ -787,17 +803,7 @@ impl HbhHard {
             if fresh {
                 ctx.structural_change();
             }
-            let nodes: Vec<NodeId> = mft.live().collect();
-            self.send_ctl(
-                st,
-                emitter,
-                HardCtl::Fusion {
-                    ch,
-                    from: ctx.node,
-                    nodes,
-                },
-                ctx,
-            );
+            self.send_fusion(st, ch, emitter, ctx);
             if fresh {
                 self.fan_trees(st, ch, &[target], ctx);
             }
@@ -828,16 +834,7 @@ impl HbhHard {
                 mft.insert(target);
                 st.mft.insert(ch, mft);
                 ctx.structural_change();
-                self.send_ctl(
-                    st,
-                    emitter,
-                    HardCtl::Fusion {
-                        ch,
-                        from: ctx.node,
-                        nodes: vec![first, target],
-                    },
-                    ctx,
-                );
+                self.send_fusion(st, ch, emitter, ctx);
                 self.fan_trees(st, ch, &[first, target], ctx);
                 self.arm_child_check(st, ch, ctx);
                 // A passively elected branching node must probe upstream
@@ -974,7 +971,7 @@ impl HbhHard {
                 }
                 ctx.forward(pkt);
             }
-            HardCtl::Leave { ch, who } => {
+            HardCtl::Leave { ch, who } | HardCtl::Prune { ch, who } => {
                 let (ch, who) = (*ch, *who);
                 // Leaves are deliberately NOT intercepted. Hard state never
                 // decays, so every router that ever recorded `who` — the
@@ -983,21 +980,10 @@ impl HbhHard {
                 // stale entry later resurrects the branch (an unmark
                 // cascade fans trees to a ghost). Each hop on the up-path
                 // cleans its own tables once and forwards; the source
-                // consumes and handles the down-path.
-                if st.rel.observe(origin, seq) {
-                    if st.mct.get(&ch) == Some(&who) {
-                        st.mct.remove(&ch);
-                        ctx.structural_change();
-                    }
-                    self.remove_from_mft(st, ch, who, false, ctx);
-                }
-                ctx.forward(pkt);
-            }
-            HardCtl::Prune { ch, who } => {
-                let (ch, who) = (*ch, *who);
-                // Source-issued down-path teardown: retire tree state for
-                // the departed node along its data path, the half of the
-                // route an asymmetric up-path leave cannot reach.
+                // consumes and handles the down-path with a prune, which
+                // retires the same state along the departed node's data
+                // path — the half of the route an asymmetric up-path leave
+                // cannot reach.
                 if st.rel.observe(origin, seq) {
                     if st.mct.get(&ch) == Some(&who) {
                         st.mct.remove(&ch);
@@ -1089,20 +1075,8 @@ impl HbhHard {
                 // A branching node re-homing after repair must re-assert
                 // its coverage, or the new parent would serve its subtree
                 // directly alongside it (duplicate copies).
-                if let Some(mft) = st.mft.get(&ch) {
-                    if !mft.is_empty() {
-                        let nodes: Vec<NodeId> = mft.live().collect();
-                        self.send_ctl(
-                            st,
-                            by,
-                            HardCtl::Fusion {
-                                ch,
-                                from: ctx.node,
-                                nodes,
-                            },
-                            ctx,
-                        );
-                    }
+                if st.mft.get(&ch).is_some_and(|mft| !mft.is_empty()) {
+                    self.send_fusion(st, ch, by, ctx);
                 }
             }
             HardCtl::Leave { ch, .. } => {
@@ -1149,8 +1123,8 @@ impl HbhHard {
         let Some(mft) = st.mft.get(&ch) else {
             // Data addressed to a router with no table: upstream state is
             // stale (e.g. we rebooted blank). Tell it to stop.
-            if ctx.node != ch.source && st.pruning.insert(ch) {
-                self.send_ctl(st, ch.source, HardCtl::Leave { ch, who: ctx.node }, ctx);
+            if ctx.node != ch.source {
+                self.self_prune(st, ch, ctx);
             }
             return;
         };
@@ -1176,9 +1150,9 @@ impl Protocol for HbhHard {
                     if ctx.net().graph().is_host(here) {
                         if state.member.contains(&ch) {
                             ctx.deliver(&pkt);
-                        } else if state.pruning.insert(ch) {
+                        } else {
                             // Departed receiver still being served: prune.
-                            self.send_ctl(state, ch.source, HardCtl::Leave { ch, who: here }, ctx);
+                            self.self_prune(state, ch, ctx);
                         }
                     } else {
                         self.data_at_router(state, &pkt, ch, ctx);

@@ -7,7 +7,7 @@
 use crate::hard::HbhHard;
 use hbh_proto_base::reliable::ReliableConfig;
 use hbh_proto_base::{Channel, Cmd, StateInventory, Timing};
-use hbh_sim_core::{FaultPlan, Kernel, Network, Time};
+use hbh_sim_core::{FaultEvent, Kernel, Network, Time};
 use hbh_topo::graph::{Graph, NodeId};
 use hbh_topo::scenarios;
 
@@ -218,7 +218,7 @@ fn branching_crash_repairs_subtree_without_touching_innocents() {
     assert_eq!(before.len(), 3, "all three served before the crash");
     let h3_delay = before.iter().find(|d| d.node == h3).unwrap().delay();
 
-    k.install_faults(&FaultPlan::new().node_down(Time(2200), b));
+    k.schedule_fault(Time(2200), FaultEvent::NodeDown(b));
     k.run_until(Time(4000));
 
     // The subtree behind b re-homed through a (the interception point of
@@ -252,11 +252,8 @@ fn blank_restarted_parent_is_detected_and_bypassed() {
     k.command_at(h1, Cmd::Join(ch), Time(0));
     k.command_at(h2, Cmd::Join(ch), Time(100));
     k.run_until(Time(2000));
-    k.install_faults(
-        &FaultPlan::new()
-            .node_down(Time(2200), b)
-            .node_up(Time(2220), b),
-    );
+    k.schedule_fault(Time(2200), FaultEvent::NodeDown(b));
+    k.schedule_fault(Time(2220), FaultEvent::NodeUp(b));
     k.run_until(Time(4500));
     // b may legitimately be re-elected as the branching node once the
     // receivers re-home (their trees transit it again) — what matters is
@@ -295,7 +292,7 @@ fn lossy_link_delivers_every_control_message_exactly_once() {
         },
     );
     let mut k = Kernel::new(Network::new(g), proto, 11);
-    k.install_faults(&FaultPlan::new().with_link_loss(a, b, 0.25));
+    k.set_link_loss(a, b, 0.25);
     let ch = Channel::primary(s);
     k.command_at(h, Cmd::Join(ch), Time(0));
     k.run_until(Time(3000));

@@ -2,7 +2,7 @@
 //!
 //! Compared to REUNITE's tables (see `hbh-reunite::tables`):
 //!
-//! * the MCT holds a **single** entry ("MCT<S> has one single entry" —
+//! * the MCT holds a **single** entry ("`MCT<S>` has one single entry" —
 //!   §3.1);
 //! * the MFT has **no `dst`** — data arriving at a branching node is
 //!   addressed to the node itself — and its entries carry the **marked**
@@ -91,7 +91,7 @@ impl HbhMct {
 /// Multicast Forwarding Table: per-downstream-node soft entries with the
 /// marked flag. Insertion-ordered for deterministic fan-out. The rows,
 /// their fusion claims and every coverage question live in the shared
-/// [`ClaimTable`]; this type adds the two-timer lifecycle.
+/// `ClaimTable`; this type adds the two-timer lifecycle.
 #[derive(Clone, Debug, Default)]
 pub struct HbhMft {
     core: ClaimTable,
@@ -140,7 +140,7 @@ impl HbhMft {
 
     /// Is `n` claimed by the coverage of a live, data-reachable entry
     /// other than itself — i.e. does some branching node that actually
-    /// receives data currently serve `n`? See [`ClaimTable::server_of`].
+    /// receives data currently serve `n`? See `ClaimTable::server_of`.
     pub fn served_by_other(&mut self, n: NodeId, now: Time) -> bool {
         self.core.server_of(n, now).is_some()
     }
@@ -149,7 +149,7 @@ impl HbhMft {
     /// entry other than `sender`? If so, an incoming fusion from `sender`
     /// is subsumed by an already-installed branching node and must be
     /// ignored (see the nested-fusion note in the module docs and
-    /// [`ClaimTable::covers_loaded`]).
+    /// `ClaimTable::covers_loaded`).
     pub fn covered_by_other(&mut self, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
         self.core.load_claim(nodes);
         self.core.covers_loaded(sender, now)

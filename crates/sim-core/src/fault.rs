@@ -1,13 +1,13 @@
-//! Scheduled fault injection: link outages, node crashes, and per-link
-//! packet loss, declared up front and replayed deterministically.
+//! Scheduled fault injection: link outages and node crashes, replayed
+//! deterministically.
 //!
-//! A [`FaultPlan`] is the declarative side of the churn subsystem: it
-//! lists *what* fails *when*. The kernel owns the imperative side —
-//! [`crate::Kernel::install_faults`] turns the plan into scheduled fault
-//! events and dense per-edge/per-node availability masks consulted at the
-//! transmit and arrival points. When no plan is installed the kernel keeps
-//! its historical behaviour bit-for-bit: no masks exist, no RNG draws
-//! happen, and figure outputs stay byte-identical.
+//! A [`FaultEvent`] says *what* fails; [`crate::Kernel::schedule_fault`]
+//! (which `hbh_proto_base::Script` calls for its fault entries) says
+//! *when*. The kernel keeps dense per-edge/per-node availability masks
+//! consulted at the transmit and arrival points. Until a fault is scheduled
+//! or a link loss set the kernel keeps its historical behaviour
+//! bit-for-bit: no masks exist, no RNG draws happen, and figure outputs
+//! stay byte-identical.
 //!
 //! Semantics (mirroring how real outages interact with the paper's model):
 //!
@@ -22,11 +22,7 @@
 //!   treating the node as absent. **Node up** restarts it with blank
 //!   state — soft-state refreshes from the rest of the tree re-populate
 //!   whatever role it still has.
-//! * **Per-link loss** is an independent Bernoulli drop on each
-//!   transmission over that link (both directions), layered on top of the
-//!   class-wide [`crate::LossModel`], driven by the kernel's seeded RNG.
 
-use crate::time::Time;
 use hbh_topo::graph::NodeId;
 
 /// One scheduled topology fault.
@@ -50,104 +46,4 @@ pub enum FaultEvent {
     NodeDown(NodeId),
     /// The node restarts with blank protocol state.
     NodeUp(NodeId),
-}
-
-/// A declarative failure schedule for one simulation run.
-///
-/// Built with the chaining constructors and handed to
-/// [`crate::Kernel::install_faults`]. The plan is independent of any
-/// kernel, so the same plan can drive every protocol of a paired
-/// comparison (and be embedded in a `Script` alongside protocol
-/// commands).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultPlan {
-    /// Scheduled topology events, in schedule order (ties resolve in push
-    /// order, like every other kernel event).
-    pub events: Vec<(Time, FaultEvent)>,
-    /// Per-link Bernoulli loss `(a, b, p)`: each transmission on either
-    /// direction of `a — b` is independently dropped with probability `p`.
-    pub link_loss: Vec<(NodeId, NodeId, f64)>,
-}
-
-impl FaultPlan {
-    /// An empty plan (no faults; installing it still activates the
-    /// fault-checking paths, unlike not installing a plan at all).
-    pub fn new() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Schedules both directions of `a — b` to fail at `at`.
-    pub fn link_down(mut self, at: Time, a: NodeId, b: NodeId) -> Self {
-        self.events.push((at, FaultEvent::LinkDown { a, b }));
-        self
-    }
-
-    /// Schedules the link `a — b` to be restored at `at`.
-    pub fn link_up(mut self, at: Time, a: NodeId, b: NodeId) -> Self {
-        self.events.push((at, FaultEvent::LinkUp { a, b }));
-        self
-    }
-
-    /// Schedules node `n` to crash at `at`.
-    pub fn node_down(mut self, at: Time, n: NodeId) -> Self {
-        self.events.push((at, FaultEvent::NodeDown(n)));
-        self
-    }
-
-    /// Schedules node `n` to restart at `at`.
-    pub fn node_up(mut self, at: Time, n: NodeId) -> Self {
-        self.events.push((at, FaultEvent::NodeUp(n)));
-        self
-    }
-
-    /// Adds an independent Bernoulli loss of probability `p` to every
-    /// transmission over either direction of the link `a — b`.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn with_link_loss(mut self, a: NodeId, b: NodeId, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        self.link_loss.push((a, b, p));
-        self
-    }
-
-    /// True if the plan schedules nothing and overrides no loss.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.link_loss.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_accumulates_in_order() {
-        let plan = FaultPlan::new()
-            .node_down(Time(10), NodeId(3))
-            .link_down(Time(20), NodeId(1), NodeId(2))
-            .node_up(Time(30), NodeId(3))
-            .with_link_loss(NodeId(1), NodeId(2), 0.25);
-        assert_eq!(plan.events.len(), 3);
-        assert_eq!(plan.events[0], (Time(10), FaultEvent::NodeDown(NodeId(3))));
-        assert_eq!(
-            plan.events[1],
-            (
-                Time(20),
-                FaultEvent::LinkDown {
-                    a: NodeId(1),
-                    b: NodeId(2)
-                }
-            )
-        );
-        assert_eq!(plan.link_loss, vec![(NodeId(1), NodeId(2), 0.25)]);
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::new().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn loss_probability_validated() {
-        let _ = FaultPlan::new().with_link_loss(NodeId(0), NodeId(1), 1.5);
-    }
 }

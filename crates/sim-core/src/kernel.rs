@@ -25,7 +25,7 @@
 
 use crate::ctx::{Ctx, KernelOps};
 use crate::fasthash::{FastMap, FxBuildHasher};
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::fault::FaultEvent;
 use crate::network::Network;
 use crate::packet::Packet;
 use crate::queue::{EventKind, EventQueue};
@@ -135,12 +135,11 @@ impl LossModel {
     }
 }
 
-/// Live fault-injection state, present only once a [`FaultPlan`] is
-/// installed (or a fault is scheduled directly). Keeping it behind an
-/// `Option<Box<_>>` means a fault-free kernel pays one pointer-null check
-/// on the transmit/arrival paths and draws no extra randomness — runs
-/// without a plan are bit-identical to runs on a kernel that has never
-/// heard of faults.
+/// Live fault-injection state, present only once a fault is scheduled or
+/// a link loss set. Keeping it behind an `Option<Box<_>>` means a
+/// fault-free kernel pays one pointer-null check on the transmit/arrival
+/// paths and draws no extra randomness — runs without faults are
+/// bit-identical to runs on a kernel that has never heard of them.
 struct FaultState {
     /// `node_down[n]`: node `n` is crashed.
     node_down: Vec<bool>,
@@ -166,7 +165,7 @@ struct Core<M, T, C> {
     rng: StdRng,
     trace: Trace<M>,
     loss: LossModel,
-    /// `None` until a fault plan is installed — the zero-cost default.
+    /// `None` until the first fault or link loss — the zero-cost default.
     faults: Option<Box<FaultState>>,
 }
 
@@ -269,7 +268,7 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
         p > 0.0 && rand::RngExt::random::<f64>(&mut self.rng) < p
     }
 
-    /// Per-link Bernoulli loss from an installed fault plan. Draws from
+    /// Per-link Bernoulli loss ([`Kernel::set_link_loss`]). Draws from
     /// the RNG only when this edge actually has a positive loss
     /// probability, preserving the RNG stream of loss-free runs.
     fn lose_on_edge(&mut self, eid: hbh_topo::graph::EdgeId) -> bool {
@@ -292,21 +291,23 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
         }
     }
 
+    /// Both directed edges of the link `a — b`.
+    fn link_edges(&self, a: NodeId, b: NodeId) -> [hbh_topo::graph::EdgeId; 2] {
+        let g = self.net.graph();
+        let (e_ab, _) = g
+            .edge_entry(a, b)
+            .unwrap_or_else(|| panic!("no link {a}-{b}"));
+        let (e_ba, _) = g.edge_entry(b, a).expect("links are bidirectional");
+        [e_ab, e_ba]
+    }
+
     /// Marks both directions of the link `a — b` down or up.
     fn set_link(&mut self, a: NodeId, b: NodeId, down: bool) {
-        let (e_ab, _) = self
-            .net
-            .graph()
-            .edge_entry(a, b)
-            .unwrap_or_else(|| panic!("no link {a}-{b} to fail"));
-        let (e_ba, _) = self
-            .net
-            .graph()
-            .edge_entry(b, a)
-            .expect("links are bidirectional");
+        let edges = self.link_edges(a, b);
         let f = self.faults.as_mut().expect("faults installed");
-        f.edge_down[e_ab.index()] = down;
-        f.edge_down[e_ba.index()] = down;
+        for e in edges {
+            f.edge_down[e.index()] = down;
+        }
     }
 
     /// Recomputes unicast routing over the surviving topology — the
@@ -442,41 +443,6 @@ impl<P: Protocol> Kernel<P> {
         }
     }
 
-    /// Installs a [`FaultPlan`]: resolves its per-link loss to dense
-    /// per-edge probabilities and schedules its topology events. May be
-    /// called more than once (plans accumulate); without any call the
-    /// kernel runs the historical fault-free fast path.
-    ///
-    /// # Panics
-    /// Panics if the plan names a nonexistent link or schedules an event
-    /// in the past.
-    pub fn install_faults(&mut self, plan: &FaultPlan) {
-        self.core.ensure_faults();
-        if !plan.link_loss.is_empty() {
-            let mut loss = self
-                .core
-                .faults
-                .as_mut()
-                .expect("just ensured")
-                .edge_loss
-                .take()
-                .unwrap_or_else(|| vec![0.0; self.core.net.graph().directed_edge_count()]);
-            for &(a, b, p) in &plan.link_loss {
-                let g = self.core.net.graph();
-                let (e_ab, _) = g
-                    .edge_entry(a, b)
-                    .unwrap_or_else(|| panic!("no link {a}-{b} for loss"));
-                let (e_ba, _) = g.edge_entry(b, a).expect("links are bidirectional");
-                loss[e_ab.index()] = p;
-                loss[e_ba.index()] = p;
-            }
-            self.core.faults.as_mut().expect("just ensured").edge_loss = Some(loss);
-        }
-        for &(at, ev) in &plan.events {
-            self.schedule_fault(at, ev);
-        }
-    }
-
     /// Schedules a single fault event at absolute time `at`. Fault events
     /// share the `(time, sequence)` order of every other kernel event, so
     /// interleavings with commands and packets are deterministic.
@@ -536,6 +502,25 @@ impl<P: Protocol> Kernel<P> {
     pub fn set_loss(&mut self, loss: LossModel) {
         assert!((0.0..=1.0).contains(&loss.control) && (0.0..=1.0).contains(&loss.data));
         self.core.loss = loss;
+    }
+
+    /// Adds an independent Bernoulli loss of probability `p` to every
+    /// transmission over either direction of the link `a — b`, on top of
+    /// the class-wide [`Kernel::set_loss`] and under the same rule: an
+    /// edge whose probability is zero draws nothing from the RNG.
+    ///
+    /// # Panics
+    /// Panics if `p` is outside `[0, 1]` or there is no link `a — b`.
+    pub fn set_link_loss(&mut self, a: NodeId, b: NodeId, p: f64) {
+        assert!((0.0..=1.0).contains(&p), "loss probability out of range");
+        self.core.ensure_faults();
+        let edges = self.core.link_edges(a, b);
+        let edge_count = self.core.net.graph().directed_edge_count();
+        let f = self.core.faults.as_mut().expect("just ensured");
+        let loss = f.edge_loss.get_or_insert_with(|| vec![0.0; edge_count]);
+        for e in edges {
+            loss[e.index()] = p;
+        }
     }
 
     /// Turns on event tracing (drains via [`Kernel::take_trace`]).
@@ -975,11 +960,8 @@ mod tests {
     #[test]
     fn link_down_reroutes_and_link_up_restores() {
         let (mut k, [a, b, c, h1, h2]) = diamond();
-        k.install_faults(
-            &crate::fault::FaultPlan::new()
-                .link_down(Time(10), a, b)
-                .link_up(Time(100), a, b),
-        );
+        k.schedule_fault(Time(10), FaultEvent::LinkDown { a, b });
+        k.schedule_fault(Time(100), FaultEvent::LinkUp { a, b });
         // Before the fault: direct path, delay 1 + 2 + 1 = 4.
         k.command_at(h1, TestCmd::Ping { to: h2, tag: 1 }, Time::ZERO);
         // During the outage: detour via c, delay 1 + 5 + 5 + 1 = 12.
@@ -1054,7 +1036,7 @@ mod tests {
         // With p = 1.0 on a-b every direct transmission dies; unicast
         // routing is unaware (the link is up), so nothing detours.
         let (mut k, [a, b, _, h1, h2]) = diamond();
-        k.install_faults(&crate::fault::FaultPlan::new().with_link_loss(a, b, 1.0));
+        k.set_link_loss(a, b, 1.0);
         k.command_at(h1, TestCmd::Ping { to: h2, tag: 1 }, Time::ZERO);
         k.run_until(Time(100));
         assert_eq!(k.stats().deliveries.len(), 0);
@@ -1067,20 +1049,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_plan_changes_nothing() {
-        let run = |install: bool| {
-            let (mut k, [_, _, _, h1, h2]) = diamond();
-            if install {
-                k.install_faults(&crate::fault::FaultPlan::new());
-            }
-            k.command_at(h1, TestCmd::Ping { to: h2, tag: 1 }, Time::ZERO);
-            k.run_until(Time(100));
-            (
-                k.stats().deliveries.clone(),
-                k.stats().data_copies_tagged(1),
-            )
-        };
-        assert_eq!(run(false), run(true));
+    #[should_panic(expected = "out of range")]
+    fn link_loss_probability_validated() {
+        let (mut k, [a, b, ..]) = diamond();
+        k.set_link_loss(a, b, 1.5);
     }
 
     #[test]

@@ -28,8 +28,8 @@ const MAX_ATTEMPTS: usize = 1000;
 ///
 /// # Panics
 /// Panics if `n < 2`, if `avg_degree` is not achievable (`≤ 0` or
-/// `> n − 1`), or if no connected sample is found in [`MAX_ATTEMPTS`]
-/// attempts (practically impossible for sensible parameters: for the
+/// `> n − 1`), or if no connected sample is found in `MAX_ATTEMPTS`
+/// (1000) attempts (practically impossible for sensible parameters: for the
 /// paper's n = 50, d̄ = 8.6 a disconnected sample is already rare).
 pub fn gnp_with_avg_degree(n: usize, avg_degree: f64, rng: &mut StdRng) -> Graph {
     assert!(n >= 2, "need at least two routers");

@@ -1,7 +1,6 @@
 //! Message-level encode/decode over the formats of [`crate::format`].
 
 use crate::format::{flags, MsgType, Reader, Writer, HEADER_LEN, MAGIC, MAX_BODY, VERSION};
-use hbh_pim::PimMsg;
 use hbh_proto::{HardCtl, HardMsg, HbhMsg};
 use hbh_reunite::ReuniteMsg;
 
@@ -14,8 +13,6 @@ pub enum WireMsg {
     HbhHard(HardMsg),
     /// A REUNITE control/data message.
     Reunite(ReuniteMsg),
-    /// A PIM control/data message.
-    Pim(PimMsg),
 }
 
 /// Decode failure. Decoding arbitrary bytes returns one of these — never
@@ -219,32 +216,11 @@ fn encode_body(msg: &WireMsg) -> (MsgType, u8, Vec<u8>) {
                 (MsgType::ReuniteData, 0, w.into_bytes())
             }
         },
-        WireMsg::Pim(m) => match m {
-            PimMsg::Join { ch, downstream } => {
-                w.channel(*ch);
-                w.node(*downstream);
-                (MsgType::PimJoin, 0, w.into_bytes())
-            }
-            PimMsg::Data { ch } => {
-                w.channel(*ch);
-                (MsgType::PimData, 0, w.into_bytes())
-            }
-        },
     }
 }
 
 /// Decodes one message from `bytes` (which must contain exactly one).
 pub fn decode(bytes: &[u8]) -> Result<WireMsg, WireError> {
-    let (msg, used) = decode_prefix(bytes)?;
-    if used != bytes.len() {
-        return Err(WireError::TrailingBytes(bytes.len() - used));
-    }
-    Ok(msg)
-}
-
-/// Decodes one message from the front of `bytes`, returning it and the
-/// number of bytes consumed (self-framing).
-pub fn decode_prefix(bytes: &[u8]) -> Result<(WireMsg, usize), WireError> {
     if bytes.len() < HEADER_LEN {
         return Err(WireError::Truncated);
     }
@@ -273,7 +249,10 @@ pub fn decode_prefix(bytes: &[u8]) -> Result<(WireMsg, usize), WireError> {
     let mut r = Reader::new(&bytes[HEADER_LEN..total]);
     let msg = decode_typed(ty, flag_bits, &mut r)?;
     r.finish()?;
-    Ok((msg, total))
+    if bytes.len() > total {
+        return Err(WireError::TrailingBytes(bytes.len() - total));
+    }
+    Ok(msg)
 }
 
 fn decode_typed(ty: MsgType, flag_bits: u8, r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
@@ -428,34 +407,7 @@ fn decode_typed(ty: MsgType, flag_bits: u8, r: &mut Reader<'_>) -> Result<WireMs
             flag_ok(0)?;
             WireMsg::Reunite(ReuniteMsg::Data { ch: r.channel()? })
         }
-        MsgType::PimJoin => {
-            flag_ok(0)?;
-            let ch = r.channel()?;
-            let downstream = r.node()?;
-            WireMsg::Pim(PimMsg::Join { ch, downstream })
-        }
-        MsgType::PimData => {
-            flag_ok(0)?;
-            WireMsg::Pim(PimMsg::Data { ch: r.channel()? })
-        }
     })
-}
-
-/// Decodes a back-to-back stream of messages (self-framing).
-pub fn decode_stream(mut bytes: &[u8]) -> Result<Vec<WireMsg>, WireError> {
-    let mut out = Vec::new();
-    while !bytes.is_empty() {
-        let (msg, used) = decode_prefix(bytes)?;
-        out.push(msg);
-        bytes = &bytes[used..];
-    }
-    Ok(out)
-}
-
-/// Encoded size of a message in bytes (header included) — used to ground
-/// the control-overhead ablation in bytes.
-pub fn encoded_len(msg: &WireMsg) -> usize {
-    encode(msg).len()
 }
 
 #[cfg(test)]
@@ -592,11 +544,6 @@ mod tests {
                 marked: false,
             }),
             WireMsg::Reunite(ReuniteMsg::Data { ch: ch() }),
-            WireMsg::Pim(PimMsg::Join {
-                ch: ch(),
-                downstream: NodeId(2),
-            }),
-            WireMsg::Pim(PimMsg::Data { ch: ch() }),
         ]
     }
 
@@ -606,16 +553,6 @@ mod tests {
             let bytes = encode(&m);
             assert_eq!(decode(&bytes).unwrap(), m, "roundtrip failed for {m:?}");
         }
-    }
-
-    #[test]
-    fn stream_roundtrip() {
-        let msgs = samples();
-        let mut bytes = Vec::new();
-        for m in &msgs {
-            bytes.extend_from_slice(&encode(m));
-        }
-        assert_eq!(decode_stream(&bytes).unwrap(), msgs);
     }
 
     #[test]
@@ -676,23 +613,14 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_matches_encode() {
-        for m in samples() {
-            assert_eq!(encoded_len(&m), encode(&m).len());
-        }
-    }
-
-    #[test]
     fn message_sizes_are_sane() {
         // join/tree/data: 8 header + 8 channel + 4 node (+0) = 20 bytes.
-        assert_eq!(
-            encoded_len(&WireMsg::Hbh(HbhMsg::Tree {
-                ch: ch(),
-                target: NodeId(1)
-            })),
-            20
-        );
+        let tree = WireMsg::Hbh(HbhMsg::Tree {
+            ch: ch(),
+            target: NodeId(1),
+        });
+        assert_eq!(encode(&tree).len(), 20);
         // data: 8 + 8 = 16 bytes.
-        assert_eq!(encoded_len(&WireMsg::Hbh(HbhMsg::Data { ch: ch() })), 16);
+        assert_eq!(encode(&WireMsg::Hbh(HbhMsg::Data { ch: ch() })).len(), 16);
     }
 }

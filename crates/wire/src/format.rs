@@ -28,8 +28,6 @@ pub enum MsgType {
     ReuniteJoin = 0x11,
     ReuniteTree = 0x12,
     ReuniteData = 0x14,
-    PimJoin = 0x21,
-    PimData = 0x24,
     // 0x3x — hard-state HBH: sequenced control (each carrying the
     // origin's (node, seq) reliability header), the ACK, and plain data.
     HbhHardJoin = 0x31,
@@ -53,8 +51,6 @@ impl MsgType {
             0x11 => MsgType::ReuniteJoin,
             0x12 => MsgType::ReuniteTree,
             0x14 => MsgType::ReuniteData,
-            0x21 => MsgType::PimJoin,
-            0x24 => MsgType::PimData,
             0x31 => MsgType::HbhHardJoin,
             0x32 => MsgType::HbhHardLeave,
             0x33 => MsgType::HbhHardPrune,
@@ -264,8 +260,6 @@ mod tests {
             MsgType::ReuniteJoin,
             MsgType::ReuniteTree,
             MsgType::ReuniteData,
-            MsgType::PimJoin,
-            MsgType::PimData,
             MsgType::HbhHardJoin,
             MsgType::HbhHardLeave,
             MsgType::HbhHardPrune,

@@ -3,11 +3,11 @@
 //! # hbh-wire — wire formats for the protocol messages
 //!
 //! The simulator exchanges typed Rust enums; a deployment exchanges bytes.
-//! This crate defines a concrete wire encoding for every control message of
-//! the three protocol families (HBH, REUNITE, PIM) so the engines in this
-//! workspace describe a protocol that could actually go on the wire — and
-//! so the message sizes used by the control-overhead ablation can be
-//! grounded in bytes rather than message counts.
+//! This crate defines a concrete wire encoding for every message of the
+//! protocol families that run over sockets (HBH, hard-state HBH, REUNITE),
+//! so the engines in this workspace describe a protocol that could actually
+//! go on the wire. PIM has no wire form: its per-interface data plane
+//! cannot run over `hbh-live`'s UDP unicast, so nothing would send one.
 //!
 //! ## Format
 //!
@@ -35,13 +35,11 @@
 //! * **Zero panic:** `decode` of *arbitrary* bytes never panics and never
 //!   allocates unboundedly — it returns a typed [`WireError`]
 //!   (property-tested against random and truncated inputs).
-//! * **Self-framing:** the header carries the body length, so messages can
-//!   be streamed back-to-back ([`decode_stream`]).
 
 pub mod codec;
 pub mod format;
 
-pub use codec::{decode, decode_stream, encode, WireError, WireMsg};
+pub use codec::{decode, encode, WireError, WireMsg};
 
 #[cfg(test)]
 mod proptests;

@@ -1,8 +1,7 @@
 //! Property tests: round-trip for arbitrary valid messages, and zero-panic
 //! decoding of arbitrary and mutated byte soup.
 
-use crate::codec::{decode, decode_prefix, encode, WireMsg};
-use hbh_pim::PimMsg;
+use crate::codec::{decode, encode, WireMsg};
 use hbh_proto::{HardCtl, HardMsg, HbhMsg};
 use hbh_proto_base::{Channel, GroupAddr};
 use hbh_reunite::ReuniteMsg;
@@ -92,9 +91,6 @@ fn arb_msg() -> impl Strategy<Value = WireMsg> {
             })
         }),
         arb_channel().prop_map(|ch| WireMsg::Reunite(ReuniteMsg::Data { ch })),
-        (arb_channel(), node)
-            .prop_map(|(ch, downstream)| WireMsg::Pim(PimMsg::Join { ch, downstream })),
-        arb_channel().prop_map(|ch| WireMsg::Pim(PimMsg::Data { ch })),
     ]
 }
 
@@ -112,7 +108,6 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode(&bytes);
-        let _ = decode_prefix(&bytes);
     }
 
     /// Single-byte corruption of a valid message either still decodes (the
@@ -124,15 +119,5 @@ proptest! {
         let i = pos.index(bytes.len());
         bytes[i] ^= 1 << bit;
         let _ = decode(&bytes);
-    }
-
-    /// Concatenated messages stream-decode back to the same sequence.
-    #[test]
-    fn stream_roundtrip(msgs in proptest::collection::vec(arb_msg(), 0..8)) {
-        let mut bytes = Vec::new();
-        for m in &msgs {
-            bytes.extend_from_slice(&encode(m));
-        }
-        prop_assert_eq!(crate::codec::decode_stream(&bytes), Ok(msgs));
     }
 }

@@ -6,7 +6,7 @@
 //! dot -Tpng -O fig3.dot        # if graphviz is installed
 //! ```
 
-use hbh_experiments::datapath::DataTransits;
+use hbh_experiments::datapath::{probe_transits, DataTransits};
 use hbh_proto::Hbh;
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_reunite::Reunite;
@@ -27,11 +27,7 @@ fn probe_tree<P: Protocol<Command = Cmd>>(proto: P) -> DataTransits {
     k.command_at(r1, Cmd::Join(ch), Time(0));
     k.command_at(r2, Cmd::Join(ch), Time(400));
     k.run_until(Time(timing.convergence_horizon(400) + 4 * timing.t2));
-    k.enable_trace();
-    let t = k.now();
-    k.command_at(s, Cmd::SendData { ch, tag: 1 }, t);
-    k.run_until(t + 500);
-    DataTransits::from_trace(&k.take_trace(), 1)
+    probe_transits(&mut k, ch, 1)
 }
 
 fn main() {

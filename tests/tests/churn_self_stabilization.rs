@@ -306,3 +306,50 @@ fn churn_experiment_pinned_seed_regression() {
 const CHURN_PIN: [f64; 10] = [
     250000.0, 8500.0, 0.0, 0.0, 350000.0, 7500.0, 107000.0, 250000.0, 9500.0, 4000.0,
 ];
+
+/// ROADMAP 1(i) at its smallest known reproducer — draw 6 of `hbh-exp churn
+/// --runs 8 --seed 1` (ISP, 8 receivers, victim `n4`, soft HBH): a
+/// tree-message loop after the victim restarts; the diagnosis is in
+/// ROADMAP.md. Steps one tree period at a time and fails at the first one
+/// whose control copies exceed 20 × the last pre-restart period (93, then
+/// 126 and 86,351 after the restart), so the storm is never simulated.
+#[test]
+#[ignore = "ROADMAP 1(i)"]
+fn restarted_router_does_not_start_a_tree_storm() {
+    use hbh_experiments::figures::churn::pick_victim;
+    use hbh_experiments::runner::{build_kernel, converge};
+    use hbh_experiments::scenario::{build, ScenarioOptions, TopologyKind};
+
+    let timing = Timing::default();
+    let sc = build(
+        TopologyKind::Isp,
+        8,
+        1 ^ (6 << 16),
+        &timing,
+        &ScenarioOptions::default(),
+    );
+    assert_eq!(pick_victim(&sc), Some(NodeId(4)));
+    let (mut k, _) = build_kernel(Hbh::new(timing), &sc);
+    converge(&mut k, &timing, sc.join_window);
+    let one_period = |k: &mut Kernel<Hbh>| {
+        let before = k.stats().control_copies();
+        let until = k.now() + timing.tree_period;
+        k.run_until(until);
+        k.stats().control_copies() - before
+    };
+
+    k.schedule_fault(k.now() + 1, FaultEvent::NodeDown(NodeId(4)));
+    // Down for twelve periods: the repair has settled by the last two.
+    let mut down = 0;
+    for _ in 0..12 {
+        down = one_period(&mut k);
+    }
+    k.schedule_fault(k.now() + 1, FaultEvent::NodeUp(NodeId(4)));
+    for period in 1..=10 {
+        let copies = one_period(&mut k);
+        assert!(
+            copies <= 20 * down,
+            "period {period} after the restart: {copies} control copies, {down} before it"
+        );
+    }
+}

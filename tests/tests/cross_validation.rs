@@ -3,11 +3,16 @@
 //! engines must produce exactly the trees the theory predicts, on both
 //! evaluation topologies, across seeds.
 
+use hbh_experiments::datapath::{probe_transits, DataTransits};
 use hbh_experiments::protocols::{pick_rp, run_protocol, ProtocolKind};
+use hbh_experiments::runner::{build_kernel, converge};
 use hbh_experiments::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::Timing;
+use hbh_reunite::Reunite;
 use hbh_routing::paths::{forward_spt, reverse_spt};
 use hbh_routing::RoutingTables;
+use hbh_sim_core::trace::TraceKind;
+use hbh_sim_core::PacketClass;
 
 fn scenario(topo: TopologyKind, m: usize, seed: u64) -> (Scenario, Timing) {
     let timing = Timing::default();
@@ -166,4 +171,30 @@ fn paired_runs_share_the_same_draw() {
     let ra: Vec<_> = a.delays.keys().collect();
     let rb: Vec<_> = b.delays.keys().collect();
     assert_eq!(ra, rb, "same receivers served");
+}
+
+#[test]
+fn stats_read_out_of_a_probe_equals_the_packet_trace() {
+    // The figures read a probe's link multiset and delivery times off
+    // `Stats`; the packet trace is the independent record of the same run.
+    // REUNITE, because its trees put several copies on one link.
+    let (sc, timing) = scenario(TopologyKind::Isp, 8, 5);
+    let (mut k, ch) = build_kernel(Reunite::new(timing), &sc);
+    converge(&mut k, &timing, sc.join_window);
+    k.enable_trace();
+    let from_stats = probe_transits(&mut k, ch, 1);
+    let mut traced = DataTransits::default();
+    for rec in k.take_trace() {
+        match rec.what {
+            TraceKind::Sent { to, pkt } if pkt.class == PacketClass::Data && pkt.tag == 1 => {
+                *traced.links.entry((rec.node, to)).or_insert(0) += 1;
+            }
+            TraceKind::Delivered { tag: 1 } => {
+                traced.delivered.insert(rec.node, rec.at);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(traced.delivered.len(), sc.receivers.len());
+    assert_eq!(from_stats, traced);
 }

@@ -15,8 +15,8 @@
 //!   topology until the flapping stops.
 
 use hbh_proto::{Hbh, HbhHard};
-use hbh_proto_base::{Channel, Cmd, Timing};
-use hbh_sim_core::{FaultPlan, Kernel, Network, Protocol, Time};
+use hbh_proto_base::{Channel, Cmd, Script, Timing};
+use hbh_sim_core::{FaultEvent, Kernel, Network, Protocol, Time};
 use hbh_topo::graph::{Graph, NodeId};
 
 /// Redundant diamond: cheap path a—b—{d,e}, expensive backup a—c—{d,e};
@@ -48,17 +48,17 @@ fn diamond() -> (
     (g, (a, b, c), s, (h1, h2, h3))
 }
 
-/// Joins the three receivers, applies `plan`, runs far past the fault
+/// Joins the three receivers, schedules `faults`, runs far past the fault
 /// window, then asserts full exactly-once delivery and that the timer
 /// population has returned to the engine's steady heartbeat.
-fn converges_after<P: Protocol<Command = Cmd>>(proto: P, plan: &FaultPlan, quiet_timers: usize) {
+fn converges_after<P: Protocol<Command = Cmd>>(proto: P, faults: &Script, quiet_timers: usize) {
     let (g, _, s, (h1, h2, h3)) = diamond();
     let mut k = Kernel::new(Network::new(g), proto, 11);
     let ch = Channel::primary(s);
     k.command_at(h1, Cmd::Join(ch), Time(0));
     k.command_at(h2, Cmd::Join(ch), Time(100));
     k.command_at(h3, Cmd::Join(ch), Time(200));
-    k.install_faults(plan);
+    faults.schedule(&mut k);
     k.run_until(Time(20_000));
 
     k.command_at(s, Cmd::SendData { ch, tag: 7 }, Time(20_000));
@@ -83,24 +83,26 @@ fn converges_after<P: Protocol<Command = Cmd>>(proto: P, plan: &FaultPlan, quiet
 
 /// Re-crash the branching router while the repair from its first crash is
 /// still in flight, twice over, with the final restart staying up.
-fn recrash_plan(b: NodeId) -> FaultPlan {
-    FaultPlan::new()
-        .node_down(Time(3_000), b)
-        .node_up(Time(3_120), b) // restart blank mid-detection
-        .node_down(Time(3_200), b) // re-crash before anyone settles on it
-        .node_up(Time(3_450), b)
-        .node_down(Time(3_500), b) // once more, mid re-home
-        .node_up(Time(4_000), b)
+fn recrash_plan(b: NodeId) -> Script {
+    Script::new()
+        .fail_node(Time(3_000), b)
+        .restore_node(Time(3_120), b) // restart blank mid-detection
+        .fail_node(Time(3_200), b) // re-crash before anyone settles on it
+        .restore_node(Time(3_450), b)
+        .fail_node(Time(3_500), b) // once more, mid re-home
+        .restore_node(Time(4_000), b)
 }
 
 /// Flap the a—b tree link with a 60-unit period — shorter than the
 /// 100-unit tree period, so soft refreshes and hard probes both straddle
 /// flaps — then leave it up.
-fn flap_plan(a: NodeId, b: NodeId) -> FaultPlan {
-    let mut plan = FaultPlan::new();
+fn flap_plan(a: NodeId, b: NodeId) -> Script {
+    let mut plan = Script::new();
     for i in 0..10 {
         let t = 3_000 + i * 120;
-        plan = plan.link_down(Time(t), a, b).link_up(Time(t + 60), a, b);
+        plan = plan
+            .fail_link(Time(t), a, b)
+            .fault(Time(t + 60), FaultEvent::LinkUp { a, b });
     }
     plan
 }
