@@ -8,73 +8,58 @@
 //! advantage at each step — the advantage should be ≈ 0 at `a = 0` and
 //! grow with `a`.
 
-use crate::figures::eval::{evaluate_knob, metric_of, KnobPoint, KnobSweep, Metric};
+use crate::figures::eval::{hbh_advantage_over_reunite, option_sweep, COST, DELAY};
+use crate::figures::sweep::Point;
 use crate::protocols::ProtocolKind;
 use crate::report::Table;
+use crate::runner::{ProbeOutcome, RunConfig};
 
-/// Sweeps `cfg.values` as the probability that a link's two directions
-/// get independent costs.
-pub fn evaluate_sweep(cfg: &KnobSweep) -> Vec<KnobPoint> {
-    let arms = [
-        ProtocolKind::PimSs,
-        ProtocolKind::Reunite,
-        ProtocolKind::Hbh,
-    ];
-    evaluate_knob(cfg, &arms, |opts, a| opts.asymmetry = a)
+/// The arms of the published table: the recursive-unicast pair and the
+/// reverse-SPT baseline.
+pub const ASYMMETRY_ARMS: [ProtocolKind; 3] = [
+    ProtocolKind::PimSs,
+    ProtocolKind::Reunite,
+    ProtocolKind::Hbh,
+];
+
+/// Sweeps `values` as the probability that a link's two directions get
+/// independent costs.
+pub fn evaluate(run: &RunConfig, group_size: usize, values: &[f64]) -> Vec<Point<ProbeOutcome>> {
+    option_sweep(run, group_size, values, |opts, a| opts.asymmetry = a)
 }
 
-pub fn render(cfg: &KnobSweep, points: &[KnobPoint], metric: Metric) -> Table {
-    let mut t = Table::new(
-        format!(
-            "{} vs cost asymmetry — {} topology, {} receivers, {} runs/point",
-            metric.title(),
-            cfg.run.topo.name(),
-            cfg.group_size,
-            cfg.run.runs
-        ),
-        "asymmetry",
-        &["PIM-SS", "REUNITE", "HBH", "HBH adv %"],
-    );
-    for p in points {
-        let s = |i: usize| metric_of(&p.point.per_protocol[i], metric);
-        let adv = crate::figures::eval::hbh_advantage_over_reunite(
-            &p.cfg,
-            std::slice::from_ref(&p.point),
-            metric,
-        )
-        .unwrap_or(0.0);
-        t.row(
-            format!("{:.2}", p.value),
-            vec![
-                Table::cell(s(0).mean(), s(0).ci95()),
-                Table::cell(s(1).mean(), s(1).ci95()),
-                Table::cell(s(2).mean(), s(2).ci95()),
-                format!("{adv:8.2}"),
-            ],
-        );
-    }
-    t
+/// One sweep's two tables, cost then delay: each arm's metric and HBH's
+/// advantage over REUNITE (both must be arms) at every step.
+pub fn tables(run: &RunConfig, group_size: usize, values: &[f64]) -> [Table; 2] {
+    let points = evaluate(run, group_size, values);
+    let mut header: Vec<&str> = run.protocols.iter().map(|arm| arm.name()).collect();
+    header.push("HBH adv %");
+    [COST, DELAY].map(|metric| {
+        let what = format!("{} vs cost asymmetry", metric.title);
+        let title = run.title(&what, Some(group_size)) + "/point";
+        let mut t = Table::new(title, "asymmetry", &header);
+        for p in &points {
+            let adv = hbh_advantage_over_reunite(std::slice::from_ref(p), metric).unwrap_or(0.0);
+            let mut row = p.cells(metric.column);
+            row.push(format!("{adv:8.2}"));
+            t.row(&p.x, row);
+        }
+        t
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunConfig;
 
+    fn delay_advantage(runs: usize, group_size: usize, asymmetry: f64) -> f64 {
+        let run = RunConfig::default().runs(runs);
+        let points = evaluate(&run, group_size, &[asymmetry]);
+        hbh_advantage_over_reunite(&points, DELAY).unwrap()
+    }
     #[test]
     fn symmetric_network_has_no_hbh_delay_advantage() {
-        let cfg = KnobSweep {
-            run: RunConfig::default().runs(5),
-            group_size: 8,
-            values: vec![0.0],
-        };
-        let pts = evaluate_sweep(&cfg);
-        let adv = crate::figures::eval::hbh_advantage_over_reunite(
-            &pts[0].cfg,
-            std::slice::from_ref(&pts[0].point),
-            Metric::Delay,
-        )
-        .unwrap();
+        let adv = delay_advantage(5, 8, 0.0);
         // With symmetric costs, forward SPT = reverse SPT: both protocols
         // serve every receiver at the unicast distance.
         assert!(
@@ -85,18 +70,7 @@ mod tests {
 
     #[test]
     fn full_asymmetry_gives_hbh_an_edge() {
-        let cfg = KnobSweep {
-            run: RunConfig::default().runs(8),
-            group_size: 10,
-            values: vec![1.0],
-        };
-        let pts = evaluate_sweep(&cfg);
-        let adv = crate::figures::eval::hbh_advantage_over_reunite(
-            &pts[0].cfg,
-            std::slice::from_ref(&pts[0].point),
-            Metric::Delay,
-        )
-        .unwrap();
+        let adv = delay_advantage(8, 10, 1.0);
         assert!(
             adv > 0.0,
             "HBH should win on delay under asymmetry, got {adv}%"

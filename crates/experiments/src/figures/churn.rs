@@ -24,14 +24,14 @@
 //! skipped (and counted).
 
 use crate::datapath::probe_transits;
-use crate::protocols::{dispatch, ProtocolKind, Study};
+use crate::figures::sweep::{point, table_by_metric, Column, Count, Point};
+use crate::protocols::Study;
 use crate::report::Table;
 use crate::runner::{converge, probe_tolerant, probe_window, RunConfig};
-use crate::scenario::{build, Scenario, ScenarioOptions};
-use crate::stats::Summary;
-use hbh_proto_base::{Channel, Cmd, Script, Timing};
+use crate::scenario::Scenario;
+use hbh_proto_base::{Channel, Cmd, StateInventory, Timing};
 use hbh_routing::{OnDemandRoutes, RouteProvider};
-use hbh_sim_core::{Kernel, Protocol};
+use hbh_sim_core::{FaultEvent, Kernel, Protocol};
 use hbh_topo::graph::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -119,9 +119,8 @@ struct ChurnStudy {
 fn total_retransmits<P>(k: &Kernel<P>) -> u64
 where
     P: Protocol<Command = Cmd>,
-    P::NodeState: hbh_proto_base::StateInventory,
+    P::NodeState: StateInventory,
 {
-    use hbh_proto_base::StateInventory;
     k.network()
         .graph()
         .nodes()
@@ -134,9 +133,8 @@ where
 fn state_bytes_per_router<P>(k: &Kernel<P>, ch: Channel) -> f64
 where
     P: Protocol<Command = Cmd>,
-    P::NodeState: hbh_proto_base::StateInventory,
+    P::NodeState: StateInventory,
 {
-    use hbh_proto_base::StateInventory;
     let routers: Vec<NodeId> = k.network().graph().routers().collect();
     let total: usize = routers.iter().map(|&r| k.state(r).state_bytes(ch)).sum();
     total as f64 / routers.len().max(1) as f64
@@ -154,7 +152,7 @@ impl Study for ChurnStudy {
     ) -> ChurnOutcome
     where
         P: Protocol<Command = Cmd>,
-        P::NodeState: hbh_proto_base::StateInventory,
+        P::NodeState: StateInventory,
     {
         converge(&mut k, timing, scenario.join_window);
         let before = probe_transits(&mut k, ch, 1);
@@ -166,9 +164,7 @@ impl Study for ChurnStudy {
             .collect();
 
         let t_fail = k.now() + 1;
-        Script::new()
-            .fail_node(t_fail, self.victim)
-            .schedule(&mut k);
+        k.schedule_fault(t_fail, FaultEvent::NodeDown(self.victim));
         k.run_until(t_fail);
         let control_before = k.stats().control_copies();
         let rtx_before = total_retransmits(&k);
@@ -218,9 +214,7 @@ impl Study for ChurnStudy {
         }
 
         let t_up = k.now() + 1;
-        Script::new()
-            .restore_node(t_up, self.victim)
-            .schedule(&mut k);
+        k.schedule_fault(t_up, FaultEvent::NodeUp(self.victim));
         k.run_until(t_up);
         converge(&mut k, timing, 0);
         let (delays, _) = probe_tolerant(&mut k, ch, 3, window);
@@ -240,120 +234,46 @@ impl Study for ChurnStudy {
     }
 }
 
-/// Runs the churn study for one protocol on one scenario.
-pub fn run_churn(
-    kind: ProtocolKind,
-    scenario: &Scenario,
-    timing: &Timing,
-    victim: NodeId,
-) -> ChurnOutcome {
-    dispatch(kind, scenario, timing, &ChurnStudy { victim })
-}
+/// Repair latency over the draws that repaired (time units).
+pub const REPAIR_LATENCY: Column<ChurnOutcome> =
+    ("repair latency", |o| o.repair_latency.map(|t| t as f64));
+pub const LOST: Column<ChurnOutcome> = ("probe misses", |o| Some(o.lost as f64));
+pub const DUPLICATES: Column<ChurnOutcome> = ("duplicates", |o| Some(o.duplicates as f64));
+pub const PERTURBED: Column<ChurnOutcome> = ("perturbed innocents", |o| Some(o.perturbed as f64));
+pub const CONTROL: Column<ChurnOutcome> = ("control msgs (repair)", |o| Some(o.control as f64));
+pub const RETRANSMITS: Column<ChurnOutcome> = ("retransmissions", |o| Some(o.retransmits as f64));
+pub const STATE_BYTES: Column<ChurnOutcome> = ("state bytes/router", |o| Some(o.state_bytes));
+/// Draws where the tree never fully re-formed within the budget.
+pub const UNREPAIRED: Count<ChurnOutcome> = ("unrepaired runs", |o| o.repair_latency.is_none());
+/// Draws where service was not fully restored after the restart.
+pub const UNRECOVERED: Count<ChurnOutcome> = ("unrecovered runs", |o| !o.recovered);
 
-/// Aggregates over runs, per protocol.
-#[derive(Clone, Debug, Default)]
-pub struct ChurnPoint {
-    /// Repair latency over runs that repaired (time units).
-    pub repair_latency: Summary,
-    pub lost: Summary,
-    pub duplicates: Summary,
-    /// Perturbed innocent receivers per run.
-    pub perturbed: Summary,
-    /// Control-message link copies over the repair window.
-    pub control: Summary,
-    /// Reliable-layer retransmissions over the repair window.
-    pub retransmits: Summary,
-    /// State bytes per router on the repaired tree.
-    pub state_bytes: Summary,
-    /// Runs where the tree never fully re-formed within the budget.
-    pub unrepaired: u64,
-    /// Runs where service was not fully restored after the restart.
-    pub unrecovered: u64,
-}
-
-/// The shared run knobs — `run.protocols` being the churn arms
-/// ([`ProtocolKind::CHURN_ARMS`] for the published table) — plus the
-/// group size.
-pub struct ChurnConfig {
-    pub run: RunConfig,
-    pub group_size: usize,
-}
-
-/// Full study output: one point per protocol plus the skip count.
-pub struct ChurnReport {
-    pub points: Vec<ChurnPoint>,
-    /// Runs with no crashable router (every candidate disconnects someone).
-    pub skipped: u64,
-}
-
-pub fn evaluate(cfg: &ChurnConfig) -> ChurnReport {
-    let ChurnConfig { run, group_size } = cfg;
-    let per_run = crate::parallel::map_runs(run.runs, |i| {
-        let sc = build(
-            run.topo,
-            *group_size,
-            run.base_seed ^ ((i as u64) << 16),
-            &run.timing,
-            &ScenarioOptions::default(),
-        );
+/// One crash per draw at `group_size` receivers, on the arms of
+/// `run.protocols` ([`ProtocolKind::CHURN_ARMS`](crate::ProtocolKind::CHURN_ARMS)
+/// for the published table). Draws with no crashable router (every
+/// candidate disconnects someone) are skipped.
+pub fn evaluate(run: &RunConfig, group_size: usize) -> Point<ChurnOutcome> {
+    point(run, |i| {
+        let sc = run.draw(group_size, run.base_seed ^ ((i as u64) << 16));
         let victim = pick_victim(&sc)?;
-        Some(
-            run.protocols
-                .iter()
-                .map(|&kind| run_churn(kind, &sc, &run.timing, victim))
-                .collect::<Vec<_>>(),
-        )
-    });
-    let mut points = vec![ChurnPoint::default(); run.protocols.len()];
-    let mut skipped = 0;
-    for outcomes in per_run {
-        let Some(outcomes) = outcomes else {
-            skipped += 1;
-            continue;
-        };
-        for (p, o) in points.iter_mut().zip(outcomes) {
-            match o.repair_latency {
-                Some(lat) => p.repair_latency.add(lat as f64),
-                None => p.unrepaired += 1,
-            }
-            p.lost.add(o.lost as f64);
-            p.duplicates.add(o.duplicates as f64);
-            p.perturbed.add(o.perturbed as f64);
-            p.control.add(o.control as f64);
-            p.retransmits.add(o.retransmits as f64);
-            p.state_bytes.add(o.state_bytes);
-            if !o.recovered {
-                p.unrecovered += 1;
-            }
-        }
-    }
-    ChurnReport { points, skipped }
+        Some((sc, ChurnStudy { victim }))
+    })
 }
 
-pub fn render(cfg: &ChurnConfig, report: &ChurnReport) -> Table {
-    let names: Vec<&str> = cfg.run.protocols.iter().map(|p| p.name()).collect();
-    let mut t = Table::new(
-        format!(
-            "Tree repair after a core-router crash — {} topology, {} receivers, {} runs ({} skipped)",
-            cfg.run.topo.name(),
-            cfg.group_size,
-            cfg.run.runs,
-            report.skipped
-        ),
-        "metric",
-        &names,
-    );
-    let points = &report.points;
-    t.summary_row("repair latency", points, |p| &p.repair_latency);
-    t.summary_row("probe misses", points, |p| &p.lost);
-    t.summary_row("duplicates", points, |p| &p.duplicates);
-    t.summary_row("perturbed innocents", points, |p| &p.perturbed);
-    t.summary_row("control msgs (repair)", points, |p| &p.control);
-    t.summary_row("retransmissions", points, |p| &p.retransmits);
-    t.summary_row("state bytes/router", points, |p| &p.state_bytes);
-    t.count_row("unrepaired runs", points, |p| p.unrepaired);
-    t.count_row("unrecovered runs", points, |p| p.unrecovered);
-    t
+const COLUMNS: [Column<ChurnOutcome>; 7] = [
+    REPAIR_LATENCY,
+    LOST,
+    DUPLICATES,
+    PERTURBED,
+    CONTROL,
+    RETRANSMITS,
+    STATE_BYTES,
+];
+
+pub fn render(run: &RunConfig, group_size: usize, point: &Point<ChurnOutcome>) -> Table {
+    let what = run.title("Tree repair after a core-router crash", Some(group_size));
+    let title = format!("{what} ({} skipped)", point.skipped);
+    table_by_metric(title, point, &COLUMNS, &[UNREPAIRED, UNRECOVERED])
 }
 
 /// Machine-readable report: one JSON object per protocol arm, with the
@@ -361,7 +281,7 @@ pub fn render(cfg: &ChurnConfig, report: &ChurnReport) -> Table {
 /// Hand-rolled (the workspace deliberately carries no JSON dependency);
 /// every value is a finite number or an integer, so no escaping issues
 /// arise beyond the protocol names, which are static ASCII.
-pub fn render_json(cfg: &ChurnConfig, report: &ChurnReport) -> String {
+pub fn render_json(run: &RunConfig, group_size: usize, point: &Point<ChurnOutcome>) -> String {
     let num = |x: f64| {
         if x.is_finite() {
             format!("{x:.3}")
@@ -369,42 +289,39 @@ pub fn render_json(cfg: &ChurnConfig, report: &ChurnReport) -> String {
             "null".to_string()
         }
     };
-    let arm = |(kind, p): (&ProtocolKind, &ChurnPoint)| {
-        let fields = [
-            ("protocol", format!("\"{}\"", kind.name())),
-            ("repair_latency_mean", num(p.repair_latency.mean())),
-            ("repair_latency_ci95", num(p.repair_latency.ci95())),
-            ("probe_misses_mean", num(p.lost.mean())),
-            ("duplicates_mean", num(p.duplicates.mean())),
-            ("perturbed_innocents_mean", num(p.perturbed.mean())),
-            ("control_msgs_mean", num(p.control.mean())),
-            ("retransmissions_mean", num(p.retransmits.mean())),
-            ("state_bytes_per_router_mean", num(p.state_bytes.mean())),
-            ("unrepaired_runs", p.unrepaired.to_string()),
-            ("unrecovered_runs", p.unrecovered.to_string()),
+    let arm = |&(kind, _): &(_, Vec<ChurnOutcome>)| {
+        let latency = point.summary(kind, REPAIR_LATENCY);
+        let mut lines = vec![
+            format!("\"protocol\": \"{}\"", kind.name()),
+            format!("\"repair_latency_mean\": {}", num(latency.mean())),
+            format!("\"repair_latency_ci95\": {}", num(latency.ci95())),
         ];
-        let lines: Vec<String> = fields
-            .iter()
-            .map(|(key, value)| format!("      \"{key}\": {value}"))
-            .collect();
-        format!("    {{\n{}\n    }}", lines.join(",\n"))
+        for (key, column) in [
+            ("probe_misses", LOST),
+            ("duplicates", DUPLICATES),
+            ("perturbed_innocents", PERTURBED),
+            ("control_msgs", CONTROL),
+            ("retransmissions", RETRANSMITS),
+            ("state_bytes_per_router", STATE_BYTES),
+        ] {
+            let mean = num(point.summary(kind, column).mean());
+            lines.push(format!("\"{key}_mean\": {mean}"));
+        }
+        for (key, count) in [("unrepaired", UNREPAIRED), ("unrecovered", UNRECOVERED)] {
+            lines.push(format!("\"{key}_runs\": {}", point.count(kind, count)));
+        }
+        format!("    {{\n      {}\n    }}", lines.join(",\n      "))
     };
-    let arms: Vec<String> = cfg
-        .run
-        .protocols
-        .iter()
-        .zip(&report.points)
-        .map(arm)
-        .collect();
+    let arms: Vec<String> = point.arms.iter().map(arm).collect();
     format!(
         "{{\n  \"experiment\": \"churn\",\n  \"topology\": \"{}\",\n  \"group_size\": {},\n  \
          \"runs\": {},\n  \"base_seed\": {},\n  \"skipped_runs\": {},\n  \
          \"arms\": [\n{}\n  ]\n}}\n",
-        cfg.run.topo.name(),
-        cfg.group_size,
-        cfg.run.runs,
-        cfg.run.base_seed,
-        report.skipped,
+        run.topo.name(),
+        group_size,
+        run.runs,
+        run.base_seed,
+        point.skipped,
         arms.join(",\n")
     )
 }
@@ -412,25 +329,15 @@ pub fn render_json(cfg: &ChurnConfig, report: &ChurnReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::TopologyKind;
+    use crate::protocols::ProtocolKind;
 
-    fn small_cfg(runs: usize, protocols: Vec<ProtocolKind>) -> ChurnConfig {
-        ChurnConfig {
-            run: RunConfig::default().runs(runs).protocols(protocols),
-            group_size: 8,
-        }
+    fn crashes(runs: usize, kind: ProtocolKind) -> Point<ChurnOutcome> {
+        evaluate(&RunConfig::default().runs(runs).protocols(vec![kind]), 8)
     }
 
     #[test]
     fn victim_is_deterministic_and_never_an_access_router() {
-        let timing = Timing::default();
-        let sc = build(
-            TopologyKind::Isp,
-            8,
-            7,
-            &timing,
-            &ScenarioOptions::default(),
-        );
+        let sc = RunConfig::default().draw(8, 7);
         let v = pick_victim(&sc).expect("ISP always has a crashable core router");
         assert_eq!(Some(v), pick_victim(&sc));
         let g = sc.graph();
@@ -443,20 +350,22 @@ mod tests {
 
     #[test]
     fn hbh_repairs_and_recovers_from_a_core_crash() {
-        let cfg = small_cfg(3, vec![ProtocolKind::Hbh]);
-        let report = evaluate(&cfg);
-        let p = &report.points[0];
-        assert_eq!(p.unrepaired, 0, "HBH tree failed to self-heal");
-        assert_eq!(p.unrecovered, 0, "HBH lost receivers after restart");
+        let p = crashes(3, ProtocolKind::Hbh);
+        let count = |what| p.count(ProtocolKind::Hbh, what);
+        assert_eq!(count(UNREPAIRED), 0, "HBH tree failed to self-heal");
+        assert_eq!(count(UNRECOVERED), 0, "HBH lost receivers after restart");
     }
 
     #[test]
     fn reunite_recovers_from_a_core_crash() {
-        let cfg = small_cfg(3, vec![ProtocolKind::Reunite]);
-        let report = evaluate(&cfg);
-        let p = &report.points[0];
-        assert_eq!(p.unrepaired, 0, "REUNITE tree failed to self-heal");
-        assert_eq!(p.unrecovered, 0, "REUNITE lost receivers after restart");
+        let p = crashes(3, ProtocolKind::Reunite);
+        let count = |what| p.count(ProtocolKind::Reunite, what);
+        assert_eq!(count(UNREPAIRED), 0, "REUNITE tree failed to self-heal");
+        assert_eq!(
+            count(UNRECOVERED),
+            0,
+            "REUNITE lost receivers after restart"
+        );
     }
 
     #[test]
@@ -465,10 +374,9 @@ mod tests {
         // avoided the crashed router keeps its exact route, because HBH
         // data paths are the unicast shortest paths and those are
         // untouched by removing a node they never used.
-        let cfg = small_cfg(3, vec![ProtocolKind::Hbh]);
-        let report = evaluate(&cfg);
+        let p = crashes(3, ProtocolKind::Hbh);
         assert_eq!(
-            report.points[0].perturbed.mean(),
+            p.summary(ProtocolKind::Hbh, PERTURBED).mean(),
             0.0,
             "HBH rerouted receivers unaffected by the crash"
         );

@@ -9,81 +9,74 @@
 //! REUNITE; cost should rise as branching points get displaced, and
 //! completeness must stay at 100%.
 
-use crate::figures::eval::{evaluate_knob, metric_of, KnobPoint, KnobSweep, Metric};
-use crate::protocols::ProtocolKind;
+use crate::figures::eval::{option_sweep, COST, DELAY, INCOMPLETE};
+use crate::figures::sweep::Point;
 use crate::report::Table;
+use crate::runner::{ProbeOutcome, RunConfig};
 
-/// Sweeps `cfg.values` as the fraction of routers that are unicast-only.
-pub fn evaluate_sweep(cfg: &KnobSweep) -> Vec<KnobPoint> {
-    evaluate_knob(cfg, &ProtocolKind::RECURSIVE_UNICAST, |opts, f| {
+/// Sweeps `values` as the fraction of routers that are unicast-only (the
+/// published table runs `ProtocolKind::RECURSIVE_UNICAST`).
+pub fn evaluate(run: &RunConfig, group_size: usize, values: &[f64]) -> Vec<Point<ProbeOutcome>> {
+    option_sweep(run, group_size, values, |opts, f| {
         opts.unicast_only_fraction = f
     })
 }
 
-pub fn render(cfg: &KnobSweep, points: &[KnobPoint], metric: Metric) -> Table {
-    let mut t = Table::new(
-        format!(
-            "{} vs unicast-only router fraction — {} topology, {} receivers, {} runs/point",
-            metric.title(),
-            cfg.run.topo.name(),
-            cfg.group_size,
-            cfg.run.runs
-        ),
-        "unicast-only",
-        &["REUNITE", "HBH", "REUNITE incompl", "HBH incompl"],
-    );
-    for p in points {
-        let s = |i: usize| metric_of(&p.point.per_protocol[i], metric);
-        t.row(
-            format!("{:.2}", p.value),
-            vec![
-                Table::cell(s(0).mean(), s(0).ci95()),
-                Table::cell(s(1).mean(), s(1).ci95()),
-                format!("{:>8}", p.point.per_protocol[0].incomplete),
-                format!("{:>8}", p.point.per_protocol[1].incomplete),
-            ],
-        );
-    }
-    t
+/// One sweep's two tables, cost then delay: each arm's metric, then each
+/// arm's incomplete draws, at every step.
+pub fn tables(run: &RunConfig, group_size: usize, values: &[f64]) -> [Table; 2] {
+    let points = evaluate(run, group_size, values);
+    let arms = run.protocols.iter().map(|arm| arm.name());
+    let header: Vec<String> = arms
+        .clone()
+        .map(String::from)
+        .chain(arms.map(|arm| format!("{arm} incompl")))
+        .collect();
+    [COST, DELAY].map(|metric| {
+        let what = format!("{} vs unicast-only router fraction", metric.title);
+        let title = run.title(&what, Some(group_size)) + "/point";
+        let mut t = Table::new(title, "unicast-only", &header);
+        for p in &points {
+            let mut row = p.cells(metric.column);
+            row.extend(p.counts(INCOMPLETE));
+            t.row(&p.x, row);
+        }
+        t
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunConfig;
+    use crate::protocols::ProtocolKind;
+
+    fn run(runs: usize) -> RunConfig {
+        let arms = ProtocolKind::RECURSIVE_UNICAST.to_vec();
+        RunConfig::default().runs(runs).protocols(arms)
+    }
 
     #[test]
     fn delivery_survives_heavy_unicast_clouds() {
-        let cfg = KnobSweep {
-            run: RunConfig::default().runs(4),
-            group_size: 8,
-            values: vec![0.6],
-        };
-        let pts = evaluate_sweep(&cfg);
-        for (i, pp) in pts[0].point.per_protocol.iter().enumerate() {
+        let points = evaluate(&run(4), 8, &[0.6]);
+        for kind in ProtocolKind::RECURSIVE_UNICAST {
             assert_eq!(
-                pp.incomplete,
+                points[0].count(kind, INCOMPLETE),
                 0,
                 "{} dropped receivers behind unicast clouds",
-                pts[0].cfg.run.protocols[i].name()
+                kind.name()
             );
         }
     }
 
     #[test]
     fn cost_rises_as_branching_gets_displaced() {
-        let cfg = KnobSweep {
-            run: RunConfig::default().runs(6),
-            group_size: 10,
-            values: vec![0.0, 0.8],
-        };
-        let pts = evaluate_sweep(&cfg);
-        let hbh_cost = |p: &KnobPoint| p.point.per_protocol[1].cost.mean();
+        let points = evaluate(&run(6), 10, &[0.0, 0.8]);
+        let hbh_cost = |p: &Point<ProbeOutcome>| p.summary(ProtocolKind::Hbh, COST.column).mean();
         assert!(
-            hbh_cost(&pts[1]) > hbh_cost(&pts[0]),
+            hbh_cost(&points[1]) > hbh_cost(&points[0]),
             "displaced branching should cost extra copies: {} vs {}",
-            hbh_cost(&pts[1]),
-            hbh_cost(&pts[0])
+            hbh_cost(&points[1]),
+            hbh_cost(&points[0])
         );
     }
 }

@@ -1,58 +1,40 @@
 //! The paper's headline evaluation (Figures 7 and 8): average tree cost
 //! and average receiver delay vs. group size, four protocols, two
-//! topologies, N independent paired runs per point.
+//! topologies, N independent paired runs per point — plus the same probe
+//! swept over one scenario option (the asymmetry and unicast-cloud
+//! ablations).
 
-use crate::protocols::{run_protocol, ProtocolKind};
+use crate::figures::sweep::{sweep, table_by_x, Column, Count, Point};
+use crate::protocols::{ProbeStudy, ProtocolKind};
 use crate::report::Table;
-use crate::runner::RunConfig;
+use crate::runner::{ProbeOutcome, RunConfig};
 use crate::scenario::{build, ScenarioOptions};
-use crate::stats::Summary;
 
-/// Which of the two paper metrics to report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Metric {
-    /// Figure 7: packet copies per injected data packet.
-    Cost,
-    /// Figure 8: mean receiver delay in time units.
-    Delay,
+/// One of the two paper metrics: its figure's title and what it reads off
+/// one probe (unnamed: a figure plots one metric, so its columns are
+/// headed by the arm alone).
+#[derive(Clone, Copy)]
+pub struct Metric {
+    pub title: &'static str,
+    pub column: Column<ProbeOutcome>,
 }
 
-impl Metric {
-    pub fn title(self) -> &'static str {
-        match self {
-            Metric::Cost => "Tree cost (number of packet copies)",
-            Metric::Delay => "Receiver average delay (time units)",
-        }
-    }
-}
+/// Figure 7: packet copies per injected data packet.
+pub const COST: Metric = Metric {
+    title: "Tree cost (number of packet copies)",
+    column: ("", |o| Some(o.cost as f64)),
+};
 
-/// A group-size sweep — Figures 7 and 8, and the overhead and state-size
-/// studies: the shared run knobs plus the group sizes to visit (the
-/// paper's are `run.topo.paper_group_sizes()`).
-#[derive(Clone, Debug)]
-pub struct EvalConfig {
-    pub run: RunConfig,
-    pub sizes: Vec<usize>,
-}
+/// Figure 8: mean receiver delay in time units.
+pub const DELAY: Metric = Metric {
+    title: "Receiver average delay (time units)",
+    column: ("", |o| Some(o.avg_delay())),
+};
 
-/// Per-protocol aggregates at one group size.
-#[derive(Clone, Debug, Default)]
-pub struct ProtocolPoint {
-    pub cost: Summary,
-    pub delay: Summary,
-    /// Runs where not every receiver was served (must stay 0).
-    pub incomplete: u64,
-    /// Runs that failed to quiesce before the probe (should stay 0).
-    pub unconverged: u64,
-}
-
-/// One group-size row of the figure.
-#[derive(Clone, Debug)]
-pub struct EvalPoint {
-    pub group_size: usize,
-    /// Indexed like `cfg.run.protocols`.
-    pub per_protocol: Vec<ProtocolPoint>,
-}
+/// Draws where not every receiver was served (must stay 0).
+pub const INCOMPLETE: Count<ProbeOutcome> = ("incomplete", |o| !o.complete());
+/// Draws that failed to quiesce before the probe (should stay 0).
+pub const UNCONVERGED: Count<ProbeOutcome> = ("unconverged", |o| !o.converged);
 
 /// Seed for run `run` at group size `group_size`: `base ^ (size << 32) ^
 /// run`, giving disjoint seed spaces per (size, run) pair. The shift is
@@ -63,97 +45,53 @@ pub fn run_seed(base_seed: u64, group_size: usize, run: usize) -> u64 {
     (base_seed ^ ((group_size as u64) << 32)) ^ run as u64
 }
 
-/// Runs the full evaluation; paired design: all protocols see the same
-/// scenario draw of each run. Runs are distributed over available cores.
-pub fn evaluate(cfg: &EvalConfig) -> Vec<EvalPoint> {
-    cfg.sizes
-        .iter()
-        .map(|&m| evaluate_point(&cfg.run, m))
-        .collect()
+/// Probes every arm of `run` at every group size of `sizes` (the paper's
+/// are `run.topo.paper_group_sizes()`); one point per size.
+pub fn evaluate(run: &RunConfig, sizes: &[usize]) -> Vec<Point<ProbeOutcome>> {
+    sweep(run, sizes, usize::to_string, |&m, i| {
+        Some((run.draw(m, run_seed(run.base_seed, m, i)), ProbeStudy))
+    })
 }
 
-fn evaluate_point(cfg: &RunConfig, group_size: usize) -> EvalPoint {
-    // One row of per-protocol outcomes per run, back in run order, so the
-    // Summary fold below is independent of worker scheduling.
-    let per_run = crate::parallel::map_runs(cfg.runs, |run| {
-        let seed = run_seed(cfg.base_seed, group_size, run);
-        let sc = build(cfg.topo, group_size, seed, &cfg.timing, &cfg.opts);
-        cfg.protocols
-            .iter()
-            .map(|&kind| run_protocol(kind, &sc, &cfg.timing))
-            .collect::<Vec<_>>()
-    });
-
-    let mut merged = vec![ProtocolPoint::default(); cfg.protocols.len()];
-    for outcomes in per_run {
-        for (m, o) in merged.iter_mut().zip(outcomes) {
-            m.cost.add(o.cost as f64);
-            m.delay.add(o.avg_delay());
-            if !o.complete() {
-                m.incomplete += 1;
-            }
-            if !o.converged {
-                m.unconverged += 1;
-            }
-        }
-    }
-    EvalPoint {
-        group_size,
-        per_protocol: merged,
-    }
-}
-
-/// The aggregate of `p` that `metric` reports.
-pub fn metric_of(p: &ProtocolPoint, metric: Metric) -> &Summary {
-    match metric {
-        Metric::Cost => &p.cost,
-        Metric::Delay => &p.delay,
-    }
+/// The same probe at a fixed group size, swept over one scenario option:
+/// `set` writes each of `values` into otherwise default options, and each
+/// value draws from its own seed space. One point per value.
+pub fn option_sweep(
+    run: &RunConfig,
+    group_size: usize,
+    values: &[f64],
+    set: fn(&mut ScenarioOptions, f64),
+) -> Vec<Point<ProbeOutcome>> {
+    sweep(
+        run,
+        values,
+        |v| format!("{v:.2}"),
+        |&value, i| {
+            let mut opts = ScenarioOptions::default();
+            set(&mut opts, value);
+            let base = run.base_seed ^ ((value * 1000.0) as u64) << 20;
+            let seed = run_seed(base, group_size, i);
+            let sc = build(run.topo, group_size, seed, &run.timing, &opts);
+            Some((sc, ProbeStudy))
+        },
+    )
 }
 
 /// Renders one figure's table.
-pub fn render(cfg: &EvalConfig, points: &[EvalPoint], metric: Metric) -> Table {
-    let names: Vec<&str> = cfg.run.protocols.iter().map(|p| p.name()).collect();
-    let mut t = Table::new(
-        format!(
-            "{} — {} topology, {} runs/point",
-            metric.title(),
-            cfg.run.topo.name(),
-            cfg.run.runs
-        ),
-        "receivers",
-        &names,
-    );
-    for p in points {
-        let cells = p
-            .per_protocol
-            .iter()
-            .map(|pp| {
-                let s = metric_of(pp, metric);
-                Table::cell(s.mean(), s.ci95())
-            })
-            .collect();
-        t.row(p.group_size.to_string(), cells);
-    }
-    t
+pub fn render(run: &RunConfig, points: &[Point<ProbeOutcome>], metric: Metric) -> Table {
+    let title = run.title(metric.title, None) + "/point";
+    table_by_x(title, "receivers", &run.protocols, &[metric.column], points)
 }
 
 /// The paper's §4.2 headline comparison: HBH's average advantage over
-/// REUNITE across all group sizes, in percent (positive = HBH better,
-/// i.e. smaller metric).
-pub fn hbh_advantage_over_reunite(
-    cfg: &EvalConfig,
-    points: &[EvalPoint],
-    metric: Metric,
-) -> Option<f64> {
-    let protocols = &cfg.run.protocols;
-    let hbh = protocols.iter().position(|&p| p == ProtocolKind::Hbh)?;
-    let reunite = protocols.iter().position(|&p| p == ProtocolKind::Reunite)?;
+/// REUNITE across all points, in percent (positive = HBH better, i.e.
+/// smaller metric). Both must be arms of the run.
+pub fn hbh_advantage_over_reunite(points: &[Point<ProbeOutcome>], metric: Metric) -> Option<f64> {
     let mut total = 0.0;
     let mut n = 0;
     for p in points {
-        let h = metric_of(&p.per_protocol[hbh], metric).mean();
-        let r = metric_of(&p.per_protocol[reunite], metric).mean();
+        let h = p.summary(ProtocolKind::Hbh, metric.column).mean();
+        let r = p.summary(ProtocolKind::Reunite, metric.column).mean();
         if r > 0.0 {
             total += (r - h) / r * 100.0;
             n += 1;
@@ -162,61 +100,15 @@ pub fn hbh_advantage_over_reunite(
     (n > 0).then(|| total / n as f64)
 }
 
-/// One knob swept at a fixed group size: a scenario option (the
-/// asymmetry and unicast-cloud ablations, via [`evaluate_knob`]) or the
-/// timer scale (`figures::timers`).
-pub struct KnobSweep {
-    pub run: RunConfig,
-    pub group_size: usize,
-    /// The knob settings to visit.
-    pub values: Vec<f64>,
-}
-
-/// One step of a [`KnobSweep`]: the value, what was measured there,
-/// and the evaluation config that measured it.
-pub struct KnobPoint {
-    pub value: f64,
-    pub point: EvalPoint,
-    pub cfg: EvalConfig,
-}
-
-/// Evaluates `protocols` at every value of `sweep`, `set` writing the
-/// value into otherwise default scenario options; each step draws from
-/// its own seed space.
-pub fn evaluate_knob(
-    sweep: &KnobSweep,
-    protocols: &[ProtocolKind],
-    set: impl Fn(&mut ScenarioOptions, f64),
-) -> Vec<KnobPoint> {
-    let step = |&value: &f64| {
-        let mut opts = ScenarioOptions::default();
-        set(&mut opts, value);
-        let cfg = EvalConfig {
-            run: RunConfig {
-                base_seed: sweep.run.base_seed ^ ((value * 1000.0) as u64) << 20,
-                opts,
-                protocols: protocols.to_vec(),
-                ..sweep.run.clone()
-            },
-            sizes: vec![sweep.group_size],
-        };
-        let point = evaluate(&cfg).remove(0);
-        KnobPoint { value, point, cfg }
-    };
-    sweep.values.iter().map(step).collect()
-}
-
 /// Health check: no protocol may have dropped receivers or failed to
 /// converge. Returns a description of the first violation.
-pub fn health_violations(cfg: &EvalConfig, points: &[EvalPoint]) -> Option<String> {
+pub fn health_violations(points: &[Point<ProbeOutcome>]) -> Option<String> {
     for p in points {
-        for (kind, pp) in cfg.run.protocols.iter().zip(&p.per_protocol) {
-            for (runs, what) in [
-                (pp.incomplete, "incomplete"),
-                (pp.unconverged, "unconverged"),
-            ] {
+        for (kind, _) in &p.arms {
+            for what in [INCOMPLETE, UNCONVERGED] {
+                let runs = p.count(*kind, what);
                 if runs > 0 {
-                    let (name, m) = (kind.name(), p.group_size);
+                    let (name, m, what) = (kind.name(), &p.x, what.0);
                     return Some(format!("{name} at m={m}: {runs} {what} runs"));
                 }
             }
@@ -229,25 +121,25 @@ pub fn health_violations(cfg: &EvalConfig, points: &[EvalPoint]) -> Option<Strin
 mod tests {
     use super::*;
 
-    fn small_cfg() -> EvalConfig {
-        EvalConfig {
-            run: RunConfig::default().runs(6),
-            sizes: vec![4, 10],
-        }
+    const SIZES: [usize; 2] = [4, 10];
+
+    fn small_run() -> RunConfig {
+        RunConfig::default().runs(6)
     }
 
     #[test]
     fn evaluation_is_healthy_and_ordered() {
-        let cfg = small_cfg();
-        let points = evaluate(&cfg);
+        let run = small_run();
+        let points = evaluate(&run, &SIZES);
         assert_eq!(points.len(), 2);
-        assert_eq!(health_violations(&cfg, &points), None);
+        assert_eq!(health_violations(&points), None);
         // Cost grows with group size for every protocol.
-        for i in 0..cfg.run.protocols.len() {
+        let cost = |p: &Point<ProbeOutcome>, kind| p.summary(kind, COST.column).mean();
+        for kind in run.protocols {
             assert!(
-                points[1].per_protocol[i].cost.mean() > points[0].per_protocol[i].cost.mean(),
+                cost(&points[1], kind) > cost(&points[0], kind),
                 "{}: cost should grow with receivers",
-                cfg.run.protocols[i].name()
+                kind.name()
             );
         }
     }
@@ -256,14 +148,9 @@ mod tests {
     fn hbh_tracks_pim_ss_cost_and_beats_reunite_delay() {
         // The paper's qualitative ordering on the ISP topology, at a small
         // sample size: HBH ≈ PIM-SS on cost; HBH ≤ REUNITE on delay.
-        let mut cfg = small_cfg();
-        cfg.sizes = vec![10];
-        cfg.run.runs = 10;
-        let points = evaluate(&cfg);
-        let idx = |k: ProtocolKind| cfg.run.protocols.iter().position(|&p| p == k).unwrap();
-        let p = &points[0].per_protocol;
-        let cost = |k| p[idx(k)].cost.mean();
-        let delay = |k| p[idx(k)].delay.mean();
+        let points = evaluate(&small_run().runs(10), &[10]);
+        let cost = |k| points[0].summary(k, COST.column).mean();
+        let delay = |k| points[0].summary(k, DELAY.column).mean();
         assert!(
             (cost(ProtocolKind::Hbh) - cost(ProtocolKind::PimSs)).abs()
                 < 0.15 * cost(ProtocolKind::PimSs),
@@ -301,18 +188,17 @@ mod tests {
 
     #[test]
     fn advantage_metric_computes() {
-        let cfg = small_cfg();
-        let points = evaluate(&cfg);
-        let adv = hbh_advantage_over_reunite(&cfg, &points, Metric::Delay).unwrap();
+        let points = evaluate(&small_run(), &SIZES);
+        let adv = hbh_advantage_over_reunite(&points, DELAY).unwrap();
         assert!(adv > -50.0 && adv < 90.0, "implausible advantage {adv}");
     }
 
     #[test]
     fn render_has_row_per_size() {
-        let cfg = small_cfg();
-        let points = evaluate(&cfg);
-        let table = render(&cfg, &points, Metric::Cost).render();
+        let run = small_run();
+        let points = evaluate(&run, &SIZES);
+        let table = render(&run, &points, COST).render();
         assert!(table.contains("PIM-SM") && table.contains("HBH"));
-        assert_eq!(table.lines().count(), 2 + cfg.sizes.len());
+        assert_eq!(table.lines().count(), 2 + SIZES.len());
     }
 }

@@ -17,11 +17,11 @@
 //! based routing".
 
 use crate::datapath::probe_transits;
-use crate::protocols::{dispatch, ProtocolKind, Study};
+use crate::figures::sweep::{point, table_by_metric, Column, Point};
+use crate::protocols::Study;
 use crate::report::Table;
 use crate::runner::{converge, RunConfig};
-use crate::scenario::{build, Scenario, ScenarioOptions};
-use crate::stats::Summary;
+use crate::scenario::Scenario;
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_routing::qos;
 use hbh_sim_core::{Kernel, Network, Protocol};
@@ -33,18 +33,12 @@ use rand::SeedableRng;
 /// Per-protocol outcome of one admitted run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QosOutcome {
+    /// The scenario's receivers.
+    pub receivers: usize,
     /// Receivers served.
     pub served: usize,
     /// Served receivers whose delivery path honors the bandwidth floor.
     pub compliant: usize,
-}
-
-/// The shared run knobs (the three arms are fixed: [`QOS_ARMS`]) plus the
-/// group size and the bandwidth floor.
-pub struct QosConfig {
-    pub run: RunConfig,
-    pub group_size: usize,
-    pub min_bw: Bandwidth,
 }
 
 /// `sc` over its bandwidth-constrained network (same membership, same
@@ -83,7 +77,10 @@ impl Study for QosStudy {
     ) -> QosOutcome {
         converge(&mut k, timing, sc.join_window);
         let transits = probe_transits(&mut k, ch, 1);
-        let mut out = QosOutcome::default();
+        let mut out = QosOutcome {
+            receivers: sc.receivers.len(),
+            ..QosOutcome::default()
+        };
         for &r in &sc.receivers {
             let Some(path) = transits.path_to(r) else {
                 continue;
@@ -97,121 +94,74 @@ impl Study for QosStudy {
     }
 }
 
-/// One protocol row of the report.
-#[derive(Clone, Debug, Default)]
-pub struct QosPoint {
-    pub served_frac: Summary,
-    pub compliant_frac: Summary,
+pub const SERVED: Column<QosOutcome> = ("served fraction", |o| {
+    Some(o.served as f64 / o.receivers as f64)
+});
+/// Of the served receivers (0 when nobody was).
+pub const COMPLIANT: Column<QosOutcome> = ("compliant-path fraction", |o| {
+    Some(o.compliant as f64 / o.served.max(1) as f64)
+});
+
+/// One probe per draw at `group_size` receivers under the floor `min_bw`;
+/// draws whose channel is not admissible under the floor are skipped.
+pub fn evaluate(run: &RunConfig, group_size: usize, min_bw: Bandwidth) -> Point<QosOutcome> {
+    point(run, |i| {
+        let sc = run.draw(group_size, run.base_seed ^ ((i as u64) << 18));
+        Some((admitted(sc, min_bw)?, QosStudy { min_bw }))
+    })
 }
 
-pub struct QosReport {
-    /// One point per arm of [`QOS_ARMS`].
-    pub points: Vec<QosPoint>,
-    pub admitted_runs: usize,
-    pub skipped_runs: usize,
-}
-
-pub const QOS_ARMS: [ProtocolKind; 3] = [
-    ProtocolKind::Hbh,
-    ProtocolKind::Reunite,
-    ProtocolKind::PimSs,
-];
-
-pub fn evaluate(cfg: &QosConfig) -> QosReport {
-    let (run, timing, min_bw) = (&cfg.run, &cfg.run.timing, cfg.min_bw);
-    // `None` marks a run whose channel was not admissible under the floor.
-    let per_run = crate::parallel::map_runs(run.runs, |i| {
-        let seed = run.base_seed ^ ((i as u64) << 18);
-        let sc = build(
-            run.topo,
-            cfg.group_size,
-            seed,
-            timing,
-            &ScenarioOptions::default(),
-        );
-        let sc = admitted(sc, min_bw)?;
-        let outcomes = QOS_ARMS.map(|kind| dispatch(kind, &sc, timing, &QosStudy { min_bw }));
-        Some((sc.receivers.len(), outcomes))
-    });
-    let mut points = vec![QosPoint::default(); QOS_ARMS.len()];
-    let mut admitted_runs = 0;
-    let mut skipped = 0;
-    for entry in per_run {
-        let Some((receivers, outcomes)) = entry else {
-            skipped += 1;
-            continue;
-        };
-        admitted_runs += 1;
-        for (p, o) in points.iter_mut().zip(outcomes) {
-            let n = receivers as f64;
-            p.served_frac.add(o.served as f64 / n);
-            p.compliant_frac.add(if o.served == 0 {
-                0.0
-            } else {
-                o.compliant as f64 / o.served as f64
-            });
-        }
-    }
-    QosReport {
-        points,
-        admitted_runs,
-        skipped_runs: skipped,
-    }
-}
-
-pub fn render(cfg: &QosConfig, report: &QosReport) -> Table {
-    let mut t = Table::new(
-        format!(
-            "QoS compliance (bandwidth floor {}) — {} topology, {} receivers, {} admitted / {} skipped runs",
-            cfg.min_bw,
-            cfg.run.topo.name(),
-            cfg.group_size,
-            report.admitted_runs,
-            report.skipped_runs
-        ),
-        "metric",
-        &QOS_ARMS.map(ProtocolKind::name),
+pub fn render(
+    run: &RunConfig,
+    group_size: usize,
+    min_bw: Bandwidth,
+    point: &Point<QosOutcome>,
+) -> Table {
+    let title = format!(
+        "QoS compliance (bandwidth floor {min_bw}) — {} topology, {group_size} receivers, {} admitted / {} skipped runs",
+        run.topo.name(),
+        run.runs - point.skipped,
+        point.skipped
     );
-    t.summary_row("served fraction", &report.points, |p| &p.served_frac);
-    t.summary_row("compliant-path fraction", &report.points, |p| {
-        &p.compliant_frac
-    });
-    t
+    table_by_metric(title, point, &[SERVED, COMPLIANT], &[])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocols::ProtocolKind;
 
     #[test]
     fn recursive_unicast_is_fully_compliant_pim_is_not() {
-        let cfg = QosConfig {
-            run: RunConfig::default().runs(8),
-            group_size: 8,
-            min_bw: 4,
-        };
-        let r = evaluate(&cfg);
+        let run = RunConfig::default()
+            .runs(8)
+            .protocols(ProtocolKind::SOURCE_SPECIFIC.to_vec());
+        let p = evaluate(&run, 8, 4);
         assert!(
-            r.admitted_runs >= 3,
-            "too few admitted runs ({})",
-            r.admitted_runs
+            run.runs - p.skipped >= 3,
+            "too few admitted runs ({} skipped)",
+            p.skipped
         );
-        let [hbh, reunite, pim] = [&r.points[0], &r.points[1], &r.points[2]];
-        assert_eq!(hbh.served_frac.mean(), 1.0, "HBH must serve everyone");
+        let mean = |kind, column| p.summary(kind, column).mean();
         assert_eq!(
-            hbh.compliant_frac.mean(),
+            mean(ProtocolKind::Hbh, SERVED),
+            1.0,
+            "HBH must serve everyone"
+        );
+        assert_eq!(
+            mean(ProtocolKind::Hbh, COMPLIANT),
             1.0,
             "HBH paths compliant by construction"
         );
         assert_eq!(
-            reunite.compliant_frac.mean(),
+            mean(ProtocolKind::Reunite, COMPLIANT),
             1.0,
             "REUNITE data is routed unicast too"
         );
+        let pim = mean(ProtocolKind::PimSs, COMPLIANT);
         assert!(
-            pim.compliant_frac.mean() < 1.0,
-            "PIM's reverse-direction data should violate the floor sometimes ({})",
-            pim.compliant_frac.mean()
+            pim < 1.0,
+            "PIM's reverse-direction data should violate the floor sometimes ({pim})"
         );
     }
 }

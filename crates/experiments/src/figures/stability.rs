@@ -11,11 +11,11 @@
 //! delivery delay changed between a probe before and after the departure.
 
 use crate::datapath::probe_transits;
-use crate::protocols::{dispatch, ProtocolKind, Study};
+use crate::figures::sweep::{point, table_by_metric, Column, Count, Point};
+use crate::protocols::Study;
 use crate::report::Table;
 use crate::runner::{converge, RunConfig};
-use crate::scenario::{build, Scenario, ScenarioOptions};
-use crate::stats::Summary;
+use crate::scenario::Scenario;
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Kernel, Protocol};
 use rand::rngs::StdRng;
@@ -80,92 +80,42 @@ impl Study for DepartureStudy {
     }
 }
 
-/// Runs the departure study for one protocol on one scenario.
-pub fn run_departure(kind: ProtocolKind, scenario: &Scenario, timing: &Timing) -> DepartureOutcome {
-    dispatch(kind, scenario, timing, &DepartureStudy)
+pub const CHURN: Column<DepartureOutcome> = ("state churn", |o| Some(o.churn as f64));
+pub const ROUTE_CHANGES: Column<DepartureOutcome> =
+    ("survivor route changes", |o| Some(o.route_changes as f64));
+/// Draws after which some survivor was no longer served (must stay 0).
+pub const FAILED: Count<DepartureOutcome> = ("failed runs", |o| !o.survivors_served);
+
+/// One departure per draw at `group_size` receivers (the paper's Figure 4
+/// discussion: 8).
+pub fn evaluate(run: &RunConfig, group_size: usize) -> Point<DepartureOutcome> {
+    let draw = |i| run.draw(group_size, run.base_seed ^ ((i as u64) << 16));
+    point(run, |i| Some((draw(i), DepartureStudy)))
 }
 
-/// Aggregates over runs.
-#[derive(Clone, Debug, Default)]
-pub struct StabilityPoint {
-    pub churn: Summary,
-    pub route_changes: Summary,
-    pub failures: u64,
-}
-
-pub struct StabilityConfig {
-    pub run: RunConfig,
-    /// Receivers per group (the paper's Figure 4 discussion: 8).
-    pub group_size: usize,
-}
-
-pub fn evaluate(cfg: &StabilityConfig) -> Vec<StabilityPoint> {
-    let StabilityConfig { run, group_size } = cfg;
-    let per_run = crate::parallel::map_runs(run.runs, |i| {
-        let sc = build(
-            run.topo,
-            *group_size,
-            run.base_seed ^ ((i as u64) << 16),
-            &run.timing,
-            &ScenarioOptions::default(),
-        );
-        run.protocols
-            .iter()
-            .map(|&kind| run_departure(kind, &sc, &run.timing))
-            .collect::<Vec<_>>()
-    });
-    let mut acc = vec![StabilityPoint::default(); run.protocols.len()];
-    for outcomes in per_run {
-        for (a, o) in acc.iter_mut().zip(outcomes) {
-            a.churn.add(o.churn as f64);
-            a.route_changes.add(o.route_changes as f64);
-            if !o.survivors_served {
-                a.failures += 1;
-            }
-        }
-    }
-    acc
-}
-
-pub fn render(cfg: &StabilityConfig, points: &[StabilityPoint]) -> Table {
-    let names: Vec<&str> = cfg.run.protocols.iter().map(|p| p.name()).collect();
-    let mut t = Table::new(
-        format!(
-            "Reconfiguration after one departure — {} topology, {} receivers, {} runs",
-            cfg.run.topo.name(),
-            cfg.group_size,
-            cfg.run.runs
-        ),
-        "metric",
-        &names,
-    );
-    t.summary_row("state churn", points, |p| &p.churn);
-    t.summary_row("survivor route changes", points, |p| &p.route_changes);
-    t.count_row("failed runs", points, |p| p.failures);
-    t
+pub fn render(run: &RunConfig, group_size: usize, point: &Point<DepartureOutcome>) -> Table {
+    let title = run.title("Reconfiguration after one departure", Some(group_size));
+    table_by_metric(title, point, &[CHURN, ROUTE_CHANGES], &[FAILED])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocols::ProtocolKind;
 
-    fn cfg(runs: usize, protocols: Vec<ProtocolKind>) -> StabilityConfig {
-        StabilityConfig {
-            run: RunConfig::default().runs(runs).protocols(protocols),
-            group_size: 8,
-        }
+    fn departures(runs: usize, protocols: Vec<ProtocolKind>) -> Point<DepartureOutcome> {
+        evaluate(&RunConfig::default().runs(runs).protocols(protocols), 8)
     }
 
     #[test]
     fn departures_never_break_survivors() {
-        let cfg = cfg(3, ProtocolKind::ALL.to_vec());
-        let points = evaluate(&cfg);
-        for (i, p) in points.iter().enumerate() {
+        let point = departures(3, ProtocolKind::ALL.to_vec());
+        for kind in ProtocolKind::ALL {
             assert_eq!(
-                p.failures,
+                point.count(kind, FAILED),
                 0,
                 "{} broke survivors",
-                cfg.run.protocols[i].name()
+                kind.name()
             );
         }
     }
@@ -174,9 +124,9 @@ mod tests {
     fn hbh_survivor_routes_are_stable() {
         // §3's claim: member departure never changes other receivers'
         // routes in HBH. (REUNITE's number may be nonzero — Figure 2.)
-        let points = evaluate(&cfg(5, vec![ProtocolKind::Hbh]));
+        let point = departures(5, vec![ProtocolKind::Hbh]);
         assert_eq!(
-            points[0].route_changes.mean(),
+            point.summary(ProtocolKind::Hbh, ROUTE_CHANGES).mean(),
             0.0,
             "HBH changed survivor routes on departure"
         );
@@ -186,7 +136,10 @@ mod tests {
     fn pim_ss_is_also_departure_stable() {
         // Reverse SPT branches are per-receiver independent: a departure
         // must not reroute anyone.
-        let points = evaluate(&cfg(3, vec![ProtocolKind::PimSs]));
-        assert_eq!(points[0].route_changes.mean(), 0.0);
+        let point = departures(3, vec![ProtocolKind::PimSs]);
+        assert_eq!(
+            point.summary(ProtocolKind::PimSs, ROUTE_CHANGES).mean(),
+            0.0
+        );
     }
 }

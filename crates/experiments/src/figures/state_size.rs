@@ -13,12 +13,11 @@
 //! Expected shape: PIM needs forwarding state at *every* on-tree router;
 //! the recursive-unicast protocols concentrate it at branching nodes.
 
-use crate::figures::eval::EvalConfig;
-use crate::protocols::{dispatch, ProtocolKind, Study};
+use crate::figures::sweep::{sweep, table_by_x, Column, Point};
+use crate::protocols::Study;
 use crate::report::Table;
-use crate::runner::converge;
-use crate::scenario::{build, Scenario, ScenarioOptions};
-use crate::stats::Summary;
+use crate::runner::{converge, RunConfig};
+use crate::scenario::Scenario;
 use hbh_proto_base::{Channel, Cmd, StateInventory, Timing};
 use hbh_sim_core::{Kernel, Protocol};
 
@@ -31,8 +30,6 @@ pub struct StateCounts {
     pub fwd_entries: usize,
     /// Routers with control-plane-only state.
     pub ctl_routers: usize,
-    /// Total control entries across routers.
-    pub ctl_entries: usize,
 }
 
 struct StateStudy;
@@ -65,92 +62,38 @@ impl Study for StateStudy {
             if ctl > 0 && fwd == 0 {
                 out.ctl_routers += 1;
             }
-            out.ctl_entries += ctl;
         }
         out
     }
 }
 
-/// Measures the converged state footprint of one protocol on one scenario.
-pub fn measure(kind: ProtocolKind, scenario: &Scenario, timing: &Timing) -> StateCounts {
-    dispatch(kind, scenario, timing, &StateStudy)
+/// The two plotted columns (control-only routers are asserted on by the
+/// tests, not plotted).
+const COLUMNS: [Column<StateCounts>; 2] = [
+    ("fwd-routers", |c| Some(c.fwd_routers as f64)),
+    ("fwd-entries", |c| Some(c.fwd_entries as f64)),
+];
+
+pub fn evaluate(run: &RunConfig, sizes: &[usize]) -> Vec<Point<StateCounts>> {
+    sweep(run, sizes, usize::to_string, |&m, i| {
+        let seed = run.base_seed ^ (m as u64) << 40 ^ i as u64;
+        Some((run.draw(m, seed), StateStudy))
+    })
 }
 
-#[derive(Clone, Debug, Default)]
-pub struct StateSizePoint {
-    pub fwd_routers: Summary,
-    pub fwd_entries: Summary,
-    pub ctl_routers: Summary,
-}
-
-pub fn evaluate(cfg: &EvalConfig) -> Vec<(usize, Vec<StateSizePoint>)> {
-    let run = &cfg.run;
-    cfg.sizes
-        .iter()
-        .map(|&m| {
-            let mut acc = vec![StateSizePoint::default(); run.protocols.len()];
-            for i in 0..run.runs {
-                let sc = build(
-                    run.topo,
-                    m,
-                    run.base_seed ^ (m as u64) << 40 ^ i as u64,
-                    &run.timing,
-                    &ScenarioOptions::default(),
-                );
-                for (a, &kind) in acc.iter_mut().zip(&run.protocols) {
-                    let c = measure(kind, &sc, &run.timing);
-                    a.fwd_routers.add(c.fwd_routers as f64);
-                    a.fwd_entries.add(c.fwd_entries as f64);
-                    a.ctl_routers.add(c.ctl_routers as f64);
-                }
-            }
-            (m, acc)
-        })
-        .collect()
-}
-
-pub fn render(cfg: &EvalConfig, rows: &[(usize, Vec<StateSizePoint>)]) -> Table {
-    let mut cols = Vec::new();
-    for p in &cfg.run.protocols {
-        cols.push(format!("{} fwd-routers", p.name()));
-        cols.push(format!("{} fwd-entries", p.name()));
-    }
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        format!(
-            "Forwarding-state footprint — {} topology, {} runs/point",
-            cfg.run.topo.name(),
-            cfg.run.runs
-        ),
-        "receivers",
-        &col_refs,
-    );
-    for (m, points) in rows {
-        let mut cells = Vec::new();
-        for p in points {
-            cells.push(Table::cell(p.fwd_routers.mean(), p.fwd_routers.ci95()));
-            cells.push(Table::cell(p.fwd_entries.mean(), p.fwd_entries.ci95()));
-        }
-        t.row(m.to_string(), cells);
-    }
-    t
+pub fn render(run: &RunConfig, points: &[Point<StateCounts>]) -> Table {
+    let title = run.title("Forwarding-state footprint", None) + "/point";
+    table_by_x(title, "receivers", &run.protocols, &COLUMNS, points)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::TopologyKind;
+    use crate::protocols::{dispatch, ProtocolKind};
 
     fn counts(kind: ProtocolKind, m: usize, seed: u64) -> StateCounts {
-        let timing = Timing::default();
-        let sc = build(
-            TopologyKind::Isp,
-            m,
-            seed,
-            &timing,
-            &ScenarioOptions::default(),
-        );
-        measure(kind, &sc, &timing)
+        let run = RunConfig::default();
+        dispatch(kind, &run.draw(m, seed), &run.timing, &StateStudy)
     }
 
     #[test]

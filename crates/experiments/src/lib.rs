@@ -21,14 +21,21 @@
 //! `hbh-exp all` regenerates `results/`; `hbh-exp all --check 1` is the CI
 //! gate that keeps the committed files what the code prints.
 //!
-//! Methodology mirrors §4.1: per run, per-direction link costs are drawn
-//! from `U[1, 10]`, a group of `m` receivers is sampled uniformly, all
-//! four protocols run **on the same draw** (paired comparison), the
-//! simulation converges (verified by structural-change quiescence, not
-//! just a fixed horizon), one tagged data packet is injected, and the
-//! paper's two metrics are read off the kernel's accounting: the number
-//! of copies transmitted (tree cost) and the mean receiver delay. Results
-//! are averaged over `--runs` independent draws (paper: 500).
+//! Methodology mirrors §4.1 and is written once, in [`figures::sweep`]:
+//! per run, per-direction link costs are drawn from `U[1, 10]`, a group of
+//! `m` receivers is sampled uniformly, every protocol arm runs **on the
+//! same draw** (paired comparison) through the one [`protocols::dispatch`],
+//! and each named column of the outcomes is averaged over `--runs`
+//! independent draws (paper: 500). What a run *measures* is the figure's
+//! own [`protocols::Study`]; the standard one converges the simulation
+//! (verified by structural-change quiescence, not just a fixed horizon),
+//! injects one tagged data packet and reads the paper's two metrics off
+//! the kernel's accounting: the number of copies transmitted (tree cost)
+//! and the mean receiver delay.
+//!
+//! Underneath: [`scenario`] (topology, cost draw, receiver sample),
+//! [`runner`] (`RunConfig`, the one `build_kernel`, converge, probe),
+//! [`parallel`] (threads under `sweep`), [`stats`], [`datapath`], [`report`].
 
 pub mod datapath;
 pub mod figures;

@@ -1,40 +1,26 @@
-//! Chunked fan-out over independent run indices, shared by every figure
-//! module.
+//! Chunked fan-out over independent run indices: the thread plumbing
+//! under `figures::sweep`, its one caller in `figures/`.
 //!
 //! All the paper's sweeps have the same shape — `runs` independent
-//! scenario draws whose outcomes are folded into per-point summaries — so
-//! one helper owns the scoped-thread plumbing. Results come back in run
-//! order regardless of thread scheduling, which keeps every aggregate
-//! bit-identical to a sequential evaluation.
+//! scenario draws whose outcomes are folded into per-point summaries —
+//! which `sweep.rs` writes once; this module only spreads the draws over
+//! scoped threads. Results come back in run order regardless of thread
+//! scheduling, which keeps every aggregate bit-identical to a sequential
+//! evaluation.
 
 use std::thread;
 
-/// Runs `f(run)` for `run` in `0..runs` across the available cores and
-/// returns the results in run order.
+/// Runs `f(run)` for `run` in `0..runs` on `workers` threads (at least
+/// one is used; [`workers`] is the configured count) and returns the
+/// results in run order.
 ///
-/// The worker count defaults to the available cores but can be pinned
-/// with the `HBH_THREADS` environment variable (any positive integer;
-/// `HBH_THREADS=1` forces sequential execution) — useful for CI
-/// reproducibility of timings and for benchmarks that must not compete
-/// with each other. Invalid or zero values fall back to the default.
-///
-/// Work is split into contiguous chunks (one per worker). On a
-/// single-core host this degrades to a plain sequential loop with no
-/// thread spawn.
+/// Work is split into contiguous chunks (one per worker). With one worker
+/// this is a plain sequential loop with no thread spawn.
 ///
 /// # Panics
 /// Propagates any panic from `f` (a worker panic fails the whole sweep,
 /// matching the sequential behaviour).
-pub fn map_runs<T, F>(runs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    map_runs_with(configured_workers(), runs, f)
-}
-
-/// [`map_runs`] on an explicit worker count (at least one is used).
-fn map_runs_with<T, F>(workers: usize, runs: usize, f: F) -> Vec<T>
+pub fn map_runs<T, F>(workers: usize, runs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -63,13 +49,16 @@ where
     out
 }
 
-/// Worker count: `HBH_THREADS` when set to a positive integer, else the
-/// available parallelism.
-fn configured_workers() -> usize {
+/// The worker count sweeps run on: the `HBH_THREADS` environment variable
+/// when set to a positive integer (`HBH_THREADS=1` forces sequential
+/// execution — useful for CI reproducibility of timings and for benchmarks
+/// that must not compete with each other), else the available cores.
+/// Invalid or zero values fall back to the default.
+pub fn workers() -> usize {
     workers_from(std::env::var("HBH_THREADS").ok().as_deref())
 }
 
-/// [`configured_workers`] on the variable's value (`None` = unset).
+/// [`workers`] on the variable's value (`None` = unset).
 fn workers_from(var: Option<&str>) -> usize {
     var.and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
@@ -82,7 +71,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_run_order() {
-        let v = map_runs(17, |i| i * i);
+        let v = map_runs(workers(), 17, |i| i * i);
         assert_eq!(v, (0..17).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -99,21 +88,21 @@ mod tests {
         // Results are order-stable for any worker count, one included and
         // more workers than runs included.
         for workers in [1, 2, 4, 16] {
-            let v = map_runs_with(workers, 9, |i| i + 1);
+            let v = map_runs(workers, 9, |i| i + 1);
             assert_eq!(v, (1..=9).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn zero_runs_is_empty() {
-        assert!(map_runs(0, |i| i).is_empty());
+        assert!(map_runs(workers(), 0, |i| i).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
         // Two workers even on a one-core host, so the panic crosses a join.
-        let _ = map_runs_with(2, 4, |i| {
+        let _ = map_runs(2, 4, |i| {
             if i == 2 {
                 panic!("boom");
             }

@@ -46,6 +46,14 @@ impl ProtocolKind {
     /// routers — the clouds ablation runs only these).
     pub const RECURSIVE_UNICAST: [ProtocolKind; 2] = [ProtocolKind::Reunite, ProtocolKind::Hbh];
 
+    /// The source-specific three, HBH first: the arms of the QoS and the
+    /// concurrent-groups tables.
+    pub const SOURCE_SPECIFIC: [ProtocolKind; 3] = [
+        ProtocolKind::Hbh,
+        ProtocolKind::Reunite,
+        ProtocolKind::PimSs,
+    ];
+
     /// The churn-study arms: the paper's recursive-unicast pair plus the
     /// hard-state variant whose event-driven repair they are compared to.
     pub const CHURN_ARMS: [ProtocolKind; 3] = [
@@ -133,37 +141,30 @@ pub fn dispatch<S: Study>(
     timing: &Timing,
     study: &S,
 ) -> S::Out {
-    use crate::runner::build_kernel;
+    fn on<S: Study, P>(proto: P, scenario: &Scenario, timing: &Timing, study: &S) -> S::Out
+    where
+        P: hbh_sim_core::Protocol<Command = hbh_proto_base::Cmd>,
+        P::NodeState: hbh_proto_base::StateInventory,
+    {
+        let (k, ch) = crate::runner::build_kernel(proto, scenario);
+        study.run(k, ch, scenario, timing)
+    }
+    let t = *timing;
     match kind {
-        ProtocolKind::Hbh => {
-            let (k, ch) = build_kernel(Hbh::new(*timing), scenario);
-            study.run(k, ch, scenario, timing)
-        }
-        ProtocolKind::HbhAgg => {
-            let (k, ch) = build_kernel(Hbh::aggregated(*timing), scenario);
-            study.run(k, ch, scenario, timing)
-        }
-        ProtocolKind::HbhHard => {
-            let (k, ch) = build_kernel(HbhHard::new(*timing), scenario);
-            study.run(k, ch, scenario, timing)
-        }
-        ProtocolKind::Reunite => {
-            let (k, ch) = build_kernel(Reunite::new(*timing), scenario);
-            study.run(k, ch, scenario, timing)
-        }
-        ProtocolKind::PimSs => {
-            let (k, ch) = build_kernel(Pim::source_specific(*timing), scenario);
-            study.run(k, ch, scenario, timing)
-        }
+        ProtocolKind::Hbh => on(Hbh::new(t), scenario, timing, study),
+        ProtocolKind::HbhAgg => on(Hbh::aggregated(t), scenario, timing, study),
+        ProtocolKind::HbhHard => on(HbhHard::new(t), scenario, timing, study),
+        ProtocolKind::Reunite => on(Reunite::new(t), scenario, timing, study),
+        ProtocolKind::PimSs => on(Pim::source_specific(t), scenario, timing, study),
         ProtocolKind::PimSm => {
-            let (k, ch) = build_kernel(Pim::sparse_shared(pick_rp(scenario), *timing), scenario);
-            study.run(k, ch, scenario, timing)
+            let rp = pick_rp(scenario);
+            on(Pim::sparse_shared(rp, t), scenario, timing, study)
         }
     }
 }
 
 /// The standard converge-then-probe experiment, as a [`Study`].
-struct ProbeStudy;
+pub struct ProbeStudy;
 
 impl Study for ProbeStudy {
     type Out = ProbeOutcome;

@@ -7,7 +7,7 @@
 //! first line that differs from the committed file — which is what makes
 //! `results/` what the code prints.
 
-use crate::figures::eval::{self, EvalConfig, KnobPoint, KnobSweep, Metric};
+use crate::figures::eval::{self, Metric, COST, DELAY};
 use crate::figures::{asymmetry, churn, clouds, groups, overhead, qos, stability};
 use crate::figures::{state_size, timers};
 use crate::membership::{run_membership, MembershipConfig};
@@ -17,6 +17,7 @@ use crate::report::{
 };
 use crate::runner::RunConfig;
 use crate::scale::{run_scale, ScaleConfig};
+use crate::scenario::TopologyKind;
 use hbh_topo::hier::TierSpec;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -242,70 +243,72 @@ fn first_difference(committed: &str, fresh: &str) -> Option<String> {
     Some(format!("line {} reads {old}, the code prints {new}", n + 1))
 }
 
+/// `--<flag>` as a group size on `topo`: at least one receiver, at most
+/// the hosts the source leaves to sample from.
+fn group_size(args: &Args, flag: &str, topo: TopologyKind, default: usize) -> usize {
+    let (group, pool) = (args.get_parse(flag, default), topo.receiver_pool());
+    if !(1..=pool).contains(&group) {
+        let topo = topo.name();
+        args.die(&format!(
+            "--{flag} must be between 1 and {pool}, the receiver pool of the {topo} topology, got {group}"
+        ));
+    }
+    group
+}
+
 fn eval_report(args: &Args, metric: Metric, what: &str, paper: &str) -> Report {
     let run = RunConfig::from_args(args, 500);
-    let cfg = EvalConfig {
-        sizes: run.topo.paper_group_sizes(),
-        run,
-    };
-    let points = eval::evaluate(&cfg);
-    let mut report = Report::tables(&[eval::render(&cfg, &points, metric)]);
-    if let Some(adv) = eval::hbh_advantage_over_reunite(&cfg, &points, metric) {
+    let sizes = run.topo.paper_group_sizes();
+    let points = eval::evaluate(&run, &sizes);
+    let mut report = Report::tables(&[eval::render(&run, &points, metric)]);
+    if let Some(adv) = eval::hbh_advantage_over_reunite(&points, metric) {
         let _ = writeln!(
             report.text,
             "# HBH {what} advantage over REUNITE, averaged over group sizes: {adv:.1}%\n\
              # (paper, {paper})"
         );
     }
-    report
-        .failures
-        .extend(eval::health_violations(&cfg, &points));
+    report.failures.extend(eval::health_violations(&points));
     report
 }
 
 fn fig7(args: &Args) -> Report {
     let paper = "§4.2.1: ≈5% on the ISP topology, ≈18% on the 50-node topology";
-    eval_report(args, Metric::Cost, "tree-cost", paper)
+    eval_report(args, COST, "tree-cost", paper)
 }
 
 fn fig8(args: &Args) -> Report {
     let paper = "§4.2.2: ≈14% on the ISP topology, ≈30% on the 50-node topology";
-    eval_report(args, Metric::Delay, "delay", paper)
+    eval_report(args, DELAY, "delay", paper)
 }
 
 fn stability(args: &Args) -> Report {
-    let cfg = stability::StabilityConfig {
-        run: RunConfig::from_args(args, 100),
-        group_size: args.get_parse("group", 8),
-    };
-    let points = stability::evaluate(&cfg);
-    Report::tables(&[stability::render(&cfg, &points)])
+    let run = RunConfig::from_args(args, 100);
+    let group = group_size(args, "group", run.topo, 8);
+    let point = stability::evaluate(&run, group);
+    Report::tables(&[stability::render(&run, group, &point)])
 }
 
 /// `--check FILE` rules: `max_repair <PROTOCOL> <mean>` bounds an arm's
 /// mean repair latency, `faster <A> <B>` wants A's strictly below B's.
 fn churn(args: &Args) -> Report {
-    let cfg = churn::ChurnConfig {
-        run: RunConfig::from_args(args, 100).protocols(ProtocolKind::CHURN_ARMS.to_vec()),
-        group_size: args.get_parse("group", 8),
-    };
-    let report = churn::evaluate(&cfg);
-    let arms = || cfg.run.protocols.iter().zip(&report.points);
-    let mut failures: Vec<String> = arms()
-        .filter(|(_, p)| p.unrecovered > 0)
-        .map(|(kind, p)| {
-            format!(
-                "{} did not restore full service in {} run(s)",
-                kind.name(),
-                p.unrecovered
-            )
-        })
-        .collect();
+    let run = RunConfig::from_args(args, 100).protocols(ProtocolKind::CHURN_ARMS.to_vec());
+    let group = group_size(args, "group", run.topo, 8);
+    let point = churn::evaluate(&run, group);
+    let mut failures = Vec::new();
+    for &kind in &run.protocols {
+        let unrecovered = point.count(kind, churn::UNRECOVERED);
+        if unrecovered > 0 {
+            let name = kind.name();
+            failures.push(format!(
+                "{name} did not restore full service in {unrecovered} run(s)"
+            ));
+        }
+    }
     if let Some(sheet) = args.get("check") {
         let repair = |name: &str| {
-            arms()
-                .find(|(kind, _)| kind.name() == name)
-                .map(|(_, p)| p.repair_latency.mean())
+            let arm = run.protocols.iter().find(|kind| kind.name() == name);
+            arm.map(|&kind| point.summary(kind, churn::REPAIR_LATENCY).mean())
                 .ok_or_else(|| format!("{name} is not an arm of this run"))
         };
         failures.extend(check_tolerances(sheet, |rule| match rule {
@@ -324,105 +327,120 @@ fn churn(args: &Args) -> Report {
         }));
     }
     Report {
-        text: format!("{}\n", churn::render(&cfg, &report).render()),
-        json: Some(churn::render_json(&cfg, &report)),
+        text: format!("{}\n", churn::render(&run, group, &point).render()),
+        json: Some(churn::render_json(&run, group, &point)),
         failures,
     }
 }
 
-/// The shape of the two option sweeps: both metrics' tables, one after
-/// the other.
-fn knob_sweep(
+/// The shape of the two option sweeps: `--group` receivers, both metrics'
+/// tables, one after the other.
+fn option_sweep(
     args: &Args,
+    arms: &[ProtocolKind],
     values: &[f64],
-    evaluate: fn(&KnobSweep) -> Vec<KnobPoint>,
-    render: fn(&KnobSweep, &[KnobPoint], Metric) -> Table,
+    tables: fn(&RunConfig, usize, &[f64]) -> [Table; 2],
 ) -> Report {
-    let cfg = KnobSweep {
-        run: RunConfig::from_args(args, 100),
-        group_size: args.get_parse("group", 10),
-        values: values.to_vec(),
-    };
-    let points = evaluate(&cfg);
-    Report::tables(&[Metric::Cost, Metric::Delay].map(|m| render(&cfg, &points, m)))
+    let run = RunConfig::from_args(args, 100).protocols(arms.to_vec());
+    let group = group_size(args, "group", run.topo, 10);
+    Report::tables(&tables(&run, group, values))
 }
 
 fn asymmetry(args: &Args) -> Report {
     let steps = [0.0, 0.25, 0.5, 0.75, 1.0];
-    knob_sweep(args, &steps, asymmetry::evaluate_sweep, asymmetry::render)
+    option_sweep(args, &asymmetry::ASYMMETRY_ARMS, &steps, asymmetry::tables)
 }
 
 fn unicast_clouds(args: &Args) -> Report {
     let fractions = [0.0, 0.2, 0.4, 0.6, 0.8];
-    knob_sweep(args, &fractions, clouds::evaluate_sweep, clouds::render)
+    option_sweep(
+        args,
+        &ProtocolKind::RECURSIVE_UNICAST,
+        &fractions,
+        clouds::tables,
+    )
 }
 
 fn timers(args: &Args) -> Report {
-    let cfg = KnobSweep {
-        run: RunConfig::from_args(args, 50).protocols(ProtocolKind::RECURSIVE_UNICAST.to_vec()),
-        group_size: args.get_parse("group", 8),
-        values: vec![1.0, 2.0, 4.0],
-    };
-    let rows = timers::evaluate(&cfg);
-    Report::tables(&[timers::render(&cfg, &rows)])
+    let run = RunConfig::from_args(args, 50).protocols(ProtocolKind::RECURSIVE_UNICAST.to_vec());
+    let group = group_size(args, "group", run.topo, 8);
+    let points = timers::evaluate(&run, group, &[1.0, 2.0, 4.0]);
+    Report::tables(&[timers::render(&run, group, &points)])
 }
 
 fn overhead(args: &Args) -> Report {
-    let cfg = EvalConfig {
-        run: RunConfig::from_args(args, 50),
-        sizes: vec![2, 8, 16],
-    };
-    let rows = overhead::evaluate(&cfg);
-    Report::tables(&[overhead::render(&cfg, &rows)])
+    let run = RunConfig::from_args(args, 50);
+    let points = overhead::evaluate(&run, &[2, 8, 16]);
+    Report::tables(&[overhead::render(&run, &points)])
 }
 
 fn state_size(args: &Args) -> Report {
-    let cfg = EvalConfig {
-        run: RunConfig::from_args(args, 50),
-        sizes: vec![4, 8, 16],
-    };
-    let rows = state_size::evaluate(&cfg);
-    Report::tables(&[state_size::render(&cfg, &rows)])
+    let run = RunConfig::from_args(args, 50);
+    let points = state_size::evaluate(&run, &[4, 8, 16]);
+    Report::tables(&[state_size::render(&run, &points)])
 }
 
 fn qos(args: &Args) -> Report {
-    let cfg = qos::QosConfig {
-        run: RunConfig::from_args(args, 100),
-        group_size: args.get_parse("group", 8),
-        min_bw: args.get_parse("minbw", 4),
-    };
-    let report = qos::evaluate(&cfg);
-    Report::tables(&[qos::render(&cfg, &report)])
+    let run = RunConfig::from_args(args, 100).protocols(ProtocolKind::SOURCE_SPECIFIC.to_vec());
+    let group = group_size(args, "group", run.topo, 8);
+    let min_bw = args.get_parse("minbw", 4);
+    let point = qos::evaluate(&run, group, min_bw);
+    Report::tables(&[qos::render(&run, group, min_bw, &point)])
 }
 
 fn groups(args: &Args) -> Report {
-    let cfg = groups::GroupsConfig {
-        run: RunConfig::from_args(args, 20),
-        group_counts: vec![1, 4, 8, 16],
-        receivers_per_group: args.get_parse("rx", 5),
-    };
-    let rows = groups::evaluate(&cfg);
-    Report::tables(&[groups::render(&cfg, &rows)])
+    let run = RunConfig::from_args(args, 20).protocols(ProtocolKind::SOURCE_SPECIFIC.to_vec());
+    let rx = group_size(args, "rx", TopologyKind::Isp, 5);
+    let points = groups::evaluate(&run, &[1, 4, 8, 16], rx);
+    Report::tables(&[groups::render(&run, rx, &points)])
 }
 
 /// One draw's converged HBH tables and the data-plane trace of a probe.
 fn inspect(args: &Args) -> Report {
     let topo = RunConfig::from_args(args, 1).topo;
-    let (group, seed) = (args.get_parse("group", 6), args.get_parse("seed", 3));
+    let group = group_size(args, "group", topo, 6);
     Report {
-        text: crate::inspect::dump(topo, group, seed),
+        text: crate::inspect::dump(topo, group, args.get_parse("seed", 3)),
         json: None,
         failures: Vec::new(),
     }
 }
 
+/// `--<flag>` where zero has no meaning (a tier of no routers, a cache of
+/// no rows, a lineup of no channels).
+fn at_least_one<T: std::str::FromStr + Default + PartialEq>(
+    args: &Args,
+    flag: &str,
+    default: T,
+) -> T {
+    let n = args.get_parse(flag, default);
+    if n == T::default() {
+        args.die(&format!("--{flag} must be at least 1"));
+    }
+    n
+}
+
 /// The `--ases --pops --access` overrides the two sweeps share.
 fn tier_spec(args: &Args, default: TierSpec) -> TierSpec {
     TierSpec {
-        ases: args.get_parse("ases", default.ases),
-        pops_per_as: args.get_parse("pops", default.pops_per_as),
-        access_per_pop: args.get_parse("access", default.access_per_pop),
+        ases: at_least_one(args, "ases", default.ases),
+        pops_per_as: at_least_one(args, "pops", default.pops_per_as),
+        access_per_pop: at_least_one(args, "access", default.access_per_pop),
     }
+}
+
+/// The `--hosts --group` overrides the two sweeps share: the group is
+/// sampled from the hosts the source leaves.
+fn hosts_and_group(args: &Args, hosts: usize, group: usize) -> (usize, usize) {
+    let hosts = args.get_parse("hosts", hosts);
+    let group = args.get_parse("group", group);
+    let pool = hosts.saturating_sub(1);
+    if group > pool {
+        args.die(&format!(
+            "--group must be at most --hosts − 1 = {pool}, got {group}"
+        ));
+    }
+    (hosts, group)
 }
 
 /// The tail of a sweep row: append `record` to the `--out` history
@@ -457,11 +475,10 @@ fn scale(args: &Args) -> Report {
         ScaleConfig::full()
     };
     cfg.spec = tier_spec(args, cfg.spec);
-    cfg.hosts = args.get_parse("hosts", cfg.hosts);
-    cfg.group_size = args.get_parse("group", cfg.group_size);
+    (cfg.hosts, cfg.group_size) = hosts_and_group(args, cfg.hosts, cfg.group_size);
     cfg.runs = RunConfig::from_args(args, cfg.runs).runs;
     cfg.base_seed = args.get_parse("seed", cfg.base_seed);
-    cfg.cache_rows = args.get_parse("cache", cfg.cache_rows);
+    cfg.cache_rows = at_least_one(args, "cache", cfg.cache_rows);
 
     eprintln!(
         "scale sweep: {} routers, {} hosts, {} runs x {} protocols, cache {} rows",
@@ -493,12 +510,17 @@ fn membership(args: &Args) -> Report {
         MembershipConfig::full()
     };
     cfg.spec = tier_spec(args, cfg.spec);
-    cfg.hosts = args.get_parse("hosts", cfg.hosts);
-    cfg.group_size = args.get_parse("group", cfg.group_size);
-    cfg.channels = args.get_parse("channels", cfg.channels);
+    (cfg.hosts, cfg.group_size) = hosts_and_group(args, cfg.hosts, cfg.group_size);
+    if let Some(&storm) = cfg.storm_sizes.iter().max().filter(|&&n| n >= cfg.hosts) {
+        args.die(&format!(
+            "--hosts must be above {storm}, the receivers of the largest storm, got {}",
+            cfg.hosts
+        ));
+    }
+    cfg.channels = at_least_one(args, "channels", cfg.channels);
     cfg.zaps = args.get_parse("zaps", cfg.zaps);
     cfg.base_seed = args.get_parse("seed", cfg.base_seed);
-    cfg.cache_rows = args.get_parse("cache", cfg.cache_rows);
+    cfg.cache_rows = at_least_one(args, "cache", cfg.cache_rows);
 
     eprintln!(
         "membership sweep: {} routers, {} hosts, {} workloads x {} arms, storm to {} receivers",

@@ -4,7 +4,6 @@
 //! [`Report`] every experiment returns, and the tolerance-sheet /
 //! history-file / peak-RSS plumbing the `--check` and `--out` flags share.
 
-use crate::stats::Summary;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -18,11 +17,15 @@ pub struct Table {
 }
 
 impl Table {
-    pub fn new(title: impl Into<String>, x_label: impl Into<String>, columns: &[&str]) -> Self {
+    pub fn new<C: AsRef<str>>(
+        title: impl Into<String>,
+        x_label: impl Into<String>,
+        columns: &[C],
+    ) -> Self {
         Table {
             title: title.into(),
             x_label: x_label.into(),
-            columns: columns.iter().map(|s| s.to_string()).collect(),
+            columns: columns.iter().map(|c| c.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -36,20 +39,6 @@ impl Table {
     /// Formats a mean ± 95% CI cell.
     pub fn cell(mean: f64, ci: f64) -> String {
         format!("{mean:8.2} ±{ci:5.2}")
-    }
-
-    /// A row with one `mean ± ci` cell per point, read off each by `of`.
-    pub fn summary_row<P>(&mut self, label: &str, points: &[P], of: impl Fn(&P) -> &Summary) {
-        let cells = points
-            .iter()
-            .map(|p| Table::cell(of(p).mean(), of(p).ci95()));
-        self.row(label, cells.collect());
-    }
-
-    /// A row with one right-aligned count per point.
-    pub fn count_row<P>(&mut self, label: &str, points: &[P], of: impl Fn(&P) -> u64) {
-        let cells = points.iter().map(|p| format!("{:>8}", of(p)));
-        self.row(label, cells.collect());
     }
 
     pub fn render(&self) -> String {

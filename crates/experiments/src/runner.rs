@@ -4,17 +4,17 @@
 
 use crate::protocols::ProtocolKind;
 use crate::report::Args;
-use crate::scenario::{Scenario, ScenarioOptions, TopologyKind};
+use crate::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Kernel, Network, Protocol, Time};
 use hbh_topo::graph::NodeId;
 use std::collections::BTreeMap;
 
 /// The run knobs every experiment shares — topology, run count, base
-/// seed, timing, scenario options, protocol set — held once: each figure
-/// config is `{ run: RunConfig, <its own sweep fields> }`, and every
-/// `hbh-exp` row builds it from argv with [`RunConfig::from_args`], so a
-/// bad value is the same usage error everywhere:
+/// seed, timing, protocol set — held once: every figure is
+/// `evaluate(&RunConfig, <its own sweep arguments>)`, and every `hbh-exp`
+/// row builds it from argv with [`RunConfig::from_args`], so a bad value is
+/// the same usage error everywhere:
 ///
 /// ```no_run
 /// use hbh_experiments::report::Args;
@@ -33,8 +33,6 @@ pub struct RunConfig {
     pub base_seed: u64,
     /// Protocol timer configuration.
     pub timing: Timing,
-    /// Scenario-construction options.
-    pub opts: ScenarioOptions,
     /// Protocols under test, in legend order.
     pub protocols: Vec<ProtocolKind>,
 }
@@ -48,7 +46,6 @@ impl Default for RunConfig {
             runs: 100,
             base_seed: 1,
             timing: Timing::default(),
-            opts: ScenarioOptions::default(),
             protocols: ProtocolKind::ALL.to_vec(),
         }
     }
@@ -58,7 +55,7 @@ impl RunConfig {
     /// Reads `--topo --runs --seed --threads` from parsed argv — whichever
     /// of them the row allows — with `default_runs` as the `--runs`
     /// fallback. A `--threads` value is applied immediately (sets
-    /// `HBH_THREADS`, which `parallel::map_runs` reads). An unknown
+    /// `HBH_THREADS`, which `parallel::workers` reads). An unknown
     /// topology, an unparsable number or `--runs 0` is a usage error
     /// (exit 2), never a panic.
     pub fn from_args(args: &Args, default_runs: usize) -> Self {
@@ -86,21 +83,9 @@ impl RunConfig {
         }
     }
 
-    /// Sets the topology family.
-    pub fn topo(mut self, topo: TopologyKind) -> Self {
-        self.topo = topo;
-        self
-    }
-
     /// Sets the number of independent runs.
     pub fn runs(mut self, runs: usize) -> Self {
         self.runs = runs;
-        self
-    }
-
-    /// Sets the base seed.
-    pub fn seed(mut self, base_seed: u64) -> Self {
-        self.base_seed = base_seed;
         self
     }
 
@@ -108,6 +93,21 @@ impl RunConfig {
     pub fn protocols(mut self, protocols: Vec<ProtocolKind>) -> Self {
         self.protocols = protocols;
         self
+    }
+
+    /// Draw `seed` of the paper's scenario at `group_size` receivers, on
+    /// this run's topology and timing.
+    pub fn draw(&self, group_size: usize, seed: u64) -> Scenario {
+        let opts = ScenarioOptions::default();
+        build(self.topo, group_size, seed, &self.timing, &opts)
+    }
+
+    /// How a figure titles itself: `what — isp topology, 8 receivers, 100
+    /// runs`, the receivers only where the figure fixes a `group_size`.
+    pub fn title(&self, what: &str, group_size: Option<usize>) -> String {
+        let group = group_size.map_or(String::new(), |g| format!(", {g} receivers"));
+        let (topo, runs) = (self.topo.name(), self.runs);
+        format!("{what} — {topo} topology{group}, {runs} runs")
     }
 }
 
@@ -122,6 +122,9 @@ pub struct ProbeOutcome {
     pub expected: usize,
     /// `true` if structural changes quiesced before the probe.
     pub converged: bool,
+    /// Simulated time of the last structural change before the probe
+    /// (convergence time).
+    pub converged_at: u64,
     /// Structural changes observed since kernel start (stability metric).
     pub structural_changes: u64,
     /// Control-plane link transmissions since kernel start.
@@ -185,6 +188,18 @@ pub fn converge<P: Protocol<Command = Cmd>>(
     false
 }
 
+/// Steady-state control transmissions per tree period, measured over the
+/// next `periods` of them.
+pub fn control_per_period<P: Protocol<Command = Cmd>>(
+    k: &mut Kernel<P>,
+    timing: &Timing,
+    periods: u64,
+) -> f64 {
+    let (c0, t0) = (k.stats().control_copies(), k.now());
+    k.run_until(t0 + periods * timing.tree_period);
+    (k.stats().control_copies() - c0) as f64 / periods as f64
+}
+
 /// How long to let a probe propagate before reading deliveries.
 ///
 /// Invariant: the window must dominate the longest delivery path any
@@ -201,28 +216,10 @@ pub fn probe_window(net: &Network) -> u64 {
     net.node_count() as u64 * 2 * worst_hop + 200
 }
 
-/// Injects a tagged data packet and collects deliveries attributed to it.
-pub fn probe<P: Protocol<Command = Cmd>>(
-    k: &mut Kernel<P>,
-    ch: Channel,
-    tag: u64,
-    expected: usize,
-) -> (u64, BTreeMap<NodeId, u64>) {
-    let window = probe_window(k.network());
-    let (delays, duplicates) = probe_tolerant(k, ch, tag, window);
-    assert!(
-        duplicates == 0,
-        "duplicate delivery of probe {tag} ({duplicates} extra copies)"
-    );
-    let cost = k.stats().data_copies_tagged(tag);
-    debug_assert!(delays.len() <= expected);
-    (cost, delays)
-}
-
-/// [`probe`] without the duplicate-free assertion: returns each
-/// receiver's *first* delivery delay plus the count of duplicate
-/// deliveries. Steady-state trees never duplicate (that is what [`probe`]
-/// pins), but a tree *mid-repair* legitimately can — e.g. REUNITE
+/// Injects a tagged data packet and returns each receiver's *first*
+/// delivery delay plus the count of duplicate deliveries. Steady-state
+/// trees never duplicate (that is what [`run_probe`] asserts), but a tree
+/// *mid-repair* legitimately can — e.g. REUNITE
 /// re-joining through a new branching node while stale state still
 /// forwards — which is precisely what the churn experiment measures.
 pub fn probe_tolerant<P: Protocol<Command = Cmd>>(
@@ -277,12 +274,19 @@ pub fn run_probe<P: Protocol<Command = Cmd>>(
     let converged = converge(&mut k, timing, scenario.join_window);
     let control_copies = k.stats().control_copies();
     let structural_changes = k.stats().structural_changes;
-    let (cost, delays) = probe(&mut k, ch, 1, scenario.receivers.len());
+    let converged_at = k.stats().last_structural_change.0;
+    let window = probe_window(k.network());
+    let (delays, duplicates) = probe_tolerant(&mut k, ch, 1, window);
+    assert!(
+        duplicates == 0,
+        "duplicate delivery of the probe ({duplicates} extra copies)"
+    );
     ProbeOutcome {
-        cost,
+        cost: k.stats().data_copies_tagged(1),
         delays,
         expected: scenario.receivers.len(),
         converged,
+        converged_at,
         structural_changes,
         control_copies,
         drops: k.stats().drops,

@@ -47,6 +47,31 @@ impl TopologyKind {
         }
     }
 
+    /// The family's fixed topology, costs not yet drawn, and its source
+    /// host (the paper simulates *a* topology per family, varying costs and
+    /// receivers per run).
+    fn topology(self) -> (Graph, NodeId) {
+        match self {
+            TopologyKind::Isp => (isp::isp_topology(), isp::SOURCE_HOST),
+            TopologyKind::Rand50 => {
+                let mut topo_rng = StdRng::seed_from_u64(RAND50_TOPO_SEED);
+                // Source fixed at the first router's host, mirroring the ISP
+                // convention (host n on router 0 → NodeId(50)).
+                (random::rand50(&mut topo_rng), NodeId(50))
+            }
+            TopologyKind::Waxman30 => {
+                let mut topo_rng = StdRng::seed_from_u64(WAXMAN_TOPO_SEED);
+                (random::waxman(30, 0.9, 0.3, &mut topo_rng), NodeId(30))
+            }
+        }
+    }
+
+    /// The largest group [`build`] can sample on this topology: every host
+    /// but the source.
+    pub fn receiver_pool(self) -> usize {
+        self.topology().0.hosts().count() - 1
+    }
+
     /// The group sizes plotted in the paper for this topology (Waxman is
     /// ours; it gets a proportional sweep).
     pub fn paper_group_sizes(self) -> Vec<usize> {
@@ -174,21 +199,7 @@ pub fn build(
     opts: &ScenarioOptions,
 ) -> Scenario {
     let mut rng = StdRng::seed_from_u64(run_seed ^ (0x5EED_0000 + kind as u64));
-    let (mut graph, source) = match kind {
-        TopologyKind::Isp => (isp::isp_topology(), isp::SOURCE_HOST),
-        TopologyKind::Rand50 => {
-            let mut topo_rng = StdRng::seed_from_u64(RAND50_TOPO_SEED);
-            let g = random::rand50(&mut topo_rng);
-            // Source fixed at the first router's host, mirroring the ISP
-            // convention (host n on router 0 → NodeId(50)).
-            (g, NodeId(50))
-        }
-        TopologyKind::Waxman30 => {
-            let mut topo_rng = StdRng::seed_from_u64(WAXMAN_TOPO_SEED);
-            let g = random::waxman(30, 0.9, 0.3, &mut topo_rng);
-            (g, NodeId(30))
-        }
-    };
+    let (mut graph, source) = kind.topology();
     costs::assign_uniform_with_asymmetry(&mut graph, 1, 10, opts.asymmetry, &mut rng);
 
     if opts.unicast_only_fraction > 0.0 {

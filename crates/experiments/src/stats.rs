@@ -57,22 +57,6 @@ impl Summary {
             1.96 * self.sd() / (self.n as f64).sqrt()
         }
     }
-
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n;
-        self.m2 += other.m2 + d * d * self.n as f64 * other.n as f64 / n;
-        self.mean = mean;
-        self.n += other.n;
-    }
 }
 
 #[cfg(test)]
@@ -106,27 +90,5 @@ mod tests {
         let few = of(&[1.0, 2.0, 3.0, 4.0]);
         let many = of(&(0..100).map(|i| (i % 4) as f64 + 1.0).collect::<Vec<_>>());
         assert!(many.ci95() < few.ci95());
-    }
-
-    #[test]
-    fn merge_equals_single_pass() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let whole = of(&xs);
-        let mut a = of(&xs[..20]);
-        let b = of(&xs[20..]);
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.var() - whole.var()).abs() < 1e-9);
-        assert_eq!(a.n(), 50);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = of(&[1.0, 2.0]);
-        s.merge(&Summary::default());
-        assert_eq!(s.n(), 2);
-        let mut e = Summary::default();
-        e.merge(&of(&[1.0, 2.0]));
-        assert_eq!(e.n(), 2);
     }
 }

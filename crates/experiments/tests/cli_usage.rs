@@ -1,6 +1,6 @@
-//! `hbh-exp` at its command line. Bad argv is a usage error (exit 2,
-//! `error: …` on stderr), never a panic and never a table of zeros — on
-//! every row of the table. And `results/` is what the code prints:
+//! `hbh-exp` at its command line. Bad argv — an out-of-range value
+//! included — is a usage error (exit 2, `error: …` on stderr), never a
+//! panic and never a table of zeros — on every row of the table. And `results/` is what the code prints:
 //! `hbh-exp all --check 1` regenerates every file in memory and compares
 //! bytes (a file there that no row owns fails it too), a gate that is
 //! sound on any runner only because a report does not depend on the
@@ -58,6 +58,51 @@ fn bad_arguments_exit_2_without_panicking() {
     assert_bad_argv("no_such_experiment", "no_such_experiment");
     assert_bad_argv("", "usage: hbh-exp");
     assert_bad_argv("all --check maybe", "--check");
+}
+
+#[test]
+fn out_of_range_values_exit_2_naming_the_flag_and_the_bound() {
+    // Each of these reached a library `assert!` (exit 101) before the
+    // bounds were checked where the flags are read.
+    for (argv, flag, bound) in [
+        ("stability --group 99", "--group", "17"),
+        ("asymmetry --group 99", "--group", "17"),
+        ("qos --group 99", "--group", "17"),
+        ("inspect --group 99", "--group", "17"),
+        ("stability --group 0", "--group", "1"),
+        ("groups --rx 100", "--rx", "17"),
+        ("scale --smoke 1 --group 100000", "--group", "119"),
+        ("membership --smoke 1 --hosts 1", "--hosts", "0"),
+        ("membership --smoke 1 --hosts 100", "--hosts", "160"),
+        ("membership --smoke 1 --channels 0", "--channels", "1"),
+        ("scale --smoke 1 --cache 0", "--cache", "1"),
+        ("scale --smoke 1 --ases 0", "--ases", "1"),
+    ] {
+        let stderr = usage_error(argv);
+        assert!(stderr.starts_with("error:"), "{argv}: {stderr}");
+        let said = stderr.lines().next().unwrap();
+        assert!(
+            said.contains(flag) && said.contains(bound),
+            "{argv}: {said}"
+        );
+    }
+    // A group larger than the pool it is sampled from, on every row that
+    // takes one, whatever the topology.
+    for exp in EXPERIMENTS {
+        for flag in ["group", "rx"] {
+            if !exp.flags.contains(&flag) {
+                continue;
+            }
+            let topos: &[&str] = match exp.flags.contains(&"topo") {
+                true => &["", " --topo rand50", " --topo waxman30"],
+                false => &[""],
+            };
+            for topo in topos {
+                let argv = format!("{}{topo} --{flag} 1000000", exp.name);
+                assert_bad_argv(&argv, &format!("--{flag} must be"));
+            }
+        }
+    }
 }
 
 #[test]

@@ -69,12 +69,10 @@ impl Mct {
     }
 
     /// True if no entries remain.
-    /// True if no entries remain.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Raw entry count (including not-yet-reaped dead entries).
     /// Raw entry count (dead-but-unreaped included).
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -220,27 +220,30 @@ fn script_schedule_matches_manual_scheduling() {
 /// change to these numbers is a behaviour change and must be deliberate.
 #[test]
 fn churn_experiment_pinned_seed_regression() {
-    use hbh_experiments::figures::churn::{evaluate, ChurnConfig};
+    use hbh_experiments::figures::churn::{
+        evaluate, DUPLICATES, LOST, PERTURBED, REPAIR_LATENCY, RETRANSMITS, UNRECOVERED, UNREPAIRED,
+    };
     use hbh_experiments::runner::RunConfig;
+    use hbh_experiments::ProtocolKind::{Hbh, HbhHard, Reunite};
 
-    let cfg = ChurnConfig {
-        run: RunConfig::default()
-            .runs(2)
-            .seed(1)
-            .protocols(hbh_experiments::ProtocolKind::CHURN_ARMS.to_vec()),
-        group_size: 8,
-    };
-    let report = evaluate(&cfg);
-    assert_eq!(report.skipped, 0);
-    let [reunite, hbh, hard] = &report.points[..] else {
-        panic!("expected the three churn arms");
-    };
-    for (name, p) in [("REUNITE", reunite), ("HBH", hbh), ("HBH-HARD", hard)] {
-        assert_eq!(p.unrepaired, 0, "{name} failed to repair");
-        assert_eq!(p.unrecovered, 0, "{name} failed to recover");
+    let run = RunConfig::default()
+        .runs(2)
+        .protocols(hbh_experiments::ProtocolKind::CHURN_ARMS.to_vec());
+    let point = evaluate(&run, 8);
+    assert_eq!(point.skipped, 0);
+    assert_eq!(point.arms.len(), 3, "expected the three churn arms");
+    for kind in [Reunite, Hbh, HbhHard] {
+        let name = kind.name();
+        assert_eq!(point.count(kind, UNREPAIRED), 0, "{name} failed to repair");
+        assert_eq!(
+            point.count(kind, UNRECOVERED),
+            0,
+            "{name} failed to recover"
+        );
     }
+    let mean = |kind, column| point.summary(kind, column).mean();
     assert_eq!(
-        hbh.perturbed.mean(),
+        mean(Hbh, PERTURBED),
         0.0,
         "HBH must not perturb innocent receivers"
     );
@@ -248,42 +251,40 @@ fn churn_experiment_pinned_seed_regression() {
     // repair beats soft-state refresh-and-decay outright, without ever
     // touching a receiver the crash did not affect.
     assert!(
-        hard.repair_latency.mean() < hbh.repair_latency.mean(),
+        mean(HbhHard, REPAIR_LATENCY) < mean(Hbh, REPAIR_LATENCY),
         "HBH-HARD (mean {}) must repair strictly faster than soft HBH (mean {})",
-        hard.repair_latency.mean(),
-        hbh.repair_latency.mean()
+        mean(HbhHard, REPAIR_LATENCY),
+        mean(Hbh, REPAIR_LATENCY)
     );
     assert_eq!(
-        hard.perturbed.mean(),
+        mean(HbhHard, PERTURBED),
         0.0,
         "HBH-HARD must not perturb innocent receivers"
     );
     assert!(
-        hard.retransmits.mean() >= 0.0 && hbh.retransmits.mean() == 0.0,
+        mean(HbhHard, RETRANSMITS) >= 0.0 && mean(Hbh, RETRANSMITS) == 0.0,
         "only the reliable layer retransmits"
     );
     // Pinned means: deterministic across runs, threads and platforms.
-    let pin = |s: &hbh_experiments::stats::Summary| (s.mean() * 1000.0).round();
-    let snap = |points: &[hbh_experiments::figures::churn::ChurnPoint]| {
-        let (reunite, hbh, hard) = (&points[0], &points[1], &points[2]);
+    let snap = |point: &hbh_experiments::figures::sweep::Point<_>| {
+        let pin = |kind, column| (point.summary(kind, column).mean() * 1000.0).round();
         [
-            pin(&reunite.repair_latency),
-            pin(&reunite.lost),
-            pin(&reunite.duplicates),
-            pin(&reunite.perturbed),
-            pin(&hbh.repair_latency),
-            pin(&hbh.lost),
-            pin(&hbh.duplicates),
-            pin(&hard.repair_latency),
-            pin(&hard.lost),
-            pin(&hard.duplicates),
+            pin(Reunite, REPAIR_LATENCY),
+            pin(Reunite, LOST),
+            pin(Reunite, DUPLICATES),
+            pin(Reunite, PERTURBED),
+            pin(Hbh, REPAIR_LATENCY),
+            pin(Hbh, LOST),
+            pin(Hbh, DUPLICATES),
+            pin(HbhHard, REPAIR_LATENCY),
+            pin(HbhHard, LOST),
+            pin(HbhHard, DUPLICATES),
         ]
     };
-    let snapshot = snap(&report.points);
-    let again = evaluate(&cfg);
+    let snapshot = snap(&point);
     assert_eq!(
         snapshot,
-        snap(&again.points),
+        snap(&evaluate(&run, 8)),
         "churn evaluation must be deterministic"
     );
     // The absolute values, pinned. Update deliberately if the protocol,

@@ -3,10 +3,6 @@
 //! sequentially or fans out across worker threads. This is the guarantee
 //! that lets CI pin `HBH_THREADS=1` for stable timings without changing
 //! any reported number.
-//!
-//! This file holds exactly one test on purpose: `HBH_THREADS` is
-//! process-global, and Rust runs the tests of one binary concurrently —
-//! a sibling test reading the variable mid-flip would race.
 
 use hbh_experiments::membership::{
     build_membership_graph, build_membership_scenario, MembershipConfig, MembershipStudy,
@@ -21,12 +17,12 @@ use hbh_sim_core::Time;
 /// interior max state bytes, access max state bytes.
 type Observables = (usize, usize, bool, Option<u64>, u64, u64, usize, usize);
 
-/// Runs the smoke flash crowd for four independent seeds under the
-/// current `HBH_THREADS` setting.
-fn flash_outcomes() -> Vec<Observables> {
+/// Runs the smoke flash crowd for four independent seeds on `workers`
+/// threads.
+fn flash_outcomes(workers: usize) -> Vec<Observables> {
     let cfg = MembershipConfig::smoke();
     let template = build_membership_graph(&cfg);
-    map_runs(4, |run| {
+    map_runs(workers, 4, |run| {
         let w = Workload::flash_crowd(cfg.group_size, Time(0));
         let sc = build_membership_scenario(&cfg, &template, &w, run);
         let o = dispatch(ProtocolKind::HbhAgg, &sc, &cfg.timing, &MembershipStudy);
@@ -45,11 +41,8 @@ fn flash_outcomes() -> Vec<Observables> {
 
 #[test]
 fn flash_crowd_outcomes_are_identical_across_thread_counts() {
-    std::env::set_var("HBH_THREADS", "1");
-    let sequential = flash_outcomes();
-    std::env::set_var("HBH_THREADS", "4");
-    let parallel = flash_outcomes();
-    std::env::remove_var("HBH_THREADS");
+    let sequential = flash_outcomes(1);
+    let parallel = flash_outcomes(4);
     assert_eq!(
         sequential, parallel,
         "flash-crowd outcomes must not depend on the worker count"
