@@ -406,16 +406,17 @@ fn inspect(args: &Args) -> Report {
     }
 }
 
-/// `--<flag>` where zero has no meaning (a tier of no routers, a cache of
-/// no rows, a lineup of no channels).
-fn at_least_one<T: std::str::FromStr + Default + PartialEq>(
+/// `--<flag>` with a floor below which it has no meaning (a tier of no
+/// routers, a cache of no rows, zapping over one channel).
+fn flag_at_least<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
     args: &Args,
     flag: &str,
     default: T,
+    min: T,
 ) -> T {
     let n = args.get_parse(flag, default);
-    if n == T::default() {
-        args.die(&format!("--{flag} must be at least 1"));
+    if n < min {
+        args.die(&format!("--{flag} must be at least {min}, got {n}"));
     }
     n
 }
@@ -423,21 +424,21 @@ fn at_least_one<T: std::str::FromStr + Default + PartialEq>(
 /// The `--ases --pops --access` overrides the two sweeps share.
 fn tier_spec(args: &Args, default: TierSpec) -> TierSpec {
     TierSpec {
-        ases: at_least_one(args, "ases", default.ases),
-        pops_per_as: at_least_one(args, "pops", default.pops_per_as),
-        access_per_pop: at_least_one(args, "access", default.access_per_pop),
+        ases: flag_at_least(args, "ases", default.ases, 1),
+        pops_per_as: flag_at_least(args, "pops", default.pops_per_as, 1),
+        access_per_pop: flag_at_least(args, "access", default.access_per_pop, 1),
     }
 }
 
-/// The `--hosts --group` overrides the two sweeps share: the group is
-/// sampled from the hosts the source leaves.
+/// The `--hosts --group` overrides the two sweeps share: at least one
+/// receiver, sampled from the hosts the source leaves.
 fn hosts_and_group(args: &Args, hosts: usize, group: usize) -> (usize, usize) {
     let hosts = args.get_parse("hosts", hosts);
     let group = args.get_parse("group", group);
     let pool = hosts.saturating_sub(1);
-    if group > pool {
+    if !(1..=pool).contains(&group) {
         args.die(&format!(
-            "--group must be at most --hosts − 1 = {pool}, got {group}"
+            "--group must be between 1 and --hosts − 1 = {pool}, got {group}"
         ));
     }
     (hosts, group)
@@ -478,7 +479,7 @@ fn scale(args: &Args) -> Report {
     (cfg.hosts, cfg.group_size) = hosts_and_group(args, cfg.hosts, cfg.group_size);
     cfg.runs = RunConfig::from_args(args, cfg.runs).runs;
     cfg.base_seed = args.get_parse("seed", cfg.base_seed);
-    cfg.cache_rows = at_least_one(args, "cache", cfg.cache_rows);
+    cfg.cache_rows = flag_at_least(args, "cache", cfg.cache_rows, 1);
 
     eprintln!(
         "scale sweep: {} routers, {} hosts, {} runs x {} protocols, cache {} rows",
@@ -517,10 +518,10 @@ fn membership(args: &Args) -> Report {
             cfg.hosts
         ));
     }
-    cfg.channels = at_least_one(args, "channels", cfg.channels);
+    cfg.channels = flag_at_least(args, "channels", cfg.channels, 2);
     cfg.zaps = args.get_parse("zaps", cfg.zaps);
     cfg.base_seed = args.get_parse("seed", cfg.base_seed);
-    cfg.cache_rows = at_least_one(args, "cache", cfg.cache_rows);
+    cfg.cache_rows = flag_at_least(args, "cache", cfg.cache_rows, 1);
 
     eprintln!(
         "membership sweep: {} routers, {} hosts, {} workloads x {} arms, storm to {} receivers",

@@ -195,7 +195,7 @@ impl ScaleReport {
              \"sweep\": {{\"runs\": {}, \"group_size\": {}, \"base_seed\": {}}},\n  \
              \"protocols\": [\n{}\n  ],\n  \
              \"routes\": {{\"cache_rows\": {}, \"computed\": {}, \"hits\": {}, \"misses\": {}, \
-             \"evicted\": {}, \"invalidated\": {}, \"peak_cached_rows\": {}, \
+             \"evicted\": {}, \"peak_cached_rows\": {}, \
              \"cache_hit_rate\": {:.4}}},\n  \
              \"memory\": {{\"route_bytes\": {}, \"bytes_per_router\": {:.1}, \
              \"all_pairs_bytes\": {}, \"memory_ratio\": {:.2}, \"structure_bytes\": {}, \
@@ -216,7 +216,6 @@ impl ScaleReport {
             s.hits,
             s.misses,
             s.evicted,
-            s.invalidated,
             s.cached_rows,
             self.hit_rate(),
             self.route_bytes,
@@ -314,7 +313,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         route_stats.hits += s.hits;
         route_stats.misses += s.misses;
         route_stats.evicted += s.evicted;
-        route_stats.invalidated += s.invalidated;
         route_stats.cached_rows = route_stats.cached_rows.max(s.cached_rows);
         route_bytes = route_bytes.max(sc.network().routes().state_bytes());
         structure_bytes = sc.network().route_structure_bytes().unwrap_or(0);

@@ -74,7 +74,10 @@ fn out_of_range_values_exit_2_naming_the_flag_and_the_bound() {
         ("scale --smoke 1 --group 100000", "--group", "119"),
         ("membership --smoke 1 --hosts 1", "--hosts", "0"),
         ("membership --smoke 1 --hosts 100", "--hosts", "160"),
-        ("membership --smoke 1 --channels 0", "--channels", "1"),
+        ("membership --smoke 1 --channels 0", "--channels", "2"),
+        ("membership --smoke 1 --channels 1", "--channels", "2"),
+        ("scale --smoke 1 --group 0", "--group", "1"),
+        ("membership --smoke 1 --group 0", "--group", "1"),
         ("scale --smoke 1 --cache 0", "--cache", "1"),
         ("scale --smoke 1 --ases 0", "--ases", "1"),
     ] {

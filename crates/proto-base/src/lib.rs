@@ -45,6 +45,6 @@ pub use command::Cmd;
 pub use inventory::StateInventory;
 pub use reliable::{Outstanding, ReliableConfig, ReliableState, ReliableStats, RtxVerdict};
 pub use script::{Script, ScriptAction};
-pub use softstate::{EntryPhase, SoftEntry};
+pub use softstate::{EntryPhase, SoftEntry, SoftList};
 pub use timing::Timing;
 pub use workload::{Workload, WorkloadGen, WorkloadPlan};

@@ -7,36 +7,30 @@
 //! scheduling — lives in [`crate::workload`] behind the
 //! [`crate::Workload`] builder.
 
+use crate::{Channel, Script};
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-/// A membership-change event for the churn ablation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChurnEvent {
-    /// The host subscribes.
-    Join(NodeId),
-    /// The host unsubscribes.
-    Leave(NodeId),
-}
-
-/// Generates a Poisson churn process over `horizon`: events arrive with
-/// exponential inter-arrival times of mean `mean_gap`; each event toggles
-/// a uniformly chosen host between member and non-member.
+/// Generates a Poisson churn process on `ch` over `horizon`: events arrive
+/// with exponential inter-arrival times of mean `mean_gap`; each event
+/// toggles a uniformly chosen host between member and non-member.
 ///
-/// Returns `(time, event)` pairs in time order. The initial membership is
-/// empty; a `Leave` is only ever emitted for a current member.
+/// Returns a [`Script`] of `join`/`leave` entries in time order. The
+/// initial membership is empty; a `leave` is only ever scheduled for a
+/// current member.
 pub fn churn_schedule(
     pool: &[NodeId],
+    ch: Channel,
     mean_gap: f64,
     start: Time,
     horizon: u64,
     rng: &mut StdRng,
-) -> Vec<(Time, ChurnEvent)> {
+) -> Script {
     assert!(!pool.is_empty() && mean_gap > 0.0);
     let mut member = vec![false; pool.len()];
-    let mut events = Vec::new();
+    let mut script = Script::new();
     let mut t = start.0 as f64;
     let end = start.0 + horizon;
     loop {
@@ -48,19 +42,19 @@ pub fn churn_schedule(
         }
         let i = rng.random_range(0..pool.len());
         member[i] = !member[i];
-        let ev = if member[i] {
-            ChurnEvent::Join(pool[i])
+        script = if member[i] {
+            script.join(Time(t as u64), pool[i], ch)
         } else {
-            ChurnEvent::Leave(pool[i])
+            script.leave(Time(t as u64), pool[i], ch)
         };
-        events.push((Time(t as u64), ev));
     }
-    events
+    script
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Cmd, ScriptAction};
     use rand::SeedableRng;
 
     fn pool(n: u32) -> Vec<NodeId> {
@@ -74,13 +68,19 @@ mod tests {
     #[test]
     fn churn_alternates_join_leave_per_node() {
         let p = pool(4);
-        let events = churn_schedule(&p, 10.0, Time(0), 10_000, &mut rng(6));
-        assert!(!events.is_empty());
+        let ch = Channel::primary(NodeId(9));
+        let script = churn_schedule(&p, ch, 10.0, Time(0), 10_000, &mut rng(6));
+        assert!(!script.is_empty());
         let mut member = std::collections::HashSet::new();
-        for (_, ev) in &events {
-            match ev {
-                ChurnEvent::Join(n) => assert!(member.insert(*n), "joined while member"),
-                ChurnEvent::Leave(n) => assert!(member.remove(n), "left while not member"),
+        for &(_, action) in script.entries() {
+            match action {
+                ScriptAction::Command(n, Cmd::Join(c)) if c == ch => {
+                    assert!(member.insert(n), "joined while member")
+                }
+                ScriptAction::Command(n, Cmd::Leave(c)) if c == ch => {
+                    assert!(member.remove(&n), "left while not member")
+                }
+                other => panic!("not a join or leave on {ch:?}: {other:?}"),
             }
         }
     }
@@ -88,9 +88,10 @@ mod tests {
     #[test]
     fn churn_is_time_ordered_and_bounded() {
         let p = pool(4);
-        let events = churn_schedule(&p, 5.0, Time(100), 1000, &mut rng(7));
+        let ch = Channel::primary(NodeId(9));
+        let script = churn_schedule(&p, ch, 5.0, Time(100), 1000, &mut rng(7));
         let mut prev = Time(0);
-        for &(t, _) in &events {
+        for &(t, _) in script.entries() {
             assert!(t >= prev);
             assert!(t.0 <= 1100);
             prev = t;

@@ -16,9 +16,15 @@
 //! marked entry forwards `tree` messages but no data, whereas a *stale*
 //! entry forwards data but no `tree` messages (Appendix A). The flag is
 //! stored here; its interpretation stays in the protocol crates.
+//!
+//! [`SoftList`] is the insertion-ordered table of such entries that
+//! REUNITE's MCT and MFT both are (its rules read "the first receiver that
+//! joined"). PIM's `OifTable` is not one: it iterates in node-id order,
+//! and insertion order would reorder its same-time sends.
 
 use crate::timing::Timing;
 use hbh_sim_core::Time;
+use hbh_topo::graph::NodeId;
 
 /// Lifecycle phase of a soft-state entry at a given instant.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,6 +101,79 @@ impl SoftEntry {
     /// True once t2 expires.
     pub fn is_dead(&self, now: Time) -> bool {
         self.phase(now) == EntryPhase::Dead
+    }
+}
+
+/// One soft-state entry per node, oldest first.
+#[derive(Clone, Debug, Default)]
+pub struct SoftList {
+    entries: Vec<(NodeId, SoftEntry)>,
+}
+
+impl SoftList {
+    /// `r`'s entry, if it has one (liveness not checked).
+    pub fn get(&self, r: NodeId) -> Option<&SoftEntry> {
+        self.entries.iter().find(|(n, _)| *n == r).map(|(_, e)| e)
+    }
+
+    /// Refreshes (or appends) `r`. Returns `true` on append.
+    pub fn refresh_or_insert(&mut self, r: NodeId, now: Time, timing: &Timing) -> bool {
+        let fresh = !self.refresh_existing(r, now, timing);
+        if fresh {
+            self.entries.push((r, SoftEntry::new(now, timing)));
+        }
+        fresh
+    }
+
+    /// Refreshes `r` only if present. Returns `true` if it was.
+    pub fn refresh_existing(&mut self, r: NodeId, now: Time, timing: &Timing) -> bool {
+        let Some((_, e)) = self.entries.iter_mut().find(|(n, _)| *n == r) else {
+            return false;
+        };
+        e.refresh(now, timing);
+        true
+    }
+
+    /// Removes `r`. Returns `true` if present.
+    pub fn remove(&mut self, r: NodeId) -> bool {
+        let before = self.entries.len();
+        self.entries.retain(|(n, _)| *n != r);
+        self.entries.len() != before
+    }
+
+    /// True if `r` has an entry (liveness not checked).
+    pub fn contains(&self, r: NodeId) -> bool {
+        self.get(r).is_some()
+    }
+
+    /// Live nodes, oldest first.
+    pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries
+            .iter()
+            .filter(move |(_, e)| !e.is_dead(now))
+            .map(|(n, _)| *n)
+    }
+
+    /// The oldest live node.
+    pub fn first_live(&self, now: Time) -> Option<NodeId> {
+        self.live(now).next()
+    }
+
+    /// Drops dead entries; returns how many.
+    pub fn reap(&mut self, now: Time) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|(_, e)| !e.is_dead(now));
+        before - self.entries.len()
+    }
+
+    /// Raw entry count (dead-but-unreaped included).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True if no entries remain.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 

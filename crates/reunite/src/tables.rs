@@ -1,103 +1,56 @@
 //! REUNITE's two tables: the control-plane MCT and the forwarding-plane
 //! MFT.
 //!
-//! Entries are insertion-ordered (`Vec`-backed): REUNITE semantics depend
-//! on *who joined first* — the source's `dst` is the first receiver that
+//! Both are insertion-ordered [`SoftList`]s: REUNITE semantics depend on
+//! *who joined first* — the source's `dst` is the first receiver that
 //! joined the group, and a promoted branching node takes the first MCT
 //! receiver as its `dst`.
 
-use hbh_proto_base::{SoftEntry, Timing};
+use hbh_proto_base::{SoftEntry, SoftList, Timing};
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
+use std::ops::{Deref, DerefMut};
 
 /// Multicast Control Table for one channel at a non-branching router: the
 /// receivers whose `tree` messages flow through this node. Never used for
 /// data forwarding.
-#[derive(Clone, Debug, Default)]
-pub struct Mct {
-    entries: Vec<(NodeId, SoftEntry)>,
-}
-
-impl Mct {
-    /// Refreshes (or installs) `r`. Returns `true` on install.
-    pub fn refresh_or_insert(&mut self, r: NodeId, now: Time, timing: &Timing) -> bool {
-        match self.entries.iter_mut().find(|(n, _)| *n == r) {
-            Some((_, e)) => {
-                e.refresh(now, timing);
-                false
-            }
-            None => {
-                self.entries.push((r, SoftEntry::new(now, timing)));
-                true
-            }
-        }
-    }
-
-    /// Removes `r` (a marked tree arrived). Returns `true` if present.
-    pub fn remove(&mut self, r: NodeId) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(n, _)| *n != r);
-        self.entries.len() != before
-    }
-
-    /// The oldest live entry — the `dst` a promotion would adopt.
-    pub fn first_live(&self, now: Time) -> Option<NodeId> {
-        self.entries
-            .iter()
-            .find(|(_, e)| !e.is_dead(now))
-            .map(|(n, _)| *n)
-    }
-
-    /// All live receivers, oldest first.
-    pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries
-            .iter()
-            .filter(move |(_, e)| !e.is_dead(now))
-            .map(|(n, _)| *n)
-    }
-
-    /// True if `r` has an entry (liveness not checked).
-    pub fn contains(&self, r: NodeId) -> bool {
-        self.entries.iter().any(|(n, _)| *n == r)
-    }
-
-    /// Drops dead entries; returns how many.
-    pub fn reap(&mut self, now: Time) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|(_, e)| !e.is_dead(now));
-        before - self.entries.len()
-    }
-
-    /// True if no entries remain.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Raw entry count (dead-but-unreaped included).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
+pub type Mct = SoftList;
 
 /// Multicast Forwarding Table for one channel at a branching router (or at
-/// the source): the receivers that joined *here*, with the distinguished
-/// `dst` the incoming data is addressed to.
+/// the source): the receivers that joined *here* (the [`SoftList`] it
+/// derefs to), with the distinguished `dst` the incoming data is addressed
+/// to.
 #[derive(Clone, Debug)]
 pub struct Mft {
     dst: NodeId,
-    entries: Vec<(NodeId, SoftEntry)>,
+    members: SoftList,
     /// Set when a marked `tree(S, dst)` arrives: the table stops
     /// intercepting joins (downstream receivers must re-join upstream) but
     /// keeps forwarding data until its entries decay.
     stale_flag: bool,
 }
 
+impl Deref for Mft {
+    type Target = SoftList;
+    fn deref(&self) -> &SoftList {
+        &self.members
+    }
+}
+
+impl DerefMut for Mft {
+    fn deref_mut(&mut self) -> &mut SoftList {
+        &mut self.members
+    }
+}
+
 impl Mft {
     /// Creates the table with `dst` as first member.
     pub fn new(dst: NodeId, now: Time, timing: &Timing) -> Self {
+        let mut members = SoftList::default();
+        members.refresh_or_insert(dst, now, timing);
         Mft {
             dst,
-            entries: vec![(dst, SoftEntry::new(now, timing))],
+            members,
             stale_flag: false,
         }
     }
@@ -105,36 +58,6 @@ impl Mft {
     /// The receiver incoming data is addressed to.
     pub fn dst(&self) -> NodeId {
         self.dst
-    }
-
-    /// Refreshes (or installs) receiver `r`. Returns `true` on install.
-    pub fn refresh_or_insert(&mut self, r: NodeId, now: Time, timing: &Timing) -> bool {
-        match self.entries.iter_mut().find(|(n, _)| *n == r) {
-            Some((_, e)) => {
-                e.refresh(now, timing);
-                false
-            }
-            None => {
-                self.entries.push((r, SoftEntry::new(now, timing)));
-                true
-            }
-        }
-    }
-
-    /// Refreshes `r` only if present. Returns `true` if it was.
-    pub fn refresh_existing(&mut self, r: NodeId, now: Time, timing: &Timing) -> bool {
-        match self.entries.iter_mut().find(|(n, _)| *n == r) {
-            Some((_, e)) => {
-                e.refresh(now, timing);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// True if `r` has an entry (liveness not checked).
-    pub fn contains(&self, r: NodeId) -> bool {
-        self.entries.iter().any(|(n, _)| *n == r)
     }
 
     /// Whether the table still intercepts joins: not flagged stale and its
@@ -162,10 +85,7 @@ impl Mft {
     }
 
     fn dst_entry(&self) -> Option<&SoftEntry> {
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == self.dst)
-            .map(|(_, e)| e)
+        self.get(self.dst)
     }
 
     /// Whether the `dst` entry is stale (the source starts sending marked
@@ -181,33 +101,13 @@ impl Mft {
 
     /// Staleness of an individual entry (drives per-branch marked trees).
     pub fn entry_is_stale(&self, r: NodeId, now: Time) -> bool {
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == r)
-            .is_some_and(|(_, e)| e.is_stale(now))
-    }
-
-    /// Live receivers, oldest first (includes `dst` if alive).
-    pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries
-            .iter()
-            .filter(move |(_, e)| !e.is_dead(now))
-            .map(|(n, _)| *n)
+        self.get(r).is_some_and(|e| e.is_stale(now))
     }
 
     /// Live receivers other than `dst` — the copy fan-out set.
     pub fn copy_targets(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
         let dst = self.dst;
         self.live(now).filter(move |&n| n != dst)
-    }
-
-    /// Drops dead entries; returns how many. If the `dst` entry died, the
-    /// caller decides what happens next ([`Mft::elect_new_dst`] at the
-    /// source; decay at branching nodes).
-    pub fn reap(&mut self, now: Time) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|(_, e)| !e.is_dead(now));
-        before - self.entries.len()
     }
 
     /// True if `dst` is no longer in the table (died and was reaped).
@@ -221,24 +121,10 @@ impl Mft {
     /// stale flag. Returns the new dst if one exists.
     pub fn elect_new_dst(&mut self, now: Time) -> Option<NodeId> {
         debug_assert!(self.dst_gone());
-        let new = self
-            .entries
-            .iter()
-            .find(|(_, e)| !e.is_dead(now))
-            .map(|(n, _)| *n)?;
+        let new = self.first_live(now)?;
         self.dst = new;
         self.stale_flag = false;
         Some(new)
-    }
-
-    /// True if no entries remain.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Raw entry count (dead-but-unreaped included).
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 }
 

@@ -41,13 +41,12 @@ const UNREACHABLE: PathCost = PathCost::MAX;
 
 /// Reusable working storage for repeated Dijkstra runs.
 ///
-/// All-pairs table construction ([`crate::RoutingTables::compute`]) runs
-/// one search per node; threading one scratch through them replaces `4n`
-/// fresh allocations per search with buffer resets. Fault-reroute paths
-/// hold one of these across *calls* too (see
-/// [`crate::RoutingTables::compute_avoiding_with`]).
+/// All-pairs table construction ([`crate::RoutingTables::compute`] and
+/// `compute_avoiding`) runs one search per node; threading one scratch
+/// through them replaces `4n` fresh allocations per search with buffer
+/// resets. `OnDemandRoutes` keeps one for the rows it computes.
 #[derive(Default)]
-pub struct DijkstraScratch {
+pub(crate) struct DijkstraScratch {
     pub(crate) dist: Vec<PathCost>,
     pub(crate) pred: Vec<Option<NodeId>>,
     pub(crate) first: Vec<Option<NodeId>>,

@@ -38,6 +38,6 @@ pub mod tables;
 #[cfg(test)]
 mod proptests;
 
-pub use dijkstra::{DijkstraScratch, ShortestPaths};
+pub use dijkstra::ShortestPaths;
 pub use provider::{OnDemandRoutes, RouteProvider, RouteStats};
 pub use tables::RoutingTables;

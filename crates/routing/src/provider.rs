@@ -49,14 +49,10 @@
 //! the row, or directly when there is no core leg) its router; a stub
 //! destination its node bit and the router → host half-link — the two
 //! directions of an access link fail independently. On a fault event
-//! [`OnDemandRoutes::rerouted`] derives the post-failure provider. New
-//! failures invalidate only the cached rows whose SPF tree actually
-//! touches a newly failed core element (removing an element can never
-//! improve an untouched tree, and tie-break winners stay winners when a
-//! losing candidate disappears); a *restoration* in the core flushes the
-//! cache, since a returning element may improve arbitrary rows. Stubs and
-//! access half-links appear in no row, so neither their failure nor their
-//! return drops one.
+//! [`OnDemandRoutes::rerouted`] builds the post-failure provider from the
+//! masks alone: same contracted view, same capacity, no rows. Every row
+//! after a fault is computed over the new masks, exactly as
+//! [`crate::RoutingTables::compute_avoiding`] computes its rows.
 
 use crate::dijkstra::{shortest_paths_avoiding_csr_into, DijkstraScratch};
 use hbh_topo::contract::{Contracted, Place};
@@ -116,12 +112,8 @@ pub struct RouteStats {
     pub misses: u64,
     /// Rows dropped by LRU capacity pressure.
     pub evicted: u64,
-    /// Rows dropped because a fault event touched their tree.
-    pub invalidated: u64,
     /// Rows resident right now.
     pub cached_rows: usize,
-    /// Fault-epoch counter (bumped by every [`OnDemandRoutes::rerouted`]).
-    pub generation: u64,
 }
 
 impl RouteStats {
@@ -170,18 +162,13 @@ impl RouteProvider for crate::RoutingTables {
 }
 
 /// One memoized forward-SPF row over the core: everything core node `src`
-/// needs to answer `next_hop(src, *)` / `dist(src, *)`, plus the
-/// predecessor tree used for selective fault invalidation. All three
-/// arrays are indexed by core index.
+/// needs to answer `next_hop(src, *)` / `dist(src, *)`. Both arrays are
+/// indexed by core index.
 struct Row {
     /// `dist[v]` from the row's source (`u64::MAX` = unreachable).
     dist: Box<[PathCost]>,
     /// First hop toward `v`, as a full-graph node id (`u32::MAX` = none).
     next: Box<[u32]>,
-    /// SPF-tree predecessor of `v`, as a core index (`u32::MAX` = none);
-    /// consulted when a fault event asks "does this tree cross the failed
-    /// edge?".
-    pred: Box<[u32]>,
     /// LRU tick of the last lookup through this row.
     last_used: u64,
 }
@@ -190,7 +177,7 @@ const NONE: u32 = u32::MAX;
 
 impl Row {
     fn bytes(core: usize) -> usize {
-        core * (size_of::<PathCost>() + 2 * size_of::<u32>())
+        core * (size_of::<PathCost>() + size_of::<u32>())
     }
 }
 
@@ -222,10 +209,8 @@ struct RowCache {
 ///   fixed lookup sequence.
 /// * **Faults** — the provider answers over the surviving topology
 ///   described by its node/edge masks (indexed by the full graph's
-///   `NodeId` / `EdgeId`); [`OnDemandRoutes::rerouted`] derives the next
-///   fault epoch, carrying over every row the event provably cannot have
-///   changed. Rows hold no stub, so a stub or an access half-link going
-///   down or coming back changes no row.
+///   `NodeId` / `EdgeId`); [`OnDemandRoutes::rerouted`] starts over from
+///   new masks with an empty cache.
 /// * **Sharing** — lookups take `&self` (interior mutability behind a
 ///   [`Mutex`]), so paired protocol runs sharing one network also share
 ///   one warm cache.
@@ -237,7 +222,6 @@ pub struct OnDemandRoutes {
     core_down: Vec<bool>,
     edge_down: Vec<bool>,
     capacity: usize,
-    generation: u64,
     cache: Mutex<RowCache>,
     /// Lookups answered from the contraction maps alone; a statistic,
     /// kept outside the lock those lookups never take.
@@ -264,30 +248,21 @@ impl OnDemandRoutes {
         capacity: usize,
     ) -> Self {
         assert!(capacity > 0, "route cache needs room for at least one row");
-        Self::epoch(
+        Self::over(
             Arc::new(Contracted::from_graph(g)),
             node_down,
             edge_down,
             capacity,
-            0,
-            RowCache {
-                rows: HashMap::new(),
-                tick: 0,
-                scratch: DijkstraScratch::default(),
-                stats: RouteStats::default(),
-            },
         )
     }
 
-    /// One fault epoch over `view`: checks the masks and derives the core
-    /// node mask from them.
-    fn epoch(
+    /// An empty cache over `view` and the masks: checks the masks and
+    /// derives the core node mask from them.
+    fn over(
         view: Arc<Contracted>,
         node_down: Vec<bool>,
         edge_down: Vec<bool>,
         capacity: usize,
-        generation: u64,
-        cache: RowCache,
     ) -> Self {
         assert_eq!(node_down.len(), view.node_count(), "node mask length");
         assert_eq!(
@@ -306,94 +281,20 @@ impl OnDemandRoutes {
             core_down,
             edge_down,
             capacity,
-            generation,
-            cache: Mutex::new(cache),
+            cache: Mutex::new(RowCache {
+                rows: HashMap::new(),
+                tick: 0,
+                scratch: DijkstraScratch::default(),
+                stats: RouteStats::default(),
+            }),
             rowless_hits: AtomicU64::new(0),
         }
     }
 
-    /// Derives the provider for the next fault epoch, reusing the
-    /// contracted view and every cached row the change provably leaves
-    /// exact.
-    ///
-    /// A row (the forward SPF tree of one core node) survives iff no
-    /// *newly* failed core node is reachable in it and no newly failed
-    /// core edge is one of its tree edges: removing elements the tree
-    /// never touches cannot shorten any path, and a tie-break winner stays
-    /// the winner when only losing candidates disappear. A *restoration*
-    /// in the core (a mask bit going `true → false`) flushes the whole
-    /// cache instead — a returning link may improve arbitrary rows. Stub
-    /// hosts and their access half-links are in no row, so their failures
-    /// and restorations keep every row. Cumulative stats carry over; the
-    /// generation counter increments.
+    /// The provider after a fault event: the same contracted view and
+    /// capacity over the new masks, with no rows and zeroed counters.
     pub fn rerouted(&self, node_down: Vec<bool>, edge_down: Vec<bool>) -> Self {
-        assert_eq!(node_down.len(), self.node_down.len(), "node mask length");
-        assert_eq!(edge_down.len(), self.edge_down.len(), "edge mask length");
-        let core_of = |n: NodeId| match self.view.place(n) {
-            Place::Core(c) => Some(c),
-            Place::Stub(_) => None,
-        };
-
-        // What changed in the core: newly failed nodes and edges (as core
-        // indices), and whether anything came back.
-        let mut restored = false;
-        let mut new_nodes: Vec<u32> = Vec::new();
-        let mut new_edges: Vec<(u32, u32)> = Vec::new();
-        for (i, down) in flipped(&self.node_down, &node_down) {
-            if let Some(c) = core_of(NodeId(i)) {
-                if down {
-                    new_nodes.push(c);
-                } else {
-                    restored = true;
-                }
-            }
-        }
-        for (i, down) in flipped(&self.edge_down, &edge_down) {
-            let l = self.view.edge_ends(EdgeId(i));
-            if let (Some(f), Some(t)) = (core_of(l.from), core_of(l.to)) {
-                if down {
-                    new_edges.push((f, t));
-                } else {
-                    restored = true;
-                }
-            }
-        }
-
-        let mut old = self.cache.lock().unwrap();
-        let mut stats = old.stats;
-        stats.hits += self.rowless_hits.load(Ordering::Relaxed);
-        let mut rows = HashMap::new();
-        if restored {
-            stats.invalidated += old.rows.len() as u64;
-        } else {
-            rows = std::mem::take(&mut old.rows);
-            rows.retain(|_, row| {
-                let touches_node = new_nodes
-                    .iter()
-                    .any(|&v| row.dist[v as usize] != PathCost::MAX);
-                let touches_edge = new_edges.iter().any(|&(f, t)| row.pred[t as usize] == f);
-                let keep = !touches_node && !touches_edge;
-                if !keep {
-                    stats.invalidated += 1;
-                }
-                keep
-            });
-        }
-        stats.cached_rows = rows.len();
-
-        Self::epoch(
-            Arc::clone(&self.view),
-            node_down,
-            edge_down,
-            self.capacity,
-            self.generation + 1,
-            RowCache {
-                rows,
-                tick: old.tick,
-                scratch: DijkstraScratch::default(),
-                stats,
-            },
-        )
+        Self::over(Arc::clone(&self.view), node_down, edge_down, self.capacity)
     }
 
     /// Sources with a resident row, ascending (test introspection).
@@ -447,12 +348,6 @@ impl OnDemandRoutes {
                 .first
                 .iter()
                 .map(|x| x.map_or(NONE, |n| nodes[n.index()]))
-                .collect(),
-            pred: c
-                .scratch
-                .pred
-                .iter()
-                .map(|x| x.map_or(NONE, |n| n.0))
                 .collect(),
             last_used: tick,
         };
@@ -511,15 +406,6 @@ impl OnDemandRoutes {
     }
 }
 
-/// Positions where two masks of one length differ, with the new value.
-fn flipped<'a>(was: &'a [bool], is: &'a [bool]) -> impl Iterator<Item = (u32, bool)> + 'a {
-    was.iter()
-        .zip(is)
-        .enumerate()
-        .filter(|(_, (was, is))| was != is)
-        .map(|(i, (_, &is))| (i as u32, is))
-}
-
 impl RouteProvider for OnDemandRoutes {
     fn node_count(&self) -> usize {
         self.view.node_count()
@@ -544,7 +430,6 @@ impl RouteProvider for OnDemandRoutes {
         RouteStats {
             hits: c.stats.hits + self.rowless_hits.load(Ordering::Relaxed),
             cached_rows: c.rows.len(),
-            generation: self.generation,
             ..c.stats
         }
     }
@@ -566,7 +451,6 @@ impl std::fmt::Debug for OnDemandRoutes {
             .field("nodes", &self.view.node_count())
             .field("core", &self.core_down.len())
             .field("capacity", &self.capacity)
-            .field("generation", &self.generation)
             .field("stats", &stats)
             .finish()
     }
@@ -682,69 +566,14 @@ mod tests {
     }
 
     #[test]
-    fn rerouted_keeps_untouched_rows_and_drops_touched_ones() {
+    fn rerouted_keeps_the_view_and_starts_empty() {
         let g = isp(6);
         let lazy = OnDemandRoutes::new(&g, 64);
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        // Materialize every row, then fail one router.
-        for &u in &nodes {
-            lazy.dist(u, nodes[0]);
-        }
-        let victim = nodes[3];
-        let mut node_down = vec![false; g.node_count()];
-        node_down[victim.index()] = true;
-        let next = lazy.rerouted(node_down.clone(), vec![false; g.directed_edge_count()]);
-        assert_eq!(next.route_stats().generation, 1);
-        // The ISP backbone is connected: every router's SPF reaches the
-        // victim, so every row must have been invalidated.
-        assert_eq!(next.cached_sources(), vec![]);
-        // Surviving answers equal a fresh masked computation.
-        let fresh = RoutingTables::compute_avoiding(
-            &g,
-            &node_down,
-            &vec![false; g.directed_edge_count()][..],
-        );
-        for &u in &nodes {
-            for &v in &nodes {
-                assert_eq!(RouteProvider::dist(&fresh, u, v), next.dist(u, v));
-            }
-        }
-    }
-
-    #[test]
-    fn core_restoration_flushes_the_cache_stub_restoration_does_not() {
-        let g = isp(7);
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        let host = g.hosts().next().unwrap();
-        let mut node_down = vec![false; g.node_count()];
-        node_down[nodes[3].index()] = true;
-        node_down[host.index()] = true;
-        let masked = OnDemandRoutes::with_masks(
-            &g,
-            node_down.clone(),
-            vec![false; g.directed_edge_count()],
-            64,
-        );
-        masked.dist(nodes[0], nodes[1]);
-        assert_eq!(masked.dist(nodes[0], host), None);
-        assert_eq!(masked.cached_sources(), vec![nodes[0]]);
-        // The host comes back: no row ever held it, so none goes.
-        node_down[host.index()] = false;
-        let masked = masked.rerouted(node_down, vec![false; g.directed_edge_count()]);
-        assert_eq!(masked.cached_sources(), vec![nodes[0]]);
-        assert!(masked.dist(nodes[0], host).is_some());
-        // Bring the router back: all rows must go (they may improve).
-        let healed = masked.rerouted(
-            vec![false; g.node_count()],
-            vec![false; g.directed_edge_count()],
-        );
-        assert_eq!(healed.cached_sources(), vec![]);
-        let plain = RoutingTables::compute(&g);
-        for &u in nodes.iter().take(5) {
-            for &v in nodes.iter().take(5) {
-                assert_eq!(RouteProvider::dist(&plain, u, v), healed.dist(u, v));
-            }
-        }
+        lazy.dist(g.nodes().next().unwrap(), g.nodes().nth(5).unwrap());
+        let (n, m) = (g.node_count(), g.directed_edge_count());
+        let next = lazy.rerouted(vec![false; n], vec![false; m]);
+        assert!(Arc::ptr_eq(&lazy.view, &next.view));
+        assert_eq!(next.route_stats(), RouteStats::default());
     }
 
     #[test]
@@ -845,8 +674,8 @@ mod tests {
         lazy.dist(hosts[0], hosts[1]);
         lazy.dist(hosts[1], hosts[0]);
         assert_eq!(lazy.route_stats().cached_rows, 2);
-        assert_eq!(lazy.state_bytes() - empty, 2 * 16 * core);
-        assert!(16 * core < 16 * g.node_count() / 5);
+        assert_eq!(lazy.state_bytes() - empty, 2 * 12 * core);
+        assert!(12 * core < 12 * g.node_count() / 5);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! consults: `next_hop(at, dst)` answers "which neighbor does a packet for
 //! `dst` leave through?". It is computed once per cost assignment by
 //! running [`crate::dijkstra`] from every node — NS-2's static routing does
-//! the same before the simulation starts.
+//! the same before the simulation starts. A fault event (this repository's
+//! extension; the paper's routes never change) builds new tables over the
+//! surviving topology with [`RoutingTables::compute_avoiding`], from
+//! scratch.
 
 use crate::dijkstra::{shortest_paths_avoiding_csr_into, shortest_paths_csr_into, DijkstraScratch};
 use hbh_topo::csr::Csr;
@@ -47,31 +50,17 @@ impl RoutingTables {
     /// hops inline, so a table row is a plain copy of the search result —
     /// no per-row sort or path reconstruction.
     pub fn compute(g: &Graph) -> Self {
-        Self::compute_csr(&Csr::from_graph(g))
-    }
-
-    /// [`RoutingTables::compute`] over a pre-packed CSR view.
-    pub fn compute_csr(csr: &Csr) -> Self {
-        let n = csr.node_count();
-        let mut dist = vec![PathCost::MAX; n * n];
-        let mut next = vec![None; n * n];
-        let mut scratch = DijkstraScratch::default();
-        for u in 0..n {
-            let u = NodeId(u as u32);
-            shortest_paths_csr_into(csr, u, &mut scratch);
-            let row = u.index() * n;
-            dist[row..row + n].copy_from_slice(&scratch.dist);
-            next[row..row + n].copy_from_slice(&scratch.first);
-        }
-        RoutingTables { n, dist, next }
+        let csr = Csr::from_graph(g);
+        Self::from_searches(csr.node_count(), |u, s| shortest_paths_csr_into(&csr, u, s))
     }
 
     /// [`RoutingTables::compute`] over the *surviving* topology: nodes
     /// flagged in `node_down` and directed edges flagged in `edge_down` are
     /// treated as absent. This models instantaneous unicast reconvergence
     /// after a failure — the substrate the multicast protocols repair on
-    /// top of. Rows of down nodes are fully unreachable (a crashed router
-    /// neither originates nor receives).
+    /// top of — and is how a fault rebuilds an eager network. Rows of down
+    /// nodes are fully unreachable (a crashed router neither originates
+    /// nor receives).
     ///
     /// With all-false masks the result is identical to
     /// [`RoutingTables::compute`] (same searches, same tie-breaks), which
@@ -80,52 +69,24 @@ impl RoutingTables {
     /// # Panics
     /// Panics if a mask length does not match the graph.
     pub fn compute_avoiding(g: &Graph, node_down: &[bool], edge_down: &[bool]) -> Self {
-        let mut scratch = DijkstraScratch::default();
-        Self::compute_avoiding_with(g, node_down, edge_down, &mut scratch)
-    }
-
-    /// [`RoutingTables::compute_avoiding`] with caller-held scratch, for
-    /// call sites that reroute repeatedly (one reroute per fault event in a
-    /// churn run): the n searches of one call *and* every subsequent call
-    /// reuse the same buffers instead of reallocating per source.
-    pub fn compute_avoiding_with(
-        g: &Graph,
-        node_down: &[bool],
-        edge_down: &[bool],
-        scratch: &mut DijkstraScratch,
-    ) -> Self {
         assert_eq!(node_down.len(), g.node_count(), "node mask length");
         assert_eq!(edge_down.len(), g.directed_edge_count(), "edge mask length");
-        Self::compute_avoiding_csr_with(&Csr::from_graph(g), node_down, edge_down, scratch)
+        let csr = Csr::from_graph(g);
+        Self::from_searches(csr.node_count(), |u, s| {
+            shortest_paths_avoiding_csr_into(&csr, u, s, node_down, edge_down)
+        })
     }
 
-    /// [`RoutingTables::compute_avoiding_with`] over a pre-packed CSR view
-    /// (the fault-reroute hot path packs once per topology and reuses it
-    /// across every fault event).
-    pub fn compute_avoiding_csr_with(
-        csr: &Csr,
-        node_down: &[bool],
-        edge_down: &[bool],
-        scratch: &mut DijkstraScratch,
-    ) -> Self {
-        assert_eq!(node_down.len(), csr.node_count(), "node mask length");
-        assert_eq!(
-            edge_down.len(),
-            csr.directed_edge_count(),
-            "edge mask length"
-        );
-        let n = csr.node_count();
+    /// One `search` per node of an `n`-node graph, each row copied out of
+    /// the shared scratch.
+    fn from_searches(n: usize, mut search: impl FnMut(NodeId, &mut DijkstraScratch)) -> Self {
         let mut dist = vec![PathCost::MAX; n * n];
         let mut next = vec![None; n * n];
+        let mut scratch = DijkstraScratch::default();
         for u in 0..n {
-            let u = NodeId(u as u32);
-            if node_down[u.index()] {
-                continue; // row stays unreachable
-            }
-            shortest_paths_avoiding_csr_into(csr, u, scratch, node_down, edge_down);
-            let row = u.index() * n;
-            dist[row..row + n].copy_from_slice(&scratch.dist);
-            next[row..row + n].copy_from_slice(&scratch.first);
+            search(NodeId(u as u32), &mut scratch);
+            dist[u * n..(u + 1) * n].copy_from_slice(&scratch.dist);
+            next[u * n..(u + 1) * n].copy_from_slice(&scratch.first);
         }
         RoutingTables { n, dist, next }
     }

@@ -4,10 +4,10 @@
 //! A [`FaultEvent`] says *what* fails; [`crate::Kernel::schedule_fault`]
 //! (which `hbh_proto_base::Script` calls for its fault entries) says
 //! *when*. The kernel keeps dense per-edge/per-node availability masks
-//! consulted at the transmit and arrival points. Until a fault is scheduled
-//! or a link loss set the kernel keeps its historical behaviour
-//! bit-for-bit: no masks exist, no RNG draws happen, and figure outputs
-//! stay byte-identical.
+//! consulted at the transmit and arrival points, next to the packet-loss
+//! settings. Until a fault fires or a loss is set the kernel keeps its
+//! historical behaviour bit-for-bit: no masks exist, no RNG draws happen,
+//! and figure outputs stay byte-identical.
 //!
 //! Semantics (mirroring how real outages interact with the paper's model):
 //!

@@ -135,23 +135,38 @@ impl LossModel {
     }
 }
 
-/// Live fault-injection state, present only once a fault is scheduled or
-/// a link loss set. Keeping it behind an `Option<Box<_>>` means a
-/// fault-free kernel pays one pointer-null check on the transmit/arrival
-/// paths and draws no extra randomness — runs without faults are
-/// bit-identical to runs on a kernel that has never heard of them.
+/// Live fault-injection state, present only once a fault fires or a loss
+/// is set. Keeping it behind an `Option<Box<_>>` means a fault-free,
+/// loss-free kernel pays one pointer-null check on the transmit/arrival
+/// paths and draws no extra randomness — such runs are bit-identical to
+/// runs on a kernel that has never heard of faults.
 struct FaultState {
     /// `node_down[n]`: node `n` is crashed.
     node_down: Vec<bool>,
     /// `edge_down[e]`: directed edge `e` is down (links fail both
     /// directions at once, so both directed twins are flagged together).
     edge_down: Vec<bool>,
+    /// Class-wide Bernoulli loss ([`Kernel::set_loss`]).
+    loss: LossModel,
     /// Dense per-directed-edge Bernoulli loss, if any link loss was
-    /// configured. Layered on top of the class-wide [`LossModel`].
+    /// configured. Layered on top of `loss`.
     edge_loss: Option<Vec<f64>>,
-    /// CSR packing + Dijkstra buffers reused across every reroute this
-    /// kernel performs (one reroute per fault event in a churn run).
-    reroute: crate::network::RerouteScratch,
+}
+
+impl FaultState {
+    /// Whether a transmission of class `class` over `eid` is lost: the
+    /// class-wide draw first, then the link's. A zero probability draws
+    /// nothing from `rng`, preserving the RNG stream of loss-free runs.
+    fn lose(
+        &self,
+        class: crate::packet::PacketClass,
+        eid: hbh_topo::graph::EdgeId,
+        rng: &mut StdRng,
+    ) -> bool {
+        let link = self.edge_loss.as_ref().map_or(0.0, |l| l[eid.index()]);
+        let mut draw = |p: f64| p > 0.0 && rand::RngExt::random::<f64>(&mut *rng) < p;
+        draw(self.loss.prob_for(class)) || draw(link)
+    }
 }
 
 /// Kernel internals shared with protocol handlers through [`Ctx`].
@@ -164,8 +179,7 @@ struct Core<M, T, C> {
     stats: Stats,
     rng: StdRng,
     trace: Trace<M>,
-    loss: LossModel,
-    /// `None` until the first fault or link loss — the zero-cost default.
+    /// `None` until the first fault or loss — the zero-cost default.
     faults: Option<Box<FaultState>>,
 }
 
@@ -238,13 +252,13 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
                 self.drop_packet(from, &pkt, DropReason::LinkDown);
                 return;
             }
-        }
-        if self.lose(pkt.class) || self.lose_on_edge(eid) {
-            // The copy is counted as transmitted (it did occupy the link)
-            // and then lost.
-            self.stats.count_transit(eid, pkt.class, pkt.tag);
-            self.drop_packet(from, &pkt, DropReason::InjectedLoss);
-            return;
+            if f.lose(pkt.class, eid, &mut self.rng) {
+                // The copy is counted as transmitted (it did occupy the
+                // link) and then lost.
+                self.stats.count_transit(eid, pkt.class, pkt.tag);
+                self.drop_packet(from, &pkt, DropReason::InjectedLoss);
+                return;
+            }
         }
         self.stats.count_transit(eid, pkt.class, pkt.tag);
         if self.trace.active() {
@@ -263,32 +277,20 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
         );
     }
 
-    fn lose(&mut self, class: crate::packet::PacketClass) -> bool {
-        let p = self.loss.prob_for(class);
-        p > 0.0 && rand::RngExt::random::<f64>(&mut self.rng) < p
-    }
-
-    /// Per-link Bernoulli loss ([`Kernel::set_link_loss`]). Draws from
-    /// the RNG only when this edge actually has a positive loss
-    /// probability, preserving the RNG stream of loss-free runs.
-    fn lose_on_edge(&mut self, eid: hbh_topo::graph::EdgeId) -> bool {
-        let Some(loss) = self.faults.as_ref().and_then(|f| f.edge_loss.as_ref()) else {
-            return false;
-        };
-        let p = loss[eid.index()];
-        p > 0.0 && rand::RngExt::random::<f64>(&mut self.rng) < p
-    }
-
-    /// Allocates the fault masks on first use (all-up, no extra loss).
-    fn ensure_faults(&mut self) {
-        if self.faults.is_none() {
-            self.faults = Some(Box::new(FaultState {
-                node_down: vec![false; self.net.node_count()],
-                edge_down: vec![false; self.net.graph().directed_edge_count()],
+    /// The fault state, allocated on first use (all-up, lossless).
+    fn faults(&mut self) -> &mut FaultState {
+        let (n, m) = (
+            self.net.node_count(),
+            self.net.graph().directed_edge_count(),
+        );
+        self.faults.get_or_insert_with(|| {
+            Box::new(FaultState {
+                node_down: vec![false; n],
+                edge_down: vec![false; m],
+                loss: LossModel::default(),
                 edge_loss: None,
-                reroute: crate::network::RerouteScratch::default(),
-            }));
-        }
+            })
+        })
     }
 
     /// Both directed edges of the link `a — b`.
@@ -303,24 +305,9 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
 
     /// Marks both directions of the link `a — b` down or up.
     fn set_link(&mut self, a: NodeId, b: NodeId, down: bool) {
-        let edges = self.link_edges(a, b);
-        let f = self.faults.as_mut().expect("faults installed");
-        for e in edges {
-            f.edge_down[e.index()] = down;
+        for e in self.link_edges(a, b) {
+            self.faults().edge_down[e.index()] = down;
         }
-    }
-
-    /// Recomputes unicast routing over the surviving topology — the
-    /// instantly-reconverged substrate the multicast protocols repair on.
-    /// Eager networks rebuild their tables (reusing the CSR + scratch held
-    /// in the fault state); on-demand networks invalidate only the cached
-    /// rows the fault touches.
-    fn reroute(&mut self) {
-        let mut f = self.faults.take().expect("faults installed");
-        self.net = self
-            .net
-            .rerouted(&f.node_down, &f.edge_down, &mut f.reroute);
-        self.faults = Some(f);
     }
 
     fn forward(&mut self, at: NodeId, mut pkt: Packet<M>) {
@@ -437,7 +424,6 @@ impl<P: Protocol> Kernel<P> {
                 stats,
                 rng: StdRng::seed_from_u64(seed),
                 trace: Trace::disabled(),
-                loss: LossModel::default(),
                 faults: None,
             },
         }
@@ -451,7 +437,6 @@ impl<P: Protocol> Kernel<P> {
     /// Panics if `at` is in the past.
     pub fn schedule_fault(&mut self, at: Time, ev: FaultEvent) {
         assert!(at >= self.core.now, "fault scheduled in the past");
-        self.core.ensure_faults();
         self.core.push(at, EventKind::Fault(ev));
     }
 
@@ -467,25 +452,21 @@ impl<P: Protocol> Kernel<P> {
     /// crashed node's protocol state and timers, and reconverges unicast
     /// routing on the surviving topology.
     fn apply_fault(&mut self, ev: FaultEvent) {
-        self.core.ensure_faults();
         match ev {
             FaultEvent::LinkDown { a, b } => self.core.set_link(a, b, true),
             FaultEvent::LinkUp { a, b } => self.core.set_link(a, b, false),
             FaultEvent::NodeDown(n) => {
-                let f = self.core.faults.as_mut().expect("just ensured");
-                f.node_down[n.index()] = true;
+                self.core.faults().node_down[n.index()] = true;
                 // A crash loses all soft state and cancels every pending
                 // timer — recovery must come entirely from the neighbors'
                 // refresh traffic, exactly like a real router reboot.
                 self.states[n.index()] = P::NodeState::default();
                 self.core.timer_ids.retain(|(node, _), _| *node != n);
             }
-            FaultEvent::NodeUp(n) => {
-                let f = self.core.faults.as_mut().expect("just ensured");
-                f.node_down[n.index()] = false;
-            }
+            FaultEvent::NodeUp(n) => self.core.faults().node_down[n.index()] = false,
         }
-        self.core.reroute();
+        let f = self.core.faults.as_ref().expect("set above");
+        self.core.net = self.core.net.rerouted(&f.node_down, &f.edge_down);
         if self.core.trace.active() {
             let node = match ev {
                 FaultEvent::LinkDown { a, .. } | FaultEvent::LinkUp { a, .. } => a,
@@ -501,7 +482,7 @@ impl<P: Protocol> Kernel<P> {
     /// Configures failure injection (default: lossless).
     pub fn set_loss(&mut self, loss: LossModel) {
         assert!((0.0..=1.0).contains(&loss.control) && (0.0..=1.0).contains(&loss.data));
-        self.core.loss = loss;
+        self.core.faults().loss = loss;
     }
 
     /// Adds an independent Bernoulli loss of probability `p` to every
@@ -513,11 +494,11 @@ impl<P: Protocol> Kernel<P> {
     /// Panics if `p` is outside `[0, 1]` or there is no link `a — b`.
     pub fn set_link_loss(&mut self, a: NodeId, b: NodeId, p: f64) {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        self.core.ensure_faults();
         let edges = self.core.link_edges(a, b);
-        let edge_count = self.core.net.graph().directed_edge_count();
-        let f = self.core.faults.as_mut().expect("just ensured");
-        let loss = f.edge_loss.get_or_insert_with(|| vec![0.0; edge_count]);
+        let f = self.core.faults();
+        let loss = f
+            .edge_loss
+            .get_or_insert_with(|| vec![0.0; f.edge_down.len()]);
         for e in edges {
             loss[e.index()] = p;
         }

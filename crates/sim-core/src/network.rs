@@ -2,8 +2,11 @@
 //!
 //! Mirrors the paper's setup: costs are drawn, NS computes static unicast
 //! routes, and the multicast protocols then run on top of that fixed
-//! unicast substrate. (Unicast route *dynamics* are out of scope here as
-//! they are in the paper.)
+//! unicast substrate. Route *dynamics* are this repository's extension,
+//! and they have one rule: a fault event ([`crate::FaultEvent`]) swaps in
+//! [`Network::rerouted`], which rebuilds the route store from the fault
+//! masks alone, as if the surviving topology had been frozen from the
+//! start.
 //!
 //! Routing is served through [`hbh_routing::RouteProvider`], in one of two
 //! materializations chosen at construction:
@@ -19,7 +22,6 @@
 //!   which is what makes 5k+ router topologies fit.
 
 use hbh_routing::{OnDemandRoutes, RouteProvider, RoutingTables};
-use hbh_topo::csr::Csr;
 use hbh_topo::graph::{Cost, EdgeId, Graph, NodeId, PathCost};
 use std::sync::Arc;
 
@@ -70,43 +72,48 @@ struct HopEntry {
 
 const NO_HOP: u32 = u32::MAX;
 
-/// Reusable state for repeated fault reroutes ([`Network::rerouted`]):
-/// the CSR packing of the pristine topology (built once per kernel, every
-/// fault event reuses it) and the Dijkstra working buffers.
-#[derive(Default)]
-pub struct RerouteScratch {
-    csr: Option<Arc<Csr>>,
-    dijkstra: hbh_routing::DijkstraScratch,
-}
-
-fn resolve_hops(graph: &Graph, tables: &RoutingTables) -> Vec<HopEntry> {
-    let n = graph.node_count();
-    let mut hops = vec![
-        HopEntry {
-            next: NO_HOP,
-            eid: EdgeId(0),
-            cost: 0
-        };
-        n * n
-    ];
-    for u in graph.nodes() {
-        for v in graph.nodes() {
-            if let Some(h) = tables.next_hop(u, v) {
-                let (eid, cost) = graph
-                    .edge_entry(u, h)
-                    .expect("next hop must follow a real link");
-                hops[u.index() * n + v.index()] = HopEntry {
-                    next: h.0,
-                    eid,
-                    cost,
-                };
+impl RouteStore {
+    /// Eager tables plus their hop array resolved against `graph`.
+    fn exact(graph: &Graph, tables: RoutingTables) -> Self {
+        assert_eq!(
+            graph.node_count(),
+            tables.node_count(),
+            "tables/graph mismatch"
+        );
+        let n = graph.node_count();
+        let mut hops = vec![
+            HopEntry {
+                next: NO_HOP,
+                eid: EdgeId(0),
+                cost: 0
+            };
+            n * n
+        ];
+        for u in graph.nodes() {
+            for v in graph.nodes() {
+                if let Some(h) = tables.next_hop(u, v) {
+                    let (eid, cost) = graph
+                        .edge_entry(u, h)
+                        .expect("next hop must follow a real link");
+                    hops[u.index() * n + v.index()] = HopEntry {
+                        next: h.0,
+                        eid,
+                        cost,
+                    };
+                }
             }
         }
+        RouteStore::Exact { tables, hops }
     }
-    hops
 }
 
 impl Network {
+    fn from_parts(graph: Arc<Graph>, routes: RouteStore) -> Self {
+        Network {
+            inner: Arc::new(NetworkInner { graph, routes }),
+        }
+    }
+
     /// Builds eager all-pairs routing tables for the graph's current costs
     /// and freezes both.
     pub fn new(graph: Graph) -> Self {
@@ -120,18 +127,8 @@ impl Network {
     /// # Panics
     /// Panics if the tables were built for a different node count.
     pub fn with_tables(graph: Graph, tables: RoutingTables) -> Self {
-        assert_eq!(
-            graph.node_count(),
-            tables.node_count(),
-            "tables/graph mismatch"
-        );
-        let hops = resolve_hops(&graph, &tables);
-        Network {
-            inner: Arc::new(NetworkInner {
-                graph: Arc::new(graph),
-                routes: RouteStore::Exact { tables, hops },
-            }),
-        }
+        let routes = RouteStore::exact(&graph, tables);
+        Self::from_parts(Arc::new(graph), routes)
     }
 
     /// Freezes the graph with demand-driven routing: SPF rows computed on
@@ -141,12 +138,7 @@ impl Network {
     /// The graph is packed once, into the provider's contracted view.
     pub fn on_demand(graph: Graph, cache_rows: usize) -> Self {
         let routes = RouteStore::OnDemand(Box::new(OnDemandRoutes::new(&graph, cache_rows)));
-        Network {
-            inner: Arc::new(NetworkInner {
-                graph: Arc::new(graph),
-                routes,
-            }),
-        }
+        Self::from_parts(Arc::new(graph), routes)
     }
 
     /// The topology.
@@ -227,39 +219,22 @@ impl Network {
     /// absent). This models instantaneous unicast reconvergence after a
     /// failure — the substrate the multicast protocols repair on top of.
     ///
-    /// Eager networks recompute their all-pairs tables (over the CSR view
-    /// cached in `scratch`); on-demand networks invalidate only the cached
-    /// rows the fault actually touches and keep the rest warm.
-    pub fn rerouted(
-        &self,
-        node_down: &[bool],
-        edge_down: &[bool],
-        scratch: &mut RerouteScratch,
-    ) -> Network {
+    /// The store is rebuilt from the masks and nothing else, in the kind
+    /// this network already has: eager tables from
+    /// [`RoutingTables::compute_avoiding`], or an empty [`OnDemandRoutes`]
+    /// over the same contracted view.
+    pub fn rerouted(&self, node_down: &[bool], edge_down: &[bool]) -> Network {
+        let graph = &self.inner.graph;
         let routes = match &self.inner.routes {
-            RouteStore::Exact { .. } => {
-                let csr = scratch
-                    .csr
-                    .get_or_insert_with(|| Arc::new(Csr::from_graph(&self.inner.graph)));
-                let tables = RoutingTables::compute_avoiding_csr_with(
-                    csr,
-                    node_down,
-                    edge_down,
-                    &mut scratch.dijkstra,
-                );
-                let hops = resolve_hops(&self.inner.graph, &tables);
-                RouteStore::Exact { tables, hops }
-            }
+            RouteStore::Exact { .. } => RouteStore::exact(
+                graph,
+                RoutingTables::compute_avoiding(graph, node_down, edge_down),
+            ),
             RouteStore::OnDemand(r) => {
                 RouteStore::OnDemand(Box::new(r.rerouted(node_down.to_vec(), edge_down.to_vec())))
             }
         };
-        Network {
-            inner: Arc::new(NetworkInner {
-                graph: Arc::clone(&self.inner.graph),
-                routes,
-            }),
-        }
+        Self::from_parts(Arc::clone(graph), routes)
     }
 
     /// Directed link cost, panicking on a nonexistent link (kernel-internal
@@ -380,9 +355,8 @@ mod tests {
             g.clone(),
             RoutingTables::compute_avoiding(&g, &node_down, &edge_down),
         );
-        let mut scratch = RerouteScratch::default();
         for base in [Network::new(g.clone()), Network::on_demand(g.clone(), 8)] {
-            let re = base.rerouted(&node_down, &edge_down, &mut scratch);
+            let re = base.rerouted(&node_down, &edge_down);
             for u in g.nodes() {
                 for v in g.nodes() {
                     assert_eq!(fresh.dist(u, v), re.dist(u, v), "dist {u}->{v}");

@@ -1,10 +1,12 @@
 //! Property-based tests of the kernel's core guarantees: event ordering,
-//! delay accounting, and determinism under arbitrary workloads.
+//! delay accounting, and determinism under arbitrary workloads — plus the
+//! one reroute rule of [`Network::rerouted`] under fault sequences.
 
 use crate::network::Network;
 use crate::packet::Packet;
 use crate::time::Time;
 use crate::{Ctx, Kernel, Protocol};
+use hbh_routing::RoutingTables;
 use hbh_topo::graph::{Graph, NodeId};
 use hbh_topo::{costs, random};
 use proptest::prelude::*;
@@ -46,11 +48,43 @@ impl Protocol for Echo {
     }
 }
 
-fn net(seed: u64, n: usize) -> Network {
+fn graph(seed: u64, n: usize) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g: Graph = random::gnp_with_avg_degree(n, 3.0, &mut rng);
     costs::assign_paper_costs(&mut g, &mut rng);
-    Network::new(g)
+    g
+}
+
+fn net(seed: u64, n: usize) -> Network {
+    Network::new(graph(seed, n))
+}
+
+/// Flips one element of `g` in the fault masks, picked by `kind` and
+/// `pick`: a router (0), a stub host (1), a host's host→router (2) or
+/// router→host (3) half-link, or one direction of a core link (4). A
+/// down element comes back, an up one goes down.
+fn toggle(g: &Graph, kind: u8, pick: usize, node_down: &mut [bool], edge_down: &mut [bool]) {
+    let nth = |v: Vec<NodeId>| v[pick % v.len()];
+    let host = nth(g.hosts().collect());
+    let router = g.host_router(host);
+    let edge = |a, b| g.edge_entry(a, b).unwrap().0.index();
+    let bit = match kind {
+        0 => &mut node_down[nth(g.routers().collect()).index()],
+        1 => &mut node_down[host.index()],
+        2 => &mut edge_down[edge(host, router)],
+        3 => &mut edge_down[edge(router, host)],
+        _ => {
+            let core: Vec<_> = g
+                .undirected_links()
+                .into_iter()
+                .filter(|&(a, b, ..)| g.is_router(a) && g.is_router(b))
+                .collect();
+            let (a, b, ..) = core[pick % core.len()];
+            let (a, b) = if pick % 2 == 0 { (a, b) } else { (b, a) };
+            &mut edge_down[edge(a, b)]
+        }
+    };
+    *bit = !*bit;
 }
 
 proptest! {
@@ -111,6 +145,36 @@ proptest! {
             (k.stats().deliveries.clone(), k.stats().drops)
         };
         prop_assert_eq!(run(), run());
+    }
+
+    /// One to four fault or restore steps, each taken through
+    /// `Network::rerouted` from an eager and from an on-demand base (a
+    /// cache of 3 rows, so it also evicts): after every step both answer
+    /// like a network frozen fresh over the cumulative masks.
+    #[test]
+    fn rerouted_steps_match_a_fresh_masked_network(
+        seed in 0u64..100_000,
+        n in 5usize..12,
+        steps in proptest::collection::vec((0u8..5, 0usize..6), 1..5),
+    ) {
+        let g = graph(seed, n);
+        let mut node_down = vec![false; g.node_count()];
+        let mut edge_down = vec![false; g.directed_edge_count()];
+        let mut nets = [Network::new(g.clone()), Network::on_demand(g.clone(), 3)];
+        for (kind, pick) in steps {
+            toggle(&g, kind, pick, &mut node_down, &mut edge_down);
+            let tables = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
+            let fresh = Network::with_tables(g.clone(), tables);
+            for net in &mut nets {
+                *net = net.rerouted(&node_down, &edge_down);
+                for u in g.nodes() {
+                    for v in g.nodes() {
+                        prop_assert_eq!(fresh.dist(u, v), net.dist(u, v), "dist {}->{}", u, v);
+                        prop_assert_eq!(fresh.hop(u, v), net.hop(u, v), "hop {}->{}", u, v);
+                    }
+                }
+            }
+        }
     }
 
     /// The kernel clock never goes backwards and `run_until` lands exactly

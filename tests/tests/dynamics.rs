@@ -4,8 +4,8 @@
 //! paths — no zombies from departed receivers, no lost members.
 
 use hbh_proto::Hbh;
-use hbh_proto_base::membership::{churn_schedule, ChurnEvent};
-use hbh_proto_base::{Channel, Cmd, Timing};
+use hbh_proto_base::membership::churn_schedule;
+use hbh_proto_base::{Channel, Cmd, Script, ScriptAction, Timing};
 use hbh_reunite::Reunite;
 use hbh_routing::RoutingTables;
 use hbh_sim_core::{Kernel, Network, Protocol, Time};
@@ -14,6 +14,23 @@ use hbh_topo::{costs, isp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
+
+/// Who is a member once every entry of `script` has played out.
+fn final_members(script: &Script) -> HashSet<NodeId> {
+    let mut members = HashSet::new();
+    for &(_, action) in script.entries() {
+        match action {
+            ScriptAction::Command(n, Cmd::Join(_)) => {
+                members.insert(n);
+            }
+            ScriptAction::Command(n, Cmd::Leave(_)) => {
+                members.remove(&n);
+            }
+            _ => {}
+        }
+    }
+    members
+}
 
 /// Runs a churn trace against the protocol and probes after quiescence.
 /// Returns (final members, served receivers, kernel drops).
@@ -28,24 +45,12 @@ fn churn_run<P: Protocol<Command = Cmd>>(
     let source = isp::SOURCE_HOST;
     let pool = isp::receiver_pool(&g);
     let horizon = 4000;
-    let events = churn_schedule(&pool, 120.0, Time(0), horizon, &mut rng);
-
     let ch = Channel::primary(source);
+    let script = churn_schedule(&pool, ch, 120.0, Time(0), horizon, &mut rng);
+
     let mut k = Kernel::new(Network::new(g), proto, seed);
     k.command_at(source, Cmd::StartSource(ch), Time::ZERO);
-    let mut members: HashSet<NodeId> = HashSet::new();
-    for (t, ev) in &events {
-        match ev {
-            ChurnEvent::Join(n) => {
-                members.insert(*n);
-                k.command_at(*n, Cmd::Join(ch), *t);
-            }
-            ChurnEvent::Leave(n) => {
-                members.remove(n);
-                k.command_at(*n, Cmd::Leave(ch), *t);
-            }
-        }
-    }
+    script.schedule(&mut k);
     // Let the churn play out and the soft state settle.
     k.run_until(Time(horizon + timing.convergence_horizon(0)));
     for _ in 0..8 {
@@ -66,7 +71,7 @@ fn churn_run<P: Protocol<Command = Cmd>>(
         served.len(),
         "duplicate delivery under churn"
     );
-    (members, served, k.stats().drops)
+    (final_members(&script), served, k.stats().drops)
 }
 
 #[test]
@@ -95,17 +100,12 @@ fn hbh_post_churn_paths_are_still_shortest() {
     let tables = RoutingTables::compute(&g);
     let source = isp::SOURCE_HOST;
     let pool = isp::receiver_pool(&g);
-    let events = churn_schedule(&pool, 150.0, Time(0), 3000, &mut rng);
-
     let ch = Channel::primary(source);
+    let script = churn_schedule(&pool, ch, 150.0, Time(0), 3000, &mut rng);
+
     let mut k = Kernel::new(Network::new(g), Hbh::new(timing), seed);
     k.command_at(source, Cmd::StartSource(ch), Time::ZERO);
-    for (t, ev) in &events {
-        match ev {
-            ChurnEvent::Join(n) => k.command_at(*n, Cmd::Join(ch), *t),
-            ChurnEvent::Leave(n) => k.command_at(*n, Cmd::Leave(ch), *t),
-        }
-    }
+    script.schedule(&mut k);
     k.run_until(Time(3000 + timing.convergence_horizon(0) + 4 * timing.t2));
     let t = k.now();
     k.command_at(source, Cmd::SendData { ch, tag: 2 }, t);
