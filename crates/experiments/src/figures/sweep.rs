@@ -5,9 +5,13 @@
 //! [`Table`] with one column — or one row — per arm.
 //!
 //! Every other module of `figures/` is a [`Study`], a seed formula and a
-//! column list around the functions here. This is the one caller of
-//! [`parallel::map_runs`](crate::parallel::map_runs) and, through
-//! [`dispatch`], of `runner::build_kernel`.
+//! column list around the functions here. So are the two hierarchy
+//! sweeps, [`scale`](crate::scale) and [`membership`](crate::membership):
+//! each is a `Study`, a seed formula and a record, run through `point_on`
+//! at one worker, because a single 5k-router draw is the unit of memory
+//! residency and each draw's scenario must go before the next is built.
+//! This is the one caller of [`parallel::map_runs`](crate::parallel::map_runs)
+//! and, through [`dispatch`], of `runner::build_kernel`.
 
 use crate::parallel::{map_runs, workers};
 use crate::protocols::{dispatch, ProtocolKind, Study};
@@ -59,6 +63,14 @@ impl<O> Point<O> {
         tally(self.of(kind), count)
     }
 
+    /// The draws on which `count` holds, summed over every arm.
+    pub fn total(&self, count: Count<O>) -> u64 {
+        self.arms
+            .iter()
+            .map(|(_, outcomes)| tally(outcomes, count))
+            .sum()
+    }
+
     /// One `mean ± ci` cell per arm for `column`, in arm order.
     pub fn cells(&self, column: Column<O>) -> Vec<String> {
         let arms = self.arms.iter();
@@ -103,7 +115,7 @@ where
 }
 
 /// [`point`] on an explicit worker count.
-fn point_on<S: Study>(
+pub(crate) fn point_on<S: Study>(
     workers: usize,
     run: &RunConfig,
     draw: impl Fn(usize) -> Option<(Scenario, S)> + Sync,
@@ -257,6 +269,7 @@ mod tests {
         assert_eq!(point.summary(hbh, SEED).n(), 4);
         assert_eq!(point.summary(hbh, SEED).mean(), 3.0);
         assert_eq!(point.count(hbh, LATE), 2);
+        assert_eq!(point.total(LATE), 2 * run.protocols.len() as u64);
         // So does a `None` read off a draw that ran.
         let all = super::point(&run, draw(false));
         assert_eq!(all.summary(hbh, EVEN).n(), 4);

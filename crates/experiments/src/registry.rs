@@ -63,7 +63,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         flags: &["topo", "runs", "seed", "threads", "group", "check"],
         run: churn,
         // CI's smoke size: `--runs 100` at seed 1 aborts on memory (soft
-        // HBH grows without bound after some crashes — ROADMAP item 4(i));
+        // HBH grows without bound after some crashes — ROADMAP item 1(i));
         // the row moves to the full sweep when that is fixed.
         files: &[("churn.txt", &["--runs", "5"])],
     },
@@ -444,19 +444,18 @@ fn hosts_and_group(args: &Args, hosts: usize, group: usize) -> (usize, usize) {
     (hosts, group)
 }
 
-/// The tail of a sweep row: append `record` to the `--out` history
-/// (default: the committed `default_out`, so pass a scratch path unless
-/// the run is meant to join the committed trajectory), print it, and
-/// apply the `--check` sheet.
+/// The tail of a sweep row: append `record` to the `--out` history when
+/// one is named (nothing is written otherwise), print it, and apply the
+/// `--check` sheet.
 fn sweep_report(
     args: &Args,
-    default_out: &str,
     record: String,
     rule: impl FnMut(&[&str]) -> crate::report::RuleResult,
 ) -> Report {
-    let out = args.get("out").unwrap_or(default_out);
-    append_history(out, &record)
-        .unwrap_or_else(|e| die(&format!("cannot append this run to {out}: {e}")));
+    if let Some(out) = args.get("out") {
+        append_history(out, &record)
+            .unwrap_or_else(|e| die(&format!("cannot append this run to {out}: {e}")));
+    }
     Report {
         text: record,
         json: None,
@@ -491,7 +490,7 @@ fn scale(args: &Args) -> Report {
     );
     let r = run_scale(&cfg);
     let record = r.to_json(&cfg, peak_rss_kb());
-    sweep_report(args, "BENCH_scale.json", record, |rule| match rule {
+    sweep_report(args, record, |rule| match rule {
         ["min_memory_ratio", b] => at_least("route-cache memory ratio", r.memory_ratio(), b),
         ["min_hit_rate", b] => at_least("cache hit rate", r.hit_rate(), b),
         ["max_incomplete", b] => at_most("incomplete runs", r.incomplete() as f64, b),
@@ -528,12 +527,12 @@ fn membership(args: &Args) -> Report {
         cfg.router_count(),
         cfg.hosts,
         cfg.workloads().len(),
-        cfg.protocols.len(),
+        ProtocolKind::MEMBERSHIP_ARMS.len(),
         cfg.storm_sizes.last().copied().unwrap_or(0),
     );
     let r = run_membership(&cfg);
     let record = r.to_json(&cfg, peak_rss_kb());
-    sweep_report(args, "BENCH_membership.json", record, |rule| match rule {
+    sweep_report(args, record, |rule| match rule {
         ["max_incomplete", b] => at_most("incomplete cells", r.incomplete() as f64, b),
         ["max_unconverged", b] => at_most("unconverged cells", r.unconverged() as f64, b),
         ["max_storm_state_exponent", b] => at_most(

@@ -1,10 +1,12 @@
 //! Scenario construction: topology + per-run cost draw + receiver sample +
-//! join schedule (§4.1 of the paper).
+//! join schedule (§4.1 of the paper), and the hierarchy and cost draw the
+//! two internet-scale sweeps share.
 
 use hbh_proto_base::workload::WorkloadGen;
 use hbh_proto_base::{Channel, Script, Timing, Workload};
 use hbh_sim_core::{Network, Time};
 use hbh_topo::graph::{Graph, NodeId};
+use hbh_topo::hier::{attach_hosts, hierarchical, TierSpec};
 use hbh_topo::{costs, isp, random};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -238,6 +240,30 @@ pub fn build(
         seed: run_seed,
         script: plan.script,
     }
+}
+
+/// The frozen topology of a hierarchy sweep: `spec`'s tiers plus `hosts`
+/// attached round-robin, no costs yet. The seed folds in the tier shape,
+/// so differently shaped sweeps don't alias; `scale` and `membership`
+/// each salt `seed` so theirs don't either.
+pub(crate) fn hierarchy(spec: &TierSpec, hosts: usize, seed: u64) -> Graph {
+    let shape =
+        (spec.ases as u64) << 32 | (spec.pops_per_as as u64) << 16 | spec.access_per_pop as u64;
+    let mut rng = StdRng::seed_from_u64(seed ^ shape);
+    let mut topo = hierarchical(spec, &mut rng);
+    attach_hosts(&mut topo, hosts, &mut rng);
+    topo.graph
+}
+
+/// One draw over a frozen hierarchy: `template` under the paper's cost
+/// draw, a source host, and the RNG where those two draws left it.
+pub(crate) fn hierarchy_draw(template: &Graph, run_seed: u64) -> (Graph, NodeId, StdRng) {
+    let mut rng = StdRng::seed_from_u64(run_seed);
+    let mut graph = template.clone();
+    costs::assign_paper_costs(&mut graph, &mut rng);
+    let hosts: Vec<NodeId> = graph.hosts().collect();
+    let source = hosts[rng.random_range(0..hosts.len())];
+    (graph, source, rng)
 }
 
 #[cfg(test)]

@@ -112,18 +112,31 @@ fn out_of_range_values_exit_2_naming_the_flag_and_the_bound() {
 fn malformed_tolerance_sheet_is_a_usage_error_naming_the_line() {
     let dir = std::env::temp_dir().join(format!("hbh_sheet_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let (sheet, out) = (dir.join("sheet.txt"), dir.join("out.json"));
+    let sheet = dir.join("sheet.txt");
     for (rule, why) in [
         ("no_such_rule 1", "unknown rule"),
         ("min_hit_rate lots", "unparsable bound"),
     ] {
         let text = format!("# bounds\nmax_incomplete 0\n{rule}  # oops\n");
         std::fs::write(&sheet, text).unwrap();
-        let (sheet, out) = (sheet.display(), out.display());
-        let stderr = usage_error(&format!("scale --smoke 1 --out {out} --check {sheet}"));
+        let sheet = sheet.display();
+        let stderr = usage_error(&format!("scale --smoke 1 --check {sheet}"));
         let error = format!("error: {sheet}:3: {why}: {rule}");
         assert!(stderr.lines().any(|l| l.starts_with(&error)), "{stderr}");
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_sweep_writes_no_file_it_was_not_told_to() {
+    let dir = std::env::temp_dir().join(format!("hbh_no_out_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = hbh_exp_in(&dir, "scale --smoke 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(out.stdout.starts_with(b"{"), "the record goes to stdout");
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+    assert!(left.is_empty(), "a plain run wrote {left:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -69,7 +69,7 @@ fn flash_crowd_of_160_simulates_exactly_as_recorded() {
             (121_579, 82_098, 180, 4_625, 160, 15_062),
         ),
     ] {
-        let got = dispatch(kind, &sc, &cfg.timing, &PinnedStudy);
+        let got = dispatch(kind, &sc, &Timing::default(), &PinnedStudy);
         assert_eq!(got, want, "{}", kind.name());
     }
 }

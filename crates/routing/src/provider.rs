@@ -307,7 +307,7 @@ impl OnDemandRoutes {
     }
 
     /// Heap bytes of the immutable contracted view the rows are computed
-    /// over (core adjacency, edge index, and the stub maps that
+    /// over (core adjacency and the stub maps that
     /// [`RouteProvider::state_bytes`] also counts).
     pub fn structure_bytes(&self) -> usize {
         self.view.bytes()

@@ -17,7 +17,7 @@
 //! renumbered: fault masks stay indexed by the full graph's [`EdgeId`].
 
 use crate::csr::Csr;
-use crate::graph::{Cost, EdgeId, Graph, LinkId, NodeId};
+use crate::graph::{Cost, EdgeId, Graph, NodeId};
 
 /// A stub host's attachment: its router (as a core index) and the two
 /// directed halves of its access link.
@@ -59,9 +59,8 @@ pub struct Contracted {
     /// Per node of the full graph: core index, or `STUB_BIT | stub index`.
     place: Vec<u32>,
     stubs: Vec<Stub>,
-    /// Endpoints of every directed half-link of the full graph, by
-    /// [`EdgeId`] (lets a fault mask name the nodes an edge joins).
-    edge_ends: Vec<LinkId>,
+    /// Directed half-links of the full graph: the length of a fault mask.
+    edge_count: usize,
 }
 
 impl Contracted {
@@ -130,7 +129,7 @@ impl Contracted {
             node_of,
             place,
             stubs,
-            edge_ends: g.edge_ends_all().to_vec(),
+            edge_count: g.directed_edge_count(),
         }
     }
 
@@ -150,7 +149,7 @@ impl Contracted {
     /// Number of directed half-links in the full graph.
     #[inline]
     pub fn directed_edge_count(&self) -> usize {
-        self.edge_ends.len()
+        self.edge_count
     }
 
     /// Where `n` sits: in the core, or contracted onto its router.
@@ -170,14 +169,8 @@ impl Contracted {
         &self.node_of
     }
 
-    /// Endpoints (full-graph node ids) of the directed half-link `eid`.
-    #[inline]
-    pub fn edge_ends(&self, eid: EdgeId) -> LinkId {
-        self.edge_ends[eid.index()]
-    }
-
     /// Heap bytes of the maps that resolve stubs (everything but the core
-    /// adjacency and the edge index).
+    /// adjacency).
     pub fn map_bytes(&self) -> usize {
         (self.node_of.len() + self.place.len()) * size_of::<u32>()
             + self.stubs.len() * size_of::<Stub>()
@@ -185,7 +178,7 @@ impl Contracted {
 
     /// Heap bytes of the whole view.
     pub fn bytes(&self) -> usize {
-        self.core.bytes() + self.map_bytes() + self.edge_ends.len() * size_of::<LinkId>()
+        self.core.bytes() + self.map_bytes()
     }
 }
 
@@ -243,7 +236,6 @@ mod tests {
             for (k, e) in kept.iter().enumerate() {
                 assert_eq!(c.place(e.to), Place::Core(to[k]));
                 assert_eq!((cost[k], eid[k]), (e.cost, e.eid.0));
-                assert_eq!(c.edge_ends(e.eid), LinkId::new(u, e.to));
             }
         }
     }
@@ -270,8 +262,7 @@ mod tests {
         let c = Contracted::from_graph(&sample());
         // 2 core + 5 place entries, 3 stubs of five words.
         assert_eq!(c.map_bytes(), (2 + 5) * 4 + 3 * 20);
-        // 8 half-links of two node ids each.
-        assert_eq!(c.bytes(), c.core().bytes() + c.map_bytes() + 8 * 8);
+        assert_eq!(c.bytes(), c.core().bytes() + c.map_bytes());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use hbh_experiments::membership::{
 };
 use hbh_experiments::parallel::map_runs;
 use hbh_experiments::protocols::{dispatch, ProtocolKind};
-use hbh_proto_base::Workload;
+use hbh_proto_base::{Timing, Workload};
 use hbh_sim_core::Time;
 
 /// Every observable of one run the membership report would consume:
@@ -25,7 +25,12 @@ fn flash_outcomes(workers: usize) -> Vec<Observables> {
     map_runs(workers, 4, |run| {
         let w = Workload::flash_crowd(cfg.group_size, Time(0));
         let sc = build_membership_scenario(&cfg, &template, &w, run);
-        let o = dispatch(ProtocolKind::HbhAgg, &sc, &cfg.timing, &MembershipStudy);
+        let o = dispatch(
+            ProtocolKind::HbhAgg,
+            &sc,
+            &Timing::default(),
+            &MembershipStudy,
+        );
         (
             o.expected,
             o.served,
