@@ -10,6 +10,7 @@ use hbh_topo::hier::{attach_hosts, hierarchical, TierSpec};
 use hbh_topo::{costs, isp, random};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::OnceLock;
 
 /// Seed that fixes the 50-node random topology across all runs (the paper
 /// simulates *a* random topology, varying costs and receivers per run).
@@ -51,9 +52,10 @@ impl TopologyKind {
 
     /// The family's fixed topology, costs not yet drawn, and its source
     /// host (the paper simulates *a* topology per family, varying costs and
-    /// receivers per run).
-    fn topology(self) -> (Graph, NodeId) {
-        match self {
+    /// receivers per run). Generated once per process; a draw clones it.
+    fn template(self) -> &'static (Graph, NodeId) {
+        static TEMPLATES: [OnceLock<(Graph, NodeId)>; 3] = [const { OnceLock::new() }; 3];
+        TEMPLATES[self as usize].get_or_init(|| match self {
             TopologyKind::Isp => (isp::isp_topology(), isp::SOURCE_HOST),
             TopologyKind::Rand50 => {
                 let mut topo_rng = StdRng::seed_from_u64(RAND50_TOPO_SEED);
@@ -65,13 +67,13 @@ impl TopologyKind {
                 let mut topo_rng = StdRng::seed_from_u64(WAXMAN_TOPO_SEED);
                 (random::waxman(30, 0.9, 0.3, &mut topo_rng), NodeId(30))
             }
-        }
+        })
     }
 
     /// The largest group [`build`] can sample on this topology: every host
     /// but the source.
     pub fn receiver_pool(self) -> usize {
-        self.topology().0.hosts().count() - 1
+        self.template().0.hosts().count() - 1
     }
 
     /// The group sizes plotted in the paper for this topology (Waxman is
@@ -201,7 +203,8 @@ pub fn build(
     opts: &ScenarioOptions,
 ) -> Scenario {
     let mut rng = StdRng::seed_from_u64(run_seed ^ (0x5EED_0000 + kind as u64));
-    let (mut graph, source) = kind.topology();
+    let (template, source) = kind.template();
+    let (mut graph, source) = (template.clone(), *source);
     costs::assign_uniform_with_asymmetry(&mut graph, 1, 10, opts.asymmetry, &mut rng);
 
     if opts.unicast_only_fraction > 0.0 {

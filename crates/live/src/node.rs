@@ -174,6 +174,10 @@ where
 
     fn structural_change(&mut self) {}
 
+    fn tracing(&self) -> bool {
+        false
+    }
+
     fn trace_note(&mut self, _node: NodeId, _note: String) {}
 }
 

@@ -14,7 +14,9 @@
 //! The search itself runs over a [`Csr`] packing of the graph: per-node
 //! out-edges are contiguous `u32` slices instead of one heap allocation per
 //! node, which is what makes all-pairs and on-demand sweeps viable at
-//! thousands of routers. CSR packing preserves per-node edge order, so the
+//! thousands of routers. Both route stores search the stub-contracted
+//! core ([`hbh_topo::contract`]); only the one-shot [`shortest_paths`]
+//! packs the whole graph. CSR packing preserves per-node edge order, so the
 //! tie-breaks — and therefore every route — are identical to a search over
 //! the raw adjacency.
 
@@ -42,9 +44,9 @@ const UNREACHABLE: PathCost = PathCost::MAX;
 /// Reusable working storage for repeated Dijkstra runs.
 ///
 /// All-pairs table construction ([`crate::RoutingTables::compute`] and
-/// `compute_avoiding`) runs one search per node; threading one scratch
-/// through them replaces `4n` fresh allocations per search with buffer
-/// resets. `OnDemandRoutes` keeps one for the rows it computes.
+/// `compute_avoiding`) runs one search per core node; threading one
+/// scratch through them replaces `4n` fresh allocations per search with
+/// buffer resets. `OnDemandRoutes` keeps one for the rows it computes.
 #[derive(Default)]
 pub(crate) struct DijkstraScratch {
     pub(crate) dist: Vec<PathCost>,
@@ -71,8 +73,9 @@ impl DijkstraScratch {
 /// Runs Dijkstra from `root` over the directed costs of `g`.
 ///
 /// One-shot convenience: packs `g` into a throwaway [`Csr`] first. Sweeps
-/// that run many searches should pack once and use the `_csr` entry points
-/// (as [`crate::RoutingTables`] and `OnDemandRoutes` do).
+/// that run many searches pack once and use the `_csr` entry points over
+/// the contracted core (as [`crate::RoutingTables`] and `OnDemandRoutes`
+/// do).
 pub fn shortest_paths(g: &Graph, root: NodeId) -> ShortestPaths {
     let csr = Csr::from_graph(g);
     let mut s = DijkstraScratch::default();

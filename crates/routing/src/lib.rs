@@ -15,8 +15,9 @@
 //!   eager forwarding state (exact, O(n²) — the paper-scale default);
 //! * [`provider`] — the [`provider::RouteProvider`] trait plus
 //!   [`provider::OnDemandRoutes`], lazy per-router SPF rows over the router
-//!   core behind an LRU (single-homed hosts resolve through their router)
-//!   for internet-scale topologies where n² tables no longer fit;
+//!   core behind an LRU, for internet-scale topologies where n² tables no
+//!   longer fit. Both stores search the same router core and resolve a
+//!   single-homed host through its router by one shared pair rule;
 //! * [`paths`] — path extraction and shortest-path-tree construction
 //!   (forward SPT and reverse SPT — the two tree shapes whose difference
 //!   under asymmetric costs is the whole point of the paper);
@@ -29,14 +30,16 @@
 
 pub mod asymmetry;
 pub mod dijkstra;
+mod pair;
 pub mod paths;
 pub mod provider;
 pub mod qos;
-pub mod reference;
 pub mod tables;
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;
 
 pub use dijkstra::ShortestPaths;
 pub use provider::{OnDemandRoutes, RouteProvider, RouteStats};

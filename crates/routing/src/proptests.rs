@@ -1,24 +1,37 @@
 //! Property-based tests for the routing substrate: metric laws that must
-//! hold on arbitrary connected graphs with arbitrary directed costs.
+//! hold on arbitrary connected graphs with arbitrary directed costs, and
+//! both route stores held to the full-graph reference search.
 
 use crate::provider::{OnDemandRoutes, RouteProvider};
-use crate::reference::floyd_warshall;
+use crate::reference::{floyd_warshall, FullGraph};
 use crate::tables::RoutingTables;
-use hbh_topo::graph::{Graph, PathCost};
+use hbh_topo::graph::{Graph, NodeId, PathCost};
 use hbh_topo::{costs, random};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
+/// A connected random graph, one host per router; on even seeds one host
+/// is also linked to a second router, the way `scenarios::fig2` dual-homes
+/// its receivers, so it stays in the routed core as a sink.
 fn arb_graph(seed: u64, n: usize, degree_scale: u8) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let degree = 2.0 + f64::from(degree_scale % 4);
     let mut g = random::gnp_with_avg_degree(n, degree.min((n - 1) as f64), &mut rng);
+    if seed % 2 == 0 {
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let host = hosts[rng.random_range(0..hosts.len())];
+        let home = g.host_router(host);
+        let others: Vec<NodeId> = g.routers().filter(|&r| r != home).collect();
+        g.add_link_host_side(host, others[rng.random_range(0..others.len())], 1, 1);
+    }
     costs::assign_paper_costs(&mut g, &mut rng);
     g
 }
 
 const ROUTER_DOWN: u8 = 0;
+/// `kind` of [`masks`] that fails nothing.
+const NO_FAULT: u8 = 4;
 
 /// Fault masks for one failed element of `g`, picked by `seed`: a router
 /// (`ROUTER_DOWN`), a host (1), one host's host→router half-link (2) or
@@ -32,18 +45,67 @@ fn fault(g: &Graph, kind: u8, seed: u64) -> (Vec<bool>, Vec<bool>) {
         ROUTER_DOWN => node_down[g.routers().nth(seed as usize % 3).unwrap().index()] = true,
         1 => node_down[host.index()] = true,
         2 => edge_down[g.edge_entry(host, router).unwrap().0.index()] = true,
+        NO_FAULT => {}
         _ => edge_down[g.edge_entry(router, host).unwrap().0.index()] = true,
     }
     (node_down, edge_down)
 }
 
+/// `store` answers every pair of `g` exactly like `reference`: distances
+/// and next hops.
+fn matches_reference(
+    g: &Graph,
+    reference: &FullGraph,
+    store: &dyn RouteProvider,
+) -> Result<(), TestCaseError> {
+    for u in g.nodes() {
+        for v in g.nodes() {
+            prop_assert_eq!(reference.dist(u, v), store.dist(u, v), "dist {}->{}", u, v);
+            prop_assert_eq!(
+                reference.next_hop(u, v),
+                store.next_hop(u, v),
+                "hop {}->{}",
+                u,
+                v
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The reference property: under fault `kind` (see [`fault`]; `NO_FAULT`
+/// builds the unmasked stores), the eager tables and an on-demand provider
+/// too small for every row both equal the full-graph search on every pair.
+fn stores_match_reference(seed: u64, n: usize, d: u8, kind: u8) -> Result<(), TestCaseError> {
+    let g = arb_graph(seed, n, d);
+    let capacity = 3.max(n / 4);
+    let (node_down, edge_down) = fault(&g, kind, seed);
+    let (reference, eager, lazy) = if kind == NO_FAULT {
+        (
+            FullGraph::compute(&g),
+            RoutingTables::compute(&g),
+            OnDemandRoutes::new(&g, capacity),
+        )
+    } else {
+        (
+            FullGraph::avoiding(&g, &node_down, &edge_down),
+            RoutingTables::compute_avoiding(&g, &node_down, &edge_down),
+            OnDemandRoutes::with_masks(&g, node_down, edge_down, capacity),
+        )
+    };
+    matches_reference(&g, &reference, &eager)?;
+    matches_reference(&g, &reference, &lazy)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
-    /// Dijkstra-based tables agree with the Floyd–Warshall reference on
-    /// every pair.
+    /// Both stores equal the full-graph search on every pair, with or
+    /// without a fault, and the eager distances also equal the
+    /// Floyd–Warshall reference.
     #[test]
-    fn tables_match_reference(seed in 0u64..100_000, n in 4usize..16, d in 0u8..8) {
+    fn tables_match_reference(seed in 0u64..100_000, n in 4usize..16, d in 0u8..8, kind in 0u8..5) {
+        stores_match_reference(seed, n, d, kind)?;
         let g = arb_graph(seed, n, d);
         let t = RoutingTables::compute(&g);
         let fw = floyd_warshall(&g);
@@ -114,54 +176,33 @@ proptest! {
         }
     }
 
-    /// The lazy provider answers exactly like the eager tables on every
-    /// (src, dst) pair — identical distances AND identical next hops (the
-    /// tie-breaks must survive the CSR/caching path), even with a cache
-    /// small enough to force evictions mid-sweep.
+    /// The lazy provider answers exactly like the full-graph search and
+    /// the eager tables on every (src, dst) pair — identical distances AND
+    /// identical next hops (the tie-breaks must survive the contraction
+    /// and the caching path), even with a cache small enough to force
+    /// evictions mid-sweep.
     #[test]
     fn on_demand_equals_eager_tables(seed in 0u64..100_000, n in 4usize..16, d in 0u8..8) {
         let g = arb_graph(seed, n, d);
-        let eager = RoutingTables::compute(&g);
-        let lazy = OnDemandRoutes::new(&g, 3.max(n / 4));
-        for u in g.nodes() {
-            for v in g.nodes() {
-                prop_assert_eq!(eager.dist(u, v), lazy.dist(u, v), "dist {}->{}", u, v);
-                prop_assert_eq!(
-                    eager.next_hop(u, v),
-                    RouteProvider::next_hop(&lazy, u, v),
-                    "hop {}->{}", u, v
-                );
-            }
-        }
+        let reference = FullGraph::compute(&g);
+        matches_reference(&g, &reference, &RoutingTables::compute(&g))?;
+        matches_reference(&g, &reference, &OnDemandRoutes::new(&g, 3.max(n / 4)))?;
     }
 
     /// Same equivalence over the surviving topology under each kind of
-    /// single fault: a router down (the masked SPF path of both
-    /// providers), or — what the contracted path answers from its stub
-    /// records alone — a host down, only its host→router half-link down,
-    /// only its router→host half-link down.
+    /// single fault: a router down (the masked core search of both
+    /// stores), or — what the pair rule answers from its stub records
+    /// alone — a host down, only its host→router half-link down, only its
+    /// router→host half-link down.
     #[test]
     fn on_demand_equals_eager_under_a_fault(
         seed in 0u64..100_000, n in 5usize..16, d in 0u8..8, kind in 0u8..4,
     ) {
-        let g = arb_graph(seed, n, d);
-        let (node_down, edge_down) = fault(&g, kind, seed);
-        let eager = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
-        let lazy = OnDemandRoutes::with_masks(&g, node_down, edge_down, 3.max(n / 4));
-        for u in g.nodes() {
-            for v in g.nodes() {
-                prop_assert_eq!(eager.dist(u, v), lazy.dist(u, v), "dist {}->{}", u, v);
-                prop_assert_eq!(
-                    eager.next_hop(u, v),
-                    RouteProvider::next_hop(&lazy, u, v),
-                    "hop {}->{}", u, v
-                );
-            }
-        }
+        stores_match_reference(seed, n, d, kind)?;
     }
 
     /// A warm provider taken through `rerouted` answers exactly like a
-    /// fresh masked computation.
+    /// fresh masked computation, eager or full-graph.
     #[test]
     fn rerouted_provider_stays_exact(
         seed in 0u64..100_000, n in 5usize..14, d in 0u8..8, kind in 0u8..4,
@@ -174,17 +215,9 @@ proptest! {
         }
         let (node_down, edge_down) = fault(&g, kind, seed);
         let after = lazy.rerouted(node_down.clone(), edge_down.clone());
-        let fresh = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                prop_assert_eq!(fresh.dist(u, v), after.dist(u, v), "dist {}->{}", u, v);
-                prop_assert_eq!(
-                    fresh.next_hop(u, v),
-                    RouteProvider::next_hop(&after, u, v),
-                    "hop {}->{}", u, v
-                );
-            }
-        }
+        let reference = FullGraph::avoiding(&g, &node_down, &edge_down);
+        matches_reference(&g, &reference, &after)?;
+        matches_reference(&g, &reference, &RoutingTables::compute_avoiding(&g, &node_down, &edge_down))?;
     }
 
     /// Distances are monotone under cost increase: raising one directed
@@ -203,5 +236,19 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// The reference property at 170× the cases: too slow for tier-1, run by
+// CI with `cargo test --release -p hbh-routing -- --ignored`.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4096, .. ProptestConfig::default() })]
+
+    #[test]
+    #[ignore = "4,096 cases: CI runs it in release"]
+    fn tables_match_reference_at_length(
+        seed in 0u64..100_000, n in 5usize..16, d in 0u8..8, kind in 0u8..5,
+    ) {
+        stores_match_reference(seed, n, d, kind)?;
     }
 }

@@ -10,53 +10,26 @@
 //!
 //! [`RouteProvider`] is the consumer-facing trait (`next_hop`, `dist`,
 //! `path`); [`crate::RoutingTables`] implements it as the exact eager
-//! fallback (bit-for-bit the historical behaviour, used for the paper's
-//! n≤50 figures), and [`OnDemandRoutes`] implements it lazily, in an LRU
-//! with deterministic eviction. Both run the same CSR Dijkstra with the
-//! same tie-breaks, so on any (at, dst) pair they agree exactly — a
-//! property test pins this, with and without failed elements.
-//!
-//! # What a row covers
-//!
-//! Leaves that never forward do not belong in the forwarding computation.
-//! [`OnDemandRoutes`] routes over the **core** of the topology — routers
-//! plus any multi-homed host — packed by [`hbh_topo::contract`]; a row is
-//! the forward SPF tree of one *core* node over the core, and only a
-//! lookup between two different core nodes consults one. A **stub** (a
-//! host with exactly one link, to a router) is resolved through its
-//! attachment router `r(h)` and its two access half-links:
-//!
-//! * `next_hop(h, ·) = r(h)`; `next_hop(x, h) = h` if `x == r(h)`, else
-//!   `next_hop(x, r(h))`;
-//! * `dist(x, y) = up(x) + dist_core(r(x), r(y)) + down(y)`, a term being
-//!   zero where the endpoint is itself in the core;
-//! * when both ends resolve to the same router there is no core leg and
-//!   no row is touched at all.
-//!
-//! This is exact, tie-breaks included. Costs are ≥ 1, so every optimal
-//! predecessor of `v` is settled before `v`, and "equal cost → smaller
-//! predecessor id" makes `pred[v]` the minimum-id optimal predecessor — a
-//! function of the distances alone. A stub is never anyone's predecessor
-//! (hosts sink traffic; only a root emits), so dropping stubs changes no
-//! core node's `dist`, `pred` or first hop, *provided* the core is
-//! renumbered in ascending node-id order, which keeps both the
-//! `candidate < incumbent` comparison and the heap's `(dist, id)` order.
+//! store (every pair expanded up front, used for the paper's n≤100
+//! figures), and [`OnDemandRoutes`] implements it lazily, in an LRU with
+//! deterministic eviction. Both run the same core search over the same
+//! stub-contracted view and expand a pair through the same rule (`pair.rs`
+//! documents both), so on any (at, dst) pair they agree exactly; property
+//! tests hold each of them to an independent full-graph search, with and
+//! without failed elements.
 //!
 //! # Faults
 //!
-//! Masks are indexed by the full graph's `NodeId` / `EdgeId`. A stub
-//! source consults its own node bit, its host → router half-link and (via
-//! the row, or directly when there is no core leg) its router; a stub
-//! destination its node bit and the router → host half-link — the two
-//! directions of an access link fail independently. On a fault event
-//! [`OnDemandRoutes::rerouted`] builds the post-failure provider from the
-//! masks alone: same contracted view, same capacity, no rows. Every row
+//! On a fault event [`OnDemandRoutes::rerouted`] builds the post-failure
+//! provider from the masks alone (indexed by the full graph's `NodeId` /
+//! `EdgeId`): same contracted view, same capacity, no rows. Every row
 //! after a fault is computed over the new masks, exactly as
-//! [`crate::RoutingTables::compute_avoiding`] computes its rows.
+//! [`crate::RoutingTables::compute_avoiding`] computes its core rows.
 
 use crate::dijkstra::{shortest_paths_avoiding_csr_into, DijkstraScratch};
-use hbh_topo::contract::{Contracted, Place};
-use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
+use crate::pair::{self, Masks};
+use hbh_topo::contract::Contracted;
+use hbh_topo::graph::{Graph, NodeId, PathCost};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -104,7 +77,8 @@ pub trait RouteProvider {
 /// Counters describing how a provider materialized its answers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouteStats {
-    /// SPF rows computed (eager: one per node, up front).
+    /// SPF rows computed (eager: one per core node, up front — stub
+    /// hosts are expanded from their router's row).
     pub computed: u64,
     /// Lookups answered from a cached row.
     pub hits: u64,
@@ -112,7 +86,7 @@ pub struct RouteStats {
     pub misses: u64,
     /// Rows dropped by LRU capacity pressure.
     pub evicted: u64,
-    /// Rows resident right now.
+    /// Rows resident right now (eager: the `n` expanded rows).
     pub cached_rows: usize,
 }
 
@@ -146,9 +120,8 @@ impl RouteProvider for crate::RoutingTables {
     }
 
     fn route_stats(&self) -> RouteStats {
-        let n = self.node_count() as u64;
         RouteStats {
-            computed: n,
+            computed: self.rows,
             cached_rows: self.node_count(),
             ..RouteStats::default()
         }
@@ -172,8 +145,6 @@ struct Row {
     /// LRU tick of the last lookup through this row.
     last_used: u64,
 }
-
-const NONE: u32 = u32::MAX;
 
 impl Row {
     fn bytes(core: usize) -> usize {
@@ -216,11 +187,7 @@ struct RowCache {
 ///   one warm cache.
 pub struct OnDemandRoutes {
     view: Arc<Contracted>,
-    node_down: Vec<bool>,
-    /// `node_down` restricted to the core, by core index: the mask the
-    /// SPF itself reads.
-    core_down: Vec<bool>,
-    edge_down: Vec<bool>,
+    masks: Masks,
     capacity: usize,
     cache: Mutex<RowCache>,
     /// Lookups answered from the contraction maps alone; a statistic,
@@ -264,22 +231,10 @@ impl OnDemandRoutes {
         edge_down: Vec<bool>,
         capacity: usize,
     ) -> Self {
-        assert_eq!(node_down.len(), view.node_count(), "node mask length");
-        assert_eq!(
-            edge_down.len(),
-            view.directed_edge_count(),
-            "edge mask length"
-        );
-        let core_down = view
-            .core_nodes()
-            .iter()
-            .map(|&v| node_down[v as usize])
-            .collect();
+        let masks = Masks::new(&view, node_down, edge_down);
         OnDemandRoutes {
             view,
-            node_down,
-            core_down,
-            edge_down,
+            masks,
             capacity,
             cache: Mutex::new(RowCache {
                 rows: HashMap::new(),
@@ -337,18 +292,12 @@ impl OnDemandRoutes {
             self.view.core(),
             NodeId(src),
             &mut c.scratch,
-            &self.core_down,
-            &self.edge_down,
+            &self.masks.core_down,
+            &self.masks.edge_down,
         );
-        let nodes = self.view.core_nodes();
         let row = Row {
             dist: c.scratch.dist.as_slice().into(),
-            next: c
-                .scratch
-                .first
-                .iter()
-                .map(|x| x.map_or(NONE, |n| nodes[n.index()]))
-                .collect(),
+            next: pair::first_hops(&self.view, &c.scratch).collect(),
             last_used: tick,
         };
 
@@ -368,41 +317,20 @@ impl OnDemandRoutes {
         r
     }
 
-    /// Cost and first hop of the shortest `from → to` path, `from != to`:
-    /// an access half-link up, a core leg, an access half-link down, with
-    /// whichever of the three the endpoints need.
+    /// Cost and first hop of the shortest `from → to` path, `from != to`,
+    /// by the pair rule over this provider's rows. A lookup the rule
+    /// answers without a core leg counts as a rowless hit.
     fn resolve(&self, from: NodeId, to: NodeId) -> Option<(PathCost, NodeId)> {
-        let alive = |e: EdgeId| !self.edge_down[e.index()];
-        let (a, up) = match self.view.place(from) {
-            Place::Core(a) => (a, None),
-            Place::Stub(s) if !self.node_down[from.index()] && alive(s.up_eid) => {
-                (s.router, Some(s.up_cost))
-            }
-            Place::Stub(_) => return self.rowless(None),
-        };
-        let (b, down) = match self.view.place(to) {
-            Place::Core(b) => (b, None),
-            Place::Stub(s) if !self.node_down[to.index()] && alive(s.down_eid) => {
-                (s.router, Some(s.down_cost))
-            }
-            Place::Stub(_) => return self.rowless(None),
-        };
-        // The core leg: its cost and first hop — none when both ends hang
-        // off one router, which also means no row.
-        let leg = if a == b {
-            self.rowless((!self.core_down[a as usize]).then_some((0, NONE)))
+        let mut consulted = false;
+        let answer = pair::resolve(&self.view, &self.masks, from, to, |a, b| {
+            consulted = true;
+            self.with_row(a, |row| (row.dist[b as usize], row.next[b as usize]))
+        });
+        if consulted {
+            answer
         } else {
-            let (d, first) = self.with_row(a, |row| (row.dist[b as usize], row.next[b as usize]));
-            (d != PathCost::MAX).then_some((d, first))
-        };
-        let (core, first) = leg?;
-        let hop = match (up, first) {
-            (Some(_), _) => NodeId(self.view.core_nodes()[a as usize]),
-            (None, NONE) => to,
-            (None, first) => NodeId(first),
-        };
-        let access = PathCost::from(up.unwrap_or(0)) + PathCost::from(down.unwrap_or(0));
-        Some((access + core, hop))
+            self.rowless(answer)
+        }
     }
 }
 
@@ -420,7 +348,7 @@ impl RouteProvider for OnDemandRoutes {
 
     fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
         if from == to {
-            return self.rowless((!self.node_down[from.index()]).then_some(0));
+            return self.rowless((!self.masks.node_down[from.index()]).then_some(0));
         }
         self.resolve(from, to).map(|(d, _)| d)
     }
@@ -436,11 +364,9 @@ impl RouteProvider for OnDemandRoutes {
 
     fn state_bytes(&self) -> usize {
         let c = self.cache.lock().unwrap();
-        c.rows.len() * Row::bytes(self.core_down.len())
+        c.rows.len() * Row::bytes(self.masks.core_down.len())
             + self.view.map_bytes()
-            + self.node_down.len()
-            + self.core_down.len()
-            + self.edge_down.len()
+            + self.masks.bytes()
     }
 }
 
@@ -449,7 +375,7 @@ impl std::fmt::Debug for OnDemandRoutes {
         let stats = self.route_stats();
         f.debug_struct("OnDemandRoutes")
             .field("nodes", &self.view.node_count())
-            .field("core", &self.core_down.len())
+            .field("core", &self.masks.core_down.len())
             .field("capacity", &self.capacity)
             .field("stats", &stats)
             .finish()
@@ -676,6 +602,15 @@ mod tests {
         assert_eq!(lazy.route_stats().cached_rows, 2);
         assert_eq!(lazy.state_bytes() - empty, 2 * 12 * core);
         assert!(12 * core < 12 * g.node_count() / 5);
+    }
+
+    #[test]
+    fn eager_stats_count_the_core_rows_searched() {
+        // 18 routers searched; their 18 stub hosts are expanded from them.
+        let g = isp(8);
+        let s = RouteProvider::route_stats(&RoutingTables::compute(&g));
+        assert_eq!(g.node_count(), 36);
+        assert_eq!((s.computed, s.cached_rows), (18, 36));
     }
 
     #[test]

@@ -1,16 +1,75 @@
-//! Independent all-pairs reference: Floyd–Warshall.
+//! Independent references the route stores are tested against (the
+//! module is test-only).
 //!
-//! A deliberately different algorithm (dynamic programming over
-//! intermediate nodes vs. Dijkstra's greedy frontier) computing the same
-//! distances, used to cross-validate [`crate::tables::RoutingTables`] in
-//! tests — a routing bug would corrupt *every* experiment, so the
-//! distances get two independent witnesses.
+//! * [`FullGraph`] — one Dijkstra per node over the *whole* graph, stub
+//!   hosts included: how the eager tables were computed before both stores
+//!   shared the contracted core and its pair rule (`pair.rs`). It never
+//!   contracts, so it witnesses that rule instead of restating it; the
+//!   proptests compare both stores to it on every pair, distances and
+//!   next hops, with and without failed elements.
+//! * [`floyd_warshall`] — a deliberately different algorithm (dynamic
+//!   programming over intermediate nodes vs. Dijkstra's greedy frontier)
+//!   computing the same distances: a routing bug would corrupt *every*
+//!   experiment, so the distances get two independent witnesses.
 //!
 //! Host-transit exclusion matters here too: paths may start or end at a
 //! host but never pass through one, so hosts are simply excluded from the
 //! set of intermediate nodes.
 
-use hbh_topo::graph::{Graph, PathCost};
+use crate::dijkstra::{shortest_paths_avoiding_csr_into, shortest_paths_csr_into, DijkstraScratch};
+use hbh_topo::csr::Csr;
+use hbh_topo::graph::{Graph, NodeId, PathCost};
+
+/// All-pairs distances and next hops, one full-graph search per node.
+pub struct FullGraph {
+    n: usize,
+    dist: Vec<PathCost>,
+    next: Vec<Option<NodeId>>,
+}
+
+impl FullGraph {
+    /// Routes over every node and edge of `g`.
+    pub fn compute(g: &Graph) -> Self {
+        let csr = Csr::from_graph(g);
+        Self::from_searches(g.node_count(), |u, s| shortest_paths_csr_into(&csr, u, s))
+    }
+
+    /// Routes over the surviving topology: flagged nodes and directed
+    /// edges are absent.
+    pub fn avoiding(g: &Graph, node_down: &[bool], edge_down: &[bool]) -> Self {
+        let csr = Csr::from_graph(g);
+        Self::from_searches(g.node_count(), |u, s| {
+            shortest_paths_avoiding_csr_into(&csr, u, s, node_down, edge_down)
+        })
+    }
+
+    /// One `search` per node of an `n`-node graph, each row copied out of
+    /// the shared scratch.
+    fn from_searches(n: usize, mut search: impl FnMut(NodeId, &mut DijkstraScratch)) -> Self {
+        let mut dist = vec![PathCost::MAX; n * n];
+        let mut next = vec![None; n * n];
+        let mut scratch = DijkstraScratch::default();
+        for u in 0..n {
+            search(NodeId(u as u32), &mut scratch);
+            dist[u * n..(u + 1) * n].copy_from_slice(&scratch.dist);
+            next[u * n..(u + 1) * n].copy_from_slice(&scratch.first);
+        }
+        FullGraph { n, dist, next }
+    }
+
+    /// Cost of the shortest `from → to` path, `None` if unreachable.
+    pub fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
+        match self.dist[from.index() * self.n + to.index()] {
+            PathCost::MAX => None,
+            d => Some(d),
+        }
+    }
+
+    /// The neighbor of `at` a packet for `dst` leaves through.
+    pub fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
+        self.next[at.index() * self.n + dst.index()]
+    }
+}
 
 /// All-pairs distances by Floyd–Warshall. `dist[u][v] = None` when
 /// unreachable.

@@ -2,15 +2,18 @@
 //!
 //! [`RoutingTables`] is the unicast forwarding state every simulated node
 //! consults: `next_hop(at, dst)` answers "which neighbor does a packet for
-//! `dst` leave through?". It is computed once per cost assignment by
-//! running [`crate::dijkstra`] from every node — NS-2's static routing does
-//! the same before the simulation starts. A fault event (this repository's
+//! `dst` leave through?". It is computed once per cost assignment, NS-2
+//! static routing's counterpart: one [`crate::dijkstra`] search per *core*
+//! node of the stub-contracted graph, then every `(from, to)` pair
+//! expanded through the pair rule [`crate::OnDemandRoutes`] answers its
+//! lookups with (see `pair.rs`). A fault event (this repository's
 //! extension; the paper's routes never change) builds new tables over the
 //! surviving topology with [`RoutingTables::compute_avoiding`], from
 //! scratch.
 
 use crate::dijkstra::{shortest_paths_avoiding_csr_into, shortest_paths_csr_into, DijkstraScratch};
-use hbh_topo::csr::Csr;
+use crate::pair::{self, Masks};
+use hbh_topo::contract::Contracted;
 use hbh_topo::graph::{Graph, NodeId, PathCost};
 
 /// Precomputed all-pairs routing: distances and next hops.
@@ -40,18 +43,24 @@ pub struct RoutingTables {
     dist: Vec<PathCost>,
     /// `next[u * n + v]` = neighbor of `u` on the shortest `u → v` path.
     next: Vec<Option<NodeId>>,
+    /// Core searches run to build the tables: one per core node.
+    pub(crate) rows: u64,
 }
 
 impl RoutingTables {
     /// Builds the tables for the current costs of `g`.
     ///
-    /// The graph is packed into a [`Csr`] once, then one Dijkstra run per
-    /// node, all sharing one scratch buffer. Each search resolves first
-    /// hops inline, so a table row is a plain copy of the search result —
-    /// no per-row sort or path reconstruction.
+    /// The graph is contracted once ([`Contracted::from_graph`]), then one
+    /// Dijkstra run per core node fills a core × core table, all sharing
+    /// one scratch buffer; stub hosts own no search and are expanded from
+    /// their router's row.
     pub fn compute(g: &Graph) -> Self {
-        let csr = Csr::from_graph(g);
-        Self::from_searches(csr.node_count(), |u, s| shortest_paths_csr_into(&csr, u, s))
+        let view = Contracted::from_graph(g);
+        let (n, m) = (g.node_count(), g.directed_edge_count());
+        let masks = Masks::new(&view, vec![false; n], vec![false; m]);
+        Self::expand(&view, &masks, |src, s| {
+            shortest_paths_csr_into(view.core(), src, s)
+        })
     }
 
     /// [`RoutingTables::compute`] over the *surviving* topology: nodes
@@ -69,26 +78,65 @@ impl RoutingTables {
     /// # Panics
     /// Panics if a mask length does not match the graph.
     pub fn compute_avoiding(g: &Graph, node_down: &[bool], edge_down: &[bool]) -> Self {
-        assert_eq!(node_down.len(), g.node_count(), "node mask length");
-        assert_eq!(edge_down.len(), g.directed_edge_count(), "edge mask length");
-        let csr = Csr::from_graph(g);
-        Self::from_searches(csr.node_count(), |u, s| {
-            shortest_paths_avoiding_csr_into(&csr, u, s, node_down, edge_down)
+        let view = Contracted::from_graph(g);
+        let masks = Masks::new(&view, node_down.to_vec(), edge_down.to_vec());
+        Self::expand(&view, &masks, |src, s| {
+            shortest_paths_avoiding_csr_into(
+                view.core(),
+                src,
+                s,
+                &masks.core_down,
+                &masks.edge_down,
+            )
         })
     }
 
-    /// One `search` per node of an `n`-node graph, each row copied out of
-    /// the shared scratch.
-    fn from_searches(n: usize, mut search: impl FnMut(NodeId, &mut DijkstraScratch)) -> Self {
+    /// One `search` per core node into a core × core table, then every
+    /// pair of the full graph expanded from it by [`pair::resolve`].
+    fn expand(
+        view: &Contracted,
+        masks: &Masks,
+        mut search: impl FnMut(NodeId, &mut DijkstraScratch),
+    ) -> Self {
+        let c = view.core_nodes().len();
+        let mut core_dist = Vec::with_capacity(c * c);
+        let mut core_next = Vec::with_capacity(c * c);
+        let mut scratch = DijkstraScratch::default();
+        for a in 0..c {
+            search(NodeId(a as u32), &mut scratch);
+            core_dist.extend_from_slice(&scratch.dist);
+            core_next.extend(pair::first_hops(view, &scratch));
+        }
+
+        let n = view.node_count();
         let mut dist = vec![PathCost::MAX; n * n];
         let mut next = vec![None; n * n];
-        let mut scratch = DijkstraScratch::default();
         for u in 0..n {
-            search(NodeId(u as u32), &mut scratch);
-            dist[u * n..(u + 1) * n].copy_from_slice(&scratch.dist);
-            next[u * n..(u + 1) * n].copy_from_slice(&scratch.first);
+            let from = NodeId(u as u32);
+            for v in 0..n {
+                let at = u * n + v;
+                if u == v {
+                    if !masks.node_down[u] {
+                        dist[at] = 0;
+                    }
+                    continue;
+                }
+                let leg = |a: u32, b: u32| {
+                    let k = a as usize * c + b as usize;
+                    (core_dist[k], core_next[k])
+                };
+                if let Some((d, hop)) = pair::resolve(view, masks, from, NodeId(v as u32), leg) {
+                    dist[at] = d;
+                    next[at] = Some(hop);
+                }
+            }
         }
-        RoutingTables { n, dist, next }
+        RoutingTables {
+            n,
+            dist,
+            next,
+            rows: c as u64,
+        }
     }
 
     /// Number of nodes the tables were built for.

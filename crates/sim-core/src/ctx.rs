@@ -70,6 +70,12 @@ pub trait KernelOps<M, T> {
     }
     /// Notes a structural protocol-state change (churn accounting).
     fn structural_change(&mut self);
+    /// Whether a trace sink is listening: [`Ctx::trace`] builds its note
+    /// only when this is true. Defaults to `true`, so a backend that does
+    /// not say still receives every note.
+    fn tracing(&self) -> bool {
+        true
+    }
     /// Appends a free-form trace annotation.
     fn trace_note(&mut self, node: NodeId, note: String);
 }
@@ -156,8 +162,10 @@ impl<'a, M, T> Ctx<'a, M, T> {
 
     /// Appends a free-form note to the trace (no-op unless tracing is on).
     pub fn trace(&mut self, note: impl FnOnce() -> String) {
-        // Cheap check happens inside Trace; building the string is the
-        // expensive part, so only do it when a sink exists.
-        self.core.trace_note(self.node, note());
+        // Building the string is the expensive part, so only do it when a
+        // sink exists.
+        if self.core.tracing() {
+            self.core.trace_note(self.node, note());
+        }
     }
 }

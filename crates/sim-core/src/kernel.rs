@@ -389,6 +389,9 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> KernelOps
         let now = self.now;
         self.stats.note_structural_change(now);
     }
+    fn tracing(&self) -> bool {
+        self.trace.active()
+    }
     fn trace_note(&mut self, node: NodeId, note: String) {
         self.trace.record(self.now, node, TraceKind::Note(note));
     }
@@ -1126,6 +1129,41 @@ mod tests {
         assert!(expect[0].0 < 64 && expect[expect.len() - 1].0 > 100_000);
         assert_eq!(k.state(a).fired, expect);
         assert_eq!(k.pending_timer_count(), 0);
+    }
+
+    #[test]
+    fn notes_are_built_only_for_a_trace_sink() {
+        struct NoteProto;
+        impl Protocol for NoteProto {
+            type Msg = ();
+            type Timer = ();
+            type Command = bool; // whether the kernel traces
+            type NodeState = ();
+            fn on_packet(&self, _: &mut (), _: Packet<()>, _: &mut Ctx<'_, (), ()>) {}
+            fn on_timer(&self, _: &mut (), (): (), _: &mut Ctx<'_, (), ()>) {}
+            fn on_command(&self, _: &mut (), traced: bool, ctx: &mut Ctx<'_, (), ()>) {
+                ctx.trace(|| {
+                    assert!(traced, "a note was built with no trace sink");
+                    "built".to_owned()
+                });
+            }
+        }
+        for traced in [false, true] {
+            let mut g = Graph::new();
+            let a = g.add_router();
+            let mut k = Kernel::new(Network::new(g), NoteProto, 0);
+            if traced {
+                k.enable_trace();
+            }
+            k.command_at(a, traced, Time::ZERO);
+            k.run_until(Time(1));
+            let notes = k
+                .take_trace()
+                .into_iter()
+                .filter(|r| matches!(&r.what, TraceKind::Note(n) if n == "built"))
+                .count();
+            assert_eq!(notes, usize::from(traced));
+        }
     }
 
     #[test]

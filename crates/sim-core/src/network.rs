@@ -12,14 +12,18 @@
 //! materializations chosen at construction:
 //!
 //! * [`Network::new`]/[`Network::with_tables`] — eager all-pairs
-//!   [`RoutingTables`] plus a pre-resolved `n×n` hop array. Exact and the
-//!   fastest per-packet path; memory is O(n²). The paper-scale default,
-//!   byte-identical to the historical behaviour.
+//!   [`RoutingTables`] plus a pre-resolved `n×n` hop array, filled a row
+//!   at a time from the row's out-edges. Exact and the fastest per-packet
+//!   path; memory is O(n²). The paper-scale default, byte-identical to the
+//!   historical behaviour.
 //! * [`Network::on_demand`] — lazy [`OnDemandRoutes`]: per-router SPF rows
 //!   over the router core, materialized on first consultation and
-//!   LRU-bounded; single-homed hosts are resolved through their router
-//!   and own no row. Memory scales with the routers actually forwarding,
+//!   LRU-bounded. Memory scales with the routers actually forwarding,
 //!   which is what makes 5k+ router topologies fit.
+//!
+//! Both stores search the same router core and resolve a single-homed
+//! host through its router by the same pair rule; they differ only in
+//! when the searches run and what stays resident.
 
 use hbh_routing::{OnDemandRoutes, RouteProvider, RoutingTables};
 use hbh_topo::graph::{Cost, EdgeId, Graph, NodeId, PathCost};
@@ -56,7 +60,7 @@ enum RouteStore {
         /// Resolved here — not in `RoutingTables` — because QoS tables are
         /// computed over a *shadow* graph whose edge ids need not match the
         /// real one.
-        hops: Vec<HopEntry>,
+        hops: Box<[HopEntry]>,
     },
     OnDemand(Box<OnDemandRoutes>),
 }
@@ -81,29 +85,38 @@ impl RouteStore {
             "tables/graph mismatch"
         );
         let n = graph.node_count();
-        let mut hops = vec![
-            HopEntry {
-                next: NO_HOP,
-                eid: EdgeId(0),
-                cost: 0
-            };
-            n * n
-        ];
+        let unset = HopEntry {
+            next: NO_HOP,
+            eid: EdgeId(0),
+            cost: 0,
+        };
+        let mut hops = vec![unset; n * n];
+        // `slot[w]`: `u`'s out-edge to neighbor `w`, filled for one row
+        // at a time, so each entry is one read instead of an adjacency scan.
+        let mut slot = vec![unset; n];
         for u in graph.nodes() {
+            for e in graph.neighbors(u) {
+                slot[e.to.index()] = HopEntry {
+                    next: e.to.0,
+                    eid: e.eid,
+                    cost: e.cost,
+                };
+            }
             for v in graph.nodes() {
                 if let Some(h) = tables.next_hop(u, v) {
-                    let (eid, cost) = graph
-                        .edge_entry(u, h)
-                        .expect("next hop must follow a real link");
-                    hops[u.index() * n + v.index()] = HopEntry {
-                        next: h.0,
-                        eid,
-                        cost,
-                    };
+                    let hop = slot[h.index()];
+                    assert_eq!(hop.next, h.0, "next hop must follow a real link");
+                    hops[u.index() * n + v.index()] = hop;
                 }
             }
+            for e in graph.neighbors(u) {
+                slot[e.to.index()] = unset;
+            }
         }
-        RouteStore::Exact { tables, hops }
+        RouteStore::Exact {
+            tables,
+            hops: hops.into(),
+        }
     }
 }
 

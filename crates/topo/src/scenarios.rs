@@ -137,14 +137,15 @@ pub fn fig3() -> Graph {
 }
 
 impl Graph {
-    /// Scenario-only helper: adds a second link from an *already attached*
-    /// host, used by [`fig2`] where the paper draws `r1` and `r2` with two
-    /// upstream routers (one per direction of its asymmetric route).
+    /// Adds a second link from an *already attached* host, used by [`fig2`]
+    /// where the paper draws `r1` and `r2` with two upstream routers (one
+    /// per direction of its asymmetric route), and by the routing
+    /// proptests to put multi-homed hosts into random graphs.
     ///
     /// This deliberately bypasses the single-homing invariant — the paper's
-    /// figures do attach these receivers to two routers — and is only
-    /// available inside this crate's scenario builders.
-    fn add_link_host_side(
+    /// figures do attach these receivers to two routers. Routing still
+    /// never transits such a host.
+    pub fn add_link_host_side(
         &mut self,
         host: crate::graph::NodeId,
         router: crate::graph::NodeId,
