@@ -90,7 +90,7 @@ mod tests {
     use crate::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
     use hbh_proto::Hbh;
     use hbh_proto_base::Timing;
-    use hbh_routing::RoutingTables;
+    use hbh_routing::{RouteProvider, RoutingTables};
 
     /// Converged soft HBH on an ISP draw, probed once with tag 1.
     fn probed(group: usize, seed: u64) -> (Kernel<Hbh>, DataTransits, Scenario) {

@@ -189,6 +189,7 @@ pub fn run_protocol(kind: ProtocolKind, scenario: &Scenario, timing: &Timing) ->
 mod tests {
     use super::*;
     use crate::scenario::{build, ScenarioOptions, TopologyKind};
+    use hbh_routing::RouteProvider;
 
     fn scenario(seed: u64) -> (Scenario, Timing) {
         let timing = Timing::default();

@@ -158,8 +158,9 @@ pub struct ScaleReport {
     pub route_stats: RouteStats,
     /// Peak bytes pinned by cached SPF rows in any single run.
     pub route_bytes: usize,
-    /// What eager all-pairs tables would pin for the same topology
-    /// (`n² × (dist + next-hop entry)`).
+    /// What a hypothetical `n×n` table of `(dist, next hop)` would pin for
+    /// the same topology (`n² × 16` bytes): the yardstick every record of
+    /// `BENCH_scale.json` divides by.
     pub all_pairs_bytes: usize,
     /// The contracted topology view the provider routes over (core
     /// adjacency and the stub maps `route_bytes` also counts); the same
@@ -351,7 +352,7 @@ mod tests {
     {"name": "HBH", "cost_mean": 27.333, "delay_mean": 27.611, "incomplete": 0, "unconverged": 0, "events": 35602}
   ],
   "routes": {"cache_rows": 256, "computed": 46, "hits": 45881, "misses": 46, "evicted": 0, "peak_cached_rows": 17, "cache_hit_rate": 0.9990},
-  "memory": {"route_bytes": 7566, "bytes_per_router": 378.3, "all_pairs_bytes": 313600, "memory_ratio": 41.45, "structure_bytes": 3696, "peak_rss_kb": 0},
+  "memory": {"route_bytes": 8926, "bytes_per_router": 446.3, "all_pairs_bytes": 313600, "memory_ratio": 35.13, "structure_bytes": 3696, "peak_rss_kb": 0},
 "#;
 
     #[test]

@@ -128,7 +128,7 @@ where
             self.transmit(from, &pkt);
             return;
         }
-        if let Some(next) = self.net.next_hop(from, pkt.dst) {
+        if let Some((next, ..)) = self.net.hop(from, pkt.dst) {
             self.transmit(next, &pkt);
         }
     }
@@ -143,7 +143,7 @@ where
             return;
         }
         pkt.ttl -= 1;
-        if let Some(next) = self.net.next_hop(from, pkt.dst) {
+        if let Some((next, ..)) = self.net.hop(from, pkt.dst) {
             self.transmit(next, &pkt);
         }
     }
@@ -285,7 +285,7 @@ where
                     let mut fwd = pkt;
                     if fwd.ttl > 0 {
                         fwd.ttl -= 1;
-                        if let Some(next) = ops.net.next_hop(node, fwd.dst) {
+                        if let Some((next, ..)) = ops.net.hop(node, fwd.dst) {
                             ops.transmit(next, &fwd);
                         }
                     }

@@ -6,7 +6,7 @@
 //! report *how* asymmetric a given cost assignment actually made the
 //! routing, and the asymmetry ablation can verify its knob works.
 
-use crate::tables::RoutingTables;
+use crate::{RouteProvider, RoutingTables};
 use hbh_topo::graph::{Graph, NodeId};
 
 /// Summary of routing asymmetry over all ordered router pairs.

@@ -19,6 +19,11 @@
 //! packs the whole graph. CSR packing preserves per-node edge order, so the
 //! tie-breaks — and therefore every route — are identical to a search over
 //! the raw adjacency.
+//!
+//! The search records, per reached node, the first hop *and the directed
+//! edge id it leaves the root on*: a forwarding step is `(next hop, edge)`,
+//! and the stores keep it whole so the simulator never scans an adjacency
+//! list to find the link a packet goes out on.
 
 use hbh_topo::csr::Csr;
 use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
@@ -52,6 +57,9 @@ pub(crate) struct DijkstraScratch {
     pub(crate) dist: Vec<PathCost>,
     pub(crate) pred: Vec<Option<NodeId>>,
     pub(crate) first: Vec<Option<NodeId>>,
+    /// `first_eid[v]`: the edge id the first hop toward `v` leaves on
+    /// (meaningful only where `first[v]` is set).
+    pub(crate) first_eid: Vec<u32>,
     done: Vec<bool>,
     heap: BinaryHeap<Reverse<(PathCost, NodeId)>>,
 }
@@ -64,6 +72,8 @@ impl DijkstraScratch {
         self.pred.resize(n, None);
         self.first.clear();
         self.first.resize(n, None);
+        self.first_eid.clear();
+        self.first_eid.resize(n, 0);
         self.done.clear();
         self.done.resize(n, false);
         self.heap.clear();
@@ -90,13 +100,14 @@ pub fn shortest_paths(g: &Graph, root: NodeId) -> ShortestPaths {
 
 /// [`shortest_paths`] over a pre-packed CSR view, into caller-provided
 /// scratch storage. The results are left in `s.dist` / `s.pred` /
-/// `s.first`.
+/// `s.first` / `s.first_eid`.
 ///
 /// First hops are resolved inline during relaxation: when `v` is improved
 /// via `u`, `u` has already been finalized (its out-edges are only relaxed
 /// after it is popped as settled), so `first[u]` is final and
 /// `first[v] = first[u]` (or `v` itself when `u` is the root) holds for
-/// the eventual shortest path too.
+/// the eventual shortest path too. The first hop's edge id rides along on
+/// the same assignment.
 pub(crate) fn shortest_paths_csr_into(csr: &Csr, root: NodeId, s: &mut DijkstraScratch) {
     shortest_paths_core(csr, root, s, |_| true, |_| true);
 }
@@ -162,10 +173,10 @@ fn shortest_paths_core(
             if better && !s.done[v.index()] {
                 s.dist[v.index()] = nd;
                 s.pred[v.index()] = Some(u);
-                s.first[v.index()] = if u == root {
-                    Some(v)
+                (s.first[v.index()], s.first_eid[v.index()]) = if u == root {
+                    (Some(v), eid[i])
                 } else {
-                    s.first[u.index()]
+                    (s.first[u.index()], s.first_eid[u.index()])
                 };
                 s.heap.push(Reverse((nd, v)));
             }

@@ -11,8 +11,9 @@
 //!
 //! * [`dijkstra`] — single-source shortest paths over the *directed* link
 //!   costs (hosts never transit);
-//! * [`tables::RoutingTables`] — all-pairs distances and next hops, the
-//!   eager forwarding state (exact, O(n²) — the paper-scale default);
+//! * [`tables::RoutingTables`] — one forwarding step (next hop and
+//!   out-edge) per pair, the eager forwarding state (exact, O(n²) — the
+//!   paper-scale default);
 //! * [`provider`] — the [`provider::RouteProvider`] trait plus
 //!   [`provider::OnDemandRoutes`], lazy per-router SPF rows over the router
 //!   core behind an LRU, for internet-scale topologies where n² tables no

@@ -6,7 +6,9 @@
 //! expands every pair; [`crate::OnDemandRoutes`] runs a core search when a
 //! lookup first needs one and expands the pair it was asked. Both call
 //! [`resolve`], so the two stores differ only in where the core leg is read
-//! from.
+//! from. What the rule answers is the whole forwarding step — the next hop
+//! *and* the directed edge a packet leaves on — plus the path cost, so no
+//! caller resolves an edge by scanning an adjacency list.
 //!
 //! # What a core row covers
 //!
@@ -18,8 +20,9 @@
 //! link, to a router) is resolved through its attachment router `r(h)` and
 //! its two access half-links:
 //!
-//! * `next_hop(h, ·) = r(h)`; `next_hop(x, h) = h` if `x == r(h)`, else
-//!   `next_hop(x, r(h))`;
+//! * `step(h, ·) = (r(h), up edge)`; `step(x, h) = (h, down edge)` if
+//!   `x == r(h)`, else `step(x, r(h))`, whose edge is the core row's
+//!   first-hop edge;
 //! * `dist(x, y) = up(x) + dist_core(r(x), r(y)) + down(y)`, a term being
 //!   zero where the endpoint is itself in the core;
 //! * when both ends resolve to the same router there is no core leg and
@@ -41,12 +44,13 @@ use crate::dijkstra::DijkstraScratch;
 use hbh_topo::contract::{Contracted, Place};
 use hbh_topo::graph::{EdgeId, NodeId, PathCost};
 
-/// A core row's "no first hop": unreachable, or the row's own source.
+/// "No next hop": unreachable, or the lookup's own source.
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// The surviving topology a store answers over: the fault masks, indexed
 /// by the full graph's `NodeId` / `EdgeId`, plus the node mask restricted
 /// to the core, by core index — the mask a core search reads.
+#[derive(Clone, Debug)]
 pub(crate) struct Masks {
     pub(crate) node_down: Vec<bool>,
     pub(crate) core_down: Vec<bool>,
@@ -83,24 +87,32 @@ impl Masks {
     }
 }
 
-/// The first hops of the core search left in `s`, by core index, as
-/// full-graph node ids ([`NONE`] for none): a row's `next` array.
-pub(crate) fn first_hops<'a>(
+/// A stored forwarding step: the next hop's node id and the id of the
+/// directed edge it is reached over. A [`NONE`] hop is "no step".
+pub(crate) type Step = (u32, u32);
+
+/// The empty [`Step`].
+pub(crate) const NO_STEP: Step = (NONE, NONE);
+
+/// The forwarding steps of the core search left in `s`, by core index,
+/// with full-graph node ids ([`NO_STEP`] for none): a core row's steps.
+pub(crate) fn steps<'a>(
     view: &'a Contracted,
     s: &'a DijkstraScratch,
-) -> impl Iterator<Item = u32> + 'a {
+) -> impl Iterator<Item = Step> + 'a {
     let nodes = view.core_nodes();
     s.first
         .iter()
-        .map(|first| first.map_or(NONE, |n| nodes[n.index()]))
+        .zip(&s.first_eid)
+        .map(|(first, &eid)| first.map_or(NO_STEP, |n| (nodes[n.index()], eid)))
 }
 
-/// The pair rule: cost and first hop of the shortest `from → to` path,
-/// `from != to` — an access half-link up, a core leg, an access half-link
-/// down, with whichever of the three the endpoints need.
+/// The pair rule: cost and forwarding step of the shortest `from → to`
+/// path, `from != to` — an access half-link up, a core leg, an access
+/// half-link down, with whichever of the three the endpoints need.
 ///
 /// `leg(a, b)` reads the core leg between two *different* core nodes from
-/// wherever the store keeps its rows, as `(dist, first hop)` with
+/// wherever the store keeps its rows, as `(dist, step)` with
 /// `PathCost::MAX` for unreachable. It is called at most once, and not at
 /// all when a stub end is down or both ends sit on one core node.
 #[inline]
@@ -109,21 +121,17 @@ pub(crate) fn resolve(
     masks: &Masks,
     from: NodeId,
     to: NodeId,
-    leg: impl FnOnce(u32, u32) -> (PathCost, u32),
-) -> Option<(PathCost, NodeId)> {
+    leg: impl FnOnce(u32, u32) -> (PathCost, Step),
+) -> Option<(PathCost, NodeId, EdgeId)> {
     let alive = |e: EdgeId| !masks.edge_down[e.index()];
     let (a, up) = match view.place(from) {
         Place::Core(a) => (a, None),
-        Place::Stub(s) if !masks.node_down[from.index()] && alive(s.up_eid) => {
-            (s.router, Some(s.up_cost))
-        }
+        Place::Stub(s) if !masks.node_down[from.index()] && alive(s.up_eid) => (s.router, Some(s)),
         Place::Stub(_) => return None,
     };
     let (b, down) = match view.place(to) {
         Place::Core(b) => (b, None),
-        Place::Stub(s) if !masks.node_down[to.index()] && alive(s.down_eid) => {
-            (s.router, Some(s.down_cost))
-        }
+        Place::Stub(s) if !masks.node_down[to.index()] && alive(s.down_eid) => (s.router, Some(s)),
         Place::Stub(_) => return None,
     };
     // The core leg: none when both ends hang off one core node.
@@ -131,18 +139,21 @@ pub(crate) fn resolve(
         if masks.core_down[a as usize] {
             return None;
         }
-        (0, NONE)
+        (0, NO_STEP)
     } else {
         match leg(a, b) {
             (PathCost::MAX, _) => return None,
             leg => leg,
         }
     };
-    let hop = match (up, first) {
-        (Some(_), _) => NodeId(view.core_nodes()[a as usize]),
-        (None, NONE) => to,
-        (None, first) => NodeId(first),
+    let (hop, eid) = match (up, down, first) {
+        // A stub source leaves on its own access link, up.
+        (Some(s), ..) => (view.core_nodes()[a as usize], s.up_eid.0),
+        // A router hands over to its own stub on the access link down.
+        (None, Some(s), (NONE, _)) => (to.0, s.down_eid.0),
+        (None, _, step) => step,
     };
-    let access = PathCost::from(up.unwrap_or(0)) + PathCost::from(down.unwrap_or(0));
-    Some((access + core, hop))
+    let access = up.map_or(0, |s| PathCost::from(s.up_cost))
+        + down.map_or(0, |s| PathCost::from(s.down_cost));
+    Some((access + core, NodeId(hop), EdgeId(eid)))
 }

@@ -13,7 +13,7 @@
 //! integration tests assert, e.g., that the converged PIM-SS engine
 //! produces exactly [`reverse_spt`]) and to compute reference metrics.
 
-use crate::tables::RoutingTables;
+use crate::{RouteProvider, RoutingTables};
 use hbh_topo::graph::{Graph, NodeId, PathCost};
 use std::collections::{BTreeMap, BTreeSet};
 

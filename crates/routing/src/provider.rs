@@ -8,15 +8,17 @@
 //! the protocol's own philosophy: routes are a *service*, computed when
 //! first consulted and memoized per source.
 //!
-//! [`RouteProvider`] is the consumer-facing trait (`next_hop`, `dist`,
-//! `path`); [`crate::RoutingTables`] implements it as the exact eager
-//! store (every pair expanded up front, used for the paper's n≤100
+//! [`RouteProvider`] is the consumer-facing trait: `step` (next hop and
+//! out-edge, the forwarding decision), `dist`, and `next_hop` / `path`
+//! derived from them. [`crate::RoutingTables`] implements it as the exact
+//! eager store (every pair expanded up front, used for the paper's n≤100
 //! figures), and [`OnDemandRoutes`] implements it lazily, in an LRU with
-//! deterministic eviction. Both run the same core search over the same
-//! stub-contracted view and expand a pair through the same rule (`pair.rs`
-//! documents both), so on any (at, dst) pair they agree exactly; property
-//! tests hold each of them to an independent full-graph search, with and
-//! without failed elements.
+//! deterministic eviction, each row holding a `(dist, step)` per core
+//! node. Both run the same core search over the same stub-contracted view
+//! and expand a pair through the same rule (`pair.rs` documents both), so
+//! on any (at, dst) pair they agree exactly; property tests hold each of
+//! them to an independent full-graph search, and each step's edge to the
+//! graph's own adjacency, with and without failed elements.
 //!
 //! # Faults
 //!
@@ -27,9 +29,9 @@
 //! [`crate::RoutingTables::compute_avoiding`] computes its core rows.
 
 use crate::dijkstra::{shortest_paths_avoiding_csr_into, DijkstraScratch};
-use crate::pair::{self, Masks};
+use crate::pair::{self, Masks, Step};
 use hbh_topo::contract::Contracted;
-use hbh_topo::graph::{Graph, NodeId, PathCost};
+use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,9 +45,16 @@ pub trait RouteProvider {
     /// Number of nodes routes are answered for.
     fn node_count(&self) -> usize;
 
+    /// The forwarding step at `at` toward `dst`: the neighbor a packet
+    /// leaves through and the directed edge it leaves on. `None` if
+    /// `at == dst` or `dst` is unreachable.
+    fn step(&self, at: NodeId, dst: NodeId) -> Option<(NodeId, EdgeId)>;
+
     /// The neighbor of `at` that a packet destined to `dst` leaves
-    /// through. `None` if `at == dst` or `dst` is unreachable.
-    fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId>;
+    /// through: [`RouteProvider::step`] without the edge.
+    fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
+        self.step(at, dst).map(|(hop, _)| hop)
+    }
 
     /// Cost of the shortest `from → to` path, `None` if unreachable.
     fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost>;
@@ -65,10 +74,8 @@ pub trait RouteProvider {
         Some(path)
     }
 
-    /// Cache behaviour counters; all zero for eager providers.
-    fn route_stats(&self) -> RouteStats {
-        RouteStats::default()
-    }
+    /// How the provider materialized its answers.
+    fn route_stats(&self) -> RouteStats;
 
     /// Heap bytes currently pinned by materialized route state.
     fn state_bytes(&self) -> usize;
@@ -86,7 +93,7 @@ pub struct RouteStats {
     pub misses: u64,
     /// Rows dropped by LRU capacity pressure.
     pub evicted: u64,
-    /// Rows resident right now (eager: the `n` expanded rows).
+    /// Rows resident right now (eager: the `n` rows of expanded steps).
     pub cached_rows: usize,
 }
 
@@ -102,53 +109,22 @@ impl RouteStats {
     }
 }
 
-impl RouteProvider for crate::RoutingTables {
-    fn node_count(&self) -> usize {
-        self.node_count()
-    }
-
-    fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        crate::RoutingTables::next_hop(self, at, dst)
-    }
-
-    fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
-        crate::RoutingTables::dist(self, from, to)
-    }
-
-    fn path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        crate::RoutingTables::path(self, from, to)
-    }
-
-    fn route_stats(&self) -> RouteStats {
-        RouteStats {
-            computed: self.rows,
-            cached_rows: self.node_count(),
-            ..RouteStats::default()
-        }
-    }
-
-    fn state_bytes(&self) -> usize {
-        // dist: Vec<PathCost>, next: Vec<Option<NodeId>>, both n×n.
-        let n = self.node_count();
-        n * n * (size_of::<PathCost>() + size_of::<Option<NodeId>>())
-    }
-}
-
 /// One memoized forward-SPF row over the core: everything core node `src`
-/// needs to answer `next_hop(src, *)` / `dist(src, *)`. Both arrays are
+/// needs to answer `step(src, *)` / `dist(src, *)`. Both arrays are
 /// indexed by core index.
 struct Row {
     /// `dist[v]` from the row's source (`u64::MAX` = unreachable).
     dist: Box<[PathCost]>,
-    /// First hop toward `v`, as a full-graph node id (`u32::MAX` = none).
-    next: Box<[u32]>,
+    /// First step toward `v`: a full-graph node id and edge id
+    /// ([`pair::NO_STEP`] = none).
+    step: Box<[Step]>,
     /// LRU tick of the last lookup through this row.
     last_used: u64,
 }
 
 impl Row {
     fn bytes(core: usize) -> usize {
-        core * (size_of::<PathCost>() + size_of::<u32>())
+        core * (size_of::<PathCost>() + size_of::<Step>())
     }
 }
 
@@ -297,7 +273,7 @@ impl OnDemandRoutes {
         );
         let row = Row {
             dist: c.scratch.dist.as_slice().into(),
-            next: pair::first_hops(&self.view, &c.scratch).collect(),
+            step: pair::steps(&self.view, &c.scratch).collect(),
             last_used: tick,
         };
 
@@ -317,14 +293,14 @@ impl OnDemandRoutes {
         r
     }
 
-    /// Cost and first hop of the shortest `from → to` path, `from != to`,
-    /// by the pair rule over this provider's rows. A lookup the rule
-    /// answers without a core leg counts as a rowless hit.
-    fn resolve(&self, from: NodeId, to: NodeId) -> Option<(PathCost, NodeId)> {
+    /// Cost and step of the shortest `from → to` path, `from != to`, by
+    /// the pair rule over this provider's rows. A lookup the rule answers
+    /// without a core leg counts as a rowless hit.
+    fn resolve(&self, from: NodeId, to: NodeId) -> Option<(PathCost, NodeId, EdgeId)> {
         let mut consulted = false;
         let answer = pair::resolve(&self.view, &self.masks, from, to, |a, b| {
             consulted = true;
-            self.with_row(a, |row| (row.dist[b as usize], row.next[b as usize]))
+            self.with_row(a, |row| (row.dist[b as usize], row.step[b as usize]))
         });
         if consulted {
             answer
@@ -339,18 +315,18 @@ impl RouteProvider for OnDemandRoutes {
         self.view.node_count()
     }
 
-    fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
+    fn step(&self, at: NodeId, dst: NodeId) -> Option<(NodeId, EdgeId)> {
         if at == dst {
             return self.rowless(None);
         }
-        self.resolve(at, dst).map(|(_, hop)| hop)
+        self.resolve(at, dst).map(|(_, hop, eid)| (hop, eid))
     }
 
     fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
         if from == to {
             return self.rowless((!self.masks.node_down[from.index()]).then_some(0));
         }
-        self.resolve(from, to).map(|(d, _)| d)
+        self.resolve(from, to).map(|(d, ..)| d)
     }
 
     fn route_stats(&self) -> RouteStats {
@@ -600,8 +576,8 @@ mod tests {
         lazy.dist(hosts[0], hosts[1]);
         lazy.dist(hosts[1], hosts[0]);
         assert_eq!(lazy.route_stats().cached_rows, 2);
-        assert_eq!(lazy.state_bytes() - empty, 2 * 12 * core);
-        assert!(12 * core < 12 * g.node_count() / 5);
+        assert_eq!(lazy.state_bytes() - empty, 2 * 16 * core);
+        assert!(16 * core < 16 * g.node_count() / 5);
     }
 
     #[test]
@@ -617,10 +593,13 @@ mod tests {
     fn eager_provider_reports_full_footprint() {
         let g = isp(8);
         let t = RoutingTables::compute(&g);
-        let n = g.node_count();
+        let view = Contracted::from_graph(&g);
+        let (n, c) = (g.node_count(), view.core_nodes().len());
+        // An 8-byte step per pair, a 16-byte (dist, step) per core pair,
+        // the contracted view and the three masks.
         assert_eq!(
             RouteProvider::state_bytes(&t),
-            n * n * (size_of::<PathCost>() + size_of::<Option<NodeId>>())
+            n * n * 8 + c * c * 16 + view.bytes() + n + c + g.directed_edge_count()
         );
         let lazy = OnDemandRoutes::new(&g, 64);
         lazy.dist(g.nodes().next().unwrap(), g.nodes().nth(1).unwrap());

@@ -12,7 +12,7 @@
 //! directions of those links, whose bandwidth was never checked — the
 //! `qos` experiment measures exactly that gap.
 
-use crate::tables::RoutingTables;
+use crate::{RouteProvider, RoutingTables};
 use hbh_topo::graph::{Bandwidth, Graph, NodeId, PathCost};
 
 /// Computes routing tables over the sub-topology of directed links with

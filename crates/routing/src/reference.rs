@@ -114,7 +114,7 @@ pub fn floyd_warshall(g: &Graph) -> Vec<Vec<Option<PathCost>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::RoutingTables;
+    use crate::{RouteProvider, RoutingTables};
     use hbh_topo::graph::Graph;
     use hbh_topo::{costs, isp, random, scenarios};
     use rand::rngs::StdRng;

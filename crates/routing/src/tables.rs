@@ -1,26 +1,31 @@
 //! All-pairs forwarding tables.
 //!
 //! [`RoutingTables`] is the unicast forwarding state every simulated node
-//! consults: `next_hop(at, dst)` answers "which neighbor does a packet for
-//! `dst` leave through?". It is computed once per cost assignment, NS-2
-//! static routing's counterpart: one [`crate::dijkstra`] search per *core*
-//! node of the stub-contracted graph, then every `(from, to)` pair
-//! expanded through the pair rule [`crate::OnDemandRoutes`] answers its
-//! lookups with (see `pair.rs`). A fault event (this repository's
-//! extension; the paper's routes never change) builds new tables over the
-//! surviving topology with [`RoutingTables::compute_avoiding`], from
-//! scratch.
+//! consults: `step(at, dst)` answers "which neighbor does a packet for
+//! `dst` leave through, and over which edge?". It is computed once per
+//! cost assignment, NS-2 static routing's counterpart: one
+//! [`crate::dijkstra`] search per *core* node of the stub-contracted
+//! graph into a core × core table, then every `(from, to)` pair expanded
+//! once, through the pair rule [`crate::OnDemandRoutes`] answers its
+//! lookups with (see `pair.rs`), into one `n×n` array of forwarding steps
+//! of 8 bytes each. That array is the per-packet hot path; distances,
+//! which nothing hot reads, go through the pair rule over the core table
+//! on every lookup. A fault event (this repository's extension; the
+//! paper's routes never change) builds new tables over the surviving
+//! topology with [`RoutingTables::compute_avoiding`], from scratch.
 
 use crate::dijkstra::{shortest_paths_avoiding_csr_into, shortest_paths_csr_into, DijkstraScratch};
-use crate::pair::{self, Masks};
+use crate::pair::{self, Masks, Step, NONE, NO_STEP};
+use crate::provider::{RouteProvider, RouteStats};
 use hbh_topo::contract::Contracted;
-use hbh_topo::graph::{Graph, NodeId, PathCost};
+use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
 
-/// Precomputed all-pairs routing: distances and next hops.
+/// Precomputed all-pairs routing: a forwarding step per pair, distances
+/// by the pair rule.
 ///
 /// ```
 /// use hbh_topo::graph::Graph;
-/// use hbh_routing::RoutingTables;
+/// use hbh_routing::{RouteProvider, RoutingTables};
 ///
 /// let mut g = Graph::new();
 /// let a = g.add_router();
@@ -38,13 +43,12 @@ use hbh_topo::graph::{Graph, NodeId, PathCost};
 /// ```
 #[derive(Clone, Debug)]
 pub struct RoutingTables {
-    n: usize,
-    /// `dist[u * n + v]`, `u64::MAX` when unreachable.
-    dist: Vec<PathCost>,
-    /// `next[u * n + v]` = neighbor of `u` on the shortest `u → v` path.
-    next: Vec<Option<NodeId>>,
-    /// Core searches run to build the tables: one per core node.
-    pub(crate) rows: u64,
+    view: Contracted,
+    masks: Masks,
+    /// `core[a * c + b]`: cost and first step of the core leg `a → b`.
+    core: Vec<(PathCost, Step)>,
+    /// `steps[u * n + v]`: the forwarding step at `u` toward `v`.
+    steps: Vec<Step>,
 }
 
 impl RoutingTables {
@@ -55,10 +59,8 @@ impl RoutingTables {
     /// one scratch buffer; stub hosts own no search and are expanded from
     /// their router's row.
     pub fn compute(g: &Graph) -> Self {
-        let view = Contracted::from_graph(g);
         let (n, m) = (g.node_count(), g.directed_edge_count());
-        let masks = Masks::new(&view, vec![false; n], vec![false; m]);
-        Self::expand(&view, &masks, |src, s| {
+        Self::expand(g, vec![false; n], vec![false; m], |view, _, src, s| {
             shortest_paths_csr_into(view.core(), src, s)
         })
     }
@@ -78,98 +80,109 @@ impl RoutingTables {
     /// # Panics
     /// Panics if a mask length does not match the graph.
     pub fn compute_avoiding(g: &Graph, node_down: &[bool], edge_down: &[bool]) -> Self {
+        Self::expand(
+            g,
+            node_down.to_vec(),
+            edge_down.to_vec(),
+            |view, masks, src, s| {
+                shortest_paths_avoiding_csr_into(
+                    view.core(),
+                    src,
+                    s,
+                    &masks.core_down,
+                    &masks.edge_down,
+                )
+            },
+        )
+    }
+
+    /// One `search` per core node into the core × core table, then every
+    /// pair of the full graph expanded from it into the step array.
+    fn expand(
+        g: &Graph,
+        node_down: Vec<bool>,
+        edge_down: Vec<bool>,
+        search: impl Fn(&Contracted, &Masks, NodeId, &mut DijkstraScratch),
+    ) -> Self {
         let view = Contracted::from_graph(g);
-        let masks = Masks::new(&view, node_down.to_vec(), edge_down.to_vec());
-        Self::expand(&view, &masks, |src, s| {
-            shortest_paths_avoiding_csr_into(
-                view.core(),
-                src,
-                s,
-                &masks.core_down,
-                &masks.edge_down,
-            )
+        let masks = Masks::new(&view, node_down, edge_down);
+        let c = view.core_nodes().len();
+        let mut core = Vec::with_capacity(c * c);
+        let mut scratch = DijkstraScratch::default();
+        for a in 0..c {
+            search(&view, &masks, NodeId(a as u32), &mut scratch);
+            core.extend(
+                scratch
+                    .dist
+                    .iter()
+                    .copied()
+                    .zip(pair::steps(&view, &scratch)),
+            );
+        }
+        let mut t = RoutingTables {
+            view,
+            masks,
+            core,
+            steps: Vec::new(),
+        };
+        let n = t.view.node_count();
+        t.steps = (0..n)
+            .flat_map(|u| (0..n).map(move |v| (NodeId(u as u32), NodeId(v as u32))))
+            .map(|(u, v)| {
+                let step = if u == v { None } else { t.resolve(u, v) };
+                step.map_or(NO_STEP, |(_, hop, eid)| (hop.0, eid.0))
+            })
+            .collect();
+        t
+    }
+
+    /// The pair rule over the core table: cost and step of `from → to`,
+    /// `from != to`.
+    fn resolve(&self, from: NodeId, to: NodeId) -> Option<(PathCost, NodeId, EdgeId)> {
+        let c = self.masks.core_down.len();
+        pair::resolve(&self.view, &self.masks, from, to, |a, b| {
+            self.core[a as usize * c + b as usize]
         })
     }
 
-    /// One `search` per core node into a core × core table, then every
-    /// pair of the full graph expanded from it by [`pair::resolve`].
-    fn expand(
-        view: &Contracted,
-        masks: &Masks,
-        mut search: impl FnMut(NodeId, &mut DijkstraScratch),
-    ) -> Self {
-        let c = view.core_nodes().len();
-        let mut core_dist = Vec::with_capacity(c * c);
-        let mut core_next = Vec::with_capacity(c * c);
-        let mut scratch = DijkstraScratch::default();
-        for a in 0..c {
-            search(NodeId(a as u32), &mut scratch);
-            core_dist.extend_from_slice(&scratch.dist);
-            core_next.extend(pair::first_hops(view, &scratch));
-        }
+    /// Directed half-links of the graph the tables were built for: every
+    /// step's edge id indexes that graph's edges.
+    pub fn directed_edge_count(&self) -> usize {
+        self.view.directed_edge_count()
+    }
+}
 
-        let n = view.node_count();
-        let mut dist = vec![PathCost::MAX; n * n];
-        let mut next = vec![None; n * n];
-        for u in 0..n {
-            let from = NodeId(u as u32);
-            for v in 0..n {
-                let at = u * n + v;
-                if u == v {
-                    if !masks.node_down[u] {
-                        dist[at] = 0;
-                    }
-                    continue;
-                }
-                let leg = |a: u32, b: u32| {
-                    let k = a as usize * c + b as usize;
-                    (core_dist[k], core_next[k])
-                };
-                if let Some((d, hop)) = pair::resolve(view, masks, from, NodeId(v as u32), leg) {
-                    dist[at] = d;
-                    next[at] = Some(hop);
-                }
-            }
+impl RouteProvider for RoutingTables {
+    fn node_count(&self) -> usize {
+        self.view.node_count()
+    }
+
+    #[inline]
+    fn step(&self, at: NodeId, dst: NodeId) -> Option<(NodeId, EdgeId)> {
+        let (hop, eid) = self.steps[at.index() * self.node_count() + dst.index()];
+        (hop != NONE).then_some((NodeId(hop), EdgeId(eid)))
+    }
+
+    fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
+        if from == to {
+            return (!self.masks.node_down[from.index()]).then_some(0);
         }
-        RoutingTables {
-            n,
-            dist,
-            next,
-            rows: c as u64,
+        self.resolve(from, to).map(|(d, ..)| d)
+    }
+
+    fn route_stats(&self) -> RouteStats {
+        RouteStats {
+            computed: self.masks.core_down.len() as u64,
+            cached_rows: self.node_count(),
+            ..RouteStats::default()
         }
     }
 
-    /// Number of nodes the tables were built for.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Cost of the shortest `from → to` path.
-    pub fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
-        match self.dist[from.index() * self.n + to.index()] {
-            PathCost::MAX => None,
-            d => Some(d),
-        }
-    }
-
-    /// The neighbor of `at` that a packet destined to `dst` leaves through.
-    /// `None` if `at == dst` or `dst` is unreachable.
-    pub fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.next[at.index() * self.n + dst.index()]
-    }
-
-    /// The full unicast path `from → … → to` (inclusive), walked from the
-    /// next-hop tables exactly like a real packet would be forwarded.
-    pub fn path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        self.dist(from, to)?;
-        let mut path = vec![from];
-        let mut cur = from;
-        while cur != to {
-            cur = self.next_hop(cur, to)?;
-            path.push(cur);
-            assert!(path.len() <= self.n, "routing loop from {from} to {to}");
-        }
-        Some(path)
+    fn state_bytes(&self) -> usize {
+        self.steps.len() * size_of::<Step>()
+            + self.core.len() * size_of::<(PathCost, Step)>()
+            + self.view.bytes()
+            + self.masks.bytes()
     }
 }
 

@@ -12,10 +12,9 @@
 //! materializations chosen at construction:
 //!
 //! * [`Network::new`]/[`Network::with_tables`] — eager all-pairs
-//!   [`RoutingTables`] plus a pre-resolved `n×n` hop array, filled a row
-//!   at a time from the row's out-edges. Exact and the fastest per-packet
-//!   path; memory is O(n²). The paper-scale default, byte-identical to the
-//!   historical behaviour.
+//!   [`RoutingTables`]: one `n×n` array of forwarding steps, expanded up
+//!   front. The fastest per-packet path; memory is O(n²). The paper-scale
+//!   default.
 //! * [`Network::on_demand`] — lazy [`OnDemandRoutes`]: per-router SPF rows
 //!   over the router core, materialized on first consultation and
 //!   LRU-bounded. Memory scales with the routers actually forwarding,
@@ -23,7 +22,10 @@
 //!
 //! Both stores search the same router core and resolve a single-homed
 //! host through its router by the same pair rule; they differ only in
-//! when the searches run and what stays resident.
+//! when the searches run and what stays resident. Either one answers a
+//! forwarding step whole — next hop and out-edge id — so [`Network::hop`]
+//! adds only the edge's delay, read from the real graph. Network keeps no
+//! per-pair state of its own.
 
 use hbh_routing::{OnDemandRoutes, RouteProvider, RoutingTables};
 use hbh_topo::graph::{Cost, EdgeId, Graph, NodeId, PathCost};
@@ -49,75 +51,14 @@ struct NetworkInner {
     routes: RouteStore,
 }
 
-/// How unicast routes are materialized (see module docs).
+/// How unicast routes are materialized (see module docs). Both arms are
+/// boxed, so the allocation behind every `Network` has one small size
+/// whichever store it holds (EXPERIMENTS.md "Performance" records how
+/// that size alone moves peak RSS).
 #[derive(Debug)]
 enum RouteStore {
-    Exact {
-        tables: RoutingTables,
-        /// `hops[u * n + v]`: the next-hop row with the out-edge
-        /// pre-resolved against `graph`, so a per-packet forwarding step is
-        /// one array read instead of a table lookup plus an adjacency scan.
-        /// Resolved here — not in `RoutingTables` — because QoS tables are
-        /// computed over a *shadow* graph whose edge ids need not match the
-        /// real one.
-        hops: Box<[HopEntry]>,
-    },
+    Exact(Box<RoutingTables>),
     OnDemand(Box<OnDemandRoutes>),
-}
-
-/// One resolved forwarding step. `next == NO_HOP` means unreachable (or
-/// `u == v`); `eid`/`cost` are then meaningless.
-#[derive(Clone, Copy, Debug)]
-struct HopEntry {
-    next: u32,
-    eid: EdgeId,
-    cost: Cost,
-}
-
-const NO_HOP: u32 = u32::MAX;
-
-impl RouteStore {
-    /// Eager tables plus their hop array resolved against `graph`.
-    fn exact(graph: &Graph, tables: RoutingTables) -> Self {
-        assert_eq!(
-            graph.node_count(),
-            tables.node_count(),
-            "tables/graph mismatch"
-        );
-        let n = graph.node_count();
-        let unset = HopEntry {
-            next: NO_HOP,
-            eid: EdgeId(0),
-            cost: 0,
-        };
-        let mut hops = vec![unset; n * n];
-        // `slot[w]`: `u`'s out-edge to neighbor `w`, filled for one row
-        // at a time, so each entry is one read instead of an adjacency scan.
-        let mut slot = vec![unset; n];
-        for u in graph.nodes() {
-            for e in graph.neighbors(u) {
-                slot[e.to.index()] = HopEntry {
-                    next: e.to.0,
-                    eid: e.eid,
-                    cost: e.cost,
-                };
-            }
-            for v in graph.nodes() {
-                if let Some(h) = tables.next_hop(u, v) {
-                    let hop = slot[h.index()];
-                    assert_eq!(hop.next, h.0, "next hop must follow a real link");
-                    hops[u.index() * n + v.index()] = hop;
-                }
-            }
-            for e in graph.neighbors(u) {
-                slot[e.to.index()] = unset;
-            }
-        }
-        RouteStore::Exact {
-            tables,
-            hops: hops.into(),
-        }
-    }
 }
 
 impl Network {
@@ -135,13 +76,25 @@ impl Network {
     }
 
     /// Freezes the graph with externally computed tables (e.g.
-    /// bandwidth-constrained routing from `hbh-routing::qos`).
+    /// bandwidth-constrained routing from `hbh-routing::qos`, computed over
+    /// a re-costed clone of `graph`). The tables' steps name `graph`'s
+    /// edges; link delays are always `graph`'s own costs.
     ///
     /// # Panics
-    /// Panics if the tables were built for a different node count.
+    /// Panics if the tables were built for a graph of a different shape
+    /// (node count or directed-edge count).
     pub fn with_tables(graph: Graph, tables: RoutingTables) -> Self {
-        let routes = RouteStore::exact(&graph, tables);
-        Self::from_parts(Arc::new(graph), routes)
+        assert_eq!(
+            graph.node_count(),
+            tables.node_count(),
+            "tables/graph nodes"
+        );
+        assert_eq!(
+            graph.directed_edge_count(),
+            tables.directed_edge_count(),
+            "tables/graph edges"
+        );
+        Self::from_parts(Arc::new(graph), RouteStore::Exact(Box::new(tables)))
     }
 
     /// Freezes the graph with demand-driven routing: SPF rows computed on
@@ -162,7 +115,7 @@ impl Network {
     /// The unicast routing service (either materialization).
     pub fn routes(&self) -> &dyn RouteProvider {
         match &self.inner.routes {
-            RouteStore::Exact { tables, .. } => tables,
+            RouteStore::Exact(t) => t.as_ref(),
             RouteStore::OnDemand(r) => r.as_ref(),
         }
     }
@@ -174,11 +127,11 @@ impl Network {
     }
 
     /// Heap bytes of the contracted topology view an on-demand network
-    /// routes over; `None` with eager tables, which route over nothing
-    /// but themselves.
+    /// routes over; `None` with eager tables, whose
+    /// [`RouteProvider::state_bytes`] counts their view as well.
     pub fn route_structure_bytes(&self) -> Option<usize> {
         match &self.inner.routes {
-            RouteStore::Exact { .. } => None,
+            RouteStore::Exact(_) => None,
             RouteStore::OnDemand(r) => Some(r.structure_bytes()),
         }
     }
@@ -188,43 +141,20 @@ impl Network {
         self.inner.graph.node_count()
     }
 
-    /// Next hop of a packet at `at` destined to `dst`.
-    pub fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        match &self.inner.routes {
-            RouteStore::Exact { tables, .. } => tables.next_hop(at, dst),
-            RouteStore::OnDemand(r) => r.next_hop(at, dst),
-        }
-    }
-
-    /// Resolved forwarding step at `at` toward `dst`: the next hop plus
-    /// the out-edge's id and cost. With eager tables this is one array
-    /// read (the per-packet hot path); on demand it is a cached-row lookup
-    /// plus an adjacency probe for the edge.
+    /// Resolved forwarding step at `at` toward `dst`: the next hop, the
+    /// out-edge's id, and the edge's cost (its delay) in the real graph.
+    #[inline]
     pub fn hop(&self, at: NodeId, dst: NodeId) -> Option<(NodeId, EdgeId, Cost)> {
-        match &self.inner.routes {
-            RouteStore::Exact { hops, .. } => {
-                let n = self.inner.graph.node_count();
-                let e = hops[at.index() * n + dst.index()];
-                (e.next != NO_HOP).then_some((NodeId(e.next), e.eid, e.cost))
-            }
-            RouteStore::OnDemand(r) => {
-                let h = r.next_hop(at, dst)?;
-                let (eid, cost) = self
-                    .inner
-                    .graph
-                    .edge_entry(at, h)
-                    .expect("next hop must follow a real link");
-                Some((h, eid, cost))
-            }
-        }
+        let (next, eid) = match &self.inner.routes {
+            RouteStore::Exact(t) => t.step(at, dst),
+            RouteStore::OnDemand(r) => r.step(at, dst),
+        }?;
+        Some((next, eid, self.inner.graph.edge_cost(eid)))
     }
 
     /// Unicast distance (= minimal delay) `from → to`.
     pub fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
-        match &self.inner.routes {
-            RouteStore::Exact { tables, .. } => tables.dist(from, to),
-            RouteStore::OnDemand(r) => r.dist(from, to),
-        }
+        self.routes().dist(from, to)
     }
 
     /// Derives the post-failure network: same topology, routes answered
@@ -239,10 +169,9 @@ impl Network {
     pub fn rerouted(&self, node_down: &[bool], edge_down: &[bool]) -> Network {
         let graph = &self.inner.graph;
         let routes = match &self.inner.routes {
-            RouteStore::Exact { .. } => RouteStore::exact(
-                graph,
-                RoutingTables::compute_avoiding(graph, node_down, edge_down),
-            ),
+            RouteStore::Exact(_) => RouteStore::Exact(Box::new(RoutingTables::compute_avoiding(
+                graph, node_down, edge_down,
+            ))),
             RouteStore::OnDemand(r) => {
                 RouteStore::OnDemand(Box::new(r.rerouted(node_down.to_vec(), edge_down.to_vec())))
             }
@@ -284,7 +213,8 @@ mod tests {
         let (net, a, b, _) = net();
         assert_eq!(net.dist(a, b), Some(2));
         assert_eq!(net.dist(b, a), Some(3));
-        assert_eq!(net.next_hop(a, b), Some(b));
+        let (eid, cost) = net.graph().edge_entry(a, b).unwrap();
+        assert_eq!(net.hop(a, b), Some((b, eid, cost)));
     }
 
     #[test]
@@ -347,7 +277,6 @@ mod tests {
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(eager.dist(u, v), lazy.dist(u, v), "dist {u}->{v}");
-                assert_eq!(eager.next_hop(u, v), lazy.next_hop(u, v), "hop {u}->{v}");
                 assert_eq!(eager.hop(u, v), lazy.hop(u, v), "resolved hop {u}->{v}");
             }
         }

@@ -87,6 +87,37 @@ fn toggle(g: &Graph, kind: u8, pick: usize, node_down: &mut [bool], edge_down: &
     *bit = !*bit;
 }
 
+/// One to four fault or restore steps, each taken through
+/// `Network::rerouted` from an eager and from an on-demand base (a cache of
+/// 3 rows, so it also evicts): after every step both answer like a network
+/// frozen fresh over the cumulative masks, and every forwarding step names
+/// the edge and delay `g`'s own adjacency gives for its next hop.
+fn rerouted_steps_hold(seed: u64, n: usize, steps: Vec<(u8, usize)>) -> Result<(), TestCaseError> {
+    let g = graph(seed, n);
+    let mut node_down = vec![false; g.node_count()];
+    let mut edge_down = vec![false; g.directed_edge_count()];
+    let mut nets = [Network::new(g.clone()), Network::on_demand(g.clone(), 3)];
+    for (kind, pick) in steps {
+        toggle(&g, kind, pick, &mut node_down, &mut edge_down);
+        let tables = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
+        let fresh = Network::with_tables(g.clone(), tables);
+        for net in &mut nets {
+            *net = net.rerouted(&node_down, &edge_down);
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    prop_assert_eq!(fresh.dist(u, v), net.dist(u, v), "dist {}->{}", u, v);
+                    let hop = fresh.hop(u, v).map(|(h, ..)| {
+                        let (eid, cost) = g.edge_entry(u, h).unwrap();
+                        (h, eid, cost)
+                    });
+                    prop_assert_eq!(hop, net.hop(u, v), "hop {}->{}", u, v);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
@@ -147,34 +178,15 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// One to four fault or restore steps, each taken through
-    /// `Network::rerouted` from an eager and from an on-demand base (a
-    /// cache of 3 rows, so it also evicts): after every step both answer
-    /// like a network frozen fresh over the cumulative masks.
+    /// One to four fault or restore steps, taken through
+    /// `Network::rerouted` from both stores: see [`rerouted_steps_hold`].
     #[test]
     fn rerouted_steps_match_a_fresh_masked_network(
         seed in 0u64..100_000,
         n in 5usize..12,
         steps in proptest::collection::vec((0u8..5, 0usize..6), 1..5),
     ) {
-        let g = graph(seed, n);
-        let mut node_down = vec![false; g.node_count()];
-        let mut edge_down = vec![false; g.directed_edge_count()];
-        let mut nets = [Network::new(g.clone()), Network::on_demand(g.clone(), 3)];
-        for (kind, pick) in steps {
-            toggle(&g, kind, pick, &mut node_down, &mut edge_down);
-            let tables = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
-            let fresh = Network::with_tables(g.clone(), tables);
-            for net in &mut nets {
-                *net = net.rerouted(&node_down, &edge_down);
-                for u in g.nodes() {
-                    for v in g.nodes() {
-                        prop_assert_eq!(fresh.dist(u, v), net.dist(u, v), "dist {}->{}", u, v);
-                        prop_assert_eq!(fresh.hop(u, v), net.hop(u, v), "hop {}->{}", u, v);
-                    }
-                }
-            }
-        }
+        rerouted_steps_hold(seed, n, steps)?;
     }
 
     /// The kernel clock never goes backwards and `run_until` lands exactly
@@ -197,5 +209,21 @@ proptest! {
             prop_assert!(k.now() >= prev);
             prev = k.now();
         }
+    }
+}
+
+// The reroute property at 128× the cases: too slow for tier-1, run by CI
+// with `cargo test --release -p hbh-sim-core -- --ignored`.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4096, .. ProptestConfig::default() })]
+
+    #[test]
+    #[ignore = "4,096 cases: CI runs it in release"]
+    fn rerouted_steps_match_a_fresh_masked_network_at_length(
+        seed in 0u64..100_000,
+        n in 5usize..12,
+        steps in proptest::collection::vec((0u8..5, 0usize..6), 1..5),
+    ) {
+        rerouted_steps_hold(seed, n, steps)?;
     }
 }

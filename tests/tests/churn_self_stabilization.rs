@@ -7,10 +7,12 @@
 //! Both halves are driven by the shared [`Script`] schedule type, and the
 //! churn figure module is pinned by a fixed-seed regression test.
 
+mod support;
+
 use hbh_proto::Hbh;
 use hbh_proto_base::workload::sample_receivers;
 use hbh_proto_base::{Channel, Cmd, Script, Timing};
-use hbh_routing::RoutingTables;
+use hbh_routing::{RouteProvider, RoutingTables};
 use hbh_sim_core::{FaultEvent, Kernel, Network, Protocol, Time};
 use hbh_topo::graph::{Graph, NodeId};
 use hbh_topo::{costs, random};
@@ -18,6 +20,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
+use support::loop_violations;
 
 fn arb_network(seed: u64, routers: usize) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -311,9 +314,12 @@ const CHURN_PIN: [f64; 10] = [
 /// ROADMAP 1(i) at its smallest known reproducer — draw 6 of `hbh-exp churn
 /// --runs 8 --seed 1` (ISP, 8 receivers, victim `n4`, soft HBH): a
 /// tree-message loop after the victim restarts; the diagnosis is in
-/// ROADMAP.md. Steps one tree period at a time and fails at the first one
-/// whose control copies exceed 20 × the last pre-restart period (93, then
-/// 126 and 86,351 after the restart), so the storm is never simulated.
+/// ROADMAP.md. Steps a quarter tree period at a time through the outage and
+/// after the restart, and fails at the first step that breaks the
+/// loop-freedom invariant (`support`), naming the entries; failing that,
+/// at the first period whose control copies exceed 20 × the last
+/// pre-restart period (93, then 126 and 86,351 after the restart), so the
+/// storm is never simulated.
 #[test]
 #[ignore = "ROADMAP 1(i)"]
 fn restarted_router_does_not_start_a_tree_storm() {
@@ -332,22 +338,27 @@ fn restarted_router_does_not_start_a_tree_storm() {
     assert_eq!(pick_victim(&sc), Some(NodeId(4)));
     let (mut k, _) = build_kernel(Hbh::new(timing), &sc);
     converge(&mut k, &timing, sc.join_window);
-    let one_period = |k: &mut Kernel<Hbh>| {
+    let ch = Channel::primary(sc.source);
+    let one_period = |k: &mut Kernel<Hbh>, when: &str| {
         let before = k.stats().control_copies();
-        let until = k.now() + timing.tree_period;
-        k.run_until(until);
+        for quarter in 1..=4 {
+            let until = k.now() + timing.tree_period / 4;
+            k.run_until(until);
+            let found = loop_violations(k, ch);
+            assert!(found.is_empty(), "{when}, quarter {quarter}: {found:?}");
+        }
         k.stats().control_copies() - before
     };
 
     k.schedule_fault(k.now() + 1, FaultEvent::NodeDown(NodeId(4)));
     // Down for twelve periods: the repair has settled by the last two.
     let mut down = 0;
-    for _ in 0..12 {
-        down = one_period(&mut k);
+    for period in 1..=12 {
+        down = one_period(&mut k, &format!("outage period {period}"));
     }
     k.schedule_fault(k.now() + 1, FaultEvent::NodeUp(NodeId(4)));
     for period in 1..=10 {
-        let copies = one_period(&mut k);
+        let copies = one_period(&mut k, &format!("period {period} after the restart"));
         assert!(
             copies <= 20 * down,
             "period {period} after the restart: {copies} control copies, {down} before it"

@@ -10,7 +10,7 @@ use hbh_experiments::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::Timing;
 use hbh_reunite::Reunite;
 use hbh_routing::paths::{forward_spt, reverse_spt};
-use hbh_routing::RoutingTables;
+use hbh_routing::{RouteProvider, RoutingTables};
 use hbh_sim_core::trace::TraceKind;
 use hbh_sim_core::PacketClass;
 

@@ -7,7 +7,7 @@ use hbh_proto::Hbh;
 use hbh_proto_base::membership::churn_schedule;
 use hbh_proto_base::{Channel, Cmd, Script, ScriptAction, Timing};
 use hbh_reunite::Reunite;
-use hbh_routing::RoutingTables;
+use hbh_routing::{RouteProvider, RoutingTables};
 use hbh_sim_core::{Kernel, Network, Protocol, Time};
 use hbh_topo::graph::NodeId;
 use hbh_topo::{costs, isp};

@@ -178,12 +178,11 @@ fn fig5_hbh_serves_everyone_on_shortest_paths_where_reunite_does_not() {
     let (kh, _, dh) = run(Hbh::new(Timing::default()), scenarios::fig2(), &joins);
     let (_, _, dr) = run(Reunite::new(Timing::default()), scenarios::fig2(), &joins);
     let g = scenarios::fig2();
-    let tables = hbh_routing::RoutingTables::compute(&g);
     let s = n(&g, "S");
     for (node, delay) in &dh {
         assert_eq!(
             Some(*delay),
-            tables.dist(s, *node),
+            kh.network().dist(s, *node),
             "HBH receiver {node} off its shortest path"
         );
     }

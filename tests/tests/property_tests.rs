@@ -11,7 +11,7 @@ use hbh_proto::Hbh;
 use hbh_proto_base::workload::sample_receivers;
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_reunite::Reunite;
-use hbh_routing::RoutingTables;
+use hbh_routing::{RouteProvider, RoutingTables};
 use hbh_sim_core::{Kernel, Network, Protocol, Time};
 use hbh_topo::graph::{Graph, NodeId};
 use hbh_topo::{costs, random};
