@@ -7,13 +7,13 @@
 //! Every other module of `figures/` is a [`Study`], a seed formula and a
 //! column list around the functions here. So are the two hierarchy
 //! sweeps, [`scale`](crate::scale) and [`membership`](crate::membership):
-//! each is a `Study`, a seed formula and a record, run through `point_on`
+//! each is a `Study`, a seed formula and a record, run through [`point`]
 //! at one worker, because a single 5k-router draw is the unit of memory
 //! residency and each draw's scenario must go before the next is built.
 //! This is the one caller of [`parallel::map_runs`](crate::parallel::map_runs)
 //! and, through [`dispatch`], of `runner::build_kernel`.
 
-use crate::parallel::{map_runs, workers};
+use crate::parallel::map_runs;
 use crate::protocols::{dispatch, ProtocolKind, Study};
 use crate::report::Table;
 use crate::runner::RunConfig;
@@ -101,9 +101,10 @@ fn cell<O>(outcomes: &[O], column: Column<O>) -> String {
 
 /// One x: `draw(i)` builds draw `i`'s scenario and the study to run on it
 /// (or `None` to skip the draw), every arm of `run.protocols` runs that
-/// study on that scenario under `run.timing`, and the outcomes come back
-/// per arm in draw order — whatever the worker count, so every fold over
-/// them is bit-identical to a sequential evaluation.
+/// study on that scenario under `run.timing`, on `run.workers` threads,
+/// and the outcomes come back per arm in draw order — whatever the worker
+/// count, so every fold over them is bit-identical to a sequential
+/// evaluation.
 pub fn point<S: Study>(
     run: &RunConfig,
     draw: impl Fn(usize) -> Option<(Scenario, S)> + Sync,
@@ -111,19 +112,7 @@ pub fn point<S: Study>(
 where
     S::Out: Send,
 {
-    point_on(workers(), run, draw)
-}
-
-/// [`point`] on an explicit worker count.
-pub(crate) fn point_on<S: Study>(
-    workers: usize,
-    run: &RunConfig,
-    draw: impl Fn(usize) -> Option<(Scenario, S)> + Sync,
-) -> Point<S::Out>
-where
-    S::Out: Send,
-{
-    let per_draw = map_runs(workers, run.runs, |i| {
+    let per_draw = map_runs(run.workers, run.runs, |i| {
         let (scenario, study) = draw(i)?;
         let arm = |&kind: &ProtocolKind| dispatch(kind, &scenario, &run.timing, &study);
         Some(run.protocols.iter().map(arm).collect::<Vec<_>>())
@@ -246,9 +235,12 @@ mod tests {
 
     #[test]
     fn outcomes_come_back_per_arm_in_draw_order_on_any_worker_count() {
-        let run = RunConfig::default().runs(9);
         for workers in [1, 2, 4, 16] {
-            let point = point_on(workers, &run, draw(false));
+            let run = RunConfig {
+                workers,
+                ..RunConfig::default().runs(9)
+            };
+            let point = point(&run, draw(false));
             assert_eq!(point.skipped, 0);
             let arms: Vec<ProtocolKind> = point.arms.iter().map(|(kind, _)| *kind).collect();
             assert_eq!(arms, run.protocols);

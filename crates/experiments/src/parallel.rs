@@ -11,8 +11,8 @@
 use std::thread;
 
 /// Runs `f(run)` for `run` in `0..runs` on `workers` threads (at least
-/// one is used; [`workers`] is the configured count) and returns the
-/// results in run order.
+/// one is used; `RunConfig::workers` is the configured count) and returns
+/// the results in run order.
 ///
 /// Work is split into contiguous chunks (one per worker). With one worker
 /// this is a plain sequential loop with no thread spawn.
@@ -49,45 +49,20 @@ where
     out
 }
 
-/// The worker count sweeps run on: the `HBH_THREADS` environment variable
-/// when set to a positive integer (`HBH_THREADS=1` forces sequential
-/// execution — useful for CI reproducibility of timings and for benchmarks
-/// that must not compete with each other), else the available cores.
-/// Invalid or zero values fall back to the default.
-pub fn workers() -> usize {
-    workers_from(std::env::var("HBH_THREADS").ok().as_deref())
-}
-
-/// [`workers`] on the variable's value (`None` = unset).
-fn workers_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn results_come_back_in_run_order() {
-        let v = map_runs(workers(), 17, |i| i * i);
+        let v = map_runs(4, 17, |i| i * i);
         assert_eq!(v, (0..17).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn hbh_threads_env_pins_worker_count() {
-        // The variable's value is passed in: tests run concurrently, so
-        // none may change the process environment.
-        assert_eq!(workers_from(Some("2")), 2);
-        assert_eq!(workers_from(Some(" 3\n")), 3);
-        let default = workers_from(None);
-        assert!(default >= 1);
-        assert_eq!(workers_from(Some("not-a-number")), default);
-        assert_eq!(workers_from(Some("0")), default, "zero falls back");
-        // Results are order-stable for any worker count, one included and
-        // more workers than runs included.
-        for workers in [1, 2, 4, 16] {
+    fn results_are_order_stable_on_any_worker_count() {
+        // Zero and one run sequentially; sixteen is more workers than runs.
+        for workers in [0, 1, 2, 4, 16] {
             let v = map_runs(workers, 9, |i| i + 1);
             assert_eq!(v, (1..=9).collect::<Vec<_>>());
         }
@@ -95,7 +70,7 @@ mod tests {
 
     #[test]
     fn zero_runs_is_empty() {
-        assert!(map_runs(workers(), 0, |i| i).is_empty());
+        assert!(map_runs(4, 0, |i| i).is_empty());
     }
 
     #[test]

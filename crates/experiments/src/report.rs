@@ -1,8 +1,8 @@
 //! What `hbh-exp` is made of below the experiment table: plain-text
 //! table rendering (the moral equivalent of the paper's gnuplot data
 //! files, plus aligned tables for humans), the argv parser, the
-//! [`Report`] every experiment returns, and the tolerance-sheet /
-//! history-file / peak-RSS plumbing the `--check` and `--out` flags share.
+//! [`Report`] every experiment returns, and the history-file and peak-RSS
+//! plumbing behind the sweeps' `--out` flag.
 
 use std::fmt::Write as _;
 use std::io;
@@ -152,7 +152,8 @@ impl Args {
 }
 
 /// Prints `error: msg` to stderr and exits with status 2: the one way a
-/// bad argument, tolerance sheet or missing directory ends a run.
+/// bad argument, an unwritable `--out` file or a missing directory ends a
+/// run.
 pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
@@ -166,8 +167,8 @@ pub struct Report {
     /// Machine-readable twin that `hbh-exp all` writes beside the text
     /// file (churn only).
     pub json: Option<String>,
-    /// Why the run exits 1 — unserved receivers, violated tolerances;
-    /// empty when healthy.
+    /// Why the run exits 1 — unserved receivers, unrecovered trees; empty
+    /// when healthy.
     pub failures: Vec<String>,
 }
 
@@ -185,53 +186,6 @@ impl Report {
             failures: Vec::new(),
         }
     }
-}
-
-/// Outcome of one tolerance rule: `Ok(None)` holds, `Ok(Some(why))` is
-/// violated, `Err(why)` is a rule the report does not know or cannot parse.
-pub type RuleResult = Result<Option<String>, String>;
-
-/// The tolerance-sheet parser behind every `--check FILE`: plain text,
-/// `#` comments, one whitespace-separated rule per line, each handed to
-/// `rule` as its fields. Returns the violations; an unreadable sheet or a
-/// malformed line is a usage error naming the line.
-pub fn check_tolerances(path: &str, mut rule: impl FnMut(&[&str]) -> RuleResult) -> Vec<String> {
-    let sheet = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read tolerance sheet {path}: {e}")));
-    let mut violations = Vec::new();
-    for (i, line) in sheet.lines().enumerate() {
-        let fields: Vec<&str> = line
-            .split('#')
-            .next()
-            .unwrap_or("")
-            .split_whitespace()
-            .collect();
-        if fields.is_empty() {
-            continue;
-        }
-        match rule(&fields) {
-            Ok(None) => {}
-            Ok(Some(why)) => violations.push(format!("tolerance violated: {why}")),
-            Err(why) => die(&format!("{path}:{}: {why}: {}", i + 1, line.trim())),
-        }
-    }
-    if violations.is_empty() {
-        eprintln!("tolerances OK ({path})");
-    }
-    violations
-}
-
-/// The rule `value <= bound`, `bound` still as the sheet spells it. A NaN
-/// value violates.
-pub fn at_most(what: &str, value: f64, bound: &str) -> RuleResult {
-    let bound: f64 = bound.parse().map_err(|_| "unparsable bound".to_string())?;
-    Ok((value.is_nan() || value > bound).then(|| format!("{what} {value:.3} above bound {bound}")))
-}
-
-/// The rule `value >= bound`; see [`at_most`].
-pub fn at_least(what: &str, value: f64, bound: &str) -> RuleResult {
-    let bound: f64 = bound.parse().map_err(|_| "unparsable bound".to_string())?;
-    Ok((value.is_nan() || value < bound).then(|| format!("{what} {value:.3} below bound {bound}")))
 }
 
 /// Peak resident set of this process in kB, from `/proc/self/status`

@@ -11,7 +11,7 @@ use hbh_topo::graph::NodeId;
 use std::collections::BTreeMap;
 
 /// The run knobs every experiment shares — topology, run count, base
-/// seed, timing, protocol set — held once: every figure is
+/// seed, timing, protocol set, worker count — held once: every figure is
 /// `evaluate(&RunConfig, <its own sweep arguments>)`, and every `hbh-exp`
 /// row builds it from argv with [`RunConfig::from_args`], so a bad value is
 /// the same usage error everywhere:
@@ -35,11 +35,14 @@ pub struct RunConfig {
     pub timing: Timing,
     /// Protocols under test, in legend order.
     pub protocols: Vec<ProtocolKind>,
+    /// Threads a sweep spreads its draws over. Outcomes come back in draw
+    /// order whatever the count, so no report depends on it.
+    pub workers: usize,
 }
 
 impl Default for RunConfig {
     /// The paper's setup: ISP topology, seed 1, all four protocols — at
-    /// 100 runs.
+    /// 100 runs, on every available core.
     fn default() -> Self {
         RunConfig {
             topo: TopologyKind::Isp,
@@ -47,6 +50,7 @@ impl Default for RunConfig {
             base_seed: 1,
             timing: Timing::default(),
             protocols: ProtocolKind::ALL.to_vec(),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -54,10 +58,8 @@ impl Default for RunConfig {
 impl RunConfig {
     /// Reads `--topo --runs --seed --threads` from parsed argv — whichever
     /// of them the row allows — with `default_runs` as the `--runs`
-    /// fallback. A `--threads` value is applied immediately (sets
-    /// `HBH_THREADS`, which `parallel::workers` reads). An unknown
-    /// topology, an unparsable number or `--runs 0` is a usage error
-    /// (exit 2), never a panic.
+    /// fallback. An unknown topology, an unparsable number, `--runs 0` or
+    /// `--threads 0` is a usage error (exit 2), never a panic.
     pub fn from_args(args: &Args, default_runs: usize) -> Self {
         let topo = args.get("topo").unwrap_or("isp");
         let topo = TopologyKind::parse(topo).unwrap_or_else(|| {
@@ -69,17 +71,17 @@ impl RunConfig {
         if runs == 0 {
             args.die("--runs must be at least 1");
         }
-        if let Some(v) = args.get("threads") {
-            let n: usize = v.parse().unwrap_or_else(|_| {
-                args.die(&format!("--threads must be a positive integer, got {v}"))
-            });
-            std::env::set_var("HBH_THREADS", n.to_string());
+        let default = RunConfig::default();
+        let workers = args.get_parse("threads", default.workers);
+        if workers == 0 {
+            args.die("--threads must be at least 1");
         }
         RunConfig {
             topo,
             runs,
             base_seed: args.get_parse("seed", 1),
-            ..RunConfig::default()
+            workers,
+            ..default
         }
     }
 

@@ -54,10 +54,14 @@ fn bad_arguments_exit_2_without_panicking() {
             let flag = bad.split(' ').next().unwrap();
             assert_bad_argv(&format!("{} {bad}", exp.name), flag);
         }
+        // `--check` is `all`'s alone: no row judges its own numbers.
+        let argv = format!("{} --check x", exp.name);
+        assert_bad_argv(&argv, "unknown option --check");
     }
     assert_bad_argv("no_such_experiment", "no_such_experiment");
     assert_bad_argv("", "usage: hbh-exp");
     assert_bad_argv("all --check maybe", "--check");
+    assert_bad_argv("fig7 --threads 0", "--threads must be at least 1");
 }
 
 #[test]
@@ -106,25 +110,6 @@ fn out_of_range_values_exit_2_naming_the_flag_and_the_bound() {
             }
         }
     }
-}
-
-#[test]
-fn malformed_tolerance_sheet_is_a_usage_error_naming_the_line() {
-    let dir = std::env::temp_dir().join(format!("hbh_sheet_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let sheet = dir.join("sheet.txt");
-    for (rule, why) in [
-        ("no_such_rule 1", "unknown rule"),
-        ("min_hit_rate lots", "unparsable bound"),
-    ] {
-        let text = format!("# bounds\nmax_incomplete 0\n{rule}  # oops\n");
-        std::fs::write(&sheet, text).unwrap();
-        let sheet = sheet.display();
-        let stderr = usage_error(&format!("scale --smoke 1 --check {sheet}"));
-        let error = format!("error: {sheet}:3: {why}: {rule}");
-        assert!(stderr.lines().any(|l| l.starts_with(&error)), "{stderr}");
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -423,9 +423,9 @@ impl ClaimTable {
     /// claim was accepted and changed nothing, with `now` still inside the
     /// calm stretch that pass ran in? Running the pass again would read
     /// the same rows, marks and claims and decide the same way, so the
-    /// caller applies the pass's one clock-dependent effect (the soft
-    /// table's rule (4) refresh; nothing for hard state) and skips the
-    /// rest.
+    /// soft table applies the pass's one clock-dependent effect (rule (4)'s
+    /// refresh) and skips the rest. The hard table has no replay: its
+    /// fusions are sent on change, and every one takes the full pass.
     pub fn replays(&self, bp: NodeId, nodes: &[NodeId], now: Time) -> bool {
         self.calm_holds(now)
             && self

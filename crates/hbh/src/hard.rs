@@ -269,10 +269,6 @@ impl HardMft {
     /// moved, and whether `from` is now newly served directly and needs a
     /// tree message.
     pub fn fusion(&mut self, from: NodeId, nodes: &[NodeId]) -> (bool, bool) {
-        if self.core.replays(from, nodes, NOW) {
-            return (false, false); // see `ClaimTable::replays`
-        }
-        let began = self.core.begin_pass(NOW);
         self.core.load_claim(nodes);
         if self.core.covers_loaded(from, NOW) {
             return (false, false); // nested-fusion disambiguation: already served deeper
@@ -290,7 +286,6 @@ impl HardMft {
             self.unmark(from);
             changed = true;
         }
-        self.core.settle(from, began, NOW);
         (changed, !had_from || (was_marked && !self.is_marked(from)))
     }
 

@@ -2,7 +2,7 @@
 //! sequences must preserve the invariants the engine relies on, and the
 //! indexed tables ([`crate::claims`]) must stay indistinguishable from the
 //! scan-based reference model ([`crate::reference`]) they replaced —
-//! soft and hard, replayed fusions included.
+//! soft and hard, the soft table's replayed fusions included.
 
 use crate::hard::HardMft;
 use crate::reference::{hard_diff, soft_diff, RefHardMft, RefMft};

@@ -13,7 +13,12 @@
 //! * **fast link flap** — a tree link flaps with a period shorter than
 //!   the tree (refresh) period, so no refresh round ever sees a stable
 //!   topology until the flapping stops.
+//!
+//! The hard engine also fails to converge on a few fault-free paper draws
+//! (ROADMAP 1(ii)); the smallest is pinned here, ignored until it is fixed.
 
+use hbh_experiments::runner::{build_kernel, converge};
+use hbh_experiments::scenario::{build, ScenarioOptions, TopologyKind};
 use hbh_proto::{Hbh, HbhHard};
 use hbh_proto_base::{Channel, Cmd, Script, Timing};
 use hbh_sim_core::{FaultEvent, Kernel, Network, Protocol, Time};
@@ -135,4 +140,34 @@ fn soft_engine_survives_fast_link_flap() {
 fn hard_engine_survives_fast_link_flap() {
     let (_, (a, b, _), _, _) = diamond();
     converges_after(HbhHard::new(Timing::default()), &flap_plan(a, b), 32);
+}
+
+/// ROADMAP 1(ii) at its smallest known reproducer, ISP with 3 receivers at
+/// seed 20: `n8` serves `n34`, but `n34`'s join takes an asymmetric
+/// up-path and is consumed at `n0`, where `n34`'s entry is marked. The
+/// tree then cycles every 4 tree periods, through 4 structural changes:
+/// `n34` learns `n0` as its parent from the join's consumer; its probes
+/// follow redirects `n0 → n1 → n3 → n6 → n7`, one hop per half period;
+/// meanwhile `n8`, which hears no probe from it, reaps it by the deadman;
+/// the last redirect, to `n8`, finds nobody, and `n34` re-joins.
+#[test]
+#[ignore = "ROADMAP 1(ii)"]
+fn hard_engine_converges_on_every_fault_free_draw() {
+    let timing = Timing::default();
+    let sc = build(
+        TopologyKind::Isp,
+        3,
+        20,
+        &timing,
+        &ScenarioOptions::default(),
+    );
+    assert_eq!(sc.receivers, [NodeId(34), NodeId(24), NodeId(26)]);
+    let (mut k, _) = build_kernel(HbhHard::new(timing), &sc);
+    let converged = converge(&mut k, &timing, sc.join_window);
+    let changes = k.stats().structural_changes;
+    assert!(
+        converged,
+        "still changing at {}, {changes} structural changes",
+        k.now()
+    );
 }

@@ -1,6 +1,8 @@
 //! ROADMAP 1(i)'s loop detector as an oracle on fault-free runs: every
-//! converged tree of the paper's figure draws, soft and hard, keeps each
-//! MFT entry strictly farther from the source than the node holding it.
+//! tree of the paper's figure draws, soft and hard, keeps each MFT entry
+//! strictly farther from the source than the node holding it once
+//! `converge` returns — which it does with `true` on every kernel but
+//! three named HBH-HARD ones (ROADMAP 1(ii)).
 //! The restart reproducer in `churn_self_stabilization.rs` runs the same
 //! check under a fault.
 
@@ -13,14 +15,24 @@ use hbh_proto_base::{Cmd, Timing};
 use hbh_sim_core::Protocol;
 use support::{loop_violations, LiveMft};
 
-/// Converges `proto` on `sc` and asserts the invariant on the result.
-fn assert_loop_free<P>(proto: P, sc: &Scenario, timing: &Timing, what: &str)
+/// The HBH-HARD kernels among these draws that never stop changing
+/// (ROADMAP 1(ii)). They keep the invariant all the same.
+const HARD_UNCONVERGED: [&str; 3] = [
+    "isp group 8 seed 8",
+    "isp group 16 seed 0",
+    "isp group 16 seed 8",
+];
+
+/// Converges `proto` on `sc`, asserts `converge`'s verdict is
+/// `converges`, and asserts the invariant on the result.
+fn assert_loop_free<P>(proto: P, sc: &Scenario, timing: &Timing, what: &str, converges: bool)
 where
     P: Protocol<Command = Cmd>,
     P::NodeState: LiveMft,
 {
     let (mut k, ch) = build_kernel(proto, sc);
-    converge(&mut k, timing, sc.join_window);
+    let converged = converge(&mut k, timing, sc.join_window);
+    assert_eq!(converged, converges, "{what}: converged");
     let found = loop_violations(&k, ch);
     assert!(found.is_empty(), "{what}: {found:?}");
 }
@@ -33,12 +45,14 @@ fn converged_paper_draws_are_loop_free() {
             for seed in 0..12 {
                 let sc = build(topo, group, seed, &timing, &ScenarioOptions::default());
                 let what = format!("{} group {group} seed {seed}", topo.name());
-                assert_loop_free(Hbh::new(timing), &sc, &timing, &format!("HBH {what}"));
+                let hard_converges = !HARD_UNCONVERGED.contains(&what.as_str());
+                assert_loop_free(Hbh::new(timing), &sc, &timing, &format!("HBH {what}"), true);
                 assert_loop_free(
                     HbhHard::new(timing),
                     &sc,
                     &timing,
                     &format!("HBH-HARD {what}"),
+                    hard_converges,
                 );
             }
         }

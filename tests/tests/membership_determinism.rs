@@ -1,8 +1,8 @@
 //! Pinned-seed determinism of the membership flash-crowd study: the
 //! outcome of every run must be bit-identical whether the sweep executes
 //! sequentially or fans out across worker threads. This is the guarantee
-//! that lets CI pin `HBH_THREADS=1` for stable timings without changing
-//! any reported number.
+//! that lets `membership` run on one worker, and a figure row take any
+//! `--threads N`, without changing any reported number.
 
 use hbh_experiments::membership::{
     build_membership_graph, build_membership_scenario, MembershipConfig, MembershipStudy,
