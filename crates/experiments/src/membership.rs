@@ -146,7 +146,7 @@ pub struct MembershipOutcome {
     /// Mean state bytes over interior routers.
     pub interior_state_mean: f64,
     /// Max state bytes over the member-facing access routers (includes
-    /// the per-member summary, irreducibly O(local members)).
+    /// the local member set, irreducibly O(local members)).
     pub access_state_max: usize,
 }
 

@@ -25,7 +25,7 @@ pub enum ProtocolKind {
     /// so it is deliberately absent from [`ProtocolKind::ALL`].
     HbhHard,
     /// HBH with membership aggregation: access routers absorb their
-    /// hosts' joins into a coverage summary and represent the whole pod
+    /// hosts' joins into a local member set and represent the whole pod
     /// upstream with one join per period, so per-channel control traffic
     /// and tree state scale with routers, not receivers. Also outside
     /// [`ProtocolKind::ALL`] — it exists for the membership-scale

@@ -1,10 +1,9 @@
 //! The HBH protocol engine: the message-processing rules of Appendix A
 //! (Figure 9), with rule numbers cited inline.
 
-use crate::coverage::CoverageSummary;
 use crate::messages::{HbhMsg, HbhTimer};
 use crate::tables::{HbhMct, HbhMft};
-use hbh_proto_base::{Channel, Cmd, Timing};
+use hbh_proto_base::{Channel, Cmd, SoftSet, Timing};
 use hbh_sim_core::{Ctx, Packet, Protocol};
 use hbh_sim_core::{FastMap, FastSet};
 use hbh_topo::graph::NodeId;
@@ -16,10 +15,10 @@ pub struct Hbh {
     pub timing: Timing,
     /// Membership aggregation at access routers (the HBH-AGG variant):
     /// joins from directly attached hosts are absorbed into a per-channel
-    /// [`CoverageSummary`] and the access router joins the channel once on
-    /// their behalf, so upstream per-channel state is O(access routers),
-    /// not O(receivers). Off by default — `Hbh::new` behaves exactly as
-    /// the paper's protocol.
+    /// [`SoftSet`] of local members and the access router joins the
+    /// channel once on their behalf, so upstream per-channel state is
+    /// O(access routers), not O(receivers). Off by default — `Hbh::new`
+    /// behaves exactly as the paper's protocol.
     pub aggregate: bool,
 }
 
@@ -55,7 +54,7 @@ pub struct HbhNodeState {
     sweep_armed: FastSet<Channel>,
     /// Aggregated local receivers per channel (HBH-AGG access routers
     /// only; always empty when aggregation is off).
-    local: FastMap<Channel, CoverageSummary>,
+    local: FastMap<Channel, SoftSet>,
 }
 
 impl HbhNodeState {
@@ -78,12 +77,6 @@ impl HbhNodeState {
     pub fn is_branching(&self, ch: Channel) -> bool {
         self.mft.contains_key(&ch)
     }
-
-    /// This access router's aggregated local members for `ch`, if any
-    /// (HBH-AGG only).
-    pub fn local_members(&self, ch: Channel) -> Option<&CoverageSummary> {
-        self.local.get(&ch)
-    }
 }
 
 impl hbh_proto_base::StateInventory for HbhNodeState {
@@ -96,11 +89,12 @@ impl hbh_proto_base::StateInventory for HbhNodeState {
     }
 
     fn state_bytes(&self, ch: Channel) -> usize {
-        // The default weights, plus the aggregated local-member summary —
-        // HBH-AGG must not hide the state it keeps at access routers.
+        // The default weights, plus the aggregated local members at a
+        // control entry's 12 B each — HBH-AGG must not hide the state it
+        // keeps at access routers.
         24 * self.forwarding_entries(ch)
             + 12 * self.control_entries(ch)
-            + self.local.get(&ch).map_or(0, |l| l.state_bytes())
+            + 12 * self.local.get(&ch).map_or(0, |l| l.len())
     }
 }
 
@@ -129,7 +123,9 @@ impl Hbh {
             return; // the trigger was our own emission looping back
         }
         let nodes: Vec<NodeId> = mft.live(ctx.now()).collect();
-        debug_assert!(!nodes.is_empty());
+        if nodes.is_empty() {
+            return; // nothing to claim
+        }
         let pkt = Packet::control(
             ctx.node,
             to,
@@ -214,11 +210,11 @@ impl Hbh {
     // --- membership aggregation (HBH-AGG) ------------------------------
 
     /// Absorbs a join from a directly attached host into the per-channel
-    /// local-member summary. The access router is the channel's receiver
+    /// local-member set. The access router is the channel's receiver
     /// of record: the *first* local member triggers the router's own
     /// (never-intercepted) initial join, which builds the upstream tree
     /// once; every later local join — initial or refresh — only touches
-    /// the summary. Per-period refreshes upstream are coalesced into
+    /// the set. Per-period refreshes upstream are coalesced into
     /// a single join by the [`HbhTimer::AggFlush`] tick.
     fn join_at_access(
         &self,
@@ -230,7 +226,7 @@ impl Hbh {
         let now = ctx.now();
         let local = state.local.entry(ch).or_default();
         let first = local.is_empty();
-        if local.refresh(who, now) {
+        if local.refresh(who, now, &self.timing) {
             ctx.structural_change();
         }
         if first {
@@ -252,12 +248,12 @@ impl Hbh {
         let Some(local) = state.local.get(&ch) else {
             return;
         };
-        for h in local.live(now, self.timing.t2) {
+        for h in local.live(now) {
             ctx.send(pkt.copy_to(h));
         }
     }
 
-    /// Periodic aggregation tick: decay the local summary, then refresh
+    /// Periodic aggregation tick: decay the local member set, then refresh
     /// the upstream join on behalf of all surviving members with one
     /// message. When the last member has expired the channel's local
     /// state is dropped and the upstream entry decays on its own.
@@ -266,7 +262,7 @@ impl Hbh {
         let Some(local) = state.local.get_mut(&ch) else {
             return;
         };
-        if local.reap(now, self.timing.t2) > 0 {
+        if local.reap(now) > 0 {
             ctx.structural_change();
         }
         if local.is_empty() {
@@ -457,8 +453,11 @@ impl Protocol for Hbh {
             HbhMsg::Join { ch, who, initial } => {
                 let (ch, who, initial) = (*ch, *who, *initial);
                 if pkt.dst == here {
-                    debug_assert_eq!(here, ch.source, "joins are addressed to the source");
-                    self.join_at_source(state, ch, who, ctx);
+                    // Joins are addressed to the source; a join addressed
+                    // to anyone else is malformed and dropped.
+                    if here == ch.source {
+                        self.join_at_source(state, ch, who, ctx);
+                    }
                 } else if self.aggregate
                     && !is_host
                     && who != ch.source
@@ -474,10 +473,9 @@ impl Protocol for Hbh {
             }
             HbhMsg::Tree { ch, target } => {
                 let (ch, target) = (*ch, *target);
-                debug_assert_eq!(
-                    pkt.dst, target,
-                    "tree messages are addressed to their target"
-                );
+                if pkt.dst != target {
+                    return; // trees are addressed to their target: malformed
+                }
                 if pkt.dst == here {
                     if is_host {
                         // Receiver end: consume (liveness indication only).

@@ -3,7 +3,7 @@
 //! suppression through fusion) scenarios on their exact topologies.
 
 use crate::engine::Hbh;
-use hbh_proto_base::{Channel, Cmd, Timing};
+use hbh_proto_base::{Channel, Cmd, StateInventory, Timing};
 use hbh_sim_core::{Kernel, Network, Time};
 use hbh_topo::graph::{Graph, NodeId};
 use hbh_topo::scenarios;
@@ -386,8 +386,8 @@ fn aggregation_absorbs_host_joins_at_access_router() {
         assert!(!s_mft.contains(h, now), "host join leaked past access");
     }
     assert_eq!(s_mft.len(), 1);
-    let local = k.state(c).local_members(ch).expect("local member table");
-    assert_eq!(local.len(), 5);
+    // The access router's only state is its five local members, 12 B each.
+    assert_eq!(k.state(c).state_bytes(ch), 5 * 12);
     // Data reaches every host at its unicast shortest-path distance.
     let t = k.now();
     k.command_at(s, Cmd::SendData { ch, tag: 21 }, t);
@@ -414,8 +414,7 @@ fn aggregated_leave_decays_locally_and_tears_down() {
     // One host leaves: its local entry expires after t2, others unaffected.
     k.command_at(hs[0], Cmd::Leave(ch), Time(2000));
     settle(&mut k, 2000 + 3 * timing.t2);
-    let local = k.state(c).local_members(ch).expect("table still live");
-    assert_eq!(local.len(), 2, "departed member reaped");
+    assert_eq!(k.state(c).state_bytes(ch), 2 * 12, "departed member reaped");
     let t = k.now();
     k.command_at(s, Cmd::SendData { ch, tag: 22 }, t);
     k.run_until(t + 100);
@@ -431,10 +430,7 @@ fn aggregated_leave_decays_locally_and_tears_down() {
     }
     let quiet = k.now() + 5 * timing.t2 + 10 * timing.tree_period;
     k.run_until(quiet);
-    assert!(
-        k.state(c).local_members(ch).is_none(),
-        "local table lingers"
-    );
+    assert_eq!(k.state(c).state_bytes(ch), 0, "local members linger");
     assert!(k.state(s).mft(ch).is_none(), "source MFT lingers");
 }
 

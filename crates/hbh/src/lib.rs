@@ -54,13 +54,11 @@
 
 pub(crate) mod bits;
 pub(crate) mod claims;
-pub mod coverage;
 pub mod engine;
 pub mod hard;
 pub mod messages;
 pub mod tables;
 
-pub use coverage::CoverageSummary;
 pub use engine::{Hbh, HbhNodeState};
 pub use hard::{HardCtl, HardMft, HardMsg, HardNodeState, HardTimer, HbhHard};
 pub use messages::{HbhMsg, HbhTimer};

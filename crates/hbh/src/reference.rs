@@ -1,5 +1,6 @@
 //! The scan-based forwarding tables the coverage core ([`crate::claims`])
-//! replaced, verbatim but for their names and doc comments: the reference
+//! replaced, verbatim but for their names, doc comments and the soft
+//! entries' mark and stale refresh, which live here now: the reference
 //! model `table_proptests` drives side by side with the indexed tables.
 //! Every coverage question here is the original
 //! `entries.any(nodes.all(covers.contains))` scan plus a fresh reach
@@ -15,7 +16,14 @@ use hbh_topo::graph::NodeId;
 struct RefEntry {
     node: NodeId,
     entry: SoftEntry,
+    marked: bool,
     covers: Vec<NodeId>,
+}
+
+/// Fusion rules (3) and (4) in one: t1 expired on the spot, t2 restarted —
+/// what a refresh does under a timing whose t1 is zero.
+fn stale_timing(timing: &Timing) -> Timing {
+    Timing { t1: 0, ..*timing }
 }
 
 #[derive(Clone, Debug, Default)]
@@ -41,7 +49,7 @@ impl RefMft {
     }
 
     pub fn is_marked(&self, n: NodeId, now: Time) -> bool {
-        self.get(n, now).is_some_and(|e| e.entry.marked)
+        self.get(n, now).is_some_and(|e| e.marked)
     }
 
     pub fn is_stale(&self, n: NodeId, now: Time) -> bool {
@@ -57,6 +65,7 @@ impl RefMft {
         self.entries.push(RefEntry {
             node: n,
             entry: SoftEntry::new(now, timing),
+            marked: false,
             covers: Vec::new(),
         });
         true
@@ -64,8 +73,8 @@ impl RefMft {
 
     pub fn mark(&mut self, n: NodeId, now: Time) -> bool {
         match self.get_mut(n, now) {
-            Some(e) if !e.entry.marked => {
-                e.entry.marked = true;
+            Some(e) if !e.marked => {
+                e.marked = true;
                 true
             }
             _ => false,
@@ -74,8 +83,8 @@ impl RefMft {
 
     pub fn unmark(&mut self, n: NodeId, now: Time) -> bool {
         match self.get_mut(n, now) {
-            Some(e) if e.entry.marked => {
-                e.entry.marked = false;
+            Some(e) if e.marked => {
+                e.marked = false;
                 true
             }
             _ => false,
@@ -89,7 +98,7 @@ impl RefMft {
                 let e = &self.entries[i];
                 if e.entry.is_dead(now) {
                     Seed::Skip
-                } else if e.entry.marked {
+                } else if e.marked {
                     Seed::Pending // reachable only via a coverer
                 } else {
                     Seed::Reach
@@ -152,15 +161,15 @@ impl RefMft {
             if e.node != bp
                 && !e.entry.is_dead(now)
                 && !e.covers.is_empty()
-                && !e.entry.marked
+                && !e.marked
                 && e.covers.iter().all(|n| covers.contains(n))
             {
-                e.entry.marked = true;
+                e.marked = true;
                 structural = true;
             }
         }
         if let Some(e) = self.get_mut(bp, now) {
-            e.entry.refresh_t2_keep_stale(now, timing);
+            e.entry.refresh(now, &stale_timing(timing));
             // In-place copy: refreshes repeat the same claim far more often
             // than they change it, so reuse the existing allocation.
             e.covers.clear();
@@ -168,11 +177,10 @@ impl RefMft {
             return structural;
         }
         self.purge(bp);
-        let mut entry = SoftEntry::new(now, timing);
-        entry.force_stale(now);
         self.entries.push(RefEntry {
             node: bp,
-            entry,
+            entry: SoftEntry::new(now, &stale_timing(timing)),
+            marked: false,
             covers: covers.to_vec(),
         });
         true
@@ -181,14 +189,14 @@ impl RefMft {
     pub fn data_targets(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
         self.entries
             .iter()
-            .filter(move |e| !e.entry.is_dead(now) && !e.entry.marked)
+            .filter(move |e| !e.entry.is_dead(now) && !e.marked)
             .map(|e| e.node)
     }
 
     pub fn tree_targets(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
         self.entries
             .iter()
-            .filter(move |e| e.entry.is_fresh(now) || (!e.entry.is_dead(now) && !e.entry.marked))
+            .filter(move |e| e.entry.is_fresh(now) || (!e.entry.is_dead(now) && !e.marked))
             .map(|e| e.node)
     }
 
@@ -214,10 +222,6 @@ impl RefMft {
         let before = self.entries.len();
         self.entries.retain(|e| !e.entry.is_dead(now));
         before - self.entries.len()
-    }
-
-    pub fn is_effectively_empty(&self, now: Time) -> bool {
-        self.entries.iter().all(|e| e.entry.is_dead(now))
     }
 
     pub fn len(&self) -> usize {
@@ -493,11 +497,6 @@ fn same<T: PartialEq + std::fmt::Debug>(what: &str, new: T, old: T) -> Result<()
 pub fn soft_diff(new: &mut crate::tables::HbhMft, old: &RefMft, now: Time) -> Result<(), String> {
     same("len", new.len(), old.len())?;
     same("is_empty", new.is_empty(), old.is_empty())?;
-    same(
-        "is_effectively_empty",
-        new.is_effectively_empty(now),
-        old.is_effectively_empty(now),
-    )?;
     for n in (0..UNIVERSE).map(NodeId) {
         same(
             &format!("contains({n})"),

@@ -263,18 +263,6 @@ impl HbhMft {
             .map(|e| e.node)
     }
 
-    /// Live members of `nodes` (fusion relevance test).
-    pub fn intersect<'a>(
-        &'a self,
-        nodes: &'a [NodeId],
-        now: Time,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        nodes
-            .iter()
-            .copied()
-            .filter(move |&n| self.contains(n, now))
-    }
-
     /// All live members (fusion payloads: "all the nodes that B maintains
     /// in its MFT").
     pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
@@ -284,11 +272,6 @@ impl HbhMft {
     /// Removes dead entries; returns how many.
     pub fn reap(&mut self, now: Time) -> usize {
         self.core.reap(now)
-    }
-
-    /// No live entries left?
-    pub fn is_effectively_empty(&self, now: Time) -> bool {
-        self.core.live(now).next().is_none()
     }
 
     /// Raw entry count (dead-but-unreaped included).
@@ -542,19 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn intersect_ignores_dead_and_missing() {
-        let t = tm();
-        let mut m = HbhMft::default();
-        m.refresh_or_insert(NodeId(1), Time(0), &t);
-        m.refresh_or_insert(NodeId(2), Time(400), &t);
-        let now = Time(t.t2); // entry 1 dead
-        let hits: Vec<_> = m
-            .intersect(&[NodeId(1), NodeId(2), NodeId(3)], now)
-            .collect();
-        assert_eq!(hits, vec![NodeId(2)]);
-    }
-
-    #[test]
     fn fan_out_order_is_insertion_order() {
         let t = tm();
         let mut m = HbhMft::default();
@@ -578,15 +548,6 @@ mod tests {
         assert_eq!(m.reap(Time(t.t2)), 2);
         m.refresh_or_insert(NodeId(7), Time(t.t2), &t);
         assert!(!m.served_by_other(NodeId(7), Time(t.t2 + 1)));
-    }
-
-    #[test]
-    fn effectively_empty_tracks_liveness() {
-        let t = tm();
-        let mut m = HbhMft::default();
-        m.refresh_or_insert(NodeId(1), Time(0), &t);
-        assert!(!m.is_effectively_empty(Time(10)));
-        assert!(m.is_effectively_empty(Time(t.t2)));
     }
 
     // --- the replay rule (`ClaimTable::replays`) --------------------------

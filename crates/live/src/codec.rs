@@ -6,7 +6,7 @@
 //! ```
 
 use hbh_sim_core::{Packet, PacketClass, Time};
-use hbh_topo::graph::NodeId;
+use hbh_wire::format::Reader;
 use hbh_wire::{decode as wire_decode, encode as wire_encode, WireMsg};
 
 /// Envelope header length in bytes.
@@ -74,25 +74,23 @@ pub fn encode_packet<M: LiveMsg>(pkt: &Packet<M>) -> Vec<u8> {
     out
 }
 
-/// Parses one UDP datagram back into a packet. `None` on any malformation
-/// (a live node drops garbage, it doesn't crash).
-pub fn decode_packet<M: LiveMsg>(buf: &[u8]) -> Option<Packet<M>> {
-    if buf.len() < ENVELOPE_LEN {
-        return None;
-    }
-    let u32_at = |i: usize| u32::from_be_bytes(buf[i..i + 4].try_into().unwrap());
-    let u64_at = |i: usize| u64::from_be_bytes(buf[i..i + 8].try_into().unwrap());
-    let src = NodeId(u32_at(0));
-    let dst = NodeId(u32_at(4));
-    let ttl = buf[8];
-    let class = match buf[9] {
+/// Parses one UDP datagram back into a packet, in a network of `nodes`
+/// nodes. `None` on any malformation, a node id at or above `nodes`
+/// included (a live node drops garbage, it doesn't crash).
+pub fn decode_packet<M: LiveMsg>(buf: &[u8], nodes: usize) -> Option<Packet<M>> {
+    let (envelope, msg) = buf.split_at_checked(ENVELOPE_LEN)?;
+    let mut r = Reader::new(envelope, nodes);
+    let src = r.node().ok()?;
+    let dst = r.node().ok()?;
+    let ttl = r.u8().ok()?;
+    let class = match r.u8().ok()? {
         0 => PacketClass::Control,
         1 => PacketClass::Data,
         _ => return None,
     };
-    let tag = u64_at(10);
-    let injected_at = Time(u64_at(18));
-    let payload = M::from_wire(wire_decode(&buf[ENVELOPE_LEN..]).ok()?)?;
+    let tag = r.u64().ok()?;
+    let injected_at = Time(r.u64().ok()?);
+    let payload = M::from_wire(wire_decode(msg, nodes).ok()?)?;
     Some(Packet {
         src,
         dst,
@@ -109,6 +107,10 @@ mod tests {
     use super::*;
     use hbh_proto::HbhMsg;
     use hbh_proto_base::Channel;
+    use hbh_topo::graph::NodeId;
+
+    /// One more than the largest node id the sample names.
+    const NODES: usize = 10;
 
     fn sample() -> Packet<HbhMsg> {
         let ch = Channel::primary(NodeId(3));
@@ -120,7 +122,7 @@ mod tests {
     #[test]
     fn packet_roundtrip() {
         let p = sample();
-        let q: Packet<HbhMsg> = decode_packet(&encode_packet(&p)).unwrap();
+        let q: Packet<HbhMsg> = decode_packet(&encode_packet(&p), NODES).unwrap();
         assert_eq!(
             (q.src, q.dst, q.ttl, q.class, q.tag, q.injected_at),
             (p.src, p.dst, p.ttl, p.class, p.tag, p.injected_at)
@@ -130,20 +132,28 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected_not_panicking() {
-        assert!(decode_packet::<HbhMsg>(&[]).is_none());
-        assert!(decode_packet::<HbhMsg>(&[0u8; 10]).is_none());
+        assert!(decode_packet::<HbhMsg>(&[], NODES).is_none());
+        assert!(decode_packet::<HbhMsg>(&[0u8; 10], NODES).is_none());
         let mut bytes = encode_packet(&sample());
         bytes[9] = 9; // bad class
-        assert!(decode_packet::<HbhMsg>(&bytes).is_none());
+        assert!(decode_packet::<HbhMsg>(&bytes, NODES).is_none());
         let mut bytes = encode_packet(&sample());
         bytes.truncate(ENVELOPE_LEN + 3);
-        assert!(decode_packet::<HbhMsg>(&bytes).is_none());
+        assert!(decode_packet::<HbhMsg>(&bytes, NODES).is_none());
+    }
+
+    #[test]
+    fn unknown_envelope_nodes_are_rejected() {
+        let bytes = encode_packet(&sample());
+        assert!(decode_packet::<HbhMsg>(&bytes, NODES).is_some());
+        // dst 9 is out of a 9-node network.
+        assert!(decode_packet::<HbhMsg>(&bytes, 9).is_none());
     }
 
     #[test]
     fn wrong_protocol_family_is_rejected() {
         let p = sample();
         let bytes = encode_packet(&p);
-        assert!(decode_packet::<hbh_reunite::ReuniteMsg>(&bytes).is_none());
+        assert!(decode_packet::<hbh_reunite::ReuniteMsg>(&bytes, NODES).is_none());
     }
 }

@@ -269,7 +269,9 @@ where
                 if crashed {
                     continue; // drain and discard: a dead node hears nothing
                 }
-                let Some(pkt) = decode_packet::<P::Msg>(&buf[..n]) else {
+                // Garbage, and ids naming no node of the graph, are
+                // dropped here: nothing below ever sees them.
+                let Some(pkt) = decode_packet::<P::Msg>(&buf[..n], ops.net.node_count()) else {
                     continue;
                 };
                 // Same dispatch rules as the simulation kernel.

@@ -1,14 +1,16 @@
 //! End-to-end over real loopback UDP: the unchanged HBH and REUNITE
 //! engines build their trees and deliver data between actual sockets.
 
+use hbh_live::codec::encode_packet;
 use hbh_live::{Cluster, LiveTiming};
-use hbh_proto::{Hbh, HbhHard};
+use hbh_proto::{Hbh, HbhHard, HbhMsg};
 use hbh_proto_base::{Channel, Cmd, Script};
 use hbh_reunite::Reunite;
-use hbh_sim_core::Time;
+use hbh_sim_core::{Packet, Time};
 use hbh_topo::graph::NodeId;
 use hbh_topo::scenarios;
 use std::collections::HashSet;
+use std::net::{Ipv4Addr, UdpSocket};
 use std::time::Duration;
 
 fn converge_ms() -> u64 {
@@ -35,6 +37,50 @@ fn hbh_over_udp_delivers_to_all_receivers() {
     let nodes: HashSet<NodeId> = got.iter().map(|d| d.node).collect();
     assert_eq!(nodes, HashSet::from([r1, r2, r3]), "deliveries: {got:?}");
     assert!(got.iter().all(|d| d.tag == 7));
+    cluster.shutdown();
+}
+
+#[test]
+fn malformed_datagrams_leave_every_receiver_served() {
+    // Once the tree has converged, R1 — the router between the source and
+    // two of the three receivers — gets three datagrams no engine sends:
+    // data for a node the graph does not have, a tree whose envelope is
+    // not addressed to its target, and a join addressed to a router that
+    // is not the channel's source. R1 must drop all three and keep
+    // forwarding.
+    let graph = scenarios::fig2();
+    let n = |l: &str| graph.node_by_label(l).unwrap();
+    let (s, router, r1, r2, r3) = (n("S"), n("R1"), n("r1"), n("r2"), n("r3"));
+    let cluster = Cluster::launch(graph, || Hbh::new(LiveTiming::fast().0)).unwrap();
+    let ch = Channel::primary(s);
+    cluster.command(s, Cmd::StartSource(ch));
+    for r in [r1, r2, r3] {
+        cluster.command(r, Cmd::Join(ch));
+    }
+    std::thread::sleep(Duration::from_millis(converge_ms()));
+
+    let join = HbhMsg::Join {
+        ch,
+        who: r1,
+        initial: false,
+    };
+    let datagrams = [
+        Packet::data(s, NodeId(1_000_000), 1, Time(0), HbhMsg::Data { ch }),
+        Packet::control(s, r1, HbhMsg::Tree { ch, target: r3 }),
+        Packet::control(r1, router, join),
+    ];
+    let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    for pkt in &datagrams {
+        socket
+            .send_to(&encode_packet(pkt), cluster.addresses[&router])
+            .unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(100));
+
+    cluster.command(s, Cmd::SendData { ch, tag: 11 });
+    let got = cluster.wait_deliveries(3, Duration::from_secs(3));
+    let nodes: HashSet<NodeId> = got.iter().map(|d| d.node).collect();
+    assert_eq!(nodes, HashSet::from([r1, r2, r3]), "deliveries: {got:?}");
     cluster.shutdown();
 }
 

@@ -1,5 +1,5 @@
 //! Per-channel outgoing-interface (oif) state: the `(root, G)` entry a PIM
-//! router keeps, mapping downstream neighbors to soft-state entries.
+//! router keeps, mapping downstream neighbors to soft-state deadlines.
 //!
 //! RPF loop-freedom note: an oif is always the neighbor a join arrived
 //! from, and joins travel along unicast shortest paths toward the root, so
@@ -8,66 +8,35 @@
 //! cannot produce). Data forwarded per-oif therefore always makes
 //! downstream progress.
 
-use hbh_proto_base::{SoftEntry, Timing};
+use hbh_proto_base::{SoftSet, Timing};
 use hbh_sim_core::Time;
-use hbh_topo::graph::NodeId;
-use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
-/// Outgoing-interface table for one channel at one router.
+/// Outgoing-interface table for one channel at one router: the downstream
+/// neighbors (the [`SoftSet`] it derefs to, each live `t2` after its last
+/// join) plus the upstream join suppression.
 #[derive(Clone, Debug, Default)]
 pub struct OifTable {
-    entries: BTreeMap<NodeId, SoftEntry>,
+    oifs: SoftSet,
     /// Last time a join was propagated upstream (refresh suppression: one
     /// upstream join per half-period, like real PIM's aggregation).
     last_upstream: Option<Time>,
 }
 
+impl Deref for OifTable {
+    type Target = SoftSet;
+    fn deref(&self) -> &SoftSet {
+        &self.oifs
+    }
+}
+
+impl DerefMut for OifTable {
+    fn deref_mut(&mut self) -> &mut SoftSet {
+        &mut self.oifs
+    }
+}
+
 impl OifTable {
-    /// Refreshes (or installs) the oif toward `downstream`.
-    /// Returns `true` if the entry is new (a structural change).
-    pub fn refresh(&mut self, downstream: NodeId, now: Time, timing: &Timing) -> bool {
-        match self.entries.get_mut(&downstream) {
-            Some(e) => {
-                e.refresh(now, timing);
-                false
-            }
-            None => {
-                self.entries.insert(downstream, SoftEntry::new(now, timing));
-                true
-            }
-        }
-    }
-
-    /// Live (not dead) oifs at `now` — the data fan-out set.
-    pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries
-            .iter()
-            .filter(move |(_, e)| !e.is_dead(now))
-            .map(|(&n, _)| n)
-    }
-
-    /// Removes dead entries; returns how many were reaped.
-    pub fn reap(&mut self, now: Time) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| !e.is_dead(now));
-        before - self.entries.len()
-    }
-
-    /// True if no oifs remain.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Raw oif count (dead-but-unreaped included).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if `n` has an oif entry (liveness not checked).
-    pub fn contains(&self, n: NodeId) -> bool {
-        self.entries.contains_key(&n)
-    }
-
     /// Join-suppression: should a join be propagated upstream now?
     /// At most one per half join-period keeps refresh traffic linear in
     /// tree depth instead of receiver count (PIM's aggregation effect).
@@ -86,6 +55,7 @@ impl OifTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbh_topo::graph::NodeId;
 
     fn timing() -> Timing {
         Timing::default()

@@ -14,7 +14,8 @@
 //!   source plus class-D group in the SSM `232/8` range);
 //! * [`softstate`] — the t1/t2 soft-state entry lifecycle, timestamp-based
 //!   (entries are refreshed by messages and reaped lazily, the standard
-//!   soft-state implementation technique);
+//!   soft-state implementation technique), and the two tables built on it:
+//!   the insertion-ordered `SoftList` and the id-ordered `SoftSet`;
 //! * [`command`] — the common experiment command set, the `Command` type of
 //!   every protocol's kernel instantiation;
 //! * [`timing`] — refresh periods and timer durations (the paper does not
@@ -45,6 +46,6 @@ pub use command::Cmd;
 pub use inventory::StateInventory;
 pub use reliable::{Outstanding, ReliableConfig, ReliableState, ReliableStats, RtxVerdict};
 pub use script::{Script, ScriptAction};
-pub use softstate::{EntryPhase, SoftEntry, SoftList};
+pub use softstate::{EntryPhase, SoftEntry, SoftList, SoftSet};
 pub use timing::Timing;
 pub use workload::{Workload, WorkloadGen, WorkloadPlan};

@@ -44,18 +44,6 @@ impl Default for ReliableConfig {
 }
 
 impl ReliableConfig {
-    /// Derives a policy from a protocol period: the timeout is half the
-    /// period so a loss is noticed well before the next natural event,
-    /// capped at two periods so a congested neighbor is not hammered.
-    pub fn from_period(period: u64) -> Self {
-        let rto = (period / 2).max(1);
-        ReliableConfig {
-            rto,
-            rto_cap: (2 * period).max(rto),
-            max_attempts: 4,
-        }
-    }
-
     /// The backed-off timeout for the next retransmission after `attempt`
     /// transmissions have already gone out: `min(rto << attempt, rto_cap)`.
     pub fn backoff(&self, attempt: u32) -> u64 {
@@ -85,18 +73,6 @@ pub struct ReliableStats {
     pub dup_suppressed: u64,
     /// Acknowledgements accepted for an outstanding message.
     pub acked: u64,
-}
-
-impl ReliableStats {
-    /// Field-wise sum, for aggregating across a kernel's node states.
-    pub fn merge(&mut self, other: &ReliableStats) {
-        self.sealed += other.sealed;
-        self.retransmits += other.retransmits;
-        self.give_ups += other.give_ups;
-        self.consumed_fresh += other.consumed_fresh;
-        self.dup_suppressed += other.dup_suppressed;
-        self.acked += other.acked;
-    }
 }
 
 /// An unacknowledged message: where it went, what it was, and how many
@@ -275,11 +251,6 @@ impl<M: Clone> ReliableState<M> {
         self.outstanding.len()
     }
 
-    /// Sequence numbers handed out so far (== sealed count).
-    pub fn sealed(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Approximate bytes of reliability bookkeeping this node carries:
     /// outstanding messages plus dedup windows. Counted into the hard
     /// engine's state-size metric so the soft/hard comparison charges the
@@ -388,14 +359,5 @@ mod tests {
         assert!(!r.observe(n(1), 0));
         let bytes = r.state_bytes();
         assert!(bytes > 0 && bytes < 64 * 1024, "window must stay bounded");
-    }
-
-    #[test]
-    fn from_period_bounds_detection_latency() {
-        let cfg = ReliableConfig::from_period(100);
-        assert_eq!(cfg.rto, 50);
-        assert_eq!(cfg.rto_cap, 200);
-        // Detection completes within a handful of periods.
-        assert!(cfg.detection_bound() <= 6 * 100);
     }
 }

@@ -12,15 +12,15 @@
 //! sweep reaping dead entries. This is the standard implementation of
 //! soft state and is observationally identical to real timers.
 //!
-//! HBH additionally **marks** entries (set by `fusion` processing): a
-//! marked entry forwards `tree` messages but no data, whereas a *stale*
-//! entry forwards data but no `tree` messages (Appendix A). The flag is
-//! stored here; its interpretation stays in the protocol crates.
+//! Two tables of such state serve the protocols:
 //!
-//! [`SoftList`] is the insertion-ordered table of such entries that
-//! REUNITE's MCT and MFT both are (its rules read "the first receiver that
-//! joined"). PIM's `OifTable` is not one: it iterates in node-id order,
-//! and insertion order would reorder its same-time sends.
+//! * [`SoftList`] — two-timer entries in insertion order: REUNITE's MCT
+//!   and MFT both are one (its rules read "the first receiver that
+//!   joined");
+//! * [`SoftSet`] — one `t2` deadline per member, in node-id order: PIM's
+//!   outgoing interfaces and HBH-AGG's local members, which need no stale
+//!   phase and must enumerate in id order (insertion order would reorder
+//!   their same-time sends).
 
 use crate::timing::Timing;
 use hbh_sim_core::Time;
@@ -42,8 +42,6 @@ pub enum EntryPhase {
 pub struct SoftEntry {
     expires_t1: Time,
     expires_t2: Time,
-    /// HBH mark (fusion rule 2): entry forwards tree messages, not data.
-    pub marked: bool,
 }
 
 impl SoftEntry {
@@ -52,28 +50,13 @@ impl SoftEntry {
         SoftEntry {
             expires_t1: now + timing.t1,
             expires_t2: now + timing.t2,
-            marked: false,
         }
     }
 
-    /// Full refresh: both timers restart. Clears staleness, keeps the mark
-    /// (a marked entry refreshed by joins stays marked — Figure 5's `r1`
-    /// entry at `H1`).
+    /// Full refresh: both timers restart, which clears staleness.
     pub fn refresh(&mut self, now: Time, timing: &Timing) {
         self.expires_t1 = now + timing.t1;
         self.expires_t2 = now + timing.t2;
-    }
-
-    /// Fusion rule (4): "Bp's t2 timer is refreshed …, but its t1 timer is
-    /// kept expired". The entry stays alive and stale.
-    pub fn refresh_t2_keep_stale(&mut self, now: Time, timing: &Timing) {
-        self.expires_t1 = now;
-        self.expires_t2 = now + timing.t2;
-    }
-
-    /// Fusion rule (3): "Bp's t1 timer is expired — Bp becomes stale".
-    pub fn force_stale(&mut self, now: Time) {
-        self.expires_t1 = now;
     }
 
     /// Phase at `now`. Expiry is inclusive: an entry whose timer is exactly
@@ -177,6 +160,65 @@ impl SoftList {
     }
 }
 
+/// One `t2` deadline per member, in node-id order.
+///
+/// A member is live while `now < last refresh + t2`; there is no stale
+/// phase. Rows are `(node, deadline)` in a vector sorted by node id, so a
+/// refresh or a lookup is one binary search, enumeration is in id order,
+/// and [`SoftSet::reap`] is one `retain`.
+#[derive(Clone, Debug, Default)]
+pub struct SoftSet {
+    rows: Vec<(NodeId, Time)>,
+}
+
+impl SoftSet {
+    /// Refreshes (or inserts) `n` at `now`: it stays live until
+    /// `now + timing.t2`. Returns `true` if `n` is a new member.
+    pub fn refresh(&mut self, n: NodeId, now: Time, timing: &Timing) -> bool {
+        let deadline = now + timing.t2;
+        match self.rows.binary_search_by_key(&n, |&(m, _)| m) {
+            Ok(i) => {
+                self.rows[i].1 = deadline;
+                false
+            }
+            Err(at) => {
+                self.rows.insert(at, (n, deadline));
+                true
+            }
+        }
+    }
+
+    /// True if `n` has a row (liveness not checked).
+    pub fn contains(&self, n: NodeId) -> bool {
+        self.rows.binary_search_by_key(&n, |&(m, _)| m).is_ok()
+    }
+
+    /// Live members at `now`, in id order.
+    pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
+        self.rows
+            .iter()
+            .filter(move |&&(_, deadline)| now < deadline)
+            .map(|&(n, _)| n)
+    }
+
+    /// Drops the rows whose deadline has passed; returns how many.
+    pub fn reap(&mut self, now: Time) -> usize {
+        let before = self.rows.len();
+        self.rows.retain(|&(_, deadline)| now < deadline);
+        before - self.rows.len()
+    }
+
+    /// Raw row count (dead-but-unreaped included).
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True if no rows remain.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,39 +252,52 @@ mod tests {
     }
 
     #[test]
-    fn force_stale_expires_t1_only() {
-        let mut e = SoftEntry::new(Time(0), &timing());
-        e.force_stale(Time(10));
-        assert!(e.is_stale(Time(10)));
-        assert!(e.is_stale(Time(150)));
-        assert!(e.is_dead(Time(200)), "t2 untouched");
-    }
-
-    #[test]
-    fn refresh_t2_keep_stale_extends_life_not_freshness() {
-        let mut e = SoftEntry::new(Time(0), &timing());
-        e.force_stale(Time(10));
-        e.refresh_t2_keep_stale(Time(150), &timing());
-        assert!(e.is_stale(Time(150)));
-        assert!(e.is_stale(Time(349)));
-        assert!(e.is_dead(Time(350)));
-    }
-
-    #[test]
-    fn refresh_keeps_the_mark() {
-        let mut e = SoftEntry::new(Time(0), &timing());
-        e.marked = true;
-        e.refresh(Time(50), &timing());
-        assert!(e.marked);
-        assert!(e.is_fresh(Time(60)));
-    }
-
-    #[test]
     fn refresh_unstales() {
         let mut e = SoftEntry::new(Time(0), &timing());
-        e.force_stale(Time(10));
-        assert!(e.is_stale(Time(20)));
-        e.refresh(Time(20), &timing());
-        assert!(e.is_fresh(Time(20)));
+        assert!(e.is_stale(Time(120)));
+        e.refresh(Time(120), &timing());
+        assert!(e.is_fresh(Time(120)));
+    }
+
+    #[test]
+    fn refresh_inserts_sorted_and_refreshes_in_place() {
+        let mut s = SoftSet::default();
+        assert!(s.refresh(NodeId(5), Time(0), &timing()));
+        assert!(s.refresh(NodeId(2), Time(1), &timing()));
+        assert!(s.refresh(NodeId(9), Time(2), &timing()));
+        assert!(
+            !s.refresh(NodeId(5), Time(3), &timing()),
+            "existing member refreshed"
+        );
+        assert_eq!(
+            s.live(Time(3)).collect::<Vec<_>>(),
+            vec![NodeId(2), NodeId(5), NodeId(9)],
+            "enumeration is id-sorted"
+        );
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn contains_is_exact_at_any_size() {
+        let mut s = SoftSet::default();
+        for i in 0..300 {
+            s.refresh(NodeId(i), Time(0), &timing());
+        }
+        assert!(!s.contains(NodeId(100_000)));
+        assert!(s.contains(NodeId(150)));
+    }
+
+    #[test]
+    fn reap_expires_at_t2() {
+        let mut s = SoftSet::default();
+        s.refresh(NodeId(1), Time(0), &timing());
+        s.refresh(NodeId(2), Time(50), &timing());
+        // Member 1 is due at exactly t2 = 200, member 2 at 250.
+        assert_eq!(s.live(Time(199)).count(), 2);
+        assert_eq!(s.live(Time(200)).collect::<Vec<_>>(), vec![NodeId(2)]);
+        assert_eq!(s.reap(Time(200)), 1);
+        assert_eq!(s.len(), 1);
+        assert!(!s.contains(NodeId(1)));
+        assert!(s.contains(NodeId(2)));
     }
 }

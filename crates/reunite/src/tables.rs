@@ -94,11 +94,6 @@ impl Mft {
         self.dst_entry().map_or(true, |e| e.is_stale(now))
     }
 
-    /// Whether data can still be produced toward `dst` (entry alive).
-    pub fn dst_is_alive(&self, now: Time) -> bool {
-        self.dst_entry().is_some_and(|e| !e.is_dead(now))
-    }
-
     /// Staleness of an individual entry (drives per-branch marked trees).
     pub fn entry_is_stale(&self, r: NodeId, now: Time) -> bool {
         self.get(r).is_some_and(|e| e.is_stale(now))
@@ -208,8 +203,9 @@ mod tests {
         assert!(m.intercepts(Time(t.t1 - 1)));
         assert!(!m.intercepts(Time(t.t1)));
         assert!(m.dst_is_stale(Time(t.t1)));
-        assert!(
-            m.dst_is_alive(Time(t.t1)),
+        assert_eq!(
+            m.live(Time(t.t1)).collect::<Vec<_>>(),
+            vec![NodeId(7)],
             "stale but still forwarding data"
         );
     }

@@ -15,7 +15,7 @@
 //! out-edges are contiguous `u32` slices instead of one heap allocation per
 //! node, which is what makes all-pairs and on-demand sweeps viable at
 //! thousands of routers. Both route stores search the stub-contracted
-//! core ([`hbh_topo::contract`]); only the one-shot [`shortest_paths`]
+//! core ([`hbh_topo::contract`]); only the test-only full-graph reference
 //! packs the whole graph. CSR packing preserves per-node edge order, so the
 //! tie-breaks — and therefore every route — are identical to a search over
 //! the raw adjacency.
@@ -26,23 +26,9 @@
 //! list to find the link a packet goes out on.
 
 use hbh_topo::csr::Csr;
-use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
+use hbh_topo::graph::{EdgeId, NodeId, PathCost};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Result of one single-source Dijkstra run.
-#[derive(Clone, Debug)]
-pub struct ShortestPaths {
-    root: NodeId,
-    /// `dist[v]` = cost of the shortest `root → v` path (`u64::MAX` if
-    /// unreachable).
-    dist: Vec<PathCost>,
-    /// `pred[v]` = previous hop on the shortest `root → v` path.
-    pred: Vec<Option<NodeId>>,
-    /// `first[v]` = neighbor of `root` the shortest `root → v` path leaves
-    /// through (`None` for the root itself and for unreachable nodes).
-    first: Vec<Option<NodeId>>,
-}
 
 const UNREACHABLE: PathCost = PathCost::MAX;
 
@@ -80,27 +66,9 @@ impl DijkstraScratch {
     }
 }
 
-/// Runs Dijkstra from `root` over the directed costs of `g`.
-///
-/// One-shot convenience: packs `g` into a throwaway [`Csr`] first. Sweeps
-/// that run many searches pack once and use the `_csr` entry points over
-/// the contracted core (as [`crate::RoutingTables`] and `OnDemandRoutes`
-/// do).
-pub fn shortest_paths(g: &Graph, root: NodeId) -> ShortestPaths {
-    let csr = Csr::from_graph(g);
-    let mut s = DijkstraScratch::default();
-    shortest_paths_csr_into(&csr, root, &mut s);
-    ShortestPaths {
-        root,
-        dist: std::mem::take(&mut s.dist),
-        pred: std::mem::take(&mut s.pred),
-        first: std::mem::take(&mut s.first),
-    }
-}
-
-/// [`shortest_paths`] over a pre-packed CSR view, into caller-provided
-/// scratch storage. The results are left in `s.dist` / `s.pred` /
-/// `s.first` / `s.first_eid`.
+/// Runs Dijkstra from `root` over a pre-packed CSR view, into
+/// caller-provided scratch storage. The results are left in `s.dist` /
+/// `s.pred` / `s.first` / `s.first_eid`.
 ///
 /// First hops are resolved inline during relaxation: when `v` is improved
 /// via `u`, `u` has already been finalized (its out-edges are only relaxed
@@ -193,128 +161,29 @@ fn tie_break(current: Option<NodeId>, candidate: NodeId) -> bool {
     }
 }
 
-impl ShortestPaths {
-    /// The root this run was computed from.
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// Cost of the shortest `root → v` path, `None` if unreachable.
-    pub fn dist(&self, v: NodeId) -> Option<PathCost> {
-        match self.dist[v.index()] {
-            UNREACHABLE => None,
-            d => Some(d),
-        }
-    }
-
-    /// Predecessor of `v` on its shortest path from the root.
-    pub fn pred(&self, v: NodeId) -> Option<NodeId> {
-        self.pred[v.index()]
-    }
-
-    /// The full path `root → … → v`, `None` if unreachable.
-    pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        self.dist(v)?;
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.pred[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(cur, self.root);
-        path.reverse();
-        Some(path)
-    }
-
-    /// First hop on the path `root → v` (i.e. the neighbor of `root` that
-    /// traffic to `v` leaves through). `None` if `v` is the root itself or
-    /// unreachable. O(1): first hops are resolved during the search.
-    pub fn first_hop(&self, v: NodeId) -> Option<NodeId> {
-        self.first[v.index()]
-    }
-}
-
+// The two fidelity details above and the paper's own routes, observed
+// through the eager store that runs this search.
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{RouteProvider, RoutingTables};
     use hbh_topo::graph::Graph;
-
-    /// S --1--> A --2--> B, plus a direct S--9--B link.
-    fn diamondish() -> (Graph, NodeId, NodeId, NodeId) {
-        let mut g = Graph::new();
-        let s = g.add_router();
-        let a = g.add_router();
-        let b = g.add_router();
-        g.add_link(s, a, 1, 1);
-        g.add_link(a, b, 2, 2);
-        g.add_link(s, b, 9, 9);
-        (g, s, a, b)
-    }
-
-    #[test]
-    fn picks_cheapest_path() {
-        let (g, s, a, b) = diamondish();
-        let sp = shortest_paths(&g, s);
-        assert_eq!(sp.dist(b), Some(3));
-        assert_eq!(sp.path_to(b), Some(vec![s, a, b]));
-    }
-
-    #[test]
-    fn root_distance_is_zero_with_empty_first_hop() {
-        let (g, s, ..) = diamondish();
-        let sp = shortest_paths(&g, s);
-        assert_eq!(sp.dist(s), Some(0));
-        assert_eq!(sp.first_hop(s), None);
-        assert_eq!(sp.path_to(s), Some(vec![s]));
-    }
-
-    #[test]
-    fn first_hop_matches_path() {
-        let (g, s, a, b) = diamondish();
-        let sp = shortest_paths(&g, s);
-        assert_eq!(sp.first_hop(b), Some(a));
-        assert_eq!(sp.first_hop(a), Some(a));
-    }
-
-    #[test]
-    fn asymmetric_costs_give_asymmetric_distances() {
-        let mut g = Graph::new();
-        let a = g.add_router();
-        let b = g.add_router();
-        g.add_link(a, b, 2, 7);
-        assert_eq!(shortest_paths(&g, a).dist(b), Some(2));
-        assert_eq!(shortest_paths(&g, b).dist(a), Some(7));
-    }
-
-    #[test]
-    fn unreachable_is_none() {
-        let mut g = Graph::new();
-        let a = g.add_router();
-        let b = g.add_router();
-        let sp = shortest_paths(&g, a);
-        assert_eq!(sp.dist(b), None);
-        assert_eq!(sp.path_to(b), None);
-        assert_eq!(sp.first_hop(b), None);
-    }
+    use hbh_topo::scenarios;
 
     #[test]
     fn hosts_do_not_transit() {
-        // a — h — b where the host path would be cheap, plus an expensive
-        // router detour a — c — b. Traffic must take the detour.
+        // A host hangs off a, and b is reached only over the router detour
+        // a — c — b: the host is a destination, never a way through.
         let mut g = Graph::new();
         let a = g.add_router();
         let b = g.add_router();
         let c = g.add_router();
         let h = g.add_host(a, 1, 1);
-        // Fake second attachment exists only in scenario builders; emulate
-        // with a normal router link here: h cannot get one, so instead
-        // verify the plain property: a's shortest path to b ignores h.
         g.add_link(a, c, 5, 5);
         g.add_link(c, b, 5, 5);
-        let sp = shortest_paths(&g, a);
-        assert_eq!(sp.dist(b), Some(10));
-        assert_eq!(sp.path_to(b), Some(vec![a, c, b]));
-        assert_eq!(sp.dist(h), Some(1));
+        let t = RoutingTables::compute(&g);
+        assert_eq!(t.dist(a, b), Some(10));
+        assert_eq!(t.path(a, b), Some(vec![a, c, b]));
+        assert_eq!(t.dist(a, h), Some(1));
     }
 
     #[test]
@@ -324,21 +193,19 @@ mod tests {
         let b = g.add_router();
         g.add_link(a, b, 3, 3);
         let h = g.add_host(a, 2, 4);
-        let sp = shortest_paths(&g, h);
-        assert_eq!(sp.dist(b), Some(7)); // 4 (h→a) + 3 (a→b)
-        assert_eq!(sp.path_to(b), Some(vec![h, a, b]));
+        let t = RoutingTables::compute(&g);
+        assert_eq!(t.dist(h, b), Some(7)); // 4 (h→a) + 3 (a→b)
+        assert_eq!(t.path(h, b), Some(vec![h, a, b]));
     }
 
     #[test]
     fn dual_homed_host_does_not_open_a_shortcut() {
-        use hbh_topo::scenarios;
         // In fig2, r1 attaches to both R2 and R3. A path S→R1→R3→r1→R2 must
         // not exist for routing purposes.
         let g = scenarios::fig2();
         let s = g.node_by_label("S").unwrap();
         let r2 = g.node_by_label("R2").unwrap();
-        let sp = shortest_paths(&g, s);
-        let path = sp.path_to(r2).unwrap();
+        let path = RoutingTables::compute(&g).path(s, r2).unwrap();
         assert!(
             path.iter().all(|&n| !g.is_host(n) || n == s),
             "path to R2 crosses a host: {path:?}"
@@ -358,22 +225,20 @@ mod tests {
         g.add_link(s, b, 1, 1);
         g.add_link(a, t, 1, 1);
         g.add_link(b, t, 1, 1);
-        let sp = shortest_paths(&g, s);
-        assert_eq!(sp.path_to(t), Some(vec![s, a, t]));
+        assert_eq!(RoutingTables::compute(&g).path(s, t), Some(vec![s, a, t]));
     }
 
     #[test]
     fn inline_first_hops_match_reconstructed_paths() {
-        use hbh_topo::scenarios;
+        // The first hop and its edge id are resolved inline during
+        // relaxation; both must be the path's first link.
         for g in [scenarios::fig2(), scenarios::fig3()] {
-            for root in g.nodes() {
-                let sp = shortest_paths(&g, root);
-                for v in g.nodes() {
-                    let expected = match sp.path_to(v) {
-                        Some(p) if p.len() >= 2 => Some(p[1]),
-                        _ => None,
-                    };
-                    assert_eq!(sp.first_hop(v), expected, "first hop {root}->{v}");
+            let t = RoutingTables::compute(&g);
+            for u in g.nodes() {
+                for v in g.nodes().filter(|&v| v != u) {
+                    let path = t.path(u, v).expect("the scenarios are connected");
+                    let eid = g.edge_entry(u, path[1]).unwrap().0;
+                    assert_eq!(t.step(u, v), Some((path[1], eid)), "step {u}->{v}");
                 }
             }
         }
@@ -381,54 +246,44 @@ mod tests {
 
     #[test]
     fn fig2_routes_match_paper() {
-        use hbh_topo::scenarios;
         let g = scenarios::fig2();
+        let t = RoutingTables::compute(&g);
         let n = |l: &str| g.node_by_label(l).unwrap();
         let (s, r1, r2, r3, r4) = (n("S"), n("R1"), n("R2"), n("R3"), n("R4"));
         let (rx1, rx2, rx3) = (n("r1"), n("r2"), n("r3"));
 
         // Downstream routes.
-        let from_s = shortest_paths(&g, s);
-        assert_eq!(from_s.path_to(rx1), Some(vec![s, r1, r3, rx1]));
-        assert_eq!(from_s.path_to(rx2), Some(vec![s, r4, rx2]));
-        assert_eq!(from_s.path_to(rx3), Some(vec![s, r1, r3, rx3]));
+        assert_eq!(t.path(s, rx1), Some(vec![s, r1, r3, rx1]));
+        assert_eq!(t.path(s, rx2), Some(vec![s, r4, rx2]));
+        assert_eq!(t.path(s, rx3), Some(vec![s, r1, r3, rx3]));
 
         // Upstream routes.
-        assert_eq!(
-            shortest_paths(&g, rx1).path_to(s),
-            Some(vec![rx1, r2, r1, s])
-        );
-        assert_eq!(
-            shortest_paths(&g, rx2).path_to(s),
-            Some(vec![rx2, r3, r1, s])
-        );
-        assert_eq!(
-            shortest_paths(&g, rx3).path_to(s),
-            Some(vec![rx3, r3, r1, s])
-        );
+        assert_eq!(t.path(rx1, s), Some(vec![rx1, r2, r1, s]));
+        assert_eq!(t.path(rx2, s), Some(vec![rx2, r3, r1, s]));
+        assert_eq!(t.path(rx3, s), Some(vec![rx3, r3, r1, s]));
     }
 
     #[test]
     fn fig3_routes_match_paper() {
-        use hbh_topo::scenarios;
         let g = scenarios::fig3();
+        let t = RoutingTables::compute(&g);
         let n = |l: &str| g.node_by_label(l).unwrap();
-        let from_s = shortest_paths(&g, n("S"));
+        let route = |ls: &[&str]| Some(ls.iter().map(|l| n(l)).collect::<Vec<_>>());
         assert_eq!(
-            from_s.path_to(n("r1")),
-            Some(vec![n("S"), n("R1"), n("R6"), n("R4"), n("r1")])
+            t.path(n("S"), n("r1")),
+            route(&["S", "R1", "R6", "R4", "r1"])
         );
         assert_eq!(
-            from_s.path_to(n("r2")),
-            Some(vec![n("S"), n("R1"), n("R6"), n("R5"), n("r2")])
+            t.path(n("S"), n("r2")),
+            route(&["S", "R1", "R6", "R5", "r2"])
         );
         assert_eq!(
-            shortest_paths(&g, n("r1")).path_to(n("S")),
-            Some(vec![n("r1"), n("R4"), n("R2"), n("R1"), n("S")])
+            t.path(n("r1"), n("S")),
+            route(&["r1", "R4", "R2", "R1", "S"])
         );
         assert_eq!(
-            shortest_paths(&g, n("r2")).path_to(n("S")),
-            Some(vec![n("r2"), n("R5"), n("R3"), n("R1"), n("S")])
+            t.path(n("r2"), n("S")),
+            route(&["r2", "R5", "R3", "R1", "S"])
         );
     }
 }

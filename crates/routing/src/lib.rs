@@ -9,8 +9,8 @@
 //! ahead of time, exactly as NS-2's static routing does for the paper's
 //! simulations:
 //!
-//! * [`dijkstra`] — single-source shortest paths over the *directed* link
-//!   costs (hosts never transit);
+//! * `dijkstra` — single-source shortest paths over the *directed* link
+//!   costs (hosts never transit), the core search both stores run;
 //! * [`tables::RoutingTables`] — one forwarding step (next hop and
 //!   out-edge) per pair, the eager forwarding state (exact, O(n²) — the
 //!   paper-scale default);
@@ -22,15 +22,14 @@
 //! * [`paths`] — path extraction and shortest-path-tree construction
 //!   (forward SPT and reverse SPT — the two tree shapes whose difference
 //!   under asymmetric costs is the whole point of the paper);
-//! * [`asymmetry`] — measurements of how asymmetric the routing actually is
-//!   (the Paxson-style "fraction of asymmetric routes" statistic).
+//! * [`qos`] — bandwidth-constrained tables and the admission checks over
+//!   them.
 //!
 //! Ties between equal-cost paths are broken deterministically (smallest
 //! node id wins), so a given topology + cost assignment always yields one
 //! reproducible routing.
 
-pub mod asymmetry;
-pub mod dijkstra;
+mod dijkstra;
 mod pair;
 pub mod paths;
 pub mod provider;
@@ -42,6 +41,5 @@ mod proptests;
 #[cfg(test)]
 mod reference;
 
-pub use dijkstra::ShortestPaths;
 pub use provider::{OnDemandRoutes, RouteProvider, RouteStats};
 pub use tables::RoutingTables;

@@ -38,9 +38,10 @@ use std::sync::{Arc, Mutex};
 
 /// Unicast route lookups, independent of how routes are materialized.
 ///
-/// Implementations must agree with [`crate::dijkstra::shortest_paths`] on
-/// every pair (same costs, same deterministic tie-breaks); they differ
-/// only in *when* routes are computed and how much memory they pin.
+/// Implementations must agree on every pair with one Dijkstra search per
+/// node over the whole graph (the test-only full-graph reference: same
+/// costs, same deterministic tie-breaks); they differ only in *when*
+/// routes are computed and how much memory they pin.
 pub trait RouteProvider {
     /// Number of nodes routes are answered for.
     fn node_count(&self) -> usize;

@@ -27,16 +27,11 @@ pub fn constrained_tables(g: &Graph, min_bw: Bandwidth) -> RoutingTables {
     // experiment, so the sentinel can never be part of a chosen path
     // unless no compliant path exists at all.)
     let mut shadow = g.clone();
-    let mut any_compliant = false;
     for (l, _) in g.directed_links() {
-        let bw = g.bandwidth(l.from, l.to).expect("directed link exists");
-        if bw < min_bw {
+        if g.bandwidth(l.from, l.to).expect("directed link exists") < min_bw {
             shadow.set_cost(l.from, l.to, BLOCKED_COST);
-        } else {
-            any_compliant = true;
         }
     }
-    let _ = any_compliant;
     RoutingTables::compute(&shadow)
 }
 
@@ -50,16 +45,13 @@ pub fn admitted(t: &RoutingTables, src: NodeId, dst: NodeId) -> bool {
     matches!(t.dist(src, dst), Some(d) if d < PathCost::from(BLOCKED_COST))
 }
 
-/// Bottleneck bandwidth of a directed path (`None` for an empty path).
-pub fn bottleneck(g: &Graph, path: &[NodeId]) -> Option<Bandwidth> {
+/// True if `path` has a link and every directed link of it offers at
+/// least `min_bw` (its bottleneck bandwidth does).
+pub fn path_is_compliant(g: &Graph, path: &[NodeId], min_bw: Bandwidth) -> bool {
     path.windows(2)
         .map(|w| g.bandwidth(w[0], w[1]).expect("path follows real links"))
         .min()
-}
-
-/// True if every directed link of `path` offers at least `min_bw`.
-pub fn path_is_compliant(g: &Graph, path: &[NodeId], min_bw: Bandwidth) -> bool {
-    bottleneck(g, path).is_some_and(|b| b >= min_bw)
+        .is_some_and(|b| b >= min_bw)
 }
 
 /// Admission check for a whole channel: every receiver reachable over
@@ -68,11 +60,6 @@ pub fn channel_admitted(t: &RoutingTables, source: NodeId, receivers: &[NodeId])
     receivers
         .iter()
         .all(|&r| admitted(t, source, r) && admitted(t, r, source))
-}
-
-/// Convenience: the constrained shortest path, if admitted.
-pub fn constrained_path(t: &RoutingTables, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-    admitted(t, src, dst).then(|| t.path(src, dst)).flatten()
 }
 
 #[cfg(test)]
@@ -121,17 +108,17 @@ mod tests {
         let t = constrained_tables(&g, 5);
         assert!(!admitted(&t, a, b));
         assert!(!channel_admitted(&t, a, &[b]));
-        assert_eq!(constrained_path(&t, a, b), None);
     }
 
     #[test]
     fn bottleneck_and_compliance() {
         let (g, a, b, c, _) = thin_link();
-        assert_eq!(bottleneck(&g, &[a, b]), Some(1));
-        assert_eq!(bottleneck(&g, &[a, c, b]), Some(u32::MAX));
+        // The thin a→b link (bandwidth 1) is the direct path's bottleneck;
+        // the detour's links are unconstrained.
+        assert!(path_is_compliant(&g, &[a, b], 1));
         assert!(!path_is_compliant(&g, &[a, b], 5));
-        assert!(path_is_compliant(&g, &[a, c, b], 5));
-        assert_eq!(bottleneck(&g, &[a]), None);
+        assert!(path_is_compliant(&g, &[a, c, b], u32::MAX));
+        assert!(!path_is_compliant(&g, &[a], 0), "a path without links");
     }
 
     #[test]

@@ -658,11 +658,6 @@ impl<P: Protocol> Kernel<P> {
         &self.states[node.index()]
     }
 
-    /// A node's protocol state (write; test setup only).
-    pub fn state_mut(&mut self, node: NodeId) -> &mut P::NodeState {
-        &mut self.states[node.index()]
-    }
-
     /// All node states, indexed by node id.
     pub fn states(&self) -> &[P::NodeState] {
         &self.states
@@ -1078,7 +1073,7 @@ mod tests {
             k.command_at(h, batch, Time::ZERO);
             k.run_until(Time(1_000));
             assert_eq!(k.pending_timer_count(), 0);
-            std::mem::take(&mut k.state_mut(h).fired)
+            k.state(h).fired.clone()
         };
         let batched = run(true);
         assert_eq!(batched, run(false));

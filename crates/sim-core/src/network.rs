@@ -179,15 +179,6 @@ impl Network {
         Self::from_parts(Arc::clone(graph), routes)
     }
 
-    /// Directed link cost, panicking on a nonexistent link (kernel-internal
-    /// transits always follow real links).
-    pub fn link_cost(&self, from: NodeId, to: NodeId) -> Cost {
-        self.inner
-            .graph
-            .cost(from, to)
-            .unwrap_or_else(|| panic!("no link {from}->{to}"))
-    }
-
     /// Whether `n` participates in the multicast protocol (multicast-capable
     /// router, or any host — hosts run the source/receiver agents).
     pub fn runs_protocol(&self, n: NodeId) -> bool {
@@ -215,20 +206,6 @@ mod tests {
         assert_eq!(net.dist(b, a), Some(3));
         let (eid, cost) = net.graph().edge_entry(a, b).unwrap();
         assert_eq!(net.hop(a, b), Some((b, eid, cost)));
-    }
-
-    #[test]
-    fn link_cost_lookup() {
-        let (net, a, b, _) = net();
-        assert_eq!(net.link_cost(a, b), 2);
-        assert_eq!(net.link_cost(b, a), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "no link")]
-    fn missing_link_panics() {
-        let (net, a, _, h) = net();
-        let _ = (a, net.link_cost(h, NodeId(1)));
     }
 
     #[test]

@@ -1,9 +1,5 @@
-//! Structural statistics over topologies: connectivity, degree statistics,
-//! hop diameter, and link-level cost asymmetry.
-//!
-//! Path-level asymmetry (how often the unicast route A→B differs from B→A,
-//! the quantity Paxson measured and the paper cites) depends on routing and
-//! therefore lives in `hbh-routing::asymmetry`.
+//! Connectivity: the check the random generators redraw on until it
+//! holds.
 
 use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -19,7 +15,7 @@ pub fn is_connected(g: &Graph) -> bool {
 }
 
 /// Number of nodes reachable from `start` (including `start`).
-pub fn reachable_from(g: &Graph, start: NodeId) -> usize {
+fn reachable_from(g: &Graph, start: NodeId) -> usize {
     let mut seen = vec![false; g.node_count()];
     let mut queue = VecDeque::new();
     seen[start.index()] = true;
@@ -35,76 +31,6 @@ pub fn reachable_from(g: &Graph, start: NodeId) -> usize {
         }
     }
     count
-}
-
-/// Degree statistics over the router backbone (host access links excluded).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DegreeStats {
-    /// Smallest backbone degree.
-    pub min: usize,
-    /// Largest backbone degree.
-    pub max: usize,
-    /// Mean backbone degree.
-    pub mean: f64,
-}
-
-/// Backbone degree statistics (routers only, counting only router–router
-/// links). Returns `None` for a graph without routers.
-pub fn backbone_degree_stats(g: &Graph) -> Option<DegreeStats> {
-    let degrees: Vec<usize> = g
-        .routers()
-        .map(|r| g.neighbors(r).iter().filter(|e| g.is_router(e.to)).count())
-        .collect();
-    if degrees.is_empty() {
-        return None;
-    }
-    Some(DegreeStats {
-        min: *degrees.iter().min().unwrap(),
-        max: *degrees.iter().max().unwrap(),
-        mean: degrees.iter().sum::<usize>() as f64 / degrees.len() as f64,
-    })
-}
-
-/// Hop-count diameter (ignores costs; `None` if disconnected or empty).
-pub fn hop_diameter(g: &Graph) -> Option<usize> {
-    let n = g.node_count();
-    if n == 0 {
-        return None;
-    }
-    let mut diameter = 0;
-    for s in g.nodes() {
-        let mut dist = vec![usize::MAX; n];
-        dist[s.index()] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(s);
-        let mut reached = 0;
-        while let Some(u) = queue.pop_front() {
-            reached += 1;
-            for e in g.neighbors(u) {
-                if dist[e.to.index()] == usize::MAX {
-                    dist[e.to.index()] = dist[u.index()] + 1;
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        if reached < n {
-            return None;
-        }
-        diameter = diameter.max(*dist.iter().max().unwrap());
-    }
-    Some(diameter)
-}
-
-/// Fraction of undirected links whose two directed costs differ.
-///
-/// With the paper's independent `U[1,10]` draws this is 0.9 in expectation.
-pub fn link_cost_asymmetry(g: &Graph) -> f64 {
-    let links = g.undirected_links();
-    if links.is_empty() {
-        return 0.0;
-    }
-    let asym = links.iter().filter(|(_, _, ab, ba)| ab != ba).count();
-    asym as f64 / links.len() as f64
 }
 
 #[cfg(test)]
@@ -138,53 +64,5 @@ mod tests {
         g.add_router();
         assert!(!is_connected(&g));
         assert_eq!(reachable_from(&g, NodeId(0)), 1);
-    }
-
-    #[test]
-    fn hop_diameter_of_path() {
-        assert_eq!(hop_diameter(&path_graph(5)), Some(4));
-    }
-
-    #[test]
-    fn hop_diameter_of_disconnected_is_none() {
-        let mut g = Graph::new();
-        g.add_router();
-        g.add_router();
-        assert_eq!(hop_diameter(&g), None);
-    }
-
-    #[test]
-    fn hop_diameter_of_single_node() {
-        let mut g = Graph::new();
-        g.add_router();
-        assert_eq!(hop_diameter(&g), Some(0));
-    }
-
-    #[test]
-    fn degree_stats_ignore_hosts() {
-        let mut g = path_graph(3);
-        let r0 = NodeId(0);
-        g.add_host(r0, 1, 1);
-        let stats = backbone_degree_stats(&g).unwrap();
-        assert_eq!(stats.min, 1);
-        assert_eq!(stats.max, 2);
-        assert!((stats.mean - 4.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degree_stats_of_hostless_empty_graph() {
-        assert_eq!(backbone_degree_stats(&Graph::new()), None);
-    }
-
-    #[test]
-    fn asymmetry_of_symmetric_graph_is_zero() {
-        assert_eq!(link_cost_asymmetry(&path_graph(4)), 0.0);
-    }
-
-    #[test]
-    fn asymmetry_counts_differing_links() {
-        let mut g = path_graph(3);
-        g.set_cost(NodeId(0), NodeId(1), 9);
-        assert!((link_cost_asymmetry(&g) - 0.5).abs() < 1e-9);
     }
 }

@@ -14,7 +14,7 @@
 //! same sequence as one over the `Graph` adjacency and produces identical
 //! routes and tie-breaks. The regression tests pin this.
 
-use crate::graph::{Cost, EdgeId, Graph, NodeId};
+use crate::graph::{Cost, Graph, NodeId};
 
 /// An immutable CSR view of a [`Graph`]'s directed adjacency.
 ///
@@ -34,17 +34,6 @@ pub struct Csr {
     eid: Vec<u32>,
     /// `host[n]`: node `n` is an end host (never transits traffic).
     host: Vec<bool>,
-}
-
-/// One packed out-edge, yielded by [`Csr::neighbors`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CsrEdge {
-    /// The neighbor this edge leads to.
-    pub to: NodeId,
-    /// Cost of traversing the edge in this direction.
-    pub cost: Cost,
-    /// The edge's dense id.
-    pub eid: EdgeId,
 }
 
 impl Csr {
@@ -110,12 +99,6 @@ impl Csr {
         self.to.len()
     }
 
-    /// Out-degree of `n`.
-    #[inline]
-    pub fn out_degree(&self, n: NodeId) -> usize {
-        (self.offsets[n.index() + 1] - self.offsets[n.index()]) as usize
-    }
-
     /// True if `n` is an end host.
     #[inline]
     pub fn is_host(&self, n: NodeId) -> bool {
@@ -128,23 +111,8 @@ impl Csr {
         self.offsets[n.index()] as usize..self.offsets[n.index() + 1] as usize
     }
 
-    /// Out-edges of `n`, in the same order as [`Graph::neighbors`].
-    #[inline]
-    pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = CsrEdge> + '_ {
-        let r = self.range(n);
-        self.to[r.clone()]
-            .iter()
-            .zip(&self.cost[r.clone()])
-            .zip(&self.eid[r])
-            .map(|((&to, &cost), &eid)| CsrEdge {
-                to: NodeId(to),
-                cost,
-                eid: EdgeId(eid),
-            })
-    }
-
-    /// Raw packed slices `(to, cost, eid)` of `n`'s out-edges, for hot
-    /// loops that want to drive the iteration themselves.
+    /// Raw packed slices `(to, cost, eid)` of `n`'s out-edges, in the same
+    /// order as [`Graph::neighbors`].
     #[inline]
     pub fn out_slices(&self, n: NodeId) -> (&[u32], &[Cost], &[u32]) {
         let r = self.range(n);
@@ -183,16 +151,8 @@ mod tests {
         assert_eq!(csr.node_count(), g.node_count());
         assert_eq!(csr.directed_edge_count(), g.directed_edge_count());
         for u in g.nodes() {
-            assert_eq!(csr.out_degree(u), g.degree(u));
             assert_eq!(csr.is_host(u), g.is_host(u));
-            let packed: Vec<CsrEdge> = csr.neighbors(u).collect();
-            let adj = g.neighbors(u);
-            assert_eq!(packed.len(), adj.len());
-            for (p, e) in packed.iter().zip(adj) {
-                assert_eq!(p.to, e.to, "order must match adjacency");
-                assert_eq!(p.cost, e.cost);
-                assert_eq!(p.eid, e.eid);
-            }
+            assert_eq!(csr.out_slices(u).0.len(), g.degree(u));
         }
     }
 
@@ -202,11 +162,13 @@ mod tests {
         let csr = Csr::from_graph(&g);
         for u in g.nodes() {
             let (to, cost, eid) = csr.out_slices(u);
-            let via_iter: Vec<CsrEdge> = csr.neighbors(u).collect();
-            assert_eq!(to.len(), via_iter.len());
-            for (i, e) in via_iter.iter().enumerate() {
-                assert_eq!((to[i], cost[i], eid[i]), (e.to.0, e.cost, e.eid.0));
-            }
+            let packed: Vec<_> = (0..to.len()).map(|i| (to[i], cost[i], eid[i])).collect();
+            let adj: Vec<_> = g
+                .neighbors(u)
+                .iter()
+                .map(|e| (e.to.0, e.cost, e.eid.0))
+                .collect();
+            assert_eq!(packed, adj, "order must match adjacency");
         }
     }
 

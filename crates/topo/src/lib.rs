@@ -28,8 +28,9 @@
 //! * [`scenarios`] — the small hand-built topologies of the paper's
 //!   Figures 1, 2/5 and 3, with directed costs chosen so the unicast routes
 //!   match the routes the paper's walk-throughs assume;
-//! * [`analysis`] — structural statistics (degree, connectivity, diameter,
-//!   link-cost asymmetry).
+//! * [`analysis`] — the connectivity check the random generators redraw
+//!   on;
+//! * [`dot`] — Graphviz export.
 //!
 //! Everything is deterministic given an explicit [`rand::rngs::StdRng`] seed;
 //! no global RNG state is ever consulted.
@@ -46,5 +47,5 @@ pub mod random;
 pub mod scenarios;
 
 pub use contract::Contracted;
-pub use csr::{Csr, CsrEdge};
+pub use csr::Csr;
 pub use graph::{Cost, EdgeId, Graph, LinkId, NodeId, NodeKind};

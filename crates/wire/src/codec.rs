@@ -38,6 +38,8 @@ pub enum WireError {
     TrailingBytes(usize),
     /// A list length field is inconsistent with the body size.
     BadListLength,
+    /// A node id at or above the network's node count.
+    UnknownNode(u32),
 }
 
 impl std::fmt::Display for WireError {
@@ -52,6 +54,7 @@ impl std::fmt::Display for WireError {
             WireError::OversizedBody(n) => write!(f, "body of {n} bytes exceeds cap"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after body"),
             WireError::BadListLength => write!(f, "list length inconsistent with body"),
+            WireError::UnknownNode(n) => write!(f, "unknown node {n}"),
         }
     }
 }
@@ -71,7 +74,7 @@ impl std::error::Error for WireError {}
 ///     target: NodeId(3),
 /// });
 /// let bytes = encode(&msg);
-/// assert_eq!(decode(&bytes).unwrap(), msg);
+/// assert_eq!(decode(&bytes, 19).unwrap(), msg);
 /// ```
 pub fn encode(msg: &WireMsg) -> Vec<u8> {
     let (ty, flag_bits, body) = encode_body(msg);
@@ -219,8 +222,10 @@ fn encode_body(msg: &WireMsg) -> (MsgType, u8, Vec<u8>) {
     }
 }
 
-/// Decodes one message from `bytes` (which must contain exactly one).
-pub fn decode(bytes: &[u8]) -> Result<WireMsg, WireError> {
+/// Decodes one message from `bytes` (which must contain exactly one) sent
+/// in a network of `nodes` nodes: a node id at or above `nodes` is
+/// [`WireError::UnknownNode`].
+pub fn decode(bytes: &[u8], nodes: usize) -> Result<WireMsg, WireError> {
     if bytes.len() < HEADER_LEN {
         return Err(WireError::Truncated);
     }
@@ -246,7 +251,7 @@ pub fn decode(bytes: &[u8]) -> Result<WireMsg, WireError> {
     if bytes.len() < total {
         return Err(WireError::Truncated);
     }
-    let mut r = Reader::new(&bytes[HEADER_LEN..total]);
+    let mut r = Reader::new(&bytes[HEADER_LEN..total], nodes);
     let msg = decode_typed(ty, flag_bits, &mut r)?;
     r.finish()?;
     if bytes.len() > total {
@@ -416,6 +421,9 @@ mod tests {
     use hbh_proto_base::{Channel, GroupAddr};
     use hbh_topo::graph::NodeId;
 
+    /// One more than the largest node id the samples name.
+    const NODES: usize = 19;
+
     fn ch() -> Channel {
         Channel::new(NodeId(18), GroupAddr(7))
     }
@@ -551,7 +559,11 @@ mod tests {
     fn roundtrip_every_message_kind() {
         for m in samples() {
             let bytes = encode(&m);
-            assert_eq!(decode(&bytes).unwrap(), m, "roundtrip failed for {m:?}");
+            assert_eq!(
+                decode(&bytes, NODES).unwrap(),
+                m,
+                "roundtrip failed for {m:?}"
+            );
         }
     }
 
@@ -560,19 +572,19 @@ mod tests {
         let good = encode(&samples()[0]);
         let mut bad = good.clone();
         bad[0] = 0x00;
-        assert_eq!(decode(&bad), Err(WireError::BadMagic(0)));
+        assert_eq!(decode(&bad, NODES), Err(WireError::BadMagic(0)));
         let mut bad = good.clone();
         bad[1] = 9;
-        assert_eq!(decode(&bad), Err(WireError::BadVersion(9)));
+        assert_eq!(decode(&bad, NODES), Err(WireError::BadVersion(9)));
         let mut bad = good.clone();
         bad[2] = 0x77;
-        assert_eq!(decode(&bad), Err(WireError::BadType(0x77)));
+        assert_eq!(decode(&bad, NODES), Err(WireError::BadType(0x77)));
         let mut bad = good.clone();
         bad[3] = 0xF0;
-        assert!(matches!(decode(&bad), Err(WireError::BadFlags(_))));
+        assert!(matches!(decode(&bad, NODES), Err(WireError::BadFlags(_))));
         let mut bad = good.clone();
         bad[6] = 1;
-        assert_eq!(decode(&bad), Err(WireError::BadReserved));
+        assert_eq!(decode(&bad, NODES), Err(WireError::BadReserved));
     }
 
     #[test]
@@ -580,7 +592,7 @@ mod tests {
         for m in samples() {
             let bytes = encode(&m);
             for cut in 0..bytes.len() {
-                let r = decode(&bytes[..cut]);
+                let r = decode(&bytes[..cut], NODES);
                 assert!(r.is_err(), "{m:?} decoded from a {cut}-byte prefix");
             }
         }
@@ -594,7 +606,7 @@ mod tests {
             target: NodeId(1),
         }));
         bytes[3] = flags::INITIAL;
-        assert!(matches!(decode(&bytes), Err(WireError::BadFlags(_))));
+        assert!(matches!(decode(&bytes, NODES), Err(WireError::BadFlags(_))));
     }
 
     #[test]
@@ -609,7 +621,19 @@ mod tests {
         // 12 body bytes, at offset HEADER_LEN + 12).
         let off = HEADER_LEN + 12;
         bytes[off..off + 2].copy_from_slice(&2u16.to_be_bytes());
-        assert_eq!(decode(&bytes), Err(WireError::BadListLength));
+        assert_eq!(decode(&bytes, NODES), Err(WireError::BadListLength));
+    }
+
+    #[test]
+    fn node_ids_are_bounded_by_the_node_count() {
+        let tree = encode(&WireMsg::Hbh(HbhMsg::Tree {
+            ch: ch(),
+            target: NodeId(9),
+        }));
+        assert!(decode(&tree, 19).is_ok());
+        // The channel source, 18, is the first id read.
+        assert_eq!(decode(&tree, 18), Err(WireError::UnknownNode(18)));
+        assert_eq!(decode(&tree, 0), Err(WireError::UnknownNode(18)));
     }
 
     #[test]

@@ -140,16 +140,19 @@ impl Writer {
     }
 }
 
-/// Bounds-checked big-endian reader over a body slice.
+/// Bounds-checked big-endian reader over a body slice, for a network of
+/// known size: a node id names one of its nodes or is an error.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Node count of the network: every node id read must be below it.
+    nodes: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// A reader over one message body.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    /// A reader over one message body from a network of `nodes` nodes.
+    pub fn new(buf: &'a [u8], nodes: usize) -> Self {
+        Reader { buf, pos: 0, nodes }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -187,9 +190,14 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    /// Reads a node address.
+    /// Reads a node address; one at or above the node count is
+    /// [`WireError::UnknownNode`].
     pub fn node(&mut self) -> Result<NodeId, WireError> {
-        Ok(NodeId(self.u32()?))
+        let id = self.u32()?;
+        if id as usize >= self.nodes {
+            return Err(WireError::UnknownNode(id));
+        }
+        Ok(NodeId(id))
     }
 
     /// Reads a channel (source address then group address).
@@ -228,7 +236,7 @@ mod tests {
         w.node(NodeId(42));
         w.channel(Channel::primary(NodeId(7)));
         let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
+        let mut r = Reader::new(&bytes, 43);
         assert_eq!(r.u8().unwrap(), 0xAB);
         assert_eq!(r.u16().unwrap(), 0xCDEF);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
@@ -238,14 +246,24 @@ mod tests {
     }
 
     #[test]
+    fn reader_rejects_unknown_nodes() {
+        let bytes = 42u32.to_be_bytes();
+        assert_eq!(Reader::new(&bytes, 43).node(), Ok(NodeId(42)));
+        assert_eq!(
+            Reader::new(&bytes, 42).node(),
+            Err(WireError::UnknownNode(42))
+        );
+    }
+
+    #[test]
     fn reader_rejects_truncation() {
-        let mut r = Reader::new(&[1, 2, 3]);
+        let mut r = Reader::new(&[1, 2, 3], 1);
         assert!(r.u32().is_err());
     }
 
     #[test]
     fn reader_rejects_trailing_bytes() {
-        let mut r = Reader::new(&[1, 2]);
+        let mut r = Reader::new(&[1, 2], 1);
         r.u8().unwrap();
         assert!(matches!(r.finish(), Err(WireError::TrailingBytes(1))));
     }

@@ -30,11 +30,16 @@
 //!
 //! ## Guarantees
 //!
-//! * **Round-trip:** `decode(encode(m)) == m` for every valid message
-//!   (unit + property tests).
+//! * **Round-trip:** `decode(encode(m), n) == m` for every valid message
+//!   whose node ids are below `n` (unit + property tests).
 //! * **Zero panic:** `decode` of *arbitrary* bytes never panics and never
 //!   allocates unboundedly — it returns a typed [`WireError`]
 //!   (property-tested against random and truncated inputs).
+//! * **Known nodes:** `decode(bytes, n)` returns only messages whose every
+//!   node id is below `n`, the receiving network's node count; any other
+//!   id is [`WireError::UnknownNode`], so no table indexed by node id is
+//!   ever read out of range (property-tested against valid and bit-flipped
+//!   encodings).
 
 pub mod codec;
 pub mod format;
