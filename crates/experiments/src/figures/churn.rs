@@ -174,7 +174,7 @@ impl Study for ChurnStudy {
         // branches and re-grow, so budget a few t2 rounds.
         let expected = scenario.receivers.len();
         let window = probe_window(k.network());
-        let deadline = t_fail + 8 * timing.t2 + 8 * timing.tree_period;
+        let deadline = t_fail + timing.repair_deadline();
         let mut lost = 0u64;
         let mut duplicates = 0u64;
         let mut repair_latency = None;

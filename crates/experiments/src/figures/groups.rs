@@ -50,7 +50,7 @@ pub fn build_multi(
         })
         .collect();
 
-    let join_window = 10 * timing.join_period;
+    let join_window = 10 * timing.tree_period;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6801);
     let mut joins = |rx: &[NodeId]| join_schedule(rx, Time::ZERO, join_window, &mut rng);
     let ((first, first_rx), rest) = channels.split_first().expect("at least one group");

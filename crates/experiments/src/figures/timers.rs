@@ -3,8 +3,9 @@
 //! The paper never publishes its t1/t2 constants; this ablation shows the
 //! steady-state metrics are insensitive to them while convergence time
 //! scales with t2 (which is why our defaults are safe — `DESIGN.md` A3).
-//! We scale t1/t2 by a factor (periods fixed) and report the time of the
-//! last structural change (convergence time) and the probe metrics.
+//! We scale t2 (and so t1 = t2/2) by a factor (period fixed) and report
+//! the time of the last structural change (convergence time) and the
+//! probe metrics.
 
 use crate::figures::sweep::{point, table_by_x, Column, Point};
 use crate::protocols::ProbeStudy;
@@ -12,13 +13,12 @@ use crate::report::Table;
 use crate::runner::{ProbeOutcome, RunConfig};
 use hbh_proto_base::Timing;
 
-/// Scales t1/t2 (and t2 = 2·t1 stays preserved) without touching periods.
+/// Scales the lifetime `t2` (and with it t1 = t2/2) without touching the
+/// period.
 pub fn scaled_timing(scale: f64) -> Timing {
     let base = Timing::default();
-    let t1 = ((base.t1 as f64) * scale).round() as u64;
     Timing {
-        t1,
-        t2: 2 * t1,
+        t2: ((base.t2 as f64) * scale).round() as u64,
         ..base
     }
 }
@@ -29,7 +29,7 @@ const COLUMNS: [Column<ProbeOutcome>; 3] = [
     ("delay", |o| Some(o.avg_delay())),
 ];
 
-/// Probes at every t1/t2 scale factor of `scales` — each point runs under
+/// Probes at every t2 scale factor of `scales` — each point runs under
 /// its own [`scaled_timing`], on the same draws as every other.
 pub fn evaluate(run: &RunConfig, group_size: usize, scales: &[f64]) -> Vec<Point<ProbeOutcome>> {
     let at = |&scale: &f64| {

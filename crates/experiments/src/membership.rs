@@ -189,7 +189,7 @@ impl Study for MembershipStudy {
         // receiver is served (tolerant — trees mid-decay may duplicate).
         let window = probe_window(k.network());
         let settle_start = k.now();
-        let deadline = settle_start + 8 * timing.t2 + 8 * timing.tree_period;
+        let deadline = settle_start + timing.repair_deadline();
         let mut settle_latency = None;
         let mut served;
         let mut tag = 100;

@@ -65,7 +65,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         flags: &["topo", "runs", "seed", "threads", "group"],
         run: churn,
         // CI's smoke size: `--runs 100` at seed 1 aborts on memory (soft
-        // HBH grows without bound after some crashes — ROADMAP item 1(i));
+        // HBH grows without bound after some crashes — ROADMAP item 1);
         // the row moves to the full sweep when that is fixed.
         files: &[("churn.txt", &["--runs", "5"])],
     },

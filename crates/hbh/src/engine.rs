@@ -231,7 +231,7 @@ impl Hbh {
         }
         if first {
             self.send_join(ch, ctx.node, true, ctx);
-            ctx.set_timer(HbhTimer::AggFlush(ch), self.timing.join_period);
+            ctx.set_timer(HbhTimer::AggFlush(ch), self.timing.tree_period);
         }
     }
 
@@ -269,7 +269,7 @@ impl Hbh {
             state.local.remove(&ch);
         } else {
             self.send_join(ch, ctx.node, false, ctx);
-            ctx.set_timer(HbhTimer::AggFlush(ch), self.timing.join_period);
+            ctx.set_timer(HbhTimer::AggFlush(ch), self.timing.tree_period);
         }
     }
 
@@ -522,7 +522,7 @@ impl Protocol for Hbh {
             HbhTimer::JoinRefresh(ch) => {
                 if state.member.contains(&ch) {
                     self.send_join(ch, ctx.node, false, ctx);
-                    ctx.set_timer(HbhTimer::JoinRefresh(ch), self.timing.join_period);
+                    ctx.set_timer(HbhTimer::JoinRefresh(ch), self.timing.tree_period);
                 }
             }
             HbhTimer::TreeRefresh(ch) => self.source_tree_tick(state, ch, ctx),
@@ -569,7 +569,7 @@ impl Protocol for Hbh {
                 if state.member.insert(ch) {
                     // First join: flagged, never intercepted.
                     self.send_join(ch, ctx.node, true, ctx);
-                    ctx.set_timer(HbhTimer::JoinRefresh(ch), self.timing.join_period);
+                    ctx.set_timer(HbhTimer::JoinRefresh(ch), self.timing.tree_period);
                 }
             }
             Cmd::Leave(ch) => {

@@ -1,6 +1,6 @@
 //! The scan-based forwarding tables the coverage core ([`crate::claims`])
-//! replaced, verbatim but for their names, doc comments and the soft
-//! entries' mark and stale refresh, which live here now: the reference
+//! replaced, verbatim but for names, doc comments and the soft entries'
+//! deadlines, mark and stale refresh, which live here now: the reference
 //! model `table_proptests` drives side by side with the indexed tables.
 //! Every coverage question here is the original
 //! `entries.any(nodes.all(covers.contains))` scan plus a fresh reach
@@ -8,22 +8,24 @@
 //! before it was lifted onto the tables.
 
 use crate::bits::{reach_fixpoint, Mask, Seed};
-use hbh_proto_base::{SoftEntry, Timing};
+use hbh_proto_base::Timing;
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
 
+/// An entry with its own t1 and t2 deadlines; expiry is inclusive.
 #[derive(Clone, Debug)]
 struct RefEntry {
     node: NodeId,
-    entry: SoftEntry,
+    t1: Time,
+    t2: Time,
     marked: bool,
     covers: Vec<NodeId>,
 }
 
-/// Fusion rules (3) and (4) in one: t1 expired on the spot, t2 restarted —
-/// what a refresh does under a timing whose t1 is zero.
-fn stale_timing(timing: &Timing) -> Timing {
-    Timing { t1: 0, ..*timing }
+impl RefEntry {
+    fn is_dead(&self, now: Time) -> bool {
+        now >= self.t2
+    }
 }
 
 #[derive(Clone, Debug, Default)]
@@ -33,15 +35,13 @@ pub struct RefMft {
 
 impl RefMft {
     fn get(&self, n: NodeId, now: Time) -> Option<&RefEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.node == n && !e.entry.is_dead(now))
+        self.entries.iter().find(|e| e.node == n && !e.is_dead(now))
     }
 
     fn get_mut(&mut self, n: NodeId, now: Time) -> Option<&mut RefEntry> {
         self.entries
             .iter_mut()
-            .find(|e| e.node == n && !e.entry.is_dead(now))
+            .find(|e| e.node == n && !e.is_dead(now))
     }
 
     pub fn contains(&self, n: NodeId, now: Time) -> bool {
@@ -53,18 +53,19 @@ impl RefMft {
     }
 
     pub fn is_stale(&self, n: NodeId, now: Time) -> bool {
-        self.get(n, now).is_some_and(|e| e.entry.is_stale(now))
+        self.get(n, now).is_some_and(|e| now >= e.t1)
     }
 
     pub fn refresh_or_insert(&mut self, n: NodeId, now: Time, timing: &Timing) -> bool {
         if let Some(e) = self.get_mut(n, now) {
-            e.entry.refresh(now, timing);
+            (e.t1, e.t2) = (now + timing.t1(), now + timing.t2);
             return false;
         }
         self.purge(n);
         self.entries.push(RefEntry {
             node: n,
-            entry: SoftEntry::new(now, timing),
+            t1: now + timing.t1(),
+            t2: now + timing.t2,
             marked: false,
             covers: Vec::new(),
         });
@@ -96,7 +97,7 @@ impl RefMft {
             self.entries.len(),
             |i| {
                 let e = &self.entries[i];
-                if e.entry.is_dead(now) {
+                if e.is_dead(now) {
                     Seed::Skip
                 } else if e.marked {
                     Seed::Pending // reachable only via a coverer
@@ -117,7 +118,7 @@ impl RefMft {
         if !self
             .entries
             .iter()
-            .any(|e| !e.entry.is_dead(now) && e.node != n && e.covers.contains(&n))
+            .any(|e| !e.is_dead(now) && e.node != n && e.covers.contains(&n))
         {
             return false;
         }
@@ -132,7 +133,7 @@ impl RefMft {
         // Fast path: no live entry other than `sender` even claims the
         // whole set — skip the fixpoint.
         if !self.entries.iter().any(|e| {
-            !e.entry.is_dead(now)
+            !e.is_dead(now)
                 && e.node != sender
                 && !e.covers.is_empty()
                 && nodes.iter().all(|n| e.covers.contains(n))
@@ -159,7 +160,7 @@ impl RefMft {
         // Subsume narrower senders (they sit deeper on the same paths).
         for e in &mut self.entries {
             if e.node != bp
-                && !e.entry.is_dead(now)
+                && !e.is_dead(now)
                 && !e.covers.is_empty()
                 && !e.marked
                 && e.covers.iter().all(|n| covers.contains(n))
@@ -169,7 +170,9 @@ impl RefMft {
             }
         }
         if let Some(e) = self.get_mut(bp, now) {
-            e.entry.refresh(now, &stale_timing(timing));
+            // Fusion rules (3) and (4) in one: t1 expired on the spot, t2
+            // restarted.
+            (e.t1, e.t2) = (now, now + timing.t2);
             // In-place copy: refreshes repeat the same claim far more often
             // than they change it, so reuse the existing allocation.
             e.covers.clear();
@@ -179,7 +182,8 @@ impl RefMft {
         self.purge(bp);
         self.entries.push(RefEntry {
             node: bp,
-            entry: SoftEntry::new(now, &stale_timing(timing)),
+            t1: now,
+            t2: now + timing.t2,
             marked: false,
             covers: covers.to_vec(),
         });
@@ -189,14 +193,14 @@ impl RefMft {
     pub fn data_targets(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
         self.entries
             .iter()
-            .filter(move |e| !e.entry.is_dead(now) && !e.marked)
+            .filter(move |e| !e.is_dead(now) && !e.marked)
             .map(|e| e.node)
     }
 
     pub fn tree_targets(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
         self.entries
             .iter()
-            .filter(move |e| e.entry.is_fresh(now) || (!e.entry.is_dead(now) && !e.marked))
+            .filter(move |e| !e.is_dead(now) && (now < e.t1 || !e.marked))
             .map(|e| e.node)
     }
 
@@ -214,13 +218,13 @@ impl RefMft {
     pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
         self.entries
             .iter()
-            .filter(move |e| !e.entry.is_dead(now))
+            .filter(move |e| !e.is_dead(now))
             .map(|e| e.node)
     }
 
     pub fn reap(&mut self, now: Time) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| !e.entry.is_dead(now));
+        self.entries.retain(|e| !e.is_dead(now));
         before - self.entries.len()
     }
 

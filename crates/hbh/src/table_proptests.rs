@@ -107,9 +107,9 @@ proptest! {
         // Pin one entry now; everything about it is then fully predictable.
         let probe = NodeId(99);
         mft.refresh_or_insert(probe, now, &timing);
-        prop_assert!(mft.contains(probe, now + (timing.t1 - 1)));
-        prop_assert!(!mft.is_stale(probe, now + (timing.t1 - 1)));
-        prop_assert!(mft.is_stale(probe, now + timing.t1));
+        prop_assert!(mft.contains(probe, now + (timing.t1() - 1)));
+        prop_assert!(!mft.is_stale(probe, now + (timing.t1() - 1)));
+        prop_assert!(mft.is_stale(probe, now + timing.t1()));
         prop_assert!(!mft.contains(probe, now + timing.t2));
     }
 }

@@ -117,7 +117,7 @@ impl HbhMft {
     /// processing); inserts fresh and unmarked if absent. Returns `true`
     /// if the entry is new.
     pub fn refresh_or_insert(&mut self, n: NodeId, now: Time, timing: &Timing) -> bool {
-        let (t1, t2) = (now + timing.t1, now + timing.t2);
+        let (t1, t2) = (now + timing.t1(), now + timing.t2);
         if self.core.touch(n, now, t1, t2) {
             return false;
         }
@@ -299,19 +299,19 @@ mod tests {
         let mut m = HbhMct::new(NodeId(1), Time(0), &t);
         assert_eq!(m.node(), NodeId(1));
         assert!(!m.is_stale(Time(0)));
-        assert!(m.is_stale(Time(t.t1)));
-        m.refresh(Time(t.t1), &t);
-        assert!(!m.is_stale(Time(t.t1)));
-        assert!(m.is_dead(Time(t.t1 + t.t2)));
+        assert!(m.is_stale(Time(t.t1())));
+        m.refresh(Time(t.t1()), &t);
+        assert!(!m.is_stale(Time(t.t1())));
+        assert!(m.is_dead(Time(t.t1() + t.t2)));
     }
 
     #[test]
     fn mct_replace_swaps_node_and_restarts() {
         let t = tm();
         let mut m = HbhMct::new(NodeId(1), Time(0), &t);
-        m.replace(NodeId(2), Time(t.t1), &t);
+        m.replace(NodeId(2), Time(t.t1()), &t);
         assert_eq!(m.node(), NodeId(2));
-        assert!(!m.is_stale(Time(t.t1)));
+        assert!(!m.is_stale(Time(t.t1())));
     }
 
     #[test]
@@ -364,7 +364,7 @@ mod tests {
         let mut m = HbhMft::default();
         m.refresh_or_insert(NodeId(1), Time(0), &t);
         m.mark(NodeId(1), Time(0));
-        let stale_at = Time(t.t1 + 1);
+        let stale_at = Time(t.t1() + 1);
         assert!(m.contains(NodeId(1), stale_at));
         assert_eq!(m.data_targets(stale_at).count(), 0);
         assert_eq!(

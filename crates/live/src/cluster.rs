@@ -96,7 +96,7 @@ impl Cluster {
     }
 
     /// Replays a [`Script`] against the cluster in wall-clock time: one
-    /// script time unit = one millisecond (matching [`crate::LiveTiming`]).
+    /// script time unit = one millisecond (matching [`crate::LIVE_TIMING`]).
     /// Entries are applied in time order; commands go to their node's
     /// thread, node faults become [`Cluster::crash`]/[`Cluster::restart`].
     /// Blocks until the last entry has been issued.

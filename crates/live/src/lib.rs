@@ -12,7 +12,7 @@
 //! unicast network.
 //!
 //! ```no_run
-//! use hbh_live::{Cluster, LiveTiming};
+//! use hbh_live::{Cluster, LIVE_TIMING};
 //! use hbh_proto::Hbh;
 //! use hbh_proto_base::{Channel, Cmd};
 //! use hbh_topo::scenarios;
@@ -20,7 +20,7 @@
 //! let graph = scenarios::fig2();
 //! let source = graph.node_by_label("S").unwrap();
 //! let r1 = graph.node_by_label("r1").unwrap();
-//! let cluster = Cluster::launch(graph, || Hbh::new(LiveTiming::fast().0)).unwrap();
+//! let cluster = Cluster::launch(graph, || Hbh::new(LIVE_TIMING)).unwrap();
 //! let ch = Channel::primary(source);
 //! cluster.command(source, Cmd::StartSource(ch));
 //! cluster.command(r1, Cmd::Join(ch));
@@ -46,4 +46,4 @@ pub mod node;
 
 pub use cluster::Cluster;
 pub use codec::LiveMsg;
-pub use node::LiveTiming;
+pub use node::LIVE_TIMING;

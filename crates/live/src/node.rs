@@ -17,21 +17,12 @@ use std::time::{Duration, Instant};
 
 /// Millisecond-scale timing for live runs (1 time unit = 1 ms, so the
 /// simulator defaults of 100-unit periods would mean 100 ms refreshes —
-/// fine, but tests prefer faster convergence).
-pub struct LiveTiming(pub Timing);
-
-impl LiveTiming {
-    /// Snappy timers for tests/demos: 40 ms periods, t1 = 110 ms,
-    /// t2 = 220 ms — converges in roughly a second.
-    pub fn fast() -> Self {
-        LiveTiming(Timing {
-            join_period: 40,
-            tree_period: 40,
-            t1: 110,
-            t2: 220,
-        })
-    }
-}
+/// fine, but tests prefer faster convergence): 40 ms periods and
+/// t2 = 220 ms (t1 = 110 ms) — converges in roughly a second.
+pub const LIVE_TIMING: Timing = Timing {
+    tree_period: 40,
+    t2: 220,
+};
 
 /// Control-plane commands into a node thread.
 pub enum LiveCmd {

@@ -2,7 +2,7 @@
 //! engines build their trees and deliver data between actual sockets.
 
 use hbh_live::codec::encode_packet;
-use hbh_live::{Cluster, LiveTiming};
+use hbh_live::{Cluster, LIVE_TIMING};
 use hbh_proto::{Hbh, HbhHard, HbhMsg};
 use hbh_proto_base::{Channel, Cmd, Script};
 use hbh_reunite::Reunite;
@@ -14,8 +14,7 @@ use std::net::{Ipv4Addr, UdpSocket};
 use std::time::Duration;
 
 fn converge_ms() -> u64 {
-    let t = LiveTiming::fast().0;
-    t.convergence_horizon(200)
+    LIVE_TIMING.convergence_horizon(200)
 }
 
 #[test]
@@ -23,7 +22,7 @@ fn hbh_over_udp_delivers_to_all_receivers() {
     let graph = scenarios::fig2();
     let n = |l: &str| graph.node_by_label(l).unwrap();
     let (s, r1, r2, r3) = (n("S"), n("r1"), n("r2"), n("r3"));
-    let cluster = Cluster::launch(graph, || Hbh::new(LiveTiming::fast().0)).unwrap();
+    let cluster = Cluster::launch(graph, || Hbh::new(LIVE_TIMING)).unwrap();
     let ch = Channel::primary(s);
     cluster.command(s, Cmd::StartSource(ch));
     for (i, r) in [r1, r2, r3].into_iter().enumerate() {
@@ -51,7 +50,7 @@ fn malformed_datagrams_leave_every_receiver_served() {
     let graph = scenarios::fig2();
     let n = |l: &str| graph.node_by_label(l).unwrap();
     let (s, router, r1, r2, r3) = (n("S"), n("R1"), n("r1"), n("r2"), n("r3"));
-    let cluster = Cluster::launch(graph, || Hbh::new(LiveTiming::fast().0)).unwrap();
+    let cluster = Cluster::launch(graph, || Hbh::new(LIVE_TIMING)).unwrap();
     let ch = Channel::primary(s);
     cluster.command(s, Cmd::StartSource(ch));
     for r in [r1, r2, r3] {
@@ -89,7 +88,7 @@ fn reunite_over_udp_delivers_to_all_receivers() {
     let graph = scenarios::fig3();
     let n = |l: &str| graph.node_by_label(l).unwrap();
     let (s, r1, r2) = (n("S"), n("r1"), n("r2"));
-    let cluster = Cluster::launch(graph, || Reunite::new(LiveTiming::fast().0)).unwrap();
+    let cluster = Cluster::launch(graph, || Reunite::new(LIVE_TIMING)).unwrap();
     let ch = Channel::primary(s);
     cluster.command(s, Cmd::StartSource(ch));
     cluster.command(r1, Cmd::Join(ch));
@@ -109,8 +108,7 @@ fn leave_stops_delivery_over_udp() {
     let graph = scenarios::fig2();
     let n = |l: &str| graph.node_by_label(l).unwrap();
     let (s, r1, r3) = (n("S"), n("r1"), n("r3"));
-    let timing = LiveTiming::fast().0;
-    let cluster = Cluster::launch(graph, || Hbh::new(timing)).unwrap();
+    let cluster = Cluster::launch(graph, || Hbh::new(LIVE_TIMING)).unwrap();
     let ch = Channel::primary(s);
     cluster.command(s, Cmd::StartSource(ch));
     cluster.command(r1, Cmd::Join(ch));
@@ -119,7 +117,7 @@ fn leave_stops_delivery_over_udp() {
     cluster.command(r3, Cmd::Leave(ch));
     // Let r3's soft state decay fully.
     std::thread::sleep(Duration::from_millis(
-        3 * timing.t2 + 5 * timing.tree_period,
+        3 * LIVE_TIMING.t2 + 5 * LIVE_TIMING.tree_period,
     ));
 
     cluster.command(s, Cmd::SendData { ch, tag: 5 });
@@ -140,8 +138,7 @@ fn scripted_router_crash_heals_over_udp() {
     let graph = scenarios::fig1();
     let n = |l: &str| graph.node_by_label(l).unwrap();
     let (s, h2, r1, r4) = (n("S"), n("H2"), n("r1"), n("r4"));
-    let timing = LiveTiming::fast().0;
-    let cluster = Cluster::launch(graph, || Hbh::new(timing)).unwrap();
+    let cluster = Cluster::launch(graph, || Hbh::new(LIVE_TIMING)).unwrap();
     let ch = Channel::primary(s);
 
     // r1 sits behind H2 (S→H1→H2→H4→H6→r1); r4 is on the H3 branch and
@@ -188,8 +185,7 @@ fn hard_engine_scripted_crash_heals_over_udp() {
     let graph = scenarios::fig1();
     let n = |l: &str| graph.node_by_label(l).unwrap();
     let (s, h2, r1, r4) = (n("S"), n("H2"), n("r1"), n("r4"));
-    let timing = LiveTiming::fast().0;
-    let cluster = Cluster::launch(graph, || HbhHard::new(timing)).unwrap();
+    let cluster = Cluster::launch(graph, || HbhHard::new(LIVE_TIMING)).unwrap();
     let ch = Channel::primary(s);
 
     let c = converge_ms();

@@ -109,7 +109,7 @@ impl PimNodeState {
             ctx.structural_change();
         }
         if self.sweep_armed.insert(ch) {
-            ctx.set_timer(PimTimer::Sweep(ch), timing.join_period);
+            ctx.set_timer(PimTimer::Sweep(ch), timing.tree_period);
         }
     }
 }
@@ -195,7 +195,7 @@ impl Protocol for Pim {
             PimTimer::JoinRefresh(ch) => {
                 if state.member.contains(&ch) {
                     self.send_receiver_join(ch, ctx);
-                    ctx.set_timer(PimTimer::JoinRefresh(ch), self.timing.join_period);
+                    ctx.set_timer(PimTimer::JoinRefresh(ch), self.timing.tree_period);
                 }
             }
             PimTimer::Sweep(ch) => {
@@ -211,7 +211,7 @@ impl Protocol for Pim {
                     state.sweep_armed.remove(&ch);
                     ctx.structural_change();
                 } else if state.oifs.contains_key(&ch) {
-                    ctx.set_timer(PimTimer::Sweep(ch), self.timing.join_period);
+                    ctx.set_timer(PimTimer::Sweep(ch), self.timing.tree_period);
                 } else {
                     state.sweep_armed.remove(&ch);
                 }
@@ -228,7 +228,7 @@ impl Protocol for Pim {
             Cmd::Join(ch) => {
                 if state.member.insert(ch) {
                     self.send_receiver_join(ch, ctx);
-                    ctx.set_timer(PimTimer::JoinRefresh(ch), self.timing.join_period);
+                    ctx.set_timer(PimTimer::JoinRefresh(ch), self.timing.tree_period);
                 }
             }
             Cmd::Leave(ch) => {
@@ -419,7 +419,7 @@ mod tests {
         converge(&mut k, 1000);
         k.command_at(n.h2, Cmd::Leave(ch), Time(1000));
         // Wait out t2 plus slack so the oif chain toward h2 is reaped.
-        converge(&mut k, 1000 + timing.t2 + 3 * timing.join_period);
+        converge(&mut k, 1000 + timing.t2 + 3 * timing.tree_period);
         let probe_at = k.now();
         k.command_at(n.s, Cmd::SendData { ch, tag: 5 }, probe_at);
         k.run_until(probe_at + 200);
@@ -441,7 +441,7 @@ mod tests {
         k.command_at(n.h2, Cmd::Join(ch), Time(0));
         converge(&mut k, 800);
         k.command_at(n.h2, Cmd::Leave(ch), Time(800));
-        converge(&mut k, 800 + timing.t2 + 5 * timing.join_period);
+        converge(&mut k, 800 + timing.t2 + 5 * timing.tree_period);
         for node in [n.s, n.r[0], n.r[1], n.r[2]] {
             assert!(
                 k.state(node).oif_table(ch).is_none(),

@@ -43,7 +43,7 @@ impl OifTable {
     pub fn upstream_due(&mut self, now: Time, timing: &Timing) -> bool {
         let due = match self.last_upstream {
             None => true,
-            Some(t) => now.since(t) >= timing.join_period / 2,
+            Some(t) => now.since(t) >= timing.tree_period / 2,
         };
         if due {
             self.last_upstream = Some(now);
@@ -99,7 +99,7 @@ mod tests {
         let mut t = OifTable::default();
         let tm = timing();
         t.refresh(NodeId(1), Time(0), &tm);
-        let live: Vec<_> = t.live(Time(tm.t1 + 1)).collect();
+        let live: Vec<_> = t.live(Time(tm.t1() + 1)).collect();
         assert_eq!(live, vec![NodeId(1)]);
     }
 
@@ -112,6 +112,6 @@ mod tests {
             !t.upstream_due(Time(10), &tm),
             "suppressed inside half-period"
         );
-        assert!(t.upstream_due(Time(tm.join_period / 2), &tm));
+        assert!(t.upstream_due(Time(tm.tree_period / 2), &tm));
     }
 }

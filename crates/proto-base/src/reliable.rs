@@ -33,16 +33,6 @@ pub struct ReliableConfig {
     pub max_attempts: u32,
 }
 
-impl Default for ReliableConfig {
-    fn default() -> Self {
-        ReliableConfig {
-            rto: 50,
-            rto_cap: 200,
-            max_attempts: 4,
-        }
-    }
-}
-
 impl ReliableConfig {
     /// The backed-off timeout for the next retransmission after `attempt`
     /// transmissions have already gone out: `min(rto << attempt, rto_cap)`.
@@ -327,7 +317,11 @@ mod tests {
 
     #[test]
     fn ack_races_rtx_timer_to_stale() {
-        let cfg = ReliableConfig::default();
+        let cfg = ReliableConfig {
+            rto: 50,
+            rto_cap: 200,
+            max_attempts: 4,
+        };
         let mut r: ReliableState<&str> = ReliableState::default();
         let seq = r.seal(n(4), "x");
         r.on_ack(seq).unwrap();

@@ -2,7 +2,8 @@
 //!
 //! Both HBH and REUNITE attach two timers to every table entry (§3.1):
 //!
-//! * when `t1` expires the entry becomes **stale**;
+//! * when `t1` ([`Timing::t1`], half of `t2`) expires the entry becomes
+//!   **stale**;
 //! * when `t2` expires the entry is **destroyed**.
 //!
 //! Entries are kept alive by periodic refresh messages (joins or trees).
@@ -48,14 +49,14 @@ impl SoftEntry {
     /// A fresh entry created (or refreshed) at `now`.
     pub fn new(now: Time, timing: &Timing) -> Self {
         SoftEntry {
-            expires_t1: now + timing.t1,
+            expires_t1: now + timing.t1(),
             expires_t2: now + timing.t2,
         }
     }
 
     /// Full refresh: both timers restart, which clears staleness.
     pub fn refresh(&mut self, now: Time, timing: &Timing) {
-        self.expires_t1 = now + timing.t1;
+        self.expires_t1 = now + timing.t1();
         self.expires_t2 = now + timing.t2;
     }
 
@@ -225,7 +226,6 @@ mod tests {
 
     fn timing() -> Timing {
         Timing {
-            t1: 100,
             t2: 200,
             ..Timing::default()
         }

@@ -228,7 +228,7 @@ impl WorkloadGen for Workload {
         match self.kind {
             Kind::PaperFigure { group_size } => {
                 let receivers = sample_receivers(pool, group_size, rng);
-                let join_window = self.window_periods * timing.join_period;
+                let join_window = self.window_periods * timing.tree_period;
                 let join_times = join_schedule(&receivers, Time(0), join_window, rng);
                 WorkloadPlan {
                     receivers,
@@ -255,7 +255,7 @@ impl WorkloadGen for Workload {
             } => {
                 let sampled = sample_receivers(pool, receivers, rng);
                 let cdf = zipf_cdf(channels, exponent);
-                let join_window = self.window_periods * timing.join_period;
+                let join_window = self.window_periods * timing.tree_period;
                 let mut primary_joins = Vec::new();
                 let mut primary_members = Vec::new();
                 let mut script = Script::new();
@@ -301,8 +301,8 @@ impl WorkloadGen for Workload {
             } => {
                 let sampled = sample_receivers(pool, viewers, rng);
                 let cdf = zipf_cdf(channels, exponent);
-                let join_window = self.window_periods * timing.join_period;
-                let dwell = ZAP_DWELL_PERIODS * timing.join_period;
+                let join_window = self.window_periods * timing.tree_period;
+                let dwell = ZAP_DWELL_PERIODS * timing.tree_period;
                 let mut script = Script::new();
                 // Every channel may be visited; start all sources.
                 for rank in 2..=channels {
@@ -419,10 +419,10 @@ mod tests {
         let plan = Workload::paper_figure(8, 20).plan(&p, primary(), &t, &mut rng(7));
         let mut reference = rng(7);
         let receivers = sample_receivers(&p, 8, &mut reference);
-        let join_times = join_schedule(&receivers, Time(0), 20 * t.join_period, &mut reference);
+        let join_times = join_schedule(&receivers, Time(0), 20 * t.tree_period, &mut reference);
         assert_eq!(plan.receivers, receivers);
         assert_eq!(plan.join_times, join_times);
-        assert_eq!(plan.join_window, 20 * t.join_period);
+        assert_eq!(plan.join_window, 20 * t.tree_period);
         assert!(plan.script.is_empty());
     }
 

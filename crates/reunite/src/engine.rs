@@ -415,7 +415,7 @@ impl Protocol for Reunite {
             ReuniteTimer::JoinRefresh(ch) => {
                 if state.member.contains(&ch) {
                     self.send_receiver_join(ch, false, ctx);
-                    ctx.set_timer(ReuniteTimer::JoinRefresh(ch), self.timing.join_period);
+                    ctx.set_timer(ReuniteTimer::JoinRefresh(ch), self.timing.tree_period);
                 }
             }
             ReuniteTimer::TreeRefresh(ch) => self.source_tree_tick(state, ch, ctx),
@@ -459,7 +459,7 @@ impl Protocol for Reunite {
             Cmd::Join(ch) => {
                 if state.member.insert(ch) {
                     self.send_receiver_join(ch, true, ctx);
-                    ctx.set_timer(ReuniteTimer::JoinRefresh(ch), self.timing.join_period);
+                    ctx.set_timer(ReuniteTimer::JoinRefresh(ch), self.timing.tree_period);
                 }
             }
             Cmd::Leave(ch) => {

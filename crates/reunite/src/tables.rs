@@ -200,11 +200,11 @@ mod tests {
     fn mft_stops_intercepting_when_dst_goes_stale() {
         let t = tm();
         let m = Mft::new(NodeId(7), Time(0), &t);
-        assert!(m.intercepts(Time(t.t1 - 1)));
-        assert!(!m.intercepts(Time(t.t1)));
-        assert!(m.dst_is_stale(Time(t.t1)));
+        assert!(m.intercepts(Time(t.t1() - 1)));
+        assert!(!m.intercepts(Time(t.t1())));
+        assert!(m.dst_is_stale(Time(t.t1())));
         assert_eq!(
-            m.live(Time(t.t1)).collect::<Vec<_>>(),
+            m.live(Time(t.t1())).collect::<Vec<_>>(),
             vec![NodeId(7)],
             "stale but still forwarding data"
         );
@@ -237,8 +237,8 @@ mod tests {
         let t = tm();
         let mut m = Mft::new(NodeId(7), Time(0), &t);
         m.refresh_or_insert(NodeId(8), Time(200), &t);
-        assert!(m.entry_is_stale(NodeId(7), Time(t.t1)));
-        assert!(!m.entry_is_stale(NodeId(8), Time(t.t1)));
+        assert!(m.entry_is_stale(NodeId(7), Time(t.t1())));
+        assert!(!m.entry_is_stale(NodeId(8), Time(t.t1())));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! cargo run -p hbh-examples --bin live_udp
 //! ```
 
-use hbh_live::{Cluster, LiveTiming};
+use hbh_live::{Cluster, LIVE_TIMING};
 use hbh_proto::Hbh;
 use hbh_proto_base::{Channel, Cmd};
 use hbh_topo::scenarios;
@@ -19,8 +19,7 @@ fn main() {
     let (s, r1, r2, r3) = (n("S"), n("r1"), n("r2"), n("r3"));
     let labels = graph.clone();
 
-    let timing = LiveTiming::fast().0;
-    let cluster = Cluster::launch(graph, || Hbh::new(timing)).expect("bind sockets");
+    let cluster = Cluster::launch(graph, || Hbh::new(LIVE_TIMING)).expect("bind sockets");
     println!("nodes bound to loopback UDP:");
     let mut addrs: Vec<_> = cluster.addresses.iter().collect();
     addrs.sort_by_key(|(n, _)| **n);
@@ -39,7 +38,7 @@ fn main() {
         std::thread::sleep(Duration::from_millis(80));
     }
     println!("\nwaiting for the soft-state tree to converge…");
-    std::thread::sleep(Duration::from_millis(timing.convergence_horizon(200)));
+    std::thread::sleep(Duration::from_millis(LIVE_TIMING.convergence_horizon(200)));
 
     println!("sending one data packet on {ch}:");
     cluster.command(s, Cmd::SendData { ch, tag: 1 });

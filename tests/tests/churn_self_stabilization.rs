@@ -264,7 +264,7 @@ fn churn_experiment_pinned_seed_regression() {
     // Bounds that outlive a deliberate re-pin of `CHURN_PIN`. Soft HBH's
     // leaves one probe round (100 units) of headroom above its pinned 350,
     // so a cadence tweak passes and an extra repair round does not.
-    // HBH-HARD's has none: the pinned draw sits on it (ROADMAP 1(iii)).
+    // HBH-HARD's has none: the pinned draw sits on it (ROADMAP item 2).
     assert!(mean(HbhHard, REPAIR_LATENCY) <= 250.0);
     assert!(mean(Hbh, REPAIR_LATENCY) <= 450.0);
     assert_eq!(
@@ -415,14 +415,14 @@ fn restart_draw(i: u64) -> Option<(NodeId, [Phase; 2])> {
     Some((victim, phases))
 }
 
-/// ROADMAP 1(i) at its smallest known reproducer — draw 6 of `hbh-exp churn
+/// ROADMAP item 1 at its smallest known reproducer — draw 6 of `hbh-exp churn
 /// --runs 8 --seed 1` (ISP, 8 receivers, victim `n4`, soft HBH): a
 /// tree-message loop after the victim restarts; the diagnosis is in
 /// ROADMAP.md. Fails at the first quarter-period check that breaks the
 /// loop-freedom invariant (`support`), naming the entries, and stops the
 /// draw before a storm runs away.
 #[test]
-#[ignore = "ROADMAP 1(i)"]
+#[ignore = "ROADMAP item 1"]
 fn restarted_router_does_not_start_a_tree_storm() {
     let (victim, [outage, restart]) = restart_draw(6).expect("draw 6 has a victim");
     assert_eq!(victim, NodeId(4));
@@ -432,11 +432,11 @@ fn restarted_router_does_not_start_a_tree_storm() {
     );
 }
 
-/// ROADMAP 1(i)'s census: [`restart_draw`] on every draw of `hbh-exp churn
+/// ROADMAP item 1's census: [`restart_draw`] on every draw of `hbh-exp churn
 /// --runs 100 --seed 1`. Prints one line per draw and a tally, and fails
 /// while any draw breaks the invariant or storms.
 #[test]
-#[ignore = "ROADMAP 1(i)"]
+#[ignore = "ROADMAP item 1"]
 fn no_churn_draw_loops_or_storms() {
     let (mut tally, mut dirty) = (BTreeMap::<&str, Vec<u64>>::new(), 0);
     for i in 0..100 {

@@ -3,7 +3,7 @@
 //! a constant that a closed form of the tree can predict. REUNITE, HBH and
 //! HBH-AGG send the same count in every period; PIM-SM and PIM-SS the
 //! same count over every two, because a join is suppressed for half a join
-//! period. HBH-HARD stays out until ROADMAP 1(ii) is fixed: it does not
+//! period. HBH-HARD stays out until ROADMAP item 2 is settled: it does not
 //! converge on every paper draw.
 
 use hbh_experiments::protocols::{dispatch, ProtocolKind, Study};

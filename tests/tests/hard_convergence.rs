@@ -15,7 +15,7 @@
 //!   topology until the flapping stops.
 //!
 //! The hard engine also fails to converge on a few fault-free paper draws
-//! (ROADMAP 1(ii)); the smallest is pinned here, ignored until it is fixed.
+//! (ROADMAP item 2); the smallest is pinned here, ignored until it is fixed.
 
 use hbh_experiments::runner::{build_kernel, converge};
 use hbh_experiments::scenario::{build, ScenarioOptions, TopologyKind};
@@ -142,7 +142,7 @@ fn hard_engine_survives_fast_link_flap() {
     converges_after(HbhHard::new(Timing::default()), &flap_plan(a, b), 32);
 }
 
-/// ROADMAP 1(ii) at its smallest known reproducer, ISP with 3 receivers at
+/// ROADMAP item 2's non-convergence at its smallest known reproducer, ISP with 3 receivers at
 /// seed 20: `n8` serves `n34`, but `n34`'s join takes an asymmetric
 /// up-path and is consumed at `n0`, where `n34`'s entry is marked. The
 /// tree then cycles every 4 tree periods, through 4 structural changes:
@@ -151,7 +151,7 @@ fn hard_engine_survives_fast_link_flap() {
 /// meanwhile `n8`, which hears no probe from it, reaps it by the deadman;
 /// the last redirect, to `n8`, finds nobody, and `n34` re-joins.
 #[test]
-#[ignore = "ROADMAP 1(ii)"]
+#[ignore = "ROADMAP item 2"]
 fn hard_engine_converges_on_every_fault_free_draw() {
     let timing = Timing::default();
     let sc = build(

@@ -1,8 +1,8 @@
-//! ROADMAP 1(i)'s loop detector as an oracle on fault-free runs: every
-//! tree of the paper's figure draws, soft and hard, keeps each MFT entry
-//! strictly farther from the source than the node holding it once
-//! `converge` returns — which it does with `true` on every kernel but
-//! three named HBH-HARD ones (ROADMAP 1(ii)).
+//! ROADMAP item 1's loop detector as an oracle on fault-free runs: every
+//! tree of the paper's figure draws, soft, aggregated (HBH-AGG) and hard,
+//! keeps each MFT entry strictly farther from the source than the node
+//! holding it once `converge` returns — which it does with `true` on every
+//! kernel but three named HBH-HARD ones (ROADMAP item 2).
 //! The restart reproducer in `churn_self_stabilization.rs` runs the same
 //! check under a fault.
 
@@ -16,7 +16,7 @@ use hbh_sim_core::Protocol;
 use support::{loop_violations, LiveMft};
 
 /// The HBH-HARD kernels among these draws that never stop changing
-/// (ROADMAP 1(ii)). They keep the invariant all the same.
+/// (ROADMAP item 2). They keep the invariant all the same.
 const HARD_UNCONVERGED: [&str; 3] = [
     "isp group 8 seed 8",
     "isp group 16 seed 0",
@@ -47,6 +47,8 @@ fn converged_paper_draws_are_loop_free() {
                 let what = format!("{} group {group} seed {seed}", topo.name());
                 let hard_converges = !HARD_UNCONVERGED.contains(&what.as_str());
                 assert_loop_free(Hbh::new(timing), &sc, &timing, &format!("HBH {what}"), true);
+                let agg = format!("HBH-AGG {what}");
+                assert_loop_free(Hbh::aggregated(timing), &sc, &timing, &agg, true);
                 assert_loop_free(
                     HbhHard::new(timing),
                     &sc,

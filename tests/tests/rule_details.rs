@@ -43,7 +43,7 @@ fn hbh_rule7_stale_mct_is_replaced_without_promotion() {
     // (stale-unmarked entries stay tree-eligible — the fusion-chain
     // healing rule), so the path MCTs are refreshed until then and their
     // stale window is ≈ (400 + t2 + t1, 400 + 2·t2). Join r2 inside it.
-    let join_at = 400 + timing.t2 + timing.t1 + 40;
+    let join_at = 400 + timing.t2 + timing.t1() + 40;
     k.command_at(r2, Cmd::Join(ch), Time(join_at));
     k.run_until(Time(join_at + 3 * timing.tree_period));
     // Neither transit router became branching: the stale r1 MCT was
@@ -95,7 +95,7 @@ fn reunite_recovers_from_stale_flag_on_rejoin() {
 
     k.command_at(r1, Cmd::Leave(ch), Time(1000));
     // Past t1: S's dst entry is stale, marked trees flag c's table.
-    let stale_window = 1000 + timing.t1 + timing.tree_period;
+    let stale_window = 1000 + timing.t1() + timing.tree_period;
     k.run_until(Time(stale_window));
     if let Some(mft) = k.state(c).mft(ch) {
         assert!(
@@ -133,7 +133,7 @@ fn pim_suppresses_upstream_join_amplification() {
     k.command_at(r2, Cmd::Join(ch), Time(7));
     k.run_until(Time(1000));
     k.enable_trace();
-    let window = 10 * timing.join_period;
+    let window = 10 * timing.tree_period;
     let t = k.now();
     k.run_until(t + window);
     let upstream_joins = k
@@ -148,7 +148,7 @@ fn pim_suppresses_upstream_join_amplification() {
                 )
         })
         .count();
-    let periods = (window / timing.join_period) as usize;
+    let periods = (window / timing.tree_period) as usize;
     assert!(
         upstream_joins <= 2 * periods + 2,
         "router b forwarded {upstream_joins} joins in {periods} periods (amplification)"

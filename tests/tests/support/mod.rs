@@ -1,4 +1,4 @@
-//! The loop-freedom invariant of ROADMAP item 1(i), written once for both
+//! The loop-freedom invariant of ROADMAP item 1, written once for both
 //! HBH engines and shared by the integration tests that check it.
 //!
 //! For every live MFT entry `t` at node `b` on channel `<S,G>`,
