@@ -1,11 +1,11 @@
 //! Cluster harness: binds one UDP socket per graph node, spawns one thread
 //! per node running the protocol, and exposes command/delivery channels.
 
-use crate::codec::LiveMsg;
 use crate::node::{run_node, LiveCmd, NodeSetup};
 use hbh_proto_base::{Cmd, Script, ScriptAction};
 use hbh_sim_core::{Delivery, FaultEvent, Network, Protocol};
 use hbh_topo::graph::{Graph, NodeId};
+use hbh_wire::Codec;
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -28,7 +28,7 @@ impl Cluster {
     pub fn launch<P, F>(graph: Graph, make_proto: F) -> std::io::Result<Cluster>
     where
         P: Protocol<Command = Cmd> + Send + 'static,
-        P::Msg: LiveMsg,
+        P::Msg: Codec,
         P::NodeState: Send,
         F: Fn() -> P,
     {

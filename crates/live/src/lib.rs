@@ -5,11 +5,15 @@
 //! Everything in `hbh-proto` / `hbh-reunite` is written against the
 //! [`hbh_sim_core::KernelOps`] capability trait, not against the simulator.
 //! This crate provides the other implementation of that trait: one OS
-//! thread per node, a real `UdpSocket` per node, messages encoded with
-//! `hbh-wire`, and wall-clock timers (1 simulated time unit = 1 ms). The
-//! *identical protocol code* that reproduces the paper's figures in the
-//! simulator runs here over loopback UDP — recursive unicast on an actual
-//! unicast network.
+//! thread per node ([`node`]) and a harness that launches them
+//! ([`cluster`]) — a real `UdpSocket` per node, wall-clock timers (1
+//! simulated time unit = 1 ms). What it sends is `hbh-wire`'s: a node
+//! encodes and decodes whole datagrams there, so this crate holds no byte
+//! of the format. What it does with an arrival is sim-core's: the
+//! kernel's own [`hbh_sim_core::arrival`] rule, and transit through the
+//! node's [`hbh_sim_core::KernelOps::forward`]. The *identical protocol
+//! code* that reproduces the paper's figures in the simulator runs here
+//! over loopback UDP — recursive unicast on an actual unicast network.
 //!
 //! ```no_run
 //! use hbh_live::{Cluster, LIVE_TIMING};
@@ -41,9 +45,7 @@
 //! machines need nothing from the simulator.
 
 pub mod cluster;
-pub mod codec;
 pub mod node;
 
 pub use cluster::Cluster;
-pub use codec::LiveMsg;
 pub use node::LIVE_TIMING;

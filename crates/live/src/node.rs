@@ -1,10 +1,10 @@
 //! One live node: a UDP socket, the protocol state machine, and a
 //! [`KernelOps`] implementation backed by wall-clock time.
 
-use crate::codec::{decode_packet, encode_packet, LiveMsg};
 use hbh_proto_base::{Cmd, Timing};
-use hbh_sim_core::{Ctx, Delivery, KernelOps, Network, Packet, Protocol, Time};
+use hbh_sim_core::{arrival, Arrival, Ctx, Delivery, KernelOps, Network, Packet, Protocol, Time};
 use hbh_topo::graph::NodeId;
+use hbh_wire::{decode_packet, encode_packet, Codec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
@@ -57,16 +57,17 @@ struct LiveOps<M, T> {
     _msg: std::marker::PhantomData<M>,
 }
 
-impl<M: LiveMsg + Clone + Debug, T: Clone + Eq + Hash + Debug> LiveOps<M, T> {
+impl<M: Codec + Clone + Debug, T: Clone + Eq + Hash + Debug> LiveOps<M, T> {
     fn wall_now(&self) -> Time {
         Time(self.epoch.elapsed().as_millis() as u64)
     }
 
     fn transmit(&mut self, next: NodeId, pkt: &Packet<M>) {
-        if let Some(addr) = self.addr_book.get(&next) {
+        // A message too large for one datagram is not sent at all.
+        if let (Some(addr), Ok(bytes)) = (self.addr_book.get(&next), encode_packet(pkt)) {
             // UDP send errors on loopback are not actionable; soft-state
             // refresh covers occasional losses exactly like on a real net.
-            let _ = self.socket.send_to(&encode_packet(pkt), addr);
+            let _ = self.socket.send_to(&bytes, addr);
         }
     }
 
@@ -97,7 +98,7 @@ impl<M: LiveMsg + Clone + Debug, T: Clone + Eq + Hash + Debug> LiveOps<M, T> {
 
 impl<M, T> KernelOps<M, T> for LiveOps<M, T>
 where
-    M: LiveMsg + Clone + Debug,
+    M: Codec + Clone + Debug,
     T: Clone + Eq + Hash + Debug,
 {
     fn now(&self) -> Time {
@@ -130,12 +131,8 @@ where
     }
 
     fn forward(&mut self, from: NodeId, mut pkt: Packet<M>) {
-        if pkt.ttl == 0 {
-            return;
-        }
-        pkt.ttl -= 1;
-        if let Some((next, ..)) = self.net.hop(from, pkt.dst) {
-            self.transmit(next, &pkt);
+        if pkt.take_hop() {
+            self.send(from, pkt);
         }
     }
 
@@ -188,7 +185,7 @@ pub(crate) struct NodeSetup {
 pub(crate) fn run_node<P>(proto: P, setup: NodeSetup)
 where
     P: Protocol<Command = Cmd>,
-    P::Msg: LiveMsg,
+    P::Msg: Codec,
 {
     let NodeSetup {
         node,
@@ -262,26 +259,16 @@ where
                 }
                 // Garbage, and ids naming no node of the graph, are
                 // dropped here: nothing below ever sees them.
-                let Some(pkt) = decode_packet::<P::Msg>(&buf[..n], ops.net.node_count()) else {
+                let Ok(pkt) = decode_packet::<P::Msg>(&buf[..n], ops.net.node_count()) else {
                     continue;
                 };
-                // Same dispatch rules as the simulation kernel.
-                let g = ops.net.graph();
-                if g.is_host(node) && pkt.dst != node {
-                    continue; // misrouted to a host: drop
-                }
-                if ops.net.runs_protocol(node) {
-                    let mut ctx = Ctx::from_ops(node, &mut ops);
-                    proto.on_packet(&mut state, pkt, &mut ctx);
-                } else if pkt.dst != node {
-                    // Unicast-only router: plain forwarding.
-                    let mut fwd = pkt;
-                    if fwd.ttl > 0 {
-                        fwd.ttl -= 1;
-                        if let Some((next, ..)) = ops.net.hop(node, fwd.dst) {
-                            ops.transmit(next, &fwd);
-                        }
+                match arrival(&ops.net, node, pkt.dst) {
+                    Arrival::Engine => {
+                        let mut ctx = Ctx::from_ops(node, &mut ops);
+                        proto.on_packet(&mut state, pkt, &mut ctx);
                     }
+                    Arrival::Transit => ops.forward(node, pkt),
+                    Arrival::Drop(_) => {}
                 }
             }
             Err(e)

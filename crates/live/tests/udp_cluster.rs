@@ -1,7 +1,6 @@
 //! End-to-end over real loopback UDP: the unchanged HBH and REUNITE
 //! engines build their trees and deliver data between actual sockets.
 
-use hbh_live::codec::encode_packet;
 use hbh_live::{Cluster, LIVE_TIMING};
 use hbh_proto::{Hbh, HbhHard, HbhMsg};
 use hbh_proto_base::{Channel, Cmd, Script};
@@ -9,6 +8,7 @@ use hbh_reunite::Reunite;
 use hbh_sim_core::{Packet, Time};
 use hbh_topo::graph::NodeId;
 use hbh_topo::scenarios;
+use hbh_wire::encode_packet;
 use std::collections::HashSet;
 use std::net::{Ipv4Addr, UdpSocket};
 use std::time::Duration;
@@ -71,7 +71,7 @@ fn malformed_datagrams_leave_every_receiver_served() {
     let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
     for pkt in &datagrams {
         socket
-            .send_to(&encode_packet(pkt), cluster.addresses[&router])
+            .send_to(&encode_packet(pkt).unwrap(), cluster.addresses[&router])
             .unwrap();
     }
     std::thread::sleep(Duration::from_millis(100));

@@ -51,11 +51,8 @@ pub trait KernelOps<M, T> {
     fn set_timer(&mut self, node: NodeId, timer: T, delay: u64);
     /// Cancels a pending timer (no-op if not armed).
     fn cancel_timer(&mut self, node: NodeId, timer: &T);
-    /// Arms a batch of keyed timers at `node` — semantically identical to
-    /// calling [`KernelOps::set_timer`] per entry, in iterator order, but
-    /// one virtual dispatch for the whole batch (and backends may reserve
-    /// capacity up front). Engines arming thousands of refresh timers per
-    /// event use this instead of per-entry calls.
+    /// Arms a batch of keyed timers at `node`: [`KernelOps::set_timer`]
+    /// per entry, in iterator order, behind one virtual dispatch.
     fn set_timers(&mut self, node: NodeId, timers: &mut dyn Iterator<Item = (T, u64)>) {
         for (timer, delay) in timers {
             self.set_timer(node, timer, delay);

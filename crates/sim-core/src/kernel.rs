@@ -4,7 +4,8 @@
 //!
 //! ## Dispatch rules
 //!
-//! For a packet arriving at node `n`:
+//! For a packet arriving at node `n` (the rule is [`arrival`], which
+//! `hbh-live` nodes call too):
 //!
 //! * `n` runs the protocol (multicast-capable router, or any host): the
 //!   protocol's [`Protocol::on_packet`] sees the packet — whether or not it
@@ -99,6 +100,36 @@ pub enum DropReason {
     LinkDown,
     /// Arrived at a node that is currently crashed (fault injection).
     NodeDown,
+}
+
+/// What a node does with a packet that arrives at it: the module's
+/// dispatch rules, as returned by [`arrival`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arrival {
+    /// The node runs the protocol: its engine sees the packet.
+    Engine,
+    /// A unicast-only router in transit: forward the packet one hop.
+    Transit,
+    /// Drop the packet.
+    Drop(DropReason),
+}
+
+/// How `node` treats an arriving packet addressed to `dst` — the one
+/// arrival rule of both runtimes: the kernel's dispatch and each
+/// `hbh-live` node call it. A crashed node is the caller's to handle
+/// first (the kernel drops with [`DropReason::NodeDown`]; a crashed live
+/// node drains its socket).
+#[inline]
+pub fn arrival(net: &Network, node: NodeId, dst: NodeId) -> Arrival {
+    if net.graph().is_host(node) && dst != node {
+        Arrival::Drop(DropReason::MisroutedToHost)
+    } else if net.runs_protocol(node) {
+        Arrival::Engine
+    } else if dst == node {
+        Arrival::Drop(DropReason::AddressedToUnicastRouter)
+    } else {
+        Arrival::Transit
+    }
 }
 
 /// Failure-injection model: every link transmission is independently
@@ -311,11 +342,10 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
     }
 
     fn forward(&mut self, at: NodeId, mut pkt: Packet<M>) {
-        if pkt.ttl == 0 {
+        if !pkt.take_hop() {
             self.drop_packet(at, &pkt, DropReason::TtlExpired);
             return;
         }
-        pkt.ttl -= 1;
         self.transmit(at, pkt);
     }
 
@@ -369,21 +399,6 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> KernelOps
     }
     fn cancel_timer(&mut self, node: NodeId, timer: &T) {
         self.timer_ids.remove(&(node, timer.clone()));
-    }
-    fn set_timers(&mut self, node: NodeId, timers: &mut dyn Iterator<Item = (T, u64)>) {
-        // One dynamic dispatch for the batch; the per-entry arming below is
-        // static. Pre-size the keyed-timer map from the iterator's hint so
-        // a flash-crowd-sized batch doesn't rehash it several times over.
-        let (lo, _) = timers.size_hint();
-        self.timer_ids.reserve(lo);
-        for (timer, delay) in timers {
-            KernelOps::set_timer(self, node, timer, delay);
-        }
-    }
-    fn cancel_timers(&mut self, node: NodeId, timers: &mut dyn Iterator<Item = T>) {
-        for timer in timers {
-            self.timer_ids.remove(&(node, timer));
-        }
     }
     fn structural_change(&mut self) {
         let now = self.now;
@@ -617,22 +632,14 @@ impl<P: Protocol> Kernel<P> {
             self.core.drop_packet(node, &pkt, DropReason::NodeDown);
             return;
         }
-        let g = self.core.net.graph();
-        if g.is_host(node) && pkt.dst != node {
-            self.core
-                .drop_packet(node, &pkt, DropReason::MisroutedToHost);
-            return;
-        }
-        if self.core.net.runs_protocol(node) {
-            let mut ctx = Ctx::from_ops(node, &mut self.core);
-            self.proto
-                .on_packet(&mut self.states[node.index()], pkt, &mut ctx);
-        } else if pkt.dst == node {
-            self.core
-                .drop_packet(node, &pkt, DropReason::AddressedToUnicastRouter);
-        } else {
-            // Unicast-only router: plain IP forwarding, no protocol.
-            self.core.forward(node, pkt);
+        match arrival(&self.core.net, node, pkt.dst) {
+            Arrival::Engine => {
+                let mut ctx = Ctx::from_ops(node, &mut self.core);
+                self.proto
+                    .on_packet(&mut self.states[node.index()], pkt, &mut ctx);
+            }
+            Arrival::Transit => self.core.forward(node, pkt),
+            Arrival::Drop(reason) => self.core.drop_packet(node, &pkt, reason),
         }
     }
 
@@ -768,6 +775,20 @@ mod tests {
     fn kernel(b_capable: bool) -> (Kernel<TestProto>, NodeId, NodeId, NodeId, NodeId) {
         let (net, a, b, h1, h2) = line_net(b_capable);
         (Kernel::new(net, TestProto, 0), a, b, h1, h2)
+    }
+
+    #[test]
+    fn arrival_rule_covers_every_kind_of_node() {
+        let (net, a, b, h1, h2) = line_net(false);
+        assert_eq!(arrival(&net, a, h2), Arrival::Engine);
+        assert_eq!(arrival(&net, h2, h2), Arrival::Engine);
+        assert_eq!(arrival(&net, b, h2), Arrival::Transit);
+        let drop = |why| Arrival::Drop(why);
+        assert_eq!(arrival(&net, h1, h2), drop(DropReason::MisroutedToHost));
+        assert_eq!(
+            arrival(&net, b, b),
+            drop(DropReason::AddressedToUnicastRouter)
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod trace;
 pub use ctx::{Ctx, KernelOps};
 pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use fault::FaultEvent;
-pub use kernel::{DropReason, Kernel, LossModel, Protocol};
+pub use kernel::{arrival, Arrival, DropReason, Kernel, LossModel, Protocol};
 pub use network::Network;
 pub use packet::{Packet, PacketClass};
 pub use stats::{Delivery, Stats};

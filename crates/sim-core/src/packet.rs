@@ -78,6 +78,18 @@ impl<M> Packet<M> {
         }
     }
 
+    /// Spends one hop of the TTL: `false`, the packet unchanged, when
+    /// none is left and the forwarder must drop it. The one TTL step of
+    /// both runtimes' `KernelOps::forward`.
+    #[inline]
+    pub fn take_hop(&mut self) -> bool {
+        if self.ttl == 0 {
+            return false;
+        }
+        self.ttl -= 1;
+        true
+    }
+
     /// The recursive-unicast "modified copy": same origin, class, tag and
     /// lineage timestamp, fresh TTL, new unicast destination. This is the
     /// operation a branching node performs for each forwarding-table entry.
@@ -115,6 +127,16 @@ mod tests {
         assert_eq!(p.class, PacketClass::Data);
         assert_eq!(p.tag, 7);
         assert_eq!(p.injected_at, Time(42));
+    }
+
+    #[test]
+    fn take_hop_spends_the_ttl_down_to_zero() {
+        let mut p = Packet::control(NodeId(1), NodeId(2), ());
+        p.ttl = 1;
+        assert!(p.take_hop());
+        assert_eq!(p.ttl, 0);
+        assert!(!p.take_hop());
+        assert_eq!(p.ttl, 0);
     }
 
     #[test]

@@ -37,8 +37,9 @@ impl Delivery {
 
 /// Counters for one simulation run.
 ///
-/// Per-link counters are flat arrays indexed by the graph's dense
-/// [`EdgeId`] — a packet hop is one array increment. The ordered-map views
+/// Per-link data counters are flat arrays indexed by the graph's dense
+/// [`EdgeId`] — a packet hop is one array increment; control transits
+/// are one total. The ordered-map views
 /// the analysis code consumes ([`Stats::data_copies_per_link`]) are
 /// reconstructed on demand; they are off the per-event hot path.
 #[derive(Clone, Debug, Default)]
@@ -46,8 +47,8 @@ pub struct Stats {
     /// Endpoints of each directed edge, copied from the graph at kernel
     /// construction so map views can be rebuilt without a graph reference.
     edge_ends: Vec<LinkId>,
-    /// `control[e]` = control transmissions on edge `e`.
-    control: Vec<u64>,
+    /// Control transmissions on any edge: nothing reads them per edge.
+    control: u64,
     /// Probe tags seen so far, in first-transit order. Runs inject a
     /// handful of probes, so a linear scan beats any map.
     data_tags: Vec<u64>,
@@ -74,7 +75,6 @@ impl Stats {
     pub(crate) fn for_graph(g: &Graph) -> Self {
         Stats {
             edge_ends: g.edge_ends_all().to_vec(),
-            control: vec![0; g.directed_edge_count()],
             ..Stats::default()
         }
     }
@@ -93,9 +93,7 @@ impl Stats {
                 };
                 row[edge.index()] += 1;
             }
-            PacketClass::Control => {
-                self.control[edge.index()] += 1;
-            }
+            PacketClass::Control => self.control += 1,
         }
     }
 
@@ -131,7 +129,7 @@ impl Stats {
 
     /// Total control transmissions (protocol overhead ablation).
     pub fn control_copies(&self) -> u64 {
-        self.control.iter().sum()
+        self.control
     }
 
     /// Deliveries attributed to probe `tag`.

@@ -1,5 +1,6 @@
-//! Low-level field encoding: the common header and primitive readers and
-//! writers with explicit bounds checking (no slicing panics anywhere).
+//! Low-level field encoding: the envelope and header sizes, the type and
+//! flag codes, and primitive readers and writers with explicit bounds
+//! checking (no slicing panics anywhere).
 
 use crate::codec::WireError;
 use hbh_proto_base::{Channel, GroupAddr};
@@ -9,12 +10,16 @@ use hbh_topo::graph::NodeId;
 pub const MAGIC: u8 = 0xB4;
 /// Wire protocol version.
 pub const VERSION: u8 = 1;
+/// Envelope length in bytes: source, destination, TTL, class, tag and
+/// injection time of the packet the message rides in.
+pub const ENVELOPE_LEN: usize = 4 + 4 + 1 + 1 + 8 + 8;
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 8;
-/// Hard cap on body length: bounds allocation during decode. The largest
-/// real message is an HBH fusion listing an MFT; 64 KiB of node list is
-/// three orders of magnitude beyond any tree in this workspace.
-pub const MAX_BODY: usize = 64 * 1024;
+/// The largest body one datagram carries: UDP's 65,507-byte payload less
+/// the envelope and the header. It also keeps every length and list count
+/// inside its `u16` field. The largest real message is an HBH fusion
+/// listing an MFT, here up to 16,364 nodes.
+pub const MAX_BODY: usize = 65_507 - ENVELOPE_LEN - HEADER_LEN;
 
 /// Message type codes (byte 2 of the header).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -124,6 +129,22 @@ impl Writer {
         self.u32(ch.group.0);
     }
 
+    /// Appends a node list: its `u16` count, then the addresses. A list
+    /// too long for the count cannot fit [`MAX_BODY`] either, so the
+    /// encoder refuses its message before the truncated count is sent.
+    pub fn nodes(&mut self, nodes: &[NodeId]) {
+        self.u16(nodes.len() as u16);
+        for &n in nodes {
+            self.node(n);
+        }
+    }
+
+    /// Overwrites bytes already written, starting at offset `at` (a
+    /// header's type, flags and length once its body is written).
+    pub fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
     /// Finishes writing and yields the buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -140,19 +161,25 @@ impl Writer {
     }
 }
 
-/// Bounds-checked big-endian reader over a body slice, for a network of
-/// known size: a node id names one of its nodes or is an error.
+/// Bounds-checked big-endian reader over a datagram or a body slice, for
+/// a network of known size: a node id names one of its nodes or is an
+/// error.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     /// Node count of the network: every node id read must be below it.
-    nodes: usize,
+    node_count: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// A reader over one message body from a network of `nodes` nodes.
+    /// A reader over `buf`, a datagram or one message body, from a
+    /// network of `nodes` nodes.
     pub fn new(buf: &'a [u8], nodes: usize) -> Self {
-        Reader { buf, pos: 0, nodes }
+        Reader {
+            buf,
+            pos: 0,
+            node_count: nodes,
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -194,7 +221,7 @@ impl<'a> Reader<'a> {
     /// [`WireError::UnknownNode`].
     pub fn node(&mut self) -> Result<NodeId, WireError> {
         let id = self.u32()?;
-        if id as usize >= self.nodes {
+        if id as usize >= self.node_count {
             return Err(WireError::UnknownNode(id));
         }
         Ok(NodeId(id))
@@ -205,6 +232,23 @@ impl<'a> Reader<'a> {
         let source = self.node()?;
         let group = GroupAddr(self.u32()?);
         Ok(Channel { source, group })
+    }
+
+    /// Reads a node list that runs to the end of the body: a `u16` count
+    /// that must match the bytes left (checked before allocating), then
+    /// the addresses.
+    pub fn nodes(&mut self) -> Result<Vec<NodeId>, WireError> {
+        let count = usize::from(self.u16()?);
+        if self.remaining() != count * 4 {
+            return Err(WireError::BadListLength);
+        }
+        (0..count).map(|_| self.node()).collect()
+    }
+
+    /// Takes the next `len` bytes as a reader of their own, for the same
+    /// network: a message body read to its end.
+    pub fn body(&mut self, len: usize) -> Result<Reader<'a>, WireError> {
+        Ok(Reader::new(self.take(len)?, self.node_count))
     }
 
     /// All body bytes must be consumed; trailing garbage is an error (it
