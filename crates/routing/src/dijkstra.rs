@@ -15,20 +15,27 @@
 //! out-edges are contiguous `u32` slices instead of one heap allocation per
 //! node, which is what makes all-pairs and on-demand sweeps viable at
 //! thousands of routers. Both route stores search the stub-contracted
-//! core ([`hbh_topo::contract`]); only the test-only full-graph reference
-//! packs the whole graph. CSR packing preserves per-node edge order, so the
-//! tie-breaks — and therefore every route — are identical to a search over
-//! the raw adjacency.
+//! core ([`hbh_topo::contract`]).
+//!
+//! The frontier is a monotone radix heap (`radix.rs`): Dijkstra's keys
+//! never fall below the last one popped, and they are integer path costs.
+//! It pops equal distances in no particular order, and no route depends
+//! on that order. Costs are ≥ 1, so every optimal predecessor of `v` has a
+//! strictly smaller distance and is settled before `v` is, in any order
+//! among equals; the tie-break then leaves `pred[v]` at the smallest-id
+//! optimal predecessor, and `first` / `first_eid` follow `pred`. So
+//! `dist`, `pred`, `first` and `first_eid` are functions of the graph
+//! alone, and the heap, like the scratch it lives in, is reused from
+//! search to search without allocating.
 //!
 //! The search records, per reached node, the first hop *and the directed
 //! edge id it leaves the root on*: a forwarding step is `(next hop, edge)`,
 //! and the stores keep it whole so the simulator never scans an adjacency
 //! list to find the link a packet goes out on.
 
+use crate::radix::RadixHeap;
 use hbh_topo::csr::Csr;
 use hbh_topo::graph::{EdgeId, NodeId, PathCost};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 const UNREACHABLE: PathCost = PathCost::MAX;
 
@@ -47,7 +54,7 @@ pub(crate) struct DijkstraScratch {
     /// (meaningful only where `first[v]` is set).
     pub(crate) first_eid: Vec<u32>,
     done: Vec<bool>,
-    heap: BinaryHeap<Reverse<(PathCost, NodeId)>>,
+    heap: RadixHeap<NodeId>,
 }
 
 impl DijkstraScratch {
@@ -118,9 +125,9 @@ fn shortest_paths_core(
     }
 
     s.dist[root.index()] = 0;
-    s.heap.push(Reverse((0, root)));
+    s.heap.push(0, root);
 
-    while let Some(Reverse((d, u))) = s.heap.pop() {
+    while let Some((d, u)) = s.heap.pop() {
         if s.done[u.index()] {
             continue;
         }
@@ -146,7 +153,7 @@ fn shortest_paths_core(
                 } else {
                     (s.first[u.index()], s.first_eid[u.index()])
                 };
-                s.heap.push(Reverse((nd, v)));
+                s.heap.push(nd, v);
             }
         }
     }

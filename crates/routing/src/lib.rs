@@ -34,6 +34,7 @@ mod pair;
 pub mod paths;
 pub mod provider;
 pub mod qos;
+mod radix;
 pub mod tables;
 
 #[cfg(test)]

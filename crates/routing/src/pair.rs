@@ -30,15 +30,17 @@
 //! * a down stub, or a down half-link it needs, answers `None`.
 //!
 //! This is exact, tie-breaks included. Costs are ≥ 1, so every optimal
-//! predecessor of `v` is settled before `v`, and "equal cost → smaller
-//! predecessor id" makes `pred[v]` the minimum-id optimal predecessor — a
-//! function of the distances alone. A stub is never anyone's predecessor
-//! (hosts sink traffic; only a root emits), so dropping stubs changes no
-//! core node's `dist`, `pred` or first hop, *provided* the core is
-//! renumbered in ascending node-id order, which keeps both the
-//! `candidate < incumbent` comparison and the heap's `(dist, id)` order.
-//! The test-only full-graph search (`reference.rs`) is the independent
-//! witness the proptests hold both stores to.
+//! predecessor of `v` is settled before `v`, whatever order the search
+//! pops equal distances in, and "equal cost → smaller predecessor id"
+//! makes `pred[v]` the minimum-id optimal predecessor — a function of the
+//! distances alone. A stub is never anyone's predecessor (hosts sink
+//! traffic; only a root emits), so dropping stubs changes no core node's
+//! `dist`, `pred` or first hop, *provided* the core is renumbered in
+//! ascending node-id order, which keeps the `candidate < incumbent`
+//! comparison. The test-only full-graph reference (`reference.rs`),
+//! which derives next hops from Floyd–Warshall distances by that same
+//! minimum-id rule, is the independent witness the proptests hold both
+//! stores to.
 
 use crate::dijkstra::DijkstraScratch;
 use hbh_topo::contract::{Contracted, Place};

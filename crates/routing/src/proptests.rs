@@ -1,9 +1,9 @@
 //! Property-based tests for the routing substrate: metric laws that must
 //! hold on arbitrary connected graphs with arbitrary directed costs, and
-//! both route stores held to the full-graph reference search.
+//! both route stores held to the full-graph reference (`reference.rs`).
 
 use crate::provider::{OnDemandRoutes, RouteProvider};
-use crate::reference::{floyd_warshall, FullGraph};
+use crate::reference::FullGraph;
 use crate::tables::RoutingTables;
 use hbh_topo::graph::{Graph, NodeId, PathCost};
 use hbh_topo::{costs, random};
@@ -73,7 +73,7 @@ fn matches_reference(
 
 /// The reference property: under fault `kind` (see [`fault`]; `NO_FAULT`
 /// builds the unmasked stores), the eager tables and an on-demand provider
-/// too small for every row both equal the full-graph search on every pair.
+/// too small for every row both equal the full-graph reference on every pair.
 fn stores_match_reference(seed: u64, n: usize, d: u8, kind: u8) -> Result<(), TestCaseError> {
     let g = arb_graph(seed, n, d);
     let capacity = 3.max(n / 4);
@@ -98,20 +98,11 @@ fn stores_match_reference(seed: u64, n: usize, d: u8, kind: u8) -> Result<(), Te
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
-    /// Both stores equal the full-graph search on every pair, with or
-    /// without a fault, and the eager distances also equal the
-    /// Floyd–Warshall reference.
+    /// Both stores equal the full-graph reference on every pair, with or
+    /// without a fault.
     #[test]
     fn tables_match_reference(seed in 0u64..100_000, n in 4usize..16, d in 0u8..8, kind in 0u8..5) {
         stores_match_reference(seed, n, d, kind)?;
-        let g = arb_graph(seed, n, d);
-        let t = RoutingTables::compute(&g);
-        let fw = floyd_warshall(&g);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                prop_assert_eq!(t.dist(u, v), fw[u.index()][v.index()]);
-            }
-        }
     }
 
     /// Distances obey the (directed) triangle inequality.
@@ -174,7 +165,7 @@ proptest! {
         }
     }
 
-    /// The lazy provider answers exactly like the full-graph search and
+    /// The lazy provider answers exactly like the full-graph reference and
     /// the eager tables on every (src, dst) pair — identical distances AND
     /// identical next hops (the tie-breaks must survive the contraction
     /// and the caching path), even with a cache small enough to force

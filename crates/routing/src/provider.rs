@@ -17,8 +17,8 @@
 //! node. Both run the same core search over the same stub-contracted view
 //! and expand a pair through the same rule (`pair.rs` documents both), so
 //! on any (at, dst) pair they agree exactly; property tests hold each of
-//! them to an independent full-graph search, and each step's edge to the
-//! graph's own adjacency, with and without failed elements.
+//! them to an independent full-graph reference, and each step's edge to
+//! the graph's own adjacency, with and without failed elements.
 //!
 //! # Faults
 //!
@@ -32,16 +32,15 @@ use crate::dijkstra::{shortest_paths_avoiding_csr_into, DijkstraScratch};
 use crate::pair::{self, Masks, Step};
 use hbh_topo::contract::Contracted;
 use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Unicast route lookups, independent of how routes are materialized.
 ///
-/// Implementations must agree on every pair with one Dijkstra search per
-/// node over the whole graph (the test-only full-graph reference: same
-/// costs, same deterministic tie-breaks); they differ only in *when*
-/// routes are computed and how much memory they pin.
+/// Implementations must agree on every pair with shortest paths over the
+/// whole graph, equal costs broken to the smaller predecessor id (the
+/// test-only full-graph reference); they differ only in *when* routes are
+/// computed and how much memory they pin.
 pub trait RouteProvider {
     /// Number of nodes routes are answered for.
     fn node_count(&self) -> usize;
@@ -132,8 +131,11 @@ impl Row {
 /// Everything behind the lock: the rows plus the counters and scratch that
 /// mutate on lookups.
 struct RowCache {
-    /// Keyed by the source's core index.
-    rows: HashMap<u32, Row>,
+    /// `slot[src]`: where core node `src`'s row sits in `rows`
+    /// ([`pair::NONE`] = not resident).
+    slot: Vec<u32>,
+    /// The resident rows with their sources' core indices, in no order.
+    rows: Vec<(u32, Row)>,
     tick: u64,
     scratch: DijkstraScratch,
     stats: RouteStats,
@@ -154,7 +156,8 @@ struct RowCache {
 /// * **Capacity / eviction** — at most `capacity` rows stay resident; the
 ///   victim is the row with the smallest `(last_used, source)` pair, so
 ///   eviction (and everything downstream of it) is deterministic for a
-///   fixed lookup sequence.
+///   fixed lookup sequence. A resident row is found through a dense slot
+///   per core node, not a hash.
 /// * **Faults** — the provider answers over the surviving topology
 ///   described by its node/edge masks (indexed by the full graph's
 ///   `NodeId` / `EdgeId`); [`OnDemandRoutes::rerouted`] starts over from
@@ -209,12 +212,14 @@ impl OnDemandRoutes {
         capacity: usize,
     ) -> Self {
         let masks = Masks::new(&view, node_down, edge_down);
+        let core = masks.core_down.len();
         OnDemandRoutes {
             view,
             masks,
             capacity,
             cache: Mutex::new(RowCache {
-                rows: HashMap::new(),
+                slot: vec![pair::NONE; core],
+                rows: Vec::new(),
                 tick: 0,
                 scratch: DijkstraScratch::default(),
                 stats: RouteStats::default(),
@@ -232,7 +237,7 @@ impl OnDemandRoutes {
     /// Sources with a resident row, ascending (test introspection).
     pub fn cached_sources(&self) -> Vec<NodeId> {
         let c = self.cache.lock().unwrap();
-        let mut v: Vec<u32> = c.rows.keys().copied().collect();
+        let mut v: Vec<u32> = c.rows.iter().map(|&(src, _)| src).collect();
         v.sort_unstable();
         let nodes = self.view.core_nodes();
         v.into_iter().map(|i| NodeId(nodes[i as usize])).collect()
@@ -257,7 +262,8 @@ impl OnDemandRoutes {
         let c = &mut *self.cache.lock().unwrap();
         c.tick += 1;
         let tick = c.tick;
-        if let Some(row) = c.rows.get_mut(&src) {
+        // A `NONE` slot indexes past the end of `rows`.
+        if let Some((_, row)) = c.rows.get_mut(c.slot[src as usize] as usize) {
             row.last_used = tick;
             c.stats.hits += 1;
             return f(row);
@@ -280,18 +286,24 @@ impl OnDemandRoutes {
 
         if c.rows.len() >= self.capacity {
             // Deterministic LRU: oldest tick, ties to the smallest source.
-            let victim = c
+            let (_, victim) = c
                 .rows
                 .iter()
-                .map(|(&src, row)| (row.last_used, src))
+                .enumerate()
+                .map(|(i, (src, row))| ((row.last_used, *src), i))
                 .min()
                 .expect("capacity > 0 and cache full");
-            c.rows.remove(&victim.1);
+            c.slot[c.rows[victim].0 as usize] = pair::NONE;
+            c.rows.swap_remove(victim);
+            if let Some(&(moved, _)) = c.rows.get(victim) {
+                c.slot[moved as usize] = victim as u32;
+            }
             c.stats.evicted += 1;
         }
-        let r = f(c.rows.entry(src).or_insert(row));
+        c.slot[src as usize] = c.rows.len() as u32;
+        c.rows.push((src, row));
         c.stats.cached_rows = c.rows.len();
-        r
+        f(&c.rows.last().expect("just pushed").1)
     }
 
     /// Cost and step of the shortest `from → to` path, `from != to`, by
@@ -505,6 +517,58 @@ mod tests {
             "capacity 3 must have evicted under 200 lookups"
         );
         assert_eq!(s.cached_rows, 3);
+    }
+
+    #[test]
+    fn resident_rows_follow_a_plain_lru_model() {
+        use rand::RngExt;
+        // The model: resident `(source, last_used)` pairs, a hit refreshes
+        // one, a miss evicts min `(last_used, source)` when full. ISP hosts
+        // are all stubs, so a lookup reads the row of its source's router,
+        // and none when both ends share a router.
+        for (capacity, seed) in (1..=4).flat_map(|c| (0..3).map(move |s| (c, s))) {
+            let g = isp(20 + seed);
+            let nodes: Vec<NodeId> = g.nodes().collect();
+            let core = |x: NodeId| if g.is_host(x) { g.host_router(x) } else { x };
+            let lazy = OnDemandRoutes::new(&g, capacity);
+            let mut model: Vec<(NodeId, u64)> = Vec::new();
+            let mut want = RouteStats::default();
+            let mut rng = StdRng::seed_from_u64(seed * 31 + capacity as u64);
+            for tick in 1..=400 {
+                let u = nodes[rng.random_range(0..nodes.len())];
+                let v = nodes[rng.random_range(0..nodes.len())];
+                match tick % 3 {
+                    0 => _ = lazy.step(u, v),
+                    1 => _ = lazy.dist(u, v),
+                    _ => _ = lazy.next_hop(u, v),
+                }
+                let src = core(u);
+                if u == v || src == core(v) {
+                    want.hits += 1;
+                } else if let Some(entry) = model.iter_mut().find(|(s, _)| *s == src) {
+                    entry.1 = tick;
+                    want.hits += 1;
+                } else {
+                    want.misses += 1;
+                    want.computed += 1;
+                    if model.len() == capacity {
+                        let victim = (0..model.len())
+                            .min_by_key(|&i| (model[i].1, model[i].0))
+                            .unwrap();
+                        model.remove(victim);
+                        want.evicted += 1;
+                    }
+                    model.push((src, tick));
+                }
+                want.cached_rows = model.len();
+                let mut resident: Vec<NodeId> = model.iter().map(|&(s, _)| s).collect();
+                resident.sort_unstable();
+                let at = format!("capacity {capacity}, draw {seed}, lookup {tick}");
+                assert_eq!(lazy.cached_sources(), resident, "{at}");
+                assert_eq!(lazy.route_stats(), want, "{at}");
+            }
+            assert!(want.evicted > 0, "capacity {capacity} never evicted");
+        }
     }
 
     /// The scale sweeps' smoke hierarchy: 20 routers (12 of them access),

@@ -1,26 +1,30 @@
-//! Independent references the route stores are tested against (the
+//! An independent reference the route stores are tested against (the
 //! module is test-only).
 //!
-//! * [`FullGraph`] — one Dijkstra per node over the *whole* graph, stub
-//!   hosts included: how the eager tables were computed before both stores
-//!   shared the contracted core and its pair rule (`pair.rs`). It never
-//!   contracts, so it witnesses that rule instead of restating it; the
-//!   proptests compare both stores to it on every pair, distances and
-//!   next hops, with and without failed elements.
-//! * [`floyd_warshall`] — a deliberately different algorithm (dynamic
-//!   programming over intermediate nodes vs. Dijkstra's greedy frontier)
-//!   computing the same distances: a routing bug would corrupt *every*
-//!   experiment, so the distances get two independent witnesses.
+//! [`FullGraph`] answers every pair of the *whole* graph, stub hosts
+//! included, and shares no code with the search the stores run:
+//!
+//! * distances come from Floyd–Warshall, dynamic programming over
+//!   intermediate nodes rather than Dijkstra's greedy frontier;
+//! * next hops come from those distances alone. `pred(v)` from root `a` is
+//!   the smallest-id `u` that is `a` or a router, whose edge `u → v` is up,
+//!   with `d(a, u) + c(u, v) = d(a, v)`; the step toward `t` is the node
+//!   after `a` on the `pred` chain from `t`.
+//!
+//! That is the routing the stores promise — shortest paths, equal costs
+//! broken to the smaller predecessor id — stated without a priority queue,
+//! a contraction or a pair rule, so the proptests that hold both stores to
+//! it on every pair witness all three, with and without failed elements.
 //!
 //! Host-transit exclusion matters here too: paths may start or end at a
-//! host but never pass through one, so hosts are simply excluded from the
-//! set of intermediate nodes.
+//! host but never pass through one, so hosts are excluded from the set of
+//! intermediate nodes and are never a predecessor, except as the root.
 
-use crate::dijkstra::{shortest_paths_avoiding_csr_into, shortest_paths_csr_into, DijkstraScratch};
-use hbh_topo::csr::Csr;
 use hbh_topo::graph::{Graph, NodeId, PathCost};
 
-/// All-pairs distances and next hops, one full-graph search per node.
+const UNREACHABLE: PathCost = PathCost::MAX;
+
+/// All-pairs distances and next hops of a graph.
 pub struct FullGraph {
     n: usize,
     dist: Vec<PathCost>,
@@ -30,29 +34,47 @@ pub struct FullGraph {
 impl FullGraph {
     /// Routes over every node and edge of `g`.
     pub fn compute(g: &Graph) -> Self {
-        let csr = Csr::from_graph(g);
-        Self::from_searches(g.node_count(), |u, s| shortest_paths_csr_into(&csr, u, s))
+        let (n, m) = (g.node_count(), g.directed_edge_count());
+        Self::avoiding(g, &vec![false; n], &vec![false; m])
     }
 
     /// Routes over the surviving topology: flagged nodes and directed
-    /// edges are absent.
+    /// edges are absent, and a failed node reaches nothing, itself
+    /// included.
     pub fn avoiding(g: &Graph, node_down: &[bool], edge_down: &[bool]) -> Self {
-        let csr = Csr::from_graph(g);
-        Self::from_searches(g.node_count(), |u, s| {
-            shortest_paths_avoiding_csr_into(&csr, u, s, node_down, edge_down)
-        })
-    }
-
-    /// One `search` per node of an `n`-node graph, each row copied out of
-    /// the shared scratch.
-    fn from_searches(n: usize, mut search: impl FnMut(NodeId, &mut DijkstraScratch)) -> Self {
-        let mut dist = vec![PathCost::MAX; n * n];
+        let n = g.node_count();
+        let dist = floyd_warshall(g, node_down, edge_down);
+        let d = |a: usize, b: NodeId| dist[a * n + b.index()];
         let mut next = vec![None; n * n];
-        let mut scratch = DijkstraScratch::default();
-        for u in 0..n {
-            search(NodeId(u as u32), &mut scratch);
-            dist[u * n..(u + 1) * n].copy_from_slice(&scratch.dist);
-            next[u * n..(u + 1) * n].copy_from_slice(&scratch.first);
+        let mut pred: Vec<Option<NodeId>> = vec![None; n];
+        for a in 0..n {
+            pred.fill(None);
+            // Ascending `u`, first match kept: the smallest-id predecessor.
+            for u in g.nodes() {
+                if (u.index() != a && !g.is_router(u)) || d(a, u) == UNREACHABLE {
+                    continue;
+                }
+                for e in g.neighbors(u) {
+                    let v = e.to;
+                    if v.index() == a || edge_down[e.eid.index()] || pred[v.index()].is_some() {
+                        continue;
+                    }
+                    if d(a, v) != UNREACHABLE && d(a, u) + PathCost::from(e.cost) == d(a, v) {
+                        pred[v.index()] = Some(u);
+                    }
+                }
+            }
+            // Costs are >= 1, so every chain strictly descends to `a`.
+            for t in g.nodes() {
+                let mut hop = t;
+                while let Some(p) = pred[hop.index()] {
+                    if p.index() == a {
+                        next[a * n + t.index()] = Some(hop);
+                        break;
+                    }
+                    hop = p;
+                }
+            }
         }
         FullGraph { n, dist, next }
     }
@@ -60,7 +82,7 @@ impl FullGraph {
     /// Cost of the shortest `from → to` path, `None` if unreachable.
     pub fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
         match self.dist[from.index() * self.n + to.index()] {
-            PathCost::MAX => None,
+            UNREACHABLE => None,
             d => Some(d),
         }
     }
@@ -71,39 +93,34 @@ impl FullGraph {
     }
 }
 
-/// All-pairs distances by Floyd–Warshall. `dist[u][v] = None` when
-/// unreachable.
-pub fn floyd_warshall(g: &Graph) -> Vec<Vec<Option<PathCost>>> {
+/// All-pairs distances by Floyd–Warshall over the surviving topology,
+/// row-major (`dist[u * n + v]`, [`UNREACHABLE`] when there is no path).
+fn floyd_warshall(g: &Graph, node_down: &[bool], edge_down: &[bool]) -> Vec<PathCost> {
     let n = g.node_count();
-    let mut dist: Vec<Vec<Option<PathCost>>> = vec![vec![None; n]; n];
-    for u in g.nodes() {
-        dist[u.index()][u.index()] = Some(0);
+    let up = |v: NodeId| !node_down[v.index()];
+    let mut dist = vec![UNREACHABLE; n * n];
+    for u in g.nodes().filter(|&u| up(u)) {
+        dist[u.index() * n + u.index()] = 0;
         for e in g.neighbors(u) {
             // Out-edges of hosts are usable only as the *first* hop, which
             // this direct-edge initialization captures; hosts are excluded
             // from the intermediate set below.
-            let d = PathCost::from(e.cost);
-            let cell = &mut dist[u.index()][e.to.index()];
-            *cell = Some(cell.map_or(d, |old: PathCost| old.min(d)));
+            if up(e.to) && !edge_down[e.eid.index()] {
+                let cell = &mut dist[u.index() * n + e.to.index()];
+                *cell = (*cell).min(PathCost::from(e.cost));
+            }
         }
     }
-    for k in g.nodes().filter(|&k| g.is_router(k)) {
+    for k in g.nodes().filter(|&k| g.is_router(k)).map(NodeId::index) {
         for i in 0..n {
-            let Some(dik) = dist[i][k.index()] else {
+            let dik = dist[i * n + k];
+            if dik == UNREACHABLE {
                 continue;
-            };
-            // Indexes two rows of `dist` (row k read, row i written, possibly
-            // the same row); an iterator form would fight the borrow checker
-            // for no clarity gain in a reference implementation.
-            #[allow(clippy::needless_range_loop)]
+            }
             for j in 0..n {
-                let Some(dkj) = dist[k.index()][j] else {
-                    continue;
-                };
-                let through = dik + dkj;
-                let cell = &mut dist[i][j];
-                if cell.map_or(true, |d| through < d) {
-                    *cell = Some(through);
+                let dkj = dist[k * n + j];
+                if dkj != UNREACHABLE && dik + dkj < dist[i * n + j] {
+                    dist[i * n + j] = dik + dkj;
                 }
             }
         }
@@ -122,13 +139,18 @@ mod tests {
 
     fn agree(g: &Graph) {
         let tables = RoutingTables::compute(g);
-        let fw = floyd_warshall(g);
+        let fw = FullGraph::compute(g);
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(
                     tables.dist(u, v),
-                    fw[u.index()][v.index()],
+                    fw.dist(u, v),
                     "distance {u}→{v} disagrees between Dijkstra and Floyd–Warshall"
+                );
+                assert_eq!(
+                    RouteProvider::next_hop(&tables, u, v),
+                    fw.next_hop(u, v),
+                    "next hop {u}→{v} disagrees with the distance-derived one"
                 );
             }
         }
@@ -172,14 +194,46 @@ mod tests {
 
     #[test]
     fn hosts_never_shortcut_in_reference_either() {
-        // a —1→ h —1→ ... no: hosts are single-homed; emulate the dual-homed
-        // scenario receiver instead.
+        // R3 and R2 both attach to fig2's dual-homed host r1; a path
+        // R3→r1→R2 must not exist. The real route R3→R1→R2 is blocked
+        // (R1→R2 = 10): d = 11.
         let g = scenarios::fig2();
-        let fw = floyd_warshall(&g);
+        let fw = FullGraph::compute(&g);
+        let r1 = g.node_by_label("R1").unwrap();
         let r2 = g.node_by_label("R2").unwrap();
         let r3 = g.node_by_label("R3").unwrap();
-        // R3 and R2 both attach to host r1; a path R3→r1→R2 must not exist.
-        // The real route R3→R1→R2 is blocked (R1→R2 = 10): d = 11.
-        assert_eq!(fw[r3.index()][r2.index()], Some(11));
+        assert_eq!(fw.dist(r3, r2), Some(11));
+        assert_eq!(fw.next_hop(r3, r2), Some(r1));
+    }
+
+    #[test]
+    fn equal_costs_step_through_the_smaller_predecessor() {
+        // s—b—t and s—a—t, all cost 1, b added first: a's smaller id wins
+        // however the links were inserted.
+        let mut g = Graph::new();
+        let s = g.add_router();
+        let a = g.add_router();
+        let b = g.add_router();
+        let t = g.add_router();
+        g.add_link(s, b, 1, 1);
+        g.add_link(b, t, 1, 1);
+        g.add_link(s, a, 1, 1);
+        g.add_link(a, t, 1, 1);
+        let fw = FullGraph::compute(&g);
+        assert_eq!((fw.dist(s, t), fw.next_hop(s, t)), (Some(2), Some(a)));
+        assert_eq!(fw.next_hop(t, s), Some(a));
+    }
+
+    #[test]
+    fn a_failed_node_reaches_nothing_and_is_reached_by_nothing() {
+        let g = scenarios::fig3();
+        let mut node_down = vec![false; g.node_count()];
+        let r1 = g.node_by_label("R1").unwrap();
+        node_down[r1.index()] = true;
+        let fw = FullGraph::avoiding(&g, &node_down, &vec![false; g.directed_edge_count()]);
+        for v in g.nodes() {
+            assert_eq!((fw.dist(r1, v), fw.next_hop(r1, v)), (None, None));
+            assert_eq!(fw.dist(v, r1), None);
+        }
     }
 }
