@@ -21,20 +21,39 @@
 //!   the earliest `t2` among the live entries it delimits a [`Calm`]
 //!   stretch over which the set of live entries, their marks and their
 //!   claims are all constant: the data-reach mask is computed once per
-//!   stretch, and a fusion that repeats its sender's installed claim
-//!   inside the stretch a full pass already left untouched is **replayed**
-//!   ([`ClaimTable::replays`]) instead of re-derived. `DESIGN.md` §5b has
-//!   the argument that the replay is exact.
+//!   stretch, and a fusion that repeats, byte for byte, the list of the
+//!   last full pass from its sender that left the table untouched, inside
+//!   that pass's stretch, is **replayed** ([`ClaimTable::replays`]) with
+//!   the pass's verdict instead of re-derived. `DESIGN.md` §5b has the
+//!   argument that the replay is exact.
 
-use crate::bits::{reach_fixpoint, Mask, Seed};
+use crate::bits::Mask;
 use hbh_sim_core::{FastMap, Time};
 use hbh_topo::graph::NodeId;
 
 /// Deadline of an entry that never expires (hard state).
 pub(crate) const NEVER: Time = Time(u64::MAX);
 
-/// [`Entry::settled`] of a claim no fusion pass has vouched for.
-const UNSETTLED: u64 = u64::MAX;
+/// How a full fusion pass that changed no coverage input decided.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Accepted: the claim is installed and only its sender's deadlines
+    /// moved.
+    Accepted,
+    /// Vetoed: a data-reachable entry's claim already contains it.
+    Vetoed,
+}
+
+/// A sender's last full pass that left the revision where it was: its
+/// revision, its verdict and the list as received. An accepted list is the
+/// sender's installed claim, which its row holds as received already; only
+/// a vetoed one is kept here.
+#[derive(Clone, Debug)]
+struct Memo {
+    rev: u64,
+    verdict: Verdict,
+    vetoed: Vec<NodeId>,
+}
 
 /// One table row: the downstream node, its mark, its two deadlines and —
 /// for fusion senders — the target set its last accepted fusion claimed.
@@ -51,9 +70,6 @@ pub(crate) struct Entry {
     raw: Vec<NodeId>,
     /// The same set, sorted and deduplicated.
     claim: Vec<NodeId>,
-    /// The table revision at which a full fusion pass over `raw` was
-    /// accepted and changed nothing but this entry's deadlines.
-    settled: u64,
 }
 
 impl Entry {
@@ -78,6 +94,11 @@ impl Entry {
     fn claims(&self, n: NodeId) -> bool {
         self.claim.binary_search(&n).is_ok()
     }
+
+    /// Live and marked: data reaches it only through a coverer.
+    fn is_pending(&self, now: Time) -> bool {
+        self.marked && !self.is_dead(now)
+    }
 }
 
 /// `a ⊆ b` for sorted, deduplicated slices: one merge.
@@ -96,9 +117,9 @@ struct Calm {
     rev: u64,
     since: Time,
     until: Time,
-    /// Bit `i` set iff `entries[i]` receives data through this table;
-    /// filled by the first question that needs it.
-    reach: Option<Mask>,
+    /// [`ClaimTable::reach`] holds this stretch's mask: the first
+    /// question that needs it fills it.
+    reached: bool,
 }
 
 /// Insertion-ordered entries with their fusion claims, indexed by node.
@@ -113,6 +134,14 @@ pub(crate) struct ClaimTable {
     /// The claim under consideration, sorted and deduplicated
     /// ([`Self::load_claim`]); reused across fusions.
     loaded: Vec<NodeId>,
+    /// Per sender, its last full pass that changed nothing
+    /// ([`Self::settle`]).
+    memos: FastMap<NodeId, Memo>,
+    /// Bit `i` set iff `entries[i]` receives data through this table, in
+    /// the calm stretch that filled it ([`Self::fill_reach`]).
+    reach: Mask,
+    /// The fill's worklist: reachable rows whose claims are still to walk.
+    frontier: Vec<usize>,
 }
 
 impl ClaimTable {
@@ -160,7 +189,6 @@ impl ClaimTable {
             t2,
             raw: Vec::new(),
             claim: Vec::new(),
-            settled: UNSETTLED,
         });
         self.rev += 1;
     }
@@ -237,7 +265,7 @@ impl ClaimTable {
                 rev: self.rev,
                 since: now,
                 until,
-                reach: None,
+                reached: false,
             });
         }
         self.calm.as_mut().expect("just opened")
@@ -248,38 +276,48 @@ impl ClaimTable {
     /// is reachable (we fan data out to it directly), and a live *marked*
     /// entry is reachable if an already-reachable entry's coverage claims
     /// it (data flows to the coverer, which forwards it onward). Coverage
-    /// chains can nest, so the propagation runs to a fixpoint (see
-    /// [`crate::bits::reach_fixpoint`]). Bit `i` of the result corresponds
-    /// to `entries[i]`; table width is unbounded — the internet-scale
-    /// sweeps route hundreds of receivers through single access routers.
+    /// chains can nest — B3 serves B2 serves B1 — so reach propagates
+    /// along claims: each newly reachable entry's sorted claim is walked
+    /// once, every claimed node's row found through the index, and a
+    /// pending (live, marked) row it names becomes reachable in turn. That
+    /// is O(claims of the reachable coverers), whatever the table's width
+    /// — the internet-scale sweeps route hundreds of receivers through
+    /// single access routers. Bit `i` of [`Self::reach`] corresponds to
+    /// `entries[i]`.
     ///
     /// Fills the calm stretch's mask if this is the first question to need
-    /// it; [`Self::known_reach`] then reads it next to the entries.
+    /// it, in buffers the table keeps across stretches.
     fn fill_reach(&mut self, now: Time) {
         self.calm(now);
-        let entries = &self.entries;
         let calm = self.calm.as_mut().expect("just opened");
-        calm.reach.get_or_insert_with(|| {
-            reach_fixpoint(
-                entries.len(),
-                |i| {
-                    let e = &entries[i];
-                    if e.is_dead(now) {
-                        Seed::Skip
-                    } else if e.marked {
-                        Seed::Pending // reachable only via a coverer
-                    } else {
-                        Seed::Reach
-                    }
-                },
-                |j, i| entries[j].claims(entries[i].node),
-            )
-        });
-    }
-
-    fn known_reach(&self) -> &Mask {
-        let calm = self.calm.as_ref().expect("fill_reach opened it");
-        calm.reach.as_ref().expect("fill_reach filled it")
+        if calm.reached {
+            return;
+        }
+        calm.reached = true;
+        let (entries, index) = (&self.entries, &self.index);
+        let (reach, frontier) = (&mut self.reach, &mut self.frontier);
+        reach.reset(entries.len());
+        frontier.clear();
+        let mut pending = 0;
+        for (i, e) in entries.iter().enumerate() {
+            if e.is_pending(now) {
+                pending += 1;
+            } else if !e.is_dead(now) {
+                reach.set(i);
+                frontier.push(i);
+            }
+        }
+        while pending > 0 {
+            let Some(j) = frontier.pop() else { break };
+            for n in &entries[j].claim {
+                let Some(&i) = index.get(n) else { continue };
+                if entries[i].is_pending(now) && !reach.test(i) {
+                    reach.set(i);
+                    frontier.push(i);
+                    pending -= 1;
+                }
+            }
+        }
     }
 
     /// The live, data-reachable entry other than `n` whose coverage claims
@@ -294,9 +332,9 @@ impl ClaimTable {
             return None;
         }
         self.fill_reach(now);
-        let reach = self.known_reach();
         let mut claimants = self.entries.iter().enumerate();
-        claimants.find_map(|(i, e)| (reach.test(i) && e.node != n && e.claims(n)).then_some(e.node))
+        claimants
+            .find_map(|(i, e)| (self.reach.test(i) && e.node != n && e.claims(n)).then_some(e.node))
     }
 
     /// Sorts and deduplicates `nodes` into the table's buffer, for the
@@ -325,9 +363,8 @@ impl ClaimTable {
             return false;
         }
         self.fill_reach(now);
-        let reach = self.known_reach();
         let mut coverers = self.entries.iter().enumerate();
-        coverers.any(|(i, e)| reach.test(i) && covers(e, &self.loaded))
+        coverers.any(|(i, e)| self.reach.test(i) && covers(e, &self.loaded))
     }
 
     /// Fusion rule (2): marks every live entry `nodes` lists, `skip`
@@ -405,31 +442,137 @@ impl ClaimTable {
         self.calm(now).rev
     }
 
-    /// Closes a full pass from `bp` that [`Self::begin_pass`] opened at
-    /// revision `began` and that accepted the claim: if it left the
-    /// revision where it was, the next verbatim repeat inside the calm
-    /// stretch may be replayed.
-    pub fn settle(&mut self, bp: NodeId, began: u64, now: Time) {
+    /// Closes a full pass over `bp`'s fusion listing `nodes` that
+    /// [`Self::begin_pass`] opened at revision `began` and that decided
+    /// `verdict`: if it left the revision where it was, a verbatim repeat
+    /// inside the calm stretch may be replayed with the same verdict.
+    pub fn settle(&mut self, bp: NodeId, nodes: &[NodeId], began: u64, verdict: Verdict) {
         if self.rev != began {
             return;
         }
-        if let Some(i) = self.pos(bp, now) {
-            self.entries[i].settled = began;
+        let memo = self.memos.entry(bp).or_insert_with(|| Memo {
+            rev: began,
+            verdict,
+            vetoed: Vec::new(),
+        });
+        (memo.rev, memo.verdict) = (began, verdict);
+        // In place: the sender's next list is most likely the same length.
+        memo.vetoed.clear();
+        if verdict == Verdict::Vetoed {
+            memo.vetoed.extend_from_slice(nodes);
         }
     }
 
-    /// The exact replay rule: does `nodes` repeat `bp`'s installed claim
-    /// byte for byte, at the very revision at which a full pass over that
-    /// claim was accepted and changed nothing, with `now` still inside the
-    /// calm stretch that pass ran in? Running the pass again would read
-    /// the same rows, marks and claims and decide the same way, so the
-    /// soft table applies the pass's one clock-dependent effect (rule (4)'s
-    /// refresh) and skips the rest. The hard table has no replay: its
+    /// The exact replay rule: does `nodes` repeat byte for byte the list
+    /// of `bp`'s last full pass that changed nothing, at the very revision
+    /// that pass ran at, with `now` still inside its calm stretch? Running
+    /// the pass again would read the same rows, marks and claims and decide
+    /// the same way, so the soft table applies the verdict's one
+    /// clock-dependent effect (an acceptance is rule (4)'s refresh; a veto
+    /// has none) and skips the rest. The hard table has no replay: its
     /// fusions are sent on change, and every one takes the full pass.
-    pub fn replays(&self, bp: NodeId, nodes: &[NodeId], now: Time) -> bool {
-        self.calm_holds(now)
-            && self
-                .get(bp, now)
-                .is_some_and(|e| e.settled == self.rev && e.raw == nodes)
+    pub fn replays(&self, bp: NodeId, nodes: &[NodeId], now: Time) -> Option<Verdict> {
+        if !self.calm_holds(now) {
+            return None;
+        }
+        let memo = self.memos.get(&bp).filter(|m| m.rev == self.rev)?;
+        let listed = match memo.verdict {
+            Verdict::Accepted => self.get(bp, now)?.raw_claim(),
+            Verdict::Vetoed => &memo.vetoed,
+        };
+        (listed == nodes).then_some(memo.verdict)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reference::{reach_fixpoint, Seed};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// One row of a random table: dead, live unmarked or live marked
+    /// (`0..3`); its claim as a list of row numbers, any of which may be
+    /// the row itself, repeated, or past the last row (a node the table
+    /// does not hold); and whether it also claims the next row, twice,
+    /// which strings long chains and cycles through the table.
+    type Row = (u8, Vec<u8>, bool);
+
+    const NOW: Time = Time(100);
+
+    fn rows() -> impl Strategy<Value = Vec<Row>> {
+        let claim = proptest::collection::vec(0u8..80, 0..6);
+        proptest::collection::vec((0u8..3, claim, any::<bool>()), 0..72)
+    }
+
+    /// A table holding `rows`, row `i` for node `i`, claims set directly
+    /// (`install_loaded` would mark the senders they subsume).
+    fn table(rows: &[Row]) -> ClaimTable {
+        let mut t = ClaimTable::default();
+        for (i, (state, claim, chain)) in rows.iter().enumerate() {
+            let node = NodeId(i as u32);
+            let t2 = if *state == 0 { Time(50) } else { NEVER };
+            t.insert(node, t2, t2);
+            let e = &mut t.entries[i];
+            e.marked = *state == 2;
+            e.raw = claim.iter().map(|&c| NodeId(c.into())).collect();
+            if *chain {
+                e.raw.extend([NodeId(i as u32 + 1); 2]);
+            }
+            e.claim.clone_from(&e.raw);
+            e.claim.sort_unstable();
+            e.claim.dedup();
+        }
+        t
+    }
+
+    /// The table's mask against the pairwise fixpoint over the claims as
+    /// received, scanned.
+    fn reach_agrees(t: &mut ClaimTable) -> Result<(), TestCaseError> {
+        t.fill_reach(NOW);
+        let got: Vec<bool> = (0..t.len()).map(|i| t.reach.test(i)).collect();
+        let entries = &t.entries;
+        let want = reach_fixpoint(
+            entries.len(),
+            |i| match &entries[i] {
+                e if e.is_dead(NOW) => Seed::Skip,
+                e if e.marked => Seed::Pending,
+                _ => Seed::Reach,
+            },
+            |j, i| entries[j].raw.contains(&entries[i].node),
+        );
+        prop_assert_eq!(got, want);
+        Ok(())
+    }
+
+    /// Fills the mask, then flips every third row's mark and drops the
+    /// first row, and fills it again in the same buffers. The vendored
+    /// proptest does not shrink, so a failure names its input.
+    fn claim_driven_reach(rows: Vec<Row>) -> Result<(), TestCaseError> {
+        let named = |phase: &str, e| TestCaseError(format!("{e}\n{phase}, rows: {rows:?}"));
+        let mut t = table(&rows);
+        reach_agrees(&mut t).map_err(|e| named("as built", e))?;
+        for (i, (state, ..)) in rows.iter().enumerate().step_by(3) {
+            t.set_mark(NodeId(i as u32), *state != 2, NOW);
+        }
+        t.remove(NodeId(0));
+        reach_agrees(&mut t).map_err(|e| named("after the flips", e))
+    }
+
+    proptest! {
+        #[test]
+        fn claim_driven_reach_matches_pairwise(rows in rows()) {
+            claim_driven_reach(rows)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, .. ProptestConfig::default() })]
+
+        #[test]
+        #[ignore = "4,096 cases: CI runs it in release"]
+        fn claim_driven_reach_matches_pairwise_at_length(rows in rows()) {
+            claim_driven_reach(rows)?;
+        }
     }
 }

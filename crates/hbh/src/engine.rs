@@ -122,7 +122,10 @@ impl Hbh {
         if to == ctx.node {
             return; // the trigger was our own emission looping back
         }
-        let nodes: Vec<NodeId> = mft.live(ctx.now()).collect();
+        // Allocated once at the table's width: collecting the filtered
+        // iterator would grow the list by doubling.
+        let mut nodes = Vec::with_capacity(mft.len());
+        nodes.extend(mft.live(ctx.now()));
         if nodes.is_empty() {
             return; // nothing to claim
         }

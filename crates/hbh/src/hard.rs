@@ -340,6 +340,14 @@ impl HardMft {
     }
 }
 
+/// `nodes` (drawn from `mft`) as a list allocated once, at the table's
+/// width: collecting a filtered iterator would grow it by doubling.
+fn at_width(mft: &HardMft, nodes: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
+    let mut list = Vec::with_capacity(mft.len());
+    list.extend(nodes);
+    list
+}
+
 /// The hard-state HBH protocol (configuration; per-node state in
 /// [`HardNodeState`]).
 #[derive(Clone, Debug)]
@@ -599,7 +607,7 @@ impl HbhHard {
         let nodes = st
             .mft
             .get(&ch)
-            .map_or_else(Vec::new, |m| m.live().collect());
+            .map_or_else(Vec::new, |m| at_width(m, m.live()));
         let from = ctx.node;
         self.send_ctl(st, to, HardCtl::Fusion { ch, from, nodes }, ctx);
     }
@@ -1123,7 +1131,7 @@ impl HbhHard {
             }
             return;
         };
-        let targets: Vec<NodeId> = mft.data_targets().collect();
+        let targets = at_width(mft, mft.data_targets());
         for t in targets {
             ctx.send(pkt.copy_to(t));
         }
@@ -1225,7 +1233,7 @@ impl Protocol for HbhHard {
                 };
                 let now = ctx.now();
                 let horizon = self.deadman();
-                let direct: Vec<NodeId> = mft.data_targets().collect();
+                let direct = at_width(mft, mft.data_targets());
                 let mut dead = Vec::new();
                 for child in &direct {
                     match state.child_seen.get(&(ch, *child)) {
@@ -1288,7 +1296,7 @@ impl Protocol for HbhHard {
                     return; // no receivers
                 };
                 let now = ctx.now();
-                let targets: Vec<NodeId> = mft.data_targets().collect();
+                let targets = at_width(mft, mft.data_targets());
                 for t in targets {
                     let pkt = Packet::data(ctx.node, t, tag, now, HardMsg::Data { ch });
                     ctx.send(pkt);

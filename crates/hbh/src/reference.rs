@@ -5,12 +5,57 @@
 //! Every coverage question here is the original
 //! `entries.any(nodes.all(covers.contains))` scan plus a fresh reach
 //! fixpoint, and `fusion` is the body each engine's `fusion_at_node` had
-//! before it was lifted onto the tables.
+//! before it was lifted onto the tables. The fixpoint is the pairwise one
+//! the tables ran before reach propagated along claims: no code is shared
+//! with the table it witnesses.
 
-use crate::bits::{reach_fixpoint, Mask, Seed};
 use hbh_proto_base::Timing;
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
+
+/// How an entry seeds the reach fixpoint.
+pub enum Seed {
+    /// Not participating (dead entry).
+    Skip,
+    /// Directly served: data fans out to it from this table.
+    Reach,
+    /// Marked: reachable only if a reachable entry's coverage claims it.
+    Pending,
+}
+
+/// Least fixpoint of coverage reachability over `len` entries. `seed`
+/// classifies each entry; `claims(j, i)` answers whether entry `j`'s
+/// coverage set claims entry `i`'s node. Frontier propagation in rounds:
+/// only entries that became reachable in the previous round can newly
+/// claim a pending one, so each round asks the frontier × pending pairs.
+/// Coverage chains can nest — B3 serves B2 serves B1 — which is why one
+/// hop is not enough.
+pub fn reach_fixpoint(
+    len: usize,
+    seed: impl Fn(usize) -> Seed,
+    claims: impl Fn(usize, usize) -> bool,
+) -> Vec<bool> {
+    let mut reach = vec![false; len];
+    let mut pending = vec![false; len];
+    for i in 0..len {
+        match seed(i) {
+            Seed::Skip => {}
+            Seed::Reach => reach[i] = true,
+            Seed::Pending => pending[i] = true,
+        }
+    }
+    let mut frontier: Vec<usize> = (0..len).filter(|&i| reach[i]).collect();
+    while !frontier.is_empty() {
+        let newly: Vec<usize> = (0..len)
+            .filter(|&i| pending[i] && frontier.iter().any(|&j| claims(j, i)))
+            .collect();
+        for &i in &newly {
+            (reach[i], pending[i]) = (true, false);
+        }
+        frontier = newly;
+    }
+    reach
+}
 
 /// An entry with its own t1 and t2 deadlines; expiry is inclusive.
 #[derive(Clone, Debug)]
@@ -92,7 +137,7 @@ impl RefMft {
         }
     }
 
-    fn data_reachable(&self, now: Time) -> Mask {
+    fn data_reachable(&self, now: Time) -> Vec<bool> {
         reach_fixpoint(
             self.entries.len(),
             |i| {
@@ -126,7 +171,7 @@ impl RefMft {
         self.entries
             .iter()
             .enumerate()
-            .any(|(i, e)| reach.test(i) && e.node != n && e.covers.contains(&n))
+            .any(|(i, e)| reach[i] && e.node != n && e.covers.contains(&n))
     }
 
     pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
@@ -142,7 +187,7 @@ impl RefMft {
         }
         let reach = self.data_reachable(now);
         self.entries.iter().enumerate().any(|(i, e)| {
-            reach.test(i)
+            reach[i]
                 && e.node != sender
                 && !e.covers.is_empty()
                 && nodes.iter().all(|n| e.covers.contains(n))
@@ -333,7 +378,7 @@ impl RefHardMft {
         }
     }
 
-    fn data_reachable(&self) -> Mask {
+    fn data_reachable(&self) -> Vec<bool> {
         reach_fixpoint(
             self.entries.len(),
             |i| {
@@ -363,9 +408,10 @@ impl RefHardMft {
             return None;
         }
         let reach = self.data_reachable();
-        self.entries.iter().enumerate().find_map(|(i, e)| {
-            (reach.test(i) && e.node != n && e.covers.contains(&n)).then_some(e.node)
-        })
+        self.entries
+            .iter()
+            .enumerate()
+            .find_map(|(i, e)| (reach[i] && e.node != n && e.covers.contains(&n)).then_some(e.node))
     }
 
     pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId) -> bool {
@@ -376,7 +422,7 @@ impl RefHardMft {
         }
         let reach = self.data_reachable();
         self.entries.iter().enumerate().any(|(i, e)| {
-            reach.test(i)
+            reach[i]
                 && e.node != sender
                 && !e.covers.is_empty()
                 && nodes.iter().all(|n| e.covers.contains(n))
@@ -553,4 +599,31 @@ pub fn hard_diff(new: &mut crate::hard::HardMft, old: &RefHardMft) -> Result<(),
         order(new.data_targets()),
         order(old.data_targets()),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fixpoint_follows_nested_chains() {
+        // 0 direct; 1 covered by 0; 2 covered by 1; 3 orphaned.
+        let reach = reach_fixpoint(
+            4,
+            |i| if i == 0 { Seed::Reach } else { Seed::Pending },
+            |j, i| matches!((j, i), (0, 1) | (1, 2)),
+        );
+        assert_eq!(reach, [true, true, true, false]);
+    }
+
+    #[test]
+    fn fixpoint_scales_past_the_old_cap() {
+        // A 200-entry chain: i covered by i-1, rooted at 0.
+        let reach = reach_fixpoint(
+            200,
+            |i| if i == 0 { Seed::Reach } else { Seed::Pending },
+            |j, i| i == j + 1,
+        );
+        assert!(reach.iter().all(|&r| r));
+    }
 }

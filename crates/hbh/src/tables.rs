@@ -34,7 +34,7 @@
 //! marks the senders it subsumes. `DESIGN.md` §5 records this as the one
 //! place we had to complete the paper's specification.
 
-use crate::claims::ClaimTable;
+use crate::claims::{ClaimTable, Verdict};
 use hbh_proto_base::{EntryPhase, SoftEntry, Timing};
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
@@ -200,18 +200,24 @@ impl HbhMft {
     /// completion of the module docs); returns the number of structural
     /// changes it made.
     pub fn fusion(&mut self, bp: NodeId, nodes: &[NodeId], now: Time, timing: &Timing) -> usize {
-        if self.core.replays(bp, nodes, now) {
-            // A verbatim repeat on an unchanged table: rule (4) and
-            // nothing else (see `ClaimTable::replays`).
-            self.core.touch(bp, now, now, now + timing.t2);
-            return 0;
-        }
         let began = self.core.begin_pass(now);
+        // A verbatim repeat on an unchanged table decides as the pass it
+        // repeats did (see `ClaimTable::replays`).
+        match self.core.replays(bp, nodes, now) {
+            // Rule (4) and nothing else.
+            Some(Verdict::Accepted) => {
+                self.core.touch(bp, now, now, now + timing.t2);
+                return 0;
+            }
+            Some(Verdict::Vetoed) => return 0,
+            None => {}
+        }
         self.core.load_claim(nodes);
         // Nested-fusion disambiguation: a fusion whose claim is contained
         // in an already-installed sender's coverage is ignored — its
         // subtree is served through that broader branching node.
         if self.core.covers_loaded(bp, now) {
+            self.core.settle(bp, nodes, began, Verdict::Vetoed);
             return 0; // consumed, deliberately without effect
         }
         // Rule (2): mark the listed entries — they will keep receiving
@@ -233,8 +239,15 @@ impl HbhMft {
         // Rules (3)/(4): install Bp stale (data-only), or refresh its t2
         // keeping t1 expired; subsume narrower senders.
         structural += usize::from(self.install_loaded(bp, nodes, now, timing));
-        self.core.settle(bp, began, now);
+        self.core.settle(bp, nodes, began, Verdict::Accepted);
         structural
+    }
+
+    /// How a verbatim repeat of `bp`'s fusion listing `nodes` would be
+    /// replayed at `now`, if it would.
+    #[cfg(test)]
+    pub(crate) fn replays(&self, bp: NodeId, nodes: &[NodeId], now: Time) -> Option<Verdict> {
+        self.core.replays(bp, nodes, now)
     }
 
     /// Data fan-out set: live, unmarked entries.
@@ -576,9 +589,19 @@ mod tests {
             got
         }
 
-        /// Would sender 9's `CLAIM` be replayed at `now`?
+        /// How a repeat of sender 9's `nodes` would be replayed at `now`.
+        fn verdict(&self, nodes: &[NodeId], now: Time) -> Option<Verdict> {
+            self.0.replays(NodeId(9), nodes, now)
+        }
+
+        /// Would sender 9's `CLAIM` be replayed as accepted at `now`?
         fn replays(&self, now: Time) -> bool {
-            self.0.core.replays(NodeId(9), &CLAIM, now)
+            self.verdict(&CLAIM, now) == Some(Verdict::Accepted)
+        }
+
+        /// Would sender 9's `CLAIM` be replayed as vetoed at `now`?
+        fn vetoes(&self, now: Time) -> bool {
+            self.verdict(&CLAIM, now) == Some(Verdict::Vetoed)
         }
     }
 
@@ -631,10 +654,7 @@ mod tests {
             "t2 restarted"
         );
         // A different list from the same sender is not a repeat.
-        assert!(!p
-            .0
-            .core
-            .replays(NodeId(9), &[NodeId(2), NodeId(1)], Time(22)));
+        assert_eq!(p.verdict(&[NodeId(2), NodeId(1)], Time(22)), None);
     }
 
     #[test]
@@ -724,5 +744,135 @@ mod tests {
         assert!(!p.replays(Time(t2)));
         assert_eq!(p.fusion(9, &CLAIM, Time(t2)), 1);
         assert!(!p.0.is_marked(NodeId(9), Time(t2)));
+    }
+
+    // --- the veto verdict of the replay rule ------------------------------
+
+    /// Receivers 1, 2, 3; sender 8 claims {1, 2, 3} and is itself marked
+    /// and served through sender 7, which claims {8, 3}. Sender 9's claim
+    /// {1, 2} is contained in 8's and 8 receives data, so it is vetoed: at
+    /// `Time(11)` a verbatim repeat would be vetoed off the memo.
+    fn vetoed() -> Pair {
+        let mut p = Pair(HbhMft::default(), RefMft::default());
+        for n in 1..=3 {
+            p.join(n, Time(0));
+        }
+        let all = [NodeId(1), NodeId(2), NodeId(3)];
+        assert_eq!(p.fusion(8, &all, Time(0)), 4, "three marks and 8 itself");
+        assert_eq!(p.fusion(7, &[NodeId(8), NodeId(3)], Time(0)), 2);
+        assert!(p.0.is_marked(NodeId(8), Time(0)));
+        assert!(!p.vetoes(Time(10)), "9 has sent nothing yet");
+        assert_eq!(p.fusion(9, &CLAIM, Time(10)), 0);
+        assert!(!p.0.contains(NodeId(9), Time(10)), "vetoed, not installed");
+        assert!(p.vetoes(Time(11)));
+        p
+    }
+
+    /// [`vetoed`] carried to `Time(530)` with everyone refreshed but
+    /// receiver 3, which died at `t2` and sits in the table unreaped.
+    fn vetoed_around_a_dead_entry() -> Pair {
+        let mut p = vetoed();
+        for n in [1, 2] {
+            p.join(n, Time(300));
+        }
+        p.fusion(8, &[NodeId(1), NodeId(2), NodeId(3)], Time(300));
+        p.fusion(7, &[NodeId(8), NodeId(3)], Time(300));
+        let later = Time(tm().t2 + 10);
+        assert!(!p.0.contains(NodeId(3), later) && p.0.len() == 5);
+        assert_eq!(p.fusion(9, &CLAIM, later), 0);
+        assert!(p.vetoes(later));
+        p
+    }
+
+    #[test]
+    fn vetoed_repeat_changes_nothing() {
+        let mut p = vetoed();
+        assert_eq!(p.fusion(9, &CLAIM, Time(11)), 0);
+        assert!(!p.0.contains(NodeId(9), Time(11)));
+        assert!(p.vetoes(Time(12)), "the memo outlives its own replay");
+        assert!(!p.replays(Time(12)), "a veto is not an acceptance");
+    }
+
+    #[test]
+    fn veto_ends_with_a_new_entry() {
+        let mut p = vetoed();
+        p.join(4, Time(20));
+        assert!(!p.vetoes(Time(20)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 0);
+        assert!(p.vetoes(Time(21)), "vetoed again on the wider table");
+    }
+
+    #[test]
+    fn veto_ends_with_a_reap() {
+        let mut p = vetoed_around_a_dead_entry();
+        assert_eq!((p.0.reap(Time(540)), p.1.reap(Time(540))), (1, 1));
+        assert!(!p.vetoes(Time(540)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(540)), 0);
+    }
+
+    #[test]
+    fn veto_ends_with_a_mark() {
+        let mut p = vetoed();
+        assert!(p.0.mark(NodeId(7), Time(20)) && p.1.mark(NodeId(7), Time(20)));
+        assert!(!p.vetoes(Time(20)));
+        // 7 no longer receives data, so neither does 8: its claim vetoes
+        // nothing, and 9 is installed.
+        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1);
+        assert!(p.0.contains(NodeId(9), Time(20)));
+    }
+
+    #[test]
+    fn veto_ends_with_an_unmark_of_the_coverers_chain() {
+        let mut p = vetoed();
+        assert!(p.0.unmark(NodeId(8), Time(20)) && p.1.unmark(NodeId(8), Time(20)));
+        assert!(!p.vetoes(Time(20)));
+        assert_eq!(
+            p.fusion(9, &CLAIM, Time(20)),
+            0,
+            "8 now serves 1, 2 directly"
+        );
+        assert!(p.vetoes(Time(21)));
+    }
+
+    #[test]
+    fn veto_ends_when_another_senders_claim_changes() {
+        let mut p = vetoed();
+        // 8 narrows its claim to {1}: no structural change, but it no
+        // longer covers 9's claim.
+        assert_eq!(p.fusion(8, &[NodeId(1)], Time(20)), 0);
+        assert!(!p.vetoes(Time(20)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1);
+        assert!(p.0.contains(NodeId(9), Time(20)));
+    }
+
+    #[test]
+    fn veto_ends_when_the_coverer_dies_by_clock_alone() {
+        let mut p = vetoed();
+        // Everyone but 8 keeps refreshing; nothing else touches the table.
+        for n in 1..=3 {
+            p.join(n, Time(300));
+        }
+        p.fusion(7, &[NodeId(8), NodeId(3)], Time(300));
+        assert_eq!(p.fusion(9, &CLAIM, Time(300)), 0);
+        let t2 = tm().t2;
+        assert!(p.vetoes(Time(t2 - 1)), "8 is still alive");
+        // 8 dies at t2 with no call in between: the repeat must take the
+        // full path and install 9, as the reference does.
+        assert!(!p.vetoes(Time(t2)));
+        assert!(!p.0.served_by_other(NodeId(1), Time(t2)));
+        assert!(!p.vetoes(Time(t2)));
+        assert_eq!(p.fusion(9, &CLAIM, Time(t2)), 1);
+        assert!(p.0.contains(NodeId(9), Time(t2)));
+    }
+
+    #[test]
+    fn veto_ends_with_a_reordered_list() {
+        let mut p = vetoed();
+        let reordered = [NodeId(2), NodeId(1)];
+        assert_eq!(p.verdict(&reordered, Time(20)), None);
+        assert_eq!(p.fusion(9, &reordered, Time(20)), 0);
+        assert_eq!(p.verdict(&reordered, Time(21)), Some(Verdict::Vetoed));
+        assert!(!p.vetoes(Time(21)), "the memo holds the latest list only");
+        assert_eq!(p.fusion(9, &CLAIM, Time(21)), 0);
     }
 }
