@@ -25,7 +25,7 @@
 //! a stale queue entry can never fire).
 
 use crate::ctx::{Ctx, KernelOps};
-use crate::fasthash::{FastMap, FxBuildHasher};
+use crate::fasthash::FastMap;
 use crate::fault::FaultEvent;
 use crate::network::Network;
 use crate::packet::Packet;
@@ -33,7 +33,7 @@ use crate::queue::{EventKind, EventQueue};
 use crate::stats::{Delivery, Stats};
 use crate::time::Time;
 use crate::trace::{Trace, TraceKind};
-use hbh_topo::graph::NodeId;
+use hbh_topo::graph::{LinkId, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Debug;
@@ -276,6 +276,7 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
         cost: hbh_topo::graph::Cost,
         pkt: Packet<M>,
     ) {
+        let mut lost = false;
         if let Some(f) = &self.faults {
             if f.edge_down[eid.index()] {
                 // A down link carries nothing: the copy never occupies it,
@@ -283,15 +284,16 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
                 self.drop_packet(from, &pkt, DropReason::LinkDown);
                 return;
             }
-            if f.lose(pkt.class, eid, &mut self.rng) {
-                // The copy is counted as transmitted (it did occupy the
-                // link) and then lost.
-                self.stats.count_transit(eid, pkt.class, pkt.tag);
-                self.drop_packet(from, &pkt, DropReason::InjectedLoss);
-                return;
-            }
+            lost = f.lose(pkt.class, eid, &mut self.rng);
         }
-        self.stats.count_transit(eid, pkt.class, pkt.tag);
+        self.stats
+            .count_transit(LinkId::new(from, next), pkt.class, pkt.tag);
+        if lost {
+            // The copy is counted as transmitted (it did occupy the link)
+            // and then lost.
+            self.drop_packet(from, &pkt, DropReason::InjectedLoss);
+            return;
+        }
         if self.trace.active() {
             self.trace.record(
                 self.now,
@@ -412,34 +414,83 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> KernelOps
     }
 }
 
+/// `NodeStates::slot` of a node that has not handled an event yet.
+const NONE: u32 = u32::MAX;
+
+/// Per-node protocol states, created when a node first handles an event.
+///
+/// A node that has never run a handler holds the default state, and no
+/// handler can tell a default state it was just given from one that sat in
+/// a table all run: so storing only the touched nodes is exact, and an
+/// untouched node reads as the one shared `blank`.
+struct NodeStates<S> {
+    /// `slot[n]`: index of node `n`'s state in `packed`, or [`NONE`].
+    slot: Vec<u32>,
+    /// The states of the touched nodes, in first-touch order.
+    packed: Vec<S>,
+    /// What an untouched node reads as.
+    blank: S,
+}
+
+impl<S: Default> NodeStates<S> {
+    fn new(nodes: usize) -> Self {
+        NodeStates {
+            slot: vec![NONE; nodes],
+            packed: Vec::new(),
+            blank: S::default(),
+        }
+    }
+
+    fn get(&self, n: NodeId) -> &S {
+        match self.slot[n.index()] {
+            NONE => &self.blank,
+            i => &self.packed[i as usize],
+        }
+    }
+
+    /// `n`'s state, created on this first touch if need be.
+    fn touch(&mut self, n: NodeId) -> &mut S {
+        let slot = &mut self.slot[n.index()];
+        if *slot == NONE {
+            *slot = self.packed.len() as u32;
+            self.packed.push(S::default());
+        }
+        &mut self.packed[*slot as usize]
+    }
+
+    /// Resets `n` to the default state. An untouched node already is.
+    fn reset(&mut self, n: NodeId) {
+        let i = self.slot[n.index()];
+        if i != NONE {
+            self.packed[i as usize] = S::default();
+        }
+    }
+}
+
 /// The simulator: a [`Network`], one [`Protocol`], per-node states, and the
 /// event queue.
 pub struct Kernel<P: Protocol> {
     proto: P,
-    states: Vec<P::NodeState>,
+    states: NodeStates<P::NodeState>,
     core: Core<P::Msg, P::Timer, P::Command>,
 }
 
 impl<P: Protocol> Kernel<P> {
     /// Creates a kernel over `net` with every node's state defaulted and
-    /// the RNG seeded from `seed`.
+    /// the RNG seeded from `seed`. Its memory grows with what the run
+    /// touches: a node's state is made when it first handles an event, and
+    /// the event slab and timer map start empty.
     pub fn new(net: Network, proto: P, seed: u64) -> Self {
-        let n = net.node_count();
-        // Pre-size the scheduler and keyed-timer map from the topology:
-        // in-flight events scale with nodes (a few packets/timers each).
-        // Generous guesses — the point is to skip the first few doubling
-        // reallocations, not to be exact.
-        let stats = Stats::for_graph(net.graph());
         Kernel {
             proto,
-            states: (0..n).map(|_| P::NodeState::default()).collect(),
+            states: NodeStates::new(net.node_count()),
             core: Core {
                 net,
-                queue: EventQueue::with_capacity(64 + 4 * n),
+                queue: EventQueue::new(),
                 now: Time::ZERO,
                 seq: 0,
-                timer_ids: FastMap::with_capacity_and_hasher(2 * n, FxBuildHasher::default()),
-                stats,
+                timer_ids: FastMap::default(),
+                stats: Stats::default(),
                 rng: StdRng::seed_from_u64(seed),
                 trace: Trace::disabled(),
                 faults: None,
@@ -478,7 +529,7 @@ impl<P: Protocol> Kernel<P> {
                 // A crash loses all soft state and cancels every pending
                 // timer — recovery must come entirely from the neighbors'
                 // refresh traffic, exactly like a real router reboot.
-                self.states[n.index()] = P::NodeState::default();
+                self.states.reset(n);
                 self.core.timer_ids.retain(|(node, _), _| *node != n);
             }
             FaultEvent::NodeUp(n) => self.core.faults().node_down[n.index()] = false,
@@ -591,7 +642,7 @@ impl<P: Protocol> Kernel<P> {
                     Some(stored) if stored == id => {
                         let mut ctx = Ctx::from_ops(node, &mut self.core);
                         self.proto
-                            .on_timer(&mut self.states[node.index()], timer, &mut ctx);
+                            .on_timer(self.states.touch(node), timer, &mut ctx);
                     }
                     Some(newer) => {
                         // Stale instance popped before the re-armed one:
@@ -617,7 +668,7 @@ impl<P: Protocol> Kernel<P> {
                 } else {
                     let mut ctx = Ctx::from_ops(node, &mut self.core);
                     self.proto
-                        .on_command(&mut self.states[node.index()], cmd, &mut ctx);
+                        .on_command(self.states.touch(node), cmd, &mut ctx);
                 }
             }
             EventKind::Fault(ev) => self.apply_fault(ev),
@@ -635,8 +686,7 @@ impl<P: Protocol> Kernel<P> {
         match arrival(&self.core.net, node, pkt.dst) {
             Arrival::Engine => {
                 let mut ctx = Ctx::from_ops(node, &mut self.core);
-                self.proto
-                    .on_packet(&mut self.states[node.index()], pkt, &mut ctx);
+                self.proto.on_packet(self.states.touch(node), pkt, &mut ctx);
             }
             Arrival::Transit => self.core.forward(node, pkt),
             Arrival::Drop(reason) => self.core.drop_packet(node, &pkt, reason),
@@ -660,14 +710,10 @@ impl<P: Protocol> Kernel<P> {
         &self.core.stats
     }
 
-    /// A node's protocol state (read).
+    /// A node's protocol state (read): the default state if the node has
+    /// not handled an event since the run began.
     pub fn state(&self, node: NodeId) -> &P::NodeState {
-        &self.states[node.index()]
-    }
-
-    /// All node states, indexed by node id.
-    pub fn states(&self) -> &[P::NodeState] {
-        &self.states
+        self.states.get(node)
     }
 
     /// The protocol configuration this kernel was built with.
@@ -693,7 +739,7 @@ mod tests {
     /// `Tick` timer re-arms itself once and counts via a state counter.
     struct TestProto;
 
-    #[derive(Default)]
+    #[derive(Debug, Default, PartialEq)]
     struct TestState {
         ticks: u32,
         seen: u32,
@@ -927,6 +973,52 @@ mod tests {
         assert!(trace
             .iter()
             .any(|r| matches!(r.what, TraceKind::Delivered { tag: 1 })));
+    }
+
+    /// One router with `hosts` hosts on it.
+    fn star(hosts: usize) -> (Kernel<TestProto>, NodeId, Vec<NodeId>) {
+        let mut g = Graph::new();
+        let r = g.add_router();
+        let hs = (0..hosts).map(|_| g.add_host(r, 1, 1)).collect();
+        (Kernel::new(Network::new(g), TestProto, 0), r, hs)
+    }
+
+    #[test]
+    fn only_nodes_that_handled_an_event_hold_state() {
+        let (mut k, r, hs) = star(2_000);
+        k.command_at(hs[0], TestCmd::Ping { to: hs[1], tag: 1 }, Time::ZERO);
+        k.command_at(hs[2], TestCmd::Arm, Time::ZERO);
+        k.run_until(Time(100));
+        assert_eq!(k.stats().deliveries.len(), 1);
+        assert_eq!(k.state(r).seen, 1);
+        assert_eq!(k.state(hs[1]).seen, 1);
+        assert_eq!(k.state(hs[2]).ticks, 2);
+        // The pinger, the router, the receiver and the timer's owner.
+        let handled = [hs[0], r, hs[1], hs[2]];
+        assert_eq!(k.states.packed.len(), handled.len());
+        for n in k.network().graph().nodes() {
+            if !handled.contains(&n) {
+                assert_eq!(*k.state(n), TestState::default(), "{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn restarting_an_untouched_node_leaves_it_uncreated() {
+        let (mut k, _, hs) = star(2_000);
+        let (touched, untouched) = (hs[0], hs[1]);
+        k.command_at(touched, TestCmd::Arm, Time::ZERO);
+        k.run_until(Time(11));
+        assert_eq!(k.state(touched).ticks, 1);
+        for n in [touched, untouched] {
+            k.schedule_fault(Time(12), FaultEvent::NodeDown(n));
+            k.schedule_fault(Time(13), FaultEvent::NodeUp(n));
+        }
+        k.run_until(Time(50));
+        assert_eq!(*k.state(touched), TestState::default(), "crash wiped state");
+        assert_eq!(*k.state(untouched), TestState::default());
+        assert_eq!(k.states.slot[untouched.index()], NONE);
+        assert_eq!(k.states.packed.len(), 1, "only the armed host holds state");
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!   state type plus handlers for packet arrival and timer expiry. Handlers
 //!   receive a [`ctx::Ctx`] with the current time, a seeded RNG, routing
 //!   lookups, and actions (send, forward, deliver, set/cancel timer).
-//! * **Accounting** ([`stats::Stats`]) counts per-link packet copies by
-//!   traffic class and records application-level deliveries — the raw
-//!   material for the paper's tree-cost and delay metrics.
+//! * **Accounting** ([`stats::Stats`]) logs each data copy's link and
+//!   probe tag, counts control copies, and records application-level
+//!   deliveries — the raw material for the paper's tree-cost and delay
+//!   metrics.
 //!
 //! ## Determinism
 //!

@@ -1,11 +1,12 @@
 //! Property-based tests of the kernel's core guarantees: event ordering,
-//! delay accounting, and determinism under arbitrary workloads — plus the
-//! one reroute rule of [`Network::rerouted`] under fault sequences.
+//! delay accounting, and determinism under arbitrary workloads, node state
+//! made on first event — plus the one reroute rule of
+//! [`Network::rerouted`] under fault sequences.
 
 use crate::network::Network;
 use crate::packet::Packet;
 use crate::time::Time;
-use crate::{Ctx, Kernel, Protocol};
+use crate::{Ctx, FaultEvent, Kernel, Protocol};
 use hbh_routing::RoutingTables;
 use hbh_topo::graph::{Graph, NodeId};
 use hbh_topo::{costs, random};
@@ -14,24 +15,40 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A protocol that just bounces data to its destination and records
-/// arrival order (used to observe kernel behaviour, not to route).
+/// arrival order (used to observe kernel behaviour, not to route). A node
+/// counts what it saw and its timer ticks, so its state shows which events
+/// it handled.
 struct Echo;
 
-#[derive(Default)]
-struct EchoState;
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct EchoState {
+    seen: u32,
+    ticks: u32,
+}
 
 #[derive(Clone, Debug)]
 enum EchoCmd {
-    Send { to: NodeId, tag: u64 },
+    Send {
+        to: NodeId,
+        tag: u64,
+    },
+    /// Arm a timer that sends a control packet to `to` on each of three
+    /// ticks.
+    Arm {
+        to: NodeId,
+    },
+    /// Nothing at all.
+    Touch,
 }
 
 impl Protocol for Echo {
     type Msg = ();
-    type Timer = u8;
+    type Timer = NodeId;
     type Command = EchoCmd;
     type NodeState = EchoState;
 
-    fn on_packet(&self, _s: &mut EchoState, pkt: Packet<()>, ctx: &mut Ctx<'_, (), u8>) {
+    fn on_packet(&self, s: &mut EchoState, pkt: Packet<()>, ctx: &mut Ctx<'_, (), NodeId>) {
+        s.seen += 1;
         if pkt.dst == ctx.node {
             ctx.deliver(&pkt);
         } else {
@@ -39,12 +56,24 @@ impl Protocol for Echo {
         }
     }
 
-    fn on_timer(&self, _s: &mut EchoState, _t: u8, _ctx: &mut Ctx<'_, (), u8>) {}
+    fn on_timer(&self, s: &mut EchoState, to: NodeId, ctx: &mut Ctx<'_, (), NodeId>) {
+        s.ticks += 1;
+        ctx.structural_change();
+        ctx.send(Packet::control(ctx.node, to, ()));
+        if s.ticks < 3 {
+            ctx.set_timer(to, 40);
+        }
+    }
 
-    fn on_command(&self, _s: &mut EchoState, cmd: EchoCmd, ctx: &mut Ctx<'_, (), u8>) {
-        let EchoCmd::Send { to, tag } = cmd;
-        let pkt = Packet::data(ctx.node, to, tag, ctx.now(), ());
-        ctx.send(pkt);
+    fn on_command(&self, _s: &mut EchoState, cmd: EchoCmd, ctx: &mut Ctx<'_, (), NodeId>) {
+        match cmd {
+            EchoCmd::Send { to, tag } => {
+                let pkt = Packet::data(ctx.node, to, tag, ctx.now(), ());
+                ctx.send(pkt);
+            }
+            EchoCmd::Arm { to } => ctx.set_timer(to, 40),
+            EchoCmd::Touch => {}
+        }
     }
 }
 
@@ -118,8 +147,97 @@ fn rerouted_steps_hold(seed: u64, n: usize, steps: Vec<(u8, usize)>) -> Result<(
     Ok(())
 }
 
+/// What a run shows of itself, everything but its event count.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    deliveries: Vec<crate::Delivery>,
+    per_link: Vec<std::collections::BTreeMap<(NodeId, NodeId), u64>>,
+    control: u64,
+    drops: u64,
+    structural: (u64, Time),
+    states: Vec<EchoState>,
+    pending_timers: usize,
+}
+
+/// Sends, timer arms and crash/restart steps on a random graph with up to
+/// 40 extra hosts, run as given and again with every node first touched
+/// at t = 0 by a no-op command: the two runs are the same run, except for
+/// the touches' own events. So making a node's state on its first event
+/// instead of up front is invisible.
+fn first_touch_is_invisible(
+    seed: u64,
+    n: usize,
+    extra: Vec<usize>,
+    work: Vec<(u8, usize, usize, u64)>,
+) -> Result<(), TestCaseError> {
+    let mut g = graph(seed, n);
+    for r in &extra {
+        let router = NodeId((r % n) as u32);
+        g.add_host(router, 1 + (*r % 3) as u32, 1 + (*r % 5) as u32);
+    }
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    let hosts: Vec<NodeId> = g.hosts().collect();
+    let run = |touch: bool| {
+        let mut k = Kernel::new(Network::new(g.clone()), Echo, seed);
+        if touch {
+            for &v in &nodes {
+                k.command_at(v, EchoCmd::Touch, Time::ZERO);
+            }
+        }
+        for (i, &(kind, a, b, at)) in work.iter().enumerate() {
+            let (at, node) = (Time(at), nodes[a % nodes.len()]);
+            match kind {
+                0 => {
+                    let (from, to) = (hosts[a % hosts.len()], hosts[b % hosts.len()]);
+                    k.command_at(from, EchoCmd::Send { to, tag: i as u64 }, at);
+                }
+                1 => k.command_at(
+                    node,
+                    EchoCmd::Arm {
+                        to: nodes[b % nodes.len()],
+                    },
+                    at,
+                ),
+                2 => k.schedule_fault(at + 1, FaultEvent::NodeDown(node)),
+                _ => k.schedule_fault(at + 1, FaultEvent::NodeUp(node)),
+            }
+        }
+        k.run_until(Time(2_000));
+        let stats = k.stats();
+        let seen = Seen {
+            deliveries: stats.deliveries.clone(),
+            per_link: (0..work.len() as u64)
+                .map(|tag| stats.data_copies_per_link(tag))
+                .collect(),
+            control: stats.control_copies(),
+            drops: stats.drops,
+            structural: (stats.structural_changes, stats.last_structural_change),
+            states: nodes.iter().map(|&v| *k.state(v)).collect(),
+            pending_timers: k.pending_timer_count(),
+        };
+        (seen, stats.events)
+    };
+    let (plain, events) = run(false);
+    let (touched, touched_events) = run(true);
+    prop_assert_eq!(plain, touched);
+    prop_assert_eq!(events + nodes.len() as u64, touched_events);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+
+    /// A node's state made on its first event reads like one made up
+    /// front: see [`first_touch_is_invisible`].
+    #[test]
+    fn state_on_first_event_is_invisible(
+        seed in 0u64..100_000,
+        n in 4usize..10,
+        extra in proptest::collection::vec(0usize..1_000, 0..40),
+        work in proptest::collection::vec((0u8..4, 0usize..1_000, 0usize..1_000, 0u64..300), 1..24),
+    ) {
+        first_touch_is_invisible(seed, n, extra, work)?;
+    }
 
     /// Every unicast send arrives exactly once, after exactly the unicast
     /// distance, regardless of how many are in flight.
@@ -212,10 +330,21 @@ proptest! {
     }
 }
 
-// The reroute property at 128× the cases: too slow for tier-1, run by CI
-// with `cargo test --release -p hbh-sim-core -- --ignored`.
+// The first-touch and reroute properties at 128× the cases: too slow for
+// tier-1, run by CI with `cargo test --release -p hbh-sim-core -- --ignored`.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4096, .. ProptestConfig::default() })]
+
+    #[test]
+    #[ignore = "4,096 cases: CI runs it in release"]
+    fn state_on_first_event_is_invisible_at_length(
+        seed in 0u64..100_000,
+        n in 4usize..10,
+        extra in proptest::collection::vec(0usize..1_000, 0..40),
+        work in proptest::collection::vec((0u8..4, 0usize..1_000, 0usize..1_000, 0u64..300), 1..24),
+    ) {
+        first_touch_is_invisible(seed, n, extra, work)?;
+    }
 
     #[test]
     #[ignore = "4,096 cases: CI runs it in release"]

@@ -72,7 +72,7 @@ pub(crate) struct EventQueue<M, T, C> {
 }
 
 impl<M, T, C> EventQueue<M, T, C> {
-    pub(crate) fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             wheel: (0..NEAR_HORIZON)
                 .map(|_| WheelSlot {
@@ -82,7 +82,7 @@ impl<M, T, C> EventQueue<M, T, C> {
                 .collect(),
             occ: 0,
             far: BinaryHeap::new(),
-            kinds: Vec::with_capacity(cap),
+            kinds: Vec::new(),
             free: Vec::new(),
             pending_data: 0,
         }
@@ -216,7 +216,7 @@ mod tests {
     fn deadlines_decades_apart_pop_in_order() {
         // Deadlines from just past the near band to 7e10, pushed shuffled,
         // must come back in (at, seq) order.
-        let mut q: EventQueue<(), (), u64> = EventQueue::with_capacity(0);
+        let mut q: EventQueue<(), (), u64> = EventQueue::new();
         let ats = [
             20_000_000u64,
             70,
@@ -243,7 +243,7 @@ mod tests {
         // A long far backlog, a partially consumed prefix, then inserts due
         // *earlier* than everything still pending (a sorted-Vec far band
         // once mis-ordered exactly this). Order must stay exact throughout.
-        let mut q: EventQueue<(), (), u64> = EventQueue::with_capacity(0);
+        let mut q: EventQueue<(), (), u64> = EventQueue::new();
         let mut seq = 0u64;
         // Backlog: 500 far events at t = 10_000 .. 10_500.
         for i in 0..500u64 {
@@ -308,7 +308,7 @@ mod tests {
             fn queue_pops_in_reference_heap_order(
                 ops in proptest::collection::vec((any::<bool>(), delta()), 1..300),
             ) {
-                let mut q: EventQueue<(), (), u64> = EventQueue::with_capacity(0);
+                let mut q: EventQueue<(), (), u64> = EventQueue::new();
                 let mut heap: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
                 let mut now = Time::ZERO;
                 let mut seq = 0u64;

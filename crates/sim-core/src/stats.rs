@@ -1,5 +1,5 @@
-//! Simulation accounting: per-link copy counters, application deliveries,
-//! drops, and structural-change bookkeeping.
+//! Simulation accounting: a log of data-copy link transits, application
+//! deliveries, drops, and structural-change bookkeeping.
 //!
 //! The paper's two headline metrics map onto this directly:
 //!
@@ -10,7 +10,7 @@
 
 use crate::packet::PacketClass;
 use crate::time::Time;
-use hbh_topo::graph::{EdgeId, Graph, LinkId, NodeId};
+use hbh_topo::graph::{LinkId, NodeId};
 use std::collections::BTreeMap;
 
 /// One application-level delivery (a data packet consumed by a receiver
@@ -37,23 +37,18 @@ impl Delivery {
 
 /// Counters for one simulation run.
 ///
-/// Per-link data counters are flat arrays indexed by the graph's dense
-/// [`EdgeId`] — a packet hop is one array increment; control transits
-/// are one total. The ordered-map views
-/// the analysis code consumes ([`Stats::data_copies_per_link`]) are
-/// reconstructed on demand; they are off the per-event hot path.
+/// Every data transit is one `(tag, link)` entry of a log; control
+/// transits are one total. A run injects a handful of probes whose copies
+/// span a tree, so the log grows with those trees, not with the graph's
+/// edge count. The views the analysis code consumes
+/// ([`Stats::data_copies_tagged`], [`Stats::data_copies_per_link`]) fold
+/// it on demand; they are off the per-event hot path.
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
-    /// Endpoints of each directed edge, copied from the graph at kernel
-    /// construction so map views can be rebuilt without a graph reference.
-    edge_ends: Vec<LinkId>,
     /// Control transmissions on any edge: nothing reads them per edge.
     control: u64,
-    /// Probe tags seen so far, in first-transit order. Runs inject a
-    /// handful of probes, so a linear scan beats any map.
-    data_tags: Vec<u64>,
-    /// `data_rows[i][e]` = copies of probe `data_tags[i]` on edge `e`.
-    data_rows: Vec<Vec<u64>>,
+    /// Data transmissions as `(probe tag, link)`, in transmission order.
+    data: Vec<(u64, LinkId)>,
     /// Application deliveries, in arrival order.
     pub deliveries: Vec<Delivery>,
     /// Events dispatched by the kernel (scheduler throughput metric).
@@ -70,61 +65,36 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Counters sized for the edges of `g`. Kernels construct their stats
-    /// through this so every per-edge array is pre-sized once.
-    pub(crate) fn for_graph(g: &Graph) -> Self {
-        Stats {
-            edge_ends: g.edge_ends_all().to_vec(),
-            ..Stats::default()
+    /// Records one transit of `link`.
+    pub(crate) fn count_transit(&mut self, link: LinkId, class: PacketClass, tag: u64) {
+        match class {
+            PacketClass::Data => self.data.push((tag, link)),
+            PacketClass::Control => self.control += 1,
         }
     }
 
-    /// Records one link transit.
-    pub(crate) fn count_transit(&mut self, edge: EdgeId, class: PacketClass, tag: u64) {
-        match class {
-            PacketClass::Data => {
-                let row = match self.data_tags.iter().position(|&t| t == tag) {
-                    Some(i) => &mut self.data_rows[i],
-                    None => {
-                        self.data_tags.push(tag);
-                        self.data_rows.push(vec![0; self.edge_ends.len()]);
-                        self.data_rows.last_mut().expect("just pushed")
-                    }
-                };
-                row[edge.index()] += 1;
-            }
-            PacketClass::Control => self.control += 1,
-        }
+    /// The links probe `tag` transited, once per copy.
+    fn data_links(&self, tag: u64) -> impl Iterator<Item = LinkId> + '_ {
+        self.data
+            .iter()
+            .filter(move |&&(t, _)| t == tag)
+            .map(|&(_, link)| link)
     }
 
     /// Total data copies transmitted for probe `tag` — the paper's tree
     /// cost for that probe.
     pub fn data_copies_tagged(&self, tag: u64) -> u64 {
-        self.data_copies_by_edge(tag)
-            .map_or(0, |row| row.iter().sum())
-    }
-
-    /// Per-edge data copies for probe `tag`, indexed by [`EdgeId`], if the
-    /// probe transited any link. The zero-allocation view behind
-    /// [`Stats::data_copies_tagged`] and [`Stats::data_copies_per_link`].
-    fn data_copies_by_edge(&self, tag: u64) -> Option<&[u64]> {
-        let i = self.data_tags.iter().position(|&t| t == tag)?;
-        Some(&self.data_rows[i])
+        self.data_links(tag).count() as u64
     }
 
     /// Per-link data copies for probe `tag` (for duplicate-copy assertions:
     /// Figure 3 shows REUNITE putting 2 copies on `R1→R6`).
     pub fn data_copies_per_link(&self, tag: u64) -> BTreeMap<(NodeId, NodeId), u64> {
-        self.data_copies_by_edge(tag)
-            .into_iter()
-            .flat_map(|row| {
-                self.edge_ends
-                    .iter()
-                    .zip(row)
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(l, &c)| ((l.from, l.to), c))
-            })
-            .collect()
+        let mut per_link = BTreeMap::new();
+        for l in self.data_links(tag) {
+            *per_link.entry((l.from, l.to)).or_insert(0) += 1;
+        }
+        per_link
     }
 
     /// Total control transmissions (protocol overhead ablation).
@@ -148,23 +118,16 @@ impl Stats {
 mod tests {
     use super::*;
 
-    /// 0 — 1 — 2 line of routers; stats sized for its four directed edges.
-    fn stats_and_edges() -> (Stats, EdgeId, EdgeId, EdgeId) {
-        let mut g = Graph::new();
-        let a = g.add_router();
-        let b = g.add_router();
-        let c = g.add_router();
-        g.add_link(a, b, 1, 1);
-        g.add_link(b, c, 1, 1);
-        let ab = g.edge_entry(a, b).unwrap().0;
-        let ba = g.edge_entry(b, a).unwrap().0;
-        let bc = g.edge_entry(b, c).unwrap().0;
-        (Stats::for_graph(&g), ab, ba, bc)
+    /// The links of a 0 — 1 — 2 line of routers.
+    fn links() -> (LinkId, LinkId, LinkId) {
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        (LinkId::new(a, b), LinkId::new(b, a), LinkId::new(b, c))
     }
 
     #[test]
     fn data_copies_separate_by_tag() {
-        let (mut s, ab, _, bc) = stats_and_edges();
+        let (ab, _, bc) = links();
+        let mut s = Stats::default();
         s.count_transit(ab, PacketClass::Data, 1);
         s.count_transit(ab, PacketClass::Data, 1);
         s.count_transit(bc, PacketClass::Data, 2);
@@ -175,7 +138,8 @@ mod tests {
 
     #[test]
     fn per_link_counts_expose_duplicates() {
-        let (mut s, ab, _, _) = stats_and_edges();
+        let (ab, _, _) = links();
+        let mut s = Stats::default();
         s.count_transit(ab, PacketClass::Data, 5);
         s.count_transit(ab, PacketClass::Data, 5);
         let per_link = s.data_copies_per_link(5);
@@ -184,20 +148,23 @@ mod tests {
     }
 
     #[test]
-    fn by_edge_view_matches_per_link_map() {
-        let (mut s, ab, ba, bc) = stats_and_edges();
-        for e in [ab, ba, bc, bc] {
-            s.count_transit(e, PacketClass::Data, 9);
+    fn per_link_counts_fold_one_tag_only() {
+        let (ab, ba, bc) = links();
+        let mut s = Stats::default();
+        for (link, tag) in [(bc, 9), (ab, 8), (bc, 9), (ba, 7), (bc, 8)] {
+            s.count_transit(link, PacketClass::Data, tag);
         }
-        let row = s.data_copies_by_edge(9).unwrap();
-        assert_eq!(row.iter().sum::<u64>(), 4);
-        assert_eq!(row[bc.index()], 2);
-        assert_eq!(s.data_copies_by_edge(8), None);
+        let per_link = s.data_copies_per_link(9);
+        assert_eq!(per_link[&(NodeId(1), NodeId(2))], 2);
+        assert_eq!(per_link.len(), 1, "tags 7 and 8 do not leak into 9");
+        assert_eq!(s.data_copies_per_link(8).values().sum::<u64>(), 2);
+        assert!(s.data_copies_per_link(6).is_empty());
     }
 
     #[test]
     fn control_counts_are_classless() {
-        let (mut s, ab, ba, _) = stats_and_edges();
+        let (ab, ba, _) = links();
+        let mut s = Stats::default();
         s.count_transit(ab, PacketClass::Control, 0);
         s.count_transit(ba, PacketClass::Control, 0);
         assert_eq!(s.control_copies(), 2);

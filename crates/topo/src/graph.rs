@@ -421,11 +421,6 @@ impl Graph {
         self.edge_ends.len()
     }
 
-    /// Endpoints of each directed half-link, indexed by [`EdgeId`].
-    pub fn edge_ends_all(&self) -> &[LinkId] {
-        &self.edge_ends
-    }
-
     /// Endpoints of the directed half-link `eid`.
     pub fn edge_ends(&self, eid: EdgeId) -> LinkId {
         self.edge_ends[eid.index()]

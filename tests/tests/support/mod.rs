@@ -62,9 +62,8 @@ where
 {
     let d = |n: NodeId| k.network().dist(ch.source, n);
     let mut found = Vec::new();
-    for (i, state) in k.states().iter().enumerate() {
-        let at = NodeId(i as u32);
-        for entry in state.live_mft(ch, k.now()) {
+    for at in k.network().graph().nodes() {
+        for entry in k.state(at).live_mft(ch, k.now()) {
             if let (Some(d_at), Some(d_entry)) = (d(at), d(entry)) {
                 if d_at >= d_entry {
                     found.push(Violation {
