@@ -71,22 +71,61 @@ fn matches_reference(
     Ok(())
 }
 
+/// `g` built afresh, link by link with its current costs, in
+/// [`arb_graph`]'s insertion order (router links, then each host's access
+/// link, then any second host link), so every edge keeps its id.
+fn rebuilt(g: &Graph) -> Graph {
+    let mut fresh = Graph::new();
+    for _ in g.routers() {
+        fresh.add_router();
+    }
+    let links = g.undirected_links();
+    for &(a, b, ab, ba) in links.iter().filter(|l| g.is_router(l.1)) {
+        fresh.add_link(a, b, ab, ba);
+    }
+    for h in g.hosts() {
+        let r = g.host_router(h);
+        fresh.add_host(r, g.cost(r, h).unwrap(), g.cost(h, r).unwrap());
+    }
+    for &(r, h, down, up) in &links {
+        if fresh.cost(r, h).is_none() {
+            fresh.add_link_host_side(h, r, down, up);
+        }
+    }
+    assert!(g.nodes().all(|u| fresh.neighbors(u) == g.neighbors(u)));
+    fresh
+}
+
 /// The reference property: under fault `kind` (see [`fault`]; `NO_FAULT`
 /// builds the unmasked stores), the eager tables and an on-demand provider
-/// too small for every row both equal the full-graph reference on every pair.
-fn stores_match_reference(seed: u64, n: usize, d: u8, kind: u8) -> Result<(), TestCaseError> {
-    let g = arb_graph(seed, n, d);
+/// too small for every row both equal the full-graph reference on every
+/// pair. With `redraw`, the stores route a clone of the random graph under
+/// a fresh cost draw (what a scenario draw over a frozen template routes),
+/// and the reference is computed over that graph rebuilt link by link.
+fn stores_match_reference(
+    seed: u64,
+    n: usize,
+    d: u8,
+    kind: u8,
+    redraw: bool,
+) -> Result<(), TestCaseError> {
+    let template = arb_graph(seed, n, d);
+    let mut g = template.clone();
+    if redraw {
+        costs::assign_paper_costs(&mut g, &mut StdRng::seed_from_u64(!seed));
+    }
+    let fresh = rebuilt(&g);
     let capacity = 3.max(n / 4);
     let (node_down, edge_down) = fault(&g, kind, seed);
     let (reference, eager, lazy) = if kind == NO_FAULT {
         (
-            FullGraph::compute(&g),
+            FullGraph::compute(&fresh),
             RoutingTables::compute(&g),
             OnDemandRoutes::new(&g, capacity),
         )
     } else {
         (
-            FullGraph::avoiding(&g, &node_down, &edge_down),
+            FullGraph::avoiding(&fresh, &node_down, &edge_down),
             RoutingTables::compute_avoiding(&g, &node_down, &edge_down),
             OnDemandRoutes::with_masks(&g, node_down, edge_down, capacity),
         )
@@ -99,10 +138,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
     /// Both stores equal the full-graph reference on every pair, with or
-    /// without a fault.
+    /// without a fault, on a random graph or a re-costed clone of one.
     #[test]
-    fn tables_match_reference(seed in 0u64..100_000, n in 4usize..16, d in 0u8..8, kind in 0u8..5) {
-        stores_match_reference(seed, n, d, kind)?;
+    fn tables_match_reference(
+        seed in 0u64..100_000, n in 4usize..16, d in 0u8..8, kind in 0u8..5, redraw in any::<bool>(),
+    ) {
+        stores_match_reference(seed, n, d, kind, redraw)?;
     }
 
     /// Distances obey the (directed) triangle inequality.
@@ -187,7 +228,7 @@ proptest! {
     fn on_demand_equals_eager_under_a_fault(
         seed in 0u64..100_000, n in 5usize..16, d in 0u8..8, kind in 0u8..4,
     ) {
-        stores_match_reference(seed, n, d, kind)?;
+        stores_match_reference(seed, n, d, kind, false)?;
     }
 
     /// A warm provider taken through `rerouted` answers exactly like a
@@ -236,8 +277,8 @@ proptest! {
     #[test]
     #[ignore = "4,096 cases: CI runs it in release"]
     fn tables_match_reference_at_length(
-        seed in 0u64..100_000, n in 5usize..16, d in 0u8..8, kind in 0u8..5,
+        seed in 0u64..100_000, n in 5usize..16, d in 0u8..8, kind in 0u8..5, redraw in any::<bool>(),
     ) {
-        stores_match_reference(seed, n, d, kind)?;
+        stores_match_reference(seed, n, d, kind, redraw)?;
     }
 }

@@ -59,7 +59,9 @@ impl FullGraph {
                     if v.index() == a || edge_down[e.eid.index()] || pred[v.index()].is_some() {
                         continue;
                     }
-                    if d(a, v) != UNREACHABLE && d(a, u) + PathCost::from(e.cost) == d(a, v) {
+                    if d(a, v) != UNREACHABLE
+                        && d(a, u) + PathCost::from(g.edge_cost(e.eid)) == d(a, v)
+                    {
                         pred[v.index()] = Some(u);
                     }
                 }
@@ -107,7 +109,7 @@ fn floyd_warshall(g: &Graph, node_down: &[bool], edge_down: &[bool]) -> Vec<Path
             // from the intermediate set below.
             if up(e.to) && !edge_down[e.eid.index()] {
                 let cell = &mut dist[u.index() * n + e.to.index()];
-                *cell = (*cell).min(PathCost::from(e.cost));
+                *cell = (*cell).min(PathCost::from(g.edge_cost(e.eid)));
             }
         }
     }

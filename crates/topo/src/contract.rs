@@ -107,7 +107,7 @@ impl Contracted {
                 let p = place[e.to.index()];
                 if p & STUB_BIT == 0 {
                     to.push(p);
-                    cost.push(e.cost);
+                    cost.push(g.edge_cost(e.eid));
                     eid.push(e.eid.0);
                 } else {
                     let up_eid = g.reverse_edge(e.eid);
@@ -115,7 +115,7 @@ impl Contracted {
                         router: at as u32,
                         up_cost: g.edge_cost(up_eid),
                         up_eid,
-                        down_cost: e.cost,
+                        down_cost: g.edge_cost(e.eid),
                         down_eid: e.eid,
                     };
                 }
@@ -235,7 +235,7 @@ mod tests {
             assert_eq!(to.len(), kept.len());
             for (k, e) in kept.iter().enumerate() {
                 assert_eq!(c.place(e.to), Place::Core(to[k]));
-                assert_eq!((cost[k], eid[k]), (e.cost, e.eid.0));
+                assert_eq!((cost[k], eid[k]), (g.edge_cost(e.eid), e.eid.0));
             }
         }
     }

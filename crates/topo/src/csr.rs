@@ -1,13 +1,14 @@
 //! Compressed-sparse-row (CSR) packing of a frozen [`Graph`].
 //!
 //! [`Graph`] stores adjacency as one `Vec<OutEdge>` per node — convenient
-//! to mutate, but every node's out-edges are a separate heap allocation,
-//! so an all-pairs or per-source Dijkstra sweep chases `n` pointers and
-//! the 16-byte `OutEdge` entries drag the unused bandwidth field through
-//! the cache. [`Csr`] repacks the same adjacency into four contiguous
-//! arrays indexed by one offset table: iteration over a node's out-edges
-//! is a pure slice walk over `u32`s, and the whole structure is immutable —
-//! the form the routing layer wants for 10k-router topologies.
+//! to build, but every node's out-edges are a separate heap allocation,
+//! and a cost is a second read, by edge id, into the graph's per-edge
+//! attributes — so an all-pairs or per-source Dijkstra sweep chases `n`
+//! pointers and two arrays. [`Csr`] repacks the same adjacency, costs
+//! included, into four contiguous arrays indexed by one offset table:
+//! iteration over a node's out-edges is a pure slice walk over `u32`s, and
+//! the whole structure is immutable — the form the routing layer wants for
+//! 10k-router topologies.
 //!
 //! Edge *order is preserved exactly* (per-node insertion order, nodes in
 //! id order), so a Dijkstra run over the CSR view relaxes edges in the
@@ -51,7 +52,7 @@ impl Csr {
         for u in g.nodes() {
             for e in g.neighbors(u) {
                 to.push(e.to.0);
-                cost.push(e.cost);
+                cost.push(g.edge_cost(e.eid));
                 eid.push(e.eid.0);
             }
             offsets.push(to.len() as u32);
@@ -166,7 +167,7 @@ mod tests {
             let adj: Vec<_> = g
                 .neighbors(u)
                 .iter()
-                .map(|e| (e.to.0, e.cost, e.eid.0))
+                .map(|e| (e.to.0, g.edge_cost(e.eid), e.eid.0))
                 .collect();
             assert_eq!(packed, adj, "order must match adjacency");
         }

@@ -5,8 +5,15 @@
 //! inserts both directions so the physical topology stays bidirectional,
 //! which is what the paper assumes (asymmetry lives in the *costs*, not in
 //! connectivity).
+//!
+//! The structure — node kinds and labels, adjacency, edge ends — is built
+//! once and shared by every clone; each [`Graph`] owns only its attributes
+//! (per-edge cost and bandwidth, per-node multicast capability), each
+//! stored once. A per-run cost draw over a frozen topology, the paper's
+//! §4.1 method, therefore copies costs, not the topology.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node (router or host). Dense, index-like.
 ///
@@ -87,23 +94,6 @@ pub enum NodeKind {
     Host,
 }
 
-/// Per-node record.
-#[derive(Clone, Debug)]
-pub struct Node {
-    /// Router or host.
-    pub kind: NodeKind,
-    /// Whether this node runs the multicast routing protocol under test.
-    ///
-    /// The paper's experiments set this `true` for every router ("all
-    /// routers implement the multicast service in our experiments") but the
-    /// protocols are explicitly designed to traverse `false` routers
-    /// (unicast-only clouds); the `unicast_clouds` ablation exercises that.
-    pub mcast_capable: bool,
-    /// Optional human-readable label used by the scenario topologies
-    /// (`"S"`, `"R3"`, `"r1"`, ...).
-    pub label: Option<String>,
-}
-
 /// Bandwidth of a link direction (abstract units; `u32::MAX` = unlimited).
 pub type Bandwidth = u32;
 
@@ -125,19 +115,30 @@ impl EdgeId {
     }
 }
 
-/// A directed out-edge in the adjacency list.
+/// A directed out-edge in the adjacency list. Its cost and bandwidth are
+/// per-graph attributes, read through [`Graph::edge_cost`] and
+/// [`Graph::bandwidth`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutEdge {
     /// The neighbor this edge leads to.
     pub to: NodeId,
-    /// Cost of traversing the edge in this direction.
-    pub cost: Cost,
-    /// Available bandwidth in this direction (QoS extension; defaults to
-    /// unlimited and is ignored unless bandwidth-constrained routing is
-    /// used).
-    pub bandwidth: Bandwidth,
     /// This edge's slot in the graph's dense edge index.
     pub eid: EdgeId,
+}
+
+/// The structure of a topology: what the nodes are and how they are
+/// linked. Written only while the topology is built; every clone of a
+/// [`Graph`] shares it.
+#[derive(Clone, Debug, Default)]
+struct Topology {
+    kinds: Vec<NodeKind>,
+    /// Optional human-readable label per node, used by the scenario
+    /// topologies (`"S"`, `"R3"`, `"r1"`, ...).
+    labels: Vec<Option<String>>,
+    adj: Vec<Vec<OutEdge>>,
+    /// Dense edge index: endpoints of each directed half-link, in
+    /// insertion order. `edge_ends[e]` is the `LinkId` of `EdgeId(e)`.
+    edge_ends: Vec<LinkId>,
 }
 
 /// The network topology: a set of routers and hosts connected by
@@ -157,6 +158,9 @@ pub struct OutEdge {
 /// assert_eq!(g.host_router(host), a);
 /// ```
 ///
+/// Cloning copies the attributes and shares the structure; adding a node
+/// or a link to a clone first gives it a structure of its own.
+///
 /// Invariants maintained by the mutation API:
 ///
 /// * every link is bidirectional (both half-links present);
@@ -166,14 +170,17 @@ pub struct OutEdge {
 ///   produce zero-cost cycles in path enumeration).
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
-    nodes: Vec<Node>,
-    adj: Vec<Vec<OutEdge>>,
-    /// Dense edge index: endpoints of each directed half-link, in
-    /// insertion order. `edge_ends[e]` is the `LinkId` of `EdgeId(e)`.
-    edge_ends: Vec<LinkId>,
-    /// `edge_costs[e]` mirrors the cost stored on the adjacency entry for
-    /// `EdgeId(e)`; kept in sync by [`Graph::set_cost`].
-    edge_costs: Vec<Cost>,
+    topo: Arc<Topology>,
+    costs: Vec<Cost>,
+    bandwidths: Vec<Bandwidth>,
+    /// Whether each node runs the multicast routing protocol under test.
+    ///
+    /// The paper's experiments set this `true` for every router ("all
+    /// routers implement the multicast service in our experiments") but the
+    /// protocols are explicitly designed to traverse `false` routers
+    /// (unicast-only clouds); the `unicast_clouds` ablation exercises that.
+    /// Hosts are never capable.
+    mcast_capable: Vec<bool>,
 }
 
 impl Graph {
@@ -182,30 +189,25 @@ impl Graph {
         Graph::default()
     }
 
-    fn add_node(&mut self, node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        self.adj.push(Vec::new());
+    fn add_node(&mut self, kind: NodeKind, label: Option<&str>) -> NodeId {
+        let id = NodeId(self.node_count() as u32);
+        let topo = Arc::make_mut(&mut self.topo);
+        topo.kinds.push(kind);
+        topo.labels.push(label.map(str::to_owned));
+        topo.adj.push(Vec::new());
+        self.mcast_capable.push(kind == NodeKind::Router);
         id
     }
 
     /// Adds a multicast-capable router.
     pub fn add_router(&mut self) -> NodeId {
-        self.add_node(Node {
-            kind: NodeKind::Router,
-            mcast_capable: true,
-            label: None,
-        })
+        self.add_node(NodeKind::Router, None)
     }
 
     /// Adds a router with a human-readable label (used by the paper-figure
     /// scenario topologies).
     pub fn add_router_labeled(&mut self, label: &str) -> NodeId {
-        self.add_node(Node {
-            kind: NodeKind::Router,
-            mcast_capable: true,
-            label: Some(label.to_owned()),
-        })
+        self.add_node(NodeKind::Router, Some(label))
     }
 
     /// Adds a host and single-homes it to `router` with the given access
@@ -219,11 +221,7 @@ impl Graph {
             NodeKind::Router,
             "hosts attach to routers"
         );
-        let host = self.add_node(Node {
-            kind: NodeKind::Host,
-            mcast_capable: false,
-            label: None,
-        });
+        let host = self.add_node(NodeKind::Host, None);
         self.add_link(router, host, cost_to_host, cost_to_router);
         host
     }
@@ -237,7 +235,7 @@ impl Graph {
         label: &str,
     ) -> NodeId {
         let host = self.add_host(router, cost_to_host, cost_to_router);
-        self.nodes[host.index()].label = Some(label.to_owned());
+        Arc::make_mut(&mut self.topo).labels[host.index()] = Some(label.to_owned());
         host
     }
 
@@ -248,33 +246,12 @@ impl Graph {
     /// Panics on self-loops, duplicate links, zero costs, or an attempt to
     /// multi-home a host.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, ab: Cost, ba: Cost) {
-        assert_ne!(a, b, "self-loop {a}");
-        assert!(ab >= 1 && ba >= 1, "link costs must be >= 1");
-        assert!(self.cost(a, b).is_none(), "duplicate link {a}-{b}");
         for n in [a, b] {
-            if self.kind(n) == NodeKind::Host {
-                assert!(
-                    self.adj[n.index()].is_empty(),
-                    "host {n} must be single-homed"
-                );
+            if self.is_host(n) {
+                assert!(self.degree(n) == 0, "host {n} must be single-homed");
             }
         }
-        self.push_half(a, b, ab);
-        self.push_half(b, a, ba);
-    }
-
-    /// Appends the directed half-link `from → to`, registering it in the
-    /// dense edge index.
-    fn push_half(&mut self, from: NodeId, to: NodeId, cost: Cost) {
-        let eid = EdgeId(self.edge_ends.len() as u32);
-        self.edge_ends.push(LinkId::new(from, to));
-        self.edge_costs.push(cost);
-        self.adj[from.index()].push(OutEdge {
-            to,
-            cost,
-            bandwidth: Bandwidth::MAX,
-            eid,
-        });
+        self.push_raw_link(a, b, ab, ba);
     }
 
     /// Crate-internal escape hatch for scenario builders that need to attach
@@ -285,9 +262,32 @@ impl Graph {
     pub(crate) fn push_raw_link(&mut self, a: NodeId, b: NodeId, ab: Cost, ba: Cost) {
         assert_ne!(a, b, "self-loop {a}");
         assert!(ab >= 1 && ba >= 1, "link costs must be >= 1");
-        assert!(self.cost(a, b).is_none(), "duplicate link {a}-{b}");
-        self.push_half(a, b, ab);
-        self.push_half(b, a, ba);
+        assert!(self.find_edge(a, b).is_none(), "duplicate link {a}-{b}");
+        let topo = Arc::make_mut(&mut self.topo);
+        for (from, to, cost) in [(a, b, ab), (b, a, ba)] {
+            let eid = EdgeId(topo.edge_ends.len() as u32);
+            topo.edge_ends.push(LinkId::new(from, to));
+            topo.adj[from.index()].push(OutEdge { to, eid });
+            self.costs.push(cost);
+            self.bandwidths.push(Bandwidth::MAX);
+        }
+    }
+
+    /// The edge id of the directed half-link `from → to`, if it exists:
+    /// the one adjacency scan every `(from, to)` read and write goes
+    /// through.
+    fn find_edge(&self, from: NodeId, to: NodeId) -> Option<EdgeId> {
+        self.topo.adj[from.index()]
+            .iter()
+            .find(|e| e.to == to)
+            .map(|e| e.eid)
+    }
+
+    /// [`Graph::find_edge`] for a link that must exist.
+    fn expect_edge(&self, from: NodeId, to: NodeId) -> usize {
+        self.find_edge(from, to)
+            .unwrap_or_else(|| panic!("no link {from}->{to}"))
+            .index()
     }
 
     /// Overwrites the cost of the directed half-link `from → to`.
@@ -296,12 +296,8 @@ impl Graph {
     /// Panics if the link does not exist or `cost` is zero.
     pub fn set_cost(&mut self, from: NodeId, to: NodeId, cost: Cost) {
         assert!(cost >= 1, "link costs must be >= 1");
-        let e = self.adj[from.index()]
-            .iter_mut()
-            .find(|e| e.to == to)
-            .unwrap_or_else(|| panic!("no link {from}->{to}"));
-        e.cost = cost;
-        self.edge_costs[e.eid.index()] = cost;
+        let e = self.expect_edge(from, to);
+        self.costs[e] = cost;
     }
 
     /// Sets the bandwidth of the directed half-link `from → to` (QoS
@@ -311,19 +307,14 @@ impl Graph {
     /// Panics if the link does not exist or `bw` is zero.
     pub fn set_bandwidth(&mut self, from: NodeId, to: NodeId, bw: Bandwidth) {
         assert!(bw >= 1, "bandwidth must be >= 1");
-        let e = self.adj[from.index()]
-            .iter_mut()
-            .find(|e| e.to == to)
-            .unwrap_or_else(|| panic!("no link {from}->{to}"));
-        e.bandwidth = bw;
+        let e = self.expect_edge(from, to);
+        self.bandwidths[e] = bw;
     }
 
-    /// Bandwidth of the directed half-link `from → to`, if it exists.
+    /// Bandwidth of the directed half-link `from → to`, if it exists
+    /// (unlimited unless set).
     pub fn bandwidth(&self, from: NodeId, to: NodeId) -> Option<Bandwidth> {
-        self.adj[from.index()]
-            .iter()
-            .find(|e| e.to == to)
-            .map(|e| e.bandwidth)
+        self.find_edge(from, to).map(|e| self.bandwidths[e.index()])
     }
 
     /// Marks a router as unicast-only (it forwards data but cannot hold
@@ -334,24 +325,24 @@ impl Graph {
             NodeKind::Router,
             "capability applies to routers"
         );
-        self.nodes[n.index()].mcast_capable = capable;
+        self.mcast_capable[n.index()] = capable;
     }
 
     // --- accessors ---------------------------------------------------------
 
     /// Number of nodes (routers + hosts).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.topo.kinds.len()
     }
 
     /// Number of *undirected* links.
     pub fn link_count(&self) -> usize {
-        self.adj.iter().map(|a| a.len()).sum::<usize>() / 2
+        self.directed_edge_count() / 2
     }
 
     /// Router or host?
     pub fn kind(&self, n: NodeId) -> NodeKind {
-        self.nodes[n.index()].kind
+        self.topo.kinds[n.index()]
     }
 
     /// True if `n` is a router.
@@ -366,24 +357,22 @@ impl Graph {
 
     /// True if `n` may hold multicast protocol state.
     pub fn is_mcast_capable(&self, n: NodeId) -> bool {
-        self.nodes[n.index()].mcast_capable
+        self.mcast_capable[n.index()]
     }
 
     /// The scenario label of `n`, if any.
     pub fn label(&self, n: NodeId) -> Option<&str> {
-        self.nodes[n.index()].label.as_deref()
+        self.topo.labels[n.index()].as_deref()
     }
 
     /// Resolves a scenario label back to its node.
     pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
-        (0..self.nodes.len())
-            .map(|i| NodeId(i as u32))
-            .find(|&n| self.label(n) == Some(label))
+        self.nodes().find(|&n| self.label(n) == Some(label))
     }
 
     /// All node ids, in insertion order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.node_count() as u32).map(NodeId)
     }
 
     /// All routers.
@@ -398,37 +387,34 @@ impl Graph {
 
     /// Out-edges of `n`.
     pub fn neighbors(&self, n: NodeId) -> &[OutEdge] {
-        &self.adj[n.index()]
+        &self.topo.adj[n.index()]
     }
 
     /// Degree of `n` (number of attached links).
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adj[n.index()].len()
+        self.neighbors(n).len()
     }
 
     /// Cost of the directed half-link `from → to`, if the link exists.
     pub fn cost(&self, from: NodeId, to: NodeId) -> Option<Cost> {
-        self.adj[from.index()]
-            .iter()
-            .find(|e| e.to == to)
-            .map(|e| e.cost)
+        self.find_edge(from, to).map(|e| self.edge_cost(e))
     }
 
     // --- dense edge index --------------------------------------------------
 
     /// Number of directed half-links (twice [`Graph::link_count`]).
     pub fn directed_edge_count(&self) -> usize {
-        self.edge_ends.len()
+        self.topo.edge_ends.len()
     }
 
     /// Endpoints of the directed half-link `eid`.
     pub fn edge_ends(&self, eid: EdgeId) -> LinkId {
-        self.edge_ends[eid.index()]
+        self.topo.edge_ends[eid.index()]
     }
 
     /// Cost of the directed half-link `eid`.
     pub fn edge_cost(&self, eid: EdgeId) -> Cost {
-        self.edge_costs[eid.index()]
+        self.costs[eid.index()]
     }
 
     /// The opposite direction of the same physical link. Both halves of a
@@ -444,10 +430,7 @@ impl Graph {
     /// exists. One adjacency scan resolves both, which is what the
     /// simulator's per-packet hot path needs.
     pub fn edge_entry(&self, from: NodeId, to: NodeId) -> Option<(EdgeId, Cost)> {
-        self.adj[from.index()]
-            .iter()
-            .find(|e| e.to == to)
-            .map(|e| (e.eid, e.cost))
+        self.find_edge(from, to).map(|e| (e, self.edge_cost(e)))
     }
 
     /// The largest per-direction link cost in the topology (0 for an empty
@@ -455,7 +438,7 @@ impl Graph {
     /// cost distribution instead of hard-coding the scenario generator's
     /// `[1, 10]` draw range.
     pub fn max_link_cost(&self) -> Cost {
-        self.edge_costs.iter().copied().max().unwrap_or(0)
+        self.costs.iter().copied().max().unwrap_or(0)
     }
 
     /// The router a host is attached to.
@@ -464,15 +447,15 @@ impl Graph {
     /// Panics if `host` is not a host.
     pub fn host_router(&self, host: NodeId) -> NodeId {
         assert_eq!(self.kind(host), NodeKind::Host, "{host} is not a host");
-        self.adj[host.index()][0].to
+        self.neighbors(host)[0].to
     }
 
     /// All directed half-links, as `(LinkId, cost)`.
     pub fn directed_links(&self) -> impl Iterator<Item = (LinkId, Cost)> + '_ {
         self.nodes().flat_map(move |from| {
-            self.adj[from.index()]
+            self.neighbors(from)
                 .iter()
-                .map(move |e| (LinkId::new(from, e.to), e.cost))
+                .map(move |e| (LinkId::new(from, e.to), self.edge_cost(e.eid)))
         })
     }
 
@@ -480,10 +463,10 @@ impl Graph {
     /// `(a, b, cost(a→b), cost(b→a))`, with `a < b`.
     pub fn undirected_links(&self) -> Vec<(NodeId, NodeId, Cost, Cost)> {
         let mut out = Vec::with_capacity(self.link_count());
-        for (l, c) in self.directed_links() {
-            if l.from < l.to {
-                let back = self.cost(l.to, l.from).expect("links are bidirectional");
-                out.push((l.from, l.to, c, back));
+        for a in self.nodes() {
+            for e in self.neighbors(a).iter().filter(|e| a < e.to) {
+                let back = self.edge_cost(self.reverse_edge(e.eid));
+                out.push((a, e.to, self.edge_cost(e.eid), back));
             }
         }
         out
@@ -676,6 +659,29 @@ mod tests {
         g.set_cost(a, b, 9);
         assert_eq!(g.edge_cost(eid), 9);
         assert_eq!(g.max_link_cost(), 9);
+    }
+
+    #[test]
+    fn clones_share_structure_but_not_attributes() {
+        let (template, a, b) = two_routers();
+        let mut copy = template.clone();
+        copy.set_cost(a, b, 9);
+        copy.set_bandwidth(b, a, 4);
+        copy.set_mcast_capable(a, false);
+        let c = copy.add_router();
+        copy.add_link(b, c, 2, 2);
+
+        assert_eq!(template.cost(a, b), Some(3));
+        assert_eq!(template.bandwidth(b, a), Some(Bandwidth::MAX));
+        assert!(template.is_mcast_capable(a));
+        assert_eq!(template.neighbors(b).len(), 1);
+        assert_eq!(template.directed_edge_count(), 2);
+
+        assert_eq!(copy.cost(a, b), Some(9));
+        assert_eq!(copy.bandwidth(b, a), Some(4));
+        assert!(!copy.is_mcast_capable(a));
+        assert_eq!(copy.neighbors(b).len(), 2);
+        assert_eq!(copy.directed_edge_count(), 4);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`graph::Graph`] — the mutable topology structure (routers, hosts,
-//!   directed link costs, multicast capability flags);
+//! * [`graph::Graph`] — the topology structure (routers, hosts, links),
+//!   built once and shared by every clone, plus each graph's own directed
+//!   link costs, bandwidths and multicast capability flags;
 //! * [`isp`] — the 18-router "large ISP" backbone of the paper's Figure 6;
 //! * [`random`] — seeded random-graph generators (G(n,p) with a target
 //!   average degree, plus Waxman for extensions);

@@ -234,6 +234,9 @@ enum Damage {
     Cut(prop::sample::Index),
     /// One bit flipped: the byte this index picks, then the bit.
     Flip(prop::sample::Index, u8),
+    /// The prefix up to the first index, then another family's datagram
+    /// from the second index on.
+    Splice(prop::sample::Index, prop::sample::Index),
 }
 
 fn arb_damage() -> impl Strategy<Value = Damage> {
@@ -241,15 +244,19 @@ fn arb_damage() -> impl Strategy<Value = Damage> {
         Just(Damage::None),
         any::<prop::sample::Index>().prop_map(Damage::Cut),
         (any::<prop::sample::Index>(), 0u8..8).prop_map(|(at, bit)| Damage::Flip(at, bit)),
+        (any::<prop::sample::Index>(), any::<prop::sample::Index>())
+            .prop_map(|(at, from)| Damage::Splice(at, from)),
     ]
 }
 
-/// `pkt`'s datagram after `damage`, decoded under `nodes` as every
+/// `pkt`'s datagram after `damage` (a splice takes its suffix from
+/// `donor`, another family's datagram), decoded under `nodes` as every
 /// family: never a panic, never a node at or above `nodes`, and a cut
 /// datagram never decodes at all.
 fn damaged_datagram_is_bounded<M: Codec + Named + Debug>(
     pkt: &Packet<M>,
     damage: Damage,
+    donor: &[u8],
     nodes: usize,
 ) -> Result<(), TestCaseError> {
     let mut bytes = encode_packet(pkt).expect("small bodies fit");
@@ -264,8 +271,32 @@ fn damaged_datagram_is_bounded<M: Codec + Named + Debug>(
             let i = at.index(bytes.len());
             bytes[i] ^= 1 << bit;
         }
+        Damage::Splice(at, from) => {
+            bytes.truncate(at.index(bytes.len()));
+            bytes.extend_from_slice(&donor[from.index(donor.len())..]);
+        }
     }
     any_family_names_known_nodes(&bytes, nodes)
+}
+
+/// The datagram fuzz: `bytes` as they are, and each family's packet
+/// whole or damaged (spliced onto the next family's datagram), decoded as
+/// every family under `nodes`.
+fn datagrams_are_bounded(
+    bytes: &[u8],
+    hbh: &Packet<HbhMsg>,
+    hard: &Packet<HardMsg>,
+    reunite: &Packet<ReuniteMsg>,
+    damage: Damage,
+    nodes: usize,
+) -> Result<(), TestCaseError> {
+    let hbh_bytes = encode_packet(hbh).expect("small bodies fit");
+    let hard_bytes = encode_packet(hard).expect("small bodies fit");
+    let reunite_bytes = encode_packet(reunite).expect("small bodies fit");
+    any_family_names_known_nodes(bytes, nodes)?;
+    damaged_datagram_is_bounded(hbh, damage, &hard_bytes, nodes)?;
+    damaged_datagram_is_bounded(hard, damage, &reunite_bytes, nodes)?;
+    damaged_datagram_is_bounded(reunite, damage, &hbh_bytes, nodes)
 }
 
 proptest! {
@@ -313,9 +344,10 @@ proptest! {
     }
 
     /// The datagram fuzz: arbitrary bytes, and valid datagrams of each
-    /// family whole, cut short or bit-flipped, decoded as every family
-    /// under a random node count: never a panic, never a packet naming a
-    /// node at or above the count, never a cut datagram decoded.
+    /// family whole, cut short, bit-flipped or spliced onto another
+    /// family's, decoded as every family under a random node count: never
+    /// a panic, never a packet naming a node at or above the count, never a
+    /// cut datagram decoded.
     #[test]
     fn datagrams_name_only_known_nodes(
         bytes in proptest::collection::vec(any::<u8>(), 0..96),
@@ -325,10 +357,7 @@ proptest! {
         damage in arb_damage(),
         nodes in 1usize..65,
     ) {
-        any_family_names_known_nodes(&bytes, nodes)?;
-        damaged_datagram_is_bounded(&hbh, damage, nodes)?;
-        damaged_datagram_is_bounded(&hard, damage, nodes)?;
-        damaged_datagram_is_bounded(&reunite, damage, nodes)?;
+        datagrams_are_bounded(&bytes, &hbh, &hard, &reunite, damage, nodes)?;
     }
 }
 
@@ -347,9 +376,6 @@ proptest! {
         damage in arb_damage(),
         nodes in 1usize..65,
     ) {
-        any_family_names_known_nodes(&bytes, nodes)?;
-        damaged_datagram_is_bounded(&hbh, damage, nodes)?;
-        damaged_datagram_is_bounded(&hard, damage, nodes)?;
-        damaged_datagram_is_bounded(&reunite, damage, nodes)?;
+        datagrams_are_bounded(&bytes, &hbh, &hard, &reunite, damage, nodes)?;
     }
 }
