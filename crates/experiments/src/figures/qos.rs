@@ -2,7 +2,8 @@
 //! protocols over **bandwidth-constrained** unicast routing and measure
 //! how much of the constraint each distribution tree actually honors.
 //!
-//! Setup: per-direction bandwidths drawn from `U[1, 10]`; the channel
+//! Setup: per-direction capacities of the router–router links drawn from
+//! `U[1, 10]`, held by the study beside the draw's scenario; the channel
 //! requires `min_bw`; unicast routing is recomputed over the compliant
 //! sub-topology (`hbh-routing::qos`); runs where some receiver is not
 //! admissible are skipped (counted).
@@ -41,28 +42,36 @@ pub struct QosOutcome {
     pub compliant: usize,
 }
 
+/// The interval every router–router link capacity is drawn from; a floor
+/// outside it admits every draw or none.
+pub const CAPACITY_RANGE: (Bandwidth, Bandwidth) = (1, 10);
+
 /// `sc` over its bandwidth-constrained network (same membership, same
-/// seed); `None` if the channel is not admissible under the floor.
-fn admitted(sc: Scenario, min_bw: Bandwidth) -> Option<Scenario> {
-    let mut graph = sc.graph().clone();
+/// seed) and the study that checks delivery paths against the drawn
+/// capacities; `None` if the channel is not admissible under the floor.
+fn admitted(sc: Scenario, min_bw: Bandwidth) -> Option<(Scenario, QosStudy)> {
     let mut rng = StdRng::seed_from_u64(sc.seed ^ 0xB0);
-    costs::assign_backbone_bandwidths(&mut graph, 1, 10, &mut rng);
-    let tables = qos::constrained_tables(&graph, min_bw);
+    let (lo, hi) = CAPACITY_RANGE;
+    let capacity = costs::assign_backbone_bandwidths(sc.graph(), lo, hi, &mut rng);
+    let tables = qos::constrained_tables(sc.graph(), &capacity, min_bw);
     if !qos::channel_admitted(&tables, sc.source, &sc.receivers) {
         return None;
     }
-    Some(Scenario::from_parts(
-        Network::with_tables(graph, tables),
+    let scenario = Scenario::from_parts(
+        Network::with_tables(sc.graph().clone(), tables),
         sc.source,
         sc.receivers,
         sc.join_times,
         sc.join_window,
         sc.seed,
-    ))
+    );
+    Some((scenario, QosStudy { min_bw, capacity }))
 }
 
 struct QosStudy {
     min_bw: Bandwidth,
+    /// Per-direction link capacity, indexed by edge id.
+    capacity: Vec<Bandwidth>,
 }
 
 impl Study for QosStudy {
@@ -86,7 +95,7 @@ impl Study for QosStudy {
                 continue;
             };
             out.served += 1;
-            if qos::path_is_compliant(sc.graph(), &path, self.min_bw) {
+            if qos::path_is_compliant(sc.graph(), &self.capacity, &path, self.min_bw) {
                 out.compliant += 1;
             }
         }
@@ -107,7 +116,7 @@ pub const COMPLIANT: Column<QosOutcome> = ("compliant-path fraction", |o| {
 pub fn evaluate(run: &RunConfig, group_size: usize, min_bw: Bandwidth) -> Point<QosOutcome> {
     point(run, |i| {
         let sc = run.draw(group_size, run.base_seed ^ ((i as u64) << 18));
-        Some((admitted(sc, min_bw)?, QosStudy { min_bw }))
+        admitted(sc, min_bw)
     })
 }
 

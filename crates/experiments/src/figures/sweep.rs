@@ -71,7 +71,7 @@ impl<O> Point<O> {
             .sum()
     }
 
-    /// One `mean ± ci` cell per arm for `column`, in arm order.
+    /// One `mean ± ci` cell (or `n/a`) per arm for `column`, in arm order.
     pub fn cells(&self, column: Column<O>) -> Vec<String> {
         let arms = self.arms.iter();
         arms.map(|(_, outcomes)| cell(outcomes, column)).collect()
@@ -94,8 +94,13 @@ fn tally<O>(outcomes: &[O], (_, is): Count<O>) -> u64 {
     outcomes.iter().filter(|o| is(o)).count() as u64
 }
 
+/// `column`'s `mean ± ci` over `outcomes`, or `n/a` when no draw gave it
+/// a sample: an empty fold is not a measured zero.
 fn cell<O>(outcomes: &[O], column: Column<O>) -> String {
     let s = summary(outcomes, column);
+    if s.n() == 0 {
+        return "n/a".into();
+    }
     Table::cell(s.mean(), s.ci95())
 }
 
@@ -309,5 +314,31 @@ mod tests {
             by_metric.ends_with("seed 1.00 1.00\nlate 0 0\n"),
             "{by_metric}"
         );
+    }
+
+    #[test]
+    fn a_column_without_samples_renders_na_in_both_layouts() {
+        let run = RunConfig::default()
+            .runs(2)
+            .protocols(ProtocolKind::RECURSIVE_UNICAST.to_vec());
+        // Two empty folds: a column that no draw gives a sample (draw 0
+        // runs, draw 1 is skipped), and a point whose every draw was
+        // skipped.
+        const NONE: Column<u64> = ("none", |_| None);
+        let ran = point(&run, draw(true));
+        let skipped = Point {
+            x: "0".into(),
+            arms: run.protocols.iter().map(|&k| (k, Vec::new())).collect(),
+            skipped: 2,
+        };
+        let by_metric = table_by_metric("t".into(), &ran, &[SEED, NONE], &[]);
+        let dat = by_metric.render_dat();
+        assert!(dat.ends_with("seed 0.00 0.00\nnone n/a n/a\n"), "{dat}");
+        let text = by_metric.render();
+        let last: Vec<&str> = text.lines().last().unwrap().split_whitespace().collect();
+        assert_eq!(last, ["none", "n/a", "n/a"], "{text}");
+        let by_x = table_by_x("t".into(), "x", &run.protocols, &[SEED], &[skipped]);
+        let dat = by_x.render_dat();
+        assert!(dat.ends_with("\n0 n/a n/a\n"), "{dat}");
     }
 }

@@ -361,7 +361,13 @@ fn state_size(args: &Args) -> Report {
 fn qos(args: &Args) -> Report {
     let run = RunConfig::from_args(args, 100).protocols(ProtocolKind::SOURCE_SPECIFIC.to_vec());
     let group = group_size(args, "group", run.topo, 8);
+    let (lo, hi) = qos::CAPACITY_RANGE;
     let min_bw = args.get_parse("minbw", 4);
+    if !(lo..=hi).contains(&min_bw) {
+        args.die(&format!(
+            "--minbw must be between {lo} and {hi}, the range link capacities are drawn from, got {min_bw}"
+        ));
+    }
     let point = qos::evaluate(&run, group, min_bw);
     Report::tables(&[qos::render(&run, group, min_bw, &point)])
 }

@@ -72,6 +72,8 @@ fn out_of_range_values_exit_2_naming_the_flag_and_the_bound() {
         ("stability --group 99", "--group", "17"),
         ("asymmetry --group 99", "--group", "17"),
         ("qos --group 99", "--group", "17"),
+        ("qos --minbw 0", "--minbw", "1"),
+        ("qos --minbw 11", "--minbw", "10"),
         ("inspect --group 99", "--group", "17"),
         ("stability --group 0", "--group", "1"),
         ("groups --rx 100", "--rx", "17"),

@@ -449,11 +449,6 @@ impl HardNodeState {
         self.mft.get(&ch)
     }
 
-    /// Is this node's receiver agent subscribed to `ch`?
-    pub fn is_member(&self, ch: Channel) -> bool {
-        self.member.contains(&ch)
-    }
-
     /// Is this node currently a branching node for `ch`?
     pub fn is_branching(&self, ch: Channel) -> bool {
         self.mft.contains_key(&ch)

@@ -92,11 +92,6 @@ impl PimNodeState {
         self.oifs.get(&ch)
     }
 
-    /// Is this node's receiver agent subscribed to `ch`?
-    pub fn is_member(&self, ch: Channel) -> bool {
-        self.member.contains(&ch)
-    }
-
     fn refresh_oif(
         &mut self,
         ch: Channel,

@@ -83,11 +83,6 @@ impl ReuniteNodeState {
         self.mft.get(&ch)
     }
 
-    /// Is this node's receiver agent subscribed to `ch`?
-    pub fn is_member(&self, ch: Channel) -> bool {
-        self.member.contains(&ch)
-    }
-
     /// True if this node is currently a branching node for `ch`.
     pub fn is_branching(&self, ch: Channel) -> bool {
         self.mft.contains_key(&ch)

@@ -256,7 +256,9 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
 
     /// Link-local entry point: resolves the edge by one adjacency scan
     /// (per-oif forwarding addresses neighbors directly, so there is no
-    /// routing row to read the edge from).
+    /// routing row to read the edge from). Panics if no such link exists —
+    /// per-oif state always points at a direct neighbor, so a violation is
+    /// a protocol bug.
     fn put_on_link(&mut self, from: NodeId, next: NodeId, pkt: Packet<M>) {
         let (eid, cost) = self
             .net
@@ -350,17 +352,6 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
         }
         self.transmit(at, pkt);
     }
-
-    /// Link-local transmission: puts `pkt` directly on the link
-    /// `from → via`, bypassing unicast routing. This models
-    /// interface-directed forwarding (PIM's per-oif replication).
-    ///
-    /// Panics if no such link exists — per-oif state always points at a
-    /// direct neighbor, so a violation is a protocol bug.
-    fn transmit_link(&mut self, from: NodeId, via: NodeId, pkt: Packet<M>) {
-        // put_on_link resolves the edge and panics if no such link exists.
-        self.put_on_link(from, via, pkt);
-    }
 }
 
 impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> KernelOps<M, T>
@@ -379,7 +370,7 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> KernelOps
         self.transmit(from, pkt);
     }
     fn send_link(&mut self, from: NodeId, via: NodeId, pkt: Packet<M>) {
-        self.transmit_link(from, via, pkt);
+        self.put_on_link(from, via, pkt);
     }
     fn forward(&mut self, from: NodeId, pkt: Packet<M>) {
         Core::forward(self, from, pkt);

@@ -1,4 +1,5 @@
-//! Link-cost assignment policies.
+//! Link-cost assignment policies, and the link-capacity draw of the QoS
+//! extension.
 //!
 //! The paper (§4.1): *"We associate two costs, c(n1, n2) and c(n2, n1), to
 //! link n1-n2. Each cost is an integer randomly chosen in the interval
@@ -11,6 +12,11 @@
 //! with probability `1 − a` and independently drawn with probability `a`,
 //! so `a = 0` gives a fully symmetric network and `a = 1` the paper's
 //! setting.
+//!
+//! [`assign_backbone_bandwidths`] draws per-direction capacities for the
+//! QoS study. They are not a graph attribute: the draw returns them as a
+//! vector indexed by [`EdgeId`](crate::graph::EdgeId), which only that
+//! study reads.
 
 use crate::graph::{Bandwidth, Cost, Graph};
 use rand::rngs::StdRng;
@@ -67,34 +73,32 @@ pub fn assign_uniform_with_asymmetry(
     }
 }
 
-/// Draws every directed half-link's *bandwidth* independently and
-/// uniformly from `[lo, hi]` (the QoS-routing extension; the paper's own
-/// evaluation leaves bandwidths unconstrained).
-pub fn assign_bandwidths(g: &mut Graph, lo: Bandwidth, hi: Bandwidth, rng: &mut StdRng) {
+/// Draws a capacity for both directions of every router–router link,
+/// independently and uniformly from `[lo, hi]`, and returns all
+/// capacities indexed by [`EdgeId`](crate::graph::EdgeId) (the QoS-routing
+/// extension; the paper's own evaluation leaves bandwidths unconstrained).
+/// Host access links keep unlimited capacity, `Bandwidth::MAX`: last-mile
+/// capacity is a provisioning question, not a routing one — and
+/// constraining it would make most channels inadmissible rather than
+/// interestingly constrained. Links are drawn in
+/// [`Graph::undirected_links`] order, forward direction first.
+pub fn assign_backbone_bandwidths(
+    g: &Graph,
+    lo: Bandwidth,
+    hi: Bandwidth,
+    rng: &mut StdRng,
+) -> Vec<Bandwidth> {
     assert!(lo >= 1 && lo <= hi, "invalid bandwidth range [{lo}, {hi}]");
-    for (a, b, _, _) in g.undirected_links() {
-        let fwd = rng.random_range(lo..=hi);
-        let bwd = rng.random_range(lo..=hi);
-        g.set_bandwidth(a, b, fwd);
-        g.set_bandwidth(b, a, bwd);
-    }
-}
-
-/// Like [`assign_bandwidths`] but only for router–router links: host
-/// access links keep unlimited bandwidth (last-mile capacity is a
-/// provisioning question, not a routing one — and constraining it would
-/// make most channels inadmissible rather than interestingly constrained).
-pub fn assign_backbone_bandwidths(g: &mut Graph, lo: Bandwidth, hi: Bandwidth, rng: &mut StdRng) {
-    assert!(lo >= 1 && lo <= hi, "invalid bandwidth range [{lo}, {hi}]");
+    let mut capacity = vec![Bandwidth::MAX; g.directed_edge_count()];
     for (a, b, _, _) in g.undirected_links() {
         if !(g.is_router(a) && g.is_router(b)) {
             continue;
         }
-        let fwd = rng.random_range(lo..=hi);
-        let bwd = rng.random_range(lo..=hi);
-        g.set_bandwidth(a, b, fwd);
-        g.set_bandwidth(b, a, bwd);
+        let (forward, _) = g.edge_entry(a, b).expect("listed link exists");
+        capacity[forward.index()] = rng.random_range(lo..=hi);
+        capacity[g.reverse_edge(forward).index()] = rng.random_range(lo..=hi);
     }
+    capacity
 }
 
 #[cfg(test)]
@@ -111,8 +115,10 @@ mod tests {
     fn costs_fall_in_range() {
         let mut g = isp_topology();
         assign_paper_costs(&mut g, &mut rng(1));
-        for (_, c) in g.directed_links() {
-            assert!((1..=10).contains(&c), "cost {c} out of [1,10]");
+        for (_, _, ab, ba) in g.undirected_links() {
+            for c in [ab, ba] {
+                assert!((1..=10).contains(&c), "cost {c} out of [1,10]");
+            }
         }
     }
 
@@ -162,8 +168,8 @@ mod tests {
     fn degenerate_unit_range_is_allowed() {
         let mut g = isp_topology();
         assign_uniform(&mut g, 1, 1, &mut rng(6));
-        for (_, c) in g.directed_links() {
-            assert_eq!(c, 1);
+        for (_, _, ab, ba) in g.undirected_links() {
+            assert_eq!((ab, ba), (1, 1));
         }
     }
 
@@ -176,14 +182,19 @@ mod tests {
 
     #[test]
     fn bandwidths_default_to_unlimited_and_assign_in_range() {
-        let mut g = isp_topology();
-        for (l, _) in g.directed_links() {
-            assert_eq!(g.bandwidth(l.from, l.to), Some(u32::MAX));
+        let g = isp_topology();
+        let capacity = assign_backbone_bandwidths(&g, 1, 10, &mut rng(8));
+        assert_eq!(capacity.len(), g.directed_edge_count());
+        for a in g.nodes() {
+            for e in g.neighbors(a) {
+                let bw = capacity[e.eid.index()];
+                if g.is_router(a) && g.is_router(e.to) {
+                    assert!((1..=10).contains(&bw), "{a}->{} reads {bw}", e.to);
+                } else {
+                    assert_eq!(bw, Bandwidth::MAX, "access link {a}->{}", e.to);
+                }
+            }
         }
-        assign_bandwidths(&mut g, 1, 10, &mut rng(8));
-        for (l, _) in g.directed_links() {
-            let bw = g.bandwidth(l.from, l.to).unwrap();
-            assert!((1..=10).contains(&bw));
-        }
+        assert_eq!(capacity, assign_backbone_bandwidths(&g, 1, 10, &mut rng(8)));
     }
 }

@@ -6,11 +6,13 @@
 //! which is what the paper assumes (asymmetry lives in the *costs*, not in
 //! connectivity).
 //!
-//! The structure — node kinds and labels, adjacency, edge ends — is built
-//! once and shared by every clone; each [`Graph`] owns only its attributes
-//! (per-edge cost and bandwidth, per-node multicast capability), each
-//! stored once. A per-run cost draw over a frozen topology, the paper's
-//! §4.1 method, therefore copies costs, not the topology.
+//! The structure — node kinds, the labels of the nodes that have one,
+//! adjacency — is built once and shared by every clone; each [`Graph`]
+//! owns only its attributes (per-edge cost, per-node multicast
+//! capability). A per-run cost draw over a frozen topology, the paper's
+//! §4.1 method, therefore copies costs, not the topology. Link capacities
+//! for the QoS extension are not an attribute: the QoS study draws them
+//! into a vector of its own, indexed by [`EdgeId`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -95,6 +97,8 @@ pub enum NodeKind {
 }
 
 /// Bandwidth of a link direction (abstract units; `u32::MAX` = unlimited).
+/// A graph stores none: the QoS extension draws them into a vector indexed
+/// by [`EdgeId`] ([`crate::costs::assign_backbone_bandwidths`]).
 pub type Bandwidth = u32;
 
 /// Dense identifier of a *directed* half-link.
@@ -115,9 +119,8 @@ impl EdgeId {
     }
 }
 
-/// A directed out-edge in the adjacency list. Its cost and bandwidth are
-/// per-graph attributes, read through [`Graph::edge_cost`] and
-/// [`Graph::bandwidth`].
+/// A directed out-edge in the adjacency list. Its cost is a per-graph
+/// attribute, read through [`Graph::edge_cost`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutEdge {
     /// The neighbor this edge leads to.
@@ -132,13 +135,10 @@ pub struct OutEdge {
 #[derive(Clone, Debug, Default)]
 struct Topology {
     kinds: Vec<NodeKind>,
-    /// Optional human-readable label per node, used by the scenario
-    /// topologies (`"S"`, `"R3"`, `"r1"`, ...).
-    labels: Vec<Option<String>>,
+    /// The human-readable labels of the nodes that have one, in id order,
+    /// used by the scenario topologies (`"S"`, `"R3"`, `"r1"`, ...).
+    labels: Vec<(NodeId, String)>,
     adj: Vec<Vec<OutEdge>>,
-    /// Dense edge index: endpoints of each directed half-link, in
-    /// insertion order. `edge_ends[e]` is the `LinkId` of `EdgeId(e)`.
-    edge_ends: Vec<LinkId>,
 }
 
 /// The network topology: a set of routers and hosts connected by
@@ -172,7 +172,6 @@ struct Topology {
 pub struct Graph {
     topo: Arc<Topology>,
     costs: Vec<Cost>,
-    bandwidths: Vec<Bandwidth>,
     /// Whether each node runs the multicast routing protocol under test.
     ///
     /// The paper's experiments set this `true` for every router ("all
@@ -193,7 +192,9 @@ impl Graph {
         let id = NodeId(self.node_count() as u32);
         let topo = Arc::make_mut(&mut self.topo);
         topo.kinds.push(kind);
-        topo.labels.push(label.map(str::to_owned));
+        if let Some(label) = label {
+            topo.labels.push((id, label.to_owned()));
+        }
         topo.adj.push(Vec::new());
         self.mcast_capable.push(kind == NodeKind::Router);
         id
@@ -235,7 +236,9 @@ impl Graph {
         label: &str,
     ) -> NodeId {
         let host = self.add_host(router, cost_to_host, cost_to_router);
-        Arc::make_mut(&mut self.topo).labels[host.index()] = Some(label.to_owned());
+        Arc::make_mut(&mut self.topo)
+            .labels
+            .push((host, label.to_owned()));
         host
     }
 
@@ -265,11 +268,9 @@ impl Graph {
         assert!(self.find_edge(a, b).is_none(), "duplicate link {a}-{b}");
         let topo = Arc::make_mut(&mut self.topo);
         for (from, to, cost) in [(a, b, ab), (b, a, ba)] {
-            let eid = EdgeId(topo.edge_ends.len() as u32);
-            topo.edge_ends.push(LinkId::new(from, to));
+            let eid = EdgeId(self.costs.len() as u32);
             topo.adj[from.index()].push(OutEdge { to, eid });
             self.costs.push(cost);
-            self.bandwidths.push(Bandwidth::MAX);
         }
     }
 
@@ -298,23 +299,6 @@ impl Graph {
         assert!(cost >= 1, "link costs must be >= 1");
         let e = self.expect_edge(from, to);
         self.costs[e] = cost;
-    }
-
-    /// Sets the bandwidth of the directed half-link `from → to` (QoS
-    /// extension).
-    ///
-    /// # Panics
-    /// Panics if the link does not exist or `bw` is zero.
-    pub fn set_bandwidth(&mut self, from: NodeId, to: NodeId, bw: Bandwidth) {
-        assert!(bw >= 1, "bandwidth must be >= 1");
-        let e = self.expect_edge(from, to);
-        self.bandwidths[e] = bw;
-    }
-
-    /// Bandwidth of the directed half-link `from → to`, if it exists
-    /// (unlimited unless set).
-    pub fn bandwidth(&self, from: NodeId, to: NodeId) -> Option<Bandwidth> {
-        self.find_edge(from, to).map(|e| self.bandwidths[e.index()])
     }
 
     /// Marks a router as unicast-only (it forwards data but cannot hold
@@ -362,12 +346,14 @@ impl Graph {
 
     /// The scenario label of `n`, if any.
     pub fn label(&self, n: NodeId) -> Option<&str> {
-        self.topo.labels[n.index()].as_deref()
+        let (_, label) = self.topo.labels.iter().find(|(m, _)| *m == n)?;
+        Some(label)
     }
 
     /// Resolves a scenario label back to its node.
     pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
-        self.nodes().find(|&n| self.label(n) == Some(label))
+        let &(n, _) = self.topo.labels.iter().find(|(_, l)| l == label)?;
+        Some(n)
     }
 
     /// All node ids, in insertion order.
@@ -404,12 +390,7 @@ impl Graph {
 
     /// Number of directed half-links (twice [`Graph::link_count`]).
     pub fn directed_edge_count(&self) -> usize {
-        self.topo.edge_ends.len()
-    }
-
-    /// Endpoints of the directed half-link `eid`.
-    pub fn edge_ends(&self, eid: EdgeId) -> LinkId {
-        self.topo.edge_ends[eid.index()]
+        self.costs.len()
     }
 
     /// Cost of the directed half-link `eid`.
@@ -421,9 +402,7 @@ impl Graph {
     /// link are registered together (`a→b` even, `b→a` odd), so this is
     /// the sibling id.
     pub fn reverse_edge(&self, eid: EdgeId) -> EdgeId {
-        let rev = EdgeId(eid.0 ^ 1);
-        debug_assert_eq!(self.edge_ends(rev), self.edge_ends(eid).reversed());
-        rev
+        EdgeId(eid.0 ^ 1)
     }
 
     /// Edge id and cost of the directed half-link `from → to`, if the link
@@ -448,15 +427,6 @@ impl Graph {
     pub fn host_router(&self, host: NodeId) -> NodeId {
         assert_eq!(self.kind(host), NodeKind::Host, "{host} is not a host");
         self.neighbors(host)[0].to
-    }
-
-    /// All directed half-links, as `(LinkId, cost)`.
-    pub fn directed_links(&self) -> impl Iterator<Item = (LinkId, Cost)> + '_ {
-        self.nodes().flat_map(move |from| {
-            self.neighbors(from)
-                .iter()
-                .map(move |e| (LinkId::new(from, e.to), self.edge_cost(e.eid)))
-        })
     }
 
     /// All undirected links, each reported once with both directed costs
@@ -586,21 +556,18 @@ mod tests {
         let mut g = Graph::new();
         let s = g.add_router_labeled("S");
         let r = g.add_host_labeled(s, 1, 1, "r1");
+        let plain = g.add_router();
         assert_eq!(g.node_by_label("S"), Some(s));
         assert_eq!(g.node_by_label("r1"), Some(r));
         assert_eq!(g.node_by_label("nope"), None);
+        assert_eq!(g.label(r), Some("r1"));
+        assert_eq!(g.label(plain), None);
     }
 
     #[test]
     fn undirected_links_report_each_link_once() {
         let (g, a, b) = two_routers();
         assert_eq!(g.undirected_links(), vec![(a, b, 3, 7)]);
-    }
-
-    #[test]
-    fn directed_links_report_both_halves() {
-        let (g, _, _) = two_routers();
-        assert_eq!(g.directed_links().count(), 2);
     }
 
     #[test]
@@ -624,12 +591,11 @@ mod tests {
         g.add_link(a, b, 3, 7);
         g.add_link(b, c, 2, 4);
         assert_eq!(g.directed_edge_count(), 4);
-        assert_eq!(g.edge_ends(EdgeId(0)), LinkId::new(a, b));
-        assert_eq!(g.edge_ends(EdgeId(1)), LinkId::new(b, a));
-        assert_eq!(g.edge_ends(EdgeId(2)), LinkId::new(b, c));
-        assert_eq!(g.edge_ends(EdgeId(3)), LinkId::new(c, b));
-        assert_eq!(g.edge_cost(EdgeId(1)), 7);
+        assert_eq!(g.edge_entry(a, b), Some((EdgeId(0), 3)));
+        assert_eq!(g.edge_entry(b, a), Some((EdgeId(1), 7)));
         assert_eq!(g.edge_entry(b, c), Some((EdgeId(2), 2)));
+        assert_eq!(g.edge_entry(c, b), Some((EdgeId(3), 4)));
+        assert_eq!(g.edge_cost(EdgeId(1)), 7);
         assert_eq!(g.edge_entry(a, c), None);
         assert_eq!(g.reverse_edge(EdgeId(2)), EdgeId(3));
         assert_eq!(g.reverse_edge(EdgeId(1)), EdgeId(0));
@@ -641,13 +607,17 @@ mod tests {
         let a = g.add_router();
         let b = g.add_router();
         g.add_link(a, b, 3, 7);
-        let h = g.add_host(a, 1, 2);
-        let _ = h;
-        for (l, cost) in g.directed_links() {
-            let (eid, c2) = g.edge_entry(l.from, l.to).expect("edge present");
-            assert_eq!(c2, cost);
-            assert_eq!(g.edge_ends(eid), l);
-            assert_eq!(g.edge_cost(eid), cost);
+        g.add_host(a, 1, 2);
+        for from in g.nodes() {
+            for e in g.neighbors(from) {
+                let (eid, cost) = g.edge_entry(from, e.to).expect("edge present");
+                assert_eq!(eid, e.eid);
+                assert_eq!(g.edge_cost(eid), cost);
+                // `a→b` even, `b→a` odd: the sibling is the reverse half.
+                assert_eq!(eid.0 % 2, u32::from(from > e.to));
+                let back = g.edge_entry(e.to, from).expect("reverse present");
+                assert_eq!(g.reverse_edge(eid), back.0);
+            }
         }
         assert_eq!(g.directed_edge_count(), g.link_count() * 2);
     }
@@ -666,19 +636,16 @@ mod tests {
         let (template, a, b) = two_routers();
         let mut copy = template.clone();
         copy.set_cost(a, b, 9);
-        copy.set_bandwidth(b, a, 4);
         copy.set_mcast_capable(a, false);
         let c = copy.add_router();
         copy.add_link(b, c, 2, 2);
 
         assert_eq!(template.cost(a, b), Some(3));
-        assert_eq!(template.bandwidth(b, a), Some(Bandwidth::MAX));
         assert!(template.is_mcast_capable(a));
         assert_eq!(template.neighbors(b).len(), 1);
         assert_eq!(template.directed_edge_count(), 2);
 
         assert_eq!(copy.cost(a, b), Some(9));
-        assert_eq!(copy.bandwidth(b, a), Some(4));
         assert!(!copy.is_mcast_capable(a));
         assert_eq!(copy.neighbors(b).len(), 2);
         assert_eq!(copy.directed_edge_count(), 4);

@@ -13,7 +13,7 @@
 //!
 //! * [`graph::Graph`] — the topology structure (routers, hosts, links),
 //!   built once and shared by every clone, plus each graph's own directed
-//!   link costs, bandwidths and multicast capability flags;
+//!   link costs and multicast capability flags;
 //! * [`isp`] — the 18-router "large ISP" backbone of the paper's Figure 6;
 //! * [`random`] — seeded random-graph generators (G(n,p) with a target
 //!   average degree, plus Waxman for extensions);
@@ -25,7 +25,8 @@
 //!   multi-homed hosts), with every single-homed host folded onto its
 //!   attachment router: what the on-demand routing service computes over;
 //! * [`costs`] — cost assignment policies (the paper's per-direction
-//!   `U[1,10]`, and an asymmetry-interpolation knob used by the ablations);
+//!   `U[1,10]`, and an asymmetry-interpolation knob used by the ablations),
+//!   and the QoS extension's link-capacity draw, returned by edge id;
 //! * [`scenarios`] — the small hand-built topologies of the paper's
 //!   Figures 1, 2/5 and 3, with directed costs chosen so the unicast routes
 //!   match the routes the paper's walk-throughs assume;
