@@ -22,7 +22,7 @@ use crate::figures::sweep::{point, table_by_metric, Column, Point};
 use crate::protocols::Study;
 use crate::report::Table;
 use crate::runner::{converge, RunConfig};
-use crate::scenario::Scenario;
+use crate::scenario::{Draw, Scenario};
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_routing::qos;
 use hbh_sim_core::{Kernel, Network, Protocol};
@@ -46,25 +46,19 @@ pub struct QosOutcome {
 /// outside it admits every draw or none.
 pub const CAPACITY_RANGE: (Bandwidth, Bandwidth) = (1, 10);
 
-/// `sc` over its bandwidth-constrained network (same membership, same
-/// seed) and the study that checks delivery paths against the drawn
-/// capacities; `None` if the channel is not admissible under the floor.
-fn admitted(sc: Scenario, min_bw: Bandwidth) -> Option<(Scenario, QosStudy)> {
-    let mut rng = StdRng::seed_from_u64(sc.seed ^ 0xB0);
+/// The draw `d` over its bandwidth-constrained network, and the study
+/// that checks delivery paths against the drawn capacities; `None` if the
+/// channel is not admissible under the floor. Only the constrained tables
+/// are computed: the draw's unconstrained ones would go unread.
+fn admitted(d: Draw, min_bw: Bandwidth) -> Option<(Scenario, QosStudy)> {
+    let mut rng = StdRng::seed_from_u64(d.seed ^ 0xB0);
     let (lo, hi) = CAPACITY_RANGE;
-    let capacity = costs::assign_backbone_bandwidths(sc.graph(), lo, hi, &mut rng);
-    let tables = qos::constrained_tables(sc.graph(), &capacity, min_bw);
-    if !qos::channel_admitted(&tables, sc.source, &sc.receivers) {
+    let capacity = costs::assign_backbone_bandwidths(&d.graph, lo, hi, &mut rng);
+    let tables = qos::constrained_tables(&d.graph, &capacity, min_bw);
+    if !qos::channel_admitted(&tables, d.source, &d.receivers) {
         return None;
     }
-    let scenario = Scenario::from_parts(
-        Network::with_tables(sc.graph().clone(), tables),
-        sc.source,
-        sc.receivers,
-        sc.join_times,
-        sc.join_window,
-        sc.seed,
-    );
+    let scenario = d.routed(|g| Network::with_tables(g, tables));
     Some((scenario, QosStudy { min_bw, capacity }))
 }
 
@@ -115,8 +109,8 @@ pub const COMPLIANT: Column<QosOutcome> = ("compliant-path fraction", |o| {
 /// draws whose channel is not admissible under the floor are skipped.
 pub fn evaluate(run: &RunConfig, group_size: usize, min_bw: Bandwidth) -> Point<QosOutcome> {
     point(run, |i| {
-        let sc = run.draw(group_size, run.base_seed ^ ((i as u64) << 18));
-        admitted(sc, min_bw)
+        let d = run.unrouted(group_size, run.base_seed ^ ((i as u64) << 18));
+        admitted(d, min_bw)
     })
 }
 

@@ -4,7 +4,7 @@
 
 use crate::protocols::ProtocolKind;
 use crate::report::Args;
-use crate::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
+use crate::scenario::{draw, Draw, Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Kernel, Network, Protocol, Time};
 use hbh_topo::graph::NodeId;
@@ -100,8 +100,13 @@ impl RunConfig {
     /// Draw `seed` of the paper's scenario at `group_size` receivers, on
     /// this run's topology and timing.
     pub fn draw(&self, group_size: usize, seed: u64) -> Scenario {
+        self.unrouted(group_size, seed).routed(Network::new)
+    }
+
+    /// [`RunConfig::draw`] before its routes are computed.
+    pub fn unrouted(&self, group_size: usize, seed: u64) -> Draw {
         let opts = ScenarioOptions::default();
-        build(self.topo, group_size, seed, &self.timing, &opts)
+        draw(self.topo, group_size, seed, &self.timing, &opts)
     }
 
     /// How a figure titles itself: `what — isp topology, 8 receivers, 100
@@ -170,19 +175,33 @@ pub fn build_kernel<P: Protocol<Command = Cmd>>(
     (k, ch)
 }
 
+/// The window a converged run repeats: two tree periods, because PIM's
+/// join suppression makes its refreshes repeat every two
+/// (`tests/tests/control_periodicity.rs`); every other arm repeats every
+/// one, so every two as well.
+fn steady_window(timing: &Timing) -> u64 {
+    2 * timing.tree_period
+}
+
 /// Runs to the convergence horizon, then extends in `2·t2` windows until
 /// structural changes quiesce (bounded retries). Returns `true` if
 /// quiescence was reached.
+///
+/// Both stretches run through [`Kernel::fast_forward`] over two tree
+/// periods: once a converged tree repeats its refreshes window for window,
+/// the repeats are skipped, and the kernel ends each stretch exactly as
+/// plain `run_until` would have.
 pub fn converge<P: Protocol<Command = Cmd>>(
     k: &mut Kernel<P>,
     timing: &Timing,
     join_window: u64,
 ) -> bool {
-    k.run_until(Time(timing.convergence_horizon(join_window)));
+    let window = steady_window(timing);
+    k.fast_forward(Time(timing.convergence_horizon(join_window)), window);
     for _ in 0..8 {
         let before = k.stats().structural_changes;
         let until = k.now() + 2 * timing.t2;
-        k.run_until(until);
+        k.fast_forward(until, window);
         if k.stats().structural_changes == before {
             return true;
         }
@@ -191,14 +210,15 @@ pub fn converge<P: Protocol<Command = Cmd>>(
 }
 
 /// Steady-state control transmissions per tree period, measured over the
-/// next `periods` of them.
+/// next `periods` of them — through [`Kernel::fast_forward`], which counts
+/// a skipped window's control copies as if it had sent them.
 pub fn control_per_period<P: Protocol<Command = Cmd>>(
     k: &mut Kernel<P>,
     timing: &Timing,
     periods: u64,
 ) -> f64 {
     let (c0, t0) = (k.stats().control_copies(), k.now());
-    k.run_until(t0 + periods * timing.tree_period);
+    k.fast_forward(t0 + periods * timing.tree_period, steady_window(timing));
     (k.stats().control_copies() - c0) as f64 / periods as f64
 }
 

@@ -192,9 +192,46 @@ impl Default for ScenarioOptions {
 /// periods lets roughly the paper's dynamics emerge while keeping runs fast.
 const JOIN_WINDOW_PERIODS: u64 = 20;
 
+/// A draw of [`build`] before any route is computed: the graph with this
+/// run's costs, and its membership plan. A study that routes differently
+/// (the QoS extension's bandwidth-constrained tables) routes it itself
+/// with [`Draw::routed`].
+#[derive(Clone, Debug)]
+pub struct Draw {
+    /// The topology, costs drawn.
+    pub graph: Graph,
+    /// The source host.
+    pub source: NodeId,
+    /// Receivers, in sampling order.
+    pub receivers: Vec<NodeId>,
+    /// Join times, staggered over `join_window`.
+    pub join_times: Vec<(NodeId, Time)>,
+    pub join_window: u64,
+    /// The run seed it was drawn from.
+    pub seed: u64,
+    /// Scripted actions beyond the primary-channel joins.
+    pub script: Script,
+}
+
+impl Draw {
+    /// The scenario over the network `route` freezes this draw's graph
+    /// into.
+    pub fn routed(self, route: impl FnOnce(Graph) -> Network) -> Scenario {
+        Scenario {
+            network: route(self.graph),
+            source: self.source,
+            receivers: self.receivers,
+            join_times: self.join_times,
+            join_window: self.join_window,
+            seed: self.seed,
+            script: self.script,
+        }
+    }
+}
+
 /// Builds run number `run_seed` of the experiment: the RNG stream is a
 /// pure function of `(kind, run_seed)`, so runs are reproducible and
-/// protocols see identical draws.
+/// protocols see identical draws. The routes are eager all-pairs tables.
 pub fn build(
     kind: TopologyKind,
     group_size: usize,
@@ -202,6 +239,18 @@ pub fn build(
     timing: &Timing,
     opts: &ScenarioOptions,
 ) -> Scenario {
+    draw(kind, group_size, run_seed, timing, opts).routed(Network::new)
+}
+
+/// [`build`]'s draw, unrouted: the same RNG stream, so routing it with
+/// [`Network::new`] gives exactly [`build`]'s scenario.
+pub fn draw(
+    kind: TopologyKind,
+    group_size: usize,
+    run_seed: u64,
+    timing: &Timing,
+    opts: &ScenarioOptions,
+) -> Draw {
     let mut rng = StdRng::seed_from_u64(run_seed ^ (0x5EED_0000 + kind as u64));
     let (template, source) = kind.template();
     let (mut graph, source) = (template.clone(), *source);
@@ -234,8 +283,8 @@ pub fn build(
         timing,
         &mut rng,
     );
-    Scenario {
-        network: Network::new(graph),
+    Draw {
+        graph,
         source,
         receivers: plan.receivers,
         join_times: plan.join_times,

@@ -28,7 +28,7 @@
 //!   argument that the replay is exact.
 
 use crate::bits::Mask;
-use hbh_sim_core::{FastMap, Time};
+use hbh_sim_core::{FastMap, SteadyState, Time};
 use hbh_topo::graph::NodeId;
 
 /// Deadline of an entry that never expires (hard state).
@@ -245,15 +245,21 @@ impl ClaimTable {
         reaped
     }
 
+    /// The calm stretch, if it belongs to the current revision: one that
+    /// does not is never read again.
+    fn current_calm(&self) -> Option<&Calm> {
+        self.calm.as_ref().filter(|c| c.rev == self.rev)
+    }
+
     fn calm_holds(&self, now: Time) -> bool {
-        let calm = self.calm.as_ref();
-        calm.is_some_and(|c| c.rev == self.rev && c.since <= now && now < c.until)
+        self.current_calm()
+            .is_some_and(|c| c.since <= now && now < c.until)
     }
 
     /// The calm stretch around `now`, opened here if none holds.
     fn calm(&mut self, now: Time) -> &mut Calm {
         if !self.calm_holds(now) {
-            if self.calm.as_ref().is_some_and(|c| c.rev == self.rev) {
+            if self.current_calm().is_some() {
                 // The clock walked out of this revision's stretch: entries
                 // may have died with nobody looking, a change like any
                 // other — whatever was settled before it is not settled
@@ -481,6 +487,54 @@ impl ClaimTable {
             Verdict::Vetoed => &memo.vetoed,
         };
         (listed == nodes).then_some(memo.verdict)
+    }
+}
+
+/// `t` moved `by` later; [`NEVER`] stays never.
+fn later(t: Time, by: u64) -> Time {
+    if t == NEVER {
+        t
+    } else {
+        t + by
+    }
+}
+
+/// Row for row: the same nodes in the same order, each with the same mark
+/// and claim and its deadlines `by` later. Nothing else is compared: the
+/// calm stretch, the revision it is stamped with, the memos and the reach
+/// mask only remember answers that are functions of the rows (the replay
+/// and the mask are exact, `DESIGN.md` §5b), so two tables with equal rows
+/// answer every question alike whatever they remember. They must be left
+/// out, not compared: a calm stretch lasts until the earliest `t2`, about
+/// five refresh periods, so it rarely sits at the same offset at both ends
+/// of a two-period window. The index is a function of the rows; the loaded
+/// claim and the frontier are scratch.
+impl SteadyState for ClaimTable {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        let rows = |a: &Entry, b: &Entry| {
+            a.node == b.node
+                && a.marked == b.marked
+                && a.t1 == later(b.t1, by)
+                && a.t2 == later(b.t2, by)
+                && a.raw == b.raw
+        };
+        self.entries.len() == earlier.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&earlier.entries)
+                .all(|(a, b)| rows(a, b))
+    }
+
+    /// Moves the calm stretch with the rows, so that what it remembers
+    /// stays true of them.
+    fn advance(&mut self, by: u64) {
+        for e in &mut self.entries {
+            (e.t1, e.t2) = (later(e.t1, by), later(e.t2, by));
+        }
+        if let Some(c) = &mut self.calm {
+            (c.since, c.until) = (later(c.since, by), later(c.until, by));
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::messages::{HbhMsg, HbhTimer};
 use crate::tables::{HbhMct, HbhMft};
 use hbh_proto_base::{Channel, Cmd, SoftSet, Timing};
-use hbh_sim_core::{Ctx, Packet, Protocol};
+use hbh_sim_core::{Ctx, Packet, Protocol, SteadyState};
 use hbh_sim_core::{FastMap, FastSet};
 use hbh_topo::graph::NodeId;
 
@@ -42,7 +42,7 @@ impl Hbh {
 }
 
 /// Per-node HBH state.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct HbhNodeState {
     mct: FastMap<Channel, HbhMct>,
     mft: FastMap<Channel, HbhMft>,
@@ -71,6 +71,23 @@ impl HbhNodeState {
     /// Is this node currently a branching node for `ch`?
     pub fn is_branching(&self, ch: Channel) -> bool {
         self.mft.contains_key(&ch)
+    }
+}
+
+impl SteadyState for HbhNodeState {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        self.mct.repeats(&earlier.mct, by)
+            && self.mft.repeats(&earlier.mft, by)
+            && self.local.repeats(&earlier.local, by)
+            && self.member == earlier.member
+            && self.tree_armed == earlier.tree_armed
+            && self.sweep_armed == earlier.sweep_armed
+    }
+
+    fn advance(&mut self, by: u64) {
+        self.mct.advance(by);
+        self.mft.advance(by);
+        self.local.advance(by);
     }
 }
 

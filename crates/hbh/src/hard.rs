@@ -403,7 +403,7 @@ impl HbhHard {
 }
 
 /// Per-node hard-HBH state.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct HardNodeState {
     /// Non-branching tree routers: the single node whose tree messages
     /// flow through here (no timers — replaced or removed by events).
@@ -462,6 +462,22 @@ impl HardNodeState {
     /// The reliable-layer state (tests inspect its ledger).
     pub fn reliable(&self) -> &ReliableState<HardCtl> {
         &self.rel
+    }
+}
+
+/// Never repeats: the reliable layer stamps every control message with
+/// the next number of a counter that only grows, and the messages carry
+/// it, so no window's packets equal the last one's. Hard runs are
+/// dispatched event by event.
+impl hbh_sim_core::SteadyState for HardNodeState {
+    const MAY_REPEAT: bool = false;
+
+    fn repeats(&self, _: &Self, _: u64) -> bool {
+        false
+    }
+
+    fn advance(&mut self, _: u64) {
+        unreachable!("a state that never repeats is never advanced")
     }
 }
 

@@ -36,7 +36,7 @@
 
 use crate::claims::{ClaimTable, Verdict};
 use hbh_proto_base::{EntryPhase, SoftEntry, Timing};
-use hbh_sim_core::Time;
+use hbh_sim_core::{SteadyState, Time};
 use hbh_topo::graph::NodeId;
 
 /// Single-entry Multicast Control Table.
@@ -85,6 +85,16 @@ impl HbhMct {
     /// True once t2 has expired.
     pub fn is_dead(&self, now: Time) -> bool {
         self.entry.is_dead(now)
+    }
+}
+
+impl SteadyState for HbhMct {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        self.node == earlier.node && self.entry.repeats(&earlier.entry, by)
+    }
+
+    fn advance(&mut self, by: u64) {
+        self.entry.advance(by);
     }
 }
 
@@ -295,6 +305,16 @@ impl HbhMft {
     /// True if the table holds no entries at all.
     pub fn is_empty(&self) -> bool {
         self.core.is_empty()
+    }
+}
+
+impl SteadyState for HbhMft {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        self.core.repeats(&earlier.core, by)
+    }
+
+    fn advance(&mut self, by: u64) {
+        self.core.advance(by);
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::messages::{PimMsg, PimTimer};
 use crate::oif::OifTable;
 use hbh_proto_base::{Channel, Cmd, Timing};
-use hbh_sim_core::{Ctx, Packet, Protocol};
+use hbh_sim_core::{Ctx, Packet, Protocol, SteadyState};
 use hbh_sim_core::{FastMap, FastSet};
 use hbh_topo::graph::NodeId;
 
@@ -76,7 +76,7 @@ impl Pim {
 }
 
 /// Per-node PIM state: router oif tables plus host agent bookkeeping.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct PimNodeState {
     /// `(root, G)` oif tables, keyed by channel.
     oifs: FastMap<Channel, OifTable>,
@@ -106,6 +106,18 @@ impl PimNodeState {
         if self.sweep_armed.insert(ch) {
             ctx.set_timer(PimTimer::Sweep(ch), timing.tree_period);
         }
+    }
+}
+
+impl SteadyState for PimNodeState {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        self.oifs.repeats(&earlier.oifs, by)
+            && self.member == earlier.member
+            && self.sweep_armed == earlier.sweep_armed
+    }
+
+    fn advance(&mut self, by: u64) {
+        self.oifs.advance(by);
     }
 }
 

@@ -9,7 +9,7 @@
 //! downstream progress.
 
 use hbh_proto_base::{SoftSet, Timing};
-use hbh_sim_core::Time;
+use hbh_sim_core::{SteadyState, Time};
 use std::ops::{Deref, DerefMut};
 
 /// Outgoing-interface table for one channel at one router: the downstream
@@ -49,6 +49,18 @@ impl OifTable {
             self.last_upstream = Some(now);
         }
         due
+    }
+}
+
+impl SteadyState for OifTable {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        self.oifs.repeats(&earlier.oifs, by)
+            && self.last_upstream.repeats(&earlier.last_upstream, by)
+    }
+
+    fn advance(&mut self, by: u64) {
+        self.oifs.advance(by);
+        self.last_upstream.advance(by);
     }
 }
 

@@ -24,7 +24,7 @@
 //!   their same-time sends).
 
 use crate::timing::Timing;
-use hbh_sim_core::Time;
+use hbh_sim_core::{SteadyState, Time};
 use hbh_topo::graph::NodeId;
 
 /// Lifecycle phase of a soft-state entry at a given instant.
@@ -85,6 +85,18 @@ impl SoftEntry {
     /// True once t2 expires.
     pub fn is_dead(&self, now: Time) -> bool {
         self.phase(now) == EntryPhase::Dead
+    }
+}
+
+impl SteadyState for SoftEntry {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        self.expires_t1.repeats(&earlier.expires_t1, by)
+            && self.expires_t2.repeats(&earlier.expires_t2, by)
+    }
+
+    fn advance(&mut self, by: u64) {
+        self.expires_t1.advance(by);
+        self.expires_t2.advance(by);
     }
 }
 
@@ -161,6 +173,24 @@ impl SoftList {
     }
 }
 
+/// Row for row: the same nodes in the same order, each deadline `by`
+/// later.
+impl SteadyState for SoftList {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        let (a, b) = (&self.entries, &earlier.entries);
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|((n, e), (m, f))| n == m && e.repeats(f, by))
+    }
+
+    fn advance(&mut self, by: u64) {
+        for (_, e) in &mut self.entries {
+            e.advance(by);
+        }
+    }
+}
+
 /// One `t2` deadline per member, in node-id order.
 ///
 /// A member is live while `now < last refresh + t2`; there is no stale
@@ -217,6 +247,23 @@ impl SoftSet {
     /// True if no rows remain.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+}
+
+/// Row for row, as [`SoftList`].
+impl SteadyState for SoftSet {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        let (a, b) = (&self.rows, &earlier.rows);
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|((n, t), (m, u))| n == m && t.repeats(u, by))
+    }
+
+    fn advance(&mut self, by: u64) {
+        for (_, t) in &mut self.rows {
+            t.advance(by);
+        }
     }
 }
 

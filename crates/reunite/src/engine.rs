@@ -39,7 +39,7 @@
 use crate::messages::{ReuniteMsg, ReuniteTimer};
 use crate::tables::{Mct, Mft};
 use hbh_proto_base::{Channel, Cmd, Timing};
-use hbh_sim_core::{Ctx, Packet, Protocol};
+use hbh_sim_core::{Ctx, Packet, Protocol, SteadyState};
 use hbh_sim_core::{FastMap, FastSet};
 use hbh_topo::graph::NodeId;
 
@@ -60,7 +60,7 @@ impl Reunite {
 }
 
 /// Per-node REUNITE state.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ReuniteNodeState {
     mct: FastMap<Channel, Mct>,
     mft: FastMap<Channel, Mft>,
@@ -86,6 +86,21 @@ impl ReuniteNodeState {
     /// True if this node is currently a branching node for `ch`.
     pub fn is_branching(&self, ch: Channel) -> bool {
         self.mft.contains_key(&ch)
+    }
+}
+
+impl SteadyState for ReuniteNodeState {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        self.mct.repeats(&earlier.mct, by)
+            && self.mft.repeats(&earlier.mft, by)
+            && self.member == earlier.member
+            && self.tree_armed == earlier.tree_armed
+            && self.sweep_armed == earlier.sweep_armed
+    }
+
+    fn advance(&mut self, by: u64) {
+        self.mct.advance(by);
+        self.mft.advance(by);
     }
 }
 

@@ -7,7 +7,7 @@
 //! receiver as its `dst`.
 
 use hbh_proto_base::{SoftEntry, SoftList, Timing};
-use hbh_sim_core::Time;
+use hbh_sim_core::{SteadyState, Time};
 use hbh_topo::graph::NodeId;
 use std::ops::{Deref, DerefMut};
 
@@ -120,6 +120,18 @@ impl Mft {
         self.dst = new;
         self.stale_flag = false;
         Some(new)
+    }
+}
+
+impl SteadyState for Mft {
+    fn repeats(&self, earlier: &Self, by: u64) -> bool {
+        self.dst == earlier.dst
+            && self.stale_flag == earlier.stale_flag
+            && self.members.repeats(&earlier.members, by)
+    }
+
+    fn advance(&mut self, by: u64) {
+        self.members.advance(by);
     }
 }
 

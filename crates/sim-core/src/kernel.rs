@@ -23,14 +23,28 @@
 //! Timers are keyed per `(node, timer-value)`; re-arming replaces the
 //! previous instance and cancellation is exact (ids are globally unique, so
 //! a stale queue entry can never fire).
+//!
+//! ## Fast-forward
+//!
+//! [`Kernel::run_until`] dispatches every event. [`Kernel::fast_forward`]
+//! ends in the same place but skips the windows a converged run repeats:
+//! it copies the touched node states and the pending events at a window
+//! boundary, runs one window, and if the window was quiet and the kernel
+//! is its copy with every time one window later ([`SteadyState`]), it
+//! moves the clock, the pending events and every stored time by whole
+//! windows and adds their counts to [`Stats`]. Inputs from outside the
+//! run (commands, faults, loss, a trace) and on-demand route stores keep
+//! it from comparing at all. `DESIGN.md` §6e has the conditions and the
+//! argument that the skip is exact.
 
 use crate::ctx::{Ctx, KernelOps};
 use crate::fasthash::FastMap;
 use crate::fault::FaultEvent;
 use crate::network::Network;
 use crate::packet::Packet;
-use crate::queue::{EventKind, EventQueue};
+use crate::queue::{EventKey, EventKind, EventQueue};
 use crate::stats::{Delivery, Stats};
+use crate::steady::SteadyState;
 use crate::time::Time;
 use crate::trace::{Trace, TraceKind};
 use hbh_topo::graph::{LinkId, NodeId};
@@ -48,14 +62,16 @@ use std::hash::Hash;
 /// nodes' state is what makes the simulation faithful: nodes can only
 /// communicate through packets.
 pub trait Protocol: Sized {
-    /// Wire payload carried by packets.
-    type Msg: Clone + Debug;
+    /// Wire payload carried by packets. Equality lets a fast-forward
+    /// compare the packets in flight at two window boundaries.
+    type Msg: Clone + Debug + PartialEq;
     /// Timer identity at a node (e.g. "refresh join for channel c").
     type Timer: Clone + Eq + Hash + Debug;
     /// Experiment-injected command (join/leave/send-data).
     type Command: Clone + Debug;
-    /// Per-node protocol state (router tables and/or host agent state).
-    type NodeState: Default;
+    /// Per-node protocol state (router tables and/or host agent state),
+    /// comparable across a window for [`Kernel::fast_forward`].
+    type NodeState: Default + SteadyState;
 
     /// A packet arrived at `ctx.node`.
     fn on_packet(
@@ -209,6 +225,9 @@ struct Core<M, T, C> {
     timer_ids: FastMap<(NodeId, T), u64>,
     stats: Stats,
     rng: StdRng,
+    /// Times a handler asked for the RNG: a window that drew from it is
+    /// never fast-forwarded past.
+    rng_reads: u64,
     trace: Trace<M>,
     /// `None` until the first fault or loss — the zero-cost default.
     faults: Option<Box<FaultState>>,
@@ -345,6 +364,26 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
         }
     }
 
+    /// The pending event `key` names, as a window comparison sees it: its
+    /// delay from the clock and what it will do.
+    fn pending(&self, key: EventKey) -> (u64, Pending<M, T>) {
+        let event = match self.queue.body(key) {
+            EventKind::Arrive { node, pkt } => Pending::Arrive {
+                node: *node,
+                pkt: pkt.clone(),
+            },
+            EventKind::Timer { node, timer, id } => Pending::Timer {
+                node: *node,
+                timer: timer.clone(),
+                live: self.timer_ids.get(&(*node, timer.clone())) == Some(id),
+            },
+            EventKind::Command { .. } | EventKind::Fault(_) => {
+                unreachable!("no window is compared with an input pending")
+            }
+        };
+        (key.0 - self.now, event)
+    }
+
     fn forward(&mut self, at: NodeId, mut pkt: Packet<M>) {
         if !pkt.take_hop() {
             self.drop_packet(at, &pkt, DropReason::TtlExpired);
@@ -364,6 +403,7 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> KernelOps
         &self.net
     }
     fn rng(&mut self) -> &mut StdRng {
+        self.rng_reads += 1;
         &mut self.rng
     }
     fn send(&mut self, from: NodeId, pkt: Packet<M>) {
@@ -458,12 +498,55 @@ impl<S: Default> NodeStates<S> {
     }
 }
 
+/// One pending event as a window comparison sees it. Commands and faults
+/// never appear: a window is only compared while none is pending.
+#[derive(PartialEq)]
+enum Pending<M, T> {
+    Arrive {
+        node: NodeId,
+        pkt: Packet<M>,
+    },
+    /// `live`: the timer map still names this instance. A superseded or
+    /// cancelled one still pops, as an event that does nothing.
+    Timer {
+        node: NodeId,
+        timer: T,
+        live: bool,
+    },
+}
+
+/// A window the run was seen to repeat: its length, and the events and
+/// control copies each repeat dispatches.
+#[derive(Clone, Copy)]
+struct Repeat {
+    len: u64,
+    events: u64,
+    control: u64,
+}
+
+/// [`Kernel::fast_forward`]'s buffers, verdict and tallies.
+struct FastForward<S, M, T> {
+    /// Every touched node's state at the window's start, by slot.
+    states: Vec<S>,
+    /// Every pending event at the window's start, as `(due − now, event)`
+    /// in dispatch order.
+    queue: Vec<(u64, Pending<M, T>)>,
+    /// Scratch for the queue's keys.
+    keys: Vec<EventKey>,
+    /// Set once a window repeated; anything from outside the run (a
+    /// command, a fault, a loss model, a trace) clears it.
+    repeat: Option<Repeat>,
+    skipped_windows: u64,
+    skipped_events: u64,
+}
+
 /// The simulator: a [`Network`], one [`Protocol`], per-node states, and the
 /// event queue.
 pub struct Kernel<P: Protocol> {
     proto: P,
     states: NodeStates<P::NodeState>,
     core: Core<P::Msg, P::Timer, P::Command>,
+    ff: FastForward<P::NodeState, P::Msg, P::Timer>,
 }
 
 impl<P: Protocol> Kernel<P> {
@@ -483,8 +566,17 @@ impl<P: Protocol> Kernel<P> {
                 timer_ids: FastMap::default(),
                 stats: Stats::default(),
                 rng: StdRng::seed_from_u64(seed),
+                rng_reads: 0,
                 trace: Trace::disabled(),
                 faults: None,
+            },
+            ff: FastForward {
+                states: Vec::new(),
+                queue: Vec::new(),
+                keys: Vec::new(),
+                repeat: None,
+                skipped_windows: 0,
+                skipped_events: 0,
             },
         }
     }
@@ -497,6 +589,7 @@ impl<P: Protocol> Kernel<P> {
     /// Panics if `at` is in the past.
     pub fn schedule_fault(&mut self, at: Time, ev: FaultEvent) {
         assert!(at >= self.core.now, "fault scheduled in the past");
+        self.ff.repeat = None;
         self.core.push(at, EventKind::Fault(ev));
     }
 
@@ -542,6 +635,7 @@ impl<P: Protocol> Kernel<P> {
     /// Configures failure injection (default: lossless).
     pub fn set_loss(&mut self, loss: LossModel) {
         assert!((0.0..=1.0).contains(&loss.control) && (0.0..=1.0).contains(&loss.data));
+        self.ff.repeat = None;
         self.core.faults().loss = loss;
     }
 
@@ -555,6 +649,7 @@ impl<P: Protocol> Kernel<P> {
     pub fn set_link_loss(&mut self, a: NodeId, b: NodeId, p: f64) {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range");
         let edges = self.core.link_edges(a, b);
+        self.ff.repeat = None;
         let f = self.core.faults();
         let loss = f
             .edge_loss
@@ -566,6 +661,7 @@ impl<P: Protocol> Kernel<P> {
 
     /// Turns on event tracing (drains via [`Kernel::take_trace`]).
     pub fn enable_trace(&mut self) {
+        self.ff.repeat = None;
         self.core.trace = Trace::enabled();
     }
 
@@ -580,6 +676,7 @@ impl<P: Protocol> Kernel<P> {
     /// Panics if `at` is in the past.
     pub fn command_at(&mut self, node: NodeId, cmd: P::Command, at: Time) {
         assert!(at >= self.core.now, "command scheduled in the past");
+        self.ff.repeat = None;
         self.core.push(at, EventKind::Command { node, cmd });
     }
 
@@ -593,6 +690,124 @@ impl<P: Protocol> Kernel<P> {
             self.step();
         }
         self.core.now = self.core.now.max(until);
+    }
+
+    /// Ends where [`Kernel::run_until`]`(until)` ends, in every respect a
+    /// caller can observe, but skips whole `window`s once the run repeats
+    /// itself (`DESIGN.md` §6e).
+    ///
+    /// It copies the kernel's state at a window boundary, runs the window,
+    /// and compares: if the window was quiet and the state at its end is
+    /// the copy with every time `window` later, each later window repeats
+    /// it exactly. The kernel then moves the clock, every pending event
+    /// and every time a node state stores by `k · window` at once, adds
+    /// `k` times the window's events and control copies to [`Stats`], and
+    /// dispatches the rest of the way to `until` event by event. That
+    /// verdict stands for later calls with the same `window` until
+    /// something from outside the run arrives: a command, a fault, a loss
+    /// model or a trace.
+    ///
+    /// A window is only compared when nothing outside the copy can make
+    /// the next one differ: no command or fault pending, no data packet in
+    /// flight, no loss model or fault state, no trace, and an eager route
+    /// store (an on-demand store's cache moves with every lookup). A quiet
+    /// window makes no structural change, carries or delivers no data,
+    /// drops nothing and draws nothing from the RNG.
+    ///
+    /// # Panics
+    /// Panics if `window` is zero.
+    pub fn fast_forward(&mut self, until: Time, window: u64) {
+        assert!(window > 0, "a fast-forward window is positive");
+        while !matches!(self.ff.repeat, Some(r) if r.len == window)
+            && until.since(self.core.now) >= 2 * window
+            && self.may_repeat()
+        {
+            let end = self.core.now + window;
+            if self.core.queue.pending_inputs > 0 || self.core.queue.pending_data > 0 {
+                self.run_until(end);
+            } else {
+                self.compare_window(end);
+            }
+        }
+        if let Some(r) = self.ff.repeat.filter(|r| r.len == window) {
+            self.skip(until.since(self.core.now) / window, r);
+        }
+        self.run_until(until);
+    }
+
+    /// Whether this kernel's runs can be fast-forwarded at all.
+    fn may_repeat(&self) -> bool {
+        P::NodeState::MAY_REPEAT
+            && !self.core.trace.active()
+            && self.core.faults.is_none()
+            && !self.core.net.is_on_demand()
+    }
+
+    /// Runs the window that ends at `end` and records whether it repeats.
+    fn compare_window(&mut self, end: Time) {
+        let len = end - self.core.now;
+        self.snapshot();
+        let quiet = |k: &Self| (k.core.stats.quiet_mark(), k.core.rng_reads);
+        let before = quiet(self);
+        let (events, control) = (self.core.stats.events, self.core.stats.control_copies());
+        self.run_until(end);
+        if quiet(self) == before && self.repeats_snapshot(len) {
+            self.ff.repeat = Some(Repeat {
+                len,
+                events: self.core.stats.events - events,
+                control: self.core.stats.control_copies() - control,
+            });
+        }
+    }
+
+    /// Copies every touched state and pending event into the buffers.
+    fn snapshot(&mut self) {
+        let (ff, core) = (&mut self.ff, &self.core);
+        ff.states.clone_from(&self.states.packed);
+        core.queue.keys(&mut ff.keys);
+        ff.queue.clear();
+        ff.queue
+            .extend(ff.keys.iter().map(|&key| core.pending(key)));
+    }
+
+    /// Whether the kernel is its snapshot with every time `by` later.
+    fn repeats_snapshot(&mut self, by: u64) -> bool {
+        let (ff, core) = (&mut self.ff, &self.core);
+        core.queue.keys(&mut ff.keys);
+        let packed = &self.states.packed;
+        ff.keys.len() == ff.queue.len()
+            && ff
+                .keys
+                .iter()
+                .zip(&ff.queue)
+                .all(|(&key, was)| core.pending(key) == *was)
+            && packed.len() == ff.states.len()
+            && packed
+                .iter()
+                .zip(&ff.states)
+                .all(|(s, was)| s.repeats(was, by))
+    }
+
+    /// Moves the kernel `windows` repeats of `r` ahead without dispatching
+    /// them.
+    fn skip(&mut self, windows: u64, r: Repeat) {
+        if windows == 0 {
+            return;
+        }
+        debug_assert_eq!(
+            self.core.queue.pending_inputs, 0,
+            "an input clears the verdict"
+        );
+        let by = windows * r.len;
+        let now = self.core.now;
+        self.core.queue.delay_all(now, by, &mut self.ff.keys);
+        self.core.now += by;
+        for s in &mut self.states.packed {
+            s.advance(by);
+        }
+        self.core.stats.repeat(windows, r.events, r.control);
+        self.ff.skipped_windows += windows;
+        self.ff.skipped_events += windows * r.events;
     }
 
     /// Time of the next pending event, if any.
@@ -718,6 +933,17 @@ impl<P: Protocol> Kernel<P> {
     pub fn pending_timer_count(&self) -> usize {
         self.core.timer_ids.len()
     }
+
+    /// Windows [`Kernel::fast_forward`] has skipped instead of dispatching.
+    pub fn skipped_windows(&self) -> u64 {
+        self.ff.skipped_windows
+    }
+
+    /// Events in the skipped windows. [`Stats::events`] counts them too,
+    /// so `stats().events - skipped_events()` is what was dispatched.
+    pub fn skipped_events(&self) -> u64 {
+        self.ff.skipped_events
+    }
 }
 
 #[cfg(test)]
@@ -725,12 +951,26 @@ mod tests {
     use super::*;
     use hbh_topo::graph::Graph;
 
+    /// States of the test protocols below: they count the events they
+    /// see, so no window ever repeats the last one.
+    macro_rules! never_repeats {
+        ($($state:ty),*) => {$(
+            impl SteadyState for $state {
+                fn repeats(&self, _: &Self, _: u64) -> bool {
+                    false
+                }
+                fn advance(&mut self, _: u64) {}
+            }
+        )*};
+    }
+    never_repeats!(TestState);
+
     /// Minimal test protocol: hosts deliver data addressed to them; routers
     /// forward everything; a `Ping` command originates a data packet; a
     /// `Tick` timer re-arms itself once and counts via a state counter.
     struct TestProto;
 
-    #[derive(Debug, Default, PartialEq)]
+    #[derive(Clone, Debug, Default, PartialEq)]
     struct TestState {
         ticks: u32,
         seen: u32,
@@ -1143,10 +1383,11 @@ mod tests {
         // set_timers must behave exactly like N set_timer calls, including
         // the supersede rule when the same key appears twice.
         struct BatchProto;
-        #[derive(Default)]
+        #[derive(Clone, Default)]
         struct BatchState {
             fired: Vec<(u64, u8)>,
         }
+        never_repeats!(BatchState);
         impl Protocol for BatchProto {
             type Msg = ();
             type Timer = u8;
@@ -1198,10 +1439,11 @@ mod tests {
             decade + u64::from(i.wrapping_mul(2_654_435_761) >> 8) % (9 * decade)
         }
         struct StormProto;
-        #[derive(Default)]
+        #[derive(Clone, Default)]
         struct StormState {
             fired: Vec<(u64, u32)>,
         }
+        never_repeats!(StormState);
         impl Protocol for StormProto {
             type Msg = ();
             type Timer = u32;
@@ -1275,5 +1517,167 @@ mod tests {
         assert!(trace
             .iter()
             .any(|r| matches!(&r.what, TraceKind::Note(n) if n.starts_with("fault:"))));
+    }
+
+    // --- fast-forward -----------------------------------------------------
+
+    /// Two routers beaconing at each other every [`BEACON`] time units,
+    /// alternating two payloads: the run repeats itself every two beacons,
+    /// not every one. A node remembers when it last heard its peer.
+    struct Beacon;
+
+    const BEACON: u64 = 10;
+
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct BeaconState {
+        peer: Option<NodeId>,
+        odd: bool,
+        heard: Option<Time>,
+    }
+
+    impl SteadyState for BeaconState {
+        fn repeats(&self, earlier: &Self, by: u64) -> bool {
+            self.peer == earlier.peer
+                && self.odd == earlier.odd
+                && self.heard.repeats(&earlier.heard, by)
+        }
+        fn advance(&mut self, by: u64) {
+            self.heard.advance(by);
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum BeaconCmd {
+        Start(NodeId),
+        /// A data packet to the peer, for the data-plane counters.
+        Ping(u64),
+    }
+
+    impl Protocol for Beacon {
+        type Msg = bool;
+        type Timer = ();
+        type Command = BeaconCmd;
+        type NodeState = BeaconState;
+
+        fn on_packet(&self, st: &mut BeaconState, pkt: Packet<bool>, ctx: &mut Ctx<'_, bool, ()>) {
+            if pkt.dst != ctx.node {
+                ctx.forward(pkt);
+            } else if pkt.class == crate::packet::PacketClass::Data {
+                ctx.deliver(&pkt);
+            } else {
+                st.heard = Some(ctx.now());
+            }
+        }
+
+        fn on_timer(&self, st: &mut BeaconState, (): (), ctx: &mut Ctx<'_, bool, ()>) {
+            let peer = st.peer.expect("armed by Start");
+            ctx.send(Packet::control(ctx.node, peer, st.odd));
+            st.odd = !st.odd;
+            ctx.set_timer((), BEACON);
+        }
+
+        fn on_command(&self, st: &mut BeaconState, cmd: BeaconCmd, ctx: &mut Ctx<'_, bool, ()>) {
+            match cmd {
+                BeaconCmd::Start(peer) => {
+                    st.peer = Some(peer);
+                    ctx.structural_change();
+                    ctx.set_timer((), BEACON);
+                }
+                BeaconCmd::Ping(tag) => {
+                    let peer = st.peer.expect("started");
+                    ctx.send(Packet::data(ctx.node, peer, tag, ctx.now(), false));
+                }
+            }
+        }
+    }
+
+    /// a — b, started at t = 0, over eager routes or an on-demand store.
+    fn beacons(on_demand: bool) -> (Kernel<Beacon>, NodeId, NodeId) {
+        let mut g = Graph::new();
+        let a = g.add_router();
+        let b = g.add_router();
+        g.add_link(a, b, 3, 4);
+        let net = if on_demand {
+            Network::on_demand(g, 4)
+        } else {
+            Network::new(g)
+        };
+        let mut k = Kernel::new(net, Beacon, 7);
+        k.command_at(a, BeaconCmd::Start(b), Time::ZERO);
+        k.command_at(b, BeaconCmd::Start(a), Time(1));
+        (k, a, b)
+    }
+
+    /// Everything a caller can read off two kernels is equal.
+    fn assert_same(ff: &Kernel<Beacon>, plain: &Kernel<Beacon>) {
+        assert_eq!(ff.now(), plain.now());
+        assert_eq!(ff.stats(), plain.stats());
+        assert_eq!(ff.pending_timer_count(), plain.pending_timer_count());
+        for n in plain.network().graph().nodes() {
+            assert_eq!(ff.state(n), plain.state(n), "{n}");
+        }
+    }
+
+    #[test]
+    fn a_run_that_repeats_every_two_beacons_is_skipped_exactly() {
+        let (mut ff, a, _) = beacons(false);
+        let (mut plain, ..) = beacons(false);
+        // One beacon does not repeat the last one: nothing is skipped.
+        ff.fast_forward(Time(1_000), BEACON);
+        assert_eq!(ff.skipped_windows(), 0);
+        ff.fast_forward(Time(10_005), 2 * BEACON);
+        plain.run_until(Time(10_005));
+        assert!(ff.skipped_windows() > 400, "{}", ff.skipped_windows());
+        assert!(ff.skipped_events() > 0);
+        assert_same(&ff, &plain);
+        // What follows is the same too: a data packet, and more beacons.
+        for k in [&mut ff, &mut plain] {
+            k.command_at(a, BeaconCmd::Ping(9), Time(10_006));
+            k.run_until(Time(10_100));
+        }
+        assert_eq!(ff.stats().deliveries.len(), 1);
+        assert_same(&ff, &plain);
+        ff.fast_forward(Time(20_000), 2 * BEACON);
+        plain.run_until(Time(20_000));
+        assert_same(&ff, &plain);
+    }
+
+    #[test]
+    fn a_pending_command_stops_a_skip_before_it() {
+        let (mut ff, a, _) = beacons(false);
+        let (mut plain, ..) = beacons(false);
+        for k in [&mut ff, &mut plain] {
+            k.command_at(a, BeaconCmd::Ping(3), Time(5_000));
+        }
+        ff.fast_forward(Time(4_999), 2 * BEACON);
+        assert_eq!(ff.skipped_windows(), 0, "the ping is pending");
+        ff.fast_forward(Time(10_000), 2 * BEACON);
+        plain.run_until(Time(10_000));
+        assert!(ff.skipped_windows() > 0, "skips resume once it is sent");
+        assert_same(&ff, &plain);
+    }
+
+    #[test]
+    fn a_trace_a_loss_model_or_an_on_demand_store_turns_skipping_off() {
+        type Setup = fn(&mut Kernel<Beacon>);
+        let setups: [(bool, Setup); 3] = [
+            (false, |k| k.enable_trace()),
+            (false, |k| k.set_loss(LossModel::default())),
+            (true, |_| {}),
+        ];
+        for (on_demand, setup) in setups {
+            let (mut ff, ..) = beacons(on_demand);
+            let (mut plain, ..) = beacons(on_demand);
+            setup(&mut ff);
+            setup(&mut plain);
+            ff.fast_forward(Time(2_000), 2 * BEACON);
+            plain.run_until(Time(2_000));
+            assert_eq!(ff.skipped_windows(), 0);
+            assert_same(&ff, &plain);
+        }
+        // The same kernel without any of them does skip.
+        let (mut k, ..) = beacons(false);
+        k.fast_forward(Time(2_000), 2 * BEACON);
+        assert!(k.skipped_windows() > 0);
     }
 }

@@ -45,6 +45,7 @@ pub mod network;
 pub mod packet;
 mod queue;
 pub mod stats;
+pub mod steady;
 pub mod time;
 pub mod trace;
 
@@ -55,6 +56,7 @@ pub use kernel::{arrival, Arrival, DropReason, Kernel, LossModel, Protocol};
 pub use network::Network;
 pub use packet::{Packet, PacketClass};
 pub use stats::{Delivery, Stats};
+pub use steady::SteadyState;
 pub use time::Time;
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ pub enum PacketClass {
 pub const DEFAULT_TTL: u8 = 64;
 
 /// A unicast packet in flight.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Packet<M> {
     /// The node that *originated* the packet (not the previous hop).
     pub src: NodeId,

@@ -6,7 +6,7 @@
 use crate::network::Network;
 use crate::packet::Packet;
 use crate::time::Time;
-use crate::{Ctx, FaultEvent, Kernel, Protocol};
+use crate::{Ctx, FaultEvent, Kernel, Protocol, SteadyState};
 use hbh_routing::RoutingTables;
 use hbh_topo::graph::{Graph, NodeId};
 use hbh_topo::{costs, random};
@@ -24,6 +24,14 @@ struct Echo;
 struct EchoState {
     seen: u32,
     ticks: u32,
+}
+
+/// Counts what it saw, so no window ever repeats the last one.
+impl SteadyState for EchoState {
+    fn repeats(&self, _: &Self, _: u64) -> bool {
+        false
+    }
+    fn advance(&mut self, _: u64) {}
 }
 
 #[derive(Clone, Debug)]

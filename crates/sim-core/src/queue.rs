@@ -35,7 +35,7 @@ struct WheelSlot {
 
 /// Scheduling key: `(due time, global sequence, slab index)`. `seq` is
 /// globally unique, so comparing keys totally orders events.
-type EventKey = (Time, u64, u32);
+pub(crate) type EventKey = (Time, u64, u32);
 
 /// The pending-event set: a two-band scheduler over `(at, seq, slab
 /// index)` keys with the event bodies slab-allocated off to the side.
@@ -69,6 +69,9 @@ pub(crate) struct EventQueue<M, T, C> {
     /// data packet in the simulation has fully propagated — the
     /// early-termination signal for probe windows.
     pub(crate) pending_data: u64,
+    /// Scheduled-but-undispatched `Command` and `Fault` events: inputs
+    /// from outside the protocol, which a fast-forward must not jump.
+    pub(crate) pending_inputs: u64,
 }
 
 impl<M, T, C> EventQueue<M, T, C> {
@@ -85,15 +88,25 @@ impl<M, T, C> EventQueue<M, T, C> {
             kinds: Vec::new(),
             free: Vec::new(),
             pending_data: 0,
+            pending_inputs: 0,
+        }
+    }
+
+    /// How `kind` moves the two pending counters: `(data, inputs)`.
+    fn counts(kind: &EventKind<M, T, C>) -> (u64, u64) {
+        match kind {
+            EventKind::Arrive { pkt, .. } => {
+                (u64::from(pkt.class == crate::packet::PacketClass::Data), 0)
+            }
+            EventKind::Timer { .. } => (0, 0),
+            EventKind::Command { .. } | EventKind::Fault(_) => (0, 1),
         }
     }
 
     pub(crate) fn push(&mut self, now: Time, at: Time, seq: u64, kind: EventKind<M, T, C>) {
-        if let EventKind::Arrive { pkt, .. } = &kind {
-            if pkt.class == crate::packet::PacketClass::Data {
-                self.pending_data += 1;
-            }
-        }
+        let (data, inputs) = Self::counts(&kind);
+        self.pending_data += data;
+        self.pending_inputs += inputs;
         let idx = match self.free.pop() {
             Some(i) => {
                 self.kinds[i as usize] = Some(kind);
@@ -105,7 +118,12 @@ impl<M, T, C> EventQueue<M, T, C> {
                 i
             }
         };
-        let key = (at, seq, idx);
+        self.schedule(now, (at, seq, idx));
+    }
+
+    /// Files `key` in the band its due time falls in, seen from `now`.
+    fn schedule(&mut self, now: Time, key: EventKey) {
+        let at = key.0;
         if at.0.saturating_sub(now.0) < NEAR_HORIZON {
             let s = (at.0 % NEAR_HORIZON) as usize;
             let slot = &mut self.wheel[s];
@@ -116,6 +134,40 @@ impl<M, T, C> EventQueue<M, T, C> {
             self.occ |= 1 << s;
         } else {
             self.far.push(Reverse(key));
+        }
+    }
+
+    /// Every pending event's key, in dispatch (`(at, seq)`) order, into
+    /// `out` (cleared first).
+    pub(crate) fn keys(&self, out: &mut Vec<EventKey>) {
+        out.clear();
+        for slot in &self.wheel {
+            out.extend_from_slice(&slot.entries[slot.read..]);
+        }
+        out.extend(self.far.iter().map(|k| k.0));
+        out.sort_unstable();
+    }
+
+    /// The body of the pending event `key` names.
+    pub(crate) fn body(&self, key: EventKey) -> &EventKind<M, T, C> {
+        self.kinds[key.2 as usize]
+            .as_ref()
+            .expect("a pending key names a live slab slot")
+    }
+
+    /// Moves every pending event `by` later, the clock going from `now`
+    /// to `now + by` with them: each keeps its sequence number, so
+    /// dispatch order is unchanged. `keys` is scratch.
+    pub(crate) fn delay_all(&mut self, now: Time, by: u64, keys: &mut Vec<EventKey>) {
+        self.keys(keys);
+        for slot in &mut self.wheel {
+            slot.entries.clear();
+            slot.read = 0;
+        }
+        self.occ = 0;
+        self.far.clear();
+        for &(at, seq, idx) in keys.iter() {
+            self.schedule(now + by, (at + by, seq, idx));
         }
     }
 
@@ -161,11 +213,9 @@ impl<M, T, C> EventQueue<M, T, C> {
             .take()
             .expect("slab slot vacated early");
         self.free.push(idx);
-        if let EventKind::Arrive { pkt, .. } = &kind {
-            if pkt.class == crate::packet::PacketClass::Data {
-                self.pending_data -= 1;
-            }
-        }
+        let (data, inputs) = Self::counts(&kind);
+        self.pending_data -= data;
+        self.pending_inputs -= inputs;
         Some((at, kind))
     }
 

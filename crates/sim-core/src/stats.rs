@@ -43,7 +43,7 @@ impl Delivery {
 /// edge count. The views the analysis code consumes
 /// ([`Stats::data_copies_tagged`], [`Stats::data_copies_per_link`]) fold
 /// it on demand; they are off the per-event hot path.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Stats {
     /// Control transmissions on any edge: nothing reads them per edge.
     control: u64,
@@ -105,6 +105,24 @@ impl Stats {
     /// Deliveries attributed to probe `tag`.
     pub fn deliveries_tagged(&self, tag: u64) -> impl Iterator<Item = &Delivery> {
         self.deliveries.iter().filter(move |d| d.tag == tag)
+    }
+
+    /// What a fast-forwarded window must leave as it found it: structural
+    /// changes, data copies, deliveries and drops.
+    pub(crate) fn quiet_mark(&self) -> [u64; 4] {
+        [
+            self.structural_changes,
+            self.data.len() as u64,
+            self.deliveries.len() as u64,
+            self.drops,
+        ]
+    }
+
+    /// Adds `windows` repeats of a quiet window that dispatched `events`
+    /// events and sent `control` control copies.
+    pub(crate) fn repeat(&mut self, windows: u64, events: u64, control: u64) {
+        self.events += windows * events;
+        self.control += windows * control;
     }
 
     /// Notes a structural protocol-state change at `now`.
