@@ -57,7 +57,7 @@ struct Memo {
 
 /// One table row: the downstream node, its mark, its two deadlines and —
 /// for fusion senders — the target set its last accepted fusion claimed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Entry {
     pub node: NodeId,
     /// Fusion rule (2): forwards tree messages, not data.
@@ -499,33 +499,24 @@ fn later(t: Time, by: u64) -> Time {
     }
 }
 
-/// Row for row: the same nodes in the same order, each with the same mark
-/// and claim and its deadlines `by` later. Nothing else is compared: the
-/// calm stretch, the revision it is stamped with, the memos and the reach
-/// mask only remember answers that are functions of the rows (the replay
-/// and the mask are exact, `DESIGN.md` §5b), so two tables with equal rows
-/// answer every question alike whatever they remember. They must be left
-/// out, not compared: a calm stretch lasts until the earliest `t2`, about
-/// five refresh periods, so it rarely sits at the same offset at both ends
-/// of a two-period window. The index is a function of the rows; the loaded
-/// claim and the frontier are scratch.
-impl SteadyState for ClaimTable {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        let rows = |a: &Entry, b: &Entry| {
-            a.node == b.node
-                && a.marked == b.marked
-                && a.t1 == later(b.t1, by)
-                && a.t2 == later(b.t2, by)
-                && a.raw == b.raw
-        };
-        self.entries.len() == earlier.entries.len()
-            && self
-                .entries
-                .iter()
-                .zip(&earlier.entries)
-                .all(|(a, b)| rows(a, b))
+/// Row for row: the same nodes in the same order, each with the same mark,
+/// deadlines and claim, as received (the hard engine's "changed" check
+/// reads that order). Nothing else is compared: the calm stretch, the
+/// revision it is stamped with, the memos and the reach mask only remember
+/// answers that are functions of the rows (the replay and the mask are
+/// exact, `DESIGN.md` §5b), so two tables with equal rows answer every
+/// question alike whatever they remember. They must be left out: a calm
+/// stretch lasts until the earliest `t2`, about five refresh periods, so it
+/// rarely sits at the same offset at both ends of a fast-forward window
+/// (`DESIGN.md` §6e). The index is a function of the rows; the loaded claim
+/// and the frontier are scratch.
+impl PartialEq for ClaimTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
     }
+}
 
+impl SteadyState for ClaimTable {
     /// Moves the calm stretch with the rows, so that what it remembers
     /// stays true of them.
     fn advance(&mut self, by: u64) {
@@ -613,10 +604,93 @@ mod tests {
         reach_agrees(&mut t).map_err(|e| named("after the flips", e))
     }
 
+    /// A full fusion pass from `bp` listing `nodes` that leaves the rows
+    /// as they are: a veto if a reachable coverer holds the list, else an
+    /// acceptance of the claim `bp` already holds. It leaves a memo.
+    fn pass(t: &mut ClaimTable, bp: NodeId, nodes: &[NodeId], now: Time) {
+        let began = t.begin_pass(now);
+        t.load_claim(nodes);
+        let verdict = if t.covers_loaded(bp, now) {
+            Verdict::Vetoed
+        } else {
+            Verdict::Accepted
+        };
+        t.settle(bp, nodes, began, verdict);
+    }
+
+    #[test]
+    fn equality_compares_rows_not_caches() {
+        // Row 0 dies at t = 50; row 1 claims rows 3 and 2, in that order;
+        // row 3 is marked, so data reaches it only through row 1.
+        let rows: Vec<Row> = vec![
+            (0, vec![], false),
+            (1, vec![3, 2], false),
+            (1, vec![], false),
+            (2, vec![], false),
+        ];
+        let plain = table(&rows);
+        let mut used = table(&rows);
+        // One question inside row 0's lifetime, one after it: the clock
+        // walks out of the first calm stretch, so the revision moves.
+        assert_eq!(used.server_of(NodeId(3), Time(10)), Some(NodeId(1)));
+        assert_eq!(used.server_of(NodeId(3), NOW), Some(NodeId(1)));
+        // Row 1 covers row 2's claim of row 3: a veto, remembered.
+        pass(&mut used, NodeId(2), &[NodeId(3)], NOW);
+        assert_eq!(
+            used.replays(NodeId(2), &[NodeId(3)], NOW),
+            Some(Verdict::Vetoed)
+        );
+        assert!(used.rev > plain.rev && used.calm.as_ref().is_some_and(|c| c.reached));
+        assert!(plain.calm.is_none() && plain.memos.is_empty());
+        assert_eq!(used, plain);
+        // The same claim listed in another order is another table: the hard
+        // engine's "changed" check reads the order as received.
+        let mut reordered = rows.clone();
+        reordered[1].1 = vec![2, 3];
+        assert_ne!(table(&reordered), plain);
+    }
+
+    /// `rows` with its caches filled at `now`: each row is asked who
+    /// serves it, then sends a pass listing its own claim. The same
+    /// table moved `by` later answers every question at `now + by` as
+    /// the original does at `now`.
+    fn advance_keeps_answers(rows: Vec<Row>, early: bool, by: u64) -> Result<(), TestCaseError> {
+        // Early, the rows that die at t = 50 are live and end the calm
+        // stretch; at `NOW` they are dead and it ends at `NEVER`.
+        let now = if early { Time(10) } else { NOW };
+        let mut t = table(&rows);
+        let listed: Vec<(NodeId, Vec<NodeId>)> =
+            t.entries.iter().map(|e| (e.node, e.raw.clone())).collect();
+        for (n, nodes) in &listed {
+            t.server_of(*n, now);
+            pass(&mut t, *n, nodes, now);
+        }
+        let mut moved = t.clone();
+        moved.advance(by);
+        let stranger = (NodeId(rows.len() as u32), Vec::new());
+        for (n, nodes) in listed.iter().chain([&stranger]) {
+            let answers = |t: &mut ClaimTable, at: Time| {
+                let served = t.server_of(*n, at);
+                let replay = t.replays(*n, nodes, at);
+                t.load_claim(nodes);
+                (served, replay, t.covers_loaded(*n, at))
+            };
+            let want = answers(&mut t, now);
+            let got = answers(&mut moved, now + by);
+            prop_assert_eq!(got, want, "{n}, early {early}, by {by}, rows: {rows:?}");
+        }
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn claim_driven_reach_matches_pairwise(rows in rows()) {
             claim_driven_reach(rows)?;
+        }
+
+        #[test]
+        fn advance_keeps_every_answer(rows in rows(), early in any::<bool>(), by in 0u64..1_000_000) {
+            advance_keeps_answers(rows, early, by)?;
         }
     }
 

@@ -42,7 +42,7 @@ impl Hbh {
 }
 
 /// Per-node HBH state.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq)]
 pub struct HbhNodeState {
     mct: FastMap<Channel, HbhMct>,
     mft: FastMap<Channel, HbhMft>,
@@ -75,15 +75,6 @@ impl HbhNodeState {
 }
 
 impl SteadyState for HbhNodeState {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        self.mct.repeats(&earlier.mct, by)
-            && self.mft.repeats(&earlier.mft, by)
-            && self.local.repeats(&earlier.local, by)
-            && self.member == earlier.member
-            && self.tree_armed == earlier.tree_armed
-            && self.sweep_armed == earlier.sweep_armed
-    }
-
     fn advance(&mut self, by: u64) {
         self.mct.advance(by);
         self.mft.advance(by);

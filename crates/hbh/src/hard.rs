@@ -184,7 +184,7 @@ pub enum HardTimer {
 /// Marked entries forward no data; they are served through a covering
 /// branching node. The same `ClaimTable` as the soft MFT, with entries
 /// that never expire.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct HardMft {
     core: ClaimTable,
 }
@@ -403,7 +403,7 @@ impl HbhHard {
 }
 
 /// Per-node hard-HBH state.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq)]
 pub struct HardNodeState {
     /// Non-branching tree routers: the single node whose tree messages
     /// flow through here (no timers — replaced or removed by events).
@@ -471,10 +471,6 @@ impl HardNodeState {
 /// dispatched event by event.
 impl hbh_sim_core::SteadyState for HardNodeState {
     const MAY_REPEAT: bool = false;
-
-    fn repeats(&self, _: &Self, _: u64) -> bool {
-        false
-    }
 
     fn advance(&mut self, _: u64) {
         unreachable!("a state that never repeats is never advanced")

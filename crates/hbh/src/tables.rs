@@ -40,7 +40,7 @@ use hbh_sim_core::{SteadyState, Time};
 use hbh_topo::graph::NodeId;
 
 /// Single-entry Multicast Control Table.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HbhMct {
     node: NodeId,
     entry: SoftEntry,
@@ -89,10 +89,6 @@ impl HbhMct {
 }
 
 impl SteadyState for HbhMct {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        self.node == earlier.node && self.entry.repeats(&earlier.entry, by)
-    }
-
     fn advance(&mut self, by: u64) {
         self.entry.advance(by);
     }
@@ -102,7 +98,7 @@ impl SteadyState for HbhMct {
 /// marked flag. Insertion-ordered for deterministic fan-out. The rows,
 /// their fusion claims and every coverage question live in the shared
 /// `ClaimTable`; this type adds the two-timer lifecycle.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct HbhMft {
     core: ClaimTable,
 }
@@ -309,10 +305,6 @@ impl HbhMft {
 }
 
 impl SteadyState for HbhMft {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        self.core.repeats(&earlier.core, by)
-    }
-
     fn advance(&mut self, by: u64) {
         self.core.advance(by);
     }

@@ -76,7 +76,7 @@ impl Pim {
 }
 
 /// Per-node PIM state: router oif tables plus host agent bookkeeping.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq)]
 pub struct PimNodeState {
     /// `(root, G)` oif tables, keyed by channel.
     oifs: FastMap<Channel, OifTable>,
@@ -110,12 +110,6 @@ impl PimNodeState {
 }
 
 impl SteadyState for PimNodeState {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        self.oifs.repeats(&earlier.oifs, by)
-            && self.member == earlier.member
-            && self.sweep_armed == earlier.sweep_armed
-    }
-
     fn advance(&mut self, by: u64) {
         self.oifs.advance(by);
     }

@@ -15,7 +15,7 @@ use std::ops::{Deref, DerefMut};
 /// Outgoing-interface table for one channel at one router: the downstream
 /// neighbors (the [`SoftSet`] it derefs to, each live `t2` after its last
 /// join) plus the upstream join suppression.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OifTable {
     oifs: SoftSet,
     /// Last time a join was propagated upstream (refresh suppression: one
@@ -53,11 +53,6 @@ impl OifTable {
 }
 
 impl SteadyState for OifTable {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        self.oifs.repeats(&earlier.oifs, by)
-            && self.last_upstream.repeats(&earlier.last_upstream, by)
-    }
-
     fn advance(&mut self, by: u64) {
         self.oifs.advance(by);
         self.last_upstream.advance(by);

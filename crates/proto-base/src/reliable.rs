@@ -67,7 +67,7 @@ pub struct ReliableStats {
 
 /// An unacknowledged message: where it went, what it was, and how many
 /// times it has been transmitted.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Outstanding<M> {
     /// The consumer the message is addressed to.
     pub dst: NodeId,
@@ -106,7 +106,7 @@ pub enum RtxVerdict<M> {
 /// `floor` are summarily duplicates; the set holds everything seen at or
 /// above it. The window is pruned so state stays bounded under arbitrarily
 /// long sessions.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct SeenWindow {
     seen: FastSet<u64>,
     floor: u64,
@@ -137,7 +137,7 @@ impl SeenWindow {
 
 /// The per-node reliable-delivery state machine, generic over the engine's
 /// control payload `M`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReliableState<M> {
     next_seq: u64,
     outstanding: FastMap<u64, Outstanding<M>>,

@@ -89,11 +89,6 @@ impl SoftEntry {
 }
 
 impl SteadyState for SoftEntry {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        self.expires_t1.repeats(&earlier.expires_t1, by)
-            && self.expires_t2.repeats(&earlier.expires_t2, by)
-    }
-
     fn advance(&mut self, by: u64) {
         self.expires_t1.advance(by);
         self.expires_t2.advance(by);
@@ -101,7 +96,7 @@ impl SteadyState for SoftEntry {
 }
 
 /// One soft-state entry per node, oldest first.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SoftList {
     entries: Vec<(NodeId, SoftEntry)>,
 }
@@ -173,17 +168,7 @@ impl SoftList {
     }
 }
 
-/// Row for row: the same nodes in the same order, each deadline `by`
-/// later.
 impl SteadyState for SoftList {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        let (a, b) = (&self.entries, &earlier.entries);
-        a.len() == b.len()
-            && a.iter()
-                .zip(b)
-                .all(|((n, e), (m, f))| n == m && e.repeats(f, by))
-    }
-
     fn advance(&mut self, by: u64) {
         for (_, e) in &mut self.entries {
             e.advance(by);
@@ -197,7 +182,7 @@ impl SteadyState for SoftList {
 /// phase. Rows are `(node, deadline)` in a vector sorted by node id, so a
 /// refresh or a lookup is one binary search, enumeration is in id order,
 /// and [`SoftSet::reap`] is one `retain`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SoftSet {
     rows: Vec<(NodeId, Time)>,
 }
@@ -250,16 +235,7 @@ impl SoftSet {
     }
 }
 
-/// Row for row, as [`SoftList`].
 impl SteadyState for SoftSet {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        let (a, b) = (&self.rows, &earlier.rows);
-        a.len() == b.len()
-            && a.iter()
-                .zip(b)
-                .all(|((n, t), (m, u))| n == m && t.repeats(u, by))
-    }
-
     fn advance(&mut self, by: u64) {
         for (_, t) in &mut self.rows {
             t.advance(by);

@@ -60,7 +60,7 @@ impl Reunite {
 }
 
 /// Per-node REUNITE state.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq)]
 pub struct ReuniteNodeState {
     mct: FastMap<Channel, Mct>,
     mft: FastMap<Channel, Mft>,
@@ -90,14 +90,6 @@ impl ReuniteNodeState {
 }
 
 impl SteadyState for ReuniteNodeState {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        self.mct.repeats(&earlier.mct, by)
-            && self.mft.repeats(&earlier.mft, by)
-            && self.member == earlier.member
-            && self.tree_armed == earlier.tree_armed
-            && self.sweep_armed == earlier.sweep_armed
-    }
-
     fn advance(&mut self, by: u64) {
         self.mct.advance(by);
         self.mft.advance(by);

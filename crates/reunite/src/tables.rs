@@ -20,7 +20,7 @@ pub type Mct = SoftList;
 /// the source): the receivers that joined *here* (the [`SoftList`] it
 /// derefs to), with the distinguished `dst` the incoming data is addressed
 /// to.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Mft {
     dst: NodeId,
     members: SoftList,
@@ -124,12 +124,6 @@ impl Mft {
 }
 
 impl SteadyState for Mft {
-    fn repeats(&self, earlier: &Self, by: u64) -> bool {
-        self.dst == earlier.dst
-            && self.stale_flag == earlier.stale_flag
-            && self.members.repeats(&earlier.members, by)
-    }
-
     fn advance(&mut self, by: u64) {
         self.members.advance(by);
     }

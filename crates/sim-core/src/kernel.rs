@@ -29,13 +29,14 @@
 //! [`Kernel::run_until`] dispatches every event. [`Kernel::fast_forward`]
 //! ends in the same place but skips the windows a converged run repeats:
 //! it copies the touched node states and the pending events at a window
-//! boundary, runs one window, and if the window was quiet and the kernel
-//! is its copy with every time one window later ([`SteadyState`]), it
-//! moves the clock, the pending events and every stored time by whole
-//! windows and adds their counts to [`Stats`]. Inputs from outside the
-//! run (commands, faults, loss, a trace) and on-demand route stores keep
-//! it from comparing at all. `DESIGN.md` §6e has the conditions and the
-//! argument that the skip is exact.
+//! boundary, runs one window, moves the copy one window later
+//! ([`SteadyState::advance`]) and compares it with the kernel using `==`.
+//! If the window was quiet and the two are equal, it moves the clock, the
+//! pending events and every stored time by whole windows and adds their
+//! counts to [`Stats`]. Inputs from outside the run (commands, faults,
+//! loss, a trace) and on-demand route stores keep it from comparing at
+//! all. `DESIGN.md` §6e has the conditions and the argument that the skip
+//! is exact.
 
 use crate::ctx::{Ctx, KernelOps};
 use crate::fasthash::FastMap;
@@ -526,7 +527,8 @@ struct Repeat {
 
 /// [`Kernel::fast_forward`]'s buffers, verdict and tallies.
 struct FastForward<S, M, T> {
-    /// Every touched node's state at the window's start, by slot.
+    /// Every touched node's state at the window's start, by slot (moved
+    /// by the window as it is compared).
     states: Vec<S>,
     /// Every pending event at the window's start, as `(due − now, event)`
     /// in dispatch order.
@@ -697,8 +699,8 @@ impl<P: Protocol> Kernel<P> {
     /// itself (`DESIGN.md` §6e).
     ///
     /// It copies the kernel's state at a window boundary, runs the window,
-    /// and compares: if the window was quiet and the state at its end is
-    /// the copy with every time `window` later, each later window repeats
+    /// moves the copy `window` later and compares it with `==`: if the
+    /// window was quiet and the two are equal, each later window repeats
     /// it exactly. The kernel then moves the clock, every pending event
     /// and every time a node state stores by `k · window` at once, adds
     /// `k` times the window's events and control copies to [`Stats`], and
@@ -751,7 +753,7 @@ impl<P: Protocol> Kernel<P> {
         let before = quiet(self);
         let (events, control) = (self.core.stats.events, self.core.stats.control_copies());
         self.run_until(end);
-        if quiet(self) == before && self.repeats_snapshot(len) {
+        if quiet(self) == before && self.equals_moved_snapshot(len) {
             self.ff.repeat = Some(Repeat {
                 len,
                 events: self.core.stats.events - events,
@@ -770,8 +772,9 @@ impl<P: Protocol> Kernel<P> {
             .extend(ff.keys.iter().map(|&key| core.pending(key)));
     }
 
-    /// Whether the kernel is its snapshot with every time `by` later.
-    fn repeats_snapshot(&mut self, by: u64) -> bool {
+    /// Whether the kernel is its snapshot with every time `by` later. Each
+    /// copied state is moved by `by`, then compared with `==`.
+    fn equals_moved_snapshot(&mut self, by: u64) -> bool {
         let (ff, core) = (&mut self.ff, &self.core);
         core.queue.keys(&mut ff.keys);
         let packed = &self.states.packed;
@@ -782,10 +785,10 @@ impl<P: Protocol> Kernel<P> {
                 .zip(&ff.queue)
                 .all(|(&key, was)| core.pending(key) == *was)
             && packed.len() == ff.states.len()
-            && packed
-                .iter()
-                .zip(&ff.states)
-                .all(|(s, was)| s.repeats(was, by))
+            && packed.iter().zip(&mut ff.states).all(|(s, was)| {
+                was.advance(by);
+                s == was
+            })
     }
 
     /// Moves the kernel `windows` repeats of `r` ahead without dispatching
@@ -951,19 +954,18 @@ mod tests {
     use super::*;
     use hbh_topo::graph::Graph;
 
-    /// States of the test protocols below: they count the events they
-    /// see, so no window ever repeats the last one.
-    macro_rules! never_repeats {
+    /// States of the test protocols below: `advance` has nothing to move.
+    /// A counting state repeats only when its counters are equal, and a
+    /// log that grows with every event never does, so no skip reaches the
+    /// times a log keeps.
+    macro_rules! no_times_to_move {
         ($($state:ty),*) => {$(
             impl SteadyState for $state {
-                fn repeats(&self, _: &Self, _: u64) -> bool {
-                    false
-                }
                 fn advance(&mut self, _: u64) {}
             }
         )*};
     }
-    never_repeats!(TestState);
+    no_times_to_move!(TestState);
 
     /// Minimal test protocol: hosts deliver data addressed to them; routers
     /// forward everything; a `Ping` command originates a data packet; a
@@ -1383,11 +1385,11 @@ mod tests {
         // set_timers must behave exactly like N set_timer calls, including
         // the supersede rule when the same key appears twice.
         struct BatchProto;
-        #[derive(Clone, Default)]
+        #[derive(Clone, Default, PartialEq)]
         struct BatchState {
             fired: Vec<(u64, u8)>,
         }
-        never_repeats!(BatchState);
+        no_times_to_move!(BatchState);
         impl Protocol for BatchProto {
             type Msg = ();
             type Timer = u8;
@@ -1439,11 +1441,11 @@ mod tests {
             decade + u64::from(i.wrapping_mul(2_654_435_761) >> 8) % (9 * decade)
         }
         struct StormProto;
-        #[derive(Clone, Default)]
+        #[derive(Clone, Default, PartialEq)]
         struct StormState {
             fired: Vec<(u64, u32)>,
         }
-        never_repeats!(StormState);
+        no_times_to_move!(StormState);
         impl Protocol for StormProto {
             type Msg = ();
             type Timer = u32;
@@ -1536,11 +1538,6 @@ mod tests {
     }
 
     impl SteadyState for BeaconState {
-        fn repeats(&self, earlier: &Self, by: u64) -> bool {
-            self.peer == earlier.peer
-                && self.odd == earlier.odd
-                && self.heard.repeats(&earlier.heard, by)
-        }
         fn advance(&mut self, by: u64) {
             self.heard.advance(by);
         }
