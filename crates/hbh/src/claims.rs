@@ -2,11 +2,11 @@
 //!
 //! The soft MFT ([`crate::tables::HbhMft`]) and the hard one
 //! ([`crate::hard::HardMft`]) answer the same questions about fusion
-//! claims — who serves `n`, is this claim already covered, which narrower
-//! senders does it subsume (the nested-fusion note in [`crate::tables`])
-//! — and differ only in how entries come and go: soft entries carry the
-//! paper's `t1`/`t2` deadlines, hard ones never expire ([`NEVER`]).
-//! [`ClaimTable`] is the one implementation:
+//! claims — who serves `n`, which narrower senders a claim subsumes (the
+//! nested-fusion note in [`crate::tables`]) and, for the hard table alone,
+//! is this claim already covered — and differ only in how entries come
+//! and go: soft entries carry the paper's `t1`/`t2` deadlines, hard ones
+//! never expire ([`NEVER`]). [`ClaimTable`] is the one implementation:
 //!
 //! * entries stay in **insertion order** (fan-out order is observable),
 //!   with a node → position index in front, so a lookup is one hash probe
@@ -21,11 +21,12 @@
 //!   the earliest `t2` among the live entries it delimits a [`Calm`]
 //!   stretch over which the set of live entries, their marks and their
 //!   claims are all constant: the data-reach mask is computed once per
-//!   stretch, and a fusion that repeats, byte for byte, the list of the
-//!   last full pass from its sender that left the table untouched, inside
-//!   that pass's stretch, is **replayed** ([`ClaimTable::replays`]) with
-//!   the pass's verdict instead of re-derived. `DESIGN.md` §5b has the
-//!   argument that the replay is exact.
+//!   stretch, and a fusion that repeats, byte for byte, the claim its
+//!   sender's row holds, at the revision of that sender's last accepted
+//!   pass that left the table untouched and inside that pass's stretch,
+//!   is **replayed** ([`ClaimTable::replays`]) as rule (4)'s refresh
+//!   instead of re-derived. `DESIGN.md` §5b has the argument that the
+//!   replay is exact.
 
 use crate::bits::Mask;
 use hbh_sim_core::{FastMap, SteadyState, Time};
@@ -33,27 +34,6 @@ use hbh_topo::graph::NodeId;
 
 /// Deadline of an entry that never expires (hard state).
 pub(crate) const NEVER: Time = Time(u64::MAX);
-
-/// How a full fusion pass that changed no coverage input decided.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Verdict {
-    /// Accepted: the claim is installed and only its sender's deadlines
-    /// moved.
-    Accepted,
-    /// Vetoed: a data-reachable entry's claim already contains it.
-    Vetoed,
-}
-
-/// A sender's last full pass that left the revision where it was: its
-/// revision, its verdict and the list as received. An accepted list is the
-/// sender's installed claim, which its row holds as received already; only
-/// a vetoed one is kept here.
-#[derive(Clone, Debug)]
-struct Memo {
-    rev: u64,
-    verdict: Verdict,
-    vetoed: Vec<NodeId>,
-}
 
 /// One table row: the downstream node, its mark, its two deadlines and —
 /// for fusion senders — the target set its last accepted fusion claimed.
@@ -134,9 +114,9 @@ pub(crate) struct ClaimTable {
     /// The claim under consideration, sorted and deduplicated
     /// ([`Self::load_claim`]); reused across fusions.
     loaded: Vec<NodeId>,
-    /// Per sender, its last full pass that changed nothing
-    /// ([`Self::settle`]).
-    memos: FastMap<NodeId, Memo>,
+    /// Per sender, the revision of its last accepted full pass that
+    /// changed nothing ([`Self::settle`]).
+    memos: FastMap<NodeId, u64>,
     /// Bit `i` set iff `entries[i]` receives data through this table, in
     /// the calm stretch that filled it ([`Self::fill_reach`]).
     reach: Mask,
@@ -332,11 +312,6 @@ impl ClaimTable {
     /// bottoms out at a live unmarked entry (see [`Self::fill_reach`]); an
     /// orphaned marked claimant receives nothing and serves nobody.
     pub fn server_of(&mut self, n: NodeId, now: Time) -> Option<NodeId> {
-        // Fast path: no live entry claims `n` at all (the common case at
-        // routers with no fusion activity) — skip the fixpoint entirely.
-        if !self.live(now).any(|e| e.node != n && e.claims(n)) {
-            return None;
-        }
         self.fill_reach(now);
         let mut claimants = self.entries.iter().enumerate();
         claimants
@@ -353,24 +328,20 @@ impl ClaimTable {
     }
 
     /// Is the loaded claim contained in the coverage of a live,
-    /// data-reachable entry other than `sender`? If so, an incoming fusion
-    /// from `sender` is subsumed by an already-installed branching node
-    /// and must be ignored (see the nested-fusion note in
+    /// data-reachable entry other than `sender`? The hard table ignores a
+    /// fusion from `sender` if so (see the nested-fusion note in
     /// [`crate::tables`]). An orphaned marked coverer receives no data and
-    /// serves nobody — it cannot veto a fusion from a node that is asking
+    /// serves nobody — it cannot cover a fusion from a node that is asking
     /// to serve the subtree itself.
     pub fn covers_loaded(&mut self, sender: NodeId, now: Time) -> bool {
-        let covers = |e: &Entry, loaded: &[NodeId]| {
-            e.node != sender && !e.claim.is_empty() && is_subset(loaded, &e.claim)
-        };
-        // Fast path: no live entry other than `sender` even claims the
-        // whole set — skip the fixpoint.
-        if !self.live(now).any(|e| covers(e, &self.loaded)) {
-            return false;
-        }
         self.fill_reach(now);
         let mut coverers = self.entries.iter().enumerate();
-        coverers.any(|(i, e)| self.reach.test(i) && covers(e, &self.loaded))
+        coverers.any(|(i, e)| {
+            self.reach.test(i)
+                && e.node != sender
+                && !e.claim.is_empty()
+                && is_subset(&self.loaded, &e.claim)
+        })
     }
 
     /// Fusion rule (2): marks every live entry `nodes` lists, `skip`
@@ -448,45 +419,28 @@ impl ClaimTable {
         self.calm(now).rev
     }
 
-    /// Closes a full pass over `bp`'s fusion listing `nodes` that
-    /// [`Self::begin_pass`] opened at revision `began` and that decided
-    /// `verdict`: if it left the revision where it was, a verbatim repeat
-    /// inside the calm stretch may be replayed with the same verdict.
-    pub fn settle(&mut self, bp: NodeId, nodes: &[NodeId], began: u64, verdict: Verdict) {
-        if self.rev != began {
-            return;
-        }
-        let memo = self.memos.entry(bp).or_insert_with(|| Memo {
-            rev: began,
-            verdict,
-            vetoed: Vec::new(),
-        });
-        (memo.rev, memo.verdict) = (began, verdict);
-        // In place: the sender's next list is most likely the same length.
-        memo.vetoed.clear();
-        if verdict == Verdict::Vetoed {
-            memo.vetoed.extend_from_slice(nodes);
+    /// Closes an accepted full pass over a fusion from `bp` that
+    /// [`Self::begin_pass`] opened at revision `began`: if it left the
+    /// revision where it was, a verbatim repeat of the claim `bp`'s row now
+    /// holds may be replayed inside the calm stretch.
+    pub fn settle(&mut self, bp: NodeId, began: u64) {
+        if self.rev == began {
+            self.memos.insert(bp, began);
         }
     }
 
-    /// The exact replay rule: does `nodes` repeat byte for byte the list
-    /// of `bp`'s last full pass that changed nothing, at the very revision
-    /// that pass ran at, with `now` still inside its calm stretch? Running
-    /// the pass again would read the same rows, marks and claims and decide
-    /// the same way, so the soft table applies the verdict's one
-    /// clock-dependent effect (an acceptance is rule (4)'s refresh; a veto
-    /// has none) and skips the rest. The hard table has no replay: its
-    /// fusions are sent on change, and every one takes the full pass.
-    pub fn replays(&self, bp: NodeId, nodes: &[NodeId], now: Time) -> Option<Verdict> {
-        if !self.calm_holds(now) {
-            return None;
-        }
-        let memo = self.memos.get(&bp).filter(|m| m.rev == self.rev)?;
-        let listed = match memo.verdict {
-            Verdict::Accepted => self.get(bp, now)?.raw_claim(),
-            Verdict::Vetoed => &memo.vetoed,
-        };
-        (listed == nodes).then_some(memo.verdict)
+    /// The exact replay rule: does `nodes` repeat byte for byte the claim
+    /// `bp`'s live row holds, at the very revision of `bp`'s last accepted
+    /// pass that changed nothing, with `now` still inside its calm
+    /// stretch? Running the pass again would read the same rows, marks and
+    /// claims and decide the same way, so the soft table applies its one
+    /// clock-dependent effect (rule (4)'s refresh) and skips the rest. The
+    /// hard table has no replay: its fusions are sent on change, and every
+    /// one takes the full pass.
+    pub fn replays(&self, bp: NodeId, nodes: &[NodeId], now: Time) -> bool {
+        self.calm_holds(now)
+            && self.memos.get(&bp) == Some(&self.rev)
+            && self.get(bp, now).is_some_and(|e| e.raw == nodes)
     }
 }
 
@@ -604,18 +558,11 @@ mod tests {
         reach_agrees(&mut t).map_err(|e| named("after the flips", e))
     }
 
-    /// A full fusion pass from `bp` listing `nodes` that leaves the rows
-    /// as they are: a veto if a reachable coverer holds the list, else an
-    /// acceptance of the claim `bp` already holds. It leaves a memo.
-    fn pass(t: &mut ClaimTable, bp: NodeId, nodes: &[NodeId], now: Time) {
+    /// An accepted full fusion pass from `bp` re-sending the claim its row
+    /// holds: it leaves the rows as they are, and a memo.
+    fn pass(t: &mut ClaimTable, bp: NodeId, now: Time) {
         let began = t.begin_pass(now);
-        t.load_claim(nodes);
-        let verdict = if t.covers_loaded(bp, now) {
-            Verdict::Vetoed
-        } else {
-            Verdict::Accepted
-        };
-        t.settle(bp, nodes, began, verdict);
+        t.settle(bp, began);
     }
 
     #[test]
@@ -634,12 +581,9 @@ mod tests {
         // walks out of the first calm stretch, so the revision moves.
         assert_eq!(used.server_of(NodeId(3), Time(10)), Some(NodeId(1)));
         assert_eq!(used.server_of(NodeId(3), NOW), Some(NodeId(1)));
-        // Row 1 covers row 2's claim of row 3: a veto, remembered.
-        pass(&mut used, NodeId(2), &[NodeId(3)], NOW);
-        assert_eq!(
-            used.replays(NodeId(2), &[NodeId(3)], NOW),
-            Some(Verdict::Vetoed)
-        );
+        // Row 1 repeats its claim: an acceptance, remembered.
+        pass(&mut used, NodeId(1), NOW);
+        assert!(used.replays(NodeId(1), &[NodeId(3), NodeId(2)], NOW));
         assert!(used.rev > plain.rev && used.calm.as_ref().is_some_and(|c| c.reached));
         assert!(plain.calm.is_none() && plain.memos.is_empty());
         assert_eq!(used, plain);
@@ -651,7 +595,7 @@ mod tests {
     }
 
     /// `rows` with its caches filled at `now`: each row is asked who
-    /// serves it, then sends a pass listing its own claim. The same
+    /// serves it, then sends a pass repeating its own claim. The same
     /// table moved `by` later answers every question at `now + by` as
     /// the original does at `now`.
     fn advance_keeps_answers(rows: Vec<Row>, early: bool, by: u64) -> Result<(), TestCaseError> {
@@ -661,9 +605,9 @@ mod tests {
         let mut t = table(&rows);
         let listed: Vec<(NodeId, Vec<NodeId>)> =
             t.entries.iter().map(|e| (e.node, e.raw.clone())).collect();
-        for (n, nodes) in &listed {
+        for (n, _) in &listed {
             t.server_of(*n, now);
-            pass(&mut t, *n, nodes, now);
+            pass(&mut t, *n, now);
         }
         let mut moved = t.clone();
         moved.advance(by);

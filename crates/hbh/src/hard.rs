@@ -33,9 +33,11 @@
 //!
 //! The per-message rules intentionally mirror the soft engine's Figure 9
 //! structure — same interception rule, same rule-8 promotion, same
-//! nested-fusion disambiguation — so that differences measured by the
-//! churn experiment are attributable to the state model, not to a
-//! different tree shape.
+//! subsumption of nested fusion claims — so that differences measured by
+//! the churn experiment are attributable to the state model, not to a
+//! different tree shape. One completion is the hard table's alone: it
+//! ignores a fusion whose claim a data-reachable sender already covers
+//! ([`HardMft::covered_by_other`]).
 
 use crate::claims::{ClaimTable, NEVER};
 use hbh_proto_base::reliable::{ReliableConfig, ReliableState, RtxVerdict};
@@ -241,8 +243,9 @@ impl HardMft {
     }
 
     /// Is `nodes` contained in the coverage of a data-reachable entry
-    /// other than `sender`? (Nested-fusion disambiguation, as in the soft
-    /// table.)
+    /// other than `sender`? [`Self::fusion`] then ignores the fusion: the
+    /// hard table's nested-fusion veto, which the soft table does not
+    /// have (see the nested-fusion note in [`crate::tables`]).
     pub fn covered_by_other(&mut self, nodes: &[NodeId], sender: NodeId) -> bool {
         self.core.load_claim(nodes);
         self.core.covers_loaded(sender, NOW)
@@ -271,7 +274,7 @@ impl HardMft {
     pub fn fusion(&mut self, from: NodeId, nodes: &[NodeId]) -> (bool, bool) {
         self.core.load_claim(nodes);
         if self.core.covers_loaded(from, NOW) {
-            return (false, false); // nested-fusion disambiguation: already served deeper
+            return (false, false); // the nested-fusion veto: already served through a coverer
         }
         let Some(newly_marked) = self.core.mark_listed(nodes, Some(from), NOW) else {
             return (false, false); // stale fusion that outlived the entries it names

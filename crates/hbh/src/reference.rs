@@ -5,7 +5,8 @@
 //! Every coverage question here is the original
 //! `entries.any(nodes.all(covers.contains))` scan plus a fresh reach
 //! fixpoint, and `fusion` is the body each engine's `fusion_at_node` had
-//! before it was lifted onto the tables. The fixpoint is the pairwise one
+//! before it was lifted onto the tables, the soft one without the
+//! nested-fusion veto the hard one keeps. The fixpoint is the pairwise one
 //! the tables ran before reach propagated along claims: no code is shared
 //! with the table it witnesses.
 
@@ -174,26 +175,6 @@ impl RefMft {
             .any(|(i, e)| reach[i] && e.node != n && e.covers.contains(&n))
     }
 
-    pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
-        // Fast path: no live entry other than `sender` even claims the
-        // whole set — skip the fixpoint.
-        if !self.entries.iter().any(|e| {
-            !e.is_dead(now)
-                && e.node != sender
-                && !e.covers.is_empty()
-                && nodes.iter().all(|n| e.covers.contains(n))
-        }) {
-            return false;
-        }
-        let reach = self.data_reachable(now);
-        self.entries.iter().enumerate().any(|(i, e)| {
-            reach[i]
-                && e.node != sender
-                && !e.covers.is_empty()
-                && nodes.iter().all(|n| e.covers.contains(n))
-        })
-    }
-
     pub fn install_fusion_sender(
         &mut self,
         bp: NodeId,
@@ -297,9 +278,6 @@ impl RefMft {
     pub fn fusion(&mut self, bp: NodeId, nodes: &[NodeId], now: Time, timing: &Timing) -> usize {
         let relevant: Vec<NodeId> = self.intersect(nodes, now).collect();
         if relevant.is_empty() {
-            return 0;
-        }
-        if self.covered_by_other(nodes, bp, now) {
             return 0;
         }
         let mut structural = 0;

@@ -19,22 +19,23 @@
 //! | stale  | yes    | ✗             | ✗                         |
 //! | dead   | —      | ✗             | ✗                         |
 
-//! ### Nested-fusion disambiguation (implementation decision)
+//! ### Nested fusions (implementation decision)
 //!
 //! Appendix A does not say what happens when *two* branching nodes on the
 //! same downstream path both send fusions for overlapping target sets and
 //! asymmetric routing makes the deeper node's fusion bypass the shallower
-//! one: naively the upstream MFT would install **both** as data targets
-//! and the shared receivers would get duplicate copies. Because all
-//! fusion senders covering a given target sit on that target's single
-//! forward path, their coverage sets are totally ordered by inclusion, so
-//! the resolution is unambiguous: each MFT entry remembers the target set
-//! its sender last claimed (`covers`), a fusion whose set is contained in
-//! a live entry's coverage is ignored, and installing a broader fusion
-//! marks the senders it subsumes. `DESIGN.md` §5 records this as the one
-//! place we had to complete the paper's specification.
+//! one. Because all fusion senders covering a given target sit on that
+//! target's single forward path, their coverage sets are totally ordered
+//! by inclusion: each MFT entry remembers the target set its sender last
+//! claimed, and installing a broader fusion marks the senders it subsumes
+//! — their subtrees are now served through the broader one. Every fusion
+//! otherwise takes Figure 9(b)'s rules as they stand: a narrower fusion is
+//! installed like any other and marked again the next time the broader
+//! sender fuses. `DESIGN.md` §5b.1 records this completion, and what a
+//! veto — ignoring a fusion a broader sender already covers — cost here;
+//! the hard table ([`crate::hard::HardMft`]) keeps one.
 
-use crate::claims::{ClaimTable, Verdict};
+use crate::claims::ClaimTable;
 use hbh_proto_base::{EntryPhase, SoftEntry, Timing};
 use hbh_sim_core::{SteadyState, Time};
 use hbh_topo::graph::NodeId;
@@ -151,16 +152,6 @@ impl HbhMft {
         self.core.server_of(n, now).is_some()
     }
 
-    /// Is `nodes` contained in the coverage of a live, data-reachable
-    /// entry other than `sender`? If so, an incoming fusion from `sender`
-    /// is subsumed by an already-installed branching node and must be
-    /// ignored (see the nested-fusion note in the module docs and
-    /// `ClaimTable::covers_loaded`).
-    pub fn covered_by_other(&mut self, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
-        self.core.load_claim(nodes);
-        self.core.covers_loaded(sender, now)
-    }
-
     /// Join-time mark repair (spec completion, `DESIGN.md` §5): a marked
     /// entry is only serviceable while some live unmarked fusion sender
     /// claims it in its coverage. If that sender decays — its own tables
@@ -190,41 +181,23 @@ impl HbhMft {
         timing: &Timing,
     ) -> bool {
         self.core.load_claim(covers);
-        self.install_loaded(bp, covers, now, timing)
-    }
-
-    /// [`Self::install_fusion_sender`] of the claim the core has loaded.
-    fn install_loaded(&mut self, bp: NodeId, covers: &[NodeId], now: Time, t: &Timing) -> bool {
         // Rules (3) and (4) alike: t1 expired on the spot, t2 restarted.
-        let stale = (now, now + t.t2);
+        let stale = (now, now + timing.t2);
         let (subsumed, fresh, _) = self.core.install_loaded(bp, covers, now, stale);
         subsumed || fresh
     }
 
     /// Everything a fusion from `bp` listing `nodes` does to the table it
-    /// is addressed to (Figure 9(b), rules (2)–(4), plus the nested-fusion
-    /// completion of the module docs); returns the number of structural
-    /// changes it made.
+    /// is addressed to (Figure 9(b), rules (2)–(4)); returns the number of
+    /// structural changes it made.
     pub fn fusion(&mut self, bp: NodeId, nodes: &[NodeId], now: Time, timing: &Timing) -> usize {
         let began = self.core.begin_pass(now);
         // A verbatim repeat on an unchanged table decides as the pass it
-        // repeats did (see `ClaimTable::replays`).
-        match self.core.replays(bp, nodes, now) {
-            // Rule (4) and nothing else.
-            Some(Verdict::Accepted) => {
-                self.core.touch(bp, now, now, now + timing.t2);
-                return 0;
-            }
-            Some(Verdict::Vetoed) => return 0,
-            None => {}
-        }
-        self.core.load_claim(nodes);
-        // Nested-fusion disambiguation: a fusion whose claim is contained
-        // in an already-installed sender's coverage is ignored — its
-        // subtree is served through that broader branching node.
-        if self.core.covers_loaded(bp, now) {
-            self.core.settle(bp, nodes, began, Verdict::Vetoed);
-            return 0; // consumed, deliberately without effect
+        // repeats did (see `ClaimTable::replays`): rule (4) and nothing
+        // else.
+        if self.core.replays(bp, nodes, now) {
+            self.core.touch(bp, now, now, now + timing.t2);
+            return 0;
         }
         // Rule (2): mark the listed entries — they will keep receiving
         // tree messages but no data. We emitted the tree messages that
@@ -244,16 +217,9 @@ impl HbhMft {
         structural += usize::from(self.repair_orphaned_mark(bp, now));
         // Rules (3)/(4): install Bp stale (data-only), or refresh its t2
         // keeping t1 expired; subsume narrower senders.
-        structural += usize::from(self.install_loaded(bp, nodes, now, timing));
-        self.core.settle(bp, nodes, began, Verdict::Accepted);
+        structural += usize::from(self.install_fusion_sender(bp, nodes, now, timing));
+        self.core.settle(bp, began);
         structural
-    }
-
-    /// How a verbatim repeat of `bp`'s fusion listing `nodes` would be
-    /// replayed at `now`, if it would.
-    #[cfg(test)]
-    pub(crate) fn replays(&self, bp: NodeId, nodes: &[NodeId], now: Time) -> Option<Verdict> {
-        self.core.replays(bp, nodes, now)
     }
 
     /// Data fan-out set: live, unmarked entries.
@@ -428,16 +394,22 @@ mod tests {
     }
 
     #[test]
-    fn covered_by_other_detects_nested_claims() {
+    fn a_covered_fusion_is_installed_until_the_broader_sender_fuses_again() {
         let t = tm();
         let mut m = HbhMft::default();
-        m.install_fusion_sender(NodeId(3), &[NodeId(7), NodeId(8)], Time(0), &t);
-        assert!(m.covered_by_other(&[NodeId(7)], NodeId(9), Time(1)));
-        assert!(
-            !m.covered_by_other(&[NodeId(7)], NodeId(3), Time(1)),
-            "sender excluded"
-        );
-        assert!(!m.covered_by_other(&[NodeId(7), NodeId(9)], NodeId(5), Time(1)));
+        for n in [7, 8] {
+            m.refresh_or_insert(NodeId(n), Time(0), &t);
+        }
+        let broad = [NodeId(7), NodeId(8)];
+        assert_eq!(m.fusion(NodeId(3), &broad, Time(0), &t), 3);
+        // 2's claim {7} is inside 3's: Figure 9(b) installs it all the same.
+        assert_eq!(m.fusion(NodeId(2), &[NodeId(7)], Time(1), &t), 1);
+        let served: Vec<_> = m.data_targets(Time(2)).collect();
+        assert_eq!(served, vec![NodeId(3), NodeId(2)]);
+        // 3's next fusion subsumes 2.
+        assert_eq!(m.fusion(NodeId(3), &broad, Time(100), &t), 1);
+        let served: Vec<_> = m.data_targets(Time(101)).collect();
+        assert_eq!(served, vec![NodeId(3)]);
     }
 
     #[test]
@@ -497,20 +469,6 @@ mod tests {
             !m.served_by_other(NodeId(7), late),
             "orphaned chain serves nobody"
         );
-    }
-
-    #[test]
-    fn covered_by_other_ignores_orphaned_marked_coverers() {
-        let t = tm();
-        let mut m = HbhMft::default();
-        m.install_fusion_sender(NodeId(3), &[NodeId(7), NodeId(8)], Time(0), &t);
-        m.mark(NodeId(3), Time(0));
-        // 3 is marked with no coverer of its own: it receives no data and
-        // cannot veto a fusion from a node offering to serve {7}.
-        assert!(!m.covered_by_other(&[NodeId(7)], NodeId(9), Time(1)));
-        // Give 3 a live coverer and its claim counts again.
-        m.install_fusion_sender(NodeId(4), &[NodeId(3)], Time(1), &t);
-        assert!(m.covered_by_other(&[NodeId(7)], NodeId(9), Time(2)));
     }
 
     #[test]
@@ -575,6 +533,38 @@ mod tests {
         assert!(!m.served_by_other(NodeId(7), Time(t.t2 + 1)));
     }
 
+    // --- the note's hard half: `HardMft` ignores a covered fusion --------
+
+    use crate::hard::HardMft;
+
+    #[test]
+    fn covered_by_other_detects_nested_claims() {
+        let mut m = HardMft::default();
+        m.install_fusion_sender(NodeId(3), &[NodeId(7), NodeId(8)]);
+        assert!(m.covered_by_other(&[NodeId(7)], NodeId(9)));
+        assert!(
+            !m.covered_by_other(&[NodeId(7)], NodeId(3)),
+            "sender excluded"
+        );
+        assert!(!m.covered_by_other(&[NodeId(7), NodeId(9)], NodeId(5)));
+        // A covered fusion is ignored: 9 is not installed.
+        assert_eq!(m.fusion(NodeId(9), &[NodeId(7)]), (false, false));
+        assert!(!m.contains(NodeId(9)));
+    }
+
+    #[test]
+    fn covered_by_other_ignores_orphaned_marked_coverers() {
+        let mut m = HardMft::default();
+        m.install_fusion_sender(NodeId(3), &[NodeId(7), NodeId(8)]);
+        m.mark(NodeId(3));
+        // 3 is marked with no coverer of its own: it receives no data and
+        // cannot cover a fusion from a node offering to serve {7}.
+        assert!(!m.covered_by_other(&[NodeId(7)], NodeId(9)));
+        // Give 3 a live coverer and its claim counts again.
+        m.install_fusion_sender(NodeId(4), &[NodeId(3)]);
+        assert!(m.covered_by_other(&[NodeId(7)], NodeId(9)));
+    }
+
     // --- the replay rule (`ClaimTable::replays`) --------------------------
 
     use crate::reference::{soft_diff, RefMft};
@@ -601,19 +591,9 @@ mod tests {
             got
         }
 
-        /// How a repeat of sender 9's `nodes` would be replayed at `now`.
-        fn verdict(&self, nodes: &[NodeId], now: Time) -> Option<Verdict> {
-            self.0.replays(NodeId(9), nodes, now)
-        }
-
-        /// Would sender 9's `CLAIM` be replayed as accepted at `now`?
+        /// Would sender 9's `CLAIM` be replayed at `now`?
         fn replays(&self, now: Time) -> bool {
-            self.verdict(&CLAIM, now) == Some(Verdict::Accepted)
-        }
-
-        /// Would sender 9's `CLAIM` be replayed as vetoed at `now`?
-        fn vetoes(&self, now: Time) -> bool {
-            self.verdict(&CLAIM, now) == Some(Verdict::Vetoed)
+            self.0.core.replays(NodeId(9), &CLAIM, now)
         }
     }
 
@@ -666,7 +646,8 @@ mod tests {
             "t2 restarted"
         );
         // A different list from the same sender is not a repeat.
-        assert_eq!(p.verdict(&[NodeId(2), NodeId(1)], Time(22)), None);
+        let reordered = [NodeId(2), NodeId(1)];
+        assert!(!p.0.core.replays(NodeId(9), &reordered, Time(22)));
     }
 
     #[test]
@@ -756,135 +737,5 @@ mod tests {
         assert!(!p.replays(Time(t2)));
         assert_eq!(p.fusion(9, &CLAIM, Time(t2)), 1);
         assert!(!p.0.is_marked(NodeId(9), Time(t2)));
-    }
-
-    // --- the veto verdict of the replay rule ------------------------------
-
-    /// Receivers 1, 2, 3; sender 8 claims {1, 2, 3} and is itself marked
-    /// and served through sender 7, which claims {8, 3}. Sender 9's claim
-    /// {1, 2} is contained in 8's and 8 receives data, so it is vetoed: at
-    /// `Time(11)` a verbatim repeat would be vetoed off the memo.
-    fn vetoed() -> Pair {
-        let mut p = Pair(HbhMft::default(), RefMft::default());
-        for n in 1..=3 {
-            p.join(n, Time(0));
-        }
-        let all = [NodeId(1), NodeId(2), NodeId(3)];
-        assert_eq!(p.fusion(8, &all, Time(0)), 4, "three marks and 8 itself");
-        assert_eq!(p.fusion(7, &[NodeId(8), NodeId(3)], Time(0)), 2);
-        assert!(p.0.is_marked(NodeId(8), Time(0)));
-        assert!(!p.vetoes(Time(10)), "9 has sent nothing yet");
-        assert_eq!(p.fusion(9, &CLAIM, Time(10)), 0);
-        assert!(!p.0.contains(NodeId(9), Time(10)), "vetoed, not installed");
-        assert!(p.vetoes(Time(11)));
-        p
-    }
-
-    /// [`vetoed`] carried to `Time(530)` with everyone refreshed but
-    /// receiver 3, which died at `t2` and sits in the table unreaped.
-    fn vetoed_around_a_dead_entry() -> Pair {
-        let mut p = vetoed();
-        for n in [1, 2] {
-            p.join(n, Time(300));
-        }
-        p.fusion(8, &[NodeId(1), NodeId(2), NodeId(3)], Time(300));
-        p.fusion(7, &[NodeId(8), NodeId(3)], Time(300));
-        let later = Time(tm().t2 + 10);
-        assert!(!p.0.contains(NodeId(3), later) && p.0.len() == 5);
-        assert_eq!(p.fusion(9, &CLAIM, later), 0);
-        assert!(p.vetoes(later));
-        p
-    }
-
-    #[test]
-    fn vetoed_repeat_changes_nothing() {
-        let mut p = vetoed();
-        assert_eq!(p.fusion(9, &CLAIM, Time(11)), 0);
-        assert!(!p.0.contains(NodeId(9), Time(11)));
-        assert!(p.vetoes(Time(12)), "the memo outlives its own replay");
-        assert!(!p.replays(Time(12)), "a veto is not an acceptance");
-    }
-
-    #[test]
-    fn veto_ends_with_a_new_entry() {
-        let mut p = vetoed();
-        p.join(4, Time(20));
-        assert!(!p.vetoes(Time(20)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 0);
-        assert!(p.vetoes(Time(21)), "vetoed again on the wider table");
-    }
-
-    #[test]
-    fn veto_ends_with_a_reap() {
-        let mut p = vetoed_around_a_dead_entry();
-        assert_eq!((p.0.reap(Time(540)), p.1.reap(Time(540))), (1, 1));
-        assert!(!p.vetoes(Time(540)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(540)), 0);
-    }
-
-    #[test]
-    fn veto_ends_with_a_mark() {
-        let mut p = vetoed();
-        assert!(p.0.mark(NodeId(7), Time(20)) && p.1.mark(NodeId(7), Time(20)));
-        assert!(!p.vetoes(Time(20)));
-        // 7 no longer receives data, so neither does 8: its claim vetoes
-        // nothing, and 9 is installed.
-        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1);
-        assert!(p.0.contains(NodeId(9), Time(20)));
-    }
-
-    #[test]
-    fn veto_ends_with_an_unmark_of_the_coverers_chain() {
-        let mut p = vetoed();
-        assert!(p.0.unmark(NodeId(8), Time(20)) && p.1.unmark(NodeId(8), Time(20)));
-        assert!(!p.vetoes(Time(20)));
-        assert_eq!(
-            p.fusion(9, &CLAIM, Time(20)),
-            0,
-            "8 now serves 1, 2 directly"
-        );
-        assert!(p.vetoes(Time(21)));
-    }
-
-    #[test]
-    fn veto_ends_when_another_senders_claim_changes() {
-        let mut p = vetoed();
-        // 8 narrows its claim to {1}: no structural change, but it no
-        // longer covers 9's claim.
-        assert_eq!(p.fusion(8, &[NodeId(1)], Time(20)), 0);
-        assert!(!p.vetoes(Time(20)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1);
-        assert!(p.0.contains(NodeId(9), Time(20)));
-    }
-
-    #[test]
-    fn veto_ends_when_the_coverer_dies_by_clock_alone() {
-        let mut p = vetoed();
-        // Everyone but 8 keeps refreshing; nothing else touches the table.
-        for n in 1..=3 {
-            p.join(n, Time(300));
-        }
-        p.fusion(7, &[NodeId(8), NodeId(3)], Time(300));
-        assert_eq!(p.fusion(9, &CLAIM, Time(300)), 0);
-        let t2 = tm().t2;
-        assert!(p.vetoes(Time(t2 - 1)), "8 is still alive");
-        // 8 dies at t2 with no call in between: the repeat must take the
-        // full path and install 9, as the reference does.
-        assert!(!p.vetoes(Time(t2)));
-        assert!(!p.0.served_by_other(NodeId(1), Time(t2)));
-        assert!(!p.vetoes(Time(t2)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(t2)), 1);
-        assert!(p.0.contains(NodeId(9), Time(t2)));
-    }
-
-    #[test]
-    fn veto_ends_with_a_reordered_list() {
-        let mut p = vetoed();
-        let reordered = [NodeId(2), NodeId(1)];
-        assert_eq!(p.verdict(&reordered, Time(20)), None);
-        assert_eq!(p.fusion(9, &reordered, Time(20)), 0);
-        assert_eq!(p.verdict(&reordered, Time(21)), Some(Verdict::Vetoed));
-        assert!(!p.vetoes(Time(21)), "the memo holds the latest list only");
-        assert_eq!(p.fusion(9, &CLAIM, Time(21)), 0);
     }
 }
