@@ -450,25 +450,25 @@ mod tests {
   "comparison": [
     {"workload": "flash_crowd", "protocol": "PIM-SS", "expected": 24, "served": 24, "converged": true, "settle_latency": 49, "control_copies": 2022, "control_per_receiver": 84.25, "interior_state_max": 72, "interior_state_mean": 48.0, "access_state_max": 96},
     {"workload": "flash_crowd", "protocol": "REUNITE", "expected": 24, "served": 24, "converged": true, "settle_latency": 43, "control_copies": 11512, "control_per_receiver": 479.67, "interior_state_max": 216, "interior_state_mean": 78.7, "access_state_max": 120},
-    {"workload": "flash_crowd", "protocol": "HBH", "expected": 24, "served": 24, "converged": true, "settle_latency": 43, "control_copies": 16280, "control_per_receiver": 678.33, "interior_state_max": 96, "interior_state_mean": 50.7, "access_state_max": 96},
-    {"workload": "flash_crowd", "protocol": "HBH-HARD", "expected": 24, "served": 24, "converged": true, "settle_latency": 43, "control_copies": 15672, "control_per_receiver": 653.00, "interior_state_max": 4386, "interior_state_mean": 2280.8, "access_state_max": 4555},
-    {"workload": "flash_crowd", "protocol": "HBH-AGG", "expected": 24, "served": 24, "converged": true, "settle_latency": 43, "control_copies": 6239, "control_per_receiver": 259.96, "interior_state_max": 96, "interior_state_mean": 48.0, "access_state_max": 48},
+    {"workload": "flash_crowd", "protocol": "HBH", "expected": 24, "served": 24, "converged": true, "settle_latency": 43, "control_copies": 16402, "control_per_receiver": 683.42, "interior_state_max": 96, "interior_state_mean": 50.7, "access_state_max": 96},
+    {"workload": "flash_crowd", "protocol": "HBH-HARD", "expected": 24, "served": 24, "converged": true, "settle_latency": 43, "control_copies": 15670, "control_per_receiver": 652.92, "interior_state_max": 4386, "interior_state_mean": 2279.9, "access_state_max": 4555},
+    {"workload": "flash_crowd", "protocol": "HBH-AGG", "expected": 24, "served": 24, "converged": true, "settle_latency": 43, "control_copies": 6339, "control_per_receiver": 264.12, "interior_state_max": 96, "interior_state_mean": 48.0, "access_state_max": 48},
     {"workload": "zipf", "protocol": "PIM-SS", "expected": 11, "served": 11, "converged": true, "settle_latency": 49, "control_copies": 3798, "control_per_receiver": 345.27, "interior_state_max": 72, "interior_state_mean": 25.8, "access_state_max": 72},
     {"workload": "zipf", "protocol": "REUNITE", "expected": 11, "served": 11, "converged": true, "settle_latency": 42, "control_copies": 9383, "control_per_receiver": 853.00, "interior_state_max": 60, "interior_state_mean": 24.9, "access_state_max": 72},
-    {"workload": "zipf", "protocol": "HBH", "expected": 11, "served": 11, "converged": true, "settle_latency": 42, "control_copies": 24255, "control_per_receiver": 2205.00, "interior_state_max": 72, "interior_state_mean": 32.3, "access_state_max": 72},
+    {"workload": "zipf", "protocol": "HBH", "expected": 11, "served": 11, "converged": true, "settle_latency": 42, "control_copies": 24571, "control_per_receiver": 2233.73, "interior_state_max": 72, "interior_state_mean": 32.3, "access_state_max": 72},
     {"workload": "zipf", "protocol": "HBH-HARD", "expected": 11, "served": 11, "converged": true, "settle_latency": 42, "control_copies": 26611, "control_per_receiver": 2419.18, "interior_state_max": 10026, "interior_state_mean": 3146.5, "access_state_max": 2743},
-    {"workload": "zipf", "protocol": "HBH-AGG", "expected": 11, "served": 11, "converged": true, "settle_latency": 42, "control_copies": 15797, "control_per_receiver": 1436.09, "interior_state_max": 72, "interior_state_mean": 30.5, "access_state_max": 36},
+    {"workload": "zipf", "protocol": "HBH-AGG", "expected": 11, "served": 11, "converged": true, "settle_latency": 42, "control_copies": 15905, "control_per_receiver": 1445.91, "interior_state_max": 72, "interior_state_mean": 30.5, "access_state_max": 36},
     {"workload": "zapping", "protocol": "PIM-SS", "expected": 6, "served": 6, "converged": true, "settle_latency": 57, "control_copies": 4312, "control_per_receiver": 718.67, "interior_state_max": 48, "interior_state_mean": 10.5, "access_state_max": 72},
     {"workload": "zapping", "protocol": "REUNITE", "expected": 6, "served": 6, "converged": true, "settle_latency": 57, "control_copies": 11080, "control_per_receiver": 1846.67, "interior_state_max": 24, "interior_state_mean": 6.8, "access_state_max": 48},
-    {"workload": "zapping", "protocol": "HBH", "expected": 6, "served": 6, "converged": true, "settle_latency": 57, "control_copies": 31594, "control_per_receiver": 5265.67, "interior_state_max": 48, "interior_state_mean": 10.5, "access_state_max": 72},
+    {"workload": "zapping", "protocol": "HBH", "expected": 6, "served": 6, "converged": true, "settle_latency": 57, "control_copies": 32018, "control_per_receiver": 5336.33, "interior_state_max": 48, "interior_state_mean": 10.5, "access_state_max": 72},
     {"workload": "zapping", "protocol": "HBH-HARD", "expected": 6, "served": 6, "converged": true, "settle_latency": 57, "control_copies": 42954, "control_per_receiver": 7159.00, "interior_state_max": 11788, "interior_state_mean": 2948.1, "access_state_max": 12417},
-    {"workload": "zapping", "protocol": "HBH-AGG", "expected": 6, "served": 6, "converged": true, "settle_latency": 57, "control_copies": 15321, "control_per_receiver": 2553.50, "interior_state_max": 48, "interior_state_mean": 10.5, "access_state_max": 48}
+    {"workload": "zapping", "protocol": "HBH-AGG", "expected": 6, "served": 6, "converged": true, "settle_latency": 57, "control_copies": 15552, "control_per_receiver": 2592.00, "interior_state_max": 48, "interior_state_mean": 10.5, "access_state_max": 48}
   ],
   "storm": [
     {"receivers": 40, "served": 40, "converged": true, "settle_latency": 41, "control_copies": 7218, "control_per_receiver": 180.45, "interior_state_max": 96, "interior_state_mean": 54.0, "access_state_max": 72},
     {"receivers": 160, "served": 160, "converged": true, "settle_latency": 45, "control_copies": 12047, "control_per_receiver": 75.29, "interior_state_max": 96, "interior_state_mean": 52.5, "access_state_max": 204}
   ],
-  "acceptance": {"incomplete": 0, "unconverged": 0, "storm_state_exponent": 0.0000, "agg_control_ratio": 0.3832},
+  "acceptance": {"incomplete": 0, "unconverged": 0, "storm_state_exponent": 0.0000, "agg_control_ratio": 0.3865},
 "#;
 
     #[test]

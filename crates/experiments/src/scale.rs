@@ -350,9 +350,9 @@ mod tests {
   "protocols": [
     {"name": "PIM-SS", "cost_mean": 27.333, "delay_mean": 28.944, "incomplete": 0, "unconverged": 0, "events": 9436},
     {"name": "REUNITE", "cost_mean": 31.333, "delay_mean": 27.667, "incomplete": 0, "unconverged": 0, "events": 14778},
-    {"name": "HBH", "cost_mean": 27.333, "delay_mean": 27.611, "incomplete": 0, "unconverged": 0, "events": 30769}
+    {"name": "HBH", "cost_mean": 27.333, "delay_mean": 27.611, "incomplete": 0, "unconverged": 0, "events": 31234}
   ],
-  "routes": {"cache_rows": 256, "computed": 46, "hits": 41048, "misses": 46, "evicted": 0, "peak_cached_rows": 17, "cache_hit_rate": 0.9989},
+  "routes": {"cache_rows": 256, "computed": 46, "hits": 41513, "misses": 46, "evicted": 0, "peak_cached_rows": 17, "cache_hit_rate": 0.9989},
   "memory": {"route_bytes": 8926, "bytes_per_router": 446.3, "all_pairs_bytes": 313600, "memory_ratio": 35.13, "structure_bytes": 3696, "peak_rss_kb": 0},
 "#;
 

@@ -2,19 +2,18 @@
 //!
 //! The soft MFT ([`crate::tables::HbhMft`]) and the hard one
 //! ([`crate::hard::HardMft`]) answer the same questions about fusion
-//! claims — who serves `n`, which narrower senders a claim subsumes (the
-//! nested-fusion note in [`crate::tables`]) and, for the hard table alone,
-//! is this claim already covered — and differ only in how entries come
-//! and go: soft entries carry the paper's `t1`/`t2` deadlines, hard ones
-//! never expire ([`NEVER`]). [`ClaimTable`] is the one implementation:
+//! claims — who serves `n` and, for the hard table alone, is this claim
+//! already covered — and differ only in how entries come and go: soft
+//! entries carry the paper's `t1`/`t2` deadlines, hard ones never expire
+//! ([`NEVER`]). [`ClaimTable`] is the one implementation:
 //!
 //! * entries stay in **insertion order** (fan-out order is observable),
 //!   with a node → position index in front, so a lookup is one hash probe
 //!   instead of a scan;
 //! * each claim is kept twice: **as received** (what the footprint
 //!   formulas count and what the next fusion is compared with, byte for
-//!   byte) and **sorted and deduplicated**, so `⊆` is one merge and
-//!   membership one binary search;
+//!   byte) and **sorted and deduplicated**, so membership is one binary
+//!   search;
 //! * a **revision** counter moves with every change a coverage answer can
 //!   depend on — insert, removal, reap, mark, unmark, claim change — and
 //!   never with a refresh that only pushes deadlines out. Together with
@@ -81,12 +80,6 @@ impl Entry {
     }
 }
 
-/// `a ⊆ b` for sorted, deduplicated slices: one merge.
-fn is_subset(a: &[NodeId], b: &[NodeId]) -> bool {
-    let mut b = b.iter();
-    a.len() <= b.len() && a.iter().all(|x| b.find(|&y| y >= x) == Some(x))
-}
-
 /// A stretch `[since, until)` of one revision: no entry is inserted,
 /// removed, marked, unmarked or re-claimed (the revision stands) and none
 /// dies (every entry live at `since` has `t2 ≥ until`; refreshes only move
@@ -111,9 +104,6 @@ pub(crate) struct ClaimTable {
     index: FastMap<NodeId, usize>,
     rev: u64,
     calm: Option<Calm>,
-    /// The claim under consideration, sorted and deduplicated
-    /// ([`Self::load_claim`]); reused across fusions.
-    loaded: Vec<NodeId>,
     /// Per sender, the revision of its last accepted full pass that
     /// changed nothing ([`Self::settle`]).
     memos: FastMap<NodeId, u64>,
@@ -318,29 +308,20 @@ impl ClaimTable {
             .find_map(|(i, e)| (self.reach.test(i) && e.node != n && e.claims(n)).then_some(e.node))
     }
 
-    /// Sorts and deduplicates `nodes` into the table's buffer, for the
-    /// `*_loaded` questions below.
-    pub fn load_claim(&mut self, nodes: &[NodeId]) {
-        self.loaded.clear();
-        self.loaded.extend_from_slice(nodes);
-        self.loaded.sort_unstable();
-        self.loaded.dedup();
-    }
-
-    /// Is the loaded claim contained in the coverage of a live,
-    /// data-reachable entry other than `sender`? The hard table ignores a
-    /// fusion from `sender` if so (see the nested-fusion note in
-    /// [`crate::tables`]). An orphaned marked coverer receives no data and
-    /// serves nobody — it cannot cover a fusion from a node that is asking
-    /// to serve the subtree itself.
-    pub fn covers_loaded(&mut self, sender: NodeId, now: Time) -> bool {
+    /// Is every node of `nodes` claimed by one live, data-reachable entry
+    /// other than `sender`? The hard table ignores a fusion from `sender`
+    /// if so (its nested-fusion veto, [`crate::hard::HardMft::fusion`]).
+    /// An orphaned marked coverer receives no data and serves nobody — it
+    /// cannot cover a fusion from a node that is asking to serve the
+    /// subtree itself.
+    pub fn covers(&mut self, sender: NodeId, nodes: &[NodeId], now: Time) -> bool {
         self.fill_reach(now);
         let mut coverers = self.entries.iter().enumerate();
         coverers.any(|(i, e)| {
             self.reach.test(i)
                 && e.node != sender
                 && !e.claim.is_empty()
-                && is_subset(&self.loaded, &e.claim)
+                && nodes.iter().all(|&n| e.claims(n))
         })
     }
 
@@ -368,33 +349,19 @@ impl ClaimTable {
         relevant.then_some(newly)
     }
 
-    /// Installs `bp` as the sender of the loaded claim, which it listed as
-    /// `nodes`. Live unmarked senders other than `bp` whose claims are
-    /// contained in it are subsumed — marked: they sit deeper on the same
-    /// paths and their subtrees are now served through `bp`. `bp`'s live
-    /// row gets its deadlines restarted at `(t1, t2)`, or a new row with
-    /// them is appended; then the claim is recorded. Returns `(subsumed
-    /// any, row is new, claim differs from the installed one as a list)`.
-    pub fn install_loaded(
+    /// Fusion rules (3)/(4): installs `bp` as the sender of the claim it
+    /// listed as `nodes`. `bp`'s live row gets its deadlines restarted at
+    /// `(t1, t2)`, or a new row with them is appended; then the claim is
+    /// recorded, sorted only if the list differs from the one the row
+    /// holds. Returns `(row is new, claim differs from the installed one
+    /// as a list)`.
+    pub fn install(
         &mut self,
         bp: NodeId,
         nodes: &[NodeId],
         now: Time,
         (t1, t2): (Time, Time),
-    ) -> (bool, bool, bool) {
-        let before = self.rev;
-        for e in &mut self.entries {
-            if e.node != bp
-                && !e.is_dead(now)
-                && !e.claim.is_empty()
-                && !e.marked
-                && is_subset(&e.claim, &self.loaded)
-            {
-                e.marked = true;
-                self.rev += 1;
-            }
-        }
-        let subsumed = self.rev != before;
+    ) -> (bool, bool) {
         let fresh = !self.touch(bp, now, t1, t2);
         if fresh {
             self.insert(bp, t1, t2);
@@ -407,10 +374,12 @@ impl ClaimTable {
             e.raw.clear();
             e.raw.extend_from_slice(nodes);
             e.claim.clear();
-            e.claim.extend_from_slice(&self.loaded);
+            e.claim.extend_from_slice(nodes);
+            e.claim.sort_unstable();
+            e.claim.dedup();
             self.rev += 1;
         }
-        (subsumed, fresh, reclaimed)
+        (fresh, reclaimed)
     }
 
     /// Opens a full fusion pass at `now`: makes sure a calm stretch holds
@@ -462,8 +431,8 @@ fn later(t: Time, by: u64) -> Time {
 /// question alike whatever they remember. They must be left out: a calm
 /// stretch lasts until the earliest `t2`, about five refresh periods, so it
 /// rarely sits at the same offset at both ends of a fast-forward window
-/// (`DESIGN.md` §6e). The index is a function of the rows; the loaded claim
-/// and the frontier are scratch.
+/// (`DESIGN.md` §6e). The index is a function of the rows; the frontier is
+/// scratch.
 impl PartialEq for ClaimTable {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries
@@ -504,8 +473,8 @@ mod tests {
         proptest::collection::vec((0u8..3, claim, any::<bool>()), 0..72)
     }
 
-    /// A table holding `rows`, row `i` for node `i`, claims set directly
-    /// (`install_loaded` would mark the senders they subsume).
+    /// A table holding `rows`, row `i` for node `i`, marks and claims set
+    /// directly.
     fn table(rows: &[Row]) -> ClaimTable {
         let mut t = ClaimTable::default();
         for (i, (state, claim, chain)) in rows.iter().enumerate() {
@@ -616,8 +585,7 @@ mod tests {
             let answers = |t: &mut ClaimTable, at: Time| {
                 let served = t.server_of(*n, at);
                 let replay = t.replays(*n, nodes, at);
-                t.load_claim(nodes);
-                (served, replay, t.covers_loaded(*n, at))
+                (served, replay, t.covers(*n, nodes, at))
             };
             let want = answers(&mut t, now);
             let got = answers(&mut moved, now + by);

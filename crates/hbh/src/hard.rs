@@ -32,11 +32,11 @@
 //!   node), so a quiescent tree exchanges only probes and ACKs.
 //!
 //! The per-message rules intentionally mirror the soft engine's Figure 9
-//! structure — same interception rule, same rule-8 promotion, same
-//! subsumption of nested fusion claims — so that differences measured by
-//! the churn experiment are attributable to the state model, not to a
-//! different tree shape. One completion is the hard table's alone: it
-//! ignores a fusion whose claim a data-reachable sender already covers
+//! structure — same interception rule, same rule-8 promotion, same fusion
+//! rules (2)–(4) — so that differences measured by the churn experiment
+//! are attributable to the state model, not to a different tree shape.
+//! One completion is the hard table's alone: it ignores a fusion whose
+//! claim a data-reachable sender already covers
 //! ([`HardMft::covered_by_other`]).
 
 use crate::claims::{ClaimTable, NEVER};
@@ -247,24 +247,15 @@ impl HardMft {
     /// hard table's nested-fusion veto, which the soft table does not
     /// have (see the nested-fusion note in [`crate::tables`]).
     pub fn covered_by_other(&mut self, nodes: &[NodeId], sender: NodeId) -> bool {
-        self.core.load_claim(nodes);
-        self.core.covers_loaded(sender, NOW)
+        self.core.covers(sender, nodes, NOW)
     }
 
-    /// Installs/updates the fusion sender `bp` claiming `covers`, marking
-    /// narrower senders it subsumes. Returns `true` on any change.
+    /// Installs/updates the fusion sender `bp` claiming `covers`. Returns
+    /// `true` on any change. The claim is compared as a list, order and
+    /// all: a re-ordered one counts as a change, exactly as it always has.
     pub fn install_fusion_sender(&mut self, bp: NodeId, covers: &[NodeId]) -> bool {
-        self.core.load_claim(covers);
-        self.install_loaded(bp, covers)
-    }
-
-    /// [`Self::install_fusion_sender`] of the claim the core has loaded.
-    /// The claim is compared as a list, order and all: a re-ordered one
-    /// counts as a change, exactly as it always has.
-    fn install_loaded(&mut self, bp: NodeId, covers: &[NodeId]) -> bool {
-        let (subsumed, fresh, reclaimed) =
-            self.core.install_loaded(bp, covers, NOW, (NEVER, NEVER));
-        subsumed || fresh || reclaimed
+        let (fresh, reclaimed) = self.core.install(bp, covers, NOW, (NEVER, NEVER));
+        fresh || reclaimed
     }
 
     /// Everything a fusion from `from` listing `nodes` does to the table
@@ -272,8 +263,7 @@ impl HardMft {
     /// moved, and whether `from` is now newly served directly and needs a
     /// tree message.
     pub fn fusion(&mut self, from: NodeId, nodes: &[NodeId]) -> (bool, bool) {
-        self.core.load_claim(nodes);
-        if self.core.covers_loaded(from, NOW) {
+        if self.covered_by_other(nodes, from) {
             return (false, false); // the nested-fusion veto: already served through a coverer
         }
         let Some(newly_marked) = self.core.mark_listed(nodes, Some(from), NOW) else {
@@ -282,7 +272,7 @@ impl HardMft {
         let had_from = self.contains(from);
         let was_marked = self.is_marked(from);
         let mut changed = newly_marked > 0;
-        changed |= self.install_loaded(from, nodes);
+        changed |= self.install_fusion_sender(from, nodes);
         // The accepted sender must itself be data-eligible, unless a
         // reachable chain already serves it (coverage nests).
         if self.is_marked(from) && !self.served_by_other(from) {

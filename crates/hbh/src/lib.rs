@@ -46,8 +46,8 @@
 //!
 //! The full Appendix-A rule set is implemented in [`engine`] with the rule
 //! numbers of the paper's Figure 9 cited inline. What a fusion does to the
-//! table it is addressed to — rules (2)–(4), the subsumption of nested
-//! claims and, in the hard table, the nested-fusion veto — is table work ([`HbhMft::fusion`], [`HardMft::fusion`]):
+//! table it is addressed to — rules (2)–(4) and, in the hard table, the
+//! nested-fusion veto — is table work ([`HbhMft::fusion`], [`HardMft::fusion`]):
 //! the soft and the hard MFT hold the same indexed coverage core
 //! (`claims`), and `reference` keeps the scan-based tables it replaced as
 //! the model the property tests compare it with.

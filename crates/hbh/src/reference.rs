@@ -6,7 +6,8 @@
 //! `entries.any(nodes.all(covers.contains))` scan plus a fresh reach
 //! fixpoint, and `fusion` is the body each engine's `fusion_at_node` had
 //! before it was lifted onto the tables, the soft one without the
-//! nested-fusion veto the hard one keeps. The fixpoint is the pairwise one
+//! nested-fusion veto the hard one keeps, and neither marking the
+//! narrower senders a new claim contains. The fixpoint is the pairwise one
 //! the tables ran before reach propagated along claims: no code is shared
 //! with the table it witnesses.
 
@@ -182,19 +183,6 @@ impl RefMft {
         now: Time,
         timing: &Timing,
     ) -> bool {
-        let mut structural = false;
-        // Subsume narrower senders (they sit deeper on the same paths).
-        for e in &mut self.entries {
-            if e.node != bp
-                && !e.is_dead(now)
-                && !e.covers.is_empty()
-                && !e.marked
-                && e.covers.iter().all(|n| covers.contains(n))
-            {
-                e.marked = true;
-                structural = true;
-            }
-        }
         if let Some(e) = self.get_mut(bp, now) {
             // Fusion rules (3) and (4) in one: t1 expired on the spot, t2
             // restarted.
@@ -203,7 +191,7 @@ impl RefMft {
             // than they change it, so reuse the existing allocation.
             e.covers.clear();
             e.covers.extend_from_slice(covers);
-            return structural;
+            return false;
         }
         self.purge(bp);
         self.entries.push(RefEntry {
@@ -408,24 +396,13 @@ impl RefHardMft {
     }
 
     pub fn install_fusion_sender(&mut self, bp: NodeId, covers: &[NodeId]) -> bool {
-        let mut changed = false;
-        for e in &mut self.entries {
-            if e.node != bp
-                && !e.covers.is_empty()
-                && !e.marked
-                && e.covers.iter().all(|n| covers.contains(n))
-            {
-                e.marked = true;
-                changed = true;
-            }
-        }
         if let Some(e) = self.get_mut(bp) {
-            if e.covers != covers {
-                e.covers.clear();
-                e.covers.extend_from_slice(covers);
-                changed = true;
+            if e.covers == covers {
+                return false;
             }
-            return changed;
+            e.covers.clear();
+            e.covers.extend_from_slice(covers);
+            return true;
         }
         self.entries.push(RefHardEntry {
             node: bp,

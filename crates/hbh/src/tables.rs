@@ -24,16 +24,12 @@
 //! Appendix A does not say what happens when *two* branching nodes on the
 //! same downstream path both send fusions for overlapping target sets and
 //! asymmetric routing makes the deeper node's fusion bypass the shallower
-//! one. Because all fusion senders covering a given target sit on that
-//! target's single forward path, their coverage sets are totally ordered
-//! by inclusion: each MFT entry remembers the target set its sender last
-//! claimed, and installing a broader fusion marks the senders it subsumes
-//! — their subtrees are now served through the broader one. Every fusion
-//! otherwise takes Figure 9(b)'s rules as they stand: a narrower fusion is
-//! installed like any other and marked again the next time the broader
-//! sender fuses. `DESIGN.md` §5b.1 records this completion, and what a
-//! veto — ignoring a fusion a broader sender already covers — cost here;
-//! the hard table ([`crate::hard::HardMft`]) keeps one.
+//! one. Every fusion takes Figure 9(b)'s rules as they stand: a narrower
+//! sender is installed like any other and stays data-eligible until a
+//! fusion lists it or its t2 runs out. `DESIGN.md` §5b.1 records what the
+//! two completions this table once had — a veto of covered fusions, and
+//! marking the narrower senders a broader claim contains — cost and
+//! bought; the hard table ([`crate::hard::HardMft`]) keeps the veto.
 
 use crate::claims::ClaimTable;
 use hbh_proto_base::{EntryPhase, SoftEntry, Timing};
@@ -169,10 +165,7 @@ impl HbhMft {
     /// Installs the fusion sender `Bp` claiming `covers`: stale from birth
     /// (fusion rule 3) — used for data, never for tree emission — or, if
     /// present, refreshes its t2 while keeping t1 expired (rule 4) and
-    /// updates the claim. Existing fusion senders whose claims are
-    /// contained in `covers` are subsumed: marked, so they stop receiving
-    /// data (their subtrees are now served through `Bp`). Returns `true`
-    /// on insert or newly subsumed entries (structural change).
+    /// updates the claim. Returns `true` on insert (structural change).
     pub fn install_fusion_sender(
         &mut self,
         bp: NodeId,
@@ -180,11 +173,9 @@ impl HbhMft {
         now: Time,
         timing: &Timing,
     ) -> bool {
-        self.core.load_claim(covers);
         // Rules (3) and (4) alike: t1 expired on the spot, t2 restarted.
         let stale = (now, now + timing.t2);
-        let (subsumed, fresh, _) = self.core.install_loaded(bp, covers, now, stale);
-        subsumed || fresh
+        self.core.install(bp, covers, now, stale).0
     }
 
     /// Everything a fusion from `bp` listing `nodes` does to the table it
@@ -216,7 +207,7 @@ impl HbhMft {
         // receives data: permanent starvation of the whole subtree.
         structural += usize::from(self.repair_orphaned_mark(bp, now));
         // Rules (3)/(4): install Bp stale (data-only), or refresh its t2
-        // keeping t1 expired; subsume narrower senders.
+        // keeping t1 expired.
         structural += usize::from(self.install_fusion_sender(bp, nodes, now, timing));
         self.core.settle(bp, began);
         structural
@@ -378,23 +369,30 @@ mod tests {
     }
 
     #[test]
-    fn subsumption_marks_narrower_fusion_senders() {
+    fn a_broader_claim_leaves_the_narrower_sender_data_eligible() {
         let t = tm();
         let mut m = HbhMft::default();
         m.refresh_or_insert(NodeId(7), Time(0), &t); // the shared target
         m.install_fusion_sender(NodeId(2), &[NodeId(7)], Time(0), &t);
-        // A broader claim covering {7, 8} subsumes sender 2.
-        m.install_fusion_sender(NodeId(3), &[NodeId(7), NodeId(8)], Time(1), &t);
-        assert!(m.is_marked(NodeId(2), Time(2)), "narrow sender subsumed");
-        assert!(!m.is_marked(NodeId(3), Time(2)));
+        // A broader claim covering {7, 8} installs sender 3 and leaves 2
+        // as it was: Figure 9(b) marks only the nodes a fusion lists.
+        assert!(m.install_fusion_sender(NodeId(3), &[NodeId(7), NodeId(8)], Time(1), &t));
+        assert!(!m.is_marked(NodeId(2), Time(2)), "narrow sender unmarked");
         assert_eq!(
             m.data_targets(Time(2)).collect::<Vec<_>>(),
-            vec![NodeId(7), NodeId(3)]
+            vec![NodeId(7), NodeId(2), NodeId(3)]
+        );
+        // 2 serves data until its t2 runs out.
+        let served: Vec<_> = m.data_targets(Time(t.t2 - 1)).collect();
+        assert_eq!(served, vec![NodeId(7), NodeId(2), NodeId(3)]);
+        assert_eq!(
+            m.data_targets(Time(t.t2)).collect::<Vec<_>>(),
+            vec![NodeId(3)]
         );
     }
 
     #[test]
-    fn a_covered_fusion_is_installed_until_the_broader_sender_fuses_again() {
+    fn a_covered_fusion_is_installed_until_a_fusion_lists_its_sender() {
         let t = tm();
         let mut m = HbhMft::default();
         for n in [7, 8] {
@@ -406,9 +404,14 @@ mod tests {
         assert_eq!(m.fusion(NodeId(2), &[NodeId(7)], Time(1), &t), 1);
         let served: Vec<_> = m.data_targets(Time(2)).collect();
         assert_eq!(served, vec![NodeId(3), NodeId(2)]);
-        // 3's next fusion subsumes 2.
-        assert_eq!(m.fusion(NodeId(3), &broad, Time(100), &t), 1);
+        // 3's next fusion lists what it listed before: 2 keeps its data.
+        assert_eq!(m.fusion(NodeId(3), &broad, Time(100), &t), 0);
         let served: Vec<_> = m.data_targets(Time(101)).collect();
+        assert_eq!(served, vec![NodeId(3), NodeId(2)]);
+        // A fusion that lists 2 marks it (rule 2).
+        let wider = [NodeId(7), NodeId(8), NodeId(2)];
+        assert_eq!(m.fusion(NodeId(3), &wider, Time(200), &t), 1);
+        let served: Vec<_> = m.data_targets(Time(201)).collect();
         assert_eq!(served, vec![NodeId(3)]);
     }
 
@@ -469,6 +472,31 @@ mod tests {
             !m.served_by_other(NodeId(7), late),
             "orphaned chain serves nobody"
         );
+    }
+
+    #[test]
+    fn served_by_other_follows_chains_three_deep() {
+        // 4 (unmarked) claims 3; 3 (marked) claims 2; 2 (marked) claims 1.
+        // Data reaches 2 only through 3, which it reaches only through 4,
+        // so a rule that looks one claim deep finds nobody serving 1.
+        let t = tm();
+        let mut m = HbhMft::default();
+        m.install_fusion_sender(NodeId(4), &[NodeId(3)], Time(0), &t);
+        let later = Time(t.t2 / 2);
+        m.refresh_or_insert(NodeId(1), later, &t);
+        m.install_fusion_sender(NodeId(2), &[NodeId(1)], later, &t);
+        m.install_fusion_sender(NodeId(3), &[NodeId(2)], later, &t);
+        for n in [3, 2, 1] {
+            m.mark(NodeId(n), later);
+        }
+        assert!(
+            m.served_by_other(NodeId(1), later),
+            "chain 4→3→2→1 delivers"
+        );
+        // 4 dies at its t2 while the rest live on: the chain is orphaned.
+        let dead = Time(t.t2);
+        assert!(!m.contains(NodeId(4), dead) && m.is_marked(NodeId(3), dead));
+        assert!(!m.served_by_other(NodeId(1), dead), "no root, no service");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Focused tests for individual processing rules that the larger scenarios
 //! exercise only incidentally: HBH's stale-MCT replacement (rule 7) vs.
-//! fresh-MCT promotion (rule 8), REUNITE's stale-flag recovery, and PIM's
-//! upstream join suppression.
+//! fresh-MCT promotion (rule 8), REUNITE's stale-flag recovery and fresh
+//! flag, and PIM's upstream join suppression.
 
+use hbh_experiments::figures::eval::run_seed;
+use hbh_experiments::runner::{build_kernel, converge, probe_tolerant, probe_window};
+use hbh_experiments::scenario::{build, ScenarioOptions, TopologyKind};
 use hbh_pim::{Pim, PimMsg};
 use hbh_proto::Hbh;
 use hbh_proto_base::{Channel, Cmd, Timing};
@@ -117,6 +120,30 @@ fn reunite_recovers_from_stale_flag_on_rejoin() {
     let mut nodes: Vec<NodeId> = k.stats().deliveries_tagged(1).map(|d| d.node).collect();
     nodes.sort();
     assert_eq!(nodes, vec![r1, r2], "recovery must restore both receivers");
+}
+
+/// REUNITE's fresh flag (`DESIGN.md` §5b.4) on the smallest paper draw
+/// that needs it: the first draw of `hbh-exp fig7 --topo isp`, two
+/// receivers. With every join treated as fresh, a refresh join can be
+/// captured at a branching node away from the entry it refreshes: the
+/// tables never stop changing, and a probe after the convergence horizon
+/// reaches the receivers with two extra copies.
+#[test]
+fn reunite_refresh_joins_are_never_captured() {
+    let timing = Timing::default();
+    let seed = run_seed(1, 2, 0);
+    let sc = build(
+        TopologyKind::Isp,
+        2,
+        seed,
+        &timing,
+        &ScenarioOptions::default(),
+    );
+    let (mut k, ch) = build_kernel(Reunite::new(timing), &sc);
+    assert!(converge(&mut k, &timing, sc.join_window), "converged");
+    let window = probe_window(k.network());
+    let (delays, duplicates) = probe_tolerant(&mut k, ch, 1, window);
+    assert_eq!((delays.len(), duplicates), (2, 0), "each receiver once");
 }
 
 #[test]
