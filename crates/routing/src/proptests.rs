@@ -92,7 +92,7 @@ fn rebuilt(g: &Graph) -> Graph {
             fresh.add_link_host_side(h, r, down, up);
         }
     }
-    assert!(g.nodes().all(|u| fresh.neighbors(u) == g.neighbors(u)));
+    assert!(g.nodes().all(|u| fresh.neighbors(u).eq(g.neighbors(u))));
     fresh
 }
 
@@ -257,7 +257,7 @@ proptest! {
         let mut g = arb_graph(seed, n, 1);
         let before = RoutingTables::compute(&g);
         let (a, b, ab, _) = g.undirected_links()[0];
-        g.set_cost(a, b, ab + 5);
+        g.set_cost(g.edge_entry(a, b).unwrap().0, ab + 5);
         let after = RoutingTables::compute(&g);
         for u in g.nodes() {
             for v in g.nodes() {

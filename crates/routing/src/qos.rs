@@ -34,7 +34,7 @@ pub fn constrained_tables(g: &Graph, capacity: &[Bandwidth], min_bw: Bandwidth) 
     for from in g.nodes() {
         for e in g.neighbors(from) {
             if capacity[e.eid.index()] < min_bw {
-                shadow.set_cost(from, e.to, BLOCKED_COST);
+                shadow.set_cost(e.eid, BLOCKED_COST);
             }
         }
     }

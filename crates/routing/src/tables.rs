@@ -320,7 +320,7 @@ mod tests {
         let (mut g, n) = line();
         let before = RoutingTables::compute(&g);
         assert_eq!(before.dist(n[0], n[1]), Some(1));
-        g.set_cost(n[0], n[1], 9);
+        g.set_cost(g.edge_entry(n[0], n[1]).unwrap().0, 9);
         let after = RoutingTables::compute(&g);
         assert_eq!(after.dist(n[0], n[1]), Some(9));
     }

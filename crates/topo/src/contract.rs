@@ -228,7 +228,6 @@ mod tests {
             let u = NodeId(u);
             let kept: Vec<_> = g
                 .neighbors(u)
-                .iter()
                 .filter(|e| matches!(c.place(e.to), Place::Core(_)))
                 .collect();
             let (to, cost, eid) = c.core().out_slices(NodeId(i as u32));

@@ -61,15 +61,20 @@ pub fn assign_uniform_with_asymmetry(
         (0.0..=1.0).contains(&asymmetry),
         "asymmetry must be a probability"
     );
-    for (a, b, _, _) in g.undirected_links() {
+    // The forward halves, in `undirected_links` order.
+    let mut forward_ids = Vec::with_capacity(g.link_count());
+    for a in g.nodes() {
+        forward_ids.extend(g.neighbors(a).filter(|e| a < e.to).map(|e| e.eid));
+    }
+    for eid in forward_ids {
         let forward = rng.random_range(lo..=hi);
         let backward = if rng.random::<f64>() < asymmetry {
             rng.random_range(lo..=hi)
         } else {
             forward
         };
-        g.set_cost(a, b, forward);
-        g.set_cost(b, a, backward);
+        g.set_cost(eid, forward);
+        g.set_cost(g.reverse_edge(eid), backward);
     }
 }
 
@@ -90,13 +95,11 @@ pub fn assign_backbone_bandwidths(
 ) -> Vec<Bandwidth> {
     assert!(lo >= 1 && lo <= hi, "invalid bandwidth range [{lo}, {hi}]");
     let mut capacity = vec![Bandwidth::MAX; g.directed_edge_count()];
-    for (a, b, _, _) in g.undirected_links() {
-        if !(g.is_router(a) && g.is_router(b)) {
-            continue;
+    for a in g.routers() {
+        for e in g.neighbors(a).filter(|e| a < e.to && g.is_router(e.to)) {
+            capacity[e.eid.index()] = rng.random_range(lo..=hi);
+            capacity[g.reverse_edge(e.eid).index()] = rng.random_range(lo..=hi);
         }
-        let (forward, _) = g.edge_entry(a, b).expect("listed link exists");
-        capacity[forward.index()] = rng.random_range(lo..=hi);
-        capacity[g.reverse_edge(forward).index()] = rng.random_range(lo..=hi);
     }
     capacity
 }

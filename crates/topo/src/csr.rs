@@ -1,14 +1,14 @@
 //! Compressed-sparse-row (CSR) packing of a frozen [`Graph`].
 //!
-//! [`Graph`] stores adjacency as one `Vec<OutEdge>` per node — convenient
-//! to build, but every node's out-edges are a separate heap allocation,
-//! and a cost is a second read, by edge id, into the graph's per-edge
-//! attributes — so an all-pairs or per-source Dijkstra sweep chases `n`
-//! pointers and two arrays. [`Csr`] repacks the same adjacency, costs
-//! included, into four contiguous arrays indexed by one offset table:
-//! iteration over a node's out-edges is a pure slice walk over `u32`s, and
-//! the whole structure is immutable — the form the routing layer wants for
-//! 10k-router topologies.
+//! [`Graph`] stores adjacency as one chain per node through a shared edge
+//! array — appendable while a topology is built, but a node's out-edges
+//! lie scattered in it, and a cost is a second read, by edge id, into the
+//! graph's per-edge attributes — so an all-pairs or per-source Dijkstra
+//! sweep follows a link per edge and reads two arrays. [`Csr`] repacks
+//! the same adjacency, costs included, into four contiguous arrays
+//! indexed by one offset table: iteration over a node's out-edges is a
+//! pure slice walk over `u32`s, and the whole structure is immutable —
+//! the form the routing layer wants for 10k-router topologies.
 //!
 //! Edge *order is preserved exactly* (per-node insertion order, nodes in
 //! id order), so a Dijkstra run over the CSR view relaxes edges in the
@@ -166,7 +166,6 @@ mod tests {
             let packed: Vec<_> = (0..to.len()).map(|i| (to[i], cost[i], eid[i])).collect();
             let adj: Vec<_> = g
                 .neighbors(u)
-                .iter()
                 .map(|e| (e.to.0, g.edge_cost(e.eid), e.eid.0))
                 .collect();
             assert_eq!(packed, adj, "order must match adjacency");

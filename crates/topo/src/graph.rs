@@ -13,6 +13,11 @@
 //! §4.1 method, therefore copies costs, not the topology. Link capacities
 //! for the QoS extension are not an attribute: the QoS study draws them
 //! into a vector of its own, indexed by [`EdgeId`].
+//!
+//! Adjacency is flat, with no allocation per node: each node names its
+//! first and last out-edge, each directed edge its head and the next
+//! out-edge of its tail. A link is appended in O(1), and
+//! [`Graph::neighbors`] walks a chain in insertion order.
 
 use std::fmt;
 use std::sync::Arc;
@@ -138,8 +143,16 @@ struct Topology {
     /// The human-readable labels of the nodes that have one, in id order,
     /// used by the scenario topologies (`"S"`, `"R3"`, `"r1"`, ...).
     labels: Vec<(NodeId, String)>,
-    adj: Vec<Vec<OutEdge>>,
+    /// Each node's first and last out-edge id, [`END`] while it has none.
+    first: Vec<u32>,
+    last: Vec<u32>,
+    /// Per directed edge, by id: the node it leads to, and the id of its
+    /// tail's next out-edge ([`END`] after the last).
+    edges: Vec<(NodeId, u32)>,
 }
+
+/// The end of an edge chain: no (further) out-edge.
+const END: u32 = u32::MAX;
 
 /// The network topology: a set of routers and hosts connected by
 /// bidirectional links with per-direction costs.
@@ -195,7 +208,8 @@ impl Graph {
         if let Some(label) = label {
             topo.labels.push((id, label.to_owned()));
         }
-        topo.adj.push(Vec::new());
+        topo.first.push(END);
+        topo.last.push(END);
         self.mcast_capable.push(kind == NodeKind::Router);
         id
     }
@@ -262,43 +276,39 @@ impl Graph {
     /// with one upstream router per direction of their asymmetric routes).
     /// Bypasses the single-homing assertion but keeps every other invariant.
     /// Hosts still never transit traffic — routing enforces that separately.
+    ///
+    /// The duplicate check walks `b`'s chain: `add_host` and the
+    /// hierarchy's tree links pass the node just added as `b`.
     pub(crate) fn push_raw_link(&mut self, a: NodeId, b: NodeId, ab: Cost, ba: Cost) {
         assert_ne!(a, b, "self-loop {a}");
         assert!(ab >= 1 && ba >= 1, "link costs must be >= 1");
-        assert!(self.find_edge(a, b).is_none(), "duplicate link {a}-{b}");
+        assert!(self.find_edge(b, a).is_none(), "duplicate link {a}-{b}");
         let topo = Arc::make_mut(&mut self.topo);
         for (from, to, cost) in [(a, b, ab), (b, a, ba)] {
-            let eid = EdgeId(self.costs.len() as u32);
-            topo.adj[from.index()].push(OutEdge { to, eid });
+            let eid = self.costs.len() as u32;
+            topo.edges.push((to, END));
+            match topo.last[from.index()] {
+                END => topo.first[from.index()] = eid,
+                tail => topo.edges[tail as usize].1 = eid,
+            }
+            topo.last[from.index()] = eid;
             self.costs.push(cost);
         }
     }
 
     /// The edge id of the directed half-link `from → to`, if it exists:
-    /// the one adjacency scan every `(from, to)` read and write goes
-    /// through.
+    /// the one chain walk every `(from, to)` read goes through.
     fn find_edge(&self, from: NodeId, to: NodeId) -> Option<EdgeId> {
-        self.topo.adj[from.index()]
-            .iter()
-            .find(|e| e.to == to)
-            .map(|e| e.eid)
+        self.neighbors(from).find(|e| e.to == to).map(|e| e.eid)
     }
 
-    /// [`Graph::find_edge`] for a link that must exist.
-    fn expect_edge(&self, from: NodeId, to: NodeId) -> usize {
-        self.find_edge(from, to)
-            .unwrap_or_else(|| panic!("no link {from}->{to}"))
-            .index()
-    }
-
-    /// Overwrites the cost of the directed half-link `from → to`.
+    /// Overwrites the cost of the directed half-link `eid`.
     ///
     /// # Panics
-    /// Panics if the link does not exist or `cost` is zero.
-    pub fn set_cost(&mut self, from: NodeId, to: NodeId, cost: Cost) {
+    /// Panics if `eid` is not an edge of this graph or `cost` is zero.
+    pub fn set_cost(&mut self, eid: EdgeId, cost: Cost) {
         assert!(cost >= 1, "link costs must be >= 1");
-        let e = self.expect_edge(from, to);
-        self.costs[e] = cost;
+        self.costs[eid.index()] = cost;
     }
 
     /// Marks a router as unicast-only (it forwards data but cannot hold
@@ -371,14 +381,19 @@ impl Graph {
         self.nodes().filter(|&n| self.is_host(n))
     }
 
-    /// Out-edges of `n`.
-    pub fn neighbors(&self, n: NodeId) -> &[OutEdge] {
-        &self.topo.adj[n.index()]
+    /// Out-edges of `n`, in the order their links were added.
+    pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = OutEdge> + '_ {
+        let (edges, mut at) = (&self.topo.edges, self.topo.first[n.index()]);
+        std::iter::from_fn(move || {
+            let &(to, next) = edges.get(at as usize)?; // `END` is out of range.
+            let eid = EdgeId(std::mem::replace(&mut at, next));
+            Some(OutEdge { to, eid })
+        })
     }
 
     /// Degree of `n` (number of attached links).
     pub fn degree(&self, n: NodeId) -> usize {
-        self.neighbors(n).len()
+        self.neighbors(n).count()
     }
 
     /// Cost of the directed half-link `from → to`, if the link exists.
@@ -406,8 +421,8 @@ impl Graph {
     }
 
     /// Edge id and cost of the directed half-link `from → to`, if the link
-    /// exists. One adjacency scan resolves both, which is what the
-    /// simulator's per-packet hot path needs.
+    /// exists. One walk of `from`'s edge chain resolves both, which is
+    /// what the simulator's link-local sends need.
     pub fn edge_entry(&self, from: NodeId, to: NodeId) -> Option<(EdgeId, Cost)> {
         self.find_edge(from, to).map(|e| (e, self.edge_cost(e)))
     }
@@ -426,7 +441,7 @@ impl Graph {
     /// Panics if `host` is not a host.
     pub fn host_router(&self, host: NodeId) -> NodeId {
         assert_eq!(self.kind(host), NodeKind::Host, "{host} is not a host");
-        self.neighbors(host)[0].to
+        self.topo.edges[self.topo.first[host.index()] as usize].0
     }
 
     /// All undirected links, each reported once with both directed costs
@@ -434,7 +449,7 @@ impl Graph {
     pub fn undirected_links(&self) -> Vec<(NodeId, NodeId, Cost, Cost)> {
         let mut out = Vec::with_capacity(self.link_count());
         for a in self.nodes() {
-            for e in self.neighbors(a).iter().filter(|e| a < e.to) {
+            for e in self.neighbors(a).filter(|e| a < e.to) {
                 let back = self.edge_cost(self.reverse_edge(e.eid));
                 out.push((a, e.to, self.edge_cost(e.eid), back));
             }
@@ -484,7 +499,7 @@ mod tests {
     #[test]
     fn set_cost_changes_one_direction_only() {
         let (mut g, a, b) = two_routers();
-        g.set_cost(a, b, 9);
+        g.set_cost(g.edge_entry(a, b).unwrap().0, 9);
         assert_eq!(g.cost(a, b), Some(9));
         assert_eq!(g.cost(b, a), Some(7));
     }
@@ -626,7 +641,7 @@ mod tests {
     fn set_cost_keeps_edge_index_in_sync() {
         let (mut g, a, b) = two_routers();
         let (eid, _) = g.edge_entry(a, b).unwrap();
-        g.set_cost(a, b, 9);
+        g.set_cost(eid, 9);
         assert_eq!(g.edge_cost(eid), 9);
         assert_eq!(g.max_link_cost(), 9);
     }
@@ -635,19 +650,19 @@ mod tests {
     fn clones_share_structure_but_not_attributes() {
         let (template, a, b) = two_routers();
         let mut copy = template.clone();
-        copy.set_cost(a, b, 9);
+        copy.set_cost(EdgeId(0), 9);
         copy.set_mcast_capable(a, false);
         let c = copy.add_router();
         copy.add_link(b, c, 2, 2);
 
         assert_eq!(template.cost(a, b), Some(3));
         assert!(template.is_mcast_capable(a));
-        assert_eq!(template.neighbors(b).len(), 1);
+        assert_eq!(template.degree(b), 1);
         assert_eq!(template.directed_edge_count(), 2);
 
         assert_eq!(copy.cost(a, b), Some(9));
         assert!(!copy.is_mcast_capable(a));
-        assert_eq!(copy.neighbors(b).len(), 2);
+        assert_eq!(copy.degree(b), 2);
         assert_eq!(copy.directed_edge_count(), 4);
     }
 

@@ -233,7 +233,6 @@ mod tests {
             .map(|&a| {
                 t.graph
                     .neighbors(a)
-                    .iter()
                     .filter(|e| t.graph.is_host(e.to))
                     .count()
             })

@@ -124,7 +124,7 @@ mod tests {
         assert_eq!(g.link_count(), 48);
         let backbone_degree_sum: usize = g
             .routers()
-            .map(|r| g.neighbors(r).iter().filter(|e| g.is_router(e.to)).count())
+            .map(|r| g.neighbors(r).filter(|e| g.is_router(e.to)).count())
             .sum();
         assert_eq!(backbone_degree_sum, 60); // 2 × 30 links
         let avg = backbone_degree_sum as f64 / 18.0;
@@ -135,7 +135,7 @@ mod tests {
     fn backbone_degrees_bounded() {
         let g = isp_topology();
         for r in g.routers() {
-            let d = g.neighbors(r).iter().filter(|e| g.is_router(e.to)).count();
+            let d = g.neighbors(r).filter(|e| g.is_router(e.to)).count();
             assert!((2..=5).contains(&d), "router {r} backbone degree {d}");
         }
     }

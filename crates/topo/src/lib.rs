@@ -51,3 +51,6 @@ pub mod scenarios;
 pub use contract::Contracted;
 pub use csr::Csr;
 pub use graph::{Cost, EdgeId, Graph, LinkId, NodeId, NodeKind};
+
+#[cfg(test)]
+mod proptests;

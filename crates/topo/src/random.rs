@@ -141,7 +141,7 @@ mod tests {
             let g = rand50(&mut rng(seed));
             let deg_sum: usize = g
                 .routers()
-                .map(|r| g.neighbors(r).iter().filter(|e| g.is_router(e.to)).count())
+                .map(|r| g.neighbors(r).filter(|e| g.is_router(e.to)).count())
                 .sum();
             total += deg_sum as f64 / 50.0;
         }
