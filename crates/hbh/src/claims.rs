@@ -25,11 +25,21 @@
 //!   pass that left the table untouched and inside that pass's stretch,
 //!   is **replayed** ([`ClaimTable::replays`]) as rule (4)'s refresh
 //!   instead of re-derived. `DESIGN.md` §5b has the argument that the
-//!   replay is exact.
+//!   replay is exact;
+//! * the same stretch fixes the **list a fusion from this table carries**
+//!   ([`ClaimTable::listed`]): the live nodes in insertion order cannot
+//!   change inside it, so the list is built as an `Arc<[NodeId]>` on the
+//!   stretch's first send and shared by every later fusion of the stretch
+//!   and by the row that installs it. A node with `N` entries answers
+//!   each of `N` transiting trees with a fusion of `N` nodes per period;
+//!   sharing keeps one list, not `N` copies. Claims compare by pointer
+//!   first and by contents second, so a content-equal copy (a list
+//!   decoded off the wire) is still the same claim.
 
 use crate::bits::Mask;
 use hbh_sim_core::{FastMap, SteadyState, Time};
 use hbh_topo::graph::NodeId;
+use std::sync::Arc;
 
 /// Deadline of an entry that never expires (hard state).
 pub(crate) const NEVER: Time = Time(u64::MAX);
@@ -45,8 +55,9 @@ pub(crate) struct Entry {
     pub t1: Time,
     /// Dead (absent everywhere) from here on.
     pub t2: Time,
-    /// The claim as received: order and duplicates kept.
-    raw: Vec<NodeId>,
+    /// The claim as received, order and duplicates kept: the sender's
+    /// list itself when it came shared.
+    raw: Arc<[NodeId]>,
     /// The same set, sorted and deduplicated.
     claim: Vec<NodeId>,
 }
@@ -80,6 +91,12 @@ impl Entry {
     }
 }
 
+/// Are `a` and `b` the same list? The same allocation is, without reading
+/// it; otherwise the contents decide.
+fn same_list(a: &[NodeId], b: &[NodeId]) -> bool {
+    std::ptr::eq(a, b) || a == b
+}
+
 /// A stretch `[since, until)` of one revision: no entry is inserted,
 /// removed, marked, unmarked or re-claimed (the revision stands) and none
 /// dies (every entry live at `since` has `t2 ≥ until`; refreshes only move
@@ -93,6 +110,9 @@ struct Calm {
     /// [`ClaimTable::reach`] holds this stretch's mask: the first
     /// question that needs it fills it.
     reached: bool,
+    /// The live nodes in insertion order, once a fusion needed them
+    /// ([`ClaimTable::listed`]).
+    listed: Option<Arc<[NodeId]>>,
 }
 
 /// Insertion-ordered entries with their fusion claims, indexed by node.
@@ -157,7 +177,7 @@ impl ClaimTable {
             marked: false,
             t1,
             t2,
-            raw: Vec::new(),
+            raw: Arc::default(),
             claim: Vec::new(),
         });
         self.rev += 1;
@@ -242,6 +262,7 @@ impl ClaimTable {
                 since: now,
                 until,
                 reached: false,
+                listed: None,
             });
         }
         self.calm.as_mut().expect("just opened")
@@ -325,6 +346,25 @@ impl ClaimTable {
         })
     }
 
+    /// Every live node in insertion order: the list a fusion from this
+    /// table carries ("all the nodes that B maintains in its MFT"). Built
+    /// on the first call inside a calm stretch, over which the live rows
+    /// and their order are constant, and shared by every call after it in
+    /// the same stretch.
+    pub fn listed(&mut self, now: Time) -> Arc<[NodeId]> {
+        self.calm(now);
+        let entries = &self.entries;
+        let calm = self.calm.as_mut().expect("just opened");
+        let listed = calm.listed.get_or_insert_with(|| {
+            // Allocated once at the table's width: collecting the
+            // filtered rows would grow the list by doubling.
+            let mut nodes = Vec::with_capacity(entries.len());
+            nodes.extend(entries.iter().filter(|e| !e.is_dead(now)).map(|e| e.node));
+            nodes.into()
+        });
+        Arc::clone(listed)
+    }
+
     /// Fusion rule (2): marks every live entry `nodes` lists, `skip`
     /// excepted. `None` if it lists none (a stale fusion that outlived
     /// the entries it names), else how many marks are new.
@@ -351,14 +391,15 @@ impl ClaimTable {
 
     /// Fusion rules (3)/(4): installs `bp` as the sender of the claim it
     /// listed as `nodes`. `bp`'s live row gets its deadlines restarted at
-    /// `(t1, t2)`, or a new row with them is appended; then the claim is
-    /// recorded, sorted only if the list differs from the one the row
-    /// holds. Returns `(row is new, claim differs from the installed one
-    /// as a list)`.
+    /// `(t1, t2)`, or a new row with them is appended; then, only if the
+    /// list differs from the one the row holds, the row takes `nodes` as
+    /// its claim — a shared list by handle, a slice by one copy — and
+    /// sorts it. Returns `(row is new, claim differs from the installed
+    /// one as a list)`.
     pub fn install(
         &mut self,
         bp: NodeId,
-        nodes: &[NodeId],
+        nodes: impl AsRef<[NodeId]> + Into<Arc<[NodeId]>>,
         now: Time,
         (t1, t2): (Time, Time),
     ) -> (bool, bool) {
@@ -367,16 +408,15 @@ impl ClaimTable {
             self.insert(bp, t1, t2);
         }
         let e = &mut self.entries[self.index[&bp]];
-        let reclaimed = e.raw != nodes;
+        let reclaimed = !same_list(&e.raw, nodes.as_ref());
         if reclaimed {
-            // In-place copies: refreshes repeat the same claim far more
-            // often than they change it, so reuse the existing allocations.
-            e.raw.clear();
-            e.raw.extend_from_slice(nodes);
+            // The sorted copy is rebuilt in place: refreshes repeat the
+            // same claim far more often than they change it.
             e.claim.clear();
-            e.claim.extend_from_slice(nodes);
+            e.claim.extend_from_slice(nodes.as_ref());
             e.claim.sort_unstable();
             e.claim.dedup();
+            e.raw = nodes.into();
             self.rev += 1;
         }
         (fresh, reclaimed)
@@ -398,7 +438,7 @@ impl ClaimTable {
         }
     }
 
-    /// The exact replay rule: does `nodes` repeat byte for byte the claim
+    /// The exact replay rule: does `nodes` repeat node for node the claim
     /// `bp`'s live row holds, at the very revision of `bp`'s last accepted
     /// pass that changed nothing, with `now` still inside its calm
     /// stretch? Running the pass again would read the same rows, marks and
@@ -409,7 +449,7 @@ impl ClaimTable {
     pub fn replays(&self, bp: NodeId, nodes: &[NodeId], now: Time) -> bool {
         self.calm_holds(now)
             && self.memos.get(&bp) == Some(&self.rev)
-            && self.get(bp, now).is_some_and(|e| e.raw == nodes)
+            && self.get(bp, now).is_some_and(|e| same_list(&e.raw, nodes))
     }
 }
 
@@ -428,11 +468,13 @@ fn later(t: Time, by: u64) -> Time {
 /// revision it is stamped with, the memos and the reach mask only remember
 /// answers that are functions of the rows (the replay and the mask are
 /// exact, `DESIGN.md` §5b), so two tables with equal rows answer every
-/// question alike whatever they remember. They must be left out: a calm
-/// stretch lasts until the earliest `t2`, about five refresh periods, so it
-/// rarely sits at the same offset at both ends of a fast-forward window
-/// (`DESIGN.md` §6e). The index is a function of the rows; the frontier is
-/// scratch.
+/// question alike whatever they remember (the stretch's fusion list is
+/// the live rows' nodes, a function of them too). They must be left out: a
+/// calm stretch lasts until the earliest `t2`, about five refresh periods,
+/// so it rarely sits at the same offset at both ends of a fast-forward
+/// window (`DESIGN.md` §6e). The index is a function of the rows; the
+/// frontier is scratch. A claim compares by contents, so a row holding
+/// its sender's list equals one holding a copy of it.
 impl PartialEq for ClaimTable {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries
@@ -483,13 +525,14 @@ mod tests {
             t.insert(node, t2, t2);
             let e = &mut t.entries[i];
             e.marked = *state == 2;
-            e.raw = claim.iter().map(|&c| NodeId(c.into())).collect();
+            let mut raw: Vec<NodeId> = claim.iter().map(|&c| NodeId(c.into())).collect();
             if *chain {
-                e.raw.extend([NodeId(i as u32 + 1); 2]);
+                raw.extend([NodeId(i as u32 + 1); 2]);
             }
-            e.claim.clone_from(&e.raw);
+            e.claim.clone_from(&raw);
             e.claim.sort_unstable();
             e.claim.dedup();
+            e.raw = raw.into();
         }
         t
     }
@@ -553,7 +596,10 @@ mod tests {
         // Row 1 repeats its claim: an acceptance, remembered.
         pass(&mut used, NodeId(1), NOW);
         assert!(used.replays(NodeId(1), &[NodeId(3), NodeId(2)], NOW));
-        assert!(used.rev > plain.rev && used.calm.as_ref().is_some_and(|c| c.reached));
+        // The table's owner sends a fusion: the stretch keeps its list.
+        assert_eq!(*used.listed(NOW), [NodeId(1), NodeId(2), NodeId(3)]);
+        let cached = |c: &Calm| c.reached && c.listed.is_some();
+        assert!(used.rev > plain.rev && used.calm.as_ref().is_some_and(cached));
         assert!(plain.calm.is_none() && plain.memos.is_empty());
         assert_eq!(used, plain);
         // The same claim listed in another order is another table: the hard
@@ -573,7 +619,7 @@ mod tests {
         let now = if early { Time(10) } else { NOW };
         let mut t = table(&rows);
         let listed: Vec<(NodeId, Vec<NodeId>)> =
-            t.entries.iter().map(|e| (e.node, e.raw.clone())).collect();
+            t.entries.iter().map(|e| (e.node, e.raw.to_vec())).collect();
         for (n, _) in &listed {
             t.server_of(*n, now);
             pass(&mut t, *n, now);
@@ -585,7 +631,8 @@ mod tests {
             let answers = |t: &mut ClaimTable, at: Time| {
                 let served = t.server_of(*n, at);
                 let replay = t.replays(*n, nodes, at);
-                (served, replay, t.covers(*n, nodes, at))
+                let listed = t.listed(at).to_vec();
+                (served, replay, t.covers(*n, nodes, at), listed)
             };
             let want = answers(&mut t, now);
             let got = answers(&mut moved, now + by);

@@ -7,6 +7,7 @@ use hbh_proto_base::{Channel, Cmd, SoftSet, Timing};
 use hbh_sim_core::{Ctx, Packet, Protocol, SteadyState};
 use hbh_sim_core::{FastMap, FastSet};
 use hbh_topo::graph::NodeId;
+use std::sync::Arc;
 
 /// The HBH protocol (configuration; per-node state in [`HbhNodeState`]).
 #[derive(Clone, Debug)]
@@ -121,14 +122,14 @@ impl Hbh {
     /// addressing the fusion by unicast toward `S` instead would let
     /// asymmetric reverse paths bypass it (Figure 9(b)'s "addressed to B"
     /// check implies the message has a specific upstream addressee).
-    fn send_fusion(&self, mft: &HbhMft, ch: Channel, to: NodeId, ctx: &mut HCtx<'_>) {
+    ///
+    /// Every fusion sent while the table stays calm carries the same
+    /// shared list ([`HbhMft::fusion_list`]), not a copy of it.
+    fn send_fusion(&self, mft: &mut HbhMft, ch: Channel, to: NodeId, ctx: &mut HCtx<'_>) {
         if to == ctx.node {
             return; // the trigger was our own emission looping back
         }
-        // Allocated once at the table's width: collecting the filtered
-        // iterator would grow the list by doubling.
-        let mut nodes = Vec::with_capacity(mft.len());
-        nodes.extend(mft.live(ctx.now()));
+        let nodes = mft.fusion_list(ctx.now());
         if nodes.is_empty() {
             return; // nothing to claim
         }
@@ -312,7 +313,6 @@ impl Hbh {
             if mft.refresh_or_insert(target, now, &self.timing) {
                 ctx.structural_change(); // rule (2): new node adopted
             }
-            let mft = state.mft.get(&ch).expect("just touched");
             self.send_fusion(mft, ch, emitter, ctx);
             ctx.forward(pkt);
             return;
@@ -349,7 +349,7 @@ impl Hbh {
                     state.mft.insert(ch, mft);
                     ctx.structural_change();
                     self.arm_sweep(state, ch, ctx);
-                    let mft = state.mft.get(&ch).expect("just inserted");
+                    let mft = state.mft.get_mut(&ch).expect("just inserted");
                     self.send_fusion(mft, ch, emitter, ctx);
                 }
             }
@@ -361,13 +361,14 @@ impl Hbh {
 
     /// Handles a fusion addressed to this node (rule (1)'s transit
     /// forwarding happens in `on_packet`, which gets to move the packet
-    /// on unchanged without cloning its node list).
+    /// on unchanged). `nodes` is the sender's shared list, which `bp`'s
+    /// row keeps.
     fn fusion_at_node(
         &self,
         state: &mut HbhNodeState,
         ch: Channel,
         bp: NodeId,
-        nodes: &[NodeId],
+        nodes: Arc<[NodeId]>,
         ctx: &mut HCtx<'_>,
     ) {
         let Some(mft) = state.mft.get_mut(&ch) else {
@@ -452,9 +453,8 @@ impl Protocol for Hbh {
     fn on_packet(&self, state: &mut HbhNodeState, pkt: Packet<HbhMsg>, ctx: &mut HCtx<'_>) {
         let here = ctx.node;
         let is_host = ctx.net().graph().is_host(here);
-        // Match by reference and copy out the small fields: cloning the
-        // payload here would heap-copy every transiting fusion's node
-        // list just to forward the packet unchanged.
+        // Match by reference and copy out the small fields, so that a
+        // transiting packet moves on as it came.
         match &pkt.payload {
             HbhMsg::Join { ch, who, initial } => {
                 let (ch, who, initial) = (*ch, *who, *initial);
@@ -500,7 +500,7 @@ impl Protocol for Hbh {
                     let HbhMsg::Fusion { ch, from, nodes } = pkt.payload else {
                         unreachable!("arm matched above")
                     };
-                    self.fusion_at_node(state, ch, from, &nodes, ctx);
+                    self.fusion_at_node(state, ch, from, nodes, ctx);
                 }
             }
             HbhMsg::Data { ch } => {

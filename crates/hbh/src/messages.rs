@@ -2,6 +2,7 @@
 
 use hbh_proto_base::Channel;
 use hbh_topo::graph::NodeId;
+use std::sync::Arc;
 
 /// HBH packet payloads (the three control messages of §3.1 plus channel
 /// data).
@@ -36,8 +37,10 @@ pub enum HbhMsg {
         ch: Channel,
         /// The candidate branching node announcing itself.
         from: NodeId,
-        /// Every live MFT node of the sender.
-        nodes: Vec<NodeId>,
+        /// Every live MFT node of the sender, in its table's order: one
+        /// list per calm stretch of the sender's table, shared by every
+        /// fusion it sends in that stretch and by the row that installs it.
+        nodes: Arc<[NodeId]>,
     },
     /// Channel data, addressed to the next branching node (or receiver).
     Data {
@@ -102,7 +105,7 @@ mod tests {
             HbhMsg::Fusion {
                 ch,
                 from: NodeId(1),
-                nodes: vec![NodeId(2)]
+                nodes: Arc::new([NodeId(2)])
             }
             .channel(),
             ch

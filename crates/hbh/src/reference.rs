@@ -498,7 +498,7 @@ fn same<T: PartialEq + std::fmt::Debug>(what: &str, new: T, old: T) -> Result<()
 
 /// Everything observable about a soft MFT at `now`, indexed table against
 /// reference: membership, marks, phases, who serves whom, the **order** of
-/// the three fan-out sets, and the raw length.
+/// the three fan-out sets and of the fusion list, and the raw length.
 pub fn soft_diff(new: &mut crate::tables::HbhMft, old: &RefMft, now: Time) -> Result<(), String> {
     same("len", new.len(), old.len())?;
     same("is_empty", new.is_empty(), old.is_empty())?;
@@ -522,6 +522,8 @@ pub fn soft_diff(new: &mut crate::tables::HbhMft, old: &RefMft, now: Time) -> Re
         same(&format!("served_by_other({n})"), served, want)?;
     }
     same("live", order(new.live(now)), order(old.live(now)))?;
+    let listed = new.fusion_list(now).to_vec();
+    same("fusion_list", listed, order(old.live(now)))?;
     let (data, want) = (order(new.data_targets(now)), order(old.data_targets(now)));
     same("data_targets", data, want)?;
     let (tree, want) = (order(new.tree_targets(now)), order(old.tree_targets(now)));

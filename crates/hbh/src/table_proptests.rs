@@ -12,6 +12,7 @@ use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::sync::Arc;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -52,7 +53,7 @@ proptest! {
                 Op::Fusion { bp, covers } => {
                     let covers: Vec<NodeId> =
                         covers.into_iter().map(|c| NodeId(c.into())).collect();
-                    mft.install_fusion_sender(NodeId(bp.into()), &covers, now, &timing);
+                    mft.install_fusion_sender(NodeId(bp.into()), &covers[..], now, &timing);
                 }
                 Op::Reap => {
                     mft.reap(now);
@@ -98,7 +99,7 @@ proptest! {
                 Op::Fusion { bp, covers } => {
                     let covers: Vec<NodeId> =
                         covers.into_iter().map(|c| NodeId(c.into())).collect();
-                    mft.install_fusion_sender(NodeId(bp.into()), &covers, now, &timing);
+                    mft.install_fusion_sender(NodeId(bp.into()), &covers[..], now, &timing);
                 }
                 Op::Reap => { mft.reap(now); }
                 Op::Advance(dt) => now += u64::from(dt),
@@ -131,8 +132,9 @@ enum Step {
     Install(u8, Vec<u8>),
     /// A whole fusion pass.
     Fusion(u8, Vec<u8>),
-    /// One of the last four fusions again, verbatim (what a refresh
-    /// period looks like — and the only way onto the replay path).
+    /// One of the last four fusions again, verbatim and sharing its list
+    /// (what a refresh period looks like — and the only way onto the
+    /// replay path).
     Again(u8),
     /// Soft `repair_orphaned_mark` / hard `unmark_orphans`.
     Repair(u8),
@@ -180,9 +182,9 @@ fn ids(raw: &[u8]) -> Vec<NodeId> {
 /// The fusion a step sends: its own, or for [`Step::Again`] one of the
 /// last four in `sent`, verbatim. `None` for every other step (and for a
 /// repeat with nothing sent yet).
-fn fusion_of(step: &Step, sent: &[(NodeId, Vec<NodeId>)]) -> Option<(NodeId, Vec<NodeId>)> {
+fn fusion_of(step: &Step, sent: &[(NodeId, Arc<[NodeId]>)]) -> Option<(NodeId, Arc<[NodeId]>)> {
     match step {
-        Step::Fusion(bp, c) => Some((NodeId((*bp).into()), ids(c))),
+        Step::Fusion(bp, c) => Some((NodeId((*bp).into()), ids(c).into())),
         Step::Again(i) if !sent.is_empty() => {
             Some(sent[sent.len() - 1 - usize::from(*i) % sent.len()].clone())
         }
@@ -208,7 +210,7 @@ fn soft_tables_agree(steps: Vec<Step>) -> Result<(), TestCaseError> {
     let timing = Timing::default();
     let (mut new, mut old) = (HbhMft::default(), RefMft::default());
     let mut now = Time::ZERO;
-    let mut sent: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+    let mut sent: Vec<(NodeId, Arc<[NodeId]>)> = Vec::new();
     for step in steps {
         let n = |raw: u8| NodeId(raw.into());
         let (got, want) = match &step {
@@ -225,7 +227,7 @@ fn soft_tables_agree(steps: Vec<Step>) -> Result<(), TestCaseError> {
                 usize::from(old.unmark(n(*x), now)),
             ),
             Step::Install(bp, c) => (
-                usize::from(new.install_fusion_sender(n(*bp), &ids(c), now, &timing)),
+                usize::from(new.install_fusion_sender(n(*bp), ids(c), now, &timing)),
                 usize::from(old.install_fusion_sender(n(*bp), &ids(c), now, &timing)),
             ),
             Step::Fusion(..) | Step::Again(_) => {
@@ -233,7 +235,7 @@ fn soft_tables_agree(steps: Vec<Step>) -> Result<(), TestCaseError> {
                     continue;
                 };
                 let outcome = (
-                    new.fusion(bp, &nodes, now, &timing),
+                    new.fusion(bp, Arc::clone(&nodes), now, &timing),
                     old.fusion(bp, &nodes, now, &timing),
                 );
                 sent.push((bp, nodes));
@@ -259,7 +261,7 @@ fn soft_tables_agree(steps: Vec<Step>) -> Result<(), TestCaseError> {
 /// [`soft_tables_agree`] for the hard tables.
 fn hard_tables_agree(steps: Vec<Step>) -> Result<(), TestCaseError> {
     let (mut new, mut old) = (HardMft::default(), RefHardMft::default());
-    let mut sent: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+    let mut sent: Vec<(NodeId, Arc<[NodeId]>)> = Vec::new();
     for step in steps {
         let n = |raw: u8| NodeId(raw.into());
         match &step {

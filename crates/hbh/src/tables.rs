@@ -35,6 +35,7 @@ use crate::claims::ClaimTable;
 use hbh_proto_base::{EntryPhase, SoftEntry, Timing};
 use hbh_sim_core::{SteadyState, Time};
 use hbh_topo::graph::NodeId;
+use std::sync::Arc;
 
 /// Single-entry Multicast Control Table.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -165,11 +166,12 @@ impl HbhMft {
     /// Installs the fusion sender `Bp` claiming `covers`: stale from birth
     /// (fusion rule 3) — used for data, never for tree emission — or, if
     /// present, refreshes its t2 while keeping t1 expired (rule 4) and
-    /// updates the claim. Returns `true` on insert (structural change).
+    /// updates the claim, keeping a shared list by handle. Returns `true`
+    /// on insert (structural change).
     pub fn install_fusion_sender(
         &mut self,
         bp: NodeId,
-        covers: &[NodeId],
+        covers: impl AsRef<[NodeId]> + Into<Arc<[NodeId]>>,
         now: Time,
         timing: &Timing,
     ) -> bool {
@@ -180,13 +182,20 @@ impl HbhMft {
 
     /// Everything a fusion from `bp` listing `nodes` does to the table it
     /// is addressed to (Figure 9(b), rules (2)–(4)); returns the number of
-    /// structural changes it made.
-    pub fn fusion(&mut self, bp: NodeId, nodes: &[NodeId], now: Time, timing: &Timing) -> usize {
+    /// structural changes it made. A shared `nodes` is what `bp`'s row
+    /// keeps as its claim.
+    pub fn fusion(
+        &mut self,
+        bp: NodeId,
+        nodes: impl AsRef<[NodeId]> + Into<Arc<[NodeId]>>,
+        now: Time,
+        timing: &Timing,
+    ) -> usize {
         let began = self.core.begin_pass(now);
         // A verbatim repeat on an unchanged table decides as the pass it
         // repeats did (see `ClaimTable::replays`): rule (4) and nothing
         // else.
-        if self.core.replays(bp, nodes, now) {
+        if self.core.replays(bp, nodes.as_ref(), now) {
             self.core.touch(bp, now, now, now + timing.t2);
             return 0;
         }
@@ -194,7 +203,7 @@ impl HbhMft {
         // tree messages but no data. We emitted the tree messages that
         // triggered this fusion, so the listed nodes should be ours; if
         // none is, the fusion outlived the entries it names.
-        let Some(mut structural) = self.core.mark_listed(nodes, None, now) else {
+        let Some(mut structural) = self.core.mark_listed(nodes.as_ref(), None, now) else {
             return 0;
         };
         // Accepting the claim makes `bp` the data server for the listed
@@ -239,10 +248,16 @@ impl HbhMft {
             .map(|e| e.node)
     }
 
-    /// All live members (fusion payloads: "all the nodes that B maintains
-    /// in its MFT").
+    /// All live members, in insertion order.
     pub fn live(&self, now: Time) -> impl Iterator<Item = NodeId> + '_ {
         self.core.live(now).map(|e| e.node)
+    }
+
+    /// The live members as a fusion payload ("all the nodes that B
+    /// maintains in its MFT"): one list per calm stretch of the table,
+    /// shared by every fusion sent inside it (see `ClaimTable::listed`).
+    pub fn fusion_list(&mut self, now: Time) -> Arc<[NodeId]> {
+        self.core.listed(now)
     }
 
     /// Removes dead entries; returns how many.
@@ -335,7 +350,7 @@ mod tests {
         // it can fan out as an emitter.
         let t = tm();
         let mut m = HbhMft::default();
-        m.install_fusion_sender(NodeId(9), &[], Time(0), &t);
+        m.install_fusion_sender(NodeId(9), [], Time(0), &t);
         assert_eq!(m.data_targets(Time(1)).collect::<Vec<_>>(), vec![NodeId(9)]);
         assert_eq!(m.tree_targets(Time(1)).collect::<Vec<_>>(), vec![NodeId(9)]);
     }
@@ -360,9 +375,9 @@ mod tests {
     fn fusion_sender_survives_via_t2_refreshes_but_stays_stale() {
         let t = tm();
         let mut m = HbhMft::default();
-        assert!(m.install_fusion_sender(NodeId(9), &[], Time(0), &t));
+        assert!(m.install_fusion_sender(NodeId(9), [], Time(0), &t));
         // Refresh before death: still alive, still stale.
-        assert!(!m.install_fusion_sender(NodeId(9), &[], Time(t.t2 - 10), &t));
+        assert!(!m.install_fusion_sender(NodeId(9), [], Time(t.t2 - 10), &t));
         let later = Time(t.t2 + 10);
         assert!(m.contains(NodeId(9), later));
         assert!(m.is_stale(NodeId(9), later));
@@ -373,10 +388,10 @@ mod tests {
         let t = tm();
         let mut m = HbhMft::default();
         m.refresh_or_insert(NodeId(7), Time(0), &t); // the shared target
-        m.install_fusion_sender(NodeId(2), &[NodeId(7)], Time(0), &t);
+        m.install_fusion_sender(NodeId(2), [NodeId(7)], Time(0), &t);
         // A broader claim covering {7, 8} installs sender 3 and leaves 2
         // as it was: Figure 9(b) marks only the nodes a fusion lists.
-        assert!(m.install_fusion_sender(NodeId(3), &[NodeId(7), NodeId(8)], Time(1), &t));
+        assert!(m.install_fusion_sender(NodeId(3), [NodeId(7), NodeId(8)], Time(1), &t));
         assert!(!m.is_marked(NodeId(2), Time(2)), "narrow sender unmarked");
         assert_eq!(
             m.data_targets(Time(2)).collect::<Vec<_>>(),
@@ -399,18 +414,18 @@ mod tests {
             m.refresh_or_insert(NodeId(n), Time(0), &t);
         }
         let broad = [NodeId(7), NodeId(8)];
-        assert_eq!(m.fusion(NodeId(3), &broad, Time(0), &t), 3);
+        assert_eq!(m.fusion(NodeId(3), broad, Time(0), &t), 3);
         // 2's claim {7} is inside 3's: Figure 9(b) installs it all the same.
-        assert_eq!(m.fusion(NodeId(2), &[NodeId(7)], Time(1), &t), 1);
+        assert_eq!(m.fusion(NodeId(2), [NodeId(7)], Time(1), &t), 1);
         let served: Vec<_> = m.data_targets(Time(2)).collect();
         assert_eq!(served, vec![NodeId(3), NodeId(2)]);
         // 3's next fusion lists what it listed before: 2 keeps its data.
-        assert_eq!(m.fusion(NodeId(3), &broad, Time(100), &t), 0);
+        assert_eq!(m.fusion(NodeId(3), broad, Time(100), &t), 0);
         let served: Vec<_> = m.data_targets(Time(101)).collect();
         assert_eq!(served, vec![NodeId(3), NodeId(2)]);
         // A fusion that lists 2 marks it (rule 2).
         let wider = [NodeId(7), NodeId(8), NodeId(2)];
-        assert_eq!(m.fusion(NodeId(3), &wider, Time(200), &t), 1);
+        assert_eq!(m.fusion(NodeId(3), wider, Time(200), &t), 1);
         let served: Vec<_> = m.data_targets(Time(201)).collect();
         assert_eq!(served, vec![NodeId(3)]);
     }
@@ -423,7 +438,7 @@ mod tests {
         // entry at H1).
         let t = tm();
         let mut m = HbhMft::default();
-        m.install_fusion_sender(NodeId(9), &[], Time(0), &t);
+        m.install_fusion_sender(NodeId(9), [], Time(0), &t);
         m.refresh_or_insert(NodeId(9), Time(10), &t);
         assert_eq!(
             m.tree_targets(Time(11)).collect::<Vec<_>>(),
@@ -437,7 +452,7 @@ mod tests {
         let mut m = HbhMft::default();
         m.refresh_or_insert(NodeId(7), Time(0), &t);
         assert!(!m.served_by_other(NodeId(7), Time(1)), "no claimant at all");
-        m.install_fusion_sender(NodeId(2), &[NodeId(7)], Time(0), &t);
+        m.install_fusion_sender(NodeId(2), [NodeId(7)], Time(0), &t);
         assert!(m.served_by_other(NodeId(7), Time(1)));
         // An orphaned marked claimant receives no data, so it serves nobody.
         m.mark(NodeId(2), Time(1));
@@ -445,7 +460,7 @@ mod tests {
         // A dead claimant serves nobody either.
         let mut m2 = HbhMft::default();
         m2.refresh_or_insert(NodeId(7), Time(0), &t);
-        m2.install_fusion_sender(NodeId(2), &[NodeId(7)], Time(0), &t);
+        m2.install_fusion_sender(NodeId(2), [NodeId(7)], Time(0), &t);
         assert!(!m2.served_by_other(NodeId(7), Time(t.t2 + 1)));
     }
 
@@ -456,8 +471,8 @@ mod tests {
         let t = tm();
         let mut m = HbhMft::default();
         m.refresh_or_insert(NodeId(7), Time(0), &t);
-        m.install_fusion_sender(NodeId(2), &[NodeId(7)], Time(0), &t);
-        m.install_fusion_sender(NodeId(3), &[NodeId(2)], Time(0), &t);
+        m.install_fusion_sender(NodeId(2), [NodeId(7)], Time(0), &t);
+        m.install_fusion_sender(NodeId(3), [NodeId(2)], Time(0), &t);
         m.mark(NodeId(2), Time(0));
         assert!(
             m.served_by_other(NodeId(7), Time(1)),
@@ -465,7 +480,7 @@ mod tests {
         );
         // Break the chain: 3 dies, nothing reaches 2, so nothing serves 7.
         let late = Time(t.t2 + 1);
-        m.install_fusion_sender(NodeId(2), &[NodeId(7)], late, &t);
+        m.install_fusion_sender(NodeId(2), [NodeId(7)], late, &t);
         m.refresh_or_insert(NodeId(7), late, &t);
         m.mark(NodeId(2), late);
         assert!(
@@ -481,11 +496,11 @@ mod tests {
         // so a rule that looks one claim deep finds nobody serving 1.
         let t = tm();
         let mut m = HbhMft::default();
-        m.install_fusion_sender(NodeId(4), &[NodeId(3)], Time(0), &t);
+        m.install_fusion_sender(NodeId(4), [NodeId(3)], Time(0), &t);
         let later = Time(t.t2 / 2);
         m.refresh_or_insert(NodeId(1), later, &t);
-        m.install_fusion_sender(NodeId(2), &[NodeId(1)], later, &t);
-        m.install_fusion_sender(NodeId(3), &[NodeId(2)], later, &t);
+        m.install_fusion_sender(NodeId(2), [NodeId(1)], later, &t);
+        m.install_fusion_sender(NodeId(3), [NodeId(2)], later, &t);
         for n in [3, 2, 1] {
             m.mark(NodeId(n), later);
         }
@@ -553,12 +568,96 @@ mod tests {
         m.refresh_or_insert(NodeId(7), Time(0), &t);
         // A plain receiver claims nobody.
         assert!(!m.served_by_other(NodeId(7), Time(1)));
-        m.install_fusion_sender(NodeId(2), &[NodeId(7)], Time(0), &t);
+        m.install_fusion_sender(NodeId(2), [NodeId(7)], Time(0), &t);
         assert!(m.served_by_other(NodeId(7), Time(1)));
         // Reaping the dead claimant takes its claim with it.
         assert_eq!(m.reap(Time(t.t2)), 2);
         m.refresh_or_insert(NodeId(7), Time(t.t2), &t);
         assert!(!m.served_by_other(NodeId(7), Time(t.t2 + 1)));
+    }
+
+    // --- the shared fusion list (`ClaimTable::listed`) --------------------
+
+    fn ids(ns: &[u32]) -> Vec<NodeId> {
+        ns.iter().map(|&n| NodeId(n)).collect()
+    }
+
+    #[test]
+    fn fusions_of_one_calm_stretch_share_their_list() {
+        let t = tm();
+        let mut m = HbhMft::default();
+        for n in [5, 2, 8] {
+            m.refresh_or_insert(NodeId(n), Time(0), &t);
+        }
+        let first = m.fusion_list(Time(1));
+        assert_eq!(first[..], ids(&[5, 2, 8]));
+        // Refreshes that only push deadlines out leave the stretch open.
+        for n in [8, 5, 2] {
+            m.refresh_or_insert(NodeId(n), Time(100), &t);
+        }
+        let second = m.fusion_list(Time(t.t2 - 1));
+        assert!(Arc::ptr_eq(&first, &second));
+    }
+
+    #[test]
+    fn each_change_to_the_live_rows_makes_a_new_list() {
+        let t = tm();
+        let mut m = HbhMft::default();
+        m.refresh_or_insert(NodeId(1), Time(0), &t);
+        m.refresh_or_insert(NodeId(2), Time(100), &t);
+        let mut last = m.fusion_list(Time(100));
+        let mut next = |m: &mut HbhMft, at: u64, want: &[u32]| {
+            let list = m.fusion_list(Time(at));
+            assert!(!Arc::ptr_eq(&last, &list), "a new list at {at}");
+            assert_eq!(list[..], ids(want), "at {at}");
+            last = list;
+        };
+        // An insert.
+        m.refresh_or_insert(NodeId(3), Time(110), &t);
+        next(&mut m, 110, &[1, 2, 3]);
+        // A mark: the same nodes, but a new stretch.
+        m.mark(NodeId(2), Time(120));
+        next(&mut m, 120, &[1, 2, 3]);
+        // A death by clock alone: 1's t2 passes with no call in between.
+        next(&mut m, t.t2, &[2, 3]);
+        // A reap of the dead row.
+        assert_eq!(m.reap(Time(t.t2 + 1)), 1);
+        next(&mut m, t.t2 + 1, &[2, 3]);
+    }
+
+    #[test]
+    fn the_receiving_row_holds_the_senders_list() {
+        let t = tm();
+        let (mut below, mut above) = (HbhMft::default(), HbhMft::default());
+        for n in [7, 8] {
+            below.refresh_or_insert(NodeId(n), Time(0), &t);
+            above.refresh_or_insert(NodeId(n), Time(0), &t);
+        }
+        let sent = below.fusion_list(Time(1));
+        assert_eq!(above.fusion(NodeId(3), Arc::clone(&sent), Time(1), &t), 3);
+        let held = |m: &HbhMft| m.core.get(NodeId(3), Time(2)).unwrap().raw_claim().as_ptr();
+        assert_eq!(held(&above), sent.as_ptr());
+        // A copy with the same contents is the same claim: the row keeps
+        // the list it holds.
+        assert_eq!(above.fusion(NodeId(3), ids(&[7, 8]), Time(2), &t), 0);
+        assert_eq!(held(&above), sent.as_ptr());
+    }
+
+    #[test]
+    fn a_repeat_replays_shared_or_copied_but_not_reordered() {
+        let t = tm();
+        let mut m = HbhMft::default();
+        for n in 1..=2 {
+            m.refresh_or_insert(NodeId(n), Time(0), &t);
+        }
+        let list: Arc<[NodeId]> = Arc::new(CLAIM);
+        assert_eq!(m.fusion(NodeId(9), Arc::clone(&list), Time(0), &t), 3);
+        assert_eq!(m.fusion(NodeId(9), Arc::clone(&list), Time(10), &t), 0);
+        assert!(m.core.replays(NodeId(9), &list, Time(11)), "the same list");
+        let copy = Vec::from(CLAIM);
+        assert!(m.core.replays(NodeId(9), &copy, Time(11)), "a copy");
+        let reordered = [NodeId(2), NodeId(1)];
+        assert!(!m.core.replays(NodeId(9), &reordered, Time(11)));
     }
 
     // --- the note's hard half: `HardMft` ignores a covered fusion --------

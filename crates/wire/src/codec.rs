@@ -461,12 +461,12 @@ mod tests {
             HbhMsg::Fusion {
                 ch: ch(),
                 from: NodeId(5),
-                nodes: vec![NodeId(1), NodeId(2), NodeId(3)],
+                nodes: [NodeId(1), NodeId(2), NodeId(3)].into(),
             },
             HbhMsg::Fusion {
                 ch: ch(),
                 from: NodeId(5),
-                nodes: vec![],
+                nodes: [].into(),
             },
             HbhMsg::Data { ch: ch() },
         ]
@@ -638,7 +638,7 @@ mod tests {
         let mut bytes = datagram(HbhMsg::Fusion {
             ch: ch(),
             from: NodeId(5),
-            nodes: vec![NodeId(1)],
+            nodes: [NodeId(1)].into(),
         });
         // Claim two nodes but carry one (the count field sits after
         // ch+from = 12 body bytes).
@@ -849,7 +849,7 @@ mod golden {
                 ctl(HbhMsg::Fusion {
                     ch,
                     from: n(7),
-                    nodes: vec![n(8), n(9)],
+                    nodes: [n(8), n(9)].into(),
                 }),
                 format!("{CTL} | b4 01 03 00 0016 0000 | {CH} 00000007 0002 00000008 00000009"),
             ),

@@ -236,8 +236,9 @@ impl<'a> Reader<'a> {
 
     /// Reads a node list that runs to the end of the body: a `u16` count
     /// that must match the bytes left (checked before allocating), then
-    /// the addresses.
-    pub fn nodes(&mut self) -> Result<Vec<NodeId>, WireError> {
+    /// the addresses, into whichever list the message keeps (a `Vec`, or
+    /// the shared `Arc<[NodeId]>` of a soft fusion).
+    pub fn nodes<L: FromIterator<NodeId>>(&mut self) -> Result<L, WireError> {
         let count = usize::from(self.u16()?);
         if self.remaining() != count * 4 {
             return Err(WireError::BadListLength);

@@ -87,7 +87,11 @@ fn arb_hbh_msg() -> impl Strategy<Value = HbhMsg> {
             node,
             proptest::collection::vec(arb_node(), 0..32)
         )
-            .prop_map(|(ch, from, nodes)| HbhMsg::Fusion { ch, from, nodes }),
+            .prop_map(|(ch, from, nodes)| HbhMsg::Fusion {
+                ch,
+                from,
+                nodes: nodes.into()
+            }),
         arb_channel().prop_map(|ch| HbhMsg::Data { ch }),
     ]
 }
