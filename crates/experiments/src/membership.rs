@@ -81,22 +81,25 @@ impl MembershipConfig {
 
     /// The acceptance-scale configuration: 5,020 routers, 120k hosts,
     /// storm sweep over three decades, to 10⁵ receivers inside one tree
-    /// period (≈ 9 min in all, 7 of them the 10⁵ point; see
-    /// EXPERIMENTS.md "Membership sweep").
+    /// period, with a route cache that holds a row for every router: the
+    /// storms cycle through the whole core every join period, and a
+    /// smaller cache recomputes most of it each time (≈ 40 s and 390 MB
+    /// in all; see EXPERIMENTS.md "Membership sweep").
     pub fn full() -> Self {
+        let spec = TierSpec {
+            ases: 20,
+            pops_per_as: 10,
+            access_per_pop: 24,
+        };
         MembershipConfig {
-            spec: TierSpec {
-                ases: 20,
-                pops_per_as: 10,
-                access_per_pop: 24,
-            },
+            spec,
             hosts: 120_000,
             group_size: 256,
             channels: 8,
             zaps: 3,
             storm_sizes: vec![1_000, 10_000, 100_000],
             base_seed: 7,
-            cache_rows: 4096,
+            cache_rows: spec.router_count(),
         }
     }
 
@@ -493,6 +496,24 @@ mod tests {
         let record = report.to_json(&cfg, 0);
         let simulated = record.split("  \"throughput\"").next().unwrap();
         assert_eq!(simulated, SMOKE_RECORD);
+    }
+
+    #[test]
+    fn full_sweep_caches_a_row_for_every_router() {
+        let cfg = MembershipConfig::full();
+        assert!(cfg.cache_rows >= cfg.router_count());
+    }
+
+    #[test]
+    #[ignore = "the full sweep: about 30 s and 390 MB in release, as CI runs it"]
+    fn full_sweep_matches_the_last_committed_record() {
+        let cfg = MembershipConfig::full();
+        let record = run_membership(&cfg).to_json(&cfg, 0);
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_membership.json");
+        let history = std::fs::read_to_string(path).unwrap();
+        let last = &history[history.rfind("{\n  \"topology\"").expect("a record")..];
+        let simulated = |r: &str| r.split("  \"throughput\"").next().unwrap().to_owned();
+        assert_eq!(simulated(&record), simulated(last));
     }
 
     #[test]

@@ -353,7 +353,7 @@ mod tests {
     {"name": "HBH", "cost_mean": 27.333, "delay_mean": 27.611, "incomplete": 0, "unconverged": 0, "events": 31234}
   ],
   "routes": {"cache_rows": 256, "computed": 46, "hits": 41513, "misses": 46, "evicted": 0, "peak_cached_rows": 17, "cache_hit_rate": 0.9989},
-  "memory": {"route_bytes": 8926, "bytes_per_router": 446.3, "all_pairs_bytes": 313600, "memory_ratio": 35.13, "structure_bytes": 3696, "peak_rss_kb": 0},
+  "memory": {"route_bytes": 6206, "bytes_per_router": 310.3, "all_pairs_bytes": 313600, "memory_ratio": 50.53, "structure_bytes": 3696, "peak_rss_kb": 0},
 "#;
 
     #[test]

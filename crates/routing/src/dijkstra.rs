@@ -23,16 +23,18 @@
 //! on that order. Costs are ≥ 1, so every optimal predecessor of `v` has a
 //! strictly smaller distance and is settled before `v` is, in any order
 //! among equals; the tie-break then leaves `pred[v]` at the smallest-id
-//! optimal predecessor, and `first` / `first_eid` follow `pred`. So
-//! `dist`, `pred`, `first` and `first_eid` are functions of the graph
-//! alone, and the heap, like the scratch it lives in, is reused from
-//! search to search without allocating.
+//! optimal predecessor, and `first` follows `pred`. So `dist`, `pred` and
+//! `first` are functions of the graph alone, and the heap, like the
+//! scratch it lives in, is reused from search to search without
+//! allocating.
 //!
-//! The search records, per reached node, the first hop *and the directed
-//! edge id it leaves the root on*: a forwarding step is `(next hop, edge)`,
-//! and the stores keep it whole so the simulator never scans an adjacency
-//! list to find the link a packet goes out on.
+//! The search records, per reached node, the root's out-edge the path
+//! leaves on, as that edge's packed slot in the [`Csr`]: one `u32` that
+//! names both the next hop and the directed edge id (`Csr::edge_at`), so
+//! the simulator never scans an adjacency list to find the link a packet
+//! goes out on.
 
+use crate::pair::NONE;
 use crate::radix::RadixHeap;
 use hbh_topo::csr::Csr;
 use hbh_topo::graph::{EdgeId, NodeId, PathCost};
@@ -49,10 +51,9 @@ const UNREACHABLE: PathCost = PathCost::MAX;
 pub(crate) struct DijkstraScratch {
     pub(crate) dist: Vec<PathCost>,
     pub(crate) pred: Vec<Option<NodeId>>,
-    pub(crate) first: Vec<Option<NodeId>>,
-    /// `first_eid[v]`: the edge id the first hop toward `v` leaves on
-    /// (meaningful only where `first[v]` is set).
-    pub(crate) first_eid: Vec<u32>,
+    /// `first[v]`: the packed slot of the root's out-edge the path to `v`
+    /// leaves on ([`NONE`] for the root and for unreached nodes).
+    pub(crate) first: Vec<u32>,
     done: Vec<bool>,
     heap: RadixHeap<NodeId>,
 }
@@ -64,9 +65,7 @@ impl DijkstraScratch {
         self.pred.clear();
         self.pred.resize(n, None);
         self.first.clear();
-        self.first.resize(n, None);
-        self.first_eid.clear();
-        self.first_eid.resize(n, 0);
+        self.first.resize(n, NONE);
         self.done.clear();
         self.done.resize(n, false);
         self.heap.clear();
@@ -75,14 +74,13 @@ impl DijkstraScratch {
 
 /// Runs Dijkstra from `root` over a pre-packed CSR view, into
 /// caller-provided scratch storage. The results are left in `s.dist` /
-/// `s.pred` / `s.first` / `s.first_eid`.
+/// `s.pred` / `s.first`.
 ///
 /// First hops are resolved inline during relaxation: when `v` is improved
 /// via `u`, `u` has already been finalized (its out-edges are only relaxed
 /// after it is popped as settled), so `first[u]` is final and
-/// `first[v] = first[u]` (or `v` itself when `u` is the root) holds for
-/// the eventual shortest path too. The first hop's edge id rides along on
-/// the same assignment.
+/// `first[v] = first[u]` (or the slot of the edge `root → v` itself when
+/// `u` is the root) holds for the eventual shortest path too.
 pub(crate) fn shortest_paths_csr_into(csr: &Csr, root: NodeId, s: &mut DijkstraScratch) {
     shortest_paths_core(csr, root, s, |_| true, |_| true);
 }
@@ -137,6 +135,7 @@ fn shortest_paths_core(
             continue;
         }
         let (to, cost, eid) = csr.out_slices(u);
+        let base = csr.first_slot(u);
         for i in 0..to.len() {
             let v = NodeId(to[i]);
             if !edge_up(EdgeId(eid[i])) || !node_up(v) {
@@ -148,10 +147,10 @@ fn shortest_paths_core(
             if better && !s.done[v.index()] {
                 s.dist[v.index()] = nd;
                 s.pred[v.index()] = Some(u);
-                (s.first[v.index()], s.first_eid[v.index()]) = if u == root {
-                    (Some(v), eid[i])
+                s.first[v.index()] = if u == root {
+                    base + i as u32
                 } else {
-                    (s.first[u.index()], s.first_eid[u.index()])
+                    s.first[u.index()]
                 };
                 s.heap.push(nd, v);
             }

@@ -10,6 +10,15 @@
 //! *and* the directed edge a packet leaves on — plus the path cost, so no
 //! caller resolves an edge by scanning an adjacency list.
 //!
+//! # What a core leg holds
+//!
+//! Both stores keep a core leg as one 8-byte [`Leg`]: a `u32` cost and a
+//! `u32` naming the first-hop edge by its slot in the core `Csr`, which
+//! the search records as it relaxes the row source's out-edges. A store
+//! refuses at construction a graph whose core nodes × largest link cost
+//! does not fit in a `u32` ([`assert_legs_fit`]); every topology this
+//! repository builds is orders of magnitude below that.
+//!
 //! # What a core row covers
 //!
 //! Leaves that never forward do not belong in the forwarding computation.
@@ -46,7 +55,7 @@ use crate::dijkstra::DijkstraScratch;
 use hbh_topo::contract::{Contracted, Place};
 use hbh_topo::graph::{EdgeId, NodeId, PathCost};
 
-/// "No next hop": unreachable, or the lookup's own source.
+/// "None" in a `u32` field: no slot, no row, no next hop.
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// The surviving topology a store answers over: the fault masks, indexed
@@ -89,24 +98,44 @@ impl Masks {
     }
 }
 
-/// A stored forwarding step: the next hop's node id and the id of the
-/// directed edge it is reached over. A [`NONE`] hop is "no step".
-pub(crate) type Step = (u32, u32);
+/// A core leg as both stores keep it, in 8 bytes: its cost and the
+/// row source's out-edge it leaves on, as that edge's packed slot in the
+/// core [`hbh_topo::csr::Csr`] — the hop is `core_nodes[to[slot]]` and
+/// the edge id `eid[slot]` ([`hbh_topo::csr::Csr::edge_at`]), so no
+/// per-edge table is built to decode it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Leg {
+    /// Cost of the leg ([`UNREACHABLE`] for none). [`assert_legs_fit`]
+    /// keeps every real cost below it.
+    pub(crate) dist: u32,
+    /// Core `Csr` slot of the first-hop edge ([`NONE`] for none).
+    pub(crate) slot: u32,
+}
 
-/// The empty [`Step`].
-pub(crate) const NO_STEP: Step = (NONE, NONE);
+/// The [`Leg::dist`] of an unreachable core node.
+pub(crate) const UNREACHABLE: u32 = u32::MAX;
 
-/// The forwarding steps of the core search left in `s`, by core index,
-/// with full-graph node ids ([`NO_STEP`] for none): a core row's steps.
-pub(crate) fn steps<'a>(
-    view: &'a Contracted,
-    s: &'a DijkstraScratch,
-) -> impl Iterator<Item = Step> + 'a {
-    let nodes = view.core_nodes();
-    s.first
-        .iter()
-        .zip(&s.first_eid)
-        .map(|(first, &eid)| first.map_or(NO_STEP, |n| (nodes[n.index()], eid)))
+/// Refuses a view whose core legs could overflow a [`Leg`]: a shortest
+/// path crosses fewer links than there are core nodes, so core nodes ×
+/// the largest core link cost bounds every leg.
+///
+/// # Panics
+/// Panics if that product does not fit in a `u32`.
+pub(crate) fn assert_legs_fit(view: &Contracted) {
+    let (core, max) = (view.core_nodes().len(), view.core().max_cost());
+    assert!(
+        core as u64 * u64::from(max) <= u64::from(u32::MAX),
+        "{core} core nodes × largest link cost {max} overflows a u32 core-leg distance"
+    );
+}
+
+/// The legs of the core search left in `s`, by core index: a core row.
+pub(crate) fn legs(s: &DijkstraScratch) -> impl Iterator<Item = Leg> + '_ {
+    s.dist.iter().zip(&s.first).map(|(&d, &slot)| Leg {
+        // `PathCost::MAX` (unreached) is the one value that does not fit.
+        dist: u32::try_from(d).unwrap_or(UNREACHABLE),
+        slot,
+    })
 }
 
 /// The pair rule: cost and forwarding step of the shortest `from → to`
@@ -114,16 +143,16 @@ pub(crate) fn steps<'a>(
 /// half-link down, with whichever of the three the endpoints need.
 ///
 /// `leg(a, b)` reads the core leg between two *different* core nodes from
-/// wherever the store keeps its rows, as `(dist, step)` with
-/// `PathCost::MAX` for unreachable. It is called at most once, and not at
-/// all when a stub end is down or both ends sit on one core node.
+/// wherever the store keeps its rows. It is called at most once, and not
+/// at all when a stub end is down or both ends sit on one core node; the
+/// leg's slot is decoded only when the step leaves on it.
 #[inline]
 pub(crate) fn resolve(
     view: &Contracted,
     masks: &Masks,
     from: NodeId,
     to: NodeId,
-    leg: impl FnOnce(u32, u32) -> (PathCost, Step),
+    leg: impl FnOnce(u32, u32) -> Leg,
 ) -> Option<(PathCost, NodeId, EdgeId)> {
     let alive = |e: EdgeId| !masks.edge_down[e.index()];
     let (a, up) = match view.place(from) {
@@ -141,21 +170,27 @@ pub(crate) fn resolve(
         if masks.core_down[a as usize] {
             return None;
         }
-        (0, NO_STEP)
+        (0, NONE)
     } else {
         match leg(a, b) {
-            (PathCost::MAX, _) => return None,
-            leg => leg,
+            Leg {
+                dist: UNREACHABLE, ..
+            } => return None,
+            Leg { dist, slot } => (PathCost::from(dist), slot),
         }
     };
+    let nodes = view.core_nodes();
     let (hop, eid) = match (up, down, first) {
         // A stub source leaves on its own access link, up.
-        (Some(s), ..) => (view.core_nodes()[a as usize], s.up_eid.0),
+        (Some(s), ..) => (NodeId(nodes[a as usize]), s.up_eid),
         // A router hands over to its own stub on the access link down.
-        (None, Some(s), (NONE, _)) => (to.0, s.down_eid.0),
-        (None, _, step) => step,
+        (None, Some(s), NONE) => (to, s.down_eid),
+        (None, _, slot) => {
+            let (hop, eid) = view.core().edge_at(slot);
+            (NodeId(nodes[hop.index()]), eid)
+        }
     };
     let access = up.map_or(0, |s| PathCost::from(s.up_cost))
         + down.map_or(0, |s| PathCost::from(s.down_cost));
-    Some((access + core, NodeId(hop), EdgeId(eid)))
+    Some((access + core, hop, eid))
 }

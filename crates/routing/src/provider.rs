@@ -13,8 +13,9 @@
 //! derived from them. [`crate::RoutingTables`] implements it as the exact
 //! eager store (every pair expanded up front, used for the paper's n≤100
 //! figures), and [`OnDemandRoutes`] implements it lazily, in an LRU with
-//! deterministic eviction, each row holding a `(dist, step)` per core
-//! node. Both run the same core search over the same stub-contracted view
+//! deterministic eviction, each row holding one 8-byte core leg per core
+//! node: a `u32` cost and the first-hop edge as a slot of the core `Csr`
+//! (`pair.rs`). Both run the same core search over the same stub-contracted view
 //! and expand a pair through the same rule (`pair.rs` documents both), so
 //! on any (at, dst) pair they agree exactly; property tests hold each of
 //! them to an independent full-graph reference, and each step's edge to
@@ -29,7 +30,7 @@
 //! [`crate::RoutingTables::compute_avoiding`] computes its core rows.
 
 use crate::dijkstra::{shortest_paths_avoiding_csr_into, DijkstraScratch};
-use crate::pair::{self, Masks, Step};
+use crate::pair::{self, Leg, Masks};
 use hbh_topo::contract::Contracted;
 use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,21 +111,17 @@ impl RouteStats {
 }
 
 /// One memoized forward-SPF row over the core: everything core node `src`
-/// needs to answer `step(src, *)` / `dist(src, *)`. Both arrays are
-/// indexed by core index.
+/// needs to answer `step(src, *)` / `dist(src, *)`.
 struct Row {
-    /// `dist[v]` from the row's source (`u64::MAX` = unreachable).
-    dist: Box<[PathCost]>,
-    /// First step toward `v`: a full-graph node id and edge id
-    /// ([`pair::NO_STEP`] = none).
-    step: Box<[Step]>,
+    /// `legs[v]`: the core leg from the row's source to core node `v`.
+    legs: Box<[Leg]>,
     /// LRU tick of the last lookup through this row.
     last_used: u64,
 }
 
 impl Row {
     fn bytes(core: usize) -> usize {
-        core * (size_of::<PathCost>() + size_of::<Step>())
+        core * size_of::<Leg>()
     }
 }
 
@@ -187,7 +184,9 @@ impl OnDemandRoutes {
     /// [`crate::RoutingTables::compute_avoiding`].
     ///
     /// # Panics
-    /// Panics if a mask length does not match `g`, or `capacity` is 0.
+    /// Panics if a mask length does not match `g`, `capacity` is 0, or
+    /// core nodes × the largest core link cost overflows a `u32` (see
+    /// `pair.rs`).
     pub fn with_masks(
         g: &Graph,
         node_down: Vec<bool>,
@@ -195,12 +194,9 @@ impl OnDemandRoutes {
         capacity: usize,
     ) -> Self {
         assert!(capacity > 0, "route cache needs room for at least one row");
-        Self::over(
-            Arc::new(Contracted::from_graph(g)),
-            node_down,
-            edge_down,
-            capacity,
-        )
+        let view = Contracted::from_graph(g);
+        pair::assert_legs_fit(&view);
+        Self::over(Arc::new(view), node_down, edge_down, capacity)
     }
 
     /// An empty cache over `view` and the masks: checks the masks and
@@ -279,8 +275,7 @@ impl OnDemandRoutes {
             &self.masks.edge_down,
         );
         let row = Row {
-            dist: c.scratch.dist.as_slice().into(),
-            step: pair::steps(&self.view, &c.scratch).collect(),
+            legs: pair::legs(&c.scratch).collect(),
             last_used: tick,
         };
 
@@ -313,7 +308,7 @@ impl OnDemandRoutes {
         let mut consulted = false;
         let answer = pair::resolve(&self.view, &self.masks, from, to, |a, b| {
             consulted = true;
-            self.with_row(a, |row| (row.dist[b as usize], row.step[b as usize]))
+            self.with_row(a, |row| row.legs[b as usize])
         });
         if consulted {
             answer
@@ -641,8 +636,40 @@ mod tests {
         lazy.dist(hosts[0], hosts[1]);
         lazy.dist(hosts[1], hosts[0]);
         assert_eq!(lazy.route_stats().cached_rows, 2);
-        assert_eq!(lazy.state_bytes() - empty, 2 * 16 * core);
-        assert!(16 * core < 16 * g.node_count() / 5);
+        assert_eq!(lazy.state_bytes() - empty, 2 * 8 * core);
+        assert!(8 * core < 8 * g.node_count() / 5);
+    }
+
+    /// Two routers and a host, the routers' link priced so that 2 core
+    /// nodes × its cost overflows a `u32` core leg by one.
+    fn costlier_than_a_leg() -> Graph {
+        let mut g = Graph::new();
+        let (a, b) = (g.add_router(), g.add_router());
+        g.add_link(a, b, 1, u32::MAX / 2 + 1);
+        g.add_host(a, 1, 1);
+        g
+    }
+
+    #[test]
+    fn legs_fit_up_to_the_bound() {
+        let mut g = costlier_than_a_leg();
+        g.set_cost(EdgeId(1), u32::MAX / 2);
+        let (a, b) = (NodeId(0), NodeId(1));
+        let want = Some(PathCost::from(u32::MAX / 2));
+        assert_eq!(OnDemandRoutes::new(&g, 1).dist(b, a), want);
+        assert_eq!(RouteProvider::dist(&RoutingTables::compute(&g), b, a), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a u32 core-leg distance")]
+    fn on_demand_refuses_costs_a_leg_cannot_hold() {
+        OnDemandRoutes::new(&costlier_than_a_leg(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a u32 core-leg distance")]
+    fn eager_refuses_costs_a_leg_cannot_hold() {
+        RoutingTables::compute(&costlier_than_a_leg());
     }
 
     #[test]
@@ -660,11 +687,11 @@ mod tests {
         let t = RoutingTables::compute(&g);
         let view = Contracted::from_graph(&g);
         let (n, c) = (g.node_count(), view.core_nodes().len());
-        // An 8-byte step per pair, a 16-byte (dist, step) per core pair,
-        // the contracted view and the three masks.
+        // An 8-byte step per pair, an 8-byte core leg per core pair, the
+        // contracted view and the three masks.
         assert_eq!(
             RouteProvider::state_bytes(&t),
-            n * n * 8 + c * c * 16 + view.bytes() + n + c + g.directed_edge_count()
+            n * n * 8 + c * c * 8 + view.bytes() + n + c + g.directed_edge_count()
         );
         let lazy = OnDemandRoutes::new(&g, 64);
         lazy.dist(g.nodes().next().unwrap(), g.nodes().nth(1).unwrap());

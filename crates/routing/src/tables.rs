@@ -15,10 +15,17 @@
 //! topology with [`RoutingTables::compute_avoiding`], from scratch.
 
 use crate::dijkstra::{shortest_paths_avoiding_csr_into, shortest_paths_csr_into, DijkstraScratch};
-use crate::pair::{self, Masks, Step, NONE, NO_STEP};
+use crate::pair::{self, Leg, Masks, NONE};
 use crate::provider::{RouteProvider, RouteStats};
 use hbh_topo::contract::Contracted;
 use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
+
+/// A stored forwarding step: the next hop's node id and the id of the
+/// directed edge it is reached over. A [`NONE`] hop is "no step".
+type Step = (u32, u32);
+
+/// The empty [`Step`].
+const NO_STEP: Step = (NONE, NONE);
 
 /// Precomputed all-pairs routing: a forwarding step per pair, distances
 /// by the pair rule.
@@ -45,8 +52,8 @@ use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
 pub struct RoutingTables {
     view: Contracted,
     masks: Masks,
-    /// `core[a * c + b]`: cost and first step of the core leg `a → b`.
-    core: Vec<(PathCost, Step)>,
+    /// `core[a * c + b]`: the core leg `a → b`.
+    core: Vec<Leg>,
     /// `steps[u * n + v]`: the forwarding step at `u` toward `v`.
     steps: Vec<Step>,
 }
@@ -98,6 +105,10 @@ impl RoutingTables {
 
     /// One `search` per core node into the core × core table, then every
     /// pair of the full graph expanded from it into the step array.
+    ///
+    /// # Panics
+    /// Panics if core nodes × the largest core link cost overflows a
+    /// `u32` (see `pair.rs`).
     fn expand(
         g: &Graph,
         node_down: Vec<bool>,
@@ -105,19 +116,14 @@ impl RoutingTables {
         search: impl Fn(&Contracted, &Masks, NodeId, &mut DijkstraScratch),
     ) -> Self {
         let view = Contracted::from_graph(g);
+        pair::assert_legs_fit(&view);
         let masks = Masks::new(&view, node_down, edge_down);
         let c = view.core_nodes().len();
         let mut core = Vec::with_capacity(c * c);
         let mut scratch = DijkstraScratch::default();
         for a in 0..c {
             search(&view, &masks, NodeId(a as u32), &mut scratch);
-            core.extend(
-                scratch
-                    .dist
-                    .iter()
-                    .copied()
-                    .zip(pair::steps(&view, &scratch)),
-            );
+            core.extend(pair::legs(&scratch));
         }
         let mut t = RoutingTables {
             view,
@@ -180,7 +186,7 @@ impl RouteProvider for RoutingTables {
 
     fn state_bytes(&self) -> usize {
         self.steps.len() * size_of::<Step>()
-            + self.core.len() * size_of::<(PathCost, Step)>()
+            + self.core.len() * size_of::<Leg>()
             + self.view.bytes()
             + self.masks.bytes()
     }

@@ -15,7 +15,7 @@
 //! same sequence as one over the `Graph` adjacency and produces identical
 //! routes and tie-breaks. The regression tests pin this.
 
-use crate::graph::{Cost, Graph, NodeId};
+use crate::graph::{Cost, EdgeId, Graph, NodeId};
 
 /// An immutable CSR view of a [`Graph`]'s directed adjacency.
 ///
@@ -120,6 +120,27 @@ impl Csr {
         (&self.to[r.clone()], &self.cost[r.clone()], &self.eid[r])
     }
 
+    /// The packed slot of `n`'s first out-edge: out-edge `i` of
+    /// [`Csr::out_slices`] sits at slot `first_slot(n) + i`.
+    #[inline]
+    pub fn first_slot(&self, n: NodeId) -> u32 {
+        self.offsets[n.index()]
+    }
+
+    /// The out-edge at packed `slot`: its head node and its dense edge id.
+    #[inline]
+    pub fn edge_at(&self, slot: u32) -> (NodeId, EdgeId) {
+        (
+            NodeId(self.to[slot as usize]),
+            EdgeId(self.eid[slot as usize]),
+        )
+    }
+
+    /// The largest directed link cost (0 when there are no edges).
+    pub fn max_cost(&self) -> Cost {
+        self.cost.iter().copied().max().unwrap_or(0)
+    }
+
     /// Heap bytes held by the packed arrays (the CSR memory footprint).
     pub fn bytes(&self) -> usize {
         self.offsets.len() * size_of::<u32>()
@@ -170,6 +191,20 @@ mod tests {
                 .collect();
             assert_eq!(packed, adj, "order must match adjacency");
         }
+    }
+
+    #[test]
+    fn slots_name_the_out_edges_in_order() {
+        let g = sample();
+        let csr = Csr::from_graph(&g);
+        for u in g.nodes() {
+            let base = csr.first_slot(u);
+            for (i, e) in g.neighbors(u).enumerate() {
+                assert_eq!(csr.edge_at(base + i as u32), (e.to, e.eid));
+            }
+        }
+        assert_eq!(csr.max_cost(), 7);
+        assert_eq!(Csr::from_graph(&Graph::new()).max_cost(), 0);
     }
 
     #[test]
