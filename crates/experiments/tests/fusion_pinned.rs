@@ -7,10 +7,9 @@
 //! by a broader sender, and the HBH tuple again when an installed claim
 //! stopped marking the narrower senders it contains (HBH-AGG and HBH-HARD
 //! did not move). The scenario nests: of the soft arm's ≈ 14.2k
-//! fusions 91% repeat an installed claim on an unchanged table and are
-//! replayed, 2% take the full pass and change nothing and 7% change the
-//! table; the hard arm, which still ignores a covered fusion, ignores
-//! 1,030 of its 2,511.
+//! fusions 91% repeat an installed claim on an unchanged table, 2% change
+//! nothing otherwise and 7% change the table; the hard arm, which still
+//! ignores a covered fusion, ignores 1,030 of its 2,511.
 
 use hbh_experiments::membership::{
     build_membership_graph, build_membership_scenario, MembershipConfig,

@@ -20,12 +20,7 @@
 //!   the earliest `t2` among the live entries it delimits a [`Calm`]
 //!   stretch over which the set of live entries, their marks and their
 //!   claims are all constant: the data-reach mask is computed once per
-//!   stretch, and a fusion that repeats, byte for byte, the claim its
-//!   sender's row holds, at the revision of that sender's last accepted
-//!   pass that left the table untouched and inside that pass's stretch,
-//!   is **replayed** ([`ClaimTable::replays`]) as rule (4)'s refresh
-//!   instead of re-derived. `DESIGN.md` §5b has the argument that the
-//!   replay is exact;
+//!   stretch;
 //! * the same stretch fixes the **list a fusion from this table carries**
 //!   ([`ClaimTable::listed`]): the live nodes in insertion order cannot
 //!   change inside it, so the list is built as an `Arc<[NodeId]>` on the
@@ -124,9 +119,6 @@ pub(crate) struct ClaimTable {
     index: FastMap<NodeId, usize>,
     rev: u64,
     calm: Option<Calm>,
-    /// Per sender, the revision of its last accepted full pass that
-    /// changed nothing ([`Self::settle`]).
-    memos: FastMap<NodeId, u64>,
     /// Bit `i` set iff `entries[i]` receives data through this table, in
     /// the calm stretch that filled it ([`Self::fill_reach`]).
     reach: Mask,
@@ -249,13 +241,6 @@ impl ClaimTable {
     /// The calm stretch around `now`, opened here if none holds.
     fn calm(&mut self, now: Time) -> &mut Calm {
         if !self.calm_holds(now) {
-            if self.current_calm().is_some() {
-                // The clock walked out of this revision's stretch: entries
-                // may have died with nobody looking, a change like any
-                // other — whatever was settled before it is not settled
-                // now.
-                self.rev += 1;
-            }
             let until = self.live(now).map(|e| e.t2).min().unwrap_or(NEVER);
             self.calm = Some(Calm {
                 rev: self.rev,
@@ -421,36 +406,6 @@ impl ClaimTable {
         }
         (fresh, reclaimed)
     }
-
-    /// Opens a full fusion pass at `now`: makes sure a calm stretch holds
-    /// around it and returns the revision, for [`Self::settle`].
-    pub fn begin_pass(&mut self, now: Time) -> u64 {
-        self.calm(now).rev
-    }
-
-    /// Closes an accepted full pass over a fusion from `bp` that
-    /// [`Self::begin_pass`] opened at revision `began`: if it left the
-    /// revision where it was, a verbatim repeat of the claim `bp`'s row now
-    /// holds may be replayed inside the calm stretch.
-    pub fn settle(&mut self, bp: NodeId, began: u64) {
-        if self.rev == began {
-            self.memos.insert(bp, began);
-        }
-    }
-
-    /// The exact replay rule: does `nodes` repeat node for node the claim
-    /// `bp`'s live row holds, at the very revision of `bp`'s last accepted
-    /// pass that changed nothing, with `now` still inside its calm
-    /// stretch? Running the pass again would read the same rows, marks and
-    /// claims and decide the same way, so the soft table applies its one
-    /// clock-dependent effect (rule (4)'s refresh) and skips the rest. The
-    /// hard table has no replay: its fusions are sent on change, and every
-    /// one takes the full pass.
-    pub fn replays(&self, bp: NodeId, nodes: &[NodeId], now: Time) -> bool {
-        self.calm_holds(now)
-            && self.memos.get(&bp) == Some(&self.rev)
-            && self.get(bp, now).is_some_and(|e| same_list(&e.raw, nodes))
-    }
 }
 
 /// `t` moved `by` later; [`NEVER`] stays never.
@@ -465,16 +420,16 @@ fn later(t: Time, by: u64) -> Time {
 /// Row for row: the same nodes in the same order, each with the same mark,
 /// deadlines and claim, as received (the hard engine's "changed" check
 /// reads that order). Nothing else is compared: the calm stretch, the
-/// revision it is stamped with, the memos and the reach mask only remember
-/// answers that are functions of the rows (the replay and the mask are
-/// exact, `DESIGN.md` §5b), so two tables with equal rows answer every
-/// question alike whatever they remember (the stretch's fusion list is
-/// the live rows' nodes, a function of them too). They must be left out: a
-/// calm stretch lasts until the earliest `t2`, about five refresh periods,
-/// so it rarely sits at the same offset at both ends of a fast-forward
-/// window (`DESIGN.md` §6e). The index is a function of the rows; the
-/// frontier is scratch. A claim compares by contents, so a row holding
-/// its sender's list equals one holding a copy of it.
+/// revision it is stamped with and the reach mask only remember answers
+/// that are functions of the rows (the mask is exact, `DESIGN.md` §5b),
+/// so two tables with equal rows answer every question alike whatever
+/// they remember (the stretch's fusion list is the live rows' nodes, a
+/// function of them too). They must be left out: a calm stretch lasts
+/// until the earliest `t2`, about five refresh periods, so it rarely sits
+/// at the same offset at both ends of a fast-forward window (`DESIGN.md`
+/// §6e). The index is a function of the rows; the frontier is scratch.
+/// A claim compares by contents, so a row holding its sender's list
+/// equals one holding a copy of it.
 impl PartialEq for ClaimTable {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries
@@ -570,13 +525,6 @@ mod tests {
         reach_agrees(&mut t).map_err(|e| named("after the flips", e))
     }
 
-    /// An accepted full fusion pass from `bp` re-sending the claim its row
-    /// holds: it leaves the rows as they are, and a memo.
-    fn pass(t: &mut ClaimTable, bp: NodeId, now: Time) {
-        let began = t.begin_pass(now);
-        t.settle(bp, began);
-    }
-
     #[test]
     fn equality_compares_rows_not_caches() {
         // Row 0 dies at t = 50; row 1 claims rows 3 and 2, in that order;
@@ -590,17 +538,14 @@ mod tests {
         let plain = table(&rows);
         let mut used = table(&rows);
         // One question inside row 0's lifetime, one after it: the clock
-        // walks out of the first calm stretch, so the revision moves.
+        // walks out of the first calm stretch into a second.
         assert_eq!(used.server_of(NodeId(3), Time(10)), Some(NodeId(1)));
         assert_eq!(used.server_of(NodeId(3), NOW), Some(NodeId(1)));
-        // Row 1 repeats its claim: an acceptance, remembered.
-        pass(&mut used, NodeId(1), NOW);
-        assert!(used.replays(NodeId(1), &[NodeId(3), NodeId(2)], NOW));
         // The table's owner sends a fusion: the stretch keeps its list.
         assert_eq!(*used.listed(NOW), [NodeId(1), NodeId(2), NodeId(3)]);
-        let cached = |c: &Calm| c.reached && c.listed.is_some();
-        assert!(used.rev > plain.rev && used.calm.as_ref().is_some_and(cached));
-        assert!(plain.calm.is_none() && plain.memos.is_empty());
+        let cached = |c: &Calm| c.since == NOW && c.reached && c.listed.is_some();
+        assert!(used.calm.as_ref().is_some_and(cached));
+        assert!(plain.calm.is_none());
         assert_eq!(used, plain);
         // The same claim listed in another order is another table: the hard
         // engine's "changed" check reads the order as received.
@@ -610,9 +555,8 @@ mod tests {
     }
 
     /// `rows` with its caches filled at `now`: each row is asked who
-    /// serves it, then sends a pass repeating its own claim. The same
-    /// table moved `by` later answers every question at `now + by` as
-    /// the original does at `now`.
+    /// serves it. The same table moved `by` later answers every question
+    /// at `now + by` as the original does at `now`.
     fn advance_keeps_answers(rows: Vec<Row>, early: bool, by: u64) -> Result<(), TestCaseError> {
         // Early, the rows that die at t = 50 are live and end the calm
         // stretch; at `NOW` they are dead and it ends at `NEVER`.
@@ -622,7 +566,6 @@ mod tests {
             t.entries.iter().map(|e| (e.node, e.raw.to_vec())).collect();
         for (n, _) in &listed {
             t.server_of(*n, now);
-            pass(&mut t, *n, now);
         }
         let mut moved = t.clone();
         moved.advance(by);
@@ -630,9 +573,8 @@ mod tests {
         for (n, nodes) in listed.iter().chain([&stranger]) {
             let answers = |t: &mut ClaimTable, at: Time| {
                 let served = t.server_of(*n, at);
-                let replay = t.replays(*n, nodes, at);
                 let listed = t.listed(at).to_vec();
-                (served, replay, t.covers(*n, nodes, at), listed)
+                (served, t.covers(*n, nodes, at), listed)
             };
             let want = answers(&mut t, now);
             let got = answers(&mut moved, now + by);

@@ -272,7 +272,6 @@ impl RefMft {
         for n in relevant {
             structural += usize::from(self.mark(n, now));
         }
-        structural += usize::from(self.repair_orphaned_mark(bp, now));
         structural + usize::from(self.install_fusion_sender(bp, nodes, now, timing))
     }
 }

@@ -2,7 +2,7 @@
 //! sequences must preserve the invariants the engine relies on, and the
 //! indexed tables ([`crate::claims`]) must stay indistinguishable from the
 //! scan-based reference model ([`crate::reference`]) they replaced —
-//! soft and hard, the soft table's replayed fusions included.
+//! soft and hard, fusions that repeat a shared list included.
 
 use crate::hard::HardMft;
 use crate::reference::{hard_diff, soft_diff, RefHardMft, RefMft};
@@ -133,8 +133,8 @@ enum Step {
     /// A whole fusion pass.
     Fusion(u8, Vec<u8>),
     /// One of the last four fusions again, verbatim and sharing its list
-    /// (what a refresh period looks like — and the only way onto the
-    /// replay path).
+    /// (what a refresh period looks like — and the only way a row is
+    /// handed the very list it holds, which `install` keeps by handle).
     Again(u8),
     /// Soft `repair_orphaned_mark` / hard `unmark_orphans`.
     Repair(u8),

@@ -181,9 +181,11 @@ impl HbhMft {
     }
 
     /// Everything a fusion from `bp` listing `nodes` does to the table it
-    /// is addressed to (Figure 9(b), rules (2)–(4)); returns the number of
-    /// structural changes it made. A shared `nodes` is what `bp`'s row
-    /// keeps as its claim.
+    /// is addressed to: Figure 9(b)'s rules (2)–(4) and nothing else;
+    /// returns the number of structural changes it made. `bp`'s own mark
+    /// is left as it stands — an orphaned one is cleared by the next join
+    /// from `bp` ([`Self::repair_orphaned_mark`]). A shared `nodes` is what
+    /// `bp`'s row keeps as its claim.
     pub fn fusion(
         &mut self,
         bp: NodeId,
@@ -191,35 +193,16 @@ impl HbhMft {
         now: Time,
         timing: &Timing,
     ) -> usize {
-        let began = self.core.begin_pass(now);
-        // A verbatim repeat on an unchanged table decides as the pass it
-        // repeats did (see `ClaimTable::replays`): rule (4) and nothing
-        // else.
-        if self.core.replays(bp, nodes.as_ref(), now) {
-            self.core.touch(bp, now, now, now + timing.t2);
-            return 0;
-        }
         // Rule (2): mark the listed entries — they will keep receiving
         // tree messages but no data. We emitted the tree messages that
         // triggered this fusion, so the listed nodes should be ours; if
         // none is, the fusion outlived the entries it names.
-        let Some(mut structural) = self.core.mark_listed(nodes.as_ref(), None, now) else {
+        let Some(marked) = self.core.mark_listed(nodes.as_ref(), None, now) else {
             return 0;
         };
-        // Accepting the claim makes `bp` the data server for the listed
-        // nodes, so its own entry must be data-eligible — unless some
-        // data-reachable sender claims `bp` itself (coverage chains nest,
-        // so the claimant may in turn be marked-but-served), in which case
-        // data reaches `bp` transitively and the mark stands. Without
-        // this, a sender that was marked while its state decayed (control
-        // loss) re-marks its targets every refresh period yet never
-        // receives data: permanent starvation of the whole subtree.
-        structural += usize::from(self.repair_orphaned_mark(bp, now));
         // Rules (3)/(4): install Bp stale (data-only), or refresh its t2
         // keeping t1 expired.
-        structural += usize::from(self.install_fusion_sender(bp, nodes, now, timing));
-        self.core.settle(bp, began);
-        structural
+        marked + usize::from(self.install_fusion_sender(bp, nodes, now, timing))
     }
 
     /// Data fan-out set: live, unmarked entries.
@@ -623,6 +606,12 @@ mod tests {
         // A reap of the dead row.
         assert_eq!(m.reap(Time(t.t2 + 1)), 1);
         next(&mut m, t.t2 + 1, &[2, 3]);
+        // A refresh that pulls a death in, inside the open stretch: under a
+        // hasty timing 3 is due at t2 + 62, before 2's death ends the
+        // stretch at t2 + 100.
+        let hasty = Timing { t2: 60, ..t };
+        m.refresh_or_insert(NodeId(3), Time(t.t2 + 2), &hasty);
+        next(&mut m, t.t2 + 62, &[2]);
     }
 
     #[test]
@@ -641,23 +630,14 @@ mod tests {
         // the list it holds.
         assert_eq!(above.fusion(NodeId(3), ids(&[7, 8]), Time(2), &t), 0);
         assert_eq!(held(&above), sent.as_ptr());
-    }
-
-    #[test]
-    fn a_repeat_replays_shared_or_copied_but_not_reordered() {
-        let t = tm();
-        let mut m = HbhMft::default();
-        for n in 1..=2 {
-            m.refresh_or_insert(NodeId(n), Time(0), &t);
-        }
-        let list: Arc<[NodeId]> = Arc::new(CLAIM);
-        assert_eq!(m.fusion(NodeId(9), Arc::clone(&list), Time(0), &t), 3);
-        assert_eq!(m.fusion(NodeId(9), Arc::clone(&list), Time(10), &t), 0);
-        assert!(m.core.replays(NodeId(9), &list, Time(11)), "the same list");
-        let copy = Vec::from(CLAIM);
-        assert!(m.core.replays(NodeId(9), &copy, Time(11)), "a copy");
-        let reordered = [NodeId(2), NodeId(1)];
-        assert!(!m.core.replays(NodeId(9), &reordered, Time(11)));
+        // The same nodes in another order are another claim: the row takes
+        // the new list (the hard engine's "changed" check reads the order).
+        let reordered: Arc<[NodeId]> = ids(&[8, 7]).into();
+        assert_eq!(
+            above.fusion(NodeId(3), Arc::clone(&reordered), Time(3), &t),
+            0
+        );
+        assert_eq!(held(&above), reordered.as_ptr());
     }
 
     // --- the note's hard half: `HardMft` ignores a covered fusion --------
@@ -692,7 +672,7 @@ mod tests {
         assert!(m.covered_by_other(&[NodeId(7)], NodeId(9)));
     }
 
-    // --- the replay rule (`ClaimTable::replays`) --------------------------
+    // --- a fusion's own sender keeps its mark (rules (2)–(4) alone) ------
 
     use crate::reference::{soft_diff, RefMft};
 
@@ -718,151 +698,66 @@ mod tests {
             got
         }
 
-        /// Would sender 9's `CLAIM` be replayed at `now`?
-        fn replays(&self, now: Time) -> bool {
-            self.0.core.replays(NodeId(9), &CLAIM, now)
+        /// The join-time repair of `who`'s mark on both tables.
+        fn repair(&mut self, who: u32, now: Time) -> bool {
+            let got = self.0.repair_orphaned_mark(NodeId(who), now);
+            assert_eq!(got, self.1.repair_orphaned_mark(NodeId(who), now));
+            soft_diff(&mut self.0, &self.1, now).unwrap();
+            got
         }
     }
 
     /// Receivers 1, 2, 3; sender 9 claims {1, 2} and is itself marked and
-    /// served through sender 8, which claims {9, 3}. 9's claim has been
-    /// accepted twice, the second time changing nothing: at `Time(11)` a
-    /// third verbatim repeat would be replayed.
-    fn settled() -> Pair {
+    /// served only through sender 8, which claims {9, 3}.
+    fn served_through_8() -> Pair {
         let mut p = Pair(HbhMft::default(), RefMft::default());
         for n in 1..=3 {
             p.join(n, Time(0));
         }
         assert_eq!(p.fusion(9, &CLAIM, Time(0)), 3, "two marks and 9 itself");
         assert_eq!(p.fusion(8, &[NodeId(9), NodeId(3)], Time(0)), 3);
-        assert!(!p.replays(Time(10)), "nothing settled yet");
-        assert_eq!(p.fusion(9, &CLAIM, Time(10)), 0);
-        assert!(p.replays(Time(11)));
+        assert!(p.0.is_marked(NodeId(9), Time(0)) && p.0.served_by_other(NodeId(9), Time(0)));
         p
     }
 
-    /// [`settled`] carried to `Time(530)` with everyone refreshed but
-    /// receiver 3, which died at `t2` and sits in the table unreaped.
-    fn settled_around_a_dead_entry() -> Pair {
-        let mut p = settled();
-        for n in [1, 2] {
-            p.join(n, Time(300));
-        }
-        p.fusion(8, &[NodeId(9), NodeId(3)], Time(300));
-        p.fusion(9, &CLAIM, Time(300));
-        let later = Time(tm().t2 + 10);
-        assert!(!p.0.contains(NodeId(3), later) && p.0.len() == 5);
-        assert_eq!(p.fusion(9, &CLAIM, later), 0);
-        assert!(p.replays(later));
-        p
-    }
-
-    #[test]
-    fn replayed_fusion_is_rule_4_and_nothing_else() {
-        let mut p = settled();
-        // A join refresh makes the sender fresh again …
-        p.join(9, Time(20));
-        assert!(!p.0.is_stale(NodeId(9), Time(21)));
-        // … which is no change to coverage: the repeat is still a replay,
-        // and as rule (4) says it leaves the sender stale.
-        assert!(p.replays(Time(21)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(21)), 0);
-        assert!(p.0.is_stale(NodeId(9), Time(21)));
+    /// 9's mark is orphaned at `now`: a repeat of its claim refreshes its
+    /// `t2` and leaves the mark standing; the join-time repair clears it.
+    fn orphan_keeps_its_mark_until_it_joins(mut p: Pair, now: Time) {
+        assert!(!p.0.served_by_other(NodeId(9), now), "orphaned");
+        assert_eq!(p.fusion(9, &CLAIM, now), 0);
         assert!(
-            p.0.contains(NodeId(9), Time(21 + tm().t2 - 1)),
-            "t2 restarted"
+            p.0.is_marked(NodeId(9), now),
+            "a fusion leaves its sender's mark alone"
         );
-        // A different list from the same sender is not a repeat.
-        let reordered = [NodeId(2), NodeId(1)];
-        assert!(!p.0.core.replays(NodeId(9), &reordered, Time(22)));
+        let refreshed = now + (tm().t2 - 1);
+        assert!(p.0.contains(NodeId(9), refreshed) && p.0.is_stale(NodeId(9), refreshed));
+        assert!(p.repair(9, now));
+        assert!(!p.0.is_marked(NodeId(9), now));
+        assert!(
+            p.0.data_targets(now).any(|n| n == NodeId(9)),
+            "served again"
+        );
     }
 
     #[test]
-    fn replay_ends_with_a_new_entry() {
-        let mut p = settled();
-        p.join(4, Time(20));
-        assert!(!p.replays(Time(20)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 0);
-        assert!(p.replays(Time(21)), "settled again on the wider table");
-    }
-
-    #[test]
-    fn replay_ends_with_a_dead_node_reinserted() {
-        let mut p = settled_around_a_dead_entry();
-        p.join(3, Time(540));
-        assert_eq!(p.0.len(), 5, "dead row purged, new row appended");
-        assert!(!p.replays(Time(540)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(540)), 0);
-    }
-
-    #[test]
-    fn replay_ends_with_a_reap() {
-        let mut p = settled_around_a_dead_entry();
-        assert_eq!((p.0.reap(Time(540)), p.1.reap(Time(540))), (1, 1));
-        assert!(!p.replays(Time(540)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(540)), 0);
-    }
-
-    #[test]
-    fn replay_ends_with_a_mark() {
-        let mut p = settled();
-        assert!(p.0.mark(NodeId(8), Time(20)) && p.1.mark(NodeId(8), Time(20)));
-        assert!(!p.replays(Time(20)));
-        // 8 no longer receives data, so it no longer serves 9: the full
-        // pass finds 9 orphaned and un-marks it.
-        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1);
-        assert!(!p.0.is_marked(NodeId(9), Time(20)));
-    }
-
-    #[test]
-    fn replay_ends_with_an_unmark() {
-        let mut p = settled();
-        assert!(p.0.unmark(NodeId(1), Time(20)) && p.1.unmark(NodeId(1), Time(20)));
-        assert!(!p.replays(Time(20)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1, "rule (2) marks 1 again");
-    }
-
-    #[test]
-    fn replay_ends_when_another_senders_claim_changes() {
-        let mut p = settled();
+    fn a_fusion_keeps_its_senders_orphaned_mark_when_the_claim_goes() {
+        let mut p = served_through_8();
         // 8 stops claiming 9: not structural, but 9 is now an orphan.
         assert_eq!(p.fusion(8, &[NodeId(3)], Time(20)), 0);
-        assert!(!p.replays(Time(20)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(20)), 1);
-        assert!(!p.0.is_marked(NodeId(9), Time(20)));
+        orphan_keeps_its_mark_until_it_joins(p, Time(30));
     }
 
     #[test]
-    fn replay_ends_when_a_deadline_moves_closer() {
-        let mut p = settled();
-        // Refreshes only ever push deadlines out — unless the caller
-        // changes its timing. 8 is now due at 200, inside the stretch.
-        let hasty = Timing { t2: 180, ..tm() };
-        p.0.refresh_or_insert(NodeId(8), Time(20), &hasty);
-        p.1.refresh_or_insert(NodeId(8), Time(20), &hasty);
-        assert!(!p.replays(Time(200)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(200)), 1, "orphaned 9 un-marked");
-    }
-
-    #[test]
-    fn replay_ends_when_an_entry_dies_by_clock_alone() {
-        let mut p = settled();
-        // Everyone but 8 keeps refreshing; nothing else touches the table.
+    fn a_fusion_keeps_its_senders_orphaned_mark_when_its_server_dies() {
+        let mut p = served_through_8();
+        // Everyone but 8 and 3 keeps refreshing; 8 dies at t2 by clock
+        // alone.
         for n in [1, 2] {
             p.join(n, Time(300));
         }
-        assert!(p.replays(Time(300)));
         assert_eq!(p.fusion(9, &CLAIM, Time(300)), 0);
-        let t2 = tm().t2;
-        assert!(p.replays(Time(t2 - 1)), "8 is still alive");
-        // 8 dies at t2 with no call in between: the repeat must take the
-        // full path and un-mark the orphan, as the reference does.
-        assert!(!p.replays(Time(t2)));
-        // Nor may an unrelated question asked in between, which opens the
-        // next calm stretch, make the old verdict look current.
-        assert!(!p.0.served_by_other(NodeId(9), Time(t2)));
-        assert!(!p.replays(Time(t2)));
-        assert_eq!(p.fusion(9, &CLAIM, Time(t2)), 1);
-        assert!(!p.0.is_marked(NodeId(9), Time(t2)));
+        let t2 = Time(tm().t2);
+        assert!(!p.0.contains(NodeId(8), t2) && p.0.is_marked(NodeId(9), t2));
+        orphan_keeps_its_mark_until_it_joins(p, t2);
     }
 }
