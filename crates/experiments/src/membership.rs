@@ -141,8 +141,10 @@ pub struct MembershipOutcome {
     pub settle_latency: Option<u64>,
     /// Control-plane copies over the whole run.
     pub control_copies: u64,
-    /// Kernel events dispatched.
+    /// Kernel events, skipped ones included.
     pub events: u64,
+    /// Of `events`, those fast-forward skipped instead of dispatching.
+    pub skipped: u64,
     /// Max state bytes over routers with no member hosts attached
     /// (pure tree state — the sublinearity claim lives here).
     pub interior_state_max: usize,
@@ -244,6 +246,7 @@ impl Study for MembershipStudy {
             settle_latency,
             control_copies: k.stats().control_copies(),
             events: k.stats().events,
+            skipped: k.skipped_events(),
             interior_state_max: interior_max,
             interior_state_mean: interior_sum as f64 / interior_count.max(1) as f64,
             access_state_max: access_max,
@@ -353,7 +356,7 @@ impl MembershipReport {
             .iter()
             .chain(&self.storm.arms)
             .flat_map(|(_, draws)| draws);
-        let events: u64 = cells.map(|o| o.events).sum();
+        let (events, skipped) = cells.fold((0, 0), |(e, s), o| (e + o.events, s + o.skipped));
         format!(
             "{{\n  \"topology\": {{\"ases\": {}, \"pops_per_as\": {}, \"access_per_pop\": {}, \
              \"routers\": {}, \"hosts\": {}}},\n  \
@@ -363,7 +366,7 @@ impl MembershipReport {
              \"storm\": [\n{}\n  ],\n  \
              \"acceptance\": {{\"incomplete\": {}, \"unconverged\": {}, \
              \"storm_state_exponent\": {:.4}, \"agg_control_ratio\": {:.4}}},\n  \
-             \"throughput\": {{\"wall_ms\": {:.1}, \"events\": {}, \
+             \"throughput\": {{\"wall_ms\": {:.1}, \"events\": {}, \"dispatched\": {}, \
              \"peak_rss_kb\": {peak_rss_kb}}}\n}}\n",
             cfg.spec.ases,
             cfg.spec.pops_per_as,
@@ -383,6 +386,7 @@ impl MembershipReport {
             self.agg_control_ratio(),
             self.wall_secs * 1e3,
             events,
+            events - skipped,
         )
     }
 }

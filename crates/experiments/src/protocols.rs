@@ -171,12 +171,12 @@ impl Study for ProbeStudy {
 
     fn run<P: hbh_sim_core::Protocol<Command = hbh_proto_base::Cmd>>(
         &self,
-        kernel: hbh_sim_core::Kernel<P>,
+        mut kernel: hbh_sim_core::Kernel<P>,
         ch: hbh_proto_base::Channel,
         scenario: &Scenario,
         timing: &Timing,
     ) -> ProbeOutcome {
-        run_probe(kernel, ch, scenario, timing)
+        run_probe(&mut kernel, ch, scenario, timing)
     }
 }
 

@@ -138,8 +138,9 @@ pub struct ProbeOutcome {
     pub control_copies: u64,
     /// Kernel drops (should be 0 in steady state).
     pub drops: u64,
-    /// Scheduler events dispatched over the whole run (throughput metric
-    /// for the bench harness).
+    /// Scheduler events over the whole run, the ones
+    /// [`Kernel::fast_forward`] skipped included (throughput metric for
+    /// the bench harness).
     pub events: u64,
 }
 
@@ -288,17 +289,17 @@ pub fn probe_tolerant<P: Protocol<Command = Cmd>>(
 /// The standard experiment on a built kernel: converge, then probe once.
 /// `protocols::run_protocol` dispatches it to any [`ProtocolKind`].
 pub fn run_probe<P: Protocol<Command = Cmd>>(
-    mut k: Kernel<P>,
+    k: &mut Kernel<P>,
     ch: Channel,
     scenario: &Scenario,
     timing: &Timing,
 ) -> ProbeOutcome {
-    let converged = converge(&mut k, timing, scenario.join_window);
+    let converged = converge(k, timing, scenario.join_window);
     let control_copies = k.stats().control_copies();
     let structural_changes = k.stats().structural_changes;
     let converged_at = k.stats().last_structural_change.0;
     let window = probe_window(k.network());
-    let (delays, duplicates) = probe_tolerant(&mut k, ch, 1, window);
+    let (delays, duplicates) = probe_tolerant(k, ch, 1, window);
     assert!(
         duplicates == 0,
         "duplicate delivery of the probe ({duplicates} extra copies)"

@@ -109,6 +109,9 @@ impl ScaleConfig {
 #[derive(Clone, Debug)]
 pub struct ScaleOutcome {
     pub probe: ProbeOutcome,
+    /// Of `probe.events`, those fast-forward skipped instead of
+    /// dispatching.
+    pub skipped: u64,
     /// The cache's counters, cumulative over the draw's arms so far.
     pub routes: RouteStats,
     /// Bytes pinned by the cached SPF rows.
@@ -126,15 +129,16 @@ impl Study for ScaleStudy {
 
     fn run<P: Protocol<Command = Cmd>>(
         &self,
-        k: Kernel<P>,
+        mut k: Kernel<P>,
         ch: Channel,
         scenario: &Scenario,
         timing: &Timing,
     ) -> ScaleOutcome {
-        let probe = run_probe(k, ch, scenario, timing);
+        let probe = run_probe(&mut k, ch, scenario, timing);
         let net = scenario.network();
         ScaleOutcome {
             probe,
+            skipped: k.skipped_events(),
             routes: net.routes().route_stats(),
             route_bytes: net.routes().state_bytes(),
             structure_bytes: net.route_structure_bytes().unwrap_or(0),
@@ -219,7 +223,10 @@ impl ScaleReport {
             .collect();
         let s = &self.route_stats;
         let all = self.point.arms.iter().flat_map(|(_, draws)| draws);
-        let events: u64 = all.map(|o| o.probe.events).sum();
+        let (events, skipped) = all.fold((0, 0), |(e, s), o| (e + o.probe.events, s + o.skipped));
+        // `events` counts skipped events too: the rate is of those
+        // dispatched.
+        let dispatched = events - skipped;
         format!(
             "{{\n  \"topology\": {{\"ases\": {}, \"pops_per_as\": {}, \"access_per_pop\": {}, \
              \"routers\": {}, \"hosts\": {}, \"directed_edges\": {}}},\n  \
@@ -231,7 +238,8 @@ impl ScaleReport {
              \"memory\": {{\"route_bytes\": {}, \"bytes_per_router\": {:.1}, \
              \"all_pairs_bytes\": {}, \"memory_ratio\": {:.2}, \"structure_bytes\": {}, \
              \"peak_rss_kb\": {peak_rss_kb}}},\n  \
-             \"throughput\": {{\"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.1}}}\n}}\n",
+             \"throughput\": {{\"wall_ms\": {:.1}, \"events\": {}, \"dispatched\": {dispatched}, \
+             \"events_per_sec\": {:.1}}}\n}}\n",
             cfg.spec.ases,
             cfg.spec.pops_per_as,
             cfg.spec.access_per_pop,
@@ -256,7 +264,7 @@ impl ScaleReport {
             self.structure_bytes,
             self.wall_secs * 1e3,
             events,
-            events as f64 / self.wall_secs.max(1e-9),
+            dispatched as f64 / self.wall_secs.max(1e-9),
         )
     }
 }

@@ -2,17 +2,20 @@
 //! `runner::converge`, which skips the windows a converged run repeats
 //! (`Kernel::fast_forward`), leaves every arm's kernel exactly where
 //! converging it with plain `run_until` leaves it: the same `Stats`, clock,
-//! node states and live timers, and the same probe afterwards.
+//! node states and live timers, the same route cache, and the same probe
+//! afterwards. Draws run on eager tables or on an on-demand store of a
+//! random capacity, some too small for the rows a run reads.
 
 use hbh_experiments::figures::timers::scaled_timing;
 use hbh_experiments::protocols::{pick_rp, ProtocolKind};
 use hbh_experiments::runner::{build_kernel, converge, probe_tolerant, probe_window};
-use hbh_experiments::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
+use hbh_experiments::scale::{build_scale_graph, build_scale_scenario, ScaleConfig};
+use hbh_experiments::scenario::{draw, Scenario, ScenarioOptions, TopologyKind};
 use hbh_pim::Pim;
 use hbh_proto::{Hbh, HbhHard};
 use hbh_proto_base::{Cmd, Timing};
 use hbh_reunite::Reunite;
-use hbh_sim_core::{Kernel, Protocol, SteadyState, Time};
+use hbh_sim_core::{Kernel, Network, Protocol, SteadyState, Time};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -30,13 +33,30 @@ fn converge_plain<P: Protocol>(k: &mut Kernel<P>, timing: &Timing, join_window: 
     false
 }
 
-/// Everything a caller can read off the two kernels is equal. Node states
-/// are compared with `==`, which leaves out only what they keep to answer
-/// faster. A hard state never repeats: a hard kernel must have skipped
-/// nothing, so it dispatched what the plain one did.
+/// Everything a caller can read off the two kernels is equal, their route
+/// stores included. Node states are compared with `==`, which leaves out
+/// only what they keep to answer faster. A hard state never repeats: a
+/// hard kernel must have skipped nothing, so it dispatched what the plain
+/// one did.
 fn same<P: Protocol>(ff: &Kernel<P>, plain: &Kernel<P>, at: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(ff.now(), plain.now(), "{at}: clock");
     prop_assert!(ff.stats() == plain.stats(), "{at}: stats differ");
+    let (net, plain_net) = (ff.network(), plain.network());
+    prop_assert_eq!(
+        net.routes().route_stats(),
+        plain_net.routes().route_stats(),
+        "{at}: route stats"
+    );
+    prop_assert_eq!(
+        net.lookup_counters(),
+        plain_net.lookup_counters(),
+        "{at}: LRU clock"
+    );
+    prop_assert_eq!(
+        net.cached_sources(),
+        plain_net.cached_sources(),
+        "{at}: resident rows"
+    );
     prop_assert_eq!(
         ff.pending_timer_count(),
         plain.pending_timer_count(),
@@ -54,14 +74,17 @@ fn same<P: Protocol>(ff: &Kernel<P>, plain: &Kernel<P>, at: &str) -> Result<(), 
     Ok(())
 }
 
-/// Converges, probes and runs on two kernels of `proto` on `sc`, one with
-/// fast-forward and one without, comparing them after each step.
-fn check<P>(proto: P, sc: &Scenario, timing: &Timing) -> Result<(), TestCaseError>
+/// Converges, probes and runs two kernels of `proto`, one on `sc` with
+/// fast-forward and one on `twin` without, comparing them after each step.
+/// `twin` is `sc` over a network of its own: kernels on clones of one
+/// network would share its route cache, and so could not tell whether a
+/// skip moved it right.
+fn check<P>(proto: P, sc: &Scenario, twin: &Scenario, timing: &Timing) -> Result<(), TestCaseError>
 where
     P: Protocol<Command = Cmd> + Clone,
 {
     let (mut ff, ch) = build_kernel(proto.clone(), sc);
-    let (mut plain, _) = build_kernel(proto, sc);
+    let (mut plain, _) = build_kernel(proto, twin);
     let converged = converge(&mut ff, timing, sc.join_window);
     prop_assert_eq!(
         converged,
@@ -91,10 +114,13 @@ const ARMS: [ProtocolKind; 6] = [
 ];
 
 /// Arm `arm` on draw `seed` at `group` receivers (folded into the
-/// topology's pool) of topology `topo` under timing `timing`: the default,
-/// or A3's with `t2` doubled or quadrupled.
+/// topology's pool) of topology `topo` under timing `timing` (the default,
+/// or A3's with `t2` doubled or quadrupled), routed by eager tables for a
+/// `store` below [`EAGER`], else by an on-demand store of
+/// `store − EAGER + 1` rows: one row up to more than the 18-router ISP core
+/// holds, so some draws evict.
 fn equivalent(
-    (topo, group, seed, timing, arm): (usize, usize, u64, usize, usize),
+    (topo, group, seed, timing, arm, store): (usize, usize, u64, usize, usize, usize),
 ) -> Result<(), TestCaseError> {
     let topo = [
         TopologyKind::Isp,
@@ -103,31 +129,49 @@ fn equivalent(
     ][topo];
     let t = [Timing::default(), scaled_timing(2.0), scaled_timing(4.0)][timing];
     let group = 1 + group % topo.receiver_pool();
-    let sc = build(topo, group, seed, &t, &ScenarioOptions::default());
+    let d = draw(topo, group, seed, &t, &ScenarioOptions::default());
+    let route = |g| match store.checked_sub(EAGER) {
+        None => Network::new(g),
+        Some(rows) => Network::on_demand(g, rows + 1),
+    };
+    let (sc, twin) = (d.clone().routed(route), d.routed(route));
     let kind = ARMS[arm];
     let checked = match kind {
-        ProtocolKind::Hbh => check(Hbh::new(t), &sc, &t),
-        ProtocolKind::HbhAgg => check(Hbh::aggregated(t), &sc, &t),
-        ProtocolKind::HbhHard => check(HbhHard::new(t), &sc, &t),
-        ProtocolKind::Reunite => check(Reunite::new(t), &sc, &t),
-        ProtocolKind::PimSs => check(Pim::source_specific(t), &sc, &t),
-        ProtocolKind::PimSm => check(Pim::sparse_shared(pick_rp(&sc), t), &sc, &t),
+        ProtocolKind::Hbh => check(Hbh::new(t), &sc, &twin, &t),
+        ProtocolKind::HbhAgg => check(Hbh::aggregated(t), &sc, &twin, &t),
+        ProtocolKind::HbhHard => check(HbhHard::new(t), &sc, &twin, &t),
+        ProtocolKind::Reunite => check(Reunite::new(t), &sc, &twin, &t),
+        ProtocolKind::PimSs => check(Pim::source_specific(t), &sc, &twin, &t),
+        ProtocolKind::PimSm => {
+            // Placing the RP reads routes: on both networks, then.
+            let rp = pick_rp(&sc);
+            prop_assert_eq!(rp, pick_rp(&twin));
+            check(Pim::sparse_shared(rp, t), &sc, &twin, &t)
+        }
+    };
+    let routes = match store.checked_sub(EAGER) {
+        None => "eager tables".to_owned(),
+        Some(rows) => format!("{} cached rows", rows + 1),
     };
     let what = format!(
-        "{} on {} group {group} seed {seed}",
+        "{} on {} group {group} seed {seed} over {routes}",
         kind.name(),
         topo.name()
     );
     checked.map_err(|e| TestCaseError(format!("{what}, t2 {}: {e}", t.t2)))
 }
 
-fn draws() -> impl Strategy<Value = (usize, usize, u64, usize, usize)> {
+/// `store` values below it route by eager tables: half the draws.
+const EAGER: usize = 24;
+
+fn draws() -> impl Strategy<Value = (usize, usize, u64, usize, usize, usize)> {
     (
         0usize..3,
         0usize..64,
         any::<u64>(),
         0usize..3,
         0usize..ARMS.len(),
+        0usize..2 * EAGER,
     )
 }
 
@@ -147,5 +191,41 @@ proptest! {
     #[ignore = "4,096 cases: CI runs it in release"]
     fn fast_forward_matches_plain_runs_at_length(draw in draws()) {
         equivalent(draw)?;
+    }
+}
+
+/// The scale sweep's smoke draw, whose routes are on demand: the soft
+/// arms that run at scale skip their repeated windows there and end where
+/// plain runs end, route cache included.
+#[test]
+fn soft_arms_skip_on_the_scale_smoke_draw() {
+    let cfg = ScaleConfig::smoke();
+    let template = build_scale_graph(&cfg);
+    let t = cfg.timing;
+    fn converged<P: Protocol<Command = Cmd> + Clone>(
+        proto: P,
+        cfg: &ScaleConfig,
+        template: &hbh_topo::graph::Graph,
+    ) -> u64 {
+        let (sc, twin) = (
+            build_scale_scenario(cfg, template, 0),
+            build_scale_scenario(cfg, template, 0),
+        );
+        let (mut ff, _) = build_kernel(proto.clone(), &sc);
+        let (mut plain, _) = build_kernel(proto, &twin);
+        assert!(converge(&mut ff, &cfg.timing, sc.join_window));
+        assert!(converge_plain(&mut plain, &cfg.timing, sc.join_window));
+        same(&ff, &plain, "converged").unwrap();
+        ff.skipped_windows()
+    }
+    for (arm, skipped) in [
+        ("HBH", converged(Hbh::new(t), &cfg, &template)),
+        ("REUNITE", converged(Reunite::new(t), &cfg, &template)),
+        (
+            "PIM-SS",
+            converged(Pim::source_specific(t), &cfg, &template),
+        ),
+    ] {
+        assert!(skipped > 0, "{arm} skipped nothing");
     }
 }

@@ -4,7 +4,7 @@
 use crate::messages::{HbhMsg, HbhTimer};
 use crate::tables::{HbhMct, HbhMft};
 use hbh_proto_base::{Channel, Cmd, SoftSet, Timing};
-use hbh_sim_core::{Ctx, Packet, Protocol, SteadyState};
+use hbh_sim_core::{Ctx, LazyBox, Packet, Protocol, SteadyState};
 use hbh_sim_core::{FastMap, FastSet};
 use hbh_topo::graph::NodeId;
 use std::sync::Arc;
@@ -42,13 +42,20 @@ impl Hbh {
     }
 }
 
-/// Per-node HBH state.
+/// Per-node HBH state. A receiving host keeps its subscriptions alone:
+/// the router-side tables are boxed and made on the first write.
 #[derive(Clone, Default, PartialEq)]
 pub struct HbhNodeState {
-    mct: FastMap<Channel, HbhMct>,
-    mft: FastMap<Channel, HbhMft>,
     /// Receiver-agent subscriptions.
     member: FastSet<Channel>,
+    tables: LazyBox<Tables>,
+}
+
+/// The router-side (and source-side) tables of a node.
+#[derive(Clone, Default, PartialEq)]
+struct Tables {
+    mct: FastMap<Channel, HbhMct>,
+    mft: FastMap<Channel, HbhMft>,
     /// Channels whose source tree timer is armed (source node only).
     tree_armed: FastSet<Channel>,
     /// Channels with an armed router sweep.
@@ -61,21 +68,29 @@ pub struct HbhNodeState {
 impl HbhNodeState {
     /// This node's MCT for `ch`, if any.
     pub fn mct(&self, ch: Channel) -> Option<&HbhMct> {
-        self.mct.get(&ch)
+        self.tables.get()?.mct.get(&ch)
     }
 
     /// This node's MFT for `ch`, if any.
     pub fn mft(&self, ch: Channel) -> Option<&HbhMft> {
-        self.mft.get(&ch)
+        self.tables.get()?.mft.get(&ch)
     }
 
     /// Is this node currently a branching node for `ch`?
     pub fn is_branching(&self, ch: Channel) -> bool {
-        self.mft.contains_key(&ch)
+        self.mft(ch).is_some()
+    }
+
+    fn mft_mut(&mut self, ch: Channel) -> Option<&mut HbhMft> {
+        self.tables.get_mut()?.mft.get_mut(&ch)
+    }
+
+    fn local(&self, ch: Channel) -> Option<&SoftSet> {
+        self.tables.get()?.local.get(&ch)
     }
 }
 
-impl SteadyState for HbhNodeState {
+impl SteadyState for Tables {
     fn advance(&mut self, by: u64) {
         self.mct.advance(by);
         self.mft.advance(by);
@@ -83,13 +98,19 @@ impl SteadyState for HbhNodeState {
     }
 }
 
+impl SteadyState for HbhNodeState {
+    fn advance(&mut self, by: u64) {
+        self.tables.advance(by);
+    }
+}
+
 impl hbh_proto_base::StateInventory for HbhNodeState {
     fn forwarding_entries(&self, ch: Channel) -> usize {
-        self.mft.get(&ch).map_or(0, |m| m.len())
+        self.mft(ch).map_or(0, |m| m.len())
     }
 
     fn control_entries(&self, ch: Channel) -> usize {
-        usize::from(self.mct.contains_key(&ch))
+        usize::from(self.mct(ch).is_some())
     }
 
     fn state_bytes(&self, ch: Channel) -> usize {
@@ -98,15 +119,15 @@ impl hbh_proto_base::StateInventory for HbhNodeState {
         // keeps at access routers.
         24 * self.forwarding_entries(ch)
             + 12 * self.control_entries(ch)
-            + 12 * self.local.get(&ch).map_or(0, |l| l.len())
+            + 12 * self.local(ch).map_or(0, |l| l.len())
     }
 }
 
 type HCtx<'a> = Ctx<'a, HbhMsg, HbhTimer>;
 
 impl Hbh {
-    fn arm_sweep(&self, state: &mut HbhNodeState, ch: Channel, ctx: &mut HCtx<'_>) {
-        if state.sweep_armed.insert(ch) {
+    fn arm_sweep(&self, tables: &mut Tables, ch: Channel, ctx: &mut HCtx<'_>) {
+        if tables.sweep_armed.insert(ch) {
             ctx.set_timer(HbhTimer::Sweep(ch), self.timing.tree_period);
         }
     }
@@ -175,12 +196,13 @@ impl Hbh {
         ctx: &mut HCtx<'_>,
     ) {
         let now = ctx.now();
-        let mft = state.mft.entry(ch).or_default();
+        let tables = state.tables.make();
+        let mft = tables.mft.entry(ch).or_default();
         self.repair_orphaned_mark(mft, who, ctx);
         if mft.refresh_or_insert(who, now, &self.timing) {
             ctx.structural_change();
         }
-        if state.tree_armed.insert(ch) {
+        if tables.tree_armed.insert(ch) {
             ctx.set_timer(HbhTimer::TreeRefresh(ch), self.timing.tree_period);
         }
     }
@@ -200,7 +222,7 @@ impl Hbh {
             ctx.forward(pkt); // rules (1)/(2) collapse to forwarding
             return;
         }
-        match state.mft.get_mut(&ch) {
+        match state.mft_mut(ch) {
             // Rule (3): R ∈ MFT ⇒ intercept, refresh, join upstream
             // ourselves ("a branching router joins the group itself at
             // the next upstream branching router").
@@ -231,7 +253,7 @@ impl Hbh {
         ctx: &mut HCtx<'_>,
     ) {
         let now = ctx.now();
-        let local = state.local.entry(ch).or_default();
+        let local = state.tables.make().local.entry(ch).or_default();
         let first = local.is_empty();
         if local.refresh(who, now, &self.timing) {
             ctx.structural_change();
@@ -252,7 +274,7 @@ impl Hbh {
         ctx: &mut HCtx<'_>,
     ) {
         let now = ctx.now();
-        let Some(local) = state.local.get(&ch) else {
+        let Some(local) = state.local(ch) else {
             return;
         };
         for h in local.live(now) {
@@ -266,14 +288,17 @@ impl Hbh {
     /// state is dropped and the upstream entry decays on its own.
     fn agg_flush(&self, state: &mut HbhNodeState, ch: Channel, ctx: &mut HCtx<'_>) {
         let now = ctx.now();
-        let Some(local) = state.local.get_mut(&ch) else {
+        let Some(tables) = state.tables.get_mut() else {
+            return;
+        };
+        let Some(local) = tables.local.get_mut(&ch) else {
             return;
         };
         if local.reap(now) > 0 {
             ctx.structural_change();
         }
         if local.is_empty() {
-            state.local.remove(&ch);
+            tables.local.remove(&ch);
         } else {
             self.send_join(ch, ctx.node, false, ctx);
             ctx.set_timer(HbhTimer::AggFlush(ch), self.timing.tree_period);
@@ -287,7 +312,7 @@ impl Hbh {
         // to itself and fans a tree message out to each (tree-eligible)
         // MFT node.
         let now = ctx.now();
-        let Some(mft) = state.mft.get(&ch) else {
+        let Some(mft) = state.mft(ch) else {
             return; // table decayed; nothing to refresh
         };
         for t in mft.tree_targets(now) {
@@ -305,7 +330,7 @@ impl Hbh {
     ) {
         let now = ctx.now();
         let emitter = pkt.src;
-        if let Some(mft) = state.mft.get_mut(&ch) {
+        if let Some(mft) = state.mft_mut(ch) {
             // Rules (2)/(3): a branching node seeing a transit tree for a
             // new/known target adopts/refreshes it and tells the tree's
             // emitter (via fusion) that it is the branching point for
@@ -317,12 +342,16 @@ impl Hbh {
             ctx.forward(pkt);
             return;
         }
-        match state.mct.get_mut(&ch) {
+        // Every rule below writes the tables: rule (4) creates them.
+        let tables = state.tables.make();
+        match tables.mct.get_mut(&ch) {
             // Rule (4): first contact with this channel ⇒ create the MCT.
             None => {
-                state.mct.insert(ch, HbhMct::new(target, now, &self.timing));
+                tables
+                    .mct
+                    .insert(ch, HbhMct::new(target, now, &self.timing));
                 ctx.structural_change();
-                self.arm_sweep(state, ch, ctx);
+                self.arm_sweep(tables, ch, ctx);
             }
             Some(mct) => {
                 if mct.is_dead(now) || mct.node() == target {
@@ -342,14 +371,14 @@ impl Hbh {
                     // Rule (8): two live targets flow through this router ⇒
                     // become a branching node and announce it upstream.
                     let first = mct.node();
-                    state.mct.remove(&ch);
+                    tables.mct.remove(&ch);
                     let mut mft = HbhMft::default();
                     mft.refresh_or_insert(first, now, &self.timing);
                     mft.refresh_or_insert(target, now, &self.timing);
-                    state.mft.insert(ch, mft);
+                    tables.mft.insert(ch, mft);
                     ctx.structural_change();
-                    self.arm_sweep(state, ch, ctx);
-                    let mft = state.mft.get_mut(&ch).expect("just inserted");
+                    self.arm_sweep(tables, ch, ctx);
+                    let mft = tables.mft.get_mut(&ch).expect("just inserted");
                     self.send_fusion(mft, ch, emitter, ctx);
                 }
             }
@@ -371,7 +400,7 @@ impl Hbh {
         nodes: Arc<[NodeId]>,
         ctx: &mut HCtx<'_>,
     ) {
-        let Some(mft) = state.mft.get_mut(&ch) else {
+        let Some(mft) = state.mft_mut(ch) else {
             return; // table decayed while the fusion was in flight
         };
         // Rules (2)–(4) are all table work: see `HbhMft::fusion`.
@@ -395,7 +424,7 @@ impl Hbh {
         // copies" — n downstream copies here, the +1 being the upstream
         // packet that was addressed to us).
         let now = ctx.now();
-        let Some(mft) = state.mft.get(&ch) else {
+        let Some(mft) = state.mft(ch) else {
             return; // decayed table: the upstream sender will soon notice
         };
         for t in mft.data_targets(now) {
@@ -407,16 +436,20 @@ impl Hbh {
 
     fn source_tree_tick(&self, state: &mut HbhNodeState, ch: Channel, ctx: &mut HCtx<'_>) {
         let now = ctx.now();
-        let Some(mft) = state.mft.get_mut(&ch) else {
-            state.tree_armed.remove(&ch);
+        // Armed only by a join, which made the tables.
+        let Some(tables) = state.tables.get_mut() else {
+            return;
+        };
+        let Some(mft) = tables.mft.get_mut(&ch) else {
+            tables.tree_armed.remove(&ch);
             return;
         };
         if mft.reap(now) > 0 {
             ctx.structural_change();
         }
         if mft.is_empty() {
-            state.mft.remove(&ch);
-            state.tree_armed.remove(&ch);
+            tables.mft.remove(&ch);
+            tables.tree_armed.remove(&ch);
             ctx.structural_change();
             return;
         }
@@ -434,7 +467,7 @@ impl Hbh {
         ctx: &mut HCtx<'_>,
     ) {
         let now = ctx.now();
-        let Some(mft) = state.mft.get(&ch) else {
+        let Some(mft) = state.mft(ch) else {
             return; // no receivers
         };
         for t in mft.data_targets(now) {
@@ -534,21 +567,25 @@ impl Protocol for Hbh {
             HbhTimer::TreeRefresh(ch) => self.source_tree_tick(state, ch, ctx),
             HbhTimer::AggFlush(ch) => self.agg_flush(state, ch, ctx),
             HbhTimer::Sweep(ch) => {
+                // Armed only with an MCT or MFT, which made the tables.
+                let Some(tables) = state.tables.get_mut() else {
+                    return;
+                };
                 let now = ctx.now();
                 let mut reaped = 0;
                 let mut keep = false;
-                if let Some(mct) = state.mct.get(&ch) {
+                if let Some(mct) = tables.mct.get(&ch) {
                     if mct.is_dead(now) {
-                        state.mct.remove(&ch);
+                        tables.mct.remove(&ch);
                         reaped += 1;
                     } else {
                         keep = true;
                     }
                 }
-                if let Some(mft) = state.mft.get_mut(&ch) {
+                if let Some(mft) = tables.mft.get_mut(&ch) {
                     reaped += mft.reap(now);
                     if mft.is_empty() {
-                        state.mft.remove(&ch);
+                        tables.mft.remove(&ch);
                         reaped += 1;
                     } else {
                         keep = true;
@@ -560,7 +597,7 @@ impl Protocol for Hbh {
                 if keep {
                     ctx.set_timer(HbhTimer::Sweep(ch), self.timing.tree_period);
                 } else {
-                    state.sweep_armed.remove(&ch);
+                    tables.sweep_armed.remove(&ch);
                 }
             }
         }

@@ -134,6 +134,98 @@ fn stores_match_reference(
     matches_reference(&g, &reference, &lazy)
 }
 
+/// The differential property of [`OnDemandRoutes::repeat_lookups`]: two
+/// providers of `capacity` rows over a random graph take the same warm-up
+/// lookups and then a window `W` of lookups that each read a resident row
+/// or none. One provider replays `W` `1 + k` times; the other plays it
+/// once and then repeats it `k` times: both then hold the same rows with
+/// the same LRU stamps. An evicting tail of random lookups follows on
+/// both. After every tail lookup the resident rows are the same (so every
+/// eviction victim is), and at the end so are the stamps, the
+/// `RouteStats` and the lookup counters.
+fn repeat_matches_replay(
+    seed: u64,
+    n: usize,
+    d: u8,
+    capacity: usize,
+    k: u64,
+) -> Result<(), TestCaseError> {
+    let g = arb_graph(seed, n, d);
+    let capacity = 1 + capacity % g.routers().count();
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    // A stub host is routed through its router's row.
+    let core = |x: NodeId| {
+        if g.is_host(x) && g.neighbors(x).count() == 1 {
+            g.host_router(x)
+        } else {
+            x
+        }
+    };
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED0);
+    let random_pair = |rng: &mut StdRng| {
+        (
+            nodes[rng.random_range(0..nodes.len())],
+            nodes[rng.random_range(0..nodes.len())],
+        )
+    };
+    // Two routers first, so that some row is resident.
+    let routers: Vec<NodeId> = g.routers().collect();
+    let warm_up: Vec<_> = std::iter::once((routers[0], routers[1]))
+        .chain((0..rng.random_range(0..4 * n)).map(|_| random_pair(&mut rng)))
+        .collect();
+    let tail: Vec<_> = (0..4 * n).map(|_| random_pair(&mut rng)).collect();
+    let look = |p: &OnDemandRoutes, &(u, v): &(NodeId, NodeId)| (p.dist(u, v), p.step(u, v));
+    let (replayed, repeated) = (
+        OnDemandRoutes::new(&g, capacity),
+        OnDemandRoutes::new(&g, capacity),
+    );
+    for p in [&replayed, &repeated] {
+        for pair in &warm_up {
+            look(p, pair);
+        }
+    }
+    // `W`: lookups from a node whose row is resident, or none at all.
+    let resident = replayed.cached_sources();
+    let from: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&u| resident.contains(&core(u)))
+        .collect();
+    let window: Vec<_> = (0..rng.random_range(1..3 * n))
+        .map(|_| {
+            let (_, v) = random_pair(&mut rng);
+            (from[rng.random_range(0..from.len())], v)
+        })
+        .collect();
+    for _ in 0..=k {
+        for pair in &window {
+            look(&replayed, pair);
+        }
+    }
+    let before = repeated.lookup_counters();
+    for pair in &window {
+        look(&repeated, pair);
+    }
+    let w = repeated.lookup_counters().since(before);
+    prop_assert_eq!(w.misses, 0, "the window computed a row");
+    repeated.repeat_lookups(w, k);
+    prop_assert_eq!(repeated.lookup_counters(), replayed.lookup_counters());
+    prop_assert_eq!(repeated.stamps(), replayed.stamps());
+    for (i, pair) in tail.iter().enumerate() {
+        prop_assert_eq!(look(&repeated, pair), look(&replayed, pair));
+        prop_assert_eq!(
+            repeated.cached_sources(),
+            replayed.cached_sources(),
+            "resident rows after tail lookup {}",
+            i
+        );
+    }
+    prop_assert_eq!(repeated.stamps(), replayed.stamps());
+    prop_assert_eq!(repeated.route_stats(), replayed.route_stats());
+    prop_assert_eq!(repeated.lookup_counters(), replayed.lookup_counters());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
@@ -144,6 +236,15 @@ proptest! {
         seed in 0u64..100_000, n in 4usize..16, d in 0u8..8, kind in 0u8..5, redraw in any::<bool>(),
     ) {
         stores_match_reference(seed, n, d, kind, redraw)?;
+    }
+
+    /// Repeating a window of cache hits leaves the on-demand store where
+    /// replaying it does, down to every later eviction victim.
+    #[test]
+    fn repeated_lookups_match_replay(
+        seed in 0u64..100_000, n in 4usize..16, d in 0u8..8, capacity in 0usize..16, k in 1u64..6,
+    ) {
+        repeat_matches_replay(seed, n, d, capacity, k)?;
     }
 
     /// Distances obey the (directed) triangle inequality.
@@ -269,8 +370,9 @@ proptest! {
     }
 }
 
-// The reference property at 170× the cases: too slow for tier-1, run by
-// CI with `cargo test --release -p hbh-routing -- --ignored`.
+// The reference property at 170× the cases and the repeat differential
+// at as many: too slow for tier-1, run by CI with
+// `cargo test --release -p hbh-routing -- --ignored`.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4096, .. ProptestConfig::default() })]
 
@@ -280,5 +382,13 @@ proptest! {
         seed in 0u64..100_000, n in 5usize..16, d in 0u8..8, kind in 0u8..5, redraw in any::<bool>(),
     ) {
         stores_match_reference(seed, n, d, kind, redraw)?;
+    }
+
+    #[test]
+    #[ignore = "4,096 cases: CI runs it in release"]
+    fn repeated_lookups_match_replay_at_length(
+        seed in 0u64..100_000, n in 4usize..16, d in 0u8..8, capacity in 0usize..16, k in 1u64..6,
+    ) {
+        repeat_matches_replay(seed, n, d, capacity, k)?;
     }
 }

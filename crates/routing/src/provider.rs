@@ -110,6 +110,33 @@ impl RouteStats {
     }
 }
 
+/// What lookups move in an [`OnDemandRoutes`]: its LRU clock and its
+/// lookup counters. Two readings a window apart, subtracted
+/// ([`LookupCounters::since`]), say what the window's lookups did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LookupCounters {
+    /// LRU tick: one per lookup through a row, hit or miss.
+    pub tick: u64,
+    /// Lookups answered from a resident row.
+    pub hits: u64,
+    /// Lookups that computed a row first.
+    pub misses: u64,
+    /// Lookups answered from the contraction maps alone.
+    pub rowless: u64,
+}
+
+impl LookupCounters {
+    /// What the lookups between `earlier` and `self` moved.
+    pub fn since(self, earlier: LookupCounters) -> LookupCounters {
+        LookupCounters {
+            tick: self.tick - earlier.tick,
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            rowless: self.rowless - earlier.rowless,
+        }
+    }
+}
+
 /// One memoized forward-SPF row over the core: everything core node `src`
 /// needs to answer `step(src, *)` / `dist(src, *)`.
 struct Row {
@@ -244,6 +271,61 @@ impl OnDemandRoutes {
     /// [`RouteProvider::state_bytes`] also counts).
     pub fn structure_bytes(&self) -> usize {
         self.view.bytes()
+    }
+
+    /// The LRU clock and lookup counters, as a window's bounds.
+    pub fn lookup_counters(&self) -> LookupCounters {
+        let c = self.cache.lock().unwrap();
+        LookupCounters {
+            tick: c.tick,
+            hits: c.stats.hits,
+            misses: c.stats.misses,
+            rowless: self.rowless_hits.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Leaves the cache as `k` more repeats of its last `window` would:
+    /// `window` is what the last `window.tick` row lookups moved
+    /// ([`LookupCounters::since`]), and they computed no row.
+    ///
+    /// Exact for a lookup sequence that repeats period for period: a
+    /// window without a miss neither adds nor evicts a row, so each repeat
+    /// reads the same resident rows in the same order, and a row's last
+    /// use in the last repeat is its last use in `window` plus `k` clock
+    /// periods. The rows `window` touched are those stamped after its
+    /// first tick; every other stamp, and so every later LRU victim, is
+    /// what the repeats would leave.
+    ///
+    /// # Panics
+    /// Panics if `window` computed a row or spans more ticks than the
+    /// clock has run.
+    pub fn repeat_lookups(&self, window: LookupCounters, k: u64) {
+        assert_eq!(window.misses, 0, "a repeated window computes no row");
+        let c = &mut *self.cache.lock().unwrap();
+        let start = c.tick - window.tick;
+        let by = k * window.tick;
+        for (_, row) in &mut c.rows {
+            if row.last_used > start {
+                row.last_used += by;
+            }
+        }
+        c.tick += by;
+        c.stats.hits += k * window.hits;
+        self.rowless_hits
+            .fetch_add(k * window.rowless, Ordering::Relaxed);
+    }
+
+    /// Every resident row's core source and LRU stamp, by source.
+    #[cfg(test)]
+    pub(crate) fn stamps(&self) -> Vec<(u32, u64)> {
+        let c = self.cache.lock().unwrap();
+        let mut v: Vec<_> = c
+            .rows
+            .iter()
+            .map(|(src, row)| (*src, row.last_used))
+            .collect();
+        v.sort_unstable();
+        v
     }
 
     /// Counts a lookup answered without consulting a row.

@@ -34,9 +34,11 @@
 //! If the window was quiet and the two are equal, it moves the clock, the
 //! pending events and every stored time by whole windows and adds their
 //! counts to [`Stats`]. Inputs from outside the run (commands, faults,
-//! loss, a trace) and on-demand route stores keep it from comparing at
-//! all. `DESIGN.md` §6e has the conditions and the argument that the skip
-//! is exact.
+//! loss, a trace) keep it from comparing at all, and a window that
+//! computed a route row is not a repeat; an on-demand store's lookup
+//! counters and LRU stamps are moved by the skipped windows' lookups.
+//! `DESIGN.md` §6e has the conditions and the argument that the skip is
+//! exact.
 
 use crate::ctx::{Ctx, KernelOps};
 use crate::fasthash::FastMap;
@@ -48,6 +50,7 @@ use crate::stats::{Delivery, Stats};
 use crate::steady::SteadyState;
 use crate::time::Time;
 use crate::trace::{Trace, TraceKind};
+use hbh_routing::LookupCounters;
 use hbh_topo::graph::{LinkId, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -516,13 +519,15 @@ enum Pending<M, T> {
     },
 }
 
-/// A window the run was seen to repeat: its length, and the events and
-/// control copies each repeat dispatches.
+/// A window the run was seen to repeat: its length, the events and
+/// control copies each repeat dispatches, and what its route lookups move
+/// in an on-demand store (`None` with eager tables).
 #[derive(Clone, Copy)]
 struct Repeat {
     len: u64,
     events: u64,
     control: u64,
+    lookups: Option<LookupCounters>,
 }
 
 /// [`Kernel::fast_forward`]'s buffers, verdict and tallies.
@@ -536,8 +541,12 @@ struct FastForward<S, M, T> {
     /// Scratch for the queue's keys.
     keys: Vec<EventKey>,
     /// Set once a window repeated; anything from outside the run (a
-    /// command, a fault, a loss model, a trace) clears it.
+    /// command, a fault, a loss model, a trace, a route lookup between
+    /// two calls) clears it.
     repeat: Option<Repeat>,
+    /// The route store's lookup counters as the last call left them: a
+    /// lookup from outside the kernel since then clears `repeat`.
+    lookups_left: Option<LookupCounters>,
     skipped_windows: u64,
     skipped_events: u64,
 }
@@ -577,6 +586,7 @@ impl<P: Protocol> Kernel<P> {
                 queue: Vec::new(),
                 keys: Vec::new(),
                 repeat: None,
+                lookups_left: None,
                 skipped_windows: 0,
                 skipped_events: 0,
             },
@@ -707,19 +717,25 @@ impl<P: Protocol> Kernel<P> {
     /// dispatches the rest of the way to `until` event by event. That
     /// verdict stands for later calls with the same `window` until
     /// something from outside the run arrives: a command, a fault, a loss
-    /// model or a trace.
+    /// model, a trace, or a route lookup on the kernel's network.
     ///
     /// A window is only compared when nothing outside the copy can make
     /// the next one differ: no command or fault pending, no data packet in
-    /// flight, no loss model or fault state, no trace, and an eager route
-    /// store (an on-demand store's cache moves with every lookup). A quiet
-    /// window makes no structural change, carries or delivers no data,
-    /// drops nothing and draws nothing from the RNG.
+    /// flight, no loss model or fault state, no trace. A quiet window makes
+    /// no structural change, carries or delivers no data, drops nothing,
+    /// draws nothing from the RNG and computes no route row. A route
+    /// answer is a function of the graph alone, so an on-demand store's
+    /// cache never moves a run; what a skip must move are its lookup
+    /// counters and LRU stamps, by `k` times the window's
+    /// ([`Network::repeat_lookups`]).
     ///
     /// # Panics
     /// Panics if `window` is zero.
     pub fn fast_forward(&mut self, until: Time, window: u64) {
         assert!(window > 0, "a fast-forward window is positive");
+        if self.core.net.lookup_counters() != self.ff.lookups_left {
+            self.ff.repeat = None;
+        }
         while !matches!(self.ff.repeat, Some(r) if r.len == window)
             && until.since(self.core.now) >= 2 * window
             && self.may_repeat()
@@ -735,14 +751,12 @@ impl<P: Protocol> Kernel<P> {
             self.skip(until.since(self.core.now) / window, r);
         }
         self.run_until(until);
+        self.ff.lookups_left = self.core.net.lookup_counters();
     }
 
     /// Whether this kernel's runs can be fast-forwarded at all.
     fn may_repeat(&self) -> bool {
-        P::NodeState::MAY_REPEAT
-            && !self.core.trace.active()
-            && self.core.faults.is_none()
-            && !self.core.net.is_on_demand()
+        P::NodeState::MAY_REPEAT && !self.core.trace.active() && self.core.faults.is_none()
     }
 
     /// Runs the window that ends at `end` and records whether it repeats.
@@ -752,12 +766,23 @@ impl<P: Protocol> Kernel<P> {
         let quiet = |k: &Self| (k.core.stats.quiet_mark(), k.core.rng_reads);
         let before = quiet(self);
         let (events, control) = (self.core.stats.events, self.core.stats.control_copies());
+        let routes = self.core.net.lookup_counters();
         self.run_until(end);
-        if quiet(self) == before && self.equals_moved_snapshot(len) {
+        let lookups = self
+            .core
+            .net
+            .lookup_counters()
+            .zip(routes)
+            .map(|(after, was)| after.since(was));
+        if quiet(self) == before
+            && lookups.map_or(true, |l| l.misses == 0)
+            && self.equals_moved_snapshot(len)
+        {
             self.ff.repeat = Some(Repeat {
                 len,
                 events: self.core.stats.events - events,
                 control: self.core.stats.control_copies() - control,
+                lookups,
             });
         }
     }
@@ -809,6 +834,9 @@ impl<P: Protocol> Kernel<P> {
             s.advance(by);
         }
         self.core.stats.repeat(windows, r.events, r.control);
+        if let Some(lookups) = r.lookups {
+            self.core.net.repeat_lookups(lookups, windows);
+        }
         self.ff.skipped_windows += windows;
         self.ff.skipped_events += windows * r.events;
     }
@@ -1588,16 +1616,18 @@ mod tests {
         }
     }
 
-    /// a — b, started at t = 0, over eager routes or an on-demand store.
-    fn beacons(on_demand: bool) -> (Kernel<Beacon>, NodeId, NodeId) {
+    /// a — b — c, a and b started at t = 0, over eager routes or an
+    /// on-demand store of `cache` rows. c stays silent.
+    fn beacons(cache: Option<usize>) -> (Kernel<Beacon>, NodeId, NodeId) {
         let mut g = Graph::new();
         let a = g.add_router();
         let b = g.add_router();
+        let c = g.add_router();
         g.add_link(a, b, 3, 4);
-        let net = if on_demand {
-            Network::on_demand(g, 4)
-        } else {
-            Network::new(g)
+        g.add_link(b, c, 1, 1);
+        let net = match cache {
+            Some(rows) => Network::on_demand(g, rows),
+            None => Network::new(g),
         };
         let mut k = Kernel::new(net, Beacon, 7);
         k.command_at(a, BeaconCmd::Start(b), Time::ZERO);
@@ -1605,10 +1635,15 @@ mod tests {
         (k, a, b)
     }
 
-    /// Everything a caller can read off two kernels is equal.
+    /// Everything a caller can read off two kernels is equal, their route
+    /// caches included.
     fn assert_same(ff: &Kernel<Beacon>, plain: &Kernel<Beacon>) {
         assert_eq!(ff.now(), plain.now());
         assert_eq!(ff.stats(), plain.stats());
+        let (net, plain_net) = (ff.network(), plain.network());
+        assert_eq!(net.routes().route_stats(), plain_net.routes().route_stats());
+        assert_eq!(net.lookup_counters(), plain_net.lookup_counters());
+        assert_eq!(net.cached_sources(), plain_net.cached_sources());
         assert_eq!(ff.pending_timer_count(), plain.pending_timer_count());
         for n in plain.network().graph().nodes() {
             assert_eq!(ff.state(n), plain.state(n), "{n}");
@@ -1617,8 +1652,8 @@ mod tests {
 
     #[test]
     fn a_run_that_repeats_every_two_beacons_is_skipped_exactly() {
-        let (mut ff, a, _) = beacons(false);
-        let (mut plain, ..) = beacons(false);
+        let (mut ff, a, _) = beacons(None);
+        let (mut plain, ..) = beacons(None);
         // One beacon does not repeat the last one: nothing is skipped.
         ff.fast_forward(Time(1_000), BEACON);
         assert_eq!(ff.skipped_windows(), 0);
@@ -1641,8 +1676,8 @@ mod tests {
 
     #[test]
     fn a_pending_command_stops_a_skip_before_it() {
-        let (mut ff, a, _) = beacons(false);
-        let (mut plain, ..) = beacons(false);
+        let (mut ff, a, _) = beacons(None);
+        let (mut plain, ..) = beacons(None);
         for k in [&mut ff, &mut plain] {
             k.command_at(a, BeaconCmd::Ping(3), Time(5_000));
         }
@@ -1655,16 +1690,12 @@ mod tests {
     }
 
     #[test]
-    fn a_trace_a_loss_model_or_an_on_demand_store_turns_skipping_off() {
+    fn a_trace_or_a_loss_model_turns_skipping_off() {
         type Setup = fn(&mut Kernel<Beacon>);
-        let setups: [(bool, Setup); 3] = [
-            (false, |k| k.enable_trace()),
-            (false, |k| k.set_loss(LossModel::default())),
-            (true, |_| {}),
-        ];
-        for (on_demand, setup) in setups {
-            let (mut ff, ..) = beacons(on_demand);
-            let (mut plain, ..) = beacons(on_demand);
+        let setups: [Setup; 2] = [|k| k.enable_trace(), |k| k.set_loss(LossModel::default())];
+        for setup in setups {
+            let (mut ff, ..) = beacons(None);
+            let (mut plain, ..) = beacons(None);
             setup(&mut ff);
             setup(&mut plain);
             ff.fast_forward(Time(2_000), 2 * BEACON);
@@ -1672,9 +1703,49 @@ mod tests {
             assert_eq!(ff.skipped_windows(), 0);
             assert_same(&ff, &plain);
         }
-        // The same kernel without any of them does skip.
-        let (mut k, ..) = beacons(false);
+        // The same kernel without either does skip.
+        let (mut k, ..) = beacons(None);
         k.fast_forward(Time(2_000), 2 * BEACON);
         assert!(k.skipped_windows() > 0);
+    }
+
+    #[test]
+    fn an_on_demand_store_skips_and_moves_its_cache_exactly() {
+        // Each kernel on a network of its own: clones would share a cache.
+        let (mut ff, ..) = beacons(Some(2));
+        let (mut plain, ..) = beacons(Some(2));
+        ff.fast_forward(Time(2_000), 2 * BEACON);
+        plain.run_until(Time(2_000));
+        assert!(ff.skipped_windows() > 90, "{}", ff.skipped_windows());
+        assert_same(&ff, &plain);
+        let s = ff.network().routes().route_stats();
+        assert_eq!((s.computed, s.evicted, s.cached_rows), (2, 0, 2));
+        assert!(s.hits > 300, "the skipped lookups count as hits: {s:?}");
+    }
+
+    #[test]
+    fn a_window_that_computes_a_route_row_is_not_a_repeat() {
+        let (mut ff, a, b) = beacons(Some(2));
+        let (mut plain, ..) = beacons(Some(2));
+        ff.fast_forward(Time(1_000), 2 * BEACON);
+        plain.run_until(Time(1_000));
+        let skipped = ff.skipped_windows();
+        assert!(skipped > 0);
+        // A lookup from outside the run fills c's row into the full cache,
+        // evicting a's or b's: the first window recomputes it.
+        let c = NodeId(2);
+        for k in [&ff, &plain] {
+            assert_eq!(k.network().dist(c, a), Some(5));
+            let rows = k.network().cached_sources();
+            assert!(rows.contains(&c) && !(rows.contains(&a) && rows.contains(&b)));
+        }
+        ff.fast_forward(Time(1_000 + 8 * BEACON), 2 * BEACON);
+        plain.run_until(Time(1_000 + 8 * BEACON));
+        // Window one computed a row, window two repeated: two skipped.
+        assert_eq!(ff.skipped_windows() - skipped, 2);
+        assert_same(&ff, &plain);
+        ff.fast_forward(Time(3_000), 2 * BEACON);
+        plain.run_until(Time(3_000));
+        assert_same(&ff, &plain);
     }
 }

@@ -56,7 +56,7 @@ pub use kernel::{arrival, Arrival, DropReason, Kernel, LossModel, Protocol};
 pub use network::Network;
 pub use packet::{Packet, PacketClass};
 pub use stats::{Delivery, Stats};
-pub use steady::SteadyState;
+pub use steady::{LazyBox, SteadyState};
 pub use time::Time;
 
 #[cfg(test)]

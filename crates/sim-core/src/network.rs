@@ -27,7 +27,7 @@
 //! adds only the edge's delay, read from the real graph. Network keeps no
 //! per-pair state of its own.
 
-use hbh_routing::{OnDemandRoutes, RouteProvider, RoutingTables};
+use hbh_routing::{LookupCounters, OnDemandRoutes, RouteProvider, RoutingTables};
 use hbh_topo::graph::{Cost, EdgeId, Graph, NodeId, PathCost};
 use std::sync::Arc;
 
@@ -124,6 +124,34 @@ impl Network {
     /// from eager all-pairs tables.
     pub fn is_on_demand(&self) -> bool {
         matches!(self.inner.routes, RouteStore::OnDemand(_))
+    }
+
+    /// An on-demand store's LRU clock and lookup counters
+    /// ([`OnDemandRoutes::lookup_counters`]); `None` with eager tables,
+    /// which count nothing per lookup.
+    pub fn lookup_counters(&self) -> Option<LookupCounters> {
+        match &self.inner.routes {
+            RouteStore::Exact(_) => None,
+            RouteStore::OnDemand(r) => Some(r.lookup_counters()),
+        }
+    }
+
+    /// Moves an on-demand store as `k` more repeats of its last
+    /// lookup-window would ([`OnDemandRoutes::repeat_lookups`]); eager
+    /// tables have nothing to move.
+    pub fn repeat_lookups(&self, window: LookupCounters, k: u64) {
+        if let RouteStore::OnDemand(r) = &self.inner.routes {
+            r.repeat_lookups(window, k);
+        }
+    }
+
+    /// Sources with a resident on-demand row, ascending
+    /// ([`OnDemandRoutes::cached_sources`]); empty with eager tables.
+    pub fn cached_sources(&self) -> Vec<NodeId> {
+        match &self.inner.routes {
+            RouteStore::Exact(_) => Vec::new(),
+            RouteStore::OnDemand(r) => r.cached_sources(),
+        }
     }
 
     /// Heap bytes of the contracted topology view an on-demand network

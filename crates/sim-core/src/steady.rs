@@ -57,6 +57,54 @@ where
     }
 }
 
+/// A `T` kept behind a box that is made on the first write: a node state
+/// whose tables most nodes never fill (a host's router-side tables) costs
+/// one pointer until they do, in the kernel's states and in every window
+/// copy. Reading never makes the box, and a missing box reads, moves and
+/// compares as `T::default()`.
+#[derive(Clone, Debug, Default)]
+pub struct LazyBox<T>(Option<Box<T>>);
+
+impl<T: Default> LazyBox<T> {
+    /// The value, `None` while no write has made it.
+    #[inline]
+    pub fn get(&self) -> Option<&T> {
+        self.0.as_deref()
+    }
+
+    /// The value for a write that only changes what is there: `None`
+    /// while no write has made it.
+    #[inline]
+    pub fn get_mut(&mut self) -> Option<&mut T> {
+        self.0.as_deref_mut()
+    }
+
+    /// The value for a write, made (as `T::default()`) if need be.
+    #[inline]
+    pub fn make(&mut self) -> &mut T {
+        self.0.get_or_insert_with(Box::default)
+    }
+}
+
+/// Equal as the values they read as: a missing box equals an empty one.
+impl<T: Default + PartialEq> PartialEq for LazyBox<T> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.get(), other.get()) {
+            (Some(a), Some(b)) => a == b,
+            (Some(t), None) | (None, Some(t)) => *t == T::default(),
+            (None, None) => true,
+        }
+    }
+}
+
+impl<T: Default + SteadyState> SteadyState for LazyBox<T> {
+    fn advance(&mut self, by: u64) {
+        if let Some(t) = self.get_mut() {
+            t.advance(by);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +136,23 @@ mod tests {
         assert_ne!(b, short);
         b.insert(3, Time(0));
         assert_ne!(b, later, "an extra key");
+    }
+
+    #[test]
+    fn a_missing_box_reads_as_the_default() {
+        let mut none: LazyBox<FastMap<u8, Time>> = LazyBox::default();
+        assert!(none.get().is_none() && none.get_mut().is_none());
+        let mut empty = none.clone();
+        empty.make();
+        assert!(empty.get().is_some());
+        assert_eq!(none, empty, "an empty box equals none");
+        empty.make().insert(1, Time(10));
+        assert_ne!(none, empty);
+        assert_ne!(empty, none);
+        let mut moved = empty.clone();
+        moved.advance(5);
+        none.advance(5);
+        assert_eq!(moved.get().unwrap()[&1], Time(15));
+        assert!(none.get().is_none(), "moving never makes the box");
     }
 }
