@@ -48,11 +48,6 @@ fn same<P: Protocol>(ff: &Kernel<P>, plain: &Kernel<P>, at: &str) -> Result<(), 
         "{at}: route stats"
     );
     prop_assert_eq!(
-        net.lookup_counters(),
-        plain_net.lookup_counters(),
-        "{at}: LRU clock"
-    );
-    prop_assert_eq!(
         net.cached_sources(),
         plain_net.cached_sources(),
         "{at}: resident rows"

@@ -42,5 +42,5 @@ mod proptests;
 #[cfg(test)]
 mod reference;
 
-pub use provider::{LookupCounters, OnDemandRoutes, RouteProvider, RouteStats};
+pub use provider::{OnDemandRoutes, RouteProvider, RouteStats};
 pub use tables::RoutingTables;

@@ -88,7 +88,8 @@ pub struct RouteStats {
     /// SPF rows computed (eager: one per core node, up front — stub
     /// hosts are expanded from their router's row).
     pub computed: u64,
-    /// Lookups answered from a cached row.
+    /// Lookups answered without computing a row: from a cached row, or
+    /// (on-demand) from the contraction maps alone, with no row at all.
     pub hits: u64,
     /// Lookups that had to compute a row first.
     pub misses: u64,
@@ -110,39 +111,12 @@ impl RouteStats {
     }
 }
 
-/// What lookups move in an [`OnDemandRoutes`]: its LRU clock and its
-/// lookup counters. Two readings a window apart, subtracted
-/// ([`LookupCounters::since`]), say what the window's lookups did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LookupCounters {
-    /// LRU tick: one per lookup through a row, hit or miss.
-    pub tick: u64,
-    /// Lookups answered from a resident row.
-    pub hits: u64,
-    /// Lookups that computed a row first.
-    pub misses: u64,
-    /// Lookups answered from the contraction maps alone.
-    pub rowless: u64,
-}
-
-impl LookupCounters {
-    /// What the lookups between `earlier` and `self` moved.
-    pub fn since(self, earlier: LookupCounters) -> LookupCounters {
-        LookupCounters {
-            tick: self.tick - earlier.tick,
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            rowless: self.rowless - earlier.rowless,
-        }
-    }
-}
-
 /// One memoized forward-SPF row over the core: everything core node `src`
 /// needs to answer `step(src, *)` / `dist(src, *)`.
 struct Row {
     /// `legs[v]`: the core leg from the row's source to core node `v`.
     legs: Box<[Leg]>,
-    /// LRU tick of the last lookup through this row.
+    /// The lookup count (the LRU clock) at this row's last read.
     last_used: u64,
 }
 
@@ -152,17 +126,19 @@ impl Row {
     }
 }
 
-/// Everything behind the lock: the rows plus the counters and scratch that
-/// mutate on lookups.
+/// Everything behind the lock: the rows, the scratch that computes them,
+/// and the two counters only a row computation moves.
 struct RowCache {
     /// `slot[src]`: where core node `src`'s row sits in `rows`
     /// ([`pair::NONE`] = not resident).
     slot: Vec<u32>,
     /// The resident rows with their sources' core indices, in no order.
     rows: Vec<(u32, Row)>,
-    tick: u64,
     scratch: DijkstraScratch,
-    stats: RouteStats,
+    /// Lookups that computed a row first.
+    misses: u64,
+    /// Rows dropped by LRU capacity pressure.
+    evicted: u64,
 }
 
 /// Lazy per-source routing over the contracted view of a topology.
@@ -194,9 +170,9 @@ pub struct OnDemandRoutes {
     masks: Masks,
     capacity: usize,
     cache: Mutex<RowCache>,
-    /// Lookups answered from the contraction maps alone; a statistic,
-    /// kept outside the lock those lookups never take.
-    rowless_hits: AtomicU64,
+    /// Every lookup so far, through a row or rowless; the LRU clock. Kept
+    /// outside the lock, which a rowless lookup never takes.
+    lookups: AtomicU64,
 }
 
 impl OnDemandRoutes {
@@ -243,11 +219,11 @@ impl OnDemandRoutes {
             cache: Mutex::new(RowCache {
                 slot: vec![pair::NONE; core],
                 rows: Vec::new(),
-                tick: 0,
                 scratch: DijkstraScratch::default(),
-                stats: RouteStats::default(),
+                misses: 0,
+                evicted: 0,
             }),
-            rowless_hits: AtomicU64::new(0),
+            lookups: AtomicU64::new(0),
         }
     }
 
@@ -273,46 +249,28 @@ impl OnDemandRoutes {
         self.view.bytes()
     }
 
-    /// The LRU clock and lookup counters, as a window's bounds.
-    pub fn lookup_counters(&self) -> LookupCounters {
-        let c = self.cache.lock().unwrap();
-        LookupCounters {
-            tick: c.tick,
-            hits: c.stats.hits,
-            misses: c.stats.misses,
-            rowless: self.rowless_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Leaves the cache as `k` more repeats of its last `window` would:
-    /// `window` is what the last `window.tick` row lookups moved
-    /// ([`LookupCounters::since`]), and they computed no row.
+    /// Leaves the cache as `k` more repeats of its last `lookups` lookups
+    /// would, given that they computed no row (their window moved
+    /// [`RouteStats::hits`] by `lookups` and `misses` not at all).
     ///
     /// Exact for a lookup sequence that repeats period for period: a
     /// window without a miss neither adds nor evicts a row, so each repeat
     /// reads the same resident rows in the same order, and a row's last
-    /// use in the last repeat is its last use in `window` plus `k` clock
-    /// periods. The rows `window` touched are those stamped after its
-    /// first tick; every other stamp, and so every later LRU victim, is
-    /// what the repeats would leave.
-    ///
-    /// # Panics
-    /// Panics if `window` computed a row or spans more ticks than the
-    /// clock has run.
-    pub fn repeat_lookups(&self, window: LookupCounters, k: u64) {
-        assert_eq!(window.misses, 0, "a repeated window computes no row");
+    /// read in the last repeat is its last read in the window plus `k`
+    /// clock periods. The rows the window read are those stamped after
+    /// the clock stood at its start; every other stamp, and so every later
+    /// LRU victim, is what the repeats would leave. The hits follow from
+    /// the clock.
+    pub fn repeat_lookups(&self, lookups: u64, k: u64) {
         let c = &mut *self.cache.lock().unwrap();
-        let start = c.tick - window.tick;
-        let by = k * window.tick;
+        let start = self.lookups.load(Ordering::Relaxed) - lookups;
+        let by = k * lookups;
         for (_, row) in &mut c.rows {
             if row.last_used > start {
                 row.last_used += by;
             }
         }
-        c.tick += by;
-        c.stats.hits += k * window.hits;
-        self.rowless_hits
-            .fetch_add(k * window.rowless, Ordering::Relaxed);
+        self.lookups.fetch_add(by, Ordering::Relaxed);
     }
 
     /// Every resident row's core source and LRU stamp, by source.
@@ -330,7 +288,7 @@ impl OnDemandRoutes {
 
     /// Counts a lookup answered without consulting a row.
     fn rowless<T>(&self, answer: T) -> T {
-        self.rowless_hits.fetch_add(1, Ordering::Relaxed);
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         answer
     }
 
@@ -338,16 +296,13 @@ impl OnDemandRoutes {
     /// `src`.
     fn with_row<R>(&self, src: u32, f: impl FnOnce(&Row) -> R) -> R {
         let c = &mut *self.cache.lock().unwrap();
-        c.tick += 1;
-        let tick = c.tick;
+        let now = self.lookups.fetch_add(1, Ordering::Relaxed) + 1;
         // A `NONE` slot indexes past the end of `rows`.
         if let Some((_, row)) = c.rows.get_mut(c.slot[src as usize] as usize) {
-            row.last_used = tick;
-            c.stats.hits += 1;
+            row.last_used = now;
             return f(row);
         }
-        c.stats.misses += 1;
-        c.stats.computed += 1;
+        c.misses += 1;
 
         shortest_paths_avoiding_csr_into(
             self.view.core(),
@@ -358,11 +313,11 @@ impl OnDemandRoutes {
         );
         let row = Row {
             legs: pair::legs(&c.scratch).collect(),
-            last_used: tick,
+            last_used: now,
         };
 
         if c.rows.len() >= self.capacity {
-            // Deterministic LRU: oldest tick, ties to the smallest source.
+            // Deterministic LRU: oldest stamp, ties to the smallest source.
             let (_, victim) = c
                 .rows
                 .iter()
@@ -375,11 +330,10 @@ impl OnDemandRoutes {
             if let Some(&(moved, _)) = c.rows.get(victim) {
                 c.slot[moved as usize] = victim as u32;
             }
-            c.stats.evicted += 1;
+            c.evicted += 1;
         }
         c.slot[src as usize] = c.rows.len() as u32;
         c.rows.push((src, row));
-        c.stats.cached_rows = c.rows.len();
         f(&c.rows.last().expect("just pushed").1)
     }
 
@@ -419,12 +373,16 @@ impl RouteProvider for OnDemandRoutes {
         self.resolve(from, to).map(|(d, ..)| d)
     }
 
+    /// Derived from the lookup count and the two locked counters: every
+    /// miss computed one row, and every other lookup is a hit.
     fn route_stats(&self) -> RouteStats {
         let c = self.cache.lock().unwrap();
         RouteStats {
-            hits: c.stats.hits + self.rowless_hits.load(Ordering::Relaxed),
+            computed: c.misses,
+            hits: self.lookups.load(Ordering::Relaxed) - c.misses,
+            misses: c.misses,
+            evicted: c.evicted,
             cached_rows: c.rows.len(),
-            ..c.stats
         }
     }
 
@@ -512,10 +470,10 @@ mod tests {
         let g = isp(2);
         let lazy = OnDemandRoutes::new(&g, 2);
         let nodes: Vec<NodeId> = g.nodes().collect();
-        lazy.dist(nodes[0], nodes[5]); // tick 1
-        lazy.dist(nodes[1], nodes[5]); // tick 2
-        lazy.dist(nodes[0], nodes[6]); // tick 3: refreshes row 0
-        lazy.dist(nodes[2], nodes[5]); // tick 4: must evict row 1 (oldest)
+        lazy.dist(nodes[0], nodes[5]); // lookup 1
+        lazy.dist(nodes[1], nodes[5]); // lookup 2
+        lazy.dist(nodes[0], nodes[6]); // lookup 3: refreshes row 0
+        lazy.dist(nodes[2], nodes[5]); // lookup 4: must evict row 1 (oldest)
         assert_eq!(lazy.cached_sources(), vec![nodes[0], nodes[2]]);
         assert_eq!(lazy.route_stats().evicted, 1);
     }

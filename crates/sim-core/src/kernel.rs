@@ -35,8 +35,9 @@
 //! pending events and every stored time by whole windows and adds their
 //! counts to [`Stats`]. Inputs from outside the run (commands, faults,
 //! loss, a trace) keep it from comparing at all, and a window that
-//! computed a route row is not a repeat; an on-demand store's lookup
-//! counters and LRU stamps are moved by the skipped windows' lookups.
+//! computed a route row is not a repeat; a skip moves an on-demand store's
+//! lookup count (its LRU clock) and the stamps of the rows the window
+//! read, by the skipped windows' lookups.
 //! `DESIGN.md` §6e has the conditions and the argument that the skip is
 //! exact.
 
@@ -50,7 +51,7 @@ use crate::stats::{Delivery, Stats};
 use crate::steady::SteadyState;
 use crate::time::Time;
 use crate::trace::{Trace, TraceKind};
-use hbh_routing::LookupCounters;
+use hbh_routing::RouteStats;
 use hbh_topo::graph::{LinkId, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -519,15 +520,15 @@ enum Pending<M, T> {
     },
 }
 
-/// A window the run was seen to repeat: its length, the events and
-/// control copies each repeat dispatches, and what its route lookups move
-/// in an on-demand store (`None` with eager tables).
+/// A window the run was seen to repeat: its length, and the events,
+/// control copies and route lookups each repeat makes (eager tables count
+/// no lookup).
 #[derive(Clone, Copy)]
 struct Repeat {
     len: u64,
     events: u64,
     control: u64,
-    lookups: Option<LookupCounters>,
+    lookups: u64,
 }
 
 /// [`Kernel::fast_forward`]'s buffers, verdict and tallies.
@@ -544,9 +545,9 @@ struct FastForward<S, M, T> {
     /// command, a fault, a loss model, a trace, a route lookup between
     /// two calls) clears it.
     repeat: Option<Repeat>,
-    /// The route store's lookup counters as the last call left them: a
-    /// lookup from outside the kernel since then clears `repeat`.
-    lookups_left: Option<LookupCounters>,
+    /// The route store's counters as the last call left them: a lookup
+    /// from outside the kernel since then clears `repeat`.
+    routes_left: RouteStats,
     skipped_windows: u64,
     skipped_events: u64,
 }
@@ -586,7 +587,7 @@ impl<P: Protocol> Kernel<P> {
                 queue: Vec::new(),
                 keys: Vec::new(),
                 repeat: None,
-                lookups_left: None,
+                routes_left: RouteStats::default(),
                 skipped_windows: 0,
                 skipped_events: 0,
             },
@@ -725,15 +726,16 @@ impl<P: Protocol> Kernel<P> {
     /// no structural change, carries or delivers no data, drops nothing,
     /// draws nothing from the RNG and computes no route row. A route
     /// answer is a function of the graph alone, so an on-demand store's
-    /// cache never moves a run; what a skip must move are its lookup
-    /// counters and LRU stamps, by `k` times the window's
+    /// cache never moves a run; what a skip must move are its lookup count
+    /// (the LRU clock, read off [`RouteStats::hits`]) and the stamps of the
+    /// rows the window read, by `k` times the window's lookups
     /// ([`Network::repeat_lookups`]).
     ///
     /// # Panics
     /// Panics if `window` is zero.
     pub fn fast_forward(&mut self, until: Time, window: u64) {
         assert!(window > 0, "a fast-forward window is positive");
-        if self.core.net.lookup_counters() != self.ff.lookups_left {
+        if self.core.net.routes().route_stats() != self.ff.routes_left {
             self.ff.repeat = None;
         }
         while !matches!(self.ff.repeat, Some(r) if r.len == window)
@@ -751,7 +753,7 @@ impl<P: Protocol> Kernel<P> {
             self.skip(until.since(self.core.now) / window, r);
         }
         self.run_until(until);
-        self.ff.lookups_left = self.core.net.lookup_counters();
+        self.ff.routes_left = self.core.net.routes().route_stats();
     }
 
     /// Whether this kernel's runs can be fast-forwarded at all.
@@ -766,23 +768,16 @@ impl<P: Protocol> Kernel<P> {
         let quiet = |k: &Self| (k.core.stats.quiet_mark(), k.core.rng_reads);
         let before = quiet(self);
         let (events, control) = (self.core.stats.events, self.core.stats.control_copies());
-        let routes = self.core.net.lookup_counters();
+        let routes = self.core.net.routes().route_stats();
         self.run_until(end);
-        let lookups = self
-            .core
-            .net
-            .lookup_counters()
-            .zip(routes)
-            .map(|(after, was)| after.since(was));
-        if quiet(self) == before
-            && lookups.map_or(true, |l| l.misses == 0)
-            && self.equals_moved_snapshot(len)
+        let after = self.core.net.routes().route_stats();
+        if quiet(self) == before && after.misses == routes.misses && self.equals_moved_snapshot(len)
         {
             self.ff.repeat = Some(Repeat {
                 len,
                 events: self.core.stats.events - events,
                 control: self.core.stats.control_copies() - control,
-                lookups,
+                lookups: after.hits - routes.hits,
             });
         }
     }
@@ -834,9 +829,7 @@ impl<P: Protocol> Kernel<P> {
             s.advance(by);
         }
         self.core.stats.repeat(windows, r.events, r.control);
-        if let Some(lookups) = r.lookups {
-            self.core.net.repeat_lookups(lookups, windows);
-        }
+        self.core.net.repeat_lookups(r.lookups, windows);
         self.ff.skipped_windows += windows;
         self.ff.skipped_events += windows * r.events;
     }
@@ -1642,7 +1635,6 @@ mod tests {
         assert_eq!(ff.stats(), plain.stats());
         let (net, plain_net) = (ff.network(), plain.network());
         assert_eq!(net.routes().route_stats(), plain_net.routes().route_stats());
-        assert_eq!(net.lookup_counters(), plain_net.lookup_counters());
         assert_eq!(net.cached_sources(), plain_net.cached_sources());
         assert_eq!(ff.pending_timer_count(), plain.pending_timer_count());
         for n in plain.network().graph().nodes() {
@@ -1746,6 +1738,35 @@ mod tests {
         assert_same(&ff, &plain);
         ff.fast_forward(Time(3_000), 2 * BEACON);
         plain.run_until(Time(3_000));
+        assert_same(&ff, &plain);
+    }
+
+    #[test]
+    fn a_lookup_that_computes_no_row_still_clears_the_verdict() {
+        let (mut ff, a, b) = beacons(Some(2));
+        let (mut plain, ..) = beacons(Some(2));
+        ff.fast_forward(Time(1_000), 2 * BEACON);
+        plain.run_until(Time(1_000));
+        let skipped = ff.skipped_windows();
+        assert!(skipped > 0);
+        // a beaconed last; from outside the run, b's resident row is read
+        // and a is asked its distance to itself, which reads no row. The
+        // next windows read a last again: a skip that took the old verdict
+        // would leave b's row the newer.
+        for k in [&ff, &plain] {
+            assert_eq!(k.network().dist(b, a), Some(4));
+            assert_eq!(k.network().dist(a, a), Some(0));
+        }
+        ff.fast_forward(Time(2_000), 2 * BEACON);
+        plain.run_until(Time(2_000));
+        assert!(ff.skipped_windows() > skipped);
+        assert_same(&ff, &plain);
+        // c's row evicts the least recently read of a's and b's.
+        let c = NodeId(2);
+        for k in [&ff, &plain] {
+            assert_eq!(k.network().dist(c, a), Some(5));
+            assert_eq!(k.network().cached_sources(), vec![a, c]);
+        }
         assert_same(&ff, &plain);
     }
 }

@@ -27,7 +27,7 @@
 //! adds only the edge's delay, read from the real graph. Network keeps no
 //! per-pair state of its own.
 
-use hbh_routing::{LookupCounters, OnDemandRoutes, RouteProvider, RoutingTables};
+use hbh_routing::{OnDemandRoutes, RouteProvider, RoutingTables};
 use hbh_topo::graph::{Cost, EdgeId, Graph, NodeId, PathCost};
 use std::sync::Arc;
 
@@ -126,22 +126,13 @@ impl Network {
         matches!(self.inner.routes, RouteStore::OnDemand(_))
     }
 
-    /// An on-demand store's LRU clock and lookup counters
-    /// ([`OnDemandRoutes::lookup_counters`]); `None` with eager tables,
-    /// which count nothing per lookup.
-    pub fn lookup_counters(&self) -> Option<LookupCounters> {
-        match &self.inner.routes {
-            RouteStore::Exact(_) => None,
-            RouteStore::OnDemand(r) => Some(r.lookup_counters()),
-        }
-    }
-
-    /// Moves an on-demand store as `k` more repeats of its last
-    /// lookup-window would ([`OnDemandRoutes::repeat_lookups`]); eager
-    /// tables have nothing to move.
-    pub fn repeat_lookups(&self, window: LookupCounters, k: u64) {
+    /// Moves an on-demand store as `k` more repeats of its last `lookups`
+    /// lookups would, given that they computed no row
+    /// ([`OnDemandRoutes::repeat_lookups`]); eager tables count no lookup
+    /// and have nothing to move.
+    pub fn repeat_lookups(&self, lookups: u64, k: u64) {
         if let RouteStore::OnDemand(r) = &self.inner.routes {
-            r.repeat_lookups(window, k);
+            r.repeat_lookups(lookups, k);
         }
     }
 
